@@ -190,9 +190,9 @@ struct VfsResolveRow {
 struct QueueRegimeRow {
     /// Steady-state backlog held in the queue during the run.
     pending: u64,
-    wheel_mops_per_sec: f64,
+    queue_mops_per_sec: f64,
     heap_mops_per_sec: f64,
-    wheel_vs_heap_speedup: f64,
+    queue_vs_heap_speedup: f64,
 }
 
 #[derive(serde::Serialize)]
@@ -201,10 +201,10 @@ struct QueueMicroRow {
     /// kernel's pop-earliest/push-later pattern).
     ops: u64,
     /// Backlog sized like a simulated kernel's (a few timers per CPU):
-    /// lives entirely in the wheel queue's front buffer.
+    /// the regime the sorted-vector queue is built for.
     kernel_depth: QueueRegimeRow,
-    /// Backlog two orders of magnitude past the front buffer, where the
-    /// hierarchical wheel itself carries the load.
+    /// Backlog two orders of magnitude past the kernel's, where the
+    /// queue's O(n) insertions show (correct, but no longer a speed goal).
     large_depth: QueueRegimeRow,
 }
 
@@ -370,11 +370,11 @@ fn lcg(x: &mut u64) -> u64 {
 }
 
 /// Wall seconds to drive `ops` operations (half pops, half pushes) through
-/// the timing-wheel queue with a steady backlog of `pending` events, in
+/// the sorted-vector queue with a steady backlog of `pending` events, in
 /// the kernel's pattern: pop the earliest event, schedule a successor a
 /// short pseudo-random delay later. Duplicated for the heap oracle below
 /// because the two queues are distinct types with identical inherent APIs.
-fn wheel_queue_secs(ops: u64, pending: u64) -> f64 {
+fn queue_secs(ops: u64, pending: u64) -> f64 {
     let mut x = 0x5EEDu64;
     let t = Instant::now();
     let mut q = EventQueue::new();
@@ -391,8 +391,8 @@ fn wheel_queue_secs(ops: u64, pending: u64) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// [`wheel_queue_secs`] against the pre-timing-wheel binary-heap queue
-/// (`queue::oracle`, compiled via the `queue-oracle` feature).
+/// [`queue_secs`] against the binary-heap oracle queue (`queue::oracle`,
+/// compiled via the `queue-oracle` feature).
 fn heap_queue_secs(ops: u64, pending: u64) -> f64 {
     let mut x = 0x5EEDu64;
     let t = Instant::now();
@@ -961,27 +961,26 @@ fn main() {
         pooled_rounds_per_sec: pooled_rps,
     };
 
-    // Timing wheel vs the old binary-heap queue, steady-state
-    // pop-earliest/push-later pattern, in the two regimes the simulator
-    // cares about: a kernel-sized backlog (front-buffer resident) and a
-    // backlog deep enough that the wheel carries it.
+    // Sorted-vector queue vs the binary-heap oracle, steady-state
+    // pop-earliest/push-later pattern, at a kernel-sized backlog and at a
+    // deep one.
     const QUEUE_OPS: u64 = 2_000_000;
     let queue_regime = |pending: u64| {
-        let wheel_best = (0..3)
-            .map(|_| wheel_queue_secs(QUEUE_OPS, pending))
+        let queue_best = (0..3)
+            .map(|_| queue_secs(QUEUE_OPS, pending))
             .fold(f64::INFINITY, f64::min);
         let heap_best = (0..3)
             .map(|_| heap_queue_secs(QUEUE_OPS, pending))
             .fold(f64::INFINITY, f64::min);
         let row = QueueRegimeRow {
             pending,
-            wheel_mops_per_sec: QUEUE_OPS as f64 / wheel_best / 1e6,
+            queue_mops_per_sec: QUEUE_OPS as f64 / queue_best / 1e6,
             heap_mops_per_sec: QUEUE_OPS as f64 / heap_best / 1e6,
-            wheel_vs_heap_speedup: heap_best / wheel_best,
+            queue_vs_heap_speedup: heap_best / queue_best,
         };
         println!(
-            "mc/queue   pending={pending:<5} wheel {:>6.1} Mops/s, heap {:>6.1} Mops/s  (x{:.2})",
-            row.wheel_mops_per_sec, row.heap_mops_per_sec, row.wheel_vs_heap_speedup
+            "mc/queue   pending={pending:<5} queue {:>6.1} Mops/s, heap {:>6.1} Mops/s  (x{:.2})",
+            row.queue_mops_per_sec, row.heap_mops_per_sec, row.queue_vs_heap_speedup
         );
         row
     };

@@ -68,8 +68,8 @@ fn baseline_has_every_report_row() {
         "checkpoint.prefix_frac_of_cold_round",
         "sweep_throughput.sweep_points_per_sec",
         "sweep_throughput.template_fork.fork_vs_rebuild_speedup",
-        "sweep_throughput.queue_micro.kernel_depth.wheel_mops_per_sec",
-        "sweep_throughput.queue_micro.large_depth.wheel_mops_per_sec",
+        "sweep_throughput.queue_micro.kernel_depth.queue_mops_per_sec",
+        "sweep_throughput.queue_micro.large_depth.queue_mops_per_sec",
         "campaign.block",
         "campaign.cold_store_secs",
         "campaign.warm_cache_secs",

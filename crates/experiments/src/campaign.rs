@@ -36,7 +36,7 @@
 //!
 //! The one-shot [`run_sweep`](crate::sweep::run_sweep) is kept as the
 //! byte-identity oracle, in the same spirit as the warm/cold boot and
-//! wheel/heap queue oracles: a completed campaign's
+//! sorted-vector/heap queue oracles: a completed campaign's
 //! [`aggregate`](CampaignOutcome::aggregate) serializes byte-for-byte
 //! identically to `run_sweep` on the same grid, at any `--jobs` value and
 //! either boot mode, whether computed in one shot, resumed after an

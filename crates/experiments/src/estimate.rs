@@ -8,7 +8,7 @@
 //! classic rare-event techniques over the same deterministic round engine
 //! [`run_mc`](crate::monte_carlo::run_mc) uses, and keeps `run_mc` itself
 //! as the unbiased **oracle** on scenarios where brute force is feasible
-//! (the same spirit as the warm/cold, wheel/heap and VFS oracles):
+//! (the same spirit as the warm/cold, queue/heap and VFS oracles):
 //!
 //! * **Sequential stopping.** Rounds are scheduled in deterministic
 //!   *waves* instead of a fixed count, and the run stops at the first wave

@@ -12,7 +12,7 @@ use crate::victim::{gedit_save, vi_save, SaveConfig};
 use std::fs;
 use std::os::unix::fs::MetadataExt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tocttou_core::stats::SuccessCounter;
@@ -108,9 +108,13 @@ pub fn is_root() -> bool {
 /// (e.g. chown without root) are reported in the [`LabReport`], not as
 /// errors.
 pub fn run_lab(cfg: &LabConfig) -> std::io::Result<LabReport> {
+    // One directory per call: concurrent runs in one process (parallel
+    // tests) must not delete each other's scratch files.
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
     let dir = cfg.scratch_root.join(format!(
-        "tocttou-lab-{}-{:?}-{:?}",
+        "tocttou-lab-{}-{}-{:?}-{:?}",
         std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed),
         cfg.victim,
         cfg.attacker
     ));

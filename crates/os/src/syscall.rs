@@ -196,15 +196,18 @@ pub(crate) fn compile(
 
     // Path resolution work scales with the path's depth when the maze cost
     // is enabled (long-pathname victim slowdown, Section 1's enhancement).
-    let components = req
-        .primary_path()
-        .map(|p| p.split('/').filter(|c| !c.is_empty()).count())
-        .unwrap_or(0);
+    // With no per-component cost the count cannot change the charge
+    // (`x + 0.0 == x`), so stock machines skip counting.
+    let mut entry_us = costs.syscall_entry_us;
+    if costs.resolve_per_component_us != 0.0 {
+        let components = req
+            .primary_path()
+            .map(|p| p.split('/').filter(|c| !c.is_empty()).count())
+            .unwrap_or(0);
+        entry_us += costs.maze_cost_us(components);
+    }
     phases.push_back(Phase::Cpu {
-        dur: us(
-            costs.syscall_entry_us + costs.maze_cost_us(components),
-            speed,
-        ),
+        dur: us(entry_us, speed),
         kind: CpuKind::Kernel,
     });
 
@@ -225,11 +228,13 @@ pub(crate) fn compile(
         | SyscallRequest::Access { path } => {
             // Lock-free read; inflated when the directory semaphore is held
             // at entry (dentry contention — Section 6.2.2, multi-core only
-            // via the machine's contention factor).
-            let contended = vfs
-                .dir_sem_of(path)
-                .map(|sem| sems.is_held(sem))
-                .unwrap_or(false);
+            // via the machine's contention factor). A factor of 1.0 makes
+            // the probe moot (`x * 1.0 == x`), so it is skipped.
+            let contended = costs.stat_contention_factor != 1.0
+                && vfs
+                    .dir_sem_of(path)
+                    .map(|sem| sems.is_held(sem))
+                    .unwrap_or(false);
             let total = costs.stat_total_us(contended);
             let tail = costs.stat_sample_tail_us.min(total);
             let head = total - tail;
@@ -659,6 +664,55 @@ mod tests {
         let cont_us = cpu_total_us(&contended);
         assert!((free_us - 4.5).abs() < 0.01, "free stat {free_us}");
         assert!((cont_us - 26.5).abs() < 0.01, "contended stat {cont_us}");
+    }
+
+    #[test]
+    fn maze_cost_charges_per_path_component() {
+        let mut p = test_proc(true);
+        let vfs = test_vfs();
+        let sems = SemTable::new();
+        let maze = CostModel {
+            resolve_per_component_us: 2.0,
+            ..CostModel::default()
+        };
+        let stock = CostModel::default();
+        for (path, components) in [("/d", 1.0), ("/d/f", 2.0), ("//d//f/", 2.0)] {
+            let req = SyscallRequest::Stat { path: path.into() };
+            let slow = cpu_total_us(&compile(&req, &mut p, &vfs, &sems, &maze, 1.0));
+            let fast = cpu_total_us(&compile(&req, &mut p, &vfs, &sems, &stock, 1.0));
+            assert!(
+                (slow - fast - 2.0 * components).abs() < 1e-9,
+                "{path}: maze {slow} vs stock {fast}"
+            );
+        }
+    }
+
+    #[test]
+    fn stock_stat_ignores_a_held_directory_semaphore() {
+        // With the default contention factor of 1.0 a held directory
+        // semaphore cannot change the charge, so the phases must match the
+        // uncontended compile exactly.
+        let mut p = test_proc(true);
+        let vfs = test_vfs();
+        let costs = CostModel::default();
+        assert_eq!(costs.stat_contention_factor, 1.0);
+        let mut held = SemTable::new();
+        held.acquire_or_enqueue(vfs.dir_sem_of("/d/f").unwrap(), Pid(99));
+        for req in [
+            SyscallRequest::Stat {
+                path: "/d/f".into(),
+            },
+            SyscallRequest::Lstat {
+                path: "/d/f".into(),
+            },
+            SyscallRequest::Access {
+                path: "/d/f".into(),
+            },
+        ] {
+            let free = compile(&req, &mut p, &vfs, &SemTable::new(), &costs, 1.0);
+            let contended = compile(&req, &mut p, &vfs, &held, &costs, 1.0);
+            assert_eq!(free.phases, contended.phases, "{req:?}");
+        }
     }
 
     #[test]

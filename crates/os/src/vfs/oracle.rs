@@ -6,8 +6,8 @@
 //! point is that its behaviour is easy to audit. The live
 //! [`Vfs`](super::Vfs) (interned names, dentry maps, negative entries,
 //! overlay COW) is differential-tested against it on randomized operation
-//! sequences, the same oracle pattern used for the timing-wheel event queue
-//! and the warm-boot checkpoints.
+//! sequences, the same oracle pattern used for the event queue (against a
+//! binary heap) and the warm-boot checkpoints.
 //!
 //! Compiled only under `cfg(test)` or the `vfs-oracle` feature so release
 //! binaries never carry it.

@@ -1,5 +1,5 @@
-//! A stable (FIFO-on-tie) discrete-event queue backed by a hierarchical
-//! timing wheel.
+//! A stable (FIFO-on-tie) discrete-event queue backed by one sorted
+//! vector of the pending events.
 //!
 //! Determinism is a core requirement of the simulator: the same seed must
 //! produce the same trace, byte for byte. Events scheduled for the same
@@ -9,39 +9,26 @@
 //!
 //! ## Structure and complexity
 //!
-//! The queue is two-tiered. Pushes land in a bounded **front buffer** of
-//! `C = 32` entries — one contiguous, unordered array scanned linearly on
-//! delivery, which is both the fastest structure for the simulated
-//! kernel's steady state (a handful of pending timers) and the only tier
-//! most rounds ever touch. When a push finds the buffer full, its live
-//! entries spill into a hierarchical **timing wheel**: `L = 11` levels of
-//! 64 slots each, where a level-`k` slot spans `64^k` nanosecond ticks,
-//! so the levels jointly cover the full `u64` time range with no overflow
-//! list. A spilled event lands at the level of the highest bit in which
-//! its deadline differs from the wheel's cursor, and cascades toward
-//! level 0 as the cursor advances; a level-0 slot spans exactly one tick,
-//! so delivery order within a slot reduces to the sequence number.
+//! The queue holds only *live* events (pushed, not yet popped or
+//! cancelled) in one `Vec`, sorted by descending `(deadline, sequence)`,
+//! so the next event to deliver is always the last element. With `n` the
+//! number of pending events:
 //!
-//! Cost model (the bound the Monte-Carlo hot loop relies on):
+//! * `push` — **O(n)**: a binary search for the insertion point plus the
+//!   shift of the entries after it (the kernel's pushes are mostly near
+//!   deadlines, which land near the end and shift little).
+//! * `cancel` — **O(n)**: a linear search by sequence number and an eager
+//!   removal, so there are no tombstones to skip later.
+//! * `pop`/`peek_time` — **O(1)**: `Vec::pop` and `last()`.
 //!
-//! * `push` — **O(1) amortized**: a bounds check and a `Vec` push;
-//!   spilling moves at most `C` entries (each a shift/xor level
-//!   computation and a `Vec` push) and buys `C` more O(1) pushes.
-//! * `cancel` — **O(1)**: clears a bit in the dense liveness bitmap; the
-//!   entry itself is dropped lazily when its tier is next visited.
-//! * `pop`/`peek_time` — **O(C + L)** per call plus **O(L) amortized**
-//!   per spilled event for cascading: the front buffer is one linear
-//!   scan, finding the wheel's earliest occupied slot consults one 64-bit
-//!   occupancy word per occupied level (`trailing_zeros`, no per-slot
-//!   scan), and each event moves down a level at most `L − 1` times in
-//!   its lifetime. There is **no O(slots) rollover scan**: empty regions
-//!   of the timeline are skipped entirely via the occupancy bitmaps, so
-//!   sparse horizons (a lone timer milliseconds out) cost the same as
-//!   dense ones. When the front buffer's earliest entry is strictly
-//!   earlier than a cheap lower bound on the wheel front (the earliest
-//!   occupied slot's start), the wheel is not advanced at all.
+//! The simulated kernel never holds more than about ten pending events (a
+//! slice timer per CPU plus the in-flight phase and wake-up events). At
+//! that depth the short contiguous array outruns the binary-heap oracle
+//! below (the `queue_micro` rows of `BENCH_monte_carlo.json`). Deep
+//! backlogs stay correct — a test pins delivery order at 4,096 pending
+//! events — but are not a performance goal.
 //!
-//! The previous binary-heap implementation is retained as
+//! A binary-heap implementation of the same API is retained as
 //! [`oracle::HeapEventQueue`] (under `cfg(test)` or the `queue-oracle`
 //! feature) and the two are exercised against each other by a
 //! differential property test below.
@@ -52,67 +39,20 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
-/// log2 of the slots per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Mask of a slot index within a level.
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-/// Wheel levels; `11 * 6 = 66 >= 64` bits, so every `u64` deadline fits.
-const LEVELS: usize = 11;
-/// Capacity of the front buffer: pushes stay in one contiguous array of
-/// this many entries and only spill into the wheel beyond it. Sized so the
-/// simulated kernel's steady state (a few timers per CPU plus per-task
-/// phase events) never leaves the buffer, while a delivery scan still
-/// touches only a couple of cache lines.
-const STAGING_MAX: usize = 32;
-
-/// One scheduled event inside a wheel slot.
+/// One pending event.
 struct Entry<E> {
     at: u64,
     seq: u64,
     payload: E,
 }
 
-/// The level an event at `at` belongs to, relative to the wheel cursor.
-///
-/// This is the position of the highest bit in which `at` differs from
-/// `cursor`, divided into 6-bit level strides; `at == cursor` (or a
-/// difference confined to the low 6 bits) is level 0.
-#[inline]
-fn level_for(cursor: u64, at: u64) -> usize {
-    let masked = (cursor ^ at) | SLOT_MASK;
-    ((63 - masked.leading_zeros()) / LEVEL_BITS) as usize
-}
-
-/// The slot index of deadline `at` within `level`.
-#[inline]
-fn slot_of(level: usize, at: u64) -> usize {
-    ((at >> (LEVEL_BITS as usize * level)) & SLOT_MASK) as usize
-}
-
-/// The first instant covered by `slot` of `level`, given the cursor's
-/// position (the cursor supplies the time bits above the level's range).
-#[inline]
-fn slot_start(cursor: u64, level: usize, slot: usize) -> u64 {
-    let shift = LEVEL_BITS as usize * level;
-    let width = shift + LEVEL_BITS as usize;
-    let above = if width >= 64 {
-        0
-    } else {
-        cursor & !((1u64 << width) - 1)
-    };
-    above | ((slot as u64) << shift)
-}
-
 /// A deterministic min-priority queue of timed events.
 ///
 /// Events with equal timestamps are returned in insertion order.
-/// Cancellation is O(1) via [`EventId`]s: the queue tracks the set of
-/// *live* (pushed, not yet popped or cancelled) ids, so cancelling an event
-/// that already fired is a reliable no-op rather than a bookkeeping hazard.
-/// See the [module docs](self) for the timing-wheel layout and the
-/// per-operation complexity bounds.
+/// Cancelling an event that already fired (or was already cancelled) is a
+/// reliable no-op rather than a bookkeeping hazard: the queue holds only
+/// pending events, so a stale [`EventId`] simply matches nothing. See the
+/// [module docs](self) for the layout and the per-operation costs.
 ///
 /// # Examples
 ///
@@ -130,57 +70,10 @@ fn slot_start(cursor: u64, level: usize, slot: usize) -> u64 {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// The front buffer: recent pushes, unordered, scanned linearly on
-    /// delivery and spilled into the wheel when a push finds it full.
-    /// May contain tombstoned (cancelled) entries.
-    staging: Vec<Entry<E>>,
-    /// Memo of the earliest live front-buffer entry: `(at, seq, index)`.
-    /// `None` means "recompute" (or the buffer is empty); pushes keep it
-    /// current in O(1) (a new entry can only lower the minimum), so pops
-    /// that deliver from the wheel compare against the buffer without
-    /// rescanning it and pops that deliver from the buffer remove by
-    /// index without a search. The index stays valid because the buffer
-    /// is append-only between deliveries: anything that reorders it
-    /// (delivery, spill, tombstone purge) resets the memo.
-    staging_min: Option<(u64, u64, usize)>,
-    /// `LEVELS * SLOTS` slot buckets, level-major (`level * SLOTS + slot`).
-    /// Allocated lazily on the first spill: a queue whose backlog never
-    /// exceeds the front buffer pays nothing for the wheel.
-    slots: Vec<Vec<Entry<E>>>,
-    /// Per-level occupancy bitmap: bit `s` set ⇔ `slots[level * SLOTS + s]`
-    /// is non-empty (live or tombstoned entries alike).
-    occupied: [u64; LEVELS],
-    /// Bitmap of levels with any occupied slot (mirror of `occupied[k] != 0`).
-    level_summary: u16,
-    /// The wheel's notion of "now": every wheel-resident event has
-    /// `at >= cursor` (events pushed into the past live in `past`), and the
-    /// cursor only advances to delivered slot starts, never beyond a
-    /// pending event.
-    cursor: u64,
-    /// Events spilled from the front buffer with `at < cursor` — legal but
-    /// off the fast path (the kernel never rewinds time); they sort before
-    /// every wheel entry.
-    past: Vec<Entry<E>>,
-    /// Scratch buffer for cascading: slot buffers are swapped through here
-    /// instead of dropped and reallocated, so steady-state cascades are
-    /// allocation-free.
-    cascade_buf: Vec<Entry<E>>,
-    /// Memo of the level-0 slot holding the wheel's next deliverable
-    /// events (`(flat slot index, deadline)`), so a `peek_time`
-    /// immediately followed by `pop` does not repeat the level scan.
-    /// Invalidated by any mutation that could change the wheel's front;
-    /// front-buffer traffic leaves it untouched.
-    hot: Option<(usize, u64)>,
+    /// Pending events sorted by descending `(at, seq)`: the earliest
+    /// deadline (lowest sequence number on ties) is last.
+    entries: Vec<Entry<E>>,
     next_seq: u64,
-    /// Liveness bitmap indexed by sequence number: bit set ⇔ the event is
-    /// pushed and neither popped nor cancelled. Slot entries whose bit is
-    /// clear are tombstones dropped lazily when their slot is visited.
-    /// Sequence numbers are dense (0, 1, 2, …), so a bitmap replaces the
-    /// obvious `HashSet<EventId>` — the queue sits on the simulator's
-    /// hottest path and a hash per push/pop/peek shows up in profiles.
-    live_bits: Vec<u64>,
-    /// Number of set bits in `live_bits`.
-    live_count: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -193,69 +86,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            staging: Vec::with_capacity(STAGING_MAX),
-            staging_min: None,
-            slots: Vec::new(),
-            occupied: [0; LEVELS],
-            level_summary: 0,
-            cursor: 0,
-            past: Vec::new(),
-            cascade_buf: Vec::new(),
-            hot: None,
+            entries: Vec::new(),
             next_seq: 0,
-            live_bits: Vec::new(),
-            live_count: 0,
-        }
-    }
-
-    fn is_live(&self, id: EventId) -> bool {
-        let (word, bit) = (id.0 / 64, id.0 % 64);
-        self.live_bits
-            .get(word as usize)
-            .is_some_and(|w| w & (1 << bit) != 0)
-    }
-
-    /// Clears the liveness bit; returns whether it was set.
-    fn take_live(&mut self, id: EventId) -> bool {
-        let (word, bit) = (id.0 / 64, id.0 % 64);
-        match self.live_bits.get_mut(word as usize) {
-            Some(w) if *w & (1 << bit) != 0 => {
-                *w &= !(1 << bit);
-                self.live_count -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Files an entry into its wheel slot relative to the current cursor.
-    /// The caller guarantees `entry.at >= self.cursor`.
-    fn file(&mut self, entry: Entry<E>) {
-        debug_assert!(entry.at >= self.cursor);
-        if self.slots.is_empty() {
-            self.slots.resize_with(LEVELS * SLOTS, Vec::new);
-        }
-        let level = level_for(self.cursor, entry.at);
-        let slot = slot_of(level, entry.at);
-        self.slots[level * SLOTS + slot].push(entry);
-        self.occupied[level] |= 1 << slot;
-        self.level_summary |= 1 << level;
-    }
-
-    /// Moves every live front-buffer entry into the wheel (or `past`,
-    /// for deadlines the cursor has already crossed).
-    fn spill_staging(&mut self) {
-        self.hot = None;
-        self.staging_min = None;
-        while let Some(entry) = self.staging.pop() {
-            if !self.is_live(EventId(entry.seq)) {
-                continue;
-            }
-            if entry.at < self.cursor {
-                self.past.push(entry);
-            } else {
-                self.file(entry);
-            }
         }
     }
 
@@ -264,39 +96,12 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (word, bit) = (seq / 64, seq % 64);
-        if word as usize >= self.live_bits.len() {
-            self.live_bits.resize(word as usize + 1, 0);
-        }
-        self.live_bits[word as usize] |= 1 << bit;
-        self.live_count += 1;
-        let entry = Entry {
-            at: at.as_nanos(),
-            seq,
-            payload,
-        };
-        if self.staging.len() == STAGING_MAX {
-            // Drop tombstones first; spill into the wheel only when the
-            // buffer is full of genuinely live entries. The purge
-            // compacts the buffer, so the memoized index dies with it.
-            let live = &self.live_bits;
-            self.staging.retain(|e| {
-                let (word, bit) = (e.seq / 64, e.seq % 64);
-                live.get(word as usize).is_some_and(|w| w & (1 << bit) != 0)
-            });
-            self.staging_min = None;
-            if self.staging.len() == STAGING_MAX {
-                self.spill_staging();
-            }
-        }
-        if self.staging.is_empty() {
-            self.staging_min = Some((entry.at, entry.seq, 0));
-        } else if let Some((mat, mseq, _)) = self.staging_min {
-            if (entry.at, entry.seq) < (mat, mseq) {
-                self.staging_min = Some((entry.at, entry.seq, self.staging.len()));
-            }
-        }
-        self.staging.push(entry);
+        let at = at.as_nanos();
+        // `seq` exceeds every pending sequence number, so the new entry
+        // goes after every later deadline and before every entry at the
+        // same instant (those were pushed earlier and must pop first).
+        let i = self.entries.partition_point(|e| e.at > at);
+        self.entries.insert(i, Entry { at, seq, payload });
         EventId(seq)
     }
 
@@ -306,279 +111,25 @@ impl<E> EventQueue<E> {
     /// never to be returned by [`pop`](Self::pop)); `false` if it had
     /// already fired or been cancelled — in which case nothing changes.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let cancelled = self.take_live(id);
-        if cancelled {
-            // The front event might be the one cancelled; recompute lazily.
-            self.hot = None;
-            if self.staging_min.is_some_and(|(_, seq, _)| seq == id.0) {
-                self.staging_min = None;
+        match self.entries.iter().position(|e| e.seq == id.0) {
+            Some(i) => {
+                self.entries.remove(i);
+                true
             }
-        }
-        cancelled
-    }
-
-    /// Drops tombstoned `past` entries and returns the index of the
-    /// earliest live one by `(at, seq)`, if any.
-    fn past_front(&mut self) -> Option<usize> {
-        if self.past.is_empty() {
-            return None;
-        }
-        let live = &self.live_bits;
-        self.past.retain(|e| {
-            let (word, bit) = (e.seq / 64, e.seq % 64);
-            live.get(word as usize).is_some_and(|w| w & (1 << bit) != 0)
-        });
-        self.past
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.at, e.seq))
-            .map(|(i, _)| i)
-    }
-
-    /// `(at, seq, index)` of the earliest live front-buffer entry, if any
-    /// — O(1) on a memo hit, otherwise one bounded single-pass scan that
-    /// skips tombstones (they are purged when a push finds the buffer
-    /// full, not here) and refreshes the memo.
-    fn staging_min(&mut self) -> Option<(u64, u64, usize)> {
-        if let Some(m) = self.staging_min {
-            return Some(m);
-        }
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, e) in self.staging.iter().enumerate() {
-            let (word, bit) = (e.seq / 64, e.seq % 64);
-            let live = self
-                .live_bits
-                .get(word as usize)
-                .is_some_and(|w| w & (1 << bit) != 0);
-            if live && best.is_none_or(|(at, seq, _)| (e.at, e.seq) < (at, seq)) {
-                best = Some((e.at, e.seq, i));
-            }
-        }
-        if best.is_none() {
-            // Nothing live: drop the tombstones so they stop costing scans.
-            self.staging.clear();
-        }
-        self.staging_min = best;
-        best
-    }
-
-    /// A cheap lower bound on the deadline of the wheel's earliest entry,
-    /// without advancing the cursor: the memoized front if present (exact),
-    /// otherwise the minimum start of any occupied slot (every entry in a
-    /// slot is at or after the slot's start). `None` iff the wheel is
-    /// empty of entries, live or tombstoned.
-    fn wheel_front_bound(&self) -> Option<u64> {
-        if let Some((_, at)) = self.hot {
-            return Some(at);
-        }
-        let mut bound: Option<u64> = None;
-        let mut levels = self.level_summary;
-        while levels != 0 {
-            let level = levels.trailing_zeros() as usize;
-            levels &= levels - 1;
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let start = slot_start(self.cursor, level, slot);
-            if bound.is_none_or(|b| start < b) {
-                bound = Some(start);
-            }
-        }
-        bound
-    }
-
-    /// Removes and delivers the front-buffer entry at index `i`. The
-    /// wheel — including the `hot` memo — is untouched.
-    fn take_staging(&mut self, i: usize) -> (SimTime, E) {
-        self.staging_min = None;
-        let entry = self.staging.swap_remove(i);
-        let was_live = self.take_live(EventId(entry.seq));
-        debug_assert!(was_live);
-        (SimTime::from_nanos(entry.at), entry.payload)
-    }
-
-    /// Removes and delivers the `past` entry at index `i`. The wheel —
-    /// including the `hot` memo — is untouched.
-    fn take_past(&mut self, i: usize) -> (SimTime, E) {
-        let entry = self.past.swap_remove(i);
-        let was_live = self.take_live(EventId(entry.seq));
-        debug_assert!(was_live);
-        (SimTime::from_nanos(entry.at), entry.payload)
-    }
-
-    /// Removes and delivers the minimum-seq entry of the level-0 slot
-    /// `advance` just returned.
-    fn take_wheel(&mut self, flat: usize, at: u64) -> (SimTime, E) {
-        // FIFO on ties: the slot vec is not seq-sorted (spills and
-        // cascades interleave), so select the minimum sequence number.
-        let i = self.slots[flat]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.seq)
-            .map(|(i, _)| i)
-            .expect("advance returns non-empty slots");
-        let entry = self.slots[flat].swap_remove(i);
-        let was_live = self.take_live(EventId(entry.seq));
-        debug_assert!(was_live);
-        if self.slots[flat].is_empty() {
-            self.clear_slot_bit(flat / SLOTS, flat % SLOTS);
-            self.hot = None;
-        } else {
-            self.hot = Some((flat, at));
-        }
-        debug_assert_eq!(entry.at, at);
-        (SimTime::from_nanos(entry.at), entry.payload)
-    }
-
-    /// Advances the cursor to the earliest level-0 slot holding at least
-    /// one live event, cascading higher-level slots down as it goes, and
-    /// returns `(flat slot index, deadline)`. Tombstones encountered on
-    /// the way are dropped. `None` iff the wheel holds no live events.
-    fn advance(&mut self) -> Option<(usize, u64)> {
-        if let Some(hot) = self.hot {
-            return Some(hot);
-        }
-        loop {
-            // Earliest occupied slot per occupied level; on equal start
-            // times the *highest* level wins so its events cascade down
-            // before anything at that instant is delivered.
-            let mut best: Option<(u64, usize, usize)> = None;
-            let mut levels = self.level_summary;
-            while levels != 0 {
-                let level = levels.trailing_zeros() as usize;
-                levels &= levels - 1;
-                let slot = self.occupied[level].trailing_zeros() as usize;
-                let start = slot_start(self.cursor, level, slot);
-                if best.is_none_or(|(s, _, _)| start <= s) {
-                    best = Some((start, level, slot));
-                }
-            }
-            let (start, level, slot) = best?;
-            debug_assert!(start >= self.cursor);
-            self.cursor = start;
-            let flat = level * SLOTS + slot;
-            if level == 0 {
-                // A level-0 slot spans one tick: every entry shares `start`.
-                let live = &self.live_bits;
-                self.slots[flat].retain(|e| {
-                    let (word, bit) = (e.seq / 64, e.seq % 64);
-                    live.get(word as usize).is_some_and(|w| w & (1 << bit) != 0)
-                });
-                if self.slots[flat].is_empty() {
-                    self.clear_slot_bit(level, slot);
-                    continue;
-                }
-                self.hot = Some((flat, start));
-                return Some((flat, start));
-            }
-            // Cascade: re-file this slot's live entries against the
-            // advanced cursor; they land at a strictly lower level. The
-            // slot's buffer is recycled through `cascade_buf` (swap, not
-            // drop) so no allocation is freed or made here.
-            let mut entries = std::mem::take(&mut self.cascade_buf);
-            std::mem::swap(&mut entries, &mut self.slots[flat]);
-            self.clear_slot_bit(level, slot);
-            for entry in entries.drain(..) {
-                if self.is_live(EventId(entry.seq)) {
-                    self.file(entry);
-                }
-            }
-            self.cascade_buf = entries;
+            None => false,
         }
     }
 
-    fn clear_slot_bit(&mut self, level: usize, slot: usize) {
-        self.occupied[level] &= !(1 << slot);
-        if self.occupied[level] == 0 {
-            self.level_summary &= !(1 << level);
-        }
-    }
-
-    /// Removes and returns the earliest pending event, skipping cancelled
-    /// entries.
+    /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Earliest non-wheel candidate, `(at, seq, in staging?, index)`,
-        // across the front buffer and `past`. `past` is almost always
-        // empty — the kernel never schedules into the past — so the
-        // common cost here is the (often memoized) front-buffer minimum.
-        let nw = match (self.staging_min(), self.past_front()) {
-            (Some((sat, sseq, si)), Some(pi)) => {
-                let p = &self.past[pi];
-                if (sat, sseq) <= (p.at, p.seq) {
-                    Some((sat, sseq, true, si))
-                } else {
-                    Some((p.at, p.seq, false, pi))
-                }
-            }
-            (Some((sat, sseq, si)), None) => Some((sat, sseq, true, si)),
-            (None, Some(pi)) => {
-                let p = &self.past[pi];
-                Some((p.at, p.seq, false, pi))
-            }
-            (None, None) => None,
-        };
-        let take_nw = |q: &mut Self, from_staging: bool, i: usize| {
-            if from_staging {
-                q.take_staging(i)
-            } else {
-                q.take_past(i)
-            }
-        };
-        // Strictly earlier than the wheel's lower bound → deliver without
-        // advancing the wheel at all (a tie must fall through: FIFO order
-        // against the wheel entry needs its exact sequence number).
-        if let Some((at, _, from_staging, i)) = nw {
-            if self.wheel_front_bound().is_none_or(|b| at < b) {
-                return Some(take_nw(self, from_staging, i));
-            }
-        }
-        let wheel = self.advance();
-        match (nw, wheel) {
-            (None, None) => None,
-            (Some((_, _, from_staging, i)), None) => Some(take_nw(self, from_staging, i)),
-            (None, Some((flat, at))) => Some(self.take_wheel(flat, at)),
-            (Some((nat, nseq, from_staging, i)), Some((flat, wat))) => {
-                if nat < wat {
-                    Some(take_nw(self, from_staging, i))
-                } else if wat < nat {
-                    Some(self.take_wheel(flat, wat))
-                } else {
-                    // Same instant: FIFO across tiers by sequence number.
-                    let wseq = self.slots[flat]
-                        .iter()
-                        .map(|e| e.seq)
-                        .min()
-                        .expect("advance returns non-empty slots");
-                    if nseq < wseq {
-                        Some(take_nw(self, from_staging, i))
-                    } else {
-                        Some(self.take_wheel(flat, wat))
-                    }
-                }
-            }
-        }
+        self.entries
+            .pop()
+            .map(|e| (SimTime::from_nanos(e.at), e.payload))
     }
 
-    /// The timestamp of the earliest pending (non-cancelled) event.
+    /// The timestamp of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let nw_at = match (self.staging_min(), self.past_front()) {
-            (Some((sat, _, _)), Some(pi)) => Some(sat.min(self.past[pi].at)),
-            (Some((sat, _, _)), None) => Some(sat),
-            (None, Some(pi)) => Some(self.past[pi].at),
-            (None, None) => None,
-        };
-        // At or before the wheel's lower bound is enough here — only the
-        // instant is reported, so a tie never needs the wheel's sequence
-        // numbers.
-        if let Some(at) = nw_at {
-            if self.wheel_front_bound().is_none_or(|b| at <= b) {
-                return Some(SimTime::from_nanos(at));
-            }
-        }
-        let wheel_at = self.advance().map(|(_, at)| at);
-        match (nw_at, wheel_at) {
-            (None, None) => None,
-            (Some(at), None) | (None, Some(at)) => Some(SimTime::from_nanos(at)),
-            (Some(a), Some(b)) => Some(SimTime::from_nanos(a.min(b))),
-        }
+        self.entries.last().map(|e| SimTime::from_nanos(e.at))
     }
 
     /// Removes every pending event and resets the sequence counter,
@@ -587,37 +138,20 @@ impl<E> EventQueue<E> {
     /// Monte-Carlo round pools reuse one queue across many simulated
     /// rounds; after `clear` the queue is observably identical to a fresh
     /// one (same FIFO-on-tie numbering from zero), so pooled rounds stay
-    /// bit-identical to rounds run on a new queue. Cost is proportional to
-    /// the number of *occupied* slots, not the slot count.
+    /// bit-identical to rounds run on a new queue.
     pub fn clear(&mut self) {
-        for level in 0..LEVELS {
-            let mut occ = self.occupied[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                self.slots[level * SLOTS + slot].clear();
-            }
-            self.occupied[level] = 0;
-        }
-        self.level_summary = 0;
-        self.cursor = 0;
-        self.staging.clear();
-        self.staging_min = None;
-        self.past.clear();
-        self.hot = None;
-        self.live_bits.fill(0);
-        self.live_count = 0;
+        self.entries.clear();
         self.next_seq = 0;
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.live_count
+        self.entries.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.entries.is_empty()
     }
 }
 
@@ -630,10 +164,9 @@ impl<E> EventQueue<E> {
 /// which together determine every future observable of the queue —
 /// delivery order (FIFO on ties via the sequence numbers), the ids the
 /// next pushes will hand out, and the fact that ids consumed before the
-/// snapshot stay dead (their liveness bits are *not* captured, so
-/// cancelling them after a restore still reports `false`). Which tier an
-/// entry happened to occupy (front buffer, wheel slot, `past`) is
-/// deliberately not recorded.
+/// snapshot stay dead (they are not among the captured entries, so
+/// cancelling them after a restore still reports `false`). The entries
+/// carry no order: [`EventQueue::restore`] sorts them.
 #[derive(Debug, Clone)]
 pub struct QueueSnapshot<E> {
     /// Live entries as `(at, seq, payload)`, in no particular order.
@@ -655,37 +188,15 @@ impl<E> QueueSnapshot<E> {
 }
 
 impl<E: Clone> EventQueue<E> {
-    /// Captures every pending (non-cancelled) event and the sequence
-    /// counter. Cost is O(pending + occupied slots); the queue is not
-    /// mutated.
+    /// Captures every pending event and the sequence counter. Cost is
+    /// O(pending); the queue is not mutated.
     pub fn snapshot(&self) -> QueueSnapshot<E> {
-        let mut entries = Vec::with_capacity(self.live_count);
-        let live = |e: &Entry<E>| {
-            let (word, bit) = (e.seq / 64, e.seq % 64);
-            self.live_bits
-                .get(word as usize)
-                .is_some_and(|w| w & (1 << bit) != 0)
-        };
-        for e in self.staging.iter().chain(&self.past) {
-            if live(e) {
-                entries.push((e.at, e.seq, e.payload.clone()));
-            }
-        }
-        for level in 0..LEVELS {
-            let mut occ = self.occupied[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                for e in &self.slots[level * SLOTS + slot] {
-                    if live(e) {
-                        entries.push((e.at, e.seq, e.payload.clone()));
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(entries.len(), self.live_count);
         QueueSnapshot {
-            entries,
+            entries: self
+                .entries
+                .iter()
+                .map(|e| (e.at, e.seq, e.payload.clone()))
+                .collect(),
             next_seq: self.next_seq,
         }
     }
@@ -696,49 +207,44 @@ impl<E: Clone> EventQueue<E> {
     /// After a restore the queue is observably identical to the queue the
     /// snapshot was taken from: same delivery order, same ids from future
     /// pushes, and ids that were already consumed before the snapshot
-    /// remain dead (cancelling one reports `false`). Cost is O(snapshot
-    /// size + previously occupied slots) — independent of how much history
-    /// the queue accumulated since.
+    /// remain dead (cancelling one reports `false`). Cost is
+    /// O(s log s) in the snapshot size `s`, independent of how much
+    /// history the queue accumulated since.
     pub fn restore(&mut self, snap: &QueueSnapshot<E>) {
-        self.clear();
+        self.entries.clear();
         self.next_seq = snap.next_seq;
-        let words = (snap.next_seq as usize).div_ceil(64);
-        if self.live_bits.len() < words {
-            self.live_bits.resize(words, 0);
-        }
-        for &(at, seq, ref payload) in &snap.entries {
-            debug_assert!(seq < snap.next_seq);
-            let (word, bit) = (seq / 64, seq % 64);
-            self.live_bits[word as usize] |= 1 << bit;
-            // The cursor is 0 after `clear`, so every deadline files
-            // directly into the wheel; which tier an entry lands in is
-            // unobservable (delivery order is `(at, seq)` across tiers).
-            self.file(Entry {
-                at,
-                seq,
-                payload: payload.clone(),
-            });
-        }
-        self.live_count = snap.entries.len();
+        self.entries
+            .extend(snap.entries.iter().map(|&(at, seq, ref payload)| {
+                debug_assert!(seq < snap.next_seq);
+                Entry {
+                    at,
+                    seq,
+                    payload: payload.clone(),
+                }
+            }));
+        // Sequence numbers are unique, so the unstable sort is exact.
+        self.entries
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.live_count)
+            .field("pending", &self.entries.len())
             .field("scheduled_total", &self.next_seq)
             .finish()
     }
 }
 
-/// The pre-timing-wheel event queue, kept as a differential oracle.
+/// A binary-heap implementation of the [`EventQueue`] API, kept as a
+/// differential oracle.
 ///
-/// This is the binary-heap implementation the wheel replaced, preserved
-/// verbatim so property tests (and the queue micro-benchmark) can compare
-/// the two structures operation for operation. Compiled only for tests or
-/// under the `queue-oracle` feature — production code always uses
-/// [`EventQueue`].
+/// It shares no ordering code with [`EventQueue`] — tie-breaking lives in
+/// the heap's `Ord` impl, cancellation in a liveness bitmap — so property
+/// tests (and the queue micro-benchmark) can compare the two structures
+/// operation for operation. Compiled only for tests or under the
+/// `queue-oracle` feature — production code always uses [`EventQueue`].
 #[cfg(any(test, feature = "queue-oracle"))]
 pub mod oracle {
     use super::{EventId, QueueSnapshot};
@@ -1058,14 +564,14 @@ mod tests {
     }
 
     #[test]
-    fn push_into_the_past_still_sorts_globally() {
+    fn push_before_an_already_delivered_instant_still_pops_first() {
         // The kernel never rewinds time, but the API allows it: an event
-        // pushed before the wheel's cursor must still pop first.
+        // pushed earlier than one already delivered must still pop first.
         let mut q = EventQueue::new();
         q.push(t(1_000_000), 'z');
         assert_eq!(q.pop(), Some((t(1_000_000), 'z')));
         q.push(t(2_000_000), 'b');
-        q.push(t(5), 'a'); // far behind the cursor
+        q.push(t(5), 'a'); // far behind the last delivery
         q.push(t(7), 'c');
         assert_eq!(q.peek_time(), Some(t(5)));
         assert_eq!(q.pop(), Some((t(5), 'a')));
@@ -1075,9 +581,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_horizons_and_cascades_deliver_in_order() {
-        // Deadlines straddling many wheel levels, including duplicates that
-        // must come back FIFO after cascading from different levels.
+    fn sparse_far_apart_deadlines_deliver_in_order() {
+        // Deadlines spread from nanoseconds to half the time range,
+        // including a duplicate instant that must come back FIFO.
         let mut q = EventQueue::new();
         let times = [
             3u64,
@@ -1103,15 +609,14 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_across_levels_keeps_fifo() {
-        // An early push lands at a high level; after the cursor advances,
-        // a later push of the same deadline files directly at level 0. The
-        // early (lower-seq) event must still deliver first.
+    fn same_instant_pushed_after_a_peek_keeps_fifo() {
+        // An event far in the future is peeked at, then a second event
+        // for the same instant is pushed. The earlier (lower-seq) push
+        // must still deliver first.
         let mut q = EventQueue::new();
-        q.push(t(100_000), 'e'); // filed high above the cursor
+        q.push(t(100_000), 'e');
         q.push(t(10), 'x');
         assert_eq!(q.pop(), Some((t(10), 'x')));
-        // Cursor is now near 10; peek cascades 'e' down toward level 0.
         assert_eq!(q.peek_time(), Some(t(100_000)));
         q.push(t(100_000), 'l'); // same instant, later seq
         assert_eq!(q.pop(), Some((t(100_000), 'e')), "lower seq first");
@@ -1129,15 +634,56 @@ mod tests {
     }
 
     #[test]
+    fn deep_backlog_with_interleaved_cancels_delivers_in_order() {
+        // 4,096 pending events over a narrow time range (many ties), with
+        // every third push cancelled as the backlog builds, then a
+        // snapshot/restore round trip at full depth.
+        let mut x = 0x5EEDu64;
+        let mut lcg = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        // Every live event as `(at, seq)`; the payload is the seq too.
+        let mut q = EventQueue::new();
+        let mut live = Vec::new();
+        let mut seq = 0u64;
+        while q.len() < 4_096 {
+            let at = lcg() % 2_000;
+            live.push((at, q.push(t(at), seq)));
+            if seq % 3 == 2 {
+                let (_, id) = live.remove(live.len() / 2);
+                assert!(q.cancel(id));
+            }
+            seq += 1;
+        }
+        let mut expected: Vec<(u64, u64)> = live.iter().map(|&(at, id)| (at, id.0)).collect();
+        expected.sort();
+        let expected: Vec<(SimTime, u64)> =
+            expected.into_iter().map(|(at, s)| (t(at), s)).collect();
+
+        let snap = q.snapshot();
+        assert_eq!(snap.len(), 4_096);
+        for _ in 0..2 {
+            let mut drained = Vec::with_capacity(expected.len());
+            while let Some(ev) = q.pop() {
+                drained.push(ev);
+            }
+            assert_eq!(drained, expected);
+            q.restore(&snap);
+        }
+    }
+
+    #[test]
     fn snapshot_restore_replays_delivery_order_exactly() {
-        // Entries across all three tiers: wheel (spilled), staging, past.
         let mut q = EventQueue::new();
         for i in 0..40u64 {
-            q.push(t(1_000 + i * 64), i); // overflows staging into the wheel
+            q.push(t(1_000 + i * 64), i);
         }
         q.push(t(2_000_000), 99);
         assert_eq!(q.pop(), Some((t(1_000), 0)));
-        q.push(t(500), 77); // behind the cursor -> `past` after a spill
+        q.push(t(500), 77); // earlier than the last delivery
         let snap = q.snapshot();
         assert_eq!(snap.len(), q.len());
         assert!(!snap.is_empty());
@@ -1200,7 +746,7 @@ mod tests {
         /// One queue operation in a random interleaving.
         #[derive(Debug, Clone)]
         enum Op {
-            /// Push at a deadline chosen to exercise several wheel levels.
+            /// Push at a deadline anywhere in a 5 ms horizon.
             Push(u64),
             /// Cancel the n-th id handed out so far (mod count).
             Cancel(usize),
@@ -1211,6 +757,10 @@ mod tests {
             Snapshot,
             /// Rewind both queues to the last snapshot (no-op if none).
             Restore,
+            /// Rewind each queue to the *other* implementation's last
+            /// snapshot: the two hold their entries in different orders,
+            /// so this checks that `restore` does not depend on order.
+            RestoreCrossed,
         }
 
         fn op_strategy() -> impl Strategy<Value = Op> {
@@ -1232,6 +782,7 @@ mod tests {
                 Just(Op::Clear),
                 Just(Op::Snapshot),
                 Just(Op::Restore),
+                Just(Op::RestoreCrossed),
             ]
         }
 
@@ -1246,66 +797,74 @@ mod tests {
         );
 
         proptest! {
-            /// The timing wheel and the heap oracle agree on every
+            /// The sorted-vector queue and the heap oracle agree on every
             /// observable of every operation, for arbitrary interleavings
-            /// of pushes (across wheel levels), cancels, pops, peeks and
-            /// clears.
+            /// of pushes, cancels, pops, peeks, clears and restores
+            /// (including restores from each other's snapshots).
             #[test]
-            fn wheel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-                let mut wheel = EventQueue::new();
+            fn queue_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+                let mut queue = EventQueue::new();
                 let mut heap = HeapEventQueue::new();
-                let mut wheel_ids = Vec::new();
+                let mut queue_ids = Vec::new();
                 let mut heap_ids = Vec::new();
                 let mut saved: Option<SavedState> = None;
                 for op in ops {
                     match op {
                         Op::Push(at) => {
-                            let w = wheel.push(t(at), at);
+                            let q = queue.push(t(at), at);
                             let h = heap.push(t(at), at);
-                            prop_assert_eq!(w, h, "ids must agree");
-                            wheel_ids.push(w);
+                            prop_assert_eq!(q, h, "ids must agree");
+                            queue_ids.push(q);
                             heap_ids.push(h);
                         }
                         Op::Cancel(n) => {
-                            if !wheel_ids.is_empty() {
-                                let i = n % wheel_ids.len();
+                            if !queue_ids.is_empty() {
+                                let i = n % queue_ids.len();
                                 prop_assert_eq!(
-                                    wheel.cancel(wheel_ids[i]),
+                                    queue.cancel(queue_ids[i]),
                                     heap.cancel(heap_ids[i])
                                 );
                             }
                         }
-                        Op::Pop => prop_assert_eq!(wheel.pop(), heap.pop()),
-                        Op::Peek => prop_assert_eq!(wheel.peek_time(), heap.peek_time()),
+                        Op::Pop => prop_assert_eq!(queue.pop(), heap.pop()),
+                        Op::Peek => prop_assert_eq!(queue.peek_time(), heap.peek_time()),
                         Op::Clear => {
-                            wheel.clear();
+                            queue.clear();
                             heap.clear();
-                            wheel_ids.clear();
+                            queue_ids.clear();
                             heap_ids.clear();
                         }
                         Op::Snapshot => {
-                            let (w, h) = (wheel.snapshot(), heap.snapshot());
-                            prop_assert_eq!(w.len(), h.len());
-                            prop_assert_eq!(w.len(), wheel.len());
-                            saved = Some((w, h, wheel_ids.clone(), heap_ids.clone()));
+                            let (q, h) = (queue.snapshot(), heap.snapshot());
+                            prop_assert_eq!(q.len(), h.len());
+                            prop_assert_eq!(q.len(), queue.len());
+                            saved = Some((q, h, queue_ids.clone(), heap_ids.clone()));
                         }
                         Op::Restore => {
-                            if let Some((w, h, wids, hids)) = &saved {
-                                wheel.restore(w);
+                            if let Some((q, h, qids, hids)) = &saved {
+                                queue.restore(q);
                                 heap.restore(h);
-                                wheel_ids = wids.clone();
+                                queue_ids = qids.clone();
                                 heap_ids = hids.clone();
                             }
                         }
+                        Op::RestoreCrossed => {
+                            if let Some((q, h, qids, hids)) = &saved {
+                                queue.restore(h);
+                                heap.restore(q);
+                                queue_ids = hids.clone();
+                                heap_ids = qids.clone();
+                            }
+                        }
                     }
-                    prop_assert_eq!(wheel.len(), heap.len());
-                    prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+                    prop_assert_eq!(queue.len(), heap.len());
+                    prop_assert_eq!(queue.is_empty(), heap.is_empty());
                 }
                 // Drain both to the end: full delivery order must agree.
                 loop {
-                    let (w, h) = (wheel.pop(), heap.pop());
-                    prop_assert_eq!(&w, &h);
-                    if w.is_none() {
+                    let (q, h) = (queue.pop(), heap.pop());
+                    prop_assert_eq!(&q, &h);
+                    if q.is_none() {
                         break;
                     }
                 }

@@ -493,9 +493,9 @@ impl Scenario {
         let victim_exited = outcome == tocttou_os::kernel::RunOutcome::StopConditionMet;
         if victim_exited {
             let grace = handles.kernel.now() + SimDuration::from_millis(2);
-            let attackers = handles.attackers.clone();
+            let attackers = &handles.attackers;
             handles.kernel.run_until(
-                move |k| {
+                |k| {
                     attackers
                         .iter()
                         .all(|&p| k.state_of(p) == tocttou_os::process::ProcState::Exited)

@@ -2,7 +2,7 @@
 //! must serialize byte-for-byte identically to the one-shot in-memory
 //! [`run_sweep`] on the same grid — across `--jobs` values, warm/cold boot,
 //! interrupted-and-resumed runs and pure cache replays. The sweep engine is
-//! the oracle in the same spirit as the warm/cold and wheel/heap pairs:
+//! the oracle in the same spirit as the warm/cold and queue/heap pairs:
 //! two implementations, one set of bytes.
 
 use tocttou::experiments::campaign::{run_campaign, CampaignConfig};

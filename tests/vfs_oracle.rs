@@ -12,8 +12,8 @@
 //! (link-count accounting, no dangling entries, no stale negative
 //! dentries) runs on both sides after each step.
 //!
-//! This is the same oracle pattern the timing-wheel event queue and the
-//! warm-boot checkpoints use: the fast structure is never trusted on its
+//! This is the same oracle pattern the event queue (against a binary heap)
+//! and the warm-boot checkpoints use: the fast structure is never trusted on its
 //! own, only proven equivalent to the slow obvious one.
 
 use proptest::prelude::*;
