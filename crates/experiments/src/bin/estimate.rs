@@ -117,6 +117,12 @@ fn main() {
 
     let run = match run_estimate(&scenario, &args.cfg) {
         Ok(r) => r,
+        // Knobs only checkable against the scenario (an oversized pilot
+        // wave) come back as InvalidInput: misuse, not a failed run.
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
         Err(e) => {
             eprintln!("estimation failed: {e}");
             std::process::exit(1);

@@ -9,12 +9,14 @@
 //!
 //! * **Content-addressed blocks.** The unit of work is a *seed block* —
 //!   one contiguous range `[start, end)` of a grid point's rounds, with
-//!   per-round seeds fixed by [`seed_block`] regardless of scheduling. Its
-//!   cache key is an FNV-1a hash (the same construction as the detection
-//!   fingerprints) over the *scenario fingerprint* — engine schema version
-//!   plus the full `Debug` rendering of the built [`Scenario`], which
-//!   transitively covers the cost model, machine spec, victim, attacker
-//!   and layout — chained with the point's seed and the block bounds.
+//!   per-round seeds fixed by
+//!   [`seed_block`](tocttou_sim::rng::seed_block) regardless of
+//!   scheduling. Its cache key is an FNV-1a hash (the same construction
+//!   as the detection fingerprints) over the *scenario fingerprint* —
+//!   engine schema version plus the full `Debug` rendering of the built
+//!   [`Scenario`], which transitively covers the cost model, machine
+//!   spec, victim, attacker and layout — chained with the point's seed
+//!   and the block bounds.
 //!   Because every simulated round is a pure function of (scenario, seed),
 //!   equal keys imply equal results; any change to a fingerprint input
 //!   changes the key and silently invalidates exactly the affected blocks.
@@ -24,9 +26,10 @@
 //!   keys; a re-run after a code change recomputes only what the
 //!   fingerprint invalidated. A partial final line (SIGKILL mid-write) is
 //!   detected and truncated away on the next scan.
-//! * **Work-stealing compute.** Missing blocks are claimed from a shared
-//!   atomic cursor by the same long-lived pooled workers the sweep engine
-//!   uses, so stragglers don't idle the pool.
+//! * **Work-stealing compute.** Missing blocks run on the crate's one round
+//!   executor — the same long-lived pooled workers and shared atomic
+//!   cursor as the sweep engine — and each finished block is appended to
+//!   the store the moment it completes.
 //! * **Streaming aggregation.** Once every block is present, the aggregate
 //!   is folded point by point, block by block, straight out of the store:
 //!   one [`BlockRecord`] in memory at a time, observations folded in round
@@ -47,22 +50,17 @@
 //! bulk-statistics one, and the store persists only what aggregation
 //! needs.
 
+use crate::executor::{blocks, execute, Block, Plan};
 use crate::grid::Grid;
-use crate::monte_carlo::{
-    effective_jobs, fnv1a, run_one_round, PointAcc, RoundBoot, RoundObs, DETECTION_FINGERPRINT_SEED,
-};
-use crate::sweep::{SweepOutcome, SweepPoint};
-use crate::{extract::WindowKind, monte_carlo::window_kind_of};
+use crate::monte_carlo::{fnv1a, PointAcc, RoundObs, DETECTION_FINGERPRINT_SEED};
+use crate::sweep::SweepOutcome;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tocttou_os::forensics::ForensicsSnapshot;
-use tocttou_os::kernel::{Checkpoint, KernelPool};
 use tocttou_os::metrics::MetricsSnapshot;
-use tocttou_sim::rng::seed_block;
 use tocttou_workloads::scenario::Scenario;
 
 /// Version of the engine + store schema baked into every cache key.
@@ -267,13 +265,27 @@ impl std::fmt::Display for CampaignOutcome {
 }
 
 /// One seed block in a run's expected schedule (and, before it is
-/// computed, the unit of missing work).
+/// computed, the unit of missing work), with its cache key.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Missing {
-    pub(crate) point: usize,
-    pub(crate) start: u64,
-    pub(crate) end: u64,
+    pub(crate) block: Block,
     pub(crate) key: u64,
+}
+
+/// Rounds `[start, end)` of point `point` as keyed blocks of at most
+/// `size` rounds, in ascending round order.
+pub(crate) fn keyed_blocks(
+    point: usize,
+    scenario: &Scenario,
+    point_seed: u64,
+    (start, end): (u64, u64),
+    size: u64,
+) -> impl Iterator<Item = Missing> {
+    let fp = scenario_fingerprint(scenario);
+    blocks(point, start, end, size).map(move |block| Missing {
+        block,
+        key: block_key(fp, point_seed, block.start, block.end),
+    })
 }
 
 /// Location of one stored block line: `(byte offset, byte length)`.
@@ -379,42 +391,34 @@ pub(crate) fn scan_store(path: &Path) -> std::io::Result<HashMap<u64, LineSpan>>
 /// itself is infallible.
 pub fn run_campaign(store: &Path, cfg: &CampaignConfig) -> std::io::Result<CampaignOutcome> {
     std::fs::create_dir_all(store)?;
-    let block = cfg.block.max(1);
-    let points = &cfg.grid.points;
-    let scenarios: Vec<Scenario> = points.iter().map(|p| p.scenario()).collect();
-    let point_seeds: Vec<u64> = points
-        .iter()
-        .map(|p| cfg.base_seed.wrapping_add(p.seed_salt))
-        .collect();
-    let expected = expected_blocks(&scenarios, &point_seeds, cfg.rounds, block);
+    let path = blocks_path(store);
+    // An empty grid or `rounds = 0` computes nothing, yet still aggregates.
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)?;
+    let (scenarios, point_seeds, expected) = schedule(cfg);
     let total_blocks = expected.len() as u64;
 
-    let path = blocks_path(store);
     let mut index = scan_store(&path)?;
-    let mut missing: Vec<Missing> = Vec::new();
-    let mut cached_blocks = 0u64;
-    for item in expected.iter() {
-        if index.contains_key(&item.key) {
-            cached_blocks += 1;
-        } else {
-            missing.push(*item);
-        }
-    }
-    let deferred = missing
-        .len()
-        .saturating_sub(cfg.max_blocks.map_or(usize::MAX, |m| m as usize));
-    missing.truncate(missing.len() - deferred);
+    let mut missing: Vec<Missing> = expected
+        .iter()
+        .filter(|i| !index.contains_key(&i.key))
+        .copied()
+        .collect();
+    let cached_blocks = total_blocks - missing.len() as u64;
+    missing.truncate(cfg.max_blocks.map_or(usize::MAX, |m| m as usize));
 
     let computed_blocks = missing.len() as u64;
     if !missing.is_empty() {
-        compute_blocks(
-            &path,
-            cfg.jobs,
-            cfg.cold,
-            &scenarios,
-            &point_seeds,
-            &missing,
-        )?;
+        let plan = Plan {
+            scenarios: &scenarios,
+            seed_bases: &point_seeds,
+            collect_ld: false,
+            jobs: cfg.jobs,
+            cold: cfg.cold,
+        };
+        compute_blocks(&path, &plan, &missing)?;
         // Re-scan rather than threading offsets out of the workers: one
         // code path, and the appended records get the same torn-line
         // validation as pre-existing ones.
@@ -429,8 +433,8 @@ pub fn run_campaign(store: &Path, cfg: &CampaignConfig) -> std::io::Result<Campa
         schema_version: ENGINE_SCHEMA_VERSION,
         rounds_per_point: cfg.rounds,
         base_seed: cfg.base_seed,
-        block,
-        points: points.len() as u64,
+        block: cfg.block.max(1),
+        points: cfg.grid.points.len() as u64,
         total_blocks,
         done_blocks,
     };
@@ -455,143 +459,52 @@ pub fn run_campaign(store: &Path, cfg: &CampaignConfig) -> std::io::Result<Campa
     })
 }
 
-/// The deterministic block schedule of `rounds` rounds per scenario in
-/// point-major, ascending-round order — the aggregation order, and the
-/// order missing work is claimed in. Shared by campaigns and the
-/// rare-event estimator's store-backed waves.
-pub(crate) fn expected_blocks(
-    scenarios: &[Scenario],
-    point_seeds: &[u64],
-    rounds: u64,
-    block: u64,
-) -> Vec<Missing> {
-    let block = block.max(1);
-    let mut expected: Vec<Missing> = Vec::new();
-    for (p, scenario) in scenarios.iter().enumerate() {
-        let fp = scenario_fingerprint(scenario);
-        let mut start = 0;
-        while start < rounds {
-            let end = (start + block).min(rounds);
-            expected.push(Missing {
-                point: p,
-                start,
-                end,
-                key: block_key(fp, point_seeds[p], start, end),
-            });
-            start = end;
-        }
-    }
-    expected
+/// A config's per-point scenarios and seeds, and its deterministic block
+/// schedule in point-major, ascending-round order — the aggregation
+/// order, and the order missing work is claimed in.
+fn schedule(cfg: &CampaignConfig) -> (Vec<Scenario>, Vec<u64>, Vec<Missing>) {
+    let (scenarios, point_seeds) = cfg.grid.lanes(cfg.base_seed);
+    let expected = scenarios
+        .iter()
+        .enumerate()
+        .flat_map(|(p, s)| keyed_blocks(p, s, point_seeds[p], (0, cfg.rounds), cfg.block))
+        .collect();
+    (scenarios, point_seeds, expected)
 }
 
-/// Computes the missing blocks across worker threads and appends each to
+/// Computes the missing blocks on the round executor and appends each to
 /// the store as it finishes.
 pub(crate) fn compute_blocks(
     path: &Path,
-    jobs: usize,
-    cold: bool,
-    scenarios: &[Scenario],
-    point_seeds: &[u64],
+    plan: &Plan<'_>,
     missing: &[Missing],
 ) -> std::io::Result<()> {
-    let kinds: Vec<WindowKind> = scenarios.iter().map(window_kind_of).collect();
-    // Same template-fork and warm-checkpoint setup as the sweep engine;
-    // built only when there is work, so a fully warm re-run never pays for
-    // boot prefixes it won't use.
-    let templates: Vec<tocttou_os::vfs::Vfs> = match scenarios.first() {
-        None => Vec::new(),
-        Some(first) => {
-            let base = first.base_vfs();
-            scenarios
-                .iter()
-                .map(|s| s.template_vfs_from_base(&base))
-                .collect()
-        }
-    };
-    let checkpoints: Vec<Checkpoint> = if cold {
-        Vec::new()
-    } else {
-        scenarios
-            .iter()
-            .zip(&templates)
-            .map(|(s, t)| s.round_checkpoint(t))
-            .collect()
-    };
-    let boots: Vec<RoundBoot<'_>> = if cold {
-        templates.iter().map(RoundBoot::Cold).collect()
-    } else {
-        checkpoints.iter().map(RoundBoot::Warm).collect()
-    };
-
     let writer = Mutex::new(
         std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)?,
     );
-    let failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let total_rounds: u64 = missing.iter().map(|m| m.end - m.start).sum();
-    let workers = effective_jobs(jobs, total_rounds).min(missing.len());
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        let (scenarios, boots, kinds, next, writer, failure) =
-            (&scenarios, &boots, &kinds, &next, &writer, &failure);
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    // One long-lived recycled pool per worker, shared across
-                    // every block it steals off the cursor.
-                    let mut pool = KernelPool::new().retain_metrics();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = missing.get(idx) else { break };
-                        let p = item.point;
-                        let mut obs = Vec::with_capacity((item.end - item.start) as usize);
-                        for seed in seed_block(point_seeds[p], item.start, item.end) {
-                            let (o, returned) =
-                                run_one_round(&scenarios[p], boots[p], pool, seed, kinds[p], false);
-                            pool = returned;
-                            obs.push(ObsRecord::from_obs(&o));
-                        }
-                        let record = BlockRecord {
-                            key: item.key,
-                            point: p,
-                            start: item.start,
-                            end: item.end,
-                            obs,
-                            metrics: pool.drain_metrics(),
-                            forensics: pool.drain_forensics(),
-                        };
-                        let line = serde_json::to_string(&record)
-                            .expect("block serialization is infallible")
-                            + "\n";
-                        // One line per lock hold, flushed before release:
-                        // lines never interleave and a finished block is
-                        // durable the moment the lock drops.
-                        let result = {
-                            let mut file = writer.lock().expect("store writer poisoned");
-                            file.write_all(line.as_bytes()).and_then(|()| file.flush())
-                        };
-                        if let Err(e) = result {
-                            failure
-                                .lock()
-                                .expect("failure slot poisoned")
-                                .get_or_insert(e);
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("campaign worker panicked");
-        }
-    });
-    match failure.into_inner().expect("failure slot poisoned") {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    let items: Vec<Block> = missing.iter().map(|m| m.block).collect();
+    execute(plan, &items, |idx, obs, pool| {
+        let Missing { block, key } = missing[idx];
+        let record = BlockRecord {
+            key,
+            point: block.point,
+            start: block.start,
+            end: block.end,
+            obs: obs.into_iter().map(|o| ObsRecord::from_obs(&o)).collect(),
+            metrics: pool.drain_metrics(),
+            forensics: pool.drain_forensics(),
+        };
+        let line =
+            serde_json::to_string(&record).expect("block serialization is infallible") + "\n";
+        // One line per lock hold, flushed before release: lines never
+        // interleave and a finished block is durable the moment the lock
+        // drops.
+        let mut file = writer.lock().expect("store writer poisoned");
+        file.write_all(line.as_bytes()).and_then(|()| file.flush())
+    })
 }
 
 /// Streams the aggregate out of a complete store: for each point in grid
@@ -612,29 +525,20 @@ fn aggregate_store(
             .get(&item.key)
             .expect("aggregation runs only on a complete store");
         let record = read_block(&mut file, span, &mut line, item)?;
-        // Same fold discipline as the sweep engine's reassembly: metrics
-        // and forensics merge order-free, observations fold in round order.
-        let acc = &mut accs[item.point];
-        acc.merge_metrics(&record.metrics);
-        acc.merge_forensics(&record.forensics);
-        for o in record.obs {
-            acc.fold(o.into_obs());
-        }
+        accs[item.block.point].fold_block(
+            record.obs.into_iter().map(ObsRecord::into_obs),
+            &record.metrics,
+            &record.forensics,
+        );
     }
-    Ok(SweepOutcome {
-        rounds_per_point: cfg.rounds,
-        base_seed: cfg.base_seed,
-        collect_ld: false,
-        points: accs
-            .into_iter()
-            .zip(scenarios)
-            .zip(&cfg.grid.points)
-            .map(|((acc, scenario), point)| SweepPoint {
-                point: point.describe(),
-                outcome: acc.finish(scenario),
-            })
-            .collect(),
-    })
+    Ok(SweepOutcome::assemble(
+        &cfg.grid,
+        cfg.rounds,
+        cfg.base_seed,
+        false,
+        scenarios,
+        accs,
+    ))
 }
 
 /// Re-reads one stored block by its line span and validates it against the
@@ -652,12 +556,12 @@ pub(crate) fn read_block(
         .map_err(|e| std::io::Error::other(format!("stored block is not UTF-8: {e}")))?;
     let record: BlockRecord = serde_json::from_str(text.trim_end())
         .map_err(|e| std::io::Error::other(format!("corrupt stored block: {e}")))?;
-    if record.obs.len() as u64 != item.end - item.start {
+    if record.obs.len() as u64 != item.block.rounds() {
         return Err(std::io::Error::other(format!(
             "stored block {:#x} holds {} rounds, expected {}",
             item.key,
             record.obs.len(),
-            item.end - item.start
+            item.block.rounds()
         )));
     }
     Ok(record)
@@ -734,14 +638,7 @@ pub fn compact_store(store: &Path, cfg: &CampaignConfig) -> std::io::Result<Comp
         });
     }
 
-    let scenarios: Vec<Scenario> = cfg.grid.points.iter().map(|p| p.scenario()).collect();
-    let point_seeds: Vec<u64> = cfg
-        .grid
-        .points
-        .iter()
-        .map(|p| cfg.base_seed.wrapping_add(p.seed_salt))
-        .collect();
-    let expected = expected_blocks(&scenarios, &point_seeds, cfg.rounds, cfg.block);
+    let (_, _, expected) = schedule(cfg);
 
     let tmp = store.join("blocks.jsonl.tmp");
     let mut kept = 0u64;

@@ -46,9 +46,11 @@
 //!
 //! A wave's work items are seed blocks under the same splice contract as
 //! the campaign store ([`seed_block`]: stratum round *i* draws seed
-//! `stratum_base + i`), folded in item order after the wave completes, so
-//! [`EstimateOutcome`] is byte-identical across `--jobs` values and
-//! warm/cold boot (asserted by `tests/estimate_determinism.rs`). With a
+//! `stratum_base + i`), run on the crate's one round executor. Each round
+//! only adds to its stratum's integer tallies, so whatever order the
+//! blocks finish in, [`EstimateOutcome`] is byte-identical across
+//! `--jobs` values and warm/cold boot (asserted by
+//! `tests/estimate_determinism.rs`). With a
 //! [`store`](EstimateConfig::store) directory the items are
 //! content-addressed campaign blocks: a killed estimation resumes, and an
 //! unchanged re-run replays entirely from cache.
@@ -58,21 +60,15 @@
 //! [`seed_block`]: tocttou_sim::rng::seed_block
 //! [`Scenario::restrict_laxity`]: tocttou_workloads::scenario::Scenario::restrict_laxity
 
-use crate::campaign::{
-    block_key, blocks_path, compute_blocks, read_block, scan_store, scenario_fingerprint, Missing,
-    ObsRecord,
-};
-use crate::extract::WindowKind;
-use crate::monte_carlo::{
-    effective_jobs, fnv1a, run_one_round, window_kind_of, RoundBoot, DETECTION_FINGERPRINT_SEED,
-};
+use crate::campaign::{blocks_path, compute_blocks, keyed_blocks, read_block, scan_store, Missing};
+use crate::executor::{execute, Block, Plan};
+use crate::monte_carlo::{fnv1a, RoundObs, DETECTION_FINGERPRINT_SEED};
 use serde::Serialize;
+use std::convert::Infallible;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tocttou_core::stats::{clopper_pearson_ci, SuccessCounter};
-use tocttou_os::kernel::{Checkpoint, KernelPool};
-use tocttou_sim::rng::{nested_base, seed_block};
+use tocttou_sim::rng::nested_base;
 use tocttou_workloads::scenario::Scenario;
 
 /// The z-score of the 95 % two-sided normal interval, matching
@@ -200,6 +196,42 @@ struct Stratum {
     strikes_hit: u64,
     /// Split parents: excluded from the estimate, kept for the report.
     retired: bool,
+}
+
+impl Stratum {
+    /// A stratum with no rounds yet, on its own seed lane.
+    fn fresh(
+        (lo_n, hi_n): (u64, u64),
+        weight: f64,
+        base_seed: u64,
+        splittable: bool,
+        depth: u32,
+    ) -> Self {
+        Stratum {
+            lo_n,
+            hi_n,
+            weight,
+            seed_base: stratum_seed_base(base_seed, lo_n, hi_n),
+            splittable,
+            depth,
+            rounds: 0,
+            successes: 0,
+            near: 0,
+            windows_closed: 0,
+            strikes_hit: 0,
+            retired: false,
+        }
+    }
+
+    /// Counts one round.
+    fn count(&mut self, o: &RoundObs, near_miss_ns: u64) {
+        self.rounds += 1;
+        self.successes += u64::from(o.success);
+        self.windows_closed += u64::from(o.window_closed);
+        self.strikes_hit += u64::from(o.strike_hit);
+        let near = o.strike_hit || o.min_miss_ns.is_some_and(|d| d <= near_miss_ns);
+        self.near += u64::from(near);
+    }
 }
 
 /// Per-stratum slice of the final report.
@@ -381,21 +413,31 @@ fn push_stratum(
     let restricted = root
         .restrict_laxity(lo_n, hi_n)
         .expect("stratum bounds stay inside the laxity window");
-    strata.push(Stratum {
-        lo_n,
-        hi_n,
-        weight: (hi_n - lo_n + 1) as f64 / span as f64,
-        seed_base: stratum_seed_base(base_seed, lo_n, hi_n),
-        splittable: true,
-        depth,
-        rounds: 0,
-        successes: 0,
-        near: 0,
-        windows_closed: 0,
-        strikes_hit: 0,
-        retired: false,
-    });
+    let weight = (hi_n - lo_n + 1) as f64 / span as f64;
+    strata.push(Stratum::fresh((lo_n, hi_n), weight, base_seed, true, depth));
     scenarios.push(restricted);
+}
+
+/// How many strata the initial partition of a `span`-wide laxity window
+/// has.
+fn initial_parts(cfg: &EstimateConfig, span: u64) -> u64 {
+    (cfg.initial_strata.max(1) as u64).min(span)
+}
+
+/// Rejects a run whose pilot wave alone overruns the budget, before any
+/// stratum is allocated: an oversized `--strata` is an input error, not
+/// an out-of-memory kill.
+fn check_pilot_fits(scenario: &Scenario, cfg: &EstimateConfig) -> Result<(), String> {
+    let parts = scenario
+        .laxity_window_ns()
+        .map_or(1, |(lo, hi)| initial_parts(cfg, hi - lo + 1));
+    if parts.saturating_mul(cfg.pilot_rounds) > cfg.max_rounds {
+        return Err(format!(
+            "{parts} initial strata x {} pilot rounds exceed the budget of {} rounds",
+            cfg.pilot_rounds, cfg.max_rounds
+        ));
+    }
+    Ok(())
 }
 
 /// Builds the initial partition: an exact integer split of the laxity
@@ -410,7 +452,7 @@ fn initial_partition(
     match scenario.laxity_window_ns() {
         Some((lo, hi)) => {
             let span = hi - lo + 1;
-            let parts = (cfg.initial_strata.max(1) as u64).min(span);
+            let parts = initial_parts(cfg, span);
             // bound_k = lo + span·k/parts in u128 so the partition is exact
             // for any window width; stratum k is [bound_k, bound_{k+1}-1].
             let bound = |k: u64| lo + (span as u128 * k as u128 / parts as u128) as u64;
@@ -428,20 +470,7 @@ fn initial_partition(
             (strata, scenarios, Some(span))
         }
         None => {
-            strata.push(Stratum {
-                lo_n: 0,
-                hi_n: 0,
-                weight: 1.0,
-                seed_base: stratum_seed_base(cfg.base_seed, 0, 0),
-                splittable: false,
-                depth: 0,
-                rounds: 0,
-                successes: 0,
-                near: 0,
-                windows_closed: 0,
-                strikes_hit: 0,
-                retired: false,
-            });
+            strata.push(Stratum::fresh((0, 0), 1.0, cfg.base_seed, false, 0));
             scenarios.push(scenario.clone());
             (strata, scenarios, None)
         }
@@ -618,122 +647,58 @@ fn maybe_split(
     }
 }
 
-/// Executes one wave's items. Store mode computes only the blocks the
-/// store is missing and reads every item back by content address (the
-/// campaign cache contract); memory mode computes everything in place.
-/// Either way the returned observation blocks are in item order, so the
-/// caller's fold is deterministic.
+/// Executes one wave's items on the round executor and counts every round
+/// into its stratum. Store mode computes only the blocks the store is
+/// missing and reads every item back by content address (the campaign
+/// cache contract); memory mode counts each block as it finishes. The
+/// tallies are integer sums, so the order rounds are counted in cannot
+/// change them. Returns the rounds replayed from the store.
 fn run_wave(
     items: &[Missing],
     scenarios: &[Scenario],
-    seed_bases: &[u64],
+    strata: &mut [Stratum],
     cfg: &EstimateConfig,
-) -> std::io::Result<(Vec<Vec<ObsRecord>>, u64)> {
-    match cfg.store.as_deref() {
-        Some(dir) => {
-            let path = blocks_path(dir);
-            let mut index = scan_store(&path)?;
-            let missing: Vec<Missing> = items
-                .iter()
-                .filter(|i| !index.contains_key(&i.key))
-                .copied()
-                .collect();
-            let cached_rounds: u64 = items
-                .iter()
-                .filter(|i| index.contains_key(&i.key))
-                .map(|i| i.end - i.start)
-                .sum();
-            if !missing.is_empty() {
-                compute_blocks(&path, cfg.jobs, cfg.cold, scenarios, seed_bases, &missing)?;
-                index = scan_store(&path)?;
+) -> std::io::Result<u64> {
+    let seed_bases: Vec<u64> = strata.iter().map(|s| s.seed_base).collect();
+    let plan = Plan {
+        scenarios,
+        seed_bases: &seed_bases,
+        collect_ld: false,
+        jobs: cfg.jobs,
+        cold: cfg.cold,
+    };
+    let Some(dir) = cfg.store.as_deref() else {
+        let blocks: Vec<Block> = items.iter().map(|m| m.block).collect();
+        let strata = Mutex::new(strata);
+        // Metrics and forensics are not part of an estimate: left undrained.
+        let Ok(()) = execute::<Infallible>(&plan, &blocks, |idx, obs, _| {
+            let mut strata = strata.lock().expect("strata poisoned");
+            for o in &obs {
+                strata[blocks[idx].point].count(o, cfg.near_miss_ns);
             }
-            let mut file = std::fs::File::open(&path)?;
-            let mut buf = Vec::new();
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                let &span = index
-                    .get(&item.key)
-                    .ok_or_else(|| std::io::Error::other("wave block missing after compute"))?;
-                out.push(read_block(&mut file, span, &mut buf, item)?.obs);
-            }
-            Ok((out, cached_rounds))
-        }
-        None => Ok((
-            run_wave_memory(items, scenarios, seed_bases, cfg.jobs, cfg.cold),
-            0,
-        )),
+            Ok(())
+        });
+        return Ok(0);
+    };
+    let path = blocks_path(dir);
+    let mut index = scan_store(&path)?;
+    let (cached, missing): (Vec<Missing>, Vec<Missing>) =
+        items.iter().partition(|i| index.contains_key(&i.key));
+    if !missing.is_empty() {
+        compute_blocks(&path, &plan, &missing)?;
+        index = scan_store(&path)?;
     }
-}
-
-/// In-memory wave executor: the campaign compute loop without the store —
-/// same template fork, same warm checkpoints, same work-stealing cursor,
-/// results landing in per-item slots so order is by item, not by worker.
-fn run_wave_memory(
-    items: &[Missing],
-    scenarios: &[Scenario],
-    seed_bases: &[u64],
-    jobs: usize,
-    cold: bool,
-) -> Vec<Vec<ObsRecord>> {
-    let kinds: Vec<WindowKind> = scenarios.iter().map(window_kind_of).collect();
-    let templates: Vec<tocttou_os::vfs::Vfs> = match scenarios.first() {
-        None => Vec::new(),
-        Some(first) => {
-            let base = first.base_vfs();
-            scenarios
-                .iter()
-                .map(|s| s.template_vfs_from_base(&base))
-                .collect()
+    let mut file = std::fs::File::open(&path)?;
+    let mut buf = Vec::new();
+    for item in items {
+        let &span = index
+            .get(&item.key)
+            .ok_or_else(|| std::io::Error::other("wave block missing after compute"))?;
+        for o in read_block(&mut file, span, &mut buf, item)?.obs {
+            strata[item.block.point].count(&o.into_obs(), cfg.near_miss_ns);
         }
-    };
-    let checkpoints: Vec<Checkpoint> = if cold {
-        Vec::new()
-    } else {
-        scenarios
-            .iter()
-            .zip(&templates)
-            .map(|(s, t)| s.round_checkpoint(t))
-            .collect()
-    };
-    let boots: Vec<RoundBoot<'_>> = if cold {
-        templates.iter().map(RoundBoot::Cold).collect()
-    } else {
-        checkpoints.iter().map(RoundBoot::Warm).collect()
-    };
-    let total_rounds: u64 = items.iter().map(|m| m.end - m.start).sum();
-    let workers = effective_jobs(jobs, total_rounds).min(items.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Vec<ObsRecord>>> = items.iter().map(|_| Mutex::new(Vec::new())).collect();
-    std::thread::scope(|scope| {
-        let (scenarios, boots, kinds, next, slots) = (&scenarios, &boots, &kinds, &next, &slots);
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut pool = KernelPool::new().retain_metrics();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(idx) else { break };
-                        let p = item.point;
-                        let mut obs = Vec::with_capacity((item.end - item.start) as usize);
-                        for seed in seed_block(seed_bases[p], item.start, item.end) {
-                            let (o, returned) =
-                                run_one_round(&scenarios[p], boots[p], pool, seed, kinds[p], false);
-                            pool = returned;
-                            obs.push(ObsRecord::from_obs(&o));
-                        }
-                        *slots[idx].lock().expect("wave slot poisoned") = obs;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("estimation worker panicked");
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("wave slot poisoned"))
-        .collect()
+    }
+    Ok(cached.iter().map(|i| i.block.rounds()).sum())
 }
 
 /// Runs the adaptive estimator on one scenario.
@@ -745,10 +710,13 @@ fn run_wave_memory(
 /// # Errors
 ///
 /// Returns [`std::io::ErrorKind::InvalidInput`] for a config that fails
-/// [`EstimateConfig::validate`], and propagates store I/O failures in
-/// store mode. Simulation itself is infallible.
+/// [`EstimateConfig::validate`] or whose pilot wave (initial strata, each
+/// clamped to the laxity window's width, times pilot rounds) exceeds
+/// `max_rounds`, and propagates store I/O failures in store mode.
+/// Simulation itself is infallible.
 pub fn run_estimate(scenario: &Scenario, cfg: &EstimateConfig) -> std::io::Result<EstimateRun> {
     cfg.validate()
+        .and_then(|()| check_pilot_fits(scenario, cfg))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     if let Some(dir) = &cfg.store {
         std::fs::create_dir_all(dir)?;
@@ -761,38 +729,21 @@ pub fn run_estimate(scenario: &Scenario, cfg: &EstimateConfig) -> std::io::Resul
     let mut converged = false;
 
     loop {
-        let alloc = allocate_wave(&strata, cfg);
-        let mut items: Vec<Missing> = Vec::new();
-        for &(h, add) in &alloc {
-            let fp = scenario_fingerprint(&scenarios[h]);
-            let mut start = strata[h].rounds;
-            let end_total = start + add;
-            while start < end_total {
-                let end = (start + cfg.block).min(end_total);
-                items.push(Missing {
-                    point: h,
-                    start,
-                    end,
-                    key: block_key(fp, strata[h].seed_base, start, end),
-                });
-                start = end;
-            }
-        }
-        let seed_bases: Vec<u64> = strata.iter().map(|s| s.seed_base).collect();
-        let (blocks, cached) = run_wave(&items, &scenarios, &seed_bases, cfg)?;
-        cached_total += cached;
-        for (item, obs) in items.iter().zip(&blocks) {
-            let s = &mut strata[item.point];
-            for o in obs {
-                s.rounds += 1;
-                simulated += 1;
-                s.successes += u64::from(o.success);
-                s.windows_closed += u64::from(o.window_closed);
-                s.strikes_hit += u64::from(o.strike_hit);
-                let near = o.strike_hit || o.min_miss_ns.is_some_and(|d| d <= cfg.near_miss_ns);
-                s.near += u64::from(near);
-            }
-        }
+        let items: Vec<Missing> = allocate_wave(&strata, cfg)
+            .into_iter()
+            .flat_map(|(h, add)| {
+                let s = &strata[h];
+                keyed_blocks(
+                    h,
+                    &scenarios[h],
+                    s.seed_base,
+                    (s.rounds, s.rounds + add),
+                    cfg.block,
+                )
+            })
+            .collect();
+        cached_total += run_wave(&items, &scenarios, &mut strata, cfg)?;
+        simulated += items.iter().map(|i| i.block.rounds()).sum::<u64>();
         waves += 1;
 
         let est = current_estimate(&strata);
@@ -881,6 +832,28 @@ mod tests {
         };
         let err = run_estimate(&s, &bad).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        // A pilot wave over budget is rejected before any stratum exists:
+        // 1e8 strata (clamped to the ~1e8 ns window) would not fit in memory.
+        let huge = EstimateConfig {
+            initial_strata: 100_000_000,
+            max_rounds: 100,
+            ..Default::default()
+        };
+        let err = run_estimate(&Scenario::vi_uniprocessor(2048), &huge).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("exceed the budget"), "{err}");
+        // 8 strata x 64 pilot rounds = 512 fits a budget of 600 exactly
+        // as before; 10 strata do not.
+        let fits = EstimateConfig {
+            max_rounds: 600,
+            ..Default::default()
+        };
+        assert!(check_pilot_fits(&Scenario::vi_uniprocessor(2048), &fits).is_ok());
+        let over = EstimateConfig {
+            initial_strata: 10,
+            ..fits
+        };
+        assert!(check_pilot_fits(&Scenario::vi_uniprocessor(2048), &over).is_err());
     }
 
     #[test]

@@ -328,6 +328,15 @@ impl Grid {
         Grid { points }
     }
 
+    /// Every point's scenario and seed base (`base_seed + seed_salt`), in
+    /// grid order.
+    pub(crate) fn lanes(&self, base_seed: u64) -> (Vec<Scenario>, Vec<u64>) {
+        self.points
+            .iter()
+            .map(|p| (p.scenario(), base_seed.wrapping_add(p.seed_salt)))
+            .unzip()
+    }
+
     /// The file-size axis used by Figures 6 and 7: one point per entry of
     /// `sizes_kb`, with `seed_salt = size_kb` (the per-figure seed
     /// schedule predating the sweep engine).

@@ -24,6 +24,9 @@
 //!   on a target relative half-width, exact stratification of the laxity
 //!   window, and milestone-guided importance splitting, with [`run_mc`]
 //!   kept as the brute-force oracle;
+//! * `executor` (crate-private) — the one round executor behind every
+//!   driver: template forking, warm/cold boot, the worker pool over
+//!   `(point, seed block)` items and per-block metrics/forensics drains;
 //! * [`report`] — text + JSON artifact writing;
 //! * [`export`] — JSONL export of traces, detections and metrics;
 //! * [`perfetto`] — Chrome trace-event / Perfetto JSON export of a
@@ -51,6 +54,7 @@
 pub mod campaign;
 pub mod cli;
 pub mod estimate;
+mod executor;
 pub mod export;
 pub mod extract;
 pub mod figures;

@@ -7,26 +7,24 @@
 //! ## Parallel batches
 //!
 //! Rounds are independent by construction (round *i* is fully determined
-//! by `base_seed + i`), so [`run_mc`] fans them across
-//! [`McConfig::jobs`] worker threads. Each worker simulates a contiguous
-//! block of rounds on its own recycled [`KernelPool`], emitting one
-//! small observation record per round; the calling thread then folds the
-//! observations **in round order** through the same accumulators the
-//! serial loop uses. Because the floating-point reduction order is
-//! identical, the outcome is bit-for-bit the same for every `jobs` value
-//! — `jobs` trades wall-clock for cores, never results.
+//! by `base_seed + i`), so [`run_mc`] is a one-point sweep: it cuts the
+//! batch into seed blocks and runs them on the crate's one round executor
+//! across [`McConfig::jobs`] workers, each on its own recycled
+//! [`KernelPool`](tocttou_os::kernel::KernelPool). Finished blocks fold
+//! **in round order** through `PointAcc`, as soon as every earlier block
+//! has arrived, so at most a few blocks of observations are ever held and
+//! the floating-point reduction order is the same for every `jobs` value:
+//! `jobs` trades wall-clock for cores, never results.
 
-use crate::extract::{observe, window_length_us, WindowKind};
+use crate::executor::Plan;
+use crate::extract::WindowKind;
 use serde::Serialize;
 use tocttou_core::analysis::{LdEstimator, LdSample};
 use tocttou_core::model::MeasuredUs;
 use tocttou_core::stats::{OnlineStats, SuccessCounter};
 use tocttou_os::detect::DetectionEvent;
 use tocttou_os::forensics::ForensicsSnapshot;
-use tocttou_os::kernel::{Checkpoint, KernelPool};
 use tocttou_os::metrics::MetricsSnapshot;
-use tocttou_os::vfs::Vfs;
-use tocttou_sim::rng::seed_block;
 use tocttou_sim::trace::Trace;
 use tocttou_workloads::scenario::{Scenario, VictimSpec};
 
@@ -40,10 +38,9 @@ pub struct McConfig {
     /// Whether to trace rounds and extract L/D (slower; needed for
     /// Figure 7 and Tables 1–2).
     pub collect_ld: bool,
-    /// Worker threads to fan rounds across. `1` (the default) runs the
-    /// classic serial loop on the calling thread; `0` auto-detects the
-    /// machine's parallelism. The outcome is bit-identical for every
-    /// value.
+    /// Worker threads to fan rounds across. `1` (the default) runs them
+    /// one after another; `0` auto-detects the machine's parallelism. The
+    /// outcome is bit-identical for every value.
     pub jobs: usize,
     /// Cold-boot every round instead of resuming from the warm
     /// checkpoint. The warm path (the default, `false`) simulates the
@@ -126,18 +123,7 @@ pub fn chain_detection_fingerprints(acc: u64, round_fingerprint: u64) -> u64 {
     fnv1a(acc, &round_fingerprint.to_le_bytes())
 }
 
-/// Resolves a requested job count: `0` means auto-detect, and more
-/// workers than rounds is pointless.
-pub fn effective_jobs(jobs: usize, rounds: u64) -> usize {
-    let requested = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
-    requested.clamp(1, rounds.max(1).min(usize::MAX as u64) as usize)
-}
+pub use crate::executor::effective_jobs;
 
 /// Aggregated results of a Monte-Carlo batch.
 #[derive(Debug, Clone, Serialize)]
@@ -233,47 +219,6 @@ impl DetectorTally {
     }
 }
 
-impl McOutcome {
-    fn from_parts(
-        scenario: &Scenario,
-        counter: SuccessCounter,
-        ld: LdEstimator,
-        windows: OnlineStats,
-        detector: DetectorTally,
-        metrics: MetricsSnapshot,
-        forensics: ForensicsSnapshot,
-    ) -> Self {
-        let (l, d) = match ld.estimates() {
-            Some((l, d)) => (Some(l), Some(d)),
-            None => (None, None),
-        };
-        McOutcome {
-            scenario: scenario.name.clone(),
-            rounds: counter.trials(),
-            successes: counter.successes(),
-            rate: counter.rate(),
-            rate_ci95: counter.wilson_ci95(),
-            l,
-            d,
-            detected_rounds: ld.count(),
-            window_us: (windows.count() > 0).then(|| windows.mean()),
-            predicted_rate_ld: ld.predicted_success_rate(),
-            flagged_rounds: detector.flagged,
-            detector_true_positives: detector.tp,
-            detector_false_positives: detector.fp,
-            detector_false_negatives: detector.fn_,
-            detector_precision: (detector.flagged > 0)
-                .then(|| detector.tp as f64 / detector.flagged as f64),
-            detector_recall: (counter.successes() > 0)
-                .then(|| detector.tp as f64 / counter.successes() as f64),
-            detection_latency_us: (detector.latency.count() > 0).then(|| detector.latency.mean()),
-            detection_fingerprint: detector.fingerprint,
-            metrics,
-            forensics,
-        }
-    }
-}
-
 impl std::fmt::Display for McOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -328,8 +273,8 @@ pub fn window_kind_of(scenario: &Scenario) -> WindowKind {
 /// each side (cut = 1), and the cut stays 1 until n = 40.
 const LD_TRIM_FRAC: f64 = 0.05;
 
-/// What one round contributes to the batch statistics. Workers produce
-/// these; the calling thread folds them in round order.
+/// What one round contributes to the batch statistics. The round
+/// executor produces these; drivers fold them in round order.
 pub(crate) struct RoundObs {
     pub(crate) success: bool,
     pub(crate) window_us: Option<f64>,
@@ -351,14 +296,14 @@ pub(crate) struct RoundObs {
     pub(crate) strike_hit: bool,
 }
 
-/// The per-point accumulator shared by [`run_mc`] and the sweep engine
-/// (`crate::sweep`).
+/// The per-point accumulator shared by [`run_mc`], the sweep engine
+/// (`crate::sweep`) and campaign aggregation (`crate::campaign`).
 ///
 /// Byte-identity across drivers and `jobs` values hinges on two rules this
 /// type centralizes: [`RoundObs`] records are folded **in round order**
 /// (the floating-point reduction order is part of the result), while
-/// kernel metrics merge through [`merge_metrics`](Self::merge_metrics) in
-/// any order (pure integer accumulation over key-sorted histograms).
+/// kernel metrics and window forensics merge in any order (pure integer
+/// accumulation over key-sorted histograms).
 /// Any driver that honors those two rules produces the same [`McOutcome`]
 /// bit for bit, regardless of how it partitions or schedules the rounds.
 pub(crate) struct PointAcc {
@@ -383,7 +328,7 @@ impl PointAcc {
     }
 
     /// Folds one round's observation. Must be called in round order.
-    pub(crate) fn fold(&mut self, obs: RoundObs) {
+    fn fold(&mut self, obs: RoundObs) {
         self.counter.record(obs.success);
         self.detector.fold(&obs);
         if let Some(w) = obs.window_us {
@@ -394,181 +339,73 @@ impl PointAcc {
         }
     }
 
-    /// Merges one worker block's kernel-metrics aggregate. Order-free.
-    pub(crate) fn merge_metrics(&mut self, block: &MetricsSnapshot) {
-        self.metrics.merge(block);
-    }
-
-    /// Merges one worker block's window-forensics aggregate. Order-free.
-    pub(crate) fn merge_forensics(&mut self, block: &ForensicsSnapshot) {
-        self.forensics.merge(block);
+    /// Folds one block of a point's rounds: observations in round order,
+    /// kernel metrics and window forensics order-free. A point's blocks
+    /// must arrive in round order.
+    pub(crate) fn fold_block(
+        &mut self,
+        obs: impl IntoIterator<Item = RoundObs>,
+        metrics: &MetricsSnapshot,
+        forensics: &ForensicsSnapshot,
+    ) {
+        self.metrics.merge(metrics);
+        self.forensics.merge(forensics);
+        for o in obs {
+            self.fold(o);
+        }
     }
 
     /// Trims the L/D samples and condenses everything into the outcome.
     pub(crate) fn finish(self, scenario: &Scenario) -> McOutcome {
         let ld = trimmed_estimator(self.samples, LD_TRIM_FRAC);
-        McOutcome::from_parts(
-            scenario,
-            self.counter,
-            ld,
-            self.windows,
-            self.detector,
-            self.metrics,
-            self.forensics,
-        )
-    }
-}
-
-/// How each round's kernel is instantiated: resumed from a shared warm
-/// [`Checkpoint`] (the default), or cold-booted from the filesystem
-/// template (the oracle, [`McConfig::cold`]). Both paths produce
-/// byte-identical rounds; `Warm` skips the seed-independent boot prefix.
-#[derive(Clone, Copy)]
-pub(crate) enum RoundBoot<'a> {
-    /// Resume from the batch's warm checkpoint.
-    Warm(&'a Checkpoint),
-    /// Cold-boot from the filesystem template.
-    Cold(&'a Vfs),
-}
-
-impl<'a> RoundBoot<'a> {
-    /// Picks the boot mode for a batch: one warm checkpoint per batch
-    /// unless the config demands the cold oracle.
-    pub(crate) fn for_batch(
-        scenario: &Scenario,
-        template: &'a Vfs,
-        ck: &'a mut Option<Checkpoint>,
-        cold: bool,
-    ) -> Self {
-        if cold {
-            RoundBoot::Cold(template)
-        } else {
-            RoundBoot::Warm(ck.insert(scenario.round_checkpoint(template)))
+        let (counter, detector) = (self.counter, self.detector);
+        let (l, d) = match ld.estimates() {
+            Some((l, d)) => (Some(l), Some(d)),
+            None => (None, None),
+        };
+        McOutcome {
+            scenario: scenario.name.clone(),
+            rounds: counter.trials(),
+            successes: counter.successes(),
+            rate: counter.rate(),
+            rate_ci95: counter.wilson_ci95(),
+            l,
+            d,
+            detected_rounds: ld.count(),
+            window_us: (self.windows.count() > 0).then(|| self.windows.mean()),
+            predicted_rate_ld: ld.predicted_success_rate(),
+            flagged_rounds: detector.flagged,
+            detector_true_positives: detector.tp,
+            detector_false_positives: detector.fp,
+            detector_false_negatives: detector.fn_,
+            detector_precision: (detector.flagged > 0)
+                .then(|| detector.tp as f64 / detector.flagged as f64),
+            detector_recall: (counter.successes() > 0)
+                .then(|| detector.tp as f64 / counter.successes() as f64),
+            detection_latency_us: (detector.latency.count() > 0).then(|| detector.latency.mean()),
+            detection_fingerprint: detector.fingerprint,
+            metrics: self.metrics,
+            forensics: self.forensics,
         }
     }
-}
-
-/// Simulates one round on pooled buffers and extracts its observation.
-///
-/// The round's kernel metrics aren't extracted here: the pool is created
-/// with [`KernelPool::retain_metrics`], so they accumulate in place across
-/// the worker's rounds and the caller snapshots the total once per block —
-/// zero per-round cost, bit-identical to a per-round fold (the merge is
-/// pure integer accumulation).
-pub(crate) fn run_one_round(
-    scenario: &Scenario,
-    boot: RoundBoot<'_>,
-    pool: KernelPool,
-    seed: u64,
-    kind: WindowKind,
-    collect_ld: bool,
-) -> (RoundObs, KernelPool) {
-    let mut handles = match boot {
-        RoundBoot::Warm(ck) => scenario.build_from_checkpoint(ck, seed, collect_ld, pool),
-        RoundBoot::Cold(template) => scenario.build_pooled(seed, collect_ld, template, pool),
-    };
-    let result = scenario.finish_round(&mut handles);
-    let milestones = handles.kernel.forensics().round_milestones();
-    let detections = handles.kernel.detections();
-    let mut obs = RoundObs {
-        success: result.success,
-        window_us: None,
-        sample: None,
-        flagged: !detections.is_empty(),
-        detect_latency_us: detections
-            .iter()
-            .next()
-            .map(|r| r.event.latency().as_micros_f64()),
-        detect_fingerprint: detection_fingerprint_of(detections),
-        window_closed: milestones.window_closed,
-        min_miss_ns: milestones.min_miss_ns,
-        strike_hit: milestones.strike_hit,
-    };
-    if collect_ld {
-        if let Some(o) = observe(
-            handles.kernel.trace(),
-            handles.victim,
-            handles.attackers[0],
-            kind,
-            &scenario.layout.doc,
-        ) {
-            obs.window_us = Some(window_length_us(&o));
-            obs.sample = o.ld_sample();
-        }
-    }
-    (obs, handles.kernel.recycle())
 }
 
 /// Runs the batch.
 ///
-/// With `cfg.jobs > 1` the rounds are simulated on worker threads; the
-/// outcome is bit-identical to the serial (`jobs = 1`) run — see the
-/// module docs for why.
+/// The outcome is bit-identical at every `cfg.jobs` value and either boot
+/// mode — see the module docs for why.
 pub fn run_mc(scenario: &Scenario, cfg: &McConfig) -> McOutcome {
-    let kind = window_kind_of(scenario);
-    let template = scenario.template_vfs();
-    let mut ck = None;
-    let boot = RoundBoot::for_batch(scenario, &template, &mut ck, cfg.cold);
-    let jobs = effective_jobs(cfg.jobs, cfg.rounds);
-
-    // The single fold used by both paths: per-round op order on the
-    // accumulators is what makes serial and parallel runs bit-identical.
-    // (Kernel metrics don't ride this fold: their merge is order-
-    // *independent* integer accumulation, so each worker keeps one running
-    // aggregate and the block aggregates combine at the end.)
-    let mut acc = PointAcc::new();
-
-    if jobs <= 1 {
-        let mut pool = KernelPool::new().retain_metrics();
-        for seed in seed_block(cfg.base_seed, 0, cfg.rounds) {
-            let (obs, returned) = run_one_round(scenario, boot, pool, seed, kind, cfg.collect_ld);
-            pool = returned;
-            acc.fold(obs);
-        }
-        acc.merge_metrics(&pool.metrics().snapshot());
-        acc.merge_forensics(&pool.forensics().snapshot());
-    } else {
-        // One contiguous block of rounds per worker; blocks come back in
-        // worker order, so flattening yields observations in round order.
-        let block = cfg.rounds.div_ceil(jobs as u64);
-        let blocks: Vec<(u64, u64)> = (0..jobs as u64)
-            .map(|w| (w * block, ((w + 1) * block).min(cfg.rounds)))
-            .filter(|(start, end)| start < end)
-            .collect();
-        let per_block: Vec<(Vec<RoundObs>, MetricsSnapshot, ForensicsSnapshot)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = blocks
-                    .iter()
-                    .map(|&(start, end)| {
-                        scope.spawn(move || {
-                            let mut pool = KernelPool::new().retain_metrics();
-                            let mut out = Vec::with_capacity((end - start) as usize);
-                            for seed in seed_block(cfg.base_seed, start, end) {
-                                let (obs, returned) =
-                                    run_one_round(scenario, boot, pool, seed, kind, cfg.collect_ld);
-                                pool = returned;
-                                out.push(obs);
-                            }
-                            let (m, f) = (pool.metrics().snapshot(), pool.forensics().snapshot());
-                            (out, m, f)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("Monte-Carlo worker panicked"))
-                    .collect()
-            });
-        for (block_obs, block_metrics, block_forensics) in per_block {
-            acc.merge_metrics(&block_metrics);
-            acc.merge_forensics(&block_forensics);
-            for obs in block_obs {
-                acc.fold(obs);
-            }
-        }
-    }
-
-    acc.finish(scenario)
+    let plan = Plan {
+        scenarios: std::slice::from_ref(scenario),
+        seed_bases: &[cfg.base_seed],
+        collect_ld: cfg.collect_ld,
+        jobs: cfg.jobs,
+        cold: cfg.cold,
+    };
+    crate::sweep::fold_points(&plan, cfg.rounds)
+        .pop()
+        .expect("one accumulator per scenario")
+        .finish(scenario)
 }
 
 /// Builds an estimator from samples with a symmetric fraction trimmed from
@@ -686,14 +523,6 @@ mod tests {
                 "jobs={jobs} diverged from serial"
             );
         }
-    }
-
-    #[test]
-    fn effective_jobs_clamps_and_autodetects() {
-        assert_eq!(effective_jobs(1, 100), 1);
-        assert_eq!(effective_jobs(8, 3), 3, "never more workers than rounds");
-        assert_eq!(effective_jobs(4, 0), 1, "zero rounds still needs one job");
-        assert!(effective_jobs(0, 1000) >= 1, "auto-detect is at least 1");
     }
 
     /// `n` samples with L = 0, 1, ..., n-1 µs (already distinct and

@@ -2,8 +2,7 @@
 //!
 //! [`run_sweep`] runs a whole parameter [`Grid`] — every figure is one —
 //! through a single shared worker pool, instead of calling
-//! [`run_mc`](crate::monte_carlo::run_mc) once per grid point. Three
-//! things make it the fast path:
+//! [`run_mc`](crate::monte_carlo::run_mc) once per grid point:
 //!
 //! * **Template built once, snapshot/forked per point.** The base
 //!   filesystem image (directories, `/etc/passwd`, the attack directory)
@@ -11,38 +10,41 @@
 //!   each point's template is a cheap clone-plus-document fork
 //!   ([`Scenario::template_vfs_from_base`]) — state-identical to a full
 //!   per-point build, as the fork-equivalence tests assert.
-//! * **One worker pool for the whole grid.** `(point × round-block)` work
-//!   items feed `jobs` long-lived workers through a shared atomic cursor,
-//!   so threads never drain at point boundaries and each worker's
-//!   recycled [`KernelPool`] stays warm across points. The per-point
-//!   `run_mc` loop, by contrast, spawns and joins a fresh pool of threads
-//!   — and cold kernel pools — for every point.
-//! * **Bit-identical outcomes anyway.** Each point's rounds still fold in
-//!   round order and its kernel metrics still merge through pure integer
-//!   accumulation ([`PointAcc`] centralizes both rules), so every
-//!   per-point [`McOutcome`] is byte-for-byte what a standalone
+//! * **One worker pool for the whole grid.** Every point's rounds are cut
+//!   into `(point, seed block)` items of at most `MAX_ITEM_ROUNDS`
+//!   rounds, and all of them run on the crate's one round executor: `jobs`
+//!   long-lived workers claiming items off a shared atomic cursor, so
+//!   threads never drain at point boundaries and each worker's recycled
+//!   [`KernelPool`](tocttou_os::kernel::KernelPool) stays warm across
+//!   points. [`run_mc`](crate::monte_carlo::run_mc) is this same path with
+//!   a one-point grid.
+//! * **Bit-identical outcomes anyway.** Finished items fold in item order —
+//!   each point's rounds in round order — and kernel metrics and window
+//!   forensics merge through pure integer accumulation ([`PointAcc`]
+//!   centralizes both rules), so every per-point [`McOutcome`] is
+//!   byte-for-byte what a standalone
 //!   `run_mc(point.scenario(), McConfig { base_seed: base + salt, .. })`
 //!   returns — at any `jobs` value on either side. The jobs-ladder and
 //!   per-point identity tests in `tests/sweep_determinism.rs` and the
-//!   `sweep_throughput` bench row hold this line.
-//!
-//! Workers drain their pool's retained metrics and window forensics at
-//! work-item boundaries ([`KernelPool::drain_metrics`],
-//! [`KernelPool::drain_forensics`]), which is what lets one pool serve
-//! many points without cross-contaminating their folds.
+//!   independent reference loop in `tests/determinism.rs` hold this line.
+//! * **Bounded memory.** An item is folded as soon as every earlier item
+//!   has arrived, so at `jobs = 1` at most one item of observations is
+//!   held, however many rounds a point runs.
 
+use crate::executor::{blocks, effective_jobs, execute, Block, Plan};
 use crate::grid::{Grid, PointDesc};
-use crate::monte_carlo::{effective_jobs, run_one_round, McOutcome, PointAcc, RoundBoot};
+use crate::monte_carlo::{McOutcome, PointAcc, RoundObs};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::sync::Mutex;
 use tocttou_os::forensics::ForensicsSnapshot;
-use tocttou_os::kernel::{Checkpoint, KernelPool};
 use tocttou_os::metrics::MetricsSnapshot;
-use tocttou_sim::rng::seed_block;
 use tocttou_workloads::scenario::Scenario;
 
-use crate::extract::WindowKind;
-use crate::monte_carlo::window_kind_of;
+/// Most rounds one in-memory work item holds — the bound on buffered
+/// observations per item, whatever `--rounds` is.
+pub(crate) const MAX_ITEM_ROUNDS: u64 = 256;
 
 /// Options for one sweep.
 #[derive(Debug, Clone)]
@@ -106,21 +108,45 @@ pub struct SweepOutcome {
     pub points: Vec<SweepPoint>,
 }
 
-/// One `(grid point, round block)` unit of work.
-struct WorkItem {
-    point: usize,
-    start: u64,
-    end: u64,
+/// Finished items waiting for their predecessors, and the accumulators
+/// they fold into.
+struct InOrder {
+    next: usize,
+    early: BTreeMap<usize, (Vec<RoundObs>, MetricsSnapshot, ForensicsSnapshot)>,
+    accs: Vec<PointAcc>,
 }
 
-/// A finished work item, tagged with its item index for deterministic
-/// reassembly.
-struct ItemResult {
-    item: usize,
-    point: usize,
-    obs: Vec<crate::monte_carlo::RoundObs>,
-    metrics: MetricsSnapshot,
-    forensics: ForensicsSnapshot,
+/// Runs `rounds` rounds of every planned scenario and folds each point's
+/// rounds in round order — the in-memory path of [`run_sweep`] and
+/// [`run_mc`](crate::monte_carlo::run_mc).
+///
+/// Items are folded as soon as every earlier item has arrived, so only
+/// items that finished out of order are held.
+pub(crate) fn fold_points(plan: &Plan<'_>, rounds: u64) -> Vec<PointAcc> {
+    let points = plan.scenarios.len();
+    // At least one item per worker on a lone point, at most the cap.
+    let jobs = effective_jobs(plan.jobs, rounds.saturating_mul(points as u64));
+    let size = rounds.div_ceil(jobs as u64).min(MAX_ITEM_ROUNDS);
+    let items: Vec<Block> = (0..points)
+        .flat_map(|p| blocks(p, 0, rounds, size))
+        .collect();
+    let state = Mutex::new(InOrder {
+        next: 0,
+        early: BTreeMap::new(),
+        accs: (0..points).map(|_| PointAcc::new()).collect(),
+    });
+    let Ok(()) = execute::<Infallible>(plan, &items, |idx, obs, pool| {
+        let block = (obs, pool.drain_metrics(), pool.drain_forensics());
+        let mut guard = state.lock().expect("fold state poisoned");
+        let s = &mut *guard;
+        s.early.insert(idx, block);
+        while let Some((obs, metrics, forensics)) = s.early.remove(&s.next) {
+            s.accs[items[s.next].point].fold_block(obs, &metrics, &forensics);
+            s.next += 1;
+        }
+        Ok(())
+    });
+    state.into_inner().expect("fold state poisoned").accs
 }
 
 /// Runs every grid point's Monte-Carlo batch on one shared worker pool.
@@ -128,168 +154,50 @@ struct ItemResult {
 /// See the [module docs](self) for the template-fork and scheduling
 /// design and the byte-identity guarantee.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
-    let points = &cfg.grid.points;
-    let scenarios: Vec<Scenario> = points.iter().map(|p| p.scenario()).collect();
-    let kinds: Vec<WindowKind> = scenarios.iter().map(window_kind_of).collect();
-
-    // Build the swept-parameter-independent base image once and fork it
-    // per point. (All grid points share the default layout and attacker
-    // identity — `fork_matches_full_template_build` pins the equivalence.)
-    let templates: Vec<tocttou_os::vfs::Vfs> = match scenarios.first() {
-        None => Vec::new(),
-        Some(first) => {
-            let base = first.base_vfs();
-            scenarios
-                .iter()
-                .map(|s| s.template_vfs_from_base(&base))
-                .collect()
-        }
-    };
-
-    // One warm checkpoint per point (unless the cold oracle is requested):
-    // each point's seed-independent prefix — boot, defense, forked
-    // template — is simulated once here and restored per round. The
-    // checkpoints are `Send + Sync`, so every worker resumes from the same
-    // shared instances.
-    let checkpoints: Vec<Checkpoint> = if cfg.cold {
-        Vec::new()
-    } else {
-        scenarios
-            .iter()
-            .zip(&templates)
-            .map(|(s, t)| s.round_checkpoint(t))
-            .collect()
-    };
-    let boots: Vec<RoundBoot<'_>> = if cfg.cold {
-        templates.iter().map(RoundBoot::Cold).collect()
-    } else {
-        checkpoints.iter().map(RoundBoot::Warm).collect()
-    };
-
-    let total_rounds = cfg.rounds.saturating_mul(points.len() as u64);
-    let jobs = effective_jobs(cfg.jobs, total_rounds);
-
-    let mut accs: Vec<PointAcc> = points.iter().map(|_| PointAcc::new()).collect();
-
-    if jobs <= 1 {
-        // Serial: one pool serves every point; metrics and forensics
-        // drain at point boundaries so each fold starts from zero like a
-        // fresh pool.
-        let mut pool = KernelPool::new().retain_metrics();
-        for (p, scenario) in scenarios.iter().enumerate() {
-            let point_seed = cfg.base_seed.wrapping_add(points[p].seed_salt);
-            for seed in seed_block(point_seed, 0, cfg.rounds) {
-                let (obs, returned) =
-                    run_one_round(scenario, boots[p], pool, seed, kinds[p], cfg.collect_ld);
-                pool = returned;
-                accs[p].fold(obs);
-            }
-            accs[p].merge_metrics(&pool.drain_metrics());
-            accs[p].merge_forensics(&pool.drain_forensics());
-        }
-    } else {
-        // Same per-point block partition run_mc uses, flattened across
-        // the grid; identity doesn't depend on the partition (metrics
-        // merge is order-free, observations refold in round order below),
-        // but matching it keeps block sizes familiar.
-        let block = cfg.rounds.div_ceil(jobs as u64);
-        let mut items = Vec::new();
-        for p in 0..points.len() {
-            let mut start = 0;
-            while start < cfg.rounds {
-                let end = (start + block).min(cfg.rounds);
-                items.push(WorkItem {
-                    point: p,
-                    start,
-                    end,
-                });
-                start = end;
-            }
-        }
-
-        // Never spawn more workers than there are items to claim: a tiny
-        // `--rounds` grid can yield fewer items than `jobs` (the block
-        // partition caps items per point), and a worker with no item to
-        // claim would be spawned only to exit.
-        let workers = jobs.min(items.len());
-        let next = AtomicUsize::new(0);
-        let results: Vec<ItemResult> = std::thread::scope(|scope| {
-            let (items, scenarios, boots, kinds, next) =
-                (&items, &scenarios, &boots, &kinds, &next);
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        // One long-lived recycled pool per worker, shared
-                        // across every item (and so every point) it claims.
-                        let mut pool = KernelPool::new().retain_metrics();
-                        let mut done = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(idx) else { break };
-                            let p = item.point;
-                            let point_seed = cfg.base_seed.wrapping_add(points[p].seed_salt);
-                            let mut obs = Vec::with_capacity((item.end - item.start) as usize);
-                            for seed in seed_block(point_seed, item.start, item.end) {
-                                let (o, returned) = run_one_round(
-                                    &scenarios[p],
-                                    boots[p],
-                                    pool,
-                                    seed,
-                                    kinds[p],
-                                    cfg.collect_ld,
-                                );
-                                pool = returned;
-                                obs.push(o);
-                            }
-                            done.push(ItemResult {
-                                item: idx,
-                                point: p,
-                                obs,
-                                metrics: pool.drain_metrics(),
-                                forensics: pool.drain_forensics(),
-                            });
-                        }
-                        done
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
-
-        // Reassemble deterministically: items were created in ascending
-        // round order per point, so folding in item order restores each
-        // point's round order no matter which worker ran what when.
-        let mut slots: Vec<Option<ItemResult>> = (0..items.len()).map(|_| None).collect();
-        for r in results {
-            let idx = r.item;
-            slots[idx] = Some(r);
-        }
-        for slot in slots {
-            let r = slot.expect("every work item completes");
-            accs[r.point].merge_metrics(&r.metrics);
-            accs[r.point].merge_forensics(&r.forensics);
-            for o in r.obs {
-                accs[r.point].fold(o);
-            }
-        }
-    }
-
-    SweepOutcome {
-        rounds_per_point: cfg.rounds,
-        base_seed: cfg.base_seed,
+    let (scenarios, seed_bases) = cfg.grid.lanes(cfg.base_seed);
+    let plan = Plan {
+        scenarios: &scenarios,
+        seed_bases: &seed_bases,
         collect_ld: cfg.collect_ld,
-        points: accs
-            .into_iter()
-            .zip(&scenarios)
-            .zip(points)
-            .map(|((acc, scenario), point)| SweepPoint {
-                point: point.describe(),
-                outcome: acc.finish(scenario),
-            })
-            .collect(),
+        jobs: cfg.jobs,
+        cold: cfg.cold,
+    };
+    let accs = fold_points(&plan, cfg.rounds);
+    SweepOutcome::assemble(
+        &cfg.grid,
+        cfg.rounds,
+        cfg.base_seed,
+        cfg.collect_ld,
+        &scenarios,
+        accs,
+    )
+}
+
+impl SweepOutcome {
+    /// Condenses one accumulator per grid point, in grid order, into the
+    /// outcome.
+    pub(crate) fn assemble(
+        grid: &Grid,
+        rounds_per_point: u64,
+        base_seed: u64,
+        collect_ld: bool,
+        scenarios: &[Scenario],
+        accs: Vec<PointAcc>,
+    ) -> Self {
+        SweepOutcome {
+            rounds_per_point,
+            base_seed,
+            collect_ld,
+            points: accs
+                .into_iter()
+                .zip(scenarios)
+                .zip(&grid.points)
+                .map(|((acc, scenario), point)| SweepPoint {
+                    point: point.describe(),
+                    outcome: acc.finish(scenario),
+                })
+                .collect(),
+        }
     }
 }
 

@@ -156,3 +156,27 @@ fn block_size_changes_keys_but_not_bytes() {
     );
     let _ = std::fs::remove_dir_all(&store);
 }
+
+#[test]
+fn empty_campaign_aggregates_to_the_sweep_bytes() {
+    let cfg = CampaignConfig {
+        rounds: 0,
+        ..campaign_cfg(2, false)
+    };
+    let oracle = run_sweep(&SweepConfig {
+        grid: cfg.grid.clone(),
+        rounds: 0,
+        base_seed: cfg.base_seed,
+        collect_ld: false,
+        jobs: 1,
+        cold: false,
+    });
+    let store = fresh_store("empty");
+    let outcome = run_campaign(&store, &cfg).unwrap();
+    assert_eq!(outcome.total_blocks, 0);
+    assert_eq!(
+        serde_json::to_string(&outcome.aggregate.expect("nothing is missing")).unwrap(),
+        serde_json::to_string(&oracle).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -2,12 +2,16 @@
 //! results — traces, outcomes and aggregate statistics — across every
 //! scenario type. Without this the experiment numbers are not auditable.
 
+use tocttou::experiments::campaign::{run_campaign, CampaignConfig};
+use tocttou::experiments::grid::{Family, GridKind};
 use tocttou::experiments::monte_carlo::{
     chain_detection_fingerprints, detection_fingerprint_of, DETECTION_FINGERPRINT_SEED,
 };
-use tocttou::experiments::{run_mc, McConfig};
+use tocttou::experiments::sweep::{run_sweep, SweepConfig};
+use tocttou::experiments::{run_mc, McConfig, McOutcome};
 use tocttou::os::kernel::KernelPool;
-use tocttou::os::OsEvent;
+use tocttou::os::metrics::MetricsSnapshot;
+use tocttou::os::{ForensicsSnapshot, OsEvent};
 use tocttou::workloads::Scenario;
 
 fn trace_fingerprint(scenario: &Scenario, seed: u64) -> (u64, usize, Vec<String>) {
@@ -180,4 +184,108 @@ fn trace_is_chronological_and_complete() {
         enters >= exits_sc && enters - exits_sc <= 2,
         "balanced syscall events: {enters} enters, {exits_sc} exits"
     );
+}
+
+/// What a batch of rounds adds up to, in the terms every driver reports.
+#[derive(Debug, PartialEq)]
+struct Totals {
+    successes: u64,
+    fingerprint: u64,
+    metrics: MetricsSnapshot,
+    forensics: ForensicsSnapshot,
+}
+
+impl Totals {
+    fn of(out: &McOutcome) -> Self {
+        Totals {
+            successes: out.successes,
+            fingerprint: out.detection_fingerprint,
+            metrics: out.metrics.clone(),
+            forensics: out.forensics.clone(),
+        }
+    }
+}
+
+/// The naive serial loop: a fresh `Scenario::build` per seed, no kernel
+/// pool, no template, no checkpoint and no worker pool.
+fn reference_loop(scenario: &Scenario, base_seed: u64, rounds: u64) -> Totals {
+    let mut t = Totals {
+        successes: 0,
+        fingerprint: DETECTION_FINGERPRINT_SEED,
+        metrics: MetricsSnapshot::default(),
+        forensics: ForensicsSnapshot::default(),
+    };
+    for i in 0..rounds {
+        let mut h = scenario.build(base_seed.wrapping_add(i), false);
+        t.successes += u64::from(scenario.finish_round(&mut h).success);
+        let fp = detection_fingerprint_of(h.kernel.detections());
+        t.fingerprint = chain_detection_fingerprints(t.fingerprint, fp);
+        t.metrics.merge(&h.kernel.metrics().snapshot());
+        t.forensics.merge(&h.kernel.forensics().snapshot());
+    }
+    t
+}
+
+/// Every driver against a loop that shares none of their code: `run_mc`
+/// at two `jobs` values, each `run_sweep` point and each point of the
+/// matching campaign aggregate must add up to what fresh, unpooled rounds
+/// do — successes, the chained detection fingerprint, and the summed
+/// metrics and forensics.
+#[test]
+fn drivers_match_an_independent_reference_loop() {
+    let (rounds, base_seed) = (20u64, 0x5EED);
+    let grid = GridKind::D.build(Family::GeditSmp, 2048, 2);
+    let sweep = run_sweep(&SweepConfig {
+        grid: grid.clone(),
+        rounds,
+        base_seed,
+        collect_ld: false,
+        jobs: 2,
+        cold: false,
+    });
+    let store = std::env::temp_dir().join(format!("tocttou-reference-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let campaign = run_campaign(
+        &store,
+        &CampaignConfig {
+            grid: grid.clone(),
+            rounds,
+            base_seed,
+            jobs: 2,
+            cold: false,
+            block: 7,
+            max_blocks: None,
+        },
+    )
+    .unwrap()
+    .aggregate
+    .expect("a finished campaign aggregates");
+    let _ = std::fs::remove_dir_all(&store);
+
+    for (p, point) in grid.points.iter().enumerate() {
+        let scenario = point.scenario();
+        let seed = base_seed.wrapping_add(point.seed_salt);
+        let expected = reference_loop(&scenario, seed, rounds);
+        assert!(
+            expected.successes > 0,
+            "{}: rounds must succeed",
+            scenario.name
+        );
+        assert_ne!(expected.fingerprint, DETECTION_FINGERPRINT_SEED);
+        for jobs in [1, 2] {
+            let cfg = McConfig {
+                rounds,
+                base_seed: seed,
+                collect_ld: false,
+                jobs,
+                cold: false,
+            };
+            let got = Totals::of(&run_mc(&scenario, &cfg));
+            assert!(got == expected, "{}: run_mc jobs={jobs}", scenario.name);
+        }
+        let got = Totals::of(&sweep.points[p].outcome);
+        assert!(got == expected, "{}: run_sweep point", scenario.name);
+        let got = Totals::of(&campaign.points[p].outcome);
+        assert!(got == expected, "{}: campaign point", scenario.name);
+    }
 }
