@@ -25,7 +25,7 @@
 //! reclaiming the space of superseded and orphaned blocks in place.
 
 use tocttou_experiments::campaign::{compact_store, read_manifest, run_campaign, CampaignConfig};
-use tocttou_experiments::cli::{CommonArgs, GridArgs};
+use tocttou_experiments::cli::{or_exit, CommonArgs, GridArgs};
 use tocttou_experiments::report::Report;
 
 #[derive(Debug)]
@@ -111,7 +111,7 @@ fn main() {
             Ok(Some(manifest)) => println!("{manifest}"),
             Ok(None) => println!("campaign store: no manifest at {}", store.display()),
             Err(e) => {
-                eprintln!("{e}");
+                eprintln!("cannot read store {}: {e}", store.display());
                 std::process::exit(1);
             }
         }
@@ -147,17 +147,18 @@ fn main() {
         match compact_store(store, &cfg) {
             Ok(stats) => println!("{stats}"),
             Err(e) => {
-                eprintln!("compaction failed: {e}");
+                eprintln!("compaction of store {} failed: {e}", store.display());
                 std::process::exit(1);
             }
         }
         return;
     }
 
+    let mut report = or_exit(Report::new(&args.out));
     let outcome = match run_campaign(store, &cfg) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("campaign failed: {e}");
+            eprintln!("campaign on store {} failed: {e}", store.display());
             std::process::exit(1);
         }
     };
@@ -166,13 +167,8 @@ fn main() {
     match outcome.aggregate {
         Some(aggregate) => {
             println!("{aggregate}");
-            let mut report = Report::new(&args.out).expect("create output directory");
-            report
-                .add("campaign", &aggregate)
-                .expect("write campaign.json");
-            let path = report
-                .write_combined("CAMPAIGN.md")
-                .expect("write CAMPAIGN.md");
+            or_exit(report.add("campaign", &aggregate));
+            let path = or_exit(report.write_combined("CAMPAIGN.md"));
             eprintln!("wrote {}", path.display());
         }
         None => {

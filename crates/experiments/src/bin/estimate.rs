@@ -20,6 +20,7 @@
 //! the output directory (default `target/experiments`). The result is
 //! byte-identical at any `--jobs` value, warm or cold.
 
+use tocttou_experiments::cli::or_exit;
 use tocttou_experiments::estimate::{run_estimate, EstimateConfig};
 use tocttou_experiments::grid::Family;
 use tocttou_experiments::report::Report;
@@ -114,6 +115,7 @@ fn main() {
         .map(|kb| kb * 1024)
         .unwrap_or_else(|| args.family.default_file_size());
     let scenario = args.family.build(file_size);
+    let mut report = or_exit(Report::new(&args.out));
 
     let run = match run_estimate(&scenario, &args.cfg) {
         Ok(r) => r,
@@ -136,12 +138,7 @@ fn main() {
         );
     }
 
-    let mut report = Report::new(&args.out).expect("create output directory");
-    report
-        .add("estimate", &run.outcome)
-        .expect("write estimate.json");
-    let path = report
-        .write_combined("ESTIMATE.md")
-        .expect("write ESTIMATE.md");
+    or_exit(report.add("estimate", &run.outcome));
+    let path = or_exit(report.write_combined("ESTIMATE.md"));
     eprintln!("wrote {}", path.display());
 }

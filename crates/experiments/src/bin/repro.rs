@@ -3,8 +3,7 @@
 //! ```text
 //! repro <exhibit>... [--rounds N] [--seed S] [--jobs J] [--cold] [--out DIR]
 //!
-//! exhibits: fig6 fig7 table1 table2 fig8 fig10 fig11 headline defense detect
-//!           profile pairs taxonomy anatomy maze lddist all
+//! `repro --help` lists the exhibits; an unknown name exits 2.
 //!
 //! `--detect` is shorthand for the `detect` exhibit (the passive race
 //! detector scored against Monte-Carlo ground truth); `--profile` likewise
@@ -18,13 +17,20 @@
 //! combined `REPORT.md` under the output directory (default
 //! `target/experiments`).
 
-use tocttou_experiments::cli::CommonArgs;
+use tocttou_experiments::cli::{or_exit, CommonArgs};
 use tocttou_experiments::figures::{
     anatomy, defense, detect, fig10, fig11, fig6, fig7, fig8, headline, ld_dist, maze, pair_sweep,
     profile, table1, table2, taxonomy,
 };
 use tocttou_experiments::report::Report;
 use tocttou_experiments::svg::{line_chart, span_chart, BarRow, ChartConfig, Series};
+
+/// Every exhibit name `repro` accepts: the `--help` text and the
+/// unknown-name check both read this list.
+const EXHIBITS: [&str; 17] = [
+    "fig6", "fig7", "table1", "table2", "fig8", "fig10", "fig11", "headline", "defense", "detect",
+    "profile", "pairs", "taxonomy", "anatomy", "maze", "lddist", "all",
+];
 
 #[derive(Debug)]
 struct Args {
@@ -49,9 +55,19 @@ fn parse_args() -> Result<Args, String> {
             "--detect" => exhibits.push("detect".to_string()),
             "--profile" => exhibits.push("profile".to_string()),
             "--help" | "-h" => {
-                return Err("usage: repro <fig6|fig7|table1|table2|fig8|fig10|fig11|headline|defense|detect|profile|pairs|taxonomy|anatomy|maze|lddist|all>... [--detect] [--profile] [--anatomy] [--rounds N] [--seed S] [--jobs J] [--cold] [--out DIR]".into());
+                return Err(format!(
+                    "usage: repro <{}>... [--detect] [--profile] [--anatomy] [--rounds N] \
+                     [--seed S] [--jobs J] [--cold] [--out DIR]",
+                    EXHIBITS.join("|")
+                ));
             }
-            name if !name.starts_with('-') => exhibits.push(name.to_string()),
+            name if EXHIBITS.contains(&name) => exhibits.push(name.to_string()),
+            name if !name.starts_with('-') => {
+                return Err(format!(
+                    "unknown exhibit {name}; expected one of: {}",
+                    EXHIBITS.join(" ")
+                ));
+            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -81,7 +97,7 @@ fn main() {
     let wants = |name: &str| {
         args.exhibits.iter().any(|e| e == name) || args.exhibits.iter().any(|e| e == "all")
     };
-    let mut report = Report::new(&args.out).expect("create output directory");
+    let mut report = or_exit(Report::new(&args.out));
 
     if wants("headline") {
         let mut cfg = headline::Config::default();
@@ -90,7 +106,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = headline::run(&cfg);
         println!("{out}");
-        report.add("headline", &out).expect("write headline");
+        or_exit(report.add("headline", &out));
     }
     if wants("fig6") {
         let mut cfg = fig6::Config::default();
@@ -99,7 +115,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = fig6::run(&cfg);
         println!("{out}");
-        report.add("fig6", &out).expect("write fig6");
+        or_exit(report.add("fig6", &out));
         let svg = line_chart(
             &ChartConfig {
                 title: "Figure 6 — vi uniprocessor attack success vs file size".into(),
@@ -128,7 +144,7 @@ fn main() {
                 },
             ],
         );
-        std::fs::write(report.dir().join("fig6.svg"), svg).expect("write fig6.svg");
+        or_exit(report.write("fig6.svg", svg));
     }
     if wants("fig7") {
         let mut cfg = fig7::Config::default();
@@ -144,7 +160,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = fig7::run(&cfg);
         println!("{out}");
-        report.add("fig7", &out).expect("write fig7");
+        or_exit(report.add("fig7", &out));
         let svg = line_chart(
             &ChartConfig {
                 title: "Figure 7 — L and D for vi SMP attacks".into(),
@@ -173,7 +189,7 @@ fn main() {
                 },
             ],
         );
-        std::fs::write(report.dir().join("fig7.svg"), svg).expect("write fig7.svg");
+        or_exit(report.write("fig7.svg", svg));
     }
     if wants("table1") {
         let mut cfg = table1::Config::default();
@@ -182,7 +198,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = table1::run(&cfg);
         println!("{out}");
-        report.add("table1", &out).expect("write table1");
+        or_exit(report.add("table1", &out));
     }
     if wants("table2") {
         let mut cfg = table2::Config::default();
@@ -191,7 +207,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = table2::run(&cfg);
         println!("{out}");
-        report.add("table2", &out).expect("write table2");
+        or_exit(report.add("table2", &out));
     }
     if wants("fig8") {
         let mut cfg = fig8::Config::default();
@@ -200,8 +216,8 @@ fn main() {
         }
         let out = fig8::run(&cfg);
         println!("{out}");
-        report.add("fig8", &out).expect("write fig8");
-        std::fs::write(report.dir().join("fig8.svg"), &out.timeline_svg).expect("write fig8.svg");
+        or_exit(report.add("fig8", &out));
+        or_exit(report.write("fig8.svg", &out.timeline_svg));
     }
     if wants("fig10") {
         let mut cfg = fig10::Config::default();
@@ -210,8 +226,8 @@ fn main() {
         }
         let out = fig10::run(&cfg);
         println!("{out}");
-        report.add("fig10", &out).expect("write fig10");
-        std::fs::write(report.dir().join("fig10.svg"), &out.timeline_svg).expect("write fig10.svg");
+        or_exit(report.add("fig10", &out));
+        or_exit(report.write("fig10.svg", &out.timeline_svg));
     }
     if wants("fig11") {
         let mut cfg = fig11::Config::default();
@@ -220,7 +236,7 @@ fn main() {
         }
         let out = fig11::run(&cfg);
         println!("{out}");
-        report.add("fig11", &out).expect("write fig11");
+        or_exit(report.add("fig11", &out));
         let rows: Vec<BarRow> = out
             .rows
             .iter()
@@ -256,7 +272,7 @@ fn main() {
             },
             &rows,
         );
-        std::fs::write(report.dir().join("fig11.svg"), svg).expect("write fig11.svg");
+        or_exit(report.write("fig11.svg", svg));
     }
 
     if wants("defense") {
@@ -266,7 +282,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = defense::run(&cfg);
         println!("{out}");
-        report.add("defense", &out).expect("write defense");
+        or_exit(report.add("defense", &out));
     }
     if wants("detect") {
         let mut cfg = detect::Config::default();
@@ -275,7 +291,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = detect::run(&cfg);
         println!("{out}");
-        report.add("detect", &out).expect("write detect");
+        or_exit(report.add("detect", &out));
     }
     if wants("profile") {
         let mut cfg = profile::Config::default();
@@ -284,7 +300,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = profile::run(&cfg);
         println!("{out}");
-        report.add("profile", &out).expect("write profile");
+        or_exit(report.add("profile", &out));
     }
     if wants("pairs") {
         let mut cfg = pair_sweep::Config::default();
@@ -296,7 +312,7 @@ fn main() {
         }
         let out = pair_sweep::run(&cfg);
         println!("{out}");
-        report.add("pair_sweep", &out).expect("write pair_sweep");
+        or_exit(report.add("pair_sweep", &out));
     }
 
     if wants("taxonomy") {
@@ -306,7 +322,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = taxonomy::run(&cfg);
         println!("{out}");
-        report.add("taxonomy", &out).expect("write taxonomy");
+        or_exit(report.add("taxonomy", &out));
     }
 
     if wants("anatomy") {
@@ -316,7 +332,7 @@ fn main() {
         cfg.cold = args.common.cold;
         let out = anatomy::run(&cfg);
         println!("{out}");
-        report.add("anatomy", &out).expect("write anatomy");
+        or_exit(report.add("anatomy", &out));
     }
 
     if wants("lddist") {
@@ -329,7 +345,7 @@ fn main() {
         }
         let out = ld_dist::run(&cfg);
         println!("{out}");
-        report.add("ld_dist", &out).expect("write ld_dist");
+        or_exit(report.add("ld_dist", &out));
     }
     if wants("maze") {
         let mut cfg = maze::Config::default();
@@ -341,7 +357,7 @@ fn main() {
         }
         let out = maze::run(&cfg);
         println!("{out}");
-        report.add("maze", &out).expect("write maze");
+        or_exit(report.add("maze", &out));
         let svg = line_chart(
             &ChartConfig {
                 title: "Maze amplification — uniprocessor success vs pathname depth".into(),
@@ -359,11 +375,9 @@ fn main() {
                 color: "#d62728".into(),
             }],
         );
-        std::fs::write(report.dir().join("maze.svg"), svg).expect("write maze.svg");
+        or_exit(report.write("maze.svg", svg));
     }
 
-    let path = report
-        .write_combined("REPORT.md")
-        .expect("write combined report");
+    let path = or_exit(report.write_combined("REPORT.md"));
     eprintln!("wrote {}", path.display());
 }

@@ -24,7 +24,7 @@
 //! a standalone `run_mc` at base seed `seed + salt`, whatever `--jobs`
 //! says — the sweep engine only changes how fast the grid finishes.
 
-use tocttou_experiments::cli::{CommonArgs, GridArgs};
+use tocttou_experiments::cli::{or_exit, CommonArgs, GridArgs};
 use tocttou_experiments::report::Report;
 use tocttou_experiments::sweep::{run_sweep, SweepConfig};
 
@@ -99,12 +99,12 @@ fn main() {
     };
     args.common
         .apply(&mut cfg.rounds, &mut cfg.base_seed, &mut cfg.jobs);
+    let mut report = or_exit(Report::new(&args.out));
 
     let outcome = run_sweep(&cfg);
     println!("{outcome}");
 
-    let mut report = Report::new(&args.out).expect("create output directory");
-    report.add("sweep", &outcome).expect("write sweep.json");
-    let path = report.write_combined("SWEEP.md").expect("write SWEEP.md");
+    or_exit(report.add("sweep", &outcome));
+    let path = or_exit(report.write_combined("SWEEP.md"));
     eprintln!("wrote {}", path.display());
 }

@@ -177,6 +177,17 @@ impl GridArgs {
     }
 }
 
+/// Unwraps the result of writing an output artifact, or exits 1 with
+/// `cannot write <path>: <error>`: an unwritable `--out` is a user error,
+/// not a panic. [`Report`](crate::report::Report) errors already name
+/// their path.
+pub fn or_exit<T>(result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("cannot write {e}");
+        std::process::exit(1);
+    })
+}
+
 fn parse_value<T: std::str::FromStr>(
     flag: &str,
     rest: &mut dyn Iterator<Item = String>,

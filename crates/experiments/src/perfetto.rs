@@ -163,7 +163,7 @@ fn cpu_bars(kernel: &Kernel, names: &dyn Fn(Pid) -> String, out: &mut Vec<(SimTi
 /// Writes the round as a Chrome trace-event JSON object and returns the
 /// number of entries in `traceEvents` (metadata included).
 ///
-/// Call [`flush`](tocttou_os::forensics::WindowForensics::flush) on the
+/// Call [`flush`](tocttou_os::forensics::WindowForensicsMut::flush) on the
 /// kernel's forensics first so leftover strikes are classified into the
 /// strike log; `procs` labels the simulated processes on the CPU tracks
 /// (unlisted pids fall back to `pid-N`).

@@ -1,9 +1,12 @@
 //! Experiment artifact writing: human-readable text and machine-readable
 //! JSON, side by side.
+//!
+//! Every I/O error a [`Report`] returns names the path it failed on, so a
+//! binary can report `cannot write <path>: <error>` and exit (see
+//! [`cli::or_exit`](crate::cli::or_exit)) instead of panicking.
 
 use serde::Serialize;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A sink for experiment outputs.
@@ -21,16 +24,11 @@ impl Report {
     /// Propagates directory-creation failures.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
+        fs::create_dir_all(&dir).map_err(at(&dir))?;
         Ok(Report {
             dir,
             sections: Vec::new(),
         })
-    }
-
-    /// The report directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Records one experiment: its display text goes into the combined
@@ -46,9 +44,20 @@ impl Report {
     ) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(value)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        fs::write(self.dir.join(format!("{id}.json")), json)?;
+        self.write(&format!("{id}.json"), json)?;
         self.sections.push((id.to_string(), value.to_string()));
         Ok(())
+    }
+
+    /// Writes a standalone artifact (an SVG chart, …) as `<name>` inside
+    /// the report dir.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn write(&self, name: &str, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
+        let path = self.dir.join(name);
+        fs::write(&path, contents).map_err(at(&path))
     }
 
     /// Writes the combined text report as `<name>` inside the report dir
@@ -58,21 +67,23 @@ impl Report {
     ///
     /// Propagates I/O failures.
     pub fn write_combined(&self, name: &str) -> std::io::Result<PathBuf> {
-        let path = self.dir.join(name);
-        let mut f = fs::File::create(&path)?;
-        for (id, text) in &self.sections {
-            writeln!(f, "## {id}\n")?;
-            writeln!(f, "```text")?;
-            writeln!(f, "{}", text.trim_end())?;
-            writeln!(f, "```\n")?;
+        let mut text = String::new();
+        for (id, body) in &self.sections {
+            text.push_str(&format!("## {id}\n\n```text\n{}\n```\n\n", body.trim_end()));
         }
-        Ok(path)
+        self.write(name, text)?;
+        Ok(self.dir.join(name))
     }
 
     /// The accumulated sections (id, rendered text).
     pub fn sections(&self) -> &[(String, String)] {
         &self.sections
     }
+}
+
+/// Tags an I/O error with the path it concerns.
+fn at(path: &Path) -> impl FnOnce(std::io::Error) -> std::io::Error + '_ {
+    move |e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -101,5 +112,18 @@ mod tests {
         assert!(text.contains("## demo"));
         assert!(text.contains("x = 7"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn errors_name_the_path() {
+        let file = std::env::temp_dir().join(format!("tocttou-report-file-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let err = Report::new(file.join("sub")).unwrap_err();
+        assert!(
+            err.to_string()
+                .starts_with(&file.join("sub").display().to_string()),
+            "{err}"
+        );
+        std::fs::remove_file(&file).ok();
     }
 }

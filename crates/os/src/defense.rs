@@ -5,23 +5,22 @@
 //! establishes about a file name until the corresponding *use* call, and
 //! abort the use if another principal invalidated the invariant in between.
 //!
-//! This module implements that discipline inside the simulated kernel:
+//! The invariant is the kernel's shared check→use window on `(P, X)`, the
+//! one window table the detector and forensics read too:
 //!
-//! * a **check** commit (`stat`, `creat`, the into-place `rename`) by
-//!   process *P* on path *X* records a guard `(P, X) → inode`;
-//! * a **namespace mutation** of *X* (`unlink`, `symlink`, `creat`,
-//!   `rename`) committed by a *different* process marks every guard on *X*
-//!   violated;
-//! * a **use** commit (`chown`, `chmod`, `open`) by *P* on *X* while the
-//!   guard is violated is denied with `EACCES` instead of being applied —
-//!   the editor's save fails loudly, but `/etc/passwd` is never handed
-//!   over.
+//! * a **check** commit (`stat`, `creat`, `open`, the into-place `rename`)
+//!   by process *P* on path *X* opens or refreshes the window, clearing any
+//!   violation;
+//! * a **namespace mutation** of *X* (`unlink`, `symlink`, `link`,
+//!   `creat`, `rename`) committed by a *different* process interposes on
+//!   every window on *X*;
+//! * a **use** commit (`chown`, `chmod`, `open`) by *P* on *X* whose window
+//!   is interposed is denied with `EACCES` instead of being applied — the
+//!   editor's save fails loudly, but `/etc/passwd` is never handed over.
+//!   The violation persists across uses until *P* re-checks.
 //!
-//! Guards are per-process and cleared when the owning process exits or
-//! completes a guarded use.
-
-use crate::ids::{Ino, Pid};
-use std::collections::HashMap;
+//! This module holds only the policy and the denial count; windows are
+//! dropped when their owning process exits.
 
 /// Kernel-wide defense policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,27 +32,17 @@ pub enum DefensePolicy {
     Edgi,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Guard {
-    ino: Option<Ino>,
-    violated: bool,
-}
-
-/// The guard table.
-#[derive(Debug, Clone, Default)]
+/// The defense policy and how many uses it has denied.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefenseState {
     policy: DefensePolicy,
-    guards: HashMap<(Pid, String), Guard>,
     denials: u64,
 }
 
 impl DefenseState {
-    /// A table with the given policy.
+    /// A fresh state with the given policy.
     pub fn new(policy: DefensePolicy) -> Self {
-        DefenseState {
-            policy,
-            ..DefenseState::default()
-        }
+        DefenseState { policy, denials: 0 }
     }
 
     /// The active policy.
@@ -66,141 +55,98 @@ impl DefenseState {
         self.denials
     }
 
-    /// Whether bookkeeping is needed at all.
+    /// Whether the defense needs the window table at all.
     pub fn enabled(&self) -> bool {
         self.policy != DefensePolicy::Off
     }
 
-    /// Records the invariant established by a check call: `pid` observed or
-    /// created `path` bound to `ino`.
-    pub fn record_check(&mut self, pid: Pid, path: &str, ino: Option<Ino>) {
-        if !self.enabled() {
-            return;
-        }
-        self.guards.insert(
-            (pid, path.to_string()),
-            Guard {
-                ino,
-                violated: false,
-            },
-        );
-    }
-
-    /// Reports a namespace mutation of `path` committed by `by`: every
-    /// *other* process's guard on the path is violated.
-    pub fn record_mutation(&mut self, by: Pid, path: &str) {
-        if !self.enabled() {
-            return;
-        }
-        for ((owner, guarded), guard) in self.guards.iter_mut() {
-            if *owner != by && guarded == path {
-                guard.violated = true;
-            }
-        }
-    }
-
-    /// Gate for a use call: returns `true` when the use may proceed,
-    /// `false` when the defense denies it.
-    ///
-    /// The guard persists across uses — a save sequence issues several use
-    /// calls (`chmod` then `chown`) under one invariant, and a violated
-    /// guard must deny *all* of them until the process re-checks. A use
-    /// without a prior check is allowed — the defense guards declared
-    /// invariants, it does not invent them.
-    pub fn allow_use(&mut self, pid: Pid, path: &str) -> bool {
-        if !self.enabled() {
-            return true;
-        }
-        match self.guards.get(&(pid, path.to_string())) {
-            Some(guard) if guard.violated => {
-                self.denials += 1;
-                false
-            }
-            _ => true,
-        }
-    }
-
-    /// Drops every guard owned by an exiting process.
-    pub fn forget_process(&mut self, pid: Pid) {
-        if !self.enabled() {
-            return;
-        }
-        self.guards.retain(|(owner, _), _| *owner != pid);
-    }
-
-    /// Number of live guards (for tests).
-    pub fn guard_count(&self) -> usize {
-        self.guards.len()
+    pub(crate) fn count_denial(&mut self) {
+        self.denials += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::ids::Pid;
+    use crate::window::rig::{arc, t, Rig};
+    use tocttou_core::taxonomy::FsCall;
 
     #[test]
     fn off_policy_is_free() {
-        let mut d = DefenseState::new(DefensePolicy::Off);
-        d.record_check(Pid(1), "/x", Some(Ino(5)));
-        d.record_mutation(Pid(2), "/x");
-        assert!(d.allow_use(Pid(1), "/x"));
-        assert_eq!(d.guard_count(), 0);
-        assert_eq!(d.denials(), 0);
+        let mut d = Rig::stripped();
+        let x = arc("/x");
+        d.check(Pid(1), &x, FsCall::Stat, t(1));
+        d.mutate(Pid(2), &x, FsCall::Unlink, t(2));
+        assert!(!d.use_(Pid(1), &x, FsCall::Chown, t(3)).denied);
+        assert_eq!(d.race.windows.len(), 0);
+        assert_eq!(d.race.defense.denials(), 0);
     }
 
     #[test]
     fn violated_guard_denies_every_use_until_recheck() {
-        let mut d = DefenseState::new(DefensePolicy::Edgi);
-        d.record_check(Pid(1), "/doc", Some(Ino(9)));
-        d.record_mutation(Pid(2), "/doc"); // the attacker's unlink
-        assert!(!d.allow_use(Pid(1), "/doc"), "chmod denied");
-        assert!(!d.allow_use(Pid(1), "/doc"), "chown denied too");
-        assert_eq!(d.denials(), 2);
+        let mut d = Rig::edgi();
+        let doc = arc("/doc");
+        d.check(Pid(1), &doc, FsCall::Creat, t(1));
+        d.mutate(Pid(2), &doc, FsCall::Unlink, t(2)); // the attacker's unlink
+        assert!(
+            d.use_(Pid(1), &doc, FsCall::Chmod, t(3)).denied,
+            "chmod denied"
+        );
+        assert!(
+            d.use_(Pid(1), &doc, FsCall::Chown, t(4)).denied,
+            "chown denied too"
+        );
+        assert_eq!(d.race.defense.denials(), 2);
         // Only a fresh check clears the violation.
-        d.record_check(Pid(1), "/doc", Some(Ino(12)));
-        assert!(d.allow_use(Pid(1), "/doc"));
+        d.check(Pid(1), &doc, FsCall::Stat, t(5));
+        assert!(!d.use_(Pid(1), &doc, FsCall::Chown, t(6)).denied);
     }
 
     #[test]
     fn own_mutations_do_not_violate() {
-        let mut d = DefenseState::new(DefensePolicy::Edgi);
-        d.record_check(Pid(1), "/doc", Some(Ino(9)));
-        d.record_mutation(Pid(1), "/doc"); // the victim's own rename
-        assert!(d.allow_use(Pid(1), "/doc"));
-        assert_eq!(d.denials(), 0);
+        let mut d = Rig::edgi();
+        let doc = arc("/doc");
+        d.check(Pid(1), &doc, FsCall::Creat, t(1));
+        d.mutate(Pid(1), &doc, FsCall::Rename, t(2)); // the victim's own rename
+        assert!(!d.use_(Pid(1), &doc, FsCall::Chown, t(3)).denied);
+        assert_eq!(d.race.defense.denials(), 0);
     }
 
     #[test]
     fn unrelated_paths_unaffected() {
-        let mut d = DefenseState::new(DefensePolicy::Edgi);
-        d.record_check(Pid(1), "/doc", None);
-        d.record_mutation(Pid(2), "/other");
-        assert!(d.allow_use(Pid(1), "/doc"));
+        let mut d = Rig::edgi();
+        d.check(Pid(1), &arc("/doc"), FsCall::Stat, t(1));
+        d.mutate(Pid(2), &arc("/other"), FsCall::Unlink, t(2));
+        assert!(!d.use_(Pid(1), &arc("/doc"), FsCall::Chown, t(3)).denied);
     }
 
     #[test]
     fn use_without_check_is_allowed() {
-        let mut d = DefenseState::new(DefensePolicy::Edgi);
-        assert!(d.allow_use(Pid(3), "/anything"));
+        let mut d = Rig::edgi();
+        assert!(!d.use_(Pid(3), &arc("/anything"), FsCall::Open, t(1)).denied);
     }
 
     #[test]
     fn exit_clears_guards() {
-        let mut d = DefenseState::new(DefensePolicy::Edgi);
-        d.record_check(Pid(1), "/a", None);
-        d.record_check(Pid(1), "/b", None);
-        d.record_check(Pid(2), "/c", None);
-        d.forget_process(Pid(1));
-        assert_eq!(d.guard_count(), 1);
+        let mut d = Rig::edgi();
+        d.check(Pid(1), &arc("/a"), FsCall::Stat, t(1));
+        d.check(Pid(1), &arc("/b"), FsCall::Stat, t(1));
+        d.check(Pid(2), &arc("/c"), FsCall::Stat, t(1));
+        d.exit(Pid(1));
+        assert_eq!(d.race.windows.len(), 1);
     }
 
     #[test]
     fn recheck_resets_violation() {
-        let mut d = DefenseState::new(DefensePolicy::Edgi);
-        d.record_check(Pid(1), "/doc", Some(Ino(1)));
-        d.record_mutation(Pid(2), "/doc");
+        let mut d = Rig::edgi();
+        let doc = arc("/doc");
+        d.check(Pid(1), &doc, FsCall::Stat, t(1));
+        d.mutate(Pid(2), &doc, FsCall::Unlink, t(2));
         // The victim re-checks (sees the new binding) before using.
-        d.record_check(Pid(1), "/doc", Some(Ino(7)));
-        assert!(d.allow_use(Pid(1), "/doc"), "fresh invariant holds");
+        d.check(Pid(1), &doc, FsCall::Stat, t(3));
+        assert!(
+            !d.use_(Pid(1), &doc, FsCall::Chown, t(4)).denied,
+            "fresh invariant holds"
+        );
     }
 }

@@ -1,26 +1,22 @@
 //! A passive, always-on TOCTTOU race detector.
 //!
 //! Where [`defense`](crate::defense) *enforces* check-use invariants (EDGI
-//! denies the violated use), this module only *watches*: it tracks the
-//! check/use window each process opens on each pathname and, when a use
-//! commits after another process mutated the name binding inside the
-//! window, emits a structured [`DetectionEvent`] into the kernel's typed
-//! detection trace. The event names the `<check, use>` pair from the
-//! paper's 224-pair taxonomy ([`tocttou_core::taxonomy`]), both principals,
-//! the window `[t_check, t_use]`, and the interposed namespace mutation.
+//! denies the violated use), this module only *watches*: when a use
+//! commits on a check→use window that another process's namespace
+//! mutation interposed on, it emits a structured [`DetectionEvent`] into
+//! the kernel's typed detection trace. The event names the `<check, use>`
+//! pair from the paper's 224-pair taxonomy ([`tocttou_core::taxonomy`]),
+//! both principals, the window `[t_check, t_use]`, and the first
+//! interposed namespace mutation.
 //!
-//! The detector is wired into the same syscall **commit** points as the
-//! defense, so the two always agree on what constitutes a window:
-//!
-//! * **check** commits (`stat`/`lstat`/`access` samples, `creat`, `open`,
-//!   the into-place `rename`) open or refresh the window `(pid, path)`;
-//! * **namespace mutations** (`creat`, `unlink`, `symlink`, `rename`) by a
-//!   *different* process interpose on every open window for the path — the
-//!   first interposition is kept, since it is the one that broke the
-//!   invariant;
-//! * **use** commits (`open`, `chmod`, `chown`) on an interposed window
-//!   emit a [`DetectionEvent`]; with EDGI active the denied use still
-//!   emits, flagged [`DetectionEvent::blocked`].
+//! The detector keeps no table of its own. It reads the kernel's one
+//! window table, the same one EDGI and the
+//! forensics read, so detection and enforcement always agree on what
+//! constitutes a window: a use is reported iff EDGI would deny it, and with
+//! EDGI active the denied use still emits, flagged
+//! [`DetectionEvent::blocked`]. A window stays interposed across uses until
+//! its owner re-checks (a save sequence issues several uses under one
+//! invariant, and each consumes the same broken window).
 //!
 //! The kernel reports only **materialized** races: a use that the VFS
 //! itself rejects (typically `ENOENT`, because the victim's call landed in
@@ -37,10 +33,10 @@
 
 use crate::ids::Pid;
 use crate::process::SyscallName;
+use crate::window::Window;
 use std::sync::Arc;
 use tocttou_core::taxonomy::{FsCall, TocttouPair};
 use tocttou_sim::time::SimTime;
-use tocttou_sim::trace::Trace;
 
 /// One detected check-use race, emitted at the moment the use committed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,220 +110,66 @@ pub fn fs_call_of(name: SyscallName) -> Option<FsCall> {
     })
 }
 
-/// The first namespace mutation that landed inside a window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Interposition {
-    by: Pid,
-    call: FsCall,
-    at: SimTime,
-}
-
-/// An open check-use window: the `(owner, path)` name it watches, the
-/// check that opened it and the interposition that broke it, if any.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Window {
-    owner: Pid,
-    path: Arc<str>,
-    check: FsCall,
-    t_check: SimTime,
-    interposed: Option<Interposition>,
-}
-
-/// Window identity: the common case re-checks the very same `Arc` the
-/// process has been passing all round, so a pointer compare usually
-/// settles it before the string compare runs.
-fn same_path(a: &Arc<str>, b: &Arc<str>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
-}
-
-/// The detector's window table.
-///
-/// Mirrors [`DefenseState`](crate::defense::DefenseState) bookkeeping
-/// exactly — same check sites, same mutation sites, same use sites, same
-/// re-check-clears-violation rule — but reports instead of denying.
-///
-/// The table is a plain `Vec` scanned linearly: a round opens a handful of
-/// windows at most, the hot operation is the attacker's stat spin
-/// re-checking the same name thousands of times, and a pointer-fast-path
-/// scan over four entries beats hashing the pathname every time. Insertion
-/// order is deterministic, so interposition bookkeeping needs no tie-break.
-#[derive(Debug, Clone, Default)]
-pub struct DetectorState {
-    enabled: bool,
-    windows: Vec<Window>,
-}
-
-impl DetectorState {
-    /// A detector table; when `enabled` is false every hook is a no-op.
-    pub fn new(enabled: bool) -> Self {
-        DetectorState {
-            enabled,
-            windows: Vec::new(),
-        }
-    }
-
-    /// Whether the detector is armed.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Rearms the table for a fresh round, dropping every window while
-    /// retaining the `Vec`'s capacity.
-    ///
-    /// Pooled kernels call this on every boot and checkpoint restore so
-    /// window state can never leak from one round into the next — a reset
-    /// detector is observably identical to [`DetectorState::new`].
-    pub fn reset(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        self.windows.clear();
-    }
-
-    /// Overwrites this table with `source`'s full state (enabled flag and
-    /// open windows), reusing this table's allocation where possible.
-    ///
-    /// This is the checkpoint-restore path: the restored detector comes
-    /// *only* from the checkpoint, never from whatever the pooled buffer
-    /// held before.
-    pub(crate) fn restore_from(&mut self, source: &DetectorState) {
-        self.enabled = source.enabled;
-        self.windows.clone_from(&source.windows);
-    }
-
-    /// Number of open windows (for tests).
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// A check commit by `pid` on `path`: opens (or refreshes) the window,
-    /// clearing any previous interposition — a fresh check re-establishes
-    /// the invariant, exactly as a re-check clears an EDGI violation.
-    pub fn record_check(&mut self, pid: Pid, path: &Arc<str>, check: FsCall, now: SimTime) {
-        if !self.enabled {
-            return;
-        }
-        debug_assert!(check.can_check(), "{check} hooked as a check");
-        if let Some(w) = self
-            .windows
-            .iter_mut()
-            .find(|w| w.owner == pid && same_path(&w.path, path))
-        {
-            w.check = check;
-            w.t_check = now;
-            w.interposed = None;
-        } else {
-            self.windows.push(Window {
-                owner: pid,
-                path: path.clone(),
-                check,
-                t_check: now,
-                interposed: None,
-            });
-        }
-    }
-
-    /// A namespace mutation of `path` committed by `by`: interposes on
-    /// every *other* process's open window for the path. Only the first
-    /// interposition is kept — it is the one that broke the invariant.
-    pub fn record_mutation(&mut self, by: Pid, path: &str, call: FsCall, now: SimTime) {
-        if !self.enabled {
-            return;
-        }
-        for window in self.windows.iter_mut() {
-            if window.owner != by && window.path.as_ref() == path && window.interposed.is_none() {
-                window.interposed = Some(Interposition { by, call, at: now });
-            }
-        }
-    }
-
-    /// A use commit by `pid` on `path`: if the window was interposed, emit
-    /// a [`DetectionEvent`] into `out`. The window stays interposed until
-    /// the process re-checks (a save sequence issues several uses under one
-    /// invariant, and each consumes the same broken window).
-    pub fn record_use(
-        &mut self,
-        pid: Pid,
-        path: &Arc<str>,
-        use_call: FsCall,
-        now: SimTime,
-        blocked: bool,
-        out: &mut Trace<DetectionEvent>,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        debug_assert!(use_call.can_use(), "{use_call} hooked as a use");
-        let Some(window) = self
-            .windows
-            .iter()
-            .find(|w| w.owner == pid && same_path(&w.path, path))
-        else {
-            return;
-        };
-        let Some(ix) = &window.interposed else {
-            return;
-        };
-        let pair = TocttouPair::new(window.check, use_call)
-            .expect("detector hooks only record taxonomy-valid roles");
-        out.record(
-            now,
-            DetectionEvent {
-                pair,
-                victim: pid,
-                attacker: ix.by,
-                path: path.clone(),
-                t_check: window.t_check,
-                t_use: now,
-                mutation: ix.call,
-                t_mutation: ix.at,
-                blocked,
-            },
-        );
-    }
-
-    /// Drops every window owned by an exiting process.
-    pub fn forget_process(&mut self, pid: Pid) {
-        if !self.enabled {
-            return;
-        }
-        self.windows.retain(|w| w.owner != pid);
-    }
+/// The detection a use commit by `use_call` raises on window `w`: one iff a
+/// foreign mutation interposed since the window's check.
+pub(crate) fn detection(
+    w: &Window,
+    use_call: FsCall,
+    now: SimTime,
+    blocked: bool,
+) -> Option<DetectionEvent> {
+    let ix = w.interposed?;
+    Some(DetectionEvent {
+        pair: TocttouPair::new(w.check, use_call)
+            .expect("the kernel reports only taxonomy-valid roles"),
+        victim: w.owner,
+        attacker: ix.by,
+        path: w.path.clone(),
+        t_check: w.t_check,
+        t_use: now,
+        mutation: ix.call,
+        t_mutation: ix.at,
+        blocked,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(us: u64) -> SimTime {
-        SimTime::from_nanos(us * 1_000)
-    }
-
-    fn arc(s: &str) -> Arc<str> {
-        s.into()
-    }
+    use crate::window::rig::{arc, t, Rig};
 
     #[test]
     fn disabled_detector_is_silent_and_free() {
-        let mut d = DetectorState::new(false);
-        let mut out = Trace::unbounded();
+        let mut d = Rig::stripped();
         let p = arc("/doc");
-        d.record_check(Pid(1), &p, FsCall::Creat, t(1));
-        d.record_mutation(Pid(2), &p, FsCall::Unlink, t(2));
-        d.record_use(Pid(1), &p, FsCall::Chown, t(3), false, &mut out);
-        assert_eq!(d.window_count(), 0);
-        assert!(out.is_empty());
+        d.check(Pid(1), &p, FsCall::Creat, t(1));
+        d.mutate(Pid(2), &p, FsCall::Unlink, t(2));
+        d.use_(Pid(1), &p, FsCall::Chown, t(3));
+        assert_eq!(d.race.windows.len(), 0);
+        assert!(d.detections().is_empty());
+        // With the table kept up for forensics, the detector stays silent.
+        let mut f = Rig::new(
+            crate::machine::MachineSpec::smp_xeon().without_detector(),
+            crate::defense::DefensePolicy::Off,
+        );
+        f.check(Pid(1), &p, FsCall::Creat, t(1));
+        f.mutate(Pid(2), &p, FsCall::Unlink, t(2));
+        f.use_(Pid(1), &p, FsCall::Chown, t(3));
+        assert_eq!(f.race.windows.len(), 1);
+        assert!(f.detections().is_empty());
     }
 
     #[test]
     fn interposed_use_emits_the_vi_shaped_event() {
-        let mut d = DetectorState::new(true);
-        let mut out = Trace::unbounded();
+        let mut d = Rig::detector();
         let p = arc("/home/user/doc.txt");
-        d.record_check(Pid(0), &p, FsCall::Creat, t(10));
-        d.record_mutation(Pid(1), &p, FsCall::Unlink, t(20));
-        d.record_mutation(Pid(1), &p, FsCall::Symlink, t(25));
-        d.record_use(Pid(0), &p, FsCall::Chown, t(40), false, &mut out);
+        d.check(Pid(0), &p, FsCall::Creat, t(10));
+        d.mutate(Pid(1), &p, FsCall::Unlink, t(20));
+        d.mutate(Pid(1), &p, FsCall::Symlink, t(25));
+        d.use_(Pid(0), &p, FsCall::Chown, t(40));
+        let out = d.detections();
         assert_eq!(out.len(), 1);
-        let e = &out.iter().next().unwrap().event;
+        let e = &out[0];
         assert_eq!(
             e.pair,
             TocttouPair::new(FsCall::Creat, FsCall::Chown).unwrap()
@@ -347,16 +189,15 @@ mod tests {
 
     #[test]
     fn link_alone_interposes_a_window() {
-        let mut d = DetectorState::new(true);
-        let mut out = Trace::unbounded();
+        let mut d = Rig::detector();
         let p = arc("/home/user/doc.txt");
-        d.record_check(Pid(0), &p, FsCall::Stat, t(10));
-        d.record_mutation(Pid(1), &p, FsCall::Link, t(20));
-        d.record_use(Pid(0), &p, FsCall::Open, t(30), false, &mut out);
+        d.check(Pid(0), &p, FsCall::Stat, t(10));
+        d.mutate(Pid(1), &p, FsCall::Link, t(20));
+        d.use_(Pid(0), &p, FsCall::Open, t(30));
+        let out = d.detections();
         assert_eq!(out.len(), 1);
-        let e = &out.iter().next().unwrap().event;
         assert_eq!(
-            (e.mutation, e.t_mutation),
+            (out[0].mutation, out[0].t_mutation),
             (FsCall::Link, t(20)),
             "a hardlink swap with no prior unlink reports the link itself"
         );
@@ -364,76 +205,71 @@ mod tests {
 
     #[test]
     fn own_mutations_never_interpose() {
-        let mut d = DetectorState::new(true);
-        let mut out = Trace::unbounded();
+        let mut d = Rig::detector();
         let p = arc("/doc");
-        d.record_check(Pid(1), &p, FsCall::Rename, t(1));
-        d.record_mutation(Pid(1), &p, FsCall::Rename, t(2));
-        d.record_use(Pid(1), &p, FsCall::Chmod, t(3), false, &mut out);
-        assert!(out.is_empty());
+        d.check(Pid(1), &p, FsCall::Rename, t(1));
+        d.mutate(Pid(1), &p, FsCall::Rename, t(2));
+        d.use_(Pid(1), &p, FsCall::Chmod, t(3));
+        assert!(d.detections().is_empty());
     }
 
     #[test]
     fn recheck_clears_the_interposition() {
-        let mut d = DetectorState::new(true);
-        let mut out = Trace::unbounded();
+        let mut d = Rig::detector();
         let p = arc("/doc");
-        d.record_check(Pid(1), &p, FsCall::Stat, t(1));
-        d.record_mutation(Pid(2), &p, FsCall::Unlink, t(2));
-        d.record_check(Pid(1), &p, FsCall::Stat, t(3));
-        d.record_use(Pid(1), &p, FsCall::Open, t(4), false, &mut out);
-        assert!(out.is_empty(), "fresh invariant holds");
+        d.check(Pid(1), &p, FsCall::Stat, t(1));
+        d.mutate(Pid(2), &p, FsCall::Unlink, t(2));
+        d.check(Pid(1), &p, FsCall::Stat, t(3));
+        d.use_(Pid(1), &p, FsCall::Open, t(4));
+        assert!(d.detections().is_empty(), "fresh invariant holds");
     }
 
     #[test]
     fn window_stays_broken_across_uses_until_recheck() {
-        let mut d = DetectorState::new(true);
-        let mut out = Trace::unbounded();
+        let mut d = Rig::detector();
         let p = arc("/doc");
-        d.record_check(Pid(1), &p, FsCall::Rename, t(1));
-        d.record_mutation(Pid(2), &p, FsCall::Symlink, t(2));
-        d.record_use(Pid(1), &p, FsCall::Chmod, t(3), false, &mut out);
-        d.record_use(Pid(1), &p, FsCall::Chown, t(4), false, &mut out);
-        assert_eq!(out.len(), 2, "chmod and chown both consume the window");
+        d.check(Pid(1), &p, FsCall::Rename, t(1));
+        d.mutate(Pid(2), &p, FsCall::Symlink, t(2));
+        d.use_(Pid(1), &p, FsCall::Chmod, t(3));
+        d.use_(Pid(1), &p, FsCall::Chown, t(4));
+        assert_eq!(
+            d.detections().len(),
+            2,
+            "chmod and chown both consume the window"
+        );
     }
 
     #[test]
     fn use_without_window_or_on_other_path_is_silent() {
-        let mut d = DetectorState::new(true);
-        let mut out = Trace::unbounded();
-        d.record_use(
-            Pid(1),
-            &arc("/nowhere"),
-            FsCall::Chown,
-            t(1),
-            false,
-            &mut out,
-        );
-        d.record_check(Pid(1), &arc("/doc"), FsCall::Stat, t(2));
-        d.record_mutation(Pid(2), &arc("/other"), FsCall::Unlink, t(3));
-        d.record_use(Pid(1), &arc("/doc"), FsCall::Open, t(4), false, &mut out);
-        assert!(out.is_empty());
+        let mut d = Rig::detector();
+        d.use_(Pid(1), &arc("/nowhere"), FsCall::Chown, t(1));
+        d.check(Pid(1), &arc("/doc"), FsCall::Stat, t(2));
+        d.mutate(Pid(2), &arc("/other"), FsCall::Unlink, t(3));
+        d.use_(Pid(1), &arc("/doc"), FsCall::Open, t(4));
+        assert!(d.detections().is_empty());
     }
 
     #[test]
     fn exit_clears_windows() {
-        let mut d = DetectorState::new(true);
-        d.record_check(Pid(1), &arc("/a"), FsCall::Stat, t(1));
-        d.record_check(Pid(1), &arc("/b"), FsCall::Stat, t(1));
-        d.record_check(Pid(2), &arc("/c"), FsCall::Stat, t(1));
-        d.forget_process(Pid(1));
-        assert_eq!(d.window_count(), 1);
+        let mut d = Rig::detector();
+        d.check(Pid(1), &arc("/a"), FsCall::Stat, t(1));
+        d.check(Pid(1), &arc("/b"), FsCall::Stat, t(1));
+        d.check(Pid(2), &arc("/c"), FsCall::Stat, t(1));
+        d.exit(Pid(1));
+        assert_eq!(d.race.windows.len(), 1);
     }
 
     #[test]
     fn blocked_uses_are_flagged() {
-        let mut d = DetectorState::new(true);
-        let mut out = Trace::unbounded();
+        let mut d = Rig::new(
+            crate::machine::MachineSpec::smp_xeon(),
+            crate::defense::DefensePolicy::Edgi,
+        );
         let p = arc("/doc");
-        d.record_check(Pid(1), &p, FsCall::Creat, t(1));
-        d.record_mutation(Pid(2), &p, FsCall::Unlink, t(2));
-        d.record_use(Pid(1), &p, FsCall::Chown, t(3), true, &mut out);
-        let e = &out.iter().next().unwrap().event;
+        d.check(Pid(1), &p, FsCall::Creat, t(1));
+        d.mutate(Pid(2), &p, FsCall::Unlink, t(2));
+        assert!(d.use_(Pid(1), &p, FsCall::Chown, t(3)).denied);
+        let e = &d.detections()[0];
         assert!(e.blocked);
         assert!(e.to_string().contains("blocked"), "{e}");
     }

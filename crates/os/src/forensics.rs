@@ -1,9 +1,10 @@
 //! Race-window forensics: exact window intervals and strike miss distances.
 //!
 //! The [`detect`](crate::detect) module answers *whether* a round raced;
-//! this module answers *how close* it came. It watches the same syscall
-//! commit points and, per `(pid, path)`, tracks the exact virtual-time
-//! window from check commit to use commit. Every namespace mutation by
+//! this module answers *how close* it came. It reads the kernel's one
+//! check→use window table (the same windows the detector and the EDGI
+//! defense read), where every window carries the exact virtual-time
+//! interval from check commit to use commit. Every namespace mutation by
 //! another process — a *strike* — is classified against the window it
 //! targeted:
 //!
@@ -21,9 +22,9 @@
 //!
 //! Early and late misses keep their sign by living in *separate* log2
 //! histograms; `min_miss_ns` tracks the closest failed strike either way —
-//! exactly the proximity signal an importance-splitting rare-event engine
-//! needs (ROADMAP item 1), and the laxity term of the paper's Formula (1)
-//! made measurable.
+//! the proximity signal the rare-event estimator's importance splitting
+//! reads through [`RoundMilestones`], and the laxity term of the paper's
+//! Formula (1) made measurable.
 //!
 //! Like [`KernelMetrics`](crate::metrics::KernelMetrics), the accumulator
 //! is branch-gated, allocation-light, pooled across rounds (`retain`), and
@@ -44,6 +45,7 @@
 //! [`MachineSpec::with_spans`]: crate::machine::MachineSpec::with_spans
 
 use crate::ids::Pid;
+use crate::window::{same_path, PendingStrike, Window};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 use tocttou_sim::metrics::LatencyHistogram;
@@ -135,34 +137,8 @@ impl std::fmt::Display for WindowRecord {
     }
 }
 
-/// A strike that found no window to target; it pairs with the next foreign
-/// check on the path, or ends the round unpaired.
-#[derive(Debug, Clone)]
-struct PendingStrike {
-    by: Pid,
-    path: Arc<str>,
-    t: SimTime,
-}
-
-/// One live window in the forensics table.
-#[derive(Debug, Clone)]
-struct FWindow {
-    owner: Pid,
-    path: Arc<str>,
-    t_check: SimTime,
-    /// The span of the syscall whose commit opened the window
-    /// ([`SpanId::NONE`] when spans are off).
-    check_span: SpanId,
-    /// Whether a use has consumed the window; `t_use` is the *last* use.
-    used: bool,
-    t_use: SimTime,
-    /// Strikes awaiting the window's next boundary event (use → hit,
-    /// re-check → early miss, round end → late miss or unpaired).
-    strikes: Vec<(Pid, SimTime)>,
-}
-
-/// Returned by [`WindowForensics::on_use`] when a use closes a window, so
-/// the kernel can record the matching [`SpanKind::Window`] span.
+/// Returned when a use closes a window for the first time, so the kernel
+/// can record the matching [`SpanKind::Window`] span.
 ///
 /// [`SpanKind::Window`]: tocttou_sim::span::SpanKind::Window
 #[derive(Debug, Clone, Copy)]
@@ -173,11 +149,6 @@ pub struct WindowClose {
     pub t_use: SimTime,
     /// The span of the syscall that opened the window.
     pub check_span: SpanId,
-}
-
-/// Window identity fast path, mirroring `detect::same_path`.
-fn same_path(a: &Arc<str>, b: &Arc<str>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
 }
 
 /// The importance-splitting level milestones one round reached, read off
@@ -205,27 +176,24 @@ impl RoundMilestones {
     }
 }
 
-/// The live, kernel-resident window-forensics accumulator.
-///
-/// Hooks mirror [`DetectorState`](crate::detect::DetectorState) — same
-/// check sites, same mutation sites, same use sites — and are all gated on
-/// `enabled`, so a kernel built from
+/// The forensics accounting: the running aggregate, the per-round event
+/// logs and milestones. The windows and waiting strikes it classifies live
+/// in the kernel's shared [`RaceWindows`](crate::window::RaceWindows)
+/// table; every hook is gated on `enabled`, so a kernel built from
 /// [`without_forensics`](crate::machine::MachineSpec::without_forensics)
 /// pays one predictable branch per commit and nothing else.
-#[derive(Debug, Clone)]
-pub struct WindowForensics {
+#[derive(Debug)]
+pub(crate) struct ForensicsState {
     enabled: bool,
     /// Log closed windows / classified strikes with real paths (exhibits
     /// only; armed together with spans).
     log_enabled: bool,
     /// Survive [`reset`](Self::reset): accumulate across pooled rounds
-    /// (see [`KernelPool::retain_metrics`]), flushing each round's
+    /// (see [`KernelPool::retain_metrics`]), folding each round's
     /// leftovers into `acc` at the boundary.
     ///
     /// [`KernelPool::retain_metrics`]: crate::kernel::KernelPool::retain_metrics
     retain: bool,
-    windows: Vec<FWindow>,
-    pending: Vec<PendingStrike>,
     acc: ForensicsSnapshot,
     window_log: Vec<WindowRecord>,
     strike_log: Vec<StrikeRecord>,
@@ -235,21 +203,12 @@ pub struct WindowForensics {
     round_min_miss_ns: u64,
 }
 
-impl Default for WindowForensics {
+impl Default for ForensicsState {
     fn default() -> Self {
-        Self::new(true, false)
-    }
-}
-
-impl WindowForensics {
-    /// A fresh accumulator; when `enabled` is false every hook is a no-op.
-    pub fn new(enabled: bool, log: bool) -> Self {
-        WindowForensics {
-            enabled,
-            log_enabled: log,
+        ForensicsState {
+            enabled: false,
+            log_enabled: false,
             retain: false,
-            windows: Vec::new(),
-            pending: Vec::new(),
             acc: ForensicsSnapshot::default(),
             window_log: Vec::new(),
             strike_log: Vec::new(),
@@ -258,86 +217,43 @@ impl WindowForensics {
             round_min_miss_ns: u64::MAX,
         }
     }
+}
 
+impl ForensicsState {
     /// Whether hooks are recording.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Number of live windows (for tests).
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Number of strikes still awaiting a window (for tests).
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Closed windows logged this round (spans armed only).
-    pub fn window_log(&self) -> &[WindowRecord] {
-        &self.window_log
-    }
-
-    /// Classified strikes logged this round (spans armed only).
-    pub fn strike_log(&self) -> &[StrikeRecord] {
-        &self.strike_log
-    }
-
-    /// Rearms the accumulator for a fresh round: live windows and pending
-    /// strikes can never leak into the next round. A retaining accumulator
-    /// first folds the finished round's leftovers into its running
-    /// aggregate (so warm rounds sum to exactly what per-round snapshots
-    /// would), then keeps it; otherwise the aggregate starts from zero.
-    /// The per-round event logs are always cleared.
-    pub(crate) fn reset(&mut self, enabled: bool, log: bool) {
+    /// Rearms the accounting for a fresh round whose table (`windows`,
+    /// `pending`) the caller clears next. A retaining accumulator first
+    /// folds the finished round's leftovers into its running aggregate (so
+    /// warm rounds sum to exactly what per-round snapshots would), then
+    /// keeps it; otherwise the aggregate starts from zero. The per-round
+    /// event logs and milestones are always cleared.
+    pub(crate) fn reset(
+        &mut self,
+        enabled: bool,
+        log: bool,
+        windows: &[Window],
+        pending: &[PendingStrike],
+    ) {
+        let mut kept = ForensicsSnapshot::default();
         if self.retain {
-            let (windows, pending, acc) = (&mut self.windows, &mut self.pending, &mut self.acc);
-            flush_leftovers_mut(windows, pending, acc, None);
-        } else {
-            self.acc = ForensicsSnapshot::default();
-            self.windows.clear();
-            self.pending.clear();
+            kept = std::mem::take(&mut self.acc);
+            fold_leftovers(windows, pending, &mut kept);
         }
-        self.window_log.clear();
-        self.strike_log.clear();
-        self.round_window_closed = false;
-        self.round_strike_hit = false;
-        self.round_min_miss_ns = u64::MAX;
+        self.clear_data();
+        self.acc = kept;
         self.enabled = enabled;
         self.log_enabled = log;
-    }
-
-    /// Overwrites this accumulator's *round state* (flags, live windows,
-    /// pending strikes, logs) with `source`'s, reusing allocations. The
-    /// running aggregate follows the [`reset`](Self::reset) rule — flushed
-    /// and kept when retaining, zeroed otherwise — never the source's, so a
-    /// checkpoint restore cannot wipe pooled accumulation.
-    pub(crate) fn restore_from(&mut self, source: &WindowForensics) {
-        if self.retain {
-            let (windows, pending, acc) = (&mut self.windows, &mut self.pending, &mut self.acc);
-            flush_leftovers_mut(windows, pending, acc, None);
-        } else {
-            self.acc = ForensicsSnapshot::default();
-        }
-        self.enabled = source.enabled;
-        self.log_enabled = source.log_enabled;
-        self.windows.clone_from(&source.windows);
-        self.pending.clone_from(&source.pending);
-        self.window_log.clone_from(&source.window_log);
-        self.strike_log.clone_from(&source.strike_log);
-        self.round_window_closed = source.round_window_closed;
-        self.round_strike_hit = source.round_strike_hit;
-        self.round_min_miss_ns = source.round_min_miss_ns;
     }
 
     /// Clears accumulated data even when retaining (sweep work items wipe
     /// between grid points, exactly like a fresh pool).
     pub(crate) fn clear_data(&mut self) {
         self.acc = ForensicsSnapshot::default();
-        self.windows.clear();
-        self.pending.clear();
         self.window_log.clear();
         self.strike_log.clear();
         self.round_window_closed = false;
@@ -350,170 +266,93 @@ impl WindowForensics {
         self.retain = retain;
     }
 
-    // --- hooks (same commit points as the detector; all gated) -----------
+    // --- hooks, called by the shared window table (all gated) -------------
 
-    /// A check commit by `pid` on `path`: pairs pending strikes on the
-    /// path as early misses, voids in-window strikes (a re-check
-    /// re-establishes the invariant, so they were early relative to the
-    /// window that will eventually close), and opens/refreshes the window.
-    pub(crate) fn on_check(&mut self, pid: Pid, path: &Arc<str>, check_span: SpanId, now: SimTime) {
+    /// A check commit by `pid` on `path`: pending foreign strikes on the
+    /// path pair as early misses, and the window's own waiting `strikes`
+    /// are voided as early (a re-check re-establishes the invariant, so
+    /// they were early relative to the window that will eventually close).
+    pub(crate) fn on_check(
+        &mut self,
+        pid: Pid,
+        path: &Arc<str>,
+        pending: &mut Vec<PendingStrike>,
+        strikes: &mut Vec<(Pid, SimTime)>,
+        now: SimTime,
+    ) {
         if !self.enabled {
             return;
         }
         self.acc.checks += 1;
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].by != pid && self.pending[i].path.as_ref() == path.as_ref() {
-                let strike = self.pending.remove(i);
-                let d = now.saturating_since(strike.t);
-                self.acc.note_early(d);
-                self.round_min_miss_ns = self.round_min_miss_ns.min(d.as_nanos());
-                self.log_strike(strike.by, &strike.path, strike.t, StrikeOutcome::Early(d));
-            } else {
-                i += 1;
+        pending.retain(|s| {
+            let pairs = s.by != pid && same_path(&s.path, path);
+            if pairs {
+                self.early(s.by, &s.path, s.t, now);
             }
-        }
-        if let Some(idx) = self
-            .windows
-            .iter()
-            .position(|w| w.owner == pid && same_path(&w.path, path))
-        {
-            for (by, t) in std::mem::take(&mut self.windows[idx].strikes) {
-                let d = now.saturating_since(t);
-                self.acc.note_early(d);
-                self.round_min_miss_ns = self.round_min_miss_ns.min(d.as_nanos());
-                self.log_strike(by, path, t, StrikeOutcome::Early(d));
-            }
-            let w = &mut self.windows[idx];
-            w.t_check = now;
-            w.check_span = check_span;
-            w.used = false;
-        } else {
-            self.windows.push(FWindow {
-                owner: pid,
-                path: path.clone(),
-                t_check: now,
-                check_span,
-                used: false,
-                t_use: SimTime::ZERO,
-                strikes: Vec::new(),
-            });
+            !pairs
+        });
+        for (by, t) in strikes.drain(..) {
+            self.early(by, path, t, now);
         }
     }
 
-    /// A namespace mutation of `path` by `by`: a strike against every
-    /// *other* process's window for the path, or a pending strike if no
-    /// such window exists yet.
-    pub(crate) fn on_mutation(&mut self, by: Pid, path: &str, now: SimTime) {
-        if !self.enabled {
-            return;
-        }
-        let mut matched = false;
-        for w in self
-            .windows
-            .iter_mut()
-            .filter(|w| w.owner != by && w.path.as_ref() == path)
-        {
-            w.strikes.push((by, now));
-            matched = true;
-        }
-        if !matched {
-            self.pending.push(PendingStrike {
-                by,
-                path: Arc::from(path),
-                t: now,
-            });
-        }
+    fn early(&mut self, by: Pid, path: &Arc<str>, t: SimTime, now: SimTime) {
+        let d = now.saturating_since(t);
+        self.acc.note_early(d);
+        self.round_min_miss_ns = self.round_min_miss_ns.min(d.as_nanos());
+        self.log_strike(by, path, t, StrikeOutcome::Early(d));
     }
 
-    /// A use commit by `pid` on `path`: waiting strikes become hits; the
+    /// A use commit consuming window `w`: waiting strikes become hits; the
     /// first use closes the window (records its width and returns the
-    /// interval so the kernel can emit the window span); later uses extend
-    /// the consumed interval for late-miss distances.
-    pub(crate) fn on_use(
-        &mut self,
-        pid: Pid,
-        path: &Arc<str>,
-        now: SimTime,
-    ) -> Option<WindowClose> {
+    /// interval for the window span); later uses extend the consumed
+    /// interval for late-miss distances.
+    pub(crate) fn on_use(&mut self, w: &mut Window, now: SimTime) -> Option<WindowClose> {
         if !self.enabled {
             return None;
         }
-        let w = self
-            .windows
-            .iter_mut()
-            .find(|w| w.owner == pid && same_path(&w.path, path))?;
         self.acc.uses += 1;
         self.round_window_closed = true;
         let first_use = !w.used;
         w.used = true;
         w.t_use = now;
-        let (t_check, check_span) = (w.t_check, w.check_span);
         self.round_strike_hit |= !w.strikes.is_empty();
         self.acc.strikes_hit += w.strikes.len() as u64;
-        let hits = std::mem::take(&mut w.strikes);
-        for (by, t) in hits {
-            self.log_strike(by, path, t, StrikeOutcome::Hit);
+        for (by, t) in w.strikes.drain(..) {
+            self.log_strike(by, &w.path, t, StrikeOutcome::Hit);
         }
         if !first_use {
             return None;
         }
-        self.acc.window_width.record(now.saturating_since(t_check));
+        self.acc
+            .window_width
+            .record(now.saturating_since(w.t_check));
         if self.log_enabled {
             self.window_log.push(WindowRecord {
-                owner: pid,
-                path: path.clone(),
-                t_check,
+                owner: w.owner,
+                path: w.path.clone(),
+                t_check: w.t_check,
                 t_use: now,
             });
         }
         Some(WindowClose {
-            t_check,
+            t_check: w.t_check,
             t_use: now,
-            check_span,
+            check_span: w.check_span,
         })
     }
 
-    /// Drops every window owned by an exiting process, classifying its
-    /// waiting strikes (late misses against a consumed window, unpaired
-    /// against one that never closed).
-    pub(crate) fn forget_process(&mut self, pid: Pid) {
-        if !self.enabled {
-            return;
-        }
-        let mut i = 0;
-        while i < self.windows.len() {
-            if self.windows[i].owner != pid {
-                i += 1;
-                continue;
+    /// Window `w`'s owner exited: classifies its waiting strikes (late
+    /// misses against a consumed window, unpaired against one that never
+    /// closed).
+    pub(crate) fn on_exit(&mut self, w: &Window) {
+        for &(by, t) in &w.strikes {
+            let outcome = classify_leftover(w, t, &mut self.acc);
+            if let StrikeOutcome::Late(d) = outcome {
+                self.round_min_miss_ns = self.round_min_miss_ns.min(d.as_nanos());
             }
-            let w = self.windows.remove(i);
-            for (by, t) in &w.strikes {
-                let outcome = classify_leftover(&w, *t, &mut self.acc);
-                if let StrikeOutcome::Late(d) = outcome {
-                    self.round_min_miss_ns = self.round_min_miss_ns.min(d.as_nanos());
-                }
-                self.log_strike(*by, &w.path, *t, outcome);
-            }
+            self.log_strike(by, &w.path, t, outcome);
         }
-    }
-
-    /// Ends the round: classifies every leftover (waiting strikes in live
-    /// windows, pending strikes that never found one) into the aggregate
-    /// and the event log, then clears the tables. Exhibits call this after
-    /// a run so the logs are complete; Monte-Carlo rounds never need to —
-    /// [`snapshot`](Self::snapshot) and
-    /// [`accumulate_into`](Self::accumulate_into) fold live leftovers on
-    /// the fly without mutating.
-    pub fn flush(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        self.round_min_miss_ns = self.round_min_miss_ns.min(self.leftover_min_miss_ns());
-        let log = self.log_enabled;
-        let (windows, pending, acc) = (&mut self.windows, &mut self.pending, &mut self.acc);
-        let mut logged = flush_leftovers_mut(windows, pending, acc, log.then_some(()));
-        self.strike_log.append(&mut logged);
     }
 
     fn log_strike(&mut self, by: Pid, path: &Arc<str>, t: SimTime, outcome: StrikeOutcome) {
@@ -526,27 +365,36 @@ impl WindowForensics {
             });
         }
     }
+}
 
-    /// Condenses the accumulator into a mergeable snapshot, folding live
-    /// leftovers (windows still open, strikes still pending) on the fly.
-    pub fn snapshot(&self) -> ForensicsSnapshot {
-        let mut snap = ForensicsSnapshot::default();
-        self.accumulate_into(&mut snap);
-        snap
+/// A kernel's window forensics, read-only: the accounting plus the live
+/// windows and pending strikes it folds on the fly. Returned by
+/// [`Kernel::forensics`](crate::kernel::Kernel::forensics) and
+/// [`KernelPool::forensics`](crate::kernel::KernelPool::forensics).
+#[derive(Debug, Clone, Copy)]
+pub struct WindowForensics<'a> {
+    pub(crate) state: &'a ForensicsState,
+    pub(crate) windows: &'a [Window],
+    pub(crate) pending: &'a [PendingStrike],
+}
+
+impl<'a> WindowForensics<'a> {
+    /// Closed windows logged this round (spans armed only).
+    pub fn window_log(&self) -> &'a [WindowRecord] {
+        &self.state.window_log
     }
 
-    /// The closest late miss among live leftovers (strikes still waiting in
-    /// consumed windows) without mutating the tables — the non-destructive
-    /// twin of the round-boundary flush, mirroring
-    /// [`accumulate_into`](Self::accumulate_into).
-    fn leftover_min_miss_ns(&self) -> u64 {
-        let mut min = u64::MAX;
-        for w in self.windows.iter().filter(|w| w.used) {
-            for &(_, t) in &w.strikes {
-                min = min.min(t.saturating_since(w.t_use).as_nanos());
-            }
-        }
-        min
+    /// Classified strikes logged this round (spans armed only).
+    pub fn strike_log(&self) -> &'a [StrikeRecord] {
+        &self.state.strike_log
+    }
+
+    /// Condenses the accumulator into a mergeable snapshot, folding live
+    /// leftovers (strikes still waiting in windows or pending) on the fly.
+    pub fn snapshot(&self) -> ForensicsSnapshot {
+        let mut snap = self.state.acc.clone();
+        fold_leftovers(self.windows, self.pending, &mut snap);
+        snap
     }
 
     /// The level milestones the current round has reached so far, folding
@@ -554,29 +402,80 @@ impl WindowForensics {
     /// like [`snapshot`](Self::snapshot), so the Monte-Carlo engine can read
     /// it at the round boundary without a mutating flush.
     pub fn round_milestones(&self) -> RoundMilestones {
-        let min = self.round_min_miss_ns.min(self.leftover_min_miss_ns());
+        let min = self
+            .state
+            .round_min_miss_ns
+            .min(leftover_min_miss_ns(self.windows));
         RoundMilestones {
-            window_closed: self.round_window_closed,
+            window_closed: self.state.round_window_closed,
             min_miss_ns: (min != u64::MAX).then_some(min),
-            strike_hit: self.round_strike_hit,
+            strike_hit: self.state.round_strike_hit,
         }
     }
+}
 
-    /// Folds the aggregate plus live leftovers straight into `out`.
-    pub fn accumulate_into(&self, out: &mut ForensicsSnapshot) {
-        out.merge(&self.acc);
-        for w in &self.windows {
-            for &(_, t) in &w.strikes {
-                classify_leftover(w, t, out);
-            }
+/// A kernel's window forensics, for the round-end
+/// [`flush`](Self::flush). Returned by
+/// [`Kernel::forensics_mut`](crate::kernel::Kernel::forensics_mut).
+#[derive(Debug)]
+pub struct WindowForensicsMut<'a> {
+    pub(crate) state: &'a mut ForensicsState,
+    pub(crate) windows: &'a mut [Window],
+    pub(crate) pending: &'a mut Vec<PendingStrike>,
+}
+
+impl WindowForensicsMut<'_> {
+    /// Ends the round: classifies every leftover (strikes waiting in
+    /// windows, pending strikes that never found one) into the aggregate
+    /// and the event log. Exhibits call this after a run so the logs are
+    /// complete; Monte-Carlo rounds never need to —
+    /// [`snapshot`](WindowForensics::snapshot) folds live leftovers on the
+    /// fly without mutating.
+    pub fn flush(&mut self) {
+        let s = &mut *self.state;
+        if !s.enabled {
+            return;
         }
-        out.strikes_unpaired += self.pending.len() as u64;
+        s.round_min_miss_ns = s.round_min_miss_ns.min(leftover_min_miss_ns(self.windows));
+        for w in self.windows.iter_mut() {
+            for &(by, t) in &w.strikes {
+                let outcome = classify_leftover(w, t, &mut s.acc);
+                s.log_strike(by, &w.path, t, outcome);
+            }
+            w.strikes.clear();
+        }
+        for strike in self.pending.drain(..) {
+            s.acc.strikes_unpaired += 1;
+            s.log_strike(strike.by, &strike.path, strike.t, StrikeOutcome::Unpaired);
+        }
     }
+}
+
+/// The closest late miss among live leftovers (strikes still waiting in
+/// consumed windows), without mutating the table.
+fn leftover_min_miss_ns(windows: &[Window]) -> u64 {
+    let mut min = u64::MAX;
+    for w in windows.iter().filter(|w| w.used) {
+        for &(_, t) in &w.strikes {
+            min = min.min(t.saturating_since(w.t_use).as_nanos());
+        }
+    }
+    min
+}
+
+/// Classifies every live leftover into `acc` without mutating the table.
+fn fold_leftovers(windows: &[Window], pending: &[PendingStrike], acc: &mut ForensicsSnapshot) {
+    for w in windows {
+        for &(_, t) in &w.strikes {
+            classify_leftover(w, t, acc);
+        }
+    }
+    acc.strikes_unpaired += pending.len() as u64;
 }
 
 /// Classifies one leftover in-window strike into `acc` and returns the
 /// outcome (late miss against a consumed window, unpaired otherwise).
-fn classify_leftover(w: &FWindow, t: SimTime, acc: &mut ForensicsSnapshot) -> StrikeOutcome {
+fn classify_leftover(w: &Window, t: SimTime, acc: &mut ForensicsSnapshot) -> StrikeOutcome {
     if w.used {
         let d = t.saturating_since(w.t_use);
         acc.note_late(d);
@@ -585,45 +484,6 @@ fn classify_leftover(w: &FWindow, t: SimTime, acc: &mut ForensicsSnapshot) -> St
         acc.strikes_unpaired += 1;
         StrikeOutcome::Unpaired
     }
-}
-
-/// The mutating round-boundary flush: classifies every leftover into
-/// `acc`, clears both tables, and (when `log` is set) returns the strike
-/// records for the event log.
-fn flush_leftovers_mut(
-    windows: &mut Vec<FWindow>,
-    pending: &mut Vec<PendingStrike>,
-    acc: &mut ForensicsSnapshot,
-    log: Option<()>,
-) -> Vec<StrikeRecord> {
-    let mut records = Vec::new();
-    for w in windows.iter() {
-        for &(by, t) in &w.strikes {
-            let outcome = classify_leftover(w, t, acc);
-            if log.is_some() {
-                records.push(StrikeRecord {
-                    by,
-                    path: w.path.clone(),
-                    t,
-                    outcome,
-                });
-            }
-        }
-    }
-    windows.clear();
-    for strike in pending.iter() {
-        acc.strikes_unpaired += 1;
-        if log.is_some() {
-            records.push(StrikeRecord {
-                by: strike.by,
-                path: strike.path.clone(),
-                t: strike.t,
-                outcome: StrikeOutcome::Unpaired,
-            });
-        }
-    }
-    pending.clear();
-    records
 }
 
 /// A condensed, mergeable copy of one run's window forensics.
@@ -757,67 +617,70 @@ impl Deserialize for ForensicsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::rig::{arc, t, Rig};
+    use tocttou_core::taxonomy::FsCall;
 
-    fn t(us: u64) -> SimTime {
-        SimTime::from_nanos(us * 1_000)
-    }
-
-    fn arc(s: &str) -> Arc<str> {
-        s.into()
-    }
-
-    fn armed() -> WindowForensics {
-        WindowForensics::new(true, true)
+    fn armed() -> Rig {
+        Rig::armed()
     }
 
     #[test]
     fn disabled_forensics_is_silent_and_free() {
-        let mut f = WindowForensics::new(false, false);
         let p = arc("/doc");
-        f.on_check(Pid(1), &p, SpanId::NONE, t(1));
-        f.on_mutation(Pid(2), &p, t(2));
-        assert!(f.on_use(Pid(1), &p, t(3)).is_none());
-        f.flush();
-        assert_eq!(f.window_count(), 0);
-        assert!(f.snapshot().is_empty());
+        // Stripped, and with the table kept up for the detector alone.
+        for mut f in [Rig::stripped(), Rig::detector()] {
+            f.check(Pid(1), &p, FsCall::Stat, t(1));
+            f.mutate(Pid(2), &p, FsCall::Unlink, t(2));
+            assert!(f.use_(Pid(1), &p, FsCall::Chown, t(3)).close.is_none());
+            f.race.forensics_view_mut().flush();
+            assert!(f.race.windows.iter().all(|w| w.strikes.is_empty()));
+            assert!(f.race.pending.is_empty());
+            assert!(f.forensics().snapshot().is_empty());
+        }
     }
 
     #[test]
     fn strike_inside_a_consumed_window_is_a_hit() {
         let mut f = armed();
         let p = arc("/etc/passwd");
-        f.on_check(Pid(0), &p, SpanId(7), t(10));
-        f.on_mutation(Pid(1), &p, t(20));
-        let close = f.on_use(Pid(0), &p, t(40)).expect("first use closes");
+        f.check_in(Pid(0), &p, FsCall::Stat, SpanId(7), t(10));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(20));
+        let close = f
+            .use_(Pid(0), &p, FsCall::Chown, t(40))
+            .close
+            .expect("first use closes");
         assert_eq!(close.t_check, t(10));
         assert_eq!(close.t_use, t(40));
         assert_eq!(close.check_span, SpanId(7));
-        let s = f.snapshot();
+        let s = f.forensics().snapshot();
         assert_eq!(s.strikes_hit, 1);
         assert_eq!(s.window_width.count(), 1);
         assert_eq!(s.window_width.sum_ns(), 30_000);
         assert_eq!(s.min_miss_ns(), None, "a hit is not a miss");
-        assert_eq!(f.window_log().len(), 1);
-        assert_eq!(f.window_log()[0].width(), SimDuration::from_micros(30));
-        assert_eq!(f.strike_log().len(), 1);
-        assert_eq!(f.strike_log()[0].outcome, StrikeOutcome::Hit);
+        assert_eq!(f.forensics().window_log().len(), 1);
+        assert_eq!(
+            f.forensics().window_log()[0].width(),
+            SimDuration::from_micros(30)
+        );
+        assert_eq!(f.forensics().strike_log().len(), 1);
+        assert_eq!(f.forensics().strike_log()[0].outcome, StrikeOutcome::Hit);
     }
 
     #[test]
     fn strike_before_any_window_is_an_early_miss() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_mutation(Pid(1), &p, t(5));
-        assert_eq!(f.pending_count(), 1);
-        f.on_check(Pid(0), &p, SpanId::NONE, t(12));
-        f.on_use(Pid(0), &p, t(20));
-        let s = f.snapshot();
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(5));
+        assert_eq!(f.race.pending.len(), 1);
+        f.check(Pid(0), &p, FsCall::Stat, t(12));
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        let s = f.forensics().snapshot();
         assert_eq!(s.strikes_hit, 0);
         assert_eq!(s.miss_early.count(), 1);
         assert_eq!(s.miss_early.sum_ns(), 7_000);
         assert_eq!(s.min_miss_ns(), Some(7_000));
         assert_eq!(
-            f.strike_log()[0].outcome,
+            f.forensics().strike_log()[0].outcome,
             StrikeOutcome::Early(SimDuration::from_micros(7))
         );
     }
@@ -826,10 +689,10 @@ mod tests {
     fn own_pending_strike_never_pairs_with_own_check() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_mutation(Pid(0), &p, t(5));
-        f.on_check(Pid(0), &p, SpanId::NONE, t(12));
-        assert_eq!(f.pending_count(), 1, "own check does not classify it");
-        let s = f.snapshot();
+        f.mutate(Pid(0), &p, FsCall::Unlink, t(5));
+        f.check(Pid(0), &p, FsCall::Stat, t(12));
+        assert_eq!(f.race.pending.len(), 1, "own check does not classify it");
+        let s = f.forensics().snapshot();
         assert_eq!(s.strikes_unpaired, 1);
         assert_eq!(s.miss_early.count(), 0);
     }
@@ -838,11 +701,11 @@ mod tests {
     fn recheck_voids_an_in_window_strike_as_early() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        f.on_mutation(Pid(1), &p, t(15));
-        f.on_check(Pid(0), &p, SpanId::NONE, t(22));
-        f.on_use(Pid(0), &p, t(30));
-        let s = f.snapshot();
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(15));
+        f.check(Pid(0), &p, FsCall::Stat, t(22));
+        f.use_(Pid(0), &p, FsCall::Chown, t(30));
+        let s = f.forensics().snapshot();
         assert_eq!(s.strikes_hit, 0, "re-check re-established the invariant");
         assert_eq!(s.miss_early.count(), 1);
         assert_eq!(s.miss_early.sum_ns(), 7_000, "distance to the final check");
@@ -853,23 +716,23 @@ mod tests {
     fn strike_after_the_last_use_is_a_late_miss() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        f.on_use(Pid(0), &p, t(20));
-        f.on_mutation(Pid(1), &p, t(26));
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(26));
         // Live leftover: the snapshot folds it without mutating.
-        let s = f.snapshot();
+        let s = f.forensics().snapshot();
         assert_eq!(s.miss_late.count(), 1);
         assert_eq!(s.miss_late.sum_ns(), 6_000);
         assert_eq!(s.min_miss_ns(), Some(6_000));
-        let again = f.snapshot();
+        let again = f.forensics().snapshot();
         assert_eq!(s, again, "snapshot is pure");
         // The mutating flush classifies and logs it.
-        f.flush();
-        assert_eq!(f.window_count(), 0);
-        assert_eq!(f.snapshot(), s);
-        assert_eq!(f.strike_log().len(), 1);
+        f.race.forensics_view_mut().flush();
+        assert!(f.race.windows[0].strikes.is_empty(), "leftover classified");
+        assert_eq!(f.forensics().snapshot(), s);
+        assert_eq!(f.forensics().strike_log().len(), 1);
         assert_eq!(
-            f.strike_log()[0].outcome,
+            f.forensics().strike_log()[0].outcome,
             StrikeOutcome::Late(SimDuration::from_micros(6))
         );
     }
@@ -878,14 +741,14 @@ mod tests {
     fn strike_between_two_uses_is_a_hit_on_the_next_use() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        assert!(f.on_use(Pid(0), &p, t(20)).is_some());
-        f.on_mutation(Pid(1), &p, t(23));
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
+        assert!(f.use_(Pid(0), &p, FsCall::Chown, t(20)).close.is_some());
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(23));
         assert!(
-            f.on_use(Pid(0), &p, t(30)).is_none(),
+            f.use_(Pid(0), &p, FsCall::Chown, t(30)).close.is_none(),
             "window already closed"
         );
-        let s = f.snapshot();
+        let s = f.forensics().snapshot();
         assert_eq!(s.strikes_hit, 1, "a later use consumed the broken window");
         assert_eq!(s.uses, 2);
         assert_eq!(s.window_width.count(), 1, "one window, first-use width");
@@ -896,42 +759,45 @@ mod tests {
         let mut f = armed();
         let p = arc("/tmp/x");
         // The attacker's stat-spin window; the victim's creat "strikes" it.
-        f.on_check(Pid(1), &p, SpanId::NONE, t(5));
-        f.on_mutation(Pid(0), &p, t(9));
-        let s = f.snapshot();
+        f.check(Pid(1), &p, FsCall::Stat, t(5));
+        f.mutate(Pid(0), &p, FsCall::Unlink, t(9));
+        let s = f.forensics().snapshot();
         assert_eq!(s.strikes_unpaired, 1);
         assert_eq!(s.strikes_hit, 0);
         assert_eq!(s.min_miss_ns(), None);
-        f.flush();
-        assert_eq!(f.strike_log()[0].outcome, StrikeOutcome::Unpaired);
+        f.race.forensics_view_mut().flush();
+        assert_eq!(
+            f.forensics().strike_log()[0].outcome,
+            StrikeOutcome::Unpaired
+        );
     }
 
     #[test]
     fn exit_classifies_leftovers_like_a_flush() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        f.on_use(Pid(0), &p, t(20));
-        f.on_mutation(Pid(1), &p, t(27));
-        f.forget_process(Pid(0));
-        assert_eq!(f.window_count(), 0);
-        let s = f.snapshot();
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(27));
+        f.exit(Pid(0));
+        assert_eq!(f.race.windows.len(), 0);
+        let s = f.forensics().snapshot();
         assert_eq!(s.miss_late.count(), 1);
         assert_eq!(s.miss_late.sum_ns(), 7_000);
-        assert_eq!(f.strike_log().len(), 1);
+        assert_eq!(f.forensics().strike_log().len(), 1);
     }
 
     #[test]
     fn reset_without_retain_forgets_everything() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        f.on_mutation(Pid(1), &p, t(12));
-        f.on_use(Pid(0), &p, t(20));
-        f.reset(true, true);
-        assert!(f.snapshot().is_empty());
-        assert_eq!(f.window_count(), 0);
-        assert!(f.window_log().is_empty() && f.strike_log().is_empty());
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(12));
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        f.reboot();
+        assert!(f.forensics().snapshot().is_empty());
+        assert_eq!(f.race.windows.len(), 0);
+        assert!(f.forensics().window_log().is_empty() && f.forensics().strike_log().is_empty());
     }
 
     #[test]
@@ -939,33 +805,33 @@ mod tests {
         // Round 1 on a retaining accumulator, then a reset boundary, then
         // round 2 — the drain must equal two per-round snapshots merged.
         let mut warm = armed();
-        warm.set_retain(true);
+        warm.race.forensics.set_retain(true);
         let mut expect = ForensicsSnapshot::default();
 
-        let round = |f: &mut WindowForensics, base: u64| {
+        let round = |f: &mut Rig, base: u64| {
             let p = arc("/doc");
-            f.on_check(Pid(0), &p, SpanId::NONE, t(base));
-            f.on_mutation(Pid(1), &p, t(base + 4));
-            f.on_use(Pid(0), &p, t(base + 9));
-            f.on_mutation(Pid(1), &p, t(base + 11)); // leftover late miss
+            f.check(Pid(0), &p, FsCall::Stat, t(base));
+            f.mutate(Pid(1), &p, FsCall::Unlink, t(base + 4));
+            f.use_(Pid(0), &p, FsCall::Chown, t(base + 9));
+            f.mutate(Pid(1), &p, FsCall::Unlink, t(base + 11)); // leftover late miss
         };
         round(&mut warm, 100);
         {
             let mut cold = armed();
             round(&mut cold, 100);
-            expect.merge(&cold.snapshot());
+            expect.merge(&cold.forensics().snapshot());
         }
-        warm.reset(true, true);
+        warm.reboot();
         round(&mut warm, 300);
         {
             let mut cold = armed();
             round(&mut cold, 300);
-            expect.merge(&cold.snapshot());
+            expect.merge(&cold.forensics().snapshot());
         }
-        assert_eq!(warm.snapshot(), expect);
+        assert_eq!(warm.forensics().snapshot(), expect);
         // And the sweep boundary wipe leaves a pristine accumulator.
-        warm.clear_data();
-        assert!(warm.snapshot().is_empty());
+        warm.race.drain_forensics();
+        assert!(warm.forensics().snapshot().is_empty());
     }
 
     #[test]
@@ -1023,12 +889,12 @@ mod tests {
     fn snapshot_serde_round_trip_is_exact() {
         let mut f = armed();
         let p = arc("/doc");
-        f.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        f.on_mutation(Pid(1), &p, t(15));
-        f.on_use(Pid(0), &p, t(20));
-        f.on_mutation(Pid(1), &p, t(26));
-        f.on_mutation(Pid(2), &arc("/other"), t(30));
-        let snap = f.snapshot();
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(15));
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(26));
+        f.mutate(Pid(2), &arc("/other"), FsCall::Unlink, t(30));
+        let snap = f.forensics().snapshot();
         let back = ForensicsSnapshot::deserialize_value(&snap.serialize_value()).unwrap();
         assert_eq!(back, snap);
         // The empty snapshot round-trips through its null min_miss_ns form.
@@ -1042,41 +908,44 @@ mod tests {
     fn round_milestones_track_the_level_ladder() {
         let mut f = armed();
         let p = arc("/doc");
-        let none = f.round_milestones();
+        let none = f.forensics().round_milestones();
         assert!(!none.window_closed && !none.strike_hit);
         assert_eq!(none.min_miss_ns, None);
         assert!(!none.near_miss_within(u64::MAX));
 
         // Level 1: a window closes (no strike at all).
-        f.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        assert!(!f.round_milestones().window_closed, "open ≠ closed");
-        f.on_use(Pid(0), &p, t(20));
-        let m = f.round_milestones();
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
+        assert!(
+            !f.forensics().round_milestones().window_closed,
+            "open ≠ closed"
+        );
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        let m = f.forensics().round_milestones();
         assert!(m.window_closed && !m.strike_hit);
         assert_eq!(m.min_miss_ns, None);
 
         // Level 2: a near miss — live leftover folded without mutating.
-        f.on_mutation(Pid(1), &p, t(26));
-        let m = f.round_milestones();
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(26));
+        let m = f.forensics().round_milestones();
         assert_eq!(m.min_miss_ns, Some(6_000));
         assert!(m.near_miss_within(6_000) && !m.near_miss_within(5_999));
         assert!(!m.strike_hit);
-        assert_eq!(f.round_milestones(), m, "accessor is pure");
+        assert_eq!(f.forensics().round_milestones(), m, "accessor is pure");
 
         // The mutating flush agrees with the on-the-fly fold.
-        f.flush();
-        assert_eq!(f.round_milestones(), m);
+        f.race.forensics_view_mut().flush();
+        assert_eq!(f.forensics().round_milestones(), m);
 
         // Level 3: a strike lands.
-        f.on_check(Pid(0), &p, SpanId::NONE, t(40));
-        f.on_mutation(Pid(1), &p, t(45));
-        f.on_use(Pid(0), &p, t(50));
-        assert!(f.round_milestones().strike_hit);
+        f.check(Pid(0), &p, FsCall::Stat, t(40));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(45));
+        f.use_(Pid(0), &p, FsCall::Chown, t(50));
+        assert!(f.forensics().round_milestones().strike_hit);
 
         // The round boundary clears milestones, retaining or not.
-        f.set_retain(true);
-        f.reset(true, true);
-        let fresh = f.round_milestones();
+        f.race.forensics.set_retain(true);
+        f.reboot();
+        let fresh = f.forensics().round_milestones();
         assert!(!fresh.window_closed && !fresh.strike_hit);
         assert_eq!(fresh.min_miss_ns, None);
     }
@@ -1086,45 +955,53 @@ mod tests {
         // Early miss via a pending strike pairing with a later check.
         let mut f = armed();
         let p = arc("/doc");
-        f.on_mutation(Pid(1), &p, t(5));
-        f.on_check(Pid(0), &p, SpanId::NONE, t(12));
-        assert_eq!(f.round_milestones().min_miss_ns, Some(7_000));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(5));
+        f.check(Pid(0), &p, FsCall::Stat, t(12));
+        assert_eq!(f.forensics().round_milestones().min_miss_ns, Some(7_000));
 
         // Early miss via a re-check voiding an in-window strike.
-        f.on_mutation(Pid(1), &p, t(14));
-        f.on_check(Pid(0), &p, SpanId::NONE, t(16));
-        assert_eq!(f.round_milestones().min_miss_ns, Some(2_000));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(14));
+        f.check(Pid(0), &p, FsCall::Stat, t(16));
+        assert_eq!(f.forensics().round_milestones().min_miss_ns, Some(2_000));
 
         // Late miss surfaced by process exit.
-        f.on_use(Pid(0), &p, t(20));
-        f.on_mutation(Pid(1), &p, t(21));
-        f.forget_process(Pid(0));
-        assert_eq!(f.round_milestones().min_miss_ns, Some(1_000));
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        f.mutate(Pid(1), &p, FsCall::Unlink, t(21));
+        f.exit(Pid(0));
+        assert_eq!(f.forensics().round_milestones().min_miss_ns, Some(1_000));
 
         // Unpaired strikes are not misses and set nothing.
         let mut g = armed();
-        g.on_check(Pid(1), &arc("/tmp/x"), SpanId::NONE, t(5));
-        g.on_mutation(Pid(0), &arc("/tmp/x"), t(9));
-        let m = g.round_milestones();
+        g.check(Pid(1), &arc("/tmp/x"), FsCall::Stat, t(5));
+        g.mutate(Pid(0), &arc("/tmp/x"), FsCall::Unlink, t(9));
+        let m = g.forensics().round_milestones();
         assert_eq!(m.min_miss_ns, None);
         assert!(!m.window_closed && !m.strike_hit);
     }
 
     #[test]
-    fn round_milestones_survive_checkpoint_restore() {
-        let mut source = armed();
-        let p = arc("/doc");
-        source.on_check(Pid(0), &p, SpanId::NONE, t(10));
-        source.on_use(Pid(0), &p, t(20));
-        source.on_mutation(Pid(1), &p, t(23));
-        let expect = source.round_milestones();
-        let mut target = armed();
-        target.on_check(Pid(9), &arc("/other"), SpanId::NONE, t(1));
-        target.on_use(Pid(9), &arc("/other"), t(2));
-        target.restore_from(&source);
-        assert_eq!(target.round_milestones(), expect);
-        target.clear_data();
-        assert_eq!(target.round_milestones().min_miss_ns, None);
+    fn round_milestones_never_survive_a_boot_or_a_drain() {
+        // A checkpoint boot applies the plain boot reset, so a pooled table
+        // that ran a round boots exactly like a fresh one.
+        let round = |f: &mut Rig| {
+            let p = arc("/doc");
+            f.check(Pid(0), &p, FsCall::Stat, t(10));
+            f.use_(Pid(0), &p, FsCall::Chown, t(20));
+            f.mutate(Pid(1), &p, FsCall::Unlink, t(23));
+        };
+        let mut fresh = armed();
+        round(&mut fresh);
+        let expect = fresh.forensics().round_milestones();
+        let mut pooled = armed();
+        pooled.race.forensics.set_retain(true);
+        pooled.check(Pid(9), &arc("/other"), FsCall::Stat, t(1));
+        pooled.use_(Pid(9), &arc("/other"), FsCall::Chown, t(2));
+        pooled.reboot();
+        assert_eq!(pooled.race.windows.len(), 0);
+        round(&mut pooled);
+        assert_eq!(pooled.forensics().round_milestones(), expect);
+        pooled.race.drain_forensics();
+        assert_eq!(pooled.forensics().round_milestones().min_miss_ns, None);
     }
 
     #[test]

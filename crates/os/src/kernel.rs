@@ -19,10 +19,10 @@
 //! context switch, mirroring interrupt semantics.
 
 use crate::defense::{DefensePolicy, DefenseState};
-use crate::detect::{fs_call_of, DetectionEvent, DetectorState};
+use crate::detect::{fs_call_of, DetectionEvent};
 use crate::error::OsError;
 use crate::event::OsEvent;
-use crate::forensics::WindowForensics;
+use crate::forensics::{ForensicsSnapshot, WindowForensics, WindowForensicsMut};
 use crate::ids::{CpuId, Gid, Pid, Uid};
 use crate::machine::MachineSpec;
 use crate::metrics::KernelMetrics;
@@ -34,11 +34,13 @@ use crate::sem::SemTable;
 use crate::spans::SpanTracker;
 use crate::syscall::{compile, CommitStep, CpuKind, Phase};
 use crate::vfs::{InodeMeta, Vfs};
+use crate::window::{CommitClass, FsCommit, RaceWindows};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use tocttou_core::taxonomy::FsCall;
 use tocttou_sim::queue::{EventId, EventQueue, QueueSnapshot};
 use tocttou_sim::rng::SimRng;
+use tocttou_sim::span::SpanId;
 use tocttou_sim::time::{SimDuration, SimTime};
 use tocttou_sim::trace::Trace;
 
@@ -90,15 +92,13 @@ pub enum RunOutcome {
 pub struct KernelPool {
     queue: EventQueue<Event>,
     trace: Trace<OsEvent>,
-    detections: Trace<DetectionEvent>,
     procs: Vec<Process>,
     cpus: Vec<Cpu>,
     ready: VecDeque<Pid>,
     sems: SemTable,
     vfs: Vfs,
     metrics: KernelMetrics,
-    detector: DetectorState,
-    forensics: WindowForensics,
+    race: RaceWindows,
     spans: SpanTracker,
     /// Per-process containers harvested from the previous round's
     /// processes, handed back out by `spawn`.
@@ -129,8 +129,6 @@ pub struct Checkpoint {
     live: usize,
     events_processed: u64,
     defense: DefenseState,
-    detector: DetectorState,
-    forensics: WindowForensics,
 }
 
 impl Checkpoint {
@@ -144,26 +142,19 @@ impl Checkpoint {
     /// sequence numbers (and therefore tie-breaking order) of a cold boot.
     ///
     /// Per-round state that rides in the pool — event queue, traces,
-    /// detector windows, metrics accumulators — is reset explicitly here;
+    /// observer windows, metrics accumulators — is reset explicitly here;
     /// the restored machine takes that state *only* from the checkpoint,
-    /// never from whatever round previously used the pool.
+    /// never from whatever round previously used the pool. A checkpoint is
+    /// taken before any process runs, so its observers are always in their
+    /// boot-reset state and get the same reset as [`Kernel::boot_unarmed`].
     pub fn boot(&self, seed: u64, mut pool: KernelPool) -> Kernel {
         pool.queue.restore(&self.queue);
-        pool.trace.reset();
-        pool.trace.enable();
-        pool.detections.reset();
-        pool.detections.enable();
-        for p in pool.procs.drain(..) {
-            pool.spare.push(p.into_buffers());
-        }
+        pool.reset_round_state(&self.spec);
         pool.ready.clone_from(&self.ready);
         pool.sems.clone_from(&self.sems);
         pool.cpus.clone_from(&self.cpus);
         pool.vfs.clone_from(&self.vfs);
-        pool.metrics.reset(self.spec.metrics);
-        pool.detector.restore_from(&self.detector);
-        pool.forensics.restore_from(&self.forensics);
-        pool.spans.reset(self.spec.spans);
+        pool.race.defense = self.defense;
         let mut kernel = Kernel {
             cpus: pool.cpus,
             spec: self.spec.clone(),
@@ -177,11 +168,8 @@ impl Checkpoint {
             trace: pool.trace,
             live: self.live,
             events_processed: self.events_processed,
-            defense: self.defense.clone(),
-            detector: pool.detector,
-            detections: pool.detections,
             metrics: pool.metrics,
-            forensics: pool.forensics,
+            race: pool.race,
             spans: pool.spans,
             spare: pool.spare,
             bg_armed: false,
@@ -214,8 +202,21 @@ impl KernelPool {
     /// the pool's "observably fresh on reuse" rule, and deliberately so.
     pub fn retain_metrics(mut self) -> Self {
         self.metrics.set_retain(true);
-        self.forensics.set_retain(true);
+        self.race.forensics.set_retain(true);
         self
+    }
+
+    /// Resets every per-round buffer a boot does not restore from a
+    /// checkpoint: traces, process table, metrics and the observers.
+    fn reset_round_state(&mut self, spec: &MachineSpec) {
+        self.trace.reset();
+        self.trace.enable();
+        for p in self.procs.drain(..) {
+            self.spare.push(p.into_buffers());
+        }
+        self.metrics.reset(spec.metrics);
+        self.race.reset(spec);
+        self.spans.reset(spec.spans);
     }
 
     /// The pooled metrics accumulator (the across-rounds total when
@@ -226,8 +227,8 @@ impl KernelPool {
 
     /// The pooled window-forensics accumulator (the across-rounds total
     /// when [`retain_metrics`](Self::retain_metrics) is active).
-    pub fn forensics(&self) -> &WindowForensics {
-        &self.forensics
+    pub fn forensics(&self) -> WindowForensics<'_> {
+        self.race.forensics_view()
     }
 
     /// Snapshots the accumulated metrics and clears them — even under
@@ -249,10 +250,8 @@ impl KernelPool {
     /// roll straight into the next batch from zero. The forensics
     /// counterpart of [`drain_metrics`](Self::drain_metrics), drained at
     /// the same work-item boundaries.
-    pub fn drain_forensics(&mut self) -> crate::forensics::ForensicsSnapshot {
-        let snap = self.forensics.snapshot();
-        self.forensics.clear_data();
-        snap
+    pub fn drain_forensics(&mut self) -> ForensicsSnapshot {
+        self.race.drain_forensics()
     }
 }
 
@@ -270,11 +269,10 @@ pub struct Kernel {
     trace: Trace<OsEvent>,
     live: usize,
     events_processed: u64,
-    defense: DefenseState,
-    detector: DetectorState,
-    detections: Trace<DetectionEvent>,
     metrics: KernelMetrics,
-    forensics: WindowForensics,
+    /// The shared check→use window table and the three observers reading
+    /// it: EDGI defense, race detector and window forensics.
+    race: RaceWindows,
     spans: SpanTracker,
     spare: Vec<ProcBuffers>,
     /// Whether the per-CPU background arrival events have been armed.
@@ -324,22 +322,12 @@ impl Kernel {
     pub fn boot_unarmed(spec: MachineSpec, seed: u64, mut pool: KernelPool) -> Self {
         spec.validate().expect("machine spec must be valid");
         pool.queue.clear();
-        pool.trace.reset();
-        pool.trace.enable();
-        pool.detections.reset();
-        pool.detections.enable();
-        for p in pool.procs.drain(..) {
-            pool.spare.push(p.into_buffers());
-        }
+        pool.reset_round_state(&spec);
         pool.ready.clear();
         pool.sems.reset();
         pool.cpus.clear();
         pool.cpus.resize_with(spec.cpus, Cpu::default);
         pool.vfs.reset();
-        pool.metrics.reset(spec.metrics);
-        pool.detector.reset(spec.detect);
-        pool.forensics.reset(spec.forensics, spec.spans);
-        pool.spans.reset(spec.spans);
         Kernel {
             cpus: pool.cpus,
             spec,
@@ -353,11 +341,8 @@ impl Kernel {
             trace: pool.trace,
             live: 0,
             events_processed: 0,
-            defense: DefenseState::default(),
-            detector: pool.detector,
-            detections: pool.detections,
             metrics: pool.metrics,
-            forensics: pool.forensics,
+            race: pool.race,
             spans: pool.spans,
             spare: pool.spare,
             bg_armed: false,
@@ -389,15 +374,13 @@ impl Kernel {
         KernelPool {
             queue: self.queue,
             trace: self.trace,
-            detections: self.detections,
             procs: self.procs,
             cpus: self.cpus,
             ready: self.ready,
             sems: self.sems,
             vfs: self.vfs,
             metrics: self.metrics,
-            detector: self.detector,
-            forensics: self.forensics,
+            race: self.race,
             spans: self.spans,
             spare: self.spare,
         }
@@ -437,9 +420,7 @@ impl Kernel {
             vfs: self.vfs.clone(),
             live: self.live,
             events_processed: self.events_processed,
-            defense: self.defense.clone(),
-            detector: self.detector.clone(),
-            forensics: self.forensics.clone(),
+            defense: self.race.defense,
         }
     }
 
@@ -512,18 +493,18 @@ impl Kernel {
     /// Activates a TOCTTOU defense policy (must be set before the attack
     /// window; typically right after boot).
     pub fn set_defense(&mut self, policy: DefensePolicy) {
-        self.defense = DefenseState::new(policy);
+        self.race.defense = DefenseState::new(policy);
     }
 
     /// The defense state (for inspecting denial counts).
     pub fn defense(&self) -> &DefenseState {
-        &self.defense
+        &self.race.defense
     }
 
     /// The typed detection trace: every TOCTTOU race the passive detector
     /// observed this round, in commit order. See [`crate::detect`].
     pub fn detections(&self) -> &Trace<DetectionEvent> {
-        &self.detections
+        &self.race.detections
     }
 
     /// The observability layer: scheduler counters and latency histograms
@@ -534,15 +515,15 @@ impl Kernel {
 
     /// The window-forensics layer: exact check-to-use window intervals and
     /// per-strike miss distances. See [`crate::forensics`].
-    pub fn forensics(&self) -> &WindowForensics {
-        &self.forensics
+    pub fn forensics(&self) -> WindowForensics<'_> {
+        self.race.forensics_view()
     }
 
     /// Mutable forensics access, for exhibits that
-    /// [`flush`](WindowForensics::flush) the round's leftovers into the
+    /// [`flush`](WindowForensicsMut::flush) the round's leftovers into the
     /// event log after a run completes.
-    pub fn forensics_mut(&mut self) -> &mut WindowForensics {
-        &mut self.forensics
+    pub fn forensics_mut(&mut self) -> WindowForensicsMut<'_> {
+        self.race.forensics_view_mut()
     }
 
     /// The causal span tracker (armed via
@@ -983,9 +964,7 @@ impl Kernel {
                 let held = self.sems.held_by(pid);
                 assert!(held.is_empty(), "{pid} exited holding semaphores {held:?}");
                 self.trace.record(self.now, OsEvent::Exit { pid });
-                self.defense.forget_process(pid);
-                self.detector.forget_process(pid);
-                self.forensics.forget_process(pid);
+                self.race.forget_process(pid);
                 self.spans.on_exit(pid, self.now);
                 self.procs[pid.index()].state = ProcState::Exited;
                 self.live -= 1;
@@ -1027,8 +1006,34 @@ impl Kernel {
         }
     }
 
-    /// Denies the in-flight use call under the active defense policy.
-    fn deny(&mut self, pid: Pid) {
+    /// Reports one classified filesystem commit to the shared window table
+    /// and its observers; a use that closes a window for the first time
+    /// also records the window span.
+    fn fs_commit(&mut self, pid: Pid, path: &Arc<str>, call: FsCall, class: CommitClass) {
+        let check_span = if class == CommitClass::Check {
+            self.spans.current_syscall(pid)
+        } else {
+            SpanId::NONE
+        };
+        let c = FsCommit {
+            pid,
+            path,
+            call,
+            class,
+        };
+        if let Some(close) = self.race.commit(c, self.now, check_span) {
+            self.spans.on_window(pid, path, close);
+        }
+    }
+
+    /// EDGI: denies the in-flight use of `path` if its window was
+    /// interposed since the check, reporting the blocked use first.
+    /// Returns whether the use was denied.
+    fn edgi_deny(&mut self, pid: Pid, path: &Arc<str>, call: FsCall) -> bool {
+        if !self.race.edgi_denies(pid, path) {
+            return false;
+        }
+        self.fs_commit(pid, path, call, CommitClass::Use { denied: true });
         self.metrics.on_edgi_denial();
         if let Some(pending) = self.procs[pid.index()].pending.as_ref() {
             let call = pending.name;
@@ -1036,18 +1041,11 @@ impl Kernel {
                 .record(self.now, OsEvent::DefenseDenied { pid, call });
         }
         self.set_ret(pid, Err(OsError::Eacces));
-    }
-
-    /// Closes the forensic race window (if one is open for `(pid, path)`)
-    /// at a use-class commit and, when spans are armed, emits the matching
-    /// window span parented on the check syscall.
-    fn record_window_use(&mut self, pid: Pid, path: &Arc<str>) {
-        if let Some(close) = self.forensics.on_use(pid, path, self.now) {
-            self.spans.on_window(pid, path, close);
-        }
+        true
     }
 
     fn execute_commit(&mut self, pid: Pid, step: CommitStep) {
+        use CommitClass::{Check, Mutation, Use};
         self.metrics.on_vfs_op();
         let (uid, gid) = {
             let p = &self.procs[pid.index()];
@@ -1065,8 +1063,6 @@ impl Kernel {
                 } else {
                     self.vfs.lstat(&path)
                 };
-                self.defense
-                    .record_check(pid, &path, r.as_ref().ok().map(|st| st.ino));
                 // stat/lstat/access compile to the same sample; recover the
                 // taxonomy call from the syscall in flight.
                 let check = self.procs[pid.index()]
@@ -1074,59 +1070,26 @@ impl Kernel {
                     .as_ref()
                     .and_then(|p| fs_call_of(p.name))
                     .unwrap_or(FsCall::Stat);
-                self.detector.record_check(pid, &path, check, self.now);
-                let span = self.spans.current_syscall(pid);
-                self.forensics.on_check(pid, &path, span, self.now);
+                self.fs_commit(pid, &path, check, Check);
                 self.set_ret(pid, r.map(RetVal::Stat));
             }
             CommitStep::CreateFile { path } => {
                 let r = self.vfs.create_file(&path, meta).map(|ino| {
-                    self.defense.record_mutation(pid, &path);
-                    self.defense.record_check(pid, &path, Some(ino));
-                    self.detector
-                        .record_mutation(pid, &path, FsCall::Creat, self.now);
-                    self.detector
-                        .record_check(pid, &path, FsCall::Creat, self.now);
-                    self.forensics.on_mutation(pid, &path, self.now);
-                    let span = self.spans.current_syscall(pid);
-                    self.forensics.on_check(pid, &path, span, self.now);
-                    let fd = self.procs[pid.index()].alloc_fd(ino);
-                    RetVal::Fd(fd)
+                    self.fs_commit(pid, &path, FsCall::Creat, Mutation);
+                    self.fs_commit(pid, &path, FsCall::Creat, Check);
+                    RetVal::Fd(self.procs[pid.index()].alloc_fd(ino))
                 });
                 self.set_ret(pid, r);
             }
             CommitStep::OpenExisting { path } => {
-                if !self.defense.allow_use(pid, &path) {
-                    self.detector.record_use(
-                        pid,
-                        &path,
-                        FsCall::Open,
-                        self.now,
-                        true,
-                        &mut self.detections,
-                    );
-                    self.record_window_use(pid, &path);
-                    self.deny(pid);
+                if self.edgi_deny(pid, &path, FsCall::Open) {
                     return;
                 }
                 let r = self.vfs.open_existing(&path).map(|ino| {
-                    self.defense.record_check(pid, &path, Some(ino));
-                    // Emit before the re-check below refreshes the window.
-                    self.detector.record_use(
-                        pid,
-                        &path,
-                        FsCall::Open,
-                        self.now,
-                        false,
-                        &mut self.detections,
-                    );
-                    self.record_window_use(pid, &path);
-                    self.detector
-                        .record_check(pid, &path, FsCall::Open, self.now);
-                    let span = self.spans.current_syscall(pid);
-                    self.forensics.on_check(pid, &path, span, self.now);
-                    let fd = self.procs[pid.index()].alloc_fd(ino);
-                    RetVal::Fd(fd)
+                    // The use consumes the window before the open re-checks it.
+                    self.fs_commit(pid, &path, FsCall::Open, Use { denied: false });
+                    self.fs_commit(pid, &path, FsCall::Open, Check);
+                    RetVal::Fd(self.procs[pid.index()].alloc_fd(ino))
                 });
                 self.set_ret(pid, r);
             }
@@ -1148,10 +1111,7 @@ impl Kernel {
             CommitStep::UnlinkDetach { path } => {
                 match self.vfs.unlink_detach(&path) {
                     Ok((_ino, size)) => {
-                        self.defense.record_mutation(pid, &path);
-                        self.detector
-                            .record_mutation(pid, &path, FsCall::Unlink, self.now);
-                        self.forensics.on_mutation(pid, &path, self.now);
+                        self.fs_commit(pid, &path, FsCall::Unlink, Mutation);
                         // Truncation tail goes after the Release that is now
                         // at the queue front.
                         let tail = self
@@ -1176,96 +1136,44 @@ impl Kernel {
             }
             CommitStep::SymlinkCreate { target, linkpath } => {
                 let r = self.vfs.symlink(&target, &linkpath, (uid, gid)).map(|_| {
-                    self.defense.record_mutation(pid, &linkpath);
-                    self.detector
-                        .record_mutation(pid, &linkpath, FsCall::Symlink, self.now);
-                    self.forensics.on_mutation(pid, &linkpath, self.now);
+                    self.fs_commit(pid, &linkpath, FsCall::Symlink, Mutation);
                     RetVal::Unit
                 });
                 self.set_ret(pid, r);
             }
             CommitStep::LinkCreate { existing, linkpath } => {
                 let r = self.vfs.link(&existing, &linkpath).map(|_ino| {
-                    self.defense.record_mutation(pid, &linkpath);
-                    self.detector
-                        .record_mutation(pid, &linkpath, FsCall::Link, self.now);
-                    self.forensics.on_mutation(pid, &linkpath, self.now);
+                    self.fs_commit(pid, &linkpath, FsCall::Link, Mutation);
                     RetVal::Unit
                 });
                 self.set_ret(pid, r);
             }
             CommitStep::RenameCommit { from, to } => {
                 let r = self.vfs.rename(&from, &to).map(|_| {
-                    self.defense.record_mutation(pid, &from);
-                    self.defense.record_mutation(pid, &to);
-                    self.defense.record_check(pid, &to, None);
-                    self.detector
-                        .record_mutation(pid, &from, FsCall::Rename, self.now);
-                    self.detector
-                        .record_mutation(pid, &to, FsCall::Rename, self.now);
-                    self.detector
-                        .record_check(pid, &to, FsCall::Rename, self.now);
-                    self.forensics.on_mutation(pid, &from, self.now);
-                    self.forensics.on_mutation(pid, &to, self.now);
-                    let span = self.spans.current_syscall(pid);
-                    self.forensics.on_check(pid, &to, span, self.now);
+                    self.fs_commit(pid, &from, FsCall::Rename, Mutation);
+                    self.fs_commit(pid, &to, FsCall::Rename, Mutation);
+                    self.fs_commit(pid, &to, FsCall::Rename, Check);
                     RetVal::Unit
                 });
                 self.set_ret(pid, r);
             }
             CommitStep::Chmod { path, mode } => {
-                if !self.defense.allow_use(pid, &path) {
-                    self.detector.record_use(
-                        pid,
-                        &path,
-                        FsCall::Chmod,
-                        self.now,
-                        true,
-                        &mut self.detections,
-                    );
-                    self.record_window_use(pid, &path);
-                    self.deny(pid);
+                if self.edgi_deny(pid, &path, FsCall::Chmod) {
                     return;
                 }
                 let r = self.vfs.chmod(&path, mode).map(|_| RetVal::Unit);
                 if r.is_ok() {
-                    self.detector.record_use(
-                        pid,
-                        &path,
-                        FsCall::Chmod,
-                        self.now,
-                        false,
-                        &mut self.detections,
-                    );
-                    self.record_window_use(pid, &path);
+                    self.fs_commit(pid, &path, FsCall::Chmod, Use { denied: false });
                 }
                 self.set_ret(pid, r);
             }
             CommitStep::Chown { path, uid, gid } => {
-                if !self.defense.allow_use(pid, &path) {
-                    self.detector.record_use(
-                        pid,
-                        &path,
-                        FsCall::Chown,
-                        self.now,
-                        true,
-                        &mut self.detections,
-                    );
-                    self.record_window_use(pid, &path);
-                    self.deny(pid);
+                if self.edgi_deny(pid, &path, FsCall::Chown) {
                     return;
                 }
                 let r = self.vfs.chown(&path, uid, gid).map(|_| RetVal::Unit);
                 if r.is_ok() {
-                    self.detector.record_use(
-                        pid,
-                        &path,
-                        FsCall::Chown,
-                        self.now,
-                        false,
-                        &mut self.detections,
-                    );
-                    self.record_window_use(pid, &path);
+                    self.fs_commit(pid, &path, FsCall::Chown, Use { denied: false });
                 }
                 self.set_ret(pid, r);
             }

@@ -83,15 +83,16 @@ pub mod sem;
 pub mod spans;
 pub mod syscall;
 pub mod vfs;
+mod window;
 
 pub use costs::CostModel;
 pub use defense::{DefensePolicy, DefenseState};
-pub use detect::{DetectionEvent, DetectorState};
+pub use detect::DetectionEvent;
 pub use error::OsError;
 pub use event::OsEvent;
 pub use forensics::{
     ForensicsSnapshot, RoundMilestones, StrikeOutcome, StrikeRecord, WindowClose, WindowForensics,
-    WindowRecord,
+    WindowForensicsMut, WindowRecord,
 };
 pub use ids::{CpuId, Fd, Gid, Ino, Pid, SemId, Uid};
 pub use kernel::{Checkpoint, Kernel, KernelPool, RunOutcome};
