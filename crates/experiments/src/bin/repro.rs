@@ -79,6 +79,9 @@ fn parse_args() -> Result<Args, String> {
     if exhibits.is_empty() {
         exhibits.push("all".to_string());
     }
+    if common.rounds == Some(0) {
+        return Err("invalid --rounds 0: an exhibit needs at least one round".into());
+    }
     Ok(Args {
         exhibits,
         common,

@@ -50,7 +50,7 @@
 //! bulk-statistics one, and the store persists only what aggregation
 //! needs.
 
-use crate::executor::{blocks, execute, Block, Plan};
+use crate::executor::{blocks, execute, Block, Order, Plan};
 use crate::grid::Grid;
 use crate::monte_carlo::{fnv1a, PointAcc, RoundObs, DETECTION_FINGERPRINT_SEED};
 use crate::sweep::SweepOutcome;
@@ -486,7 +486,7 @@ pub(crate) fn compute_blocks(
             .open(path)?,
     );
     let items: Vec<Block> = missing.iter().map(|m| m.block).collect();
-    execute(plan, &items, |idx, obs, pool| {
+    execute(plan, &items, Order::Any, |idx, obs, pool| {
         let Missing { block, key } = missing[idx];
         let record = BlockRecord {
             key,
@@ -525,11 +525,9 @@ fn aggregate_store(
             .get(&item.key)
             .expect("aggregation runs only on a complete store");
         let record = read_block(&mut file, span, &mut line, item)?;
-        accs[item.block.point].fold_block(
-            record.obs.into_iter().map(ObsRecord::into_obs),
-            &record.metrics,
-            &record.forensics,
-        );
+        let acc = &mut accs[item.block.point];
+        acc.merge_counters(&record.metrics, &record.forensics);
+        acc.fold_obs(record.obs.into_iter().map(ObsRecord::into_obs));
     }
     Ok(SweepOutcome::assemble(
         &cfg.grid,

@@ -61,7 +61,7 @@
 //! [`Scenario::restrict_laxity`]: tocttou_workloads::scenario::Scenario::restrict_laxity
 
 use crate::campaign::{blocks_path, compute_blocks, keyed_blocks, read_block, scan_store, Missing};
-use crate::executor::{execute, Block, Plan};
+use crate::executor::{execute, Block, Order, Plan};
 use crate::monte_carlo::{fnv1a, RoundObs, DETECTION_FINGERPRINT_SEED};
 use serde::Serialize;
 use std::convert::Infallible;
@@ -86,9 +86,9 @@ pub struct EstimateConfig {
     /// the point estimate (e.g. `0.2` = ±20 % relative). Must be a finite
     /// positive number.
     pub target_rel_half_width: f64,
-    /// Initial partition of the laxity window. Clamped to the window's
-    /// integer width; scenarios without a laxity window always run one
-    /// stratum.
+    /// Initial partition of the laxity window, at least 1. Clamped to the
+    /// window's integer width; scenarios without a laxity window always
+    /// run one stratum.
     pub initial_strata: usize,
     /// Rounds every newly created stratum receives before it participates
     /// in allocation, stopping or splitting decisions.
@@ -149,7 +149,8 @@ impl EstimateConfig {
     /// # Errors
     ///
     /// Rejects a zero/NaN/non-finite target half-width, zero block size,
-    /// zero pilot/wave rounds, and a budget below one pilot.
+    /// zero initial strata, zero pilot/wave rounds, and a budget below one
+    /// pilot.
     pub fn validate(&self) -> Result<(), String> {
         if !self.target_rel_half_width.is_finite() || self.target_rel_half_width <= 0.0 {
             return Err(format!(
@@ -159,6 +160,9 @@ impl EstimateConfig {
         }
         if self.block == 0 {
             return Err("invalid --block 0: block size must be at least 1".into());
+        }
+        if self.initial_strata == 0 {
+            return Err("invalid --strata 0: an estimate needs at least one stratum".into());
         }
         if self.pilot_rounds == 0 || self.wave_rounds == 0 {
             return Err("pilot and wave rounds must be at least 1".into());
@@ -421,7 +425,7 @@ fn push_stratum(
 /// How many strata the initial partition of a `span`-wide laxity window
 /// has.
 fn initial_parts(cfg: &EstimateConfig, span: u64) -> u64 {
-    (cfg.initial_strata.max(1) as u64).min(span)
+    (cfg.initial_strata as u64).min(span)
 }
 
 /// Rejects a run whose pilot wave alone overruns the budget, before any
@@ -671,7 +675,7 @@ fn run_wave(
         let blocks: Vec<Block> = items.iter().map(|m| m.block).collect();
         let strata = Mutex::new(strata);
         // Metrics and forensics are not part of an estimate: left undrained.
-        let Ok(()) = execute::<Infallible>(&plan, &blocks, |idx, obs, _| {
+        let Ok(()) = execute::<Infallible>(&plan, &blocks, Order::Any, |idx, obs, _| {
             let mut strata = strata.lock().expect("strata poisoned");
             for o in &obs {
                 strata[blocks[idx].point].count(o, cfg.near_miss_ns);
@@ -818,6 +822,11 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().unwrap_err().contains("--block 0"));
+        let cfg = EstimateConfig {
+            initial_strata: 0,
+            ..Default::default()
+        };
+        assert!(cfg.validate().unwrap_err().contains("--strata 0"));
         let cfg = EstimateConfig {
             max_rounds: 10,
             pilot_rounds: 64,

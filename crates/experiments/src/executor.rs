@@ -9,8 +9,14 @@
 //!   one template per scenario; each scenario's rounds then boot from its
 //!   warm checkpoint or, with the `cold` oracle flag, from the template.
 //! * **The pool.** [`effective_jobs`] long-lived workers, capped at the
-//!   item count, claim [`Block`]s off one shared atomic cursor, each on one
-//!   recycled [`KernelPool`] whatever the block's point.
+//!   item count, claim [`Block`]s in index order off one shared cursor.
+//! * **Nothing shared that a worker writes, reference counts included.**
+//!   Each worker owns one recycled [`KernelPool`], whatever the block's
+//!   point, and one [`Scenario::detached`] copy of the point it is
+//!   running, remade only when it claims a block of another point. A
+//!   round clones its scenario's path `Arc`s into every syscall, so
+//!   workers sharing one scenario would contend on those counts. The plan
+//!   and the warm checkpoints are shared read-only.
 //! * **Per-block results.** The sink gets the block's observations in
 //!   round order and the worker's pool, to drain the block's metrics and
 //!   forensics from ([`KernelPool::drain_metrics`],
@@ -19,12 +25,13 @@
 //! Sinks run on the worker threads in completion order. Byte identity at
 //! any `jobs` value and partition is the caller's side of the contract
 //! ([`PointAcc`](crate::monte_carlo::PointAcc)'s two rules): observations
-//! fold in round order, metrics and forensics merge in any order.
+//! fold in round order, metrics and forensics merge in any order. A sink
+//! that folds in index order asks for [`Order::Index`], which bounds how
+//! many finished blocks can wait on an earlier one.
 
 use crate::extract::{observe, window_length_us, WindowKind};
 use crate::monte_carlo::{detection_fingerprint_of, window_kind_of, RoundObs};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use tocttou_os::kernel::{Checkpoint, KernelPool};
 use tocttou_os::vfs::Vfs;
 use tocttou_sim::rng::seed_block;
@@ -164,16 +171,113 @@ fn run_one_round(
     (obs, handles.kernel.recycle())
 }
 
+/// The order a sink consumes finished blocks in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Order {
+    /// Completion order: workers never wait on each other.
+    Any,
+    /// Index order: the sink holds a block that finishes before an
+    /// earlier one. A worker never claims a block more than `workers`
+    /// blocks past the oldest unfinished one, so the sink holds at most
+    /// `workers` blocks, however the workers are scheduled.
+    Index,
+}
+
+/// The claim cursor behind [`execute`]: blocks are claimed in index order,
+/// and under [`Order::Index`] a claim waits until it is within `ahead`
+/// blocks of the oldest block whose sink has not returned.
+struct Claims {
+    state: Mutex<ClaimState>,
+    caught_up: Condvar,
+    len: usize,
+    ahead: usize,
+}
+
+struct ClaimState {
+    next: usize,
+    oldest: usize,
+    finished: Vec<bool>,
+}
+
+impl Claims {
+    fn new(len: usize, ahead: usize) -> Self {
+        Claims {
+            state: Mutex::new(ClaimState {
+                next: 0,
+                oldest: 0,
+                finished: vec![false; len],
+            }),
+            caught_up: Condvar::new(),
+            len,
+            ahead,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ClaimState> {
+        // Claim state is a few integers, consistent between statements.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next block to run, or `None` once every block is claimed or
+    /// the pool stopped.
+    fn claim(&self) -> Option<usize> {
+        let mut c = self
+            .caught_up
+            .wait_while(self.lock(), |c| {
+                c.next < self.len && c.next >= c.oldest.saturating_add(self.ahead)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        (c.next < self.len).then(|| {
+            c.next += 1;
+            c.next - 1
+        })
+    }
+
+    /// Marks block `idx`'s sink as returned.
+    fn finish(&self, idx: usize) {
+        let mut c = self.lock();
+        c.finished[idx] = true;
+        while c.finished.get(c.oldest) == Some(&true) {
+            c.oldest += 1;
+        }
+        drop(c);
+        self.caught_up.notify_all();
+    }
+
+    /// Claims nothing more: workers finish the block in hand and exit.
+    fn stop(&self) {
+        self.lock().next = self.len;
+        self.caught_up.notify_all();
+    }
+}
+
+/// Stops the pool if its worker unwinds, so no worker waits forever on
+/// the block the panicking one held.
+struct StopOnUnwind<'a>(&'a Claims);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
 /// Runs every block of `items` on the worker pool and hands each finished
 /// one to `sink`: its index in `items`, its observations, and the worker's
 /// pool, whose retained metrics and forensics hold the block's unless the
 /// sink drains them (a sink drains every block or none).
+///
+/// Each worker runs its rounds on its own [`Scenario::detached`] copy of
+/// the block's point, made when it claims a block of a different point
+/// than the last, so workers never share a reference count.
 ///
 /// The first sink error stops the pool (workers finish the block in hand
 /// and claim no more) and is returned.
 pub(crate) fn execute<E: Send>(
     plan: &Plan<'_>,
     items: &[Block],
+    order: Order,
     sink: impl Fn(usize, Vec<RoundObs>, &mut KernelPool) -> Result<(), E> + Sync,
 ) -> Result<(), E> {
     if items.is_empty() {
@@ -183,35 +287,39 @@ pub(crate) fn execute<E: Send>(
     let kinds: Vec<WindowKind> = plan.scenarios.iter().map(window_kind_of).collect();
     let total_rounds: u64 = items.iter().map(Block::rounds).sum();
     let workers = effective_jobs(plan.jobs, total_rounds).min(items.len());
-    // The cursor publishes only an index into the read-only `items`, so
-    // `Relaxed` suffices; the first sink error travels through the mutex.
-    let next = AtomicUsize::new(0);
+    let ahead = match order {
+        Order::Any => usize::MAX,
+        Order::Index => workers + 1,
+    };
+    let claims = Claims::new(items.len(), ahead);
     let failure = Mutex::new(None);
     let worker = || {
+        let _stop = StopOnUnwind(&claims);
         let mut pool = KernelPool::new().retain_metrics();
-        loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(b) = items.get(idx) else { break };
+        let mut own: Option<(usize, Scenario)> = None;
+        while let Some(idx) = claims.claim() {
+            let b = items[idx];
             let p = b.point;
+            let scenario = match own.take() {
+                Some((q, s)) if q == p => s,
+                _ => plan.scenarios[p].detached(),
+            };
             let mut obs = Vec::with_capacity(b.rounds() as usize);
             for seed in seed_block(plan.seed_bases[p], b.start, b.end) {
-                let (o, returned) = run_one_round(
-                    &plan.scenarios[p],
-                    &boots[p],
-                    pool,
-                    seed,
-                    kinds[p],
-                    plan.collect_ld,
-                );
+                let (o, returned) =
+                    run_one_round(&scenario, &boots[p], pool, seed, kinds[p], plan.collect_ld);
                 pool = returned;
                 obs.push(o);
             }
-            if let Err(e) = sink(idx, obs, &mut pool) {
+            own = Some((p, scenario));
+            let result = sink(idx, obs, &mut pool);
+            claims.finish(idx);
+            if let Err(e) = result {
                 failure
                     .lock()
                     .expect("failure slot poisoned")
                     .get_or_insert(e);
-                next.store(items.len(), Ordering::Relaxed);
+                claims.stop();
                 break;
             }
         }
@@ -250,6 +358,31 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_worker_releases_the_waiting_ones() {
+        // Worker A panics on block 0 while B, two blocks ahead, waits for
+        // block 0 to finish: the panic must reach the caller, not hang B.
+        let scenarios = [Scenario::vi_smp(1024)];
+        let plan = Plan {
+            scenarios: &scenarios,
+            seed_bases: &[1],
+            collect_ld: false,
+            jobs: 2,
+            cold: false,
+        };
+        let items: Vec<Block> = blocks(0, 0, 12, 2).collect();
+        let run = std::panic::AssertUnwindSafe(|| {
+            execute::<()>(&plan, &items, Order::Index, |idx, _, _| {
+                if idx == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("sink failure on block 0");
+                }
+                Ok(())
+            })
+        });
+        assert!(std::panic::catch_unwind(run).is_err());
+    }
+
+    #[test]
     fn a_failing_sink_stops_the_pool() {
         let scenarios = [Scenario::vi_smp(1024)];
         let plan = Plan {
@@ -261,7 +394,7 @@ mod tests {
         };
         let items: Vec<Block> = blocks(0, 0, 6, 2).collect();
         let seen = Mutex::new(Vec::new());
-        let err = execute(&plan, &items, |idx, obs, _| {
+        let err = execute(&plan, &items, Order::Any, |idx, obs, _| {
             seen.lock().unwrap().push(idx);
             assert_eq!(obs.len(), 2);
             if idx == 1 {

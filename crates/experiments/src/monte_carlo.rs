@@ -339,17 +339,19 @@ impl PointAcc {
         }
     }
 
-    /// Folds one block of a point's rounds: observations in round order,
-    /// kernel metrics and window forensics order-free. A point's blocks
-    /// must arrive in round order.
-    pub(crate) fn fold_block(
+    /// Merges a block's kernel metrics and window forensics, in any order.
+    pub(crate) fn merge_counters(
         &mut self,
-        obs: impl IntoIterator<Item = RoundObs>,
         metrics: &MetricsSnapshot,
         forensics: &ForensicsSnapshot,
     ) {
         self.metrics.merge(metrics);
         self.forensics.merge(forensics);
+    }
+
+    /// Folds a block's observations. A point's blocks must arrive in round
+    /// order.
+    pub(crate) fn fold_obs(&mut self, obs: impl IntoIterator<Item = RoundObs>) {
         for o in obs {
             self.fold(o);
         }

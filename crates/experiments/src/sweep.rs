@@ -28,18 +28,18 @@
 //!   per-point identity tests in `tests/sweep_determinism.rs` and the
 //!   independent reference loop in `tests/determinism.rs` hold this line.
 //! * **Bounded memory.** An item is folded as soon as every earlier item
-//!   has arrived, so at `jobs = 1` at most one item of observations is
-//!   held, however many rounds a point runs.
+//!   has arrived, and no worker claims an item more than `jobs` items past
+//!   the oldest unfinished one, so at most `jobs` finished items'
+//!   observations wait, however many rounds a point runs and however the
+//!   workers are scheduled.
 
-use crate::executor::{blocks, effective_jobs, execute, Block, Plan};
+use crate::executor::{blocks, effective_jobs, execute, Block, Order, Plan};
 use crate::grid::{Grid, PointDesc};
 use crate::monte_carlo::{McOutcome, PointAcc, RoundObs};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::Mutex;
-use tocttou_os::forensics::ForensicsSnapshot;
-use tocttou_os::metrics::MetricsSnapshot;
 use tocttou_workloads::scenario::Scenario;
 
 /// Most rounds one in-memory work item holds — the bound on buffered
@@ -108,11 +108,11 @@ pub struct SweepOutcome {
     pub points: Vec<SweepPoint>,
 }
 
-/// Finished items waiting for their predecessors, and the accumulators
-/// they fold into.
+/// Finished items' observations waiting for their predecessors, and the
+/// accumulators they fold into.
 struct InOrder {
     next: usize,
-    early: BTreeMap<usize, (Vec<RoundObs>, MetricsSnapshot, ForensicsSnapshot)>,
+    early: BTreeMap<usize, Vec<RoundObs>>,
     accs: Vec<PointAcc>,
 }
 
@@ -120,8 +120,9 @@ struct InOrder {
 /// rounds in round order — the in-memory path of [`run_sweep`] and
 /// [`run_mc`](crate::monte_carlo::run_mc).
 ///
-/// Items are folded as soon as every earlier item has arrived, so only
-/// items that finished out of order are held.
+/// Metrics and forensics merge as each item arrives; its observations
+/// fold as soon as every earlier item has arrived. The executor runs the
+/// items under [`Order::Index`], so at most one item per worker waits.
 pub(crate) fn fold_points(plan: &Plan<'_>, rounds: u64) -> Vec<PointAcc> {
     let points = plan.scenarios.len();
     // At least one item per worker on a lone point, at most the cap.
@@ -135,13 +136,14 @@ pub(crate) fn fold_points(plan: &Plan<'_>, rounds: u64) -> Vec<PointAcc> {
         early: BTreeMap::new(),
         accs: (0..points).map(|_| PointAcc::new()).collect(),
     });
-    let Ok(()) = execute::<Infallible>(plan, &items, |idx, obs, pool| {
-        let block = (obs, pool.drain_metrics(), pool.drain_forensics());
+    let Ok(()) = execute::<Infallible>(plan, &items, Order::Index, |idx, obs, pool| {
+        let (metrics, forensics) = (pool.drain_metrics(), pool.drain_forensics());
         let mut guard = state.lock().expect("fold state poisoned");
         let s = &mut *guard;
-        s.early.insert(idx, block);
-        while let Some((obs, metrics, forensics)) = s.early.remove(&s.next) {
-            s.accs[items[s.next].point].fold_block(obs, &metrics, &forensics);
+        s.accs[items[idx].point].merge_counters(&metrics, &forensics);
+        s.early.insert(idx, obs);
+        while let Some(obs) = s.early.remove(&s.next) {
+            s.accs[items[s.next].point].fold_obs(obs);
             s.next += 1;
         }
         Ok(())

@@ -9,11 +9,12 @@ use crate::attacker::{
     AttackFlag, AttackerConfig, AttackerHardlink, AttackerV1, AttackerV2, PipelinedDetector,
     PipelinedLinker,
 };
-use crate::dsl::{self, AttackerProfile, CompiledVictim};
+use crate::dsl::{self, AttackerProfile, CallSpec, CompiledVictim, FileSpec, Step};
 use crate::gedit::{GeditConfig, GeditSave};
 use crate::vi::{ViConfig, ViSave};
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 use tocttou_os::defense::DefensePolicy;
 use tocttou_os::ids::{Gid, Pid, Uid};
 use tocttou_os::kernel::{Checkpoint, Kernel, KernelPool};
@@ -576,6 +577,54 @@ impl Scenario {
         Some(restricted)
     }
 
+    /// An equal scenario that shares no allocation with `self`: every
+    /// `Arc` path, trace and strike is freshly allocated.
+    ///
+    /// Rounds clone the scenario's path `Arc`s into every syscall they
+    /// issue, so threads running one shared scenario contend on its
+    /// reference counts; each executor worker runs on its own copy
+    /// instead. Aliasing carries over (two handles to one `Arc` become two
+    /// handles to one new `Arc`), so the kernel's pointer-equality fast
+    /// path for paths hits exactly as often, and rounds are byte-identical.
+    pub fn detached(&self) -> Scenario {
+        let Scenario {
+            name,
+            machine,
+            victim,
+            attacker,
+            layout,
+            max_round,
+            defense,
+        } = self;
+        let mut d = Detach::default();
+        let victim = match victim {
+            VictimSpec::Vi(cfg) => VictimSpec::Vi(d.vi(cfg)),
+            VictimSpec::Gedit(cfg) => VictimSpec::Gedit(d.gedit(cfg)),
+            VictimSpec::Compiled(cfg) => VictimSpec::Compiled(d.compiled(cfg)),
+        };
+        let attacker = match attacker {
+            AttackerSpec::V1(cfg) => AttackerSpec::V1(d.attacker(cfg)),
+            AttackerSpec::V2(cfg) => AttackerSpec::V2(d.attacker(cfg)),
+            AttackerSpec::Hardlink(cfg) => AttackerSpec::Hardlink(d.attacker(cfg)),
+            AttackerSpec::Pipelined { cfg, poll_gap } => AttackerSpec::Pipelined {
+                cfg: d.attacker(cfg),
+                poll_gap: *poll_gap,
+            },
+            AttackerSpec::Compiled(profiles) => {
+                AttackerSpec::Compiled(profiles.iter().map(|p| d.profile(p)).collect())
+            }
+        };
+        Scenario {
+            name: name.clone(),
+            machine: machine.clone(),
+            victim,
+            attacker,
+            layout: layout.clone(),
+            max_round: *max_round,
+            defense: *defense,
+        }
+    }
+
     // ---- named paper scenarios -------------------------------------------
 
     /// Section 4.1 / Figure 6: vi on the uniprocessor. The editing prologue
@@ -795,6 +844,232 @@ impl Scenario {
             s.attacker = AttackerSpec::V1(cfg);
         }
         s
+    }
+}
+
+/// One fresh copy per original allocation: a second handle to an
+/// already-copied buffer gets a handle to the same copy.
+struct Fresh<T: ?Sized>(Vec<(*const (), Arc<T>)>);
+
+impl<T: ?Sized> Default for Fresh<T> {
+    fn default() -> Self {
+        Fresh(Vec::new())
+    }
+}
+
+impl<T: ?Sized> Fresh<T> {
+    fn get(&mut self, orig: &Arc<T>, copy: impl FnOnce(&T) -> Arc<T>) -> Arc<T> {
+        let key = Arc::as_ptr(orig).cast::<()>();
+        if let Some((_, c)) = self.0.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(c);
+        }
+        let c = copy(orig);
+        self.0.push((key, Arc::clone(&c)));
+        c
+    }
+}
+
+/// The fresh allocations of one [`Scenario::detached`] call. Every config
+/// is destructured without `..`, so a new shared field fails to compile
+/// here instead of staying shared.
+#[derive(Default)]
+struct Detach {
+    strs: Fresh<str>,
+    steps: Fresh<[Step]>,
+    strikes: Fresh<[CallSpec]>,
+    files: Fresh<[FileSpec]>,
+}
+
+impl Detach {
+    fn str(&mut self, s: &Arc<str>) -> Arc<str> {
+        self.strs.get(s, |s| Arc::from(s))
+    }
+
+    fn vi(&mut self, cfg: &ViConfig) -> ViConfig {
+        let ViConfig {
+            wfname,
+            backup,
+            file_size,
+            chunk,
+            owner,
+            prologue,
+            inter_call_gap,
+            post_close_gap,
+            gap_jitter_us,
+            write_block,
+        } = cfg;
+        ViConfig {
+            wfname: self.str(wfname),
+            backup: self.str(backup),
+            file_size: *file_size,
+            chunk: *chunk,
+            owner: *owner,
+            prologue: prologue.clone(),
+            inter_call_gap: *inter_call_gap,
+            post_close_gap: *post_close_gap,
+            gap_jitter_us: *gap_jitter_us,
+            write_block: *write_block,
+        }
+    }
+
+    fn gedit(&mut self, cfg: &GeditConfig) -> GeditConfig {
+        let GeditConfig {
+            real,
+            temp,
+            backup,
+            file_size,
+            chunk,
+            owner,
+            mode,
+            prologue,
+            rename_chmod_gap,
+            chmod_chown_gap,
+            inter_call_gap,
+            gap_jitter_us,
+        } = cfg;
+        GeditConfig {
+            real: self.str(real),
+            temp: self.str(temp),
+            backup: self.str(backup),
+            file_size: *file_size,
+            chunk: *chunk,
+            owner: *owner,
+            mode: *mode,
+            prologue: prologue.clone(),
+            rename_chmod_gap: *rename_chmod_gap,
+            chmod_chown_gap: *chmod_chown_gap,
+            inter_call_gap: *inter_call_gap,
+            gap_jitter_us: *gap_jitter_us,
+        }
+    }
+
+    fn attacker(&mut self, cfg: &AttackerConfig) -> AttackerConfig {
+        let AttackerConfig {
+            target,
+            privileged,
+            dummy,
+            loop_gap,
+            check_gap,
+            start_delay,
+            jitter_us,
+        } = cfg;
+        AttackerConfig {
+            target: self.str(target),
+            privileged: self.str(privileged),
+            dummy: self.str(dummy),
+            loop_gap: *loop_gap,
+            check_gap: *check_gap,
+            start_delay: *start_delay,
+            jitter_us: *jitter_us,
+        }
+    }
+
+    fn compiled(&mut self, cfg: &CompiledVictim) -> CompiledVictim {
+        let CompiledVictim {
+            name,
+            steps,
+            doc_size,
+            pair,
+            extra_files,
+            success,
+        } = cfg;
+        CompiledVictim {
+            name: name.clone(),
+            steps: self.steps.get(steps, |steps| {
+                steps
+                    .iter()
+                    .map(|s| detach_step(&mut self.strs, s))
+                    .collect()
+            }),
+            doc_size: *doc_size,
+            pair: *pair,
+            extra_files: self.files.get(extra_files, |f| Arc::from(f)),
+            success: *success,
+        }
+    }
+
+    fn profile(&mut self, prof: &AttackerProfile) -> AttackerProfile {
+        let AttackerProfile {
+            name,
+            pretouch,
+            watch,
+            trigger,
+            strike,
+            start_delay,
+            loop_gap,
+            check_gap,
+            jitter_us,
+        } = prof;
+        AttackerProfile {
+            name: name.clone(),
+            pretouch: *pretouch,
+            watch: self.str(watch),
+            trigger: *trigger,
+            strike: self.strikes.get(strike, |calls| {
+                calls
+                    .iter()
+                    .map(|c| detach_call(&mut self.strs, c))
+                    .collect()
+            }),
+            start_delay: *start_delay,
+            loop_gap: *loop_gap,
+            check_gap: *check_gap,
+            jitter_us: *jitter_us,
+        }
+    }
+}
+
+fn detach_step(strs: &mut Fresh<str>, step: &Step) -> Step {
+    match step {
+        Step::Think(dist) => Step::Think(dist.clone()),
+        Step::Gap { base, jitter_us } => Step::Gap {
+            base: *base,
+            jitter_us: *jitter_us,
+        },
+        Step::Call { call, expect } => Step::Call {
+            call: detach_call(strs, call),
+            expect: *expect,
+        },
+        Step::WriteLoop { bytes, chunk } => Step::WriteLoop {
+            bytes: *bytes,
+            chunk: *chunk,
+        },
+    }
+}
+
+fn detach_call(strs: &mut Fresh<str>, call: &CallSpec) -> CallSpec {
+    let mut s = |p: &Arc<str>| strs.get(p, |p| Arc::from(p));
+    match call {
+        CallSpec::Stat(p) => CallSpec::Stat(s(p)),
+        CallSpec::Lstat(p) => CallSpec::Lstat(s(p)),
+        CallSpec::Access(p) => CallSpec::Access(s(p)),
+        CallSpec::Open(p) => CallSpec::Open(s(p)),
+        CallSpec::OpenCreate(p) => CallSpec::OpenCreate(s(p)),
+        CallSpec::WriteFd { bytes } => CallSpec::WriteFd { bytes: *bytes },
+        CallSpec::CloseFd => CallSpec::CloseFd,
+        CallSpec::Unlink(p) => CallSpec::Unlink(s(p)),
+        CallSpec::Mkdir(p) => CallSpec::Mkdir(s(p)),
+        CallSpec::Rename { from, to } => CallSpec::Rename {
+            from: s(from),
+            to: s(to),
+        },
+        CallSpec::Symlink { target, linkpath } => CallSpec::Symlink {
+            target: s(target),
+            linkpath: s(linkpath),
+        },
+        CallSpec::Link { existing, linkpath } => CallSpec::Link {
+            existing: s(existing),
+            linkpath: s(linkpath),
+        },
+        CallSpec::Chmod { path, mode } => CallSpec::Chmod {
+            path: s(path),
+            mode: *mode,
+        },
+        CallSpec::Chown { path, uid, gid } => CallSpec::Chown {
+            path: s(path),
+            uid: *uid,
+            gid: *gid,
+        },
     }
 }
 
@@ -1030,6 +1305,136 @@ mod tests {
                 scenario.name
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod detach_tests {
+    use super::*;
+    use crate::dsl::{library, ScenarioSpec};
+
+    /// Every `Scenario::*` constructor, every attacker kind and every
+    /// DSL library entry.
+    fn every_scenario() -> Vec<Scenario> {
+        let mut all = vec![
+            Scenario::vi_uniprocessor(2048),
+            Scenario::vi_uniprocessor(2048)
+                .restrict_laxity(90_000_000, 100_000_000)
+                .unwrap(),
+            Scenario::vi_smp(2048),
+            Scenario::vi_smp(2048).with_defense(DefensePolicy::Edgi),
+            Scenario::gedit_uniprocessor(2048),
+            Scenario::gedit_smp(2048),
+            Scenario::gedit_multicore_v1(2048),
+            Scenario::gedit_multicore_v2(2048),
+            Scenario::pipelined_attack(512),
+            Scenario::sequential_attack(512),
+            Scenario::hardlink_vi_smp(2048),
+        ];
+        let oracles: [fn(u64) -> ScenarioSpec; 3] = [
+            library::vi_smp_spec,
+            library::gedit_smp_spec,
+            library::hardlink_vi_smp_spec,
+        ];
+        all.extend(oracles.map(|f| f(2048).compile()));
+        all.extend(library::taxonomy_library(None).into_iter().map(|(_, s)| s));
+        all
+    }
+
+    fn ptr<T: ?Sized>(a: &Arc<T>) -> *const () {
+        Arc::as_ptr(a).cast()
+    }
+
+    fn call_arcs(call: &CallSpec, out: &mut Vec<*const ()>) {
+        match call {
+            CallSpec::Stat(p)
+            | CallSpec::Lstat(p)
+            | CallSpec::Access(p)
+            | CallSpec::Open(p)
+            | CallSpec::OpenCreate(p)
+            | CallSpec::Unlink(p)
+            | CallSpec::Mkdir(p)
+            | CallSpec::Chmod { path: p, .. }
+            | CallSpec::Chown { path: p, .. } => out.push(ptr(p)),
+            CallSpec::Rename { from: a, to: b }
+            | CallSpec::Symlink {
+                target: a,
+                linkpath: b,
+            }
+            | CallSpec::Link {
+                existing: a,
+                linkpath: b,
+            } => out.extend([ptr(a), ptr(b)]),
+            CallSpec::WriteFd { .. } | CallSpec::CloseFd => {}
+        }
+    }
+
+    /// Every `Arc` allocation a scenario holds, in a fixed walk order.
+    fn arcs(s: &Scenario) -> Vec<*const ()> {
+        let mut out = Vec::new();
+        match &s.victim {
+            VictimSpec::Vi(c) => out.extend([ptr(&c.wfname), ptr(&c.backup)]),
+            VictimSpec::Gedit(c) => out.extend([ptr(&c.real), ptr(&c.temp), ptr(&c.backup)]),
+            VictimSpec::Compiled(c) => {
+                out.extend([ptr(&c.steps), ptr(&c.extra_files)]);
+                for step in c.steps.iter() {
+                    if let Step::Call { call, .. } = step {
+                        call_arcs(call, &mut out);
+                    }
+                }
+            }
+        }
+        match &s.attacker {
+            AttackerSpec::V1(c)
+            | AttackerSpec::V2(c)
+            | AttackerSpec::Hardlink(c)
+            | AttackerSpec::Pipelined { cfg: c, .. } => {
+                out.extend([ptr(&c.target), ptr(&c.privileged), ptr(&c.dummy)]);
+            }
+            AttackerSpec::Compiled(profiles) => {
+                for p in profiles {
+                    out.extend([ptr(&p.watch), ptr(&p.strike)]);
+                    for call in p.strike.iter() {
+                        call_arcs(call, &mut out);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn detached_copies_are_equal_and_share_nothing() {
+        let mut aliased = 0;
+        for orig in every_scenario() {
+            let copy = orig.detached();
+            let name = &orig.name;
+            assert_eq!(format!("{orig:?}"), format!("{copy:?}"), "{name}");
+            for seed in 0..5 {
+                assert_eq!(
+                    orig.run_round(seed),
+                    copy.run_round(seed),
+                    "{name} seed {seed}"
+                );
+            }
+            let (a, b) = (arcs(&orig), arcs(&copy));
+            assert_eq!(a.len(), b.len(), "{name}");
+            assert!(
+                b.iter().all(|p| !a.contains(p)),
+                "{name}: copy shares an Arc"
+            );
+            for i in 0..a.len() {
+                for j in 0..i {
+                    assert_eq!(
+                        a[i] == a[j],
+                        b[i] == b[j],
+                        "{name}: aliasing of {j} and {i}"
+                    );
+                    aliased += usize::from(a[i] == a[j]);
+                }
+            }
+        }
+        assert!(aliased > 0, "some scenario shares an Arc between fields");
     }
 }
 

@@ -97,6 +97,30 @@ fn mc_jobs_never_change_the_outcome() {
     }
 }
 
+/// Each worker runs its rounds on its own detached copy of the scenario,
+/// so the copies must not change a byte of the outcome: not for the
+/// preemption-heavy uniprocessor vi, and not for a DSL scenario whose
+/// attackers share path `Arc`s with each other.
+#[test]
+fn detached_worker_copies_keep_outcomes_jobs_invariant() {
+    let contest = tocttou::workloads::dsl::library::swap_contest(2048).compile();
+    for scenario in [Scenario::vi_uniprocessor(2048), contest] {
+        let cfg = McConfig {
+            rounds: 600,
+            base_seed: 0xDE7A,
+            collect_ld: false,
+            jobs: 1,
+            cold: false,
+        };
+        let serial = serde_json::to_string(&run_mc(&scenario, &cfg)).unwrap();
+        for jobs in [2, 4] {
+            let par =
+                serde_json::to_string(&run_mc(&scenario, &cfg.clone().with_jobs(jobs))).unwrap();
+            assert_eq!(serial, par, "{}: jobs={jobs} diverged", scenario.name);
+        }
+    }
+}
+
 /// The detection-event stream must be bit-identical across `jobs` values:
 /// every round's event count, order and fields are hashed into an
 /// order-sensitive fingerprint, the per-round fingerprints are chained in
