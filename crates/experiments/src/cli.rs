@@ -12,6 +12,28 @@
 
 use crate::grid::{Family, Grid, GridKind};
 
+/// The largest `--rounds` any binary accepts: 2^24 = 16,777,216 rounds per
+/// grid point, sixteen times the largest run the docs use.
+///
+/// The drivers cut a point's rounds into blocks of at most
+/// `MAX_ITEM_ROUNDS` = 256 and list every block before running any, so one
+/// point's list holds at most 2^24 / 2^8 = 65,536 blocks of 24 bytes: 1.5
+/// MiB. Beyond the ceiling the list alone can exhaust memory (`--rounds
+/// 18446744073709551615` asks for 7.2 × 10^16 blocks).
+const MAX_ROUNDS: u64 = 1 << 24;
+const _: () = assert!(
+    MAX_ROUNDS / crate::sweep::MAX_ITEM_ROUNDS
+        * std::mem::size_of::<crate::executor::Block>() as u64
+        == 3 << 19,
+    "one point's block list at MAX_ROUNDS is 1.5 MiB"
+);
+
+/// The largest `--points` a grid accepts. A grid point costs about 712
+/// bytes, and each point adds its own block list, so at [`MAX_ROUNDS`] a
+/// grid of `MAX_POINTS` = 256 points lists at most 256 × 1.5 MiB = 384 MiB
+/// of blocks; at the default 200 rounds, one block per point.
+const MAX_POINTS: usize = 256;
+
 /// The `--rounds` / `--seed` / `--jobs` / `--cold` / `--anatomy` /
 /// `--perfetto` flags shared by the binaries.
 ///
@@ -53,7 +75,13 @@ impl CommonArgs {
     ) -> Result<bool, String> {
         match arg {
             "--rounds" => {
-                self.rounds = Some(parse_value(arg, rest)?);
+                let rounds = parse_value(arg, rest)?;
+                if rounds > MAX_ROUNDS {
+                    return Err(format!(
+                        "invalid --rounds {rounds}: at most {MAX_ROUNDS} rounds per point"
+                    ));
+                }
+                self.rounds = Some(rounds);
                 Ok(true)
             }
             "--seed" => {
@@ -159,14 +187,20 @@ impl GridArgs {
     ///
     /// # Errors
     ///
-    /// Returns a usage message when `--grid` was never given or
-    /// `--points 0` was requested.
+    /// Returns a usage message when `--grid` was never given, or
+    /// `--points` is 0 or above [`MAX_POINTS`].
     pub fn build_grid(&self) -> Result<Grid, String> {
         let kind = self
             .grid
             .ok_or("missing --grid <d|size|cpus|pipelined|swap|taxonomy>".to_string())?;
-        if self.points == Some(0) {
-            return Err("invalid --points 0: a grid needs at least one point".into());
+        match self.points {
+            Some(0) => return Err("invalid --points 0: a grid needs at least one point".into()),
+            Some(n) if n > MAX_POINTS => {
+                return Err(format!(
+                    "invalid --points {n}: a grid has at most {MAX_POINTS} points"
+                ))
+            }
+            _ => {}
         }
         let family = self.family.unwrap_or(Family::GeditSmp);
         let file_size = self
@@ -245,6 +279,17 @@ mod tests {
     }
 
     #[test]
+    fn rounds_above_the_ceiling_are_rejected() {
+        let (c, _) = parse(&["--rounds", &MAX_ROUNDS.to_string()]).unwrap();
+        assert_eq!(c.rounds, Some(MAX_ROUNDS));
+        let err = parse(&["--rounds", "18446744073709551615"]).unwrap_err();
+        assert!(
+            err.starts_with("invalid --rounds 18446744073709551615: "),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn forensics_flags_parse_everywhere() {
         let (c, rest) = parse(&["--anatomy", "--perfetto", "out.json", "vi-smp"]).unwrap();
         assert!(c.anatomy);
@@ -303,6 +348,17 @@ mod tests {
         let (g, _) = parse_grid(&["--grid", "d", "--points", "0"]).unwrap();
         let err = g.build_grid().unwrap_err();
         assert!(err.contains("--points 0"), "{err}");
+    }
+
+    #[test]
+    fn grid_args_reject_points_above_the_ceiling() {
+        let points = |n: usize| {
+            let (g, _) = parse_grid(&["--grid", "d", "--points", &n.to_string()]).unwrap();
+            g.build_grid()
+        };
+        assert_eq!(points(MAX_POINTS).unwrap().len(), MAX_POINTS);
+        let err = points(100_000_000).unwrap_err();
+        assert!(err.starts_with("invalid --points 100000000: "), "{err}");
     }
 
     #[test]

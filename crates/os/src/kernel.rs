@@ -23,7 +23,7 @@ use crate::detect::{fs_call_of, DetectionEvent};
 use crate::error::OsError;
 use crate::event::OsEvent;
 use crate::forensics::{ForensicsSnapshot, WindowForensics, WindowForensicsMut};
-use crate::ids::{CpuId, Gid, Pid, Uid};
+use crate::ids::{CpuId, Gid, Ino, Pid, Uid};
 use crate::machine::MachineSpec;
 use crate::metrics::KernelMetrics;
 use crate::process::{
@@ -32,8 +32,8 @@ use crate::process::{
 };
 use crate::sem::SemTable;
 use crate::spans::SpanTracker;
-use crate::syscall::{compile, CommitStep, CpuKind, Phase};
-use crate::vfs::{InodeMeta, Vfs};
+use crate::syscall::{compile, CommitStep, CostTable, CpuKind, Phase};
+use crate::vfs::{InodeMeta, StatBuf, Vfs};
 use crate::window::{CommitClass, FsCommit, RaceWindows};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -120,6 +120,7 @@ pub struct KernelPool {
 #[derive(Clone)]
 pub struct Checkpoint {
     spec: MachineSpec,
+    cost_table: CostTable,
     now: SimTime,
     queue: QueueSnapshot<Event>,
     cpus: Vec<Cpu>,
@@ -158,6 +159,7 @@ impl Checkpoint {
         let mut kernel = Kernel {
             cpus: pool.cpus,
             spec: self.spec.clone(),
+            cost_table: self.cost_table,
             now: self.now,
             queue: pool.queue,
             rng: SimRng::seed_from_u64(seed),
@@ -173,6 +175,7 @@ impl Checkpoint {
             spans: pool.spans,
             spare: pool.spare,
             bg_armed: false,
+            stat_memo: None,
         };
         kernel.arm_background();
         kernel
@@ -258,6 +261,8 @@ impl KernelPool {
 /// The simulated machine kernel.
 pub struct Kernel {
     spec: MachineSpec,
+    /// The fixed syscall costs of `spec`, computed once at boot.
+    cost_table: CostTable,
     now: SimTime,
     queue: EventQueue<Event>,
     rng: SimRng,
@@ -279,6 +284,25 @@ pub struct Kernel {
     /// Arming draws from the per-round RNG, so it marks the divergence
     /// point: a [`Checkpoint`] may only be taken while this is `false`.
     bg_armed: bool,
+    /// The last `stat`/`lstat` resolution (see [`StatMemo`]). Lives only
+    /// inside one round: neither the pool nor a checkpoint carries it.
+    stat_memo: Option<StatMemo>,
+}
+
+/// A one-entry memo of the inode a `stat` sample resolved to.
+///
+/// An attacker's checking loop samples the same path, through the same
+/// `Arc`, thousands of times per round while its binding does not change.
+/// A sample whose path is that `Arc` (pointer-equal; the memo's own clone
+/// keeps the address from being reused) with the same `follow` skips the
+/// path walk. Only the resolution is memoised: the `StatBuf` is always
+/// built from the inode's current metadata, so `chmod`, `chown` and
+/// appends show through. Every commit that can change a name binding
+/// clears the memo, and so does [`Kernel::vfs_mut`].
+struct StatMemo {
+    path: Arc<str>,
+    follow: bool,
+    ino: Result<Ino, OsError>,
 }
 
 impl Kernel {
@@ -330,6 +354,7 @@ impl Kernel {
         pool.vfs.reset();
         Kernel {
             cpus: pool.cpus,
+            cost_table: CostTable::new(&spec.costs, spec.speed_factor),
             spec,
             now: SimTime::ZERO,
             queue: pool.queue,
@@ -346,6 +371,7 @@ impl Kernel {
             spans: pool.spans,
             spare: pool.spare,
             bg_armed: false,
+            stat_memo: None,
         }
     }
 
@@ -412,6 +438,7 @@ impl Kernel {
         );
         Checkpoint {
             spec: self.spec.clone(),
+            cost_table: self.cost_table,
             now: self.now,
             queue: self.queue.snapshot(),
             cpus: self.cpus.clone(),
@@ -448,6 +475,7 @@ impl Kernel {
 
     /// Mutable filesystem access (experiment setup).
     pub fn vfs_mut(&mut self) -> &mut Vfs {
+        self.stat_memo = None;
         &mut self.vfs
     }
 
@@ -937,12 +965,12 @@ impl Kernel {
                 // allocation across syscalls.
                 let mut phases = std::mem::take(&mut self.procs[pid.index()].phases);
                 let name = compile(
-                    &req,
+                    req,
                     &mut self.procs[pid.index()],
                     &self.vfs,
                     &self.sems,
                     &self.spec.costs,
-                    self.spec.speed_factor,
+                    &self.cost_table,
                     &mut phases,
                 );
                 let p = &mut self.procs[pid.index()];
@@ -1044,9 +1072,41 @@ impl Kernel {
         true
     }
 
+    /// `stat` (`follow`) or `lstat` of `path`, resolving through the
+    /// one-entry [`StatMemo`]. Debug builds check every sample against the
+    /// uncached [`Vfs::stat`] / [`Vfs::lstat`].
+    fn stat_sample(&mut self, path: &Arc<str>, follow: bool) -> Result<StatBuf, OsError> {
+        let ino = match &self.stat_memo {
+            Some(m) if m.follow == follow && Arc::ptr_eq(&m.path, path) => m.ino,
+            _ => {
+                let ino = self.vfs.stat_target(path, follow);
+                self.stat_memo = Some(StatMemo {
+                    path: Arc::clone(path),
+                    follow,
+                    ino,
+                });
+                ino
+            }
+        };
+        let r = ino.and_then(|ino| self.vfs.stat_of(ino, follow));
+        debug_assert_eq!(
+            r,
+            if follow {
+                self.vfs.stat(path)
+            } else {
+                self.vfs.lstat(path)
+            },
+            "memoised stat of {path} diverged from the uncached walk"
+        );
+        r
+    }
+
     fn execute_commit(&mut self, pid: Pid, step: CommitStep) {
         use CommitClass::{Check, Mutation, Use};
         self.metrics.on_vfs_op();
+        if step.rebinds() {
+            self.stat_memo = None;
+        }
         let (uid, gid) = {
             let p = &self.procs[pid.index()];
             (p.uid, p.gid)
@@ -1058,11 +1118,7 @@ impl Kernel {
         };
         match step {
             CommitStep::StatSample { path, follow } => {
-                let r = if follow {
-                    self.vfs.stat(&path)
-                } else {
-                    self.vfs.lstat(&path)
-                };
+                let r = self.stat_sample(&path, follow);
                 // stat/lstat/access compile to the same sample; recover the
                 // taxonomy call from the syscall in flight.
                 let check = self.procs[pid.index()]

@@ -4,8 +4,14 @@
 use crate::ids::{Gid, Pid, Uid};
 use crate::kernel::{Kernel, RunOutcome};
 use crate::machine::{BackgroundSpec, MachineSpec};
-use crate::process::{Action, LogicCtx, ProcState, SyscallRequest, SyscallResult};
+use crate::process::{
+    Action, LogicCtx, ProcState, RetVal, SyscallName, SyscallRequest, SyscallResult,
+};
 use crate::vfs::InodeMeta;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+use std::sync::Arc;
 use tocttou_sim::dist::DurationDist;
 use tocttou_sim::time::{SimDuration, SimTime};
 
@@ -545,4 +551,172 @@ fn defense_denial_is_traced() {
         .trace()
         .iter()
         .any(|r| matches!(r.event, crate::event::OsEvent::DefenseDenied { .. })));
+}
+
+/// A process the test feeds one action at a time: it naps while its queue
+/// is empty and records every result except its naps.
+#[derive(Clone, Default)]
+struct Fed {
+    todo: Rc<RefCell<VecDeque<Action>>>,
+    done: Rc<RefCell<Vec<SyscallResult>>>,
+}
+
+impl crate::process::ProcessLogic for Fed {
+    fn next_action(&mut self, _ctx: &LogicCtx, last: Option<&SyscallResult>) -> Action {
+        if let Some(r) = last.filter(|r| r.call != SyscallName::Sleep) {
+            self.done.borrow_mut().push(r.clone());
+        }
+        self.todo
+            .borrow_mut()
+            .pop_front()
+            .unwrap_or(Action::Syscall(SyscallRequest::Sleep {
+                duration: SimDuration::from_micros(50),
+            }))
+    }
+}
+
+impl Fed {
+    /// Queues `req` and runs the kernel until its result is in.
+    fn call(&self, k: &mut Kernel, req: SyscallRequest) -> SyscallResult {
+        let want = self.done.borrow().len() + 1;
+        self.todo.borrow_mut().push_back(Action::Syscall(req));
+        let outcome = k.run_until(|_| self.done.borrow().len() >= want, SimTime::from_secs(1));
+        assert_eq!(outcome, RunOutcome::StopConditionMet);
+        self.done.borrow()[want - 1].clone()
+    }
+}
+
+/// The kernel's one-entry stat memo never serves a stale resolution.
+///
+/// A sampler `stat`s and `lstat`s one path through one `Arc` while a
+/// mutator rebinds that name every way the kernel can (unlink, symlink,
+/// rename over it, create, hard link, mkdir, renaming its directory) and
+/// changes its metadata (chmod, chown, append). After every mutator call
+/// each sample must equal a fresh, uncached `Vfs::stat`/`lstat`. The
+/// sampler starts each round with the kind of sample it ended the previous
+/// one with, so without invalidation that first sample would hit a memo
+/// taken before the mutation.
+#[test]
+fn stat_memo_follows_every_rebinding() {
+    let mut k = quiet_kernel(MachineSpec::multicore_pentium_d());
+    let user = InodeMeta {
+        uid: Uid(1000),
+        gid: Gid(1000),
+        mode: 0o644,
+    };
+    k.vfs_mut().create_file("/d/f", user).unwrap();
+    k.vfs_mut().create_file("/d/secret", root_meta()).unwrap();
+    let path: Arc<str> = "/d/f".into();
+    let p = || path.clone();
+    let (sampler, mutator) = (Fed::default(), Fed::default());
+    k.spawn(
+        "sampler",
+        Uid(1000),
+        Gid(1000),
+        true,
+        Box::new(sampler.clone()),
+    );
+    k.spawn(
+        "mutator",
+        Uid::ROOT,
+        Gid::ROOT,
+        true,
+        Box::new(mutator.clone()),
+    );
+
+    let steps = [
+        SyscallRequest::Unlink { path: p() },
+        SyscallRequest::Symlink {
+            target: "/d/secret".into(),
+            linkpath: p(),
+        },
+        SyscallRequest::OpenCreate {
+            path: "/d/g".into(),
+        },
+        SyscallRequest::Rename {
+            from: "/d/g".into(),
+            to: p(),
+        },
+        SyscallRequest::Unlink { path: p() },
+        SyscallRequest::OpenCreate { path: p() },
+        SyscallRequest::Link {
+            existing: p(),
+            linkpath: "/d/h".into(),
+        },
+        SyscallRequest::Mkdir {
+            path: "/d/sub".into(),
+        },
+        SyscallRequest::Unlink { path: p() },
+        SyscallRequest::Mkdir { path: p() },
+        SyscallRequest::Rename {
+            from: p(),
+            to: "/d/old".into(),
+        },
+        SyscallRequest::Link {
+            existing: "/d/secret".into(),
+            linkpath: p(),
+        },
+        SyscallRequest::Rename {
+            from: "/d".into(),
+            to: "/e".into(),
+        },
+        SyscallRequest::Rename {
+            from: "/e".into(),
+            to: "/d".into(),
+        },
+        SyscallRequest::Chmod {
+            path: p(),
+            mode: 0o4755,
+        },
+        SyscallRequest::Chown {
+            path: p(),
+            uid: Uid(1000),
+            gid: Gid(1000),
+        },
+    ];
+    let mut follow = true;
+    samples_match(&mut k, &sampler, &path, &mut follow, "boot");
+    let mut mutate = |k: &mut Kernel, req: SyscallRequest| {
+        let r = mutator.call(k, req.clone());
+        assert!(r.is_ok(), "{req:?}: {r:?}");
+        samples_match(k, &sampler, &path, &mut follow, &format!("{req:?}"));
+        r
+    };
+    for req in steps {
+        mutate(&mut k, req);
+    }
+    let fd = mutate(&mut k, SyscallRequest::Open { path: p() })
+        .fd()
+        .expect("open returns an fd");
+    mutate(&mut k, SyscallRequest::Write { fd, bytes: 4096 });
+    mutate(&mut k, SyscallRequest::Close { fd });
+    assert_eq!(k.vfs().stat(&path).unwrap().size, 4096, "the append landed");
+}
+
+/// Samples `path` twice by `stat` and twice by `lstat`, starting with the
+/// kind `follow` names, and checks each against an uncached walk. Leaves
+/// `follow` on the kind sampled last, which the next call starts with.
+fn samples_match(k: &mut Kernel, sampler: &Fed, path: &Arc<str>, follow: &mut bool, after: &str) {
+    for _ in 0..2 {
+        for _ in 0..2 {
+            let req = if *follow {
+                SyscallRequest::Stat { path: path.clone() }
+            } else {
+                SyscallRequest::Lstat { path: path.clone() }
+            };
+            let got = sampler.call(k, req);
+            let fresh = if *follow {
+                k.vfs().stat(path)
+            } else {
+                k.vfs().lstat(path)
+            };
+            assert_eq!(
+                got.ret,
+                fresh.map(RetVal::Stat),
+                "after {after}, follow {follow}"
+            );
+        }
+        *follow = !*follow;
+    }
+    *follow = !*follow;
 }

@@ -20,6 +20,13 @@
 //! ([`crate::detect`]): a commit is the instant a syscall's namespace
 //! effect becomes visible, so hooking commits gives both subsystems the
 //! exact serialization order the simulated VFS itself saw.
+//!
+//! Compiling is on the path of every simulated syscall, so it re-derives
+//! nothing that cannot change between calls. The fixed costs are
+//! precomputed once per machine into a [`CostTable`] (built at boot and
+//! carried by warm-boot checkpoints); only the byte-size and path-depth
+//! costs are computed per call. The request's paths move into the commit
+//! steps instead of being cloned.
 
 use crate::costs::CostModel;
 use crate::error::OsError;
@@ -157,27 +164,120 @@ pub enum CommitStep {
     Fail(OsError),
 }
 
+impl CommitStep {
+    /// Whether the step can change what a name resolves to: it creates,
+    /// removes or moves a directory entry.
+    pub(crate) fn rebinds(&self) -> bool {
+        matches!(
+            self,
+            CommitStep::CreateFile { .. }
+                | CommitStep::UnlinkDetach { .. }
+                | CommitStep::SymlinkCreate { .. }
+                | CommitStep::LinkCreate { .. }
+                | CommitStep::RenameCommit { .. }
+                | CommitStep::Mkdir { .. }
+        )
+    }
+}
+
+/// Every fixed phase duration [`compile`] charges, computed once per
+/// machine from its [`CostModel`] and `speed_factor`.
+///
+/// Each entry is `SimDuration::from_micros_f64(cost_us * speed)`, the
+/// charge itself, computed once per machine instead of once per call. The
+/// costs that depend on the call stay per call: `write` and the unlink
+/// truncation tail scale with bytes, and the maze cost with the path's
+/// depth.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CostTable {
+    speed: f64,
+    entry: SimDuration,
+    /// `stat` CPU before and after the sample point, indexed by whether the
+    /// directory semaphore was held at entry.
+    stat_head: [SimDuration; 2],
+    stat_tail: [SimDuration; 2],
+    open_create: SimDuration,
+    open_existing: SimDuration,
+    close: SimDuration,
+    unlink_detach: SimDuration,
+    symlink: SimDuration,
+    link: SimDuration,
+    rename_visible: SimDuration,
+    rename_tail: SimDuration,
+    chmod: SimDuration,
+    chown: SimDuration,
+    mkdir: SimDuration,
+    readlink: SimDuration,
+    trap: SimDuration,
+    /// The resolve walk a `chmod`/`chown` of a missing name still pays.
+    enoent_resolve: SimDuration,
+}
+
+impl CostTable {
+    /// The table for a machine with cost model `costs` and speed factor
+    /// `speed`.
+    pub(crate) fn new(costs: &CostModel, speed: f64) -> Self {
+        let scaled = |cost_us: f64| us(cost_us, speed);
+        let stat = |contended: bool| {
+            let total = costs.stat_total_us(contended);
+            let tail = costs.stat_sample_tail_us.min(total);
+            (scaled(total - tail), scaled(tail))
+        };
+        let (free_head, free_tail) = stat(false);
+        let (held_head, held_tail) = stat(true);
+        let rename_visible = costs.rename_us * costs.rename_visible_frac;
+        CostTable {
+            speed,
+            entry: scaled(costs.syscall_entry_us),
+            stat_head: [free_head, held_head],
+            stat_tail: [free_tail, held_tail],
+            open_create: scaled(costs.open_create_us),
+            open_existing: scaled(costs.open_existing_us),
+            close: scaled(costs.close_us),
+            unlink_detach: scaled(costs.unlink_detach_us),
+            symlink: scaled(costs.symlink_us),
+            link: scaled(costs.link_us),
+            rename_visible: scaled(rename_visible),
+            rename_tail: scaled(costs.rename_us - rename_visible),
+            chmod: scaled(costs.chmod_us),
+            chown: scaled(costs.chown_us),
+            mkdir: scaled(costs.mkdir_us),
+            readlink: scaled(costs.readlink_us),
+            trap: scaled(costs.trap_us),
+            enoent_resolve: scaled(costs.stat_resolve_us),
+        }
+    }
+}
+
 fn us(costs_us: f64, speed: f64) -> SimDuration {
     SimDuration::from_micros_f64(costs_us * speed)
+}
+
+fn kernel_cpu(dur: SimDuration) -> Phase {
+    Phase::Cpu {
+        dur,
+        kind: CpuKind::Kernel,
+    }
 }
 
 /// Compiles `req` into phases for `proc_`, inserting a page-fault trap if
 /// the wrapper page is unmapped (and mapping it). The phases are written
 /// into `phases` (cleared first) so the kernel can reuse one deque per
 /// process instead of allocating per syscall; the syscall's trace name is
-/// returned.
+/// returned. The request's paths move into the commit steps.
 ///
-/// `speed` is the machine's `speed_factor`; all [`CostModel`] values are
-/// multiplied by it. The semaphore targets are resolved against the current
-/// VFS state (dcache-style lookup); a missing parent directory compiles to
-/// an immediate failure.
+/// `table` holds the machine's fixed costs; `costs` supplies the per-call
+/// ones (write size, maze depth), scaled by the table's speed factor. The
+/// semaphore targets are resolved against the current VFS state
+/// (dcache-style lookup); a missing parent directory compiles to an
+/// immediate failure.
 pub(crate) fn compile(
-    req: &SyscallRequest,
+    req: SyscallRequest,
     proc_: &mut Process,
     vfs: &Vfs,
     sems: &SemTable,
     costs: &CostModel,
-    speed: f64,
+    table: &CostTable,
     phases: &mut VecDeque<Phase>,
 ) -> SyscallName {
     let name = req.name();
@@ -188,7 +288,7 @@ pub(crate) fn compile(
         if !proc_.mapped_pages.contains(&page) {
             proc_.mapped_pages.insert(page);
             phases.push_back(Phase::Cpu {
-                dur: us(costs.trap_us, speed),
+                dur: table.trap,
                 kind: CpuKind::Trap,
             });
         }
@@ -197,19 +297,20 @@ pub(crate) fn compile(
     // Path resolution work scales with the path's depth when the maze cost
     // is enabled (long-pathname victim slowdown, Section 1's enhancement).
     // With no per-component cost the count cannot change the charge
-    // (`x + 0.0 == x`), so stock machines skip counting.
-    let mut entry_us = costs.syscall_entry_us;
-    if costs.resolve_per_component_us != 0.0 {
+    // (`x + 0.0 == x`), so stock machines take the table's entry cost.
+    let entry = if costs.resolve_per_component_us != 0.0 {
         let components = req
             .primary_path()
             .map(|p| p.split('/').filter(|c| !c.is_empty()).count())
             .unwrap_or(0);
-        entry_us += costs.maze_cost_us(components);
-    }
-    phases.push_back(Phase::Cpu {
-        dur: us(entry_us, speed),
-        kind: CpuKind::Kernel,
-    });
+        us(
+            costs.syscall_entry_us + costs.maze_cost_us(components),
+            table.speed,
+        )
+    } else {
+        table.entry
+    };
+    phases.push_back(kernel_cpu(entry));
 
     // Helper: resolve the directory semaphore or fail the whole call.
     let dir_sem = |path: &str, phases: &mut VecDeque<Phase>| -> Option<SemId> {
@@ -222,6 +323,7 @@ pub(crate) fn compile(
         }
     };
 
+    let follow = !matches!(req, SyscallRequest::Lstat { .. });
     match req {
         SyscallRequest::Stat { path }
         | SyscallRequest::Lstat { path }
@@ -232,63 +334,35 @@ pub(crate) fn compile(
             // the probe moot (`x * 1.0 == x`), so it is skipped.
             let contended = costs.stat_contention_factor != 1.0
                 && vfs
-                    .dir_sem_of(path)
+                    .dir_sem_of(&path)
                     .map(|sem| sems.is_held(sem))
                     .unwrap_or(false);
-            let total = costs.stat_total_us(contended);
-            let tail = costs.stat_sample_tail_us.min(total);
-            let head = total - tail;
-            phases.push_back(Phase::Cpu {
-                dur: us(head, speed),
-                kind: CpuKind::Kernel,
-            });
-            phases.push_back(Phase::Commit(CommitStep::StatSample {
-                path: path.clone(),
-                follow: !matches!(req, SyscallRequest::Lstat { .. }),
-            }));
-            phases.push_back(Phase::Cpu {
-                dur: us(tail, speed),
-                kind: CpuKind::Kernel,
-            });
+            let held = usize::from(contended);
+            phases.push_back(kernel_cpu(table.stat_head[held]));
+            phases.push_back(Phase::Commit(CommitStep::StatSample { path, follow }));
+            phases.push_back(kernel_cpu(table.stat_tail[held]));
         }
         SyscallRequest::OpenCreate { path } => {
-            if let Some(sem) = dir_sem(path, phases) {
+            if let Some(sem) = dir_sem(&path, phases) {
                 phases.push_back(Phase::Acquire(sem));
                 // The new entry becomes visible at the end of the create work
                 // (commit), then the semaphore is released.
-                phases.push_back(Phase::Cpu {
-                    dur: us(costs.open_create_us, speed),
-                    kind: CpuKind::Kernel,
-                });
-                phases.push_back(Phase::Commit(CommitStep::CreateFile { path: path.clone() }));
+                phases.push_back(kernel_cpu(table.open_create));
+                phases.push_back(Phase::Commit(CommitStep::CreateFile { path }));
                 phases.push_back(Phase::Release(sem));
             }
         }
         SyscallRequest::Open { path } => {
-            phases.push_back(Phase::Cpu {
-                dur: us(costs.open_existing_us, speed),
-                kind: CpuKind::Kernel,
-            });
-            phases.push_back(Phase::Commit(CommitStep::OpenExisting {
-                path: path.clone(),
-            }));
+            phases.push_back(kernel_cpu(table.open_existing));
+            phases.push_back(Phase::Commit(CommitStep::OpenExisting { path }));
         }
         SyscallRequest::Write { fd, bytes } => {
-            phases.push_back(Phase::Cpu {
-                dur: costs.write_cost(*bytes).mul_f64(speed),
-                kind: CpuKind::Kernel,
-            });
-            phases.push_back(Phase::Commit(CommitStep::Append {
-                fd: *fd,
-                bytes: *bytes,
-            }));
+            phases.push_back(kernel_cpu(costs.write_cost(bytes).mul_f64(table.speed)));
+            phases.push_back(Phase::Commit(CommitStep::Append { fd, bytes }));
         }
         SyscallRequest::Close { fd } => {
-            phases.push_back(Phase::Cpu {
-                dur: us(costs.close_us, speed),
-                kind: CpuKind::Kernel,
-            });
-            phases.push_back(Phase::Commit(CommitStep::CloseFd { fd: *fd }));
+            phases.push_back(kernel_cpu(table.close));
+            phases.push_back(Phase::Commit(CommitStep::CloseFd { fd }));
         }
         SyscallRequest::Unlink { path } => {
             // vfs_unlink locks the parent directory (entry detach) and the
@@ -296,17 +370,12 @@ pub(crate) fn compile(
             // the kernel's dcache lookup. Lock order: directory first, then
             // inode — chmod/chown never take the directory semaphore, so no
             // cycle is possible.
-            match (vfs.dir_sem_of(path), vfs.file_sem_of(path, false)) {
+            match (vfs.dir_sem_of(&path), vfs.file_sem_of(&path, false)) {
                 (Ok(dir), Ok(file)) => {
                     phases.push_back(Phase::Acquire(dir));
                     phases.push_back(Phase::Acquire(file));
-                    phases.push_back(Phase::Cpu {
-                        dur: us(costs.unlink_detach_us, speed),
-                        kind: CpuKind::Kernel,
-                    });
-                    phases.push_back(Phase::Commit(CommitStep::UnlinkDetach {
-                        path: path.clone(),
-                    }));
+                    phases.push_back(kernel_cpu(table.unlink_detach));
+                    phases.push_back(Phase::Commit(CommitStep::UnlinkDetach { path }));
                     // The directory is free as soon as the entry is gone —
                     // this is what lets the pipelined attacker's symlink in —
                     // but the inode stays locked through the truncation tail,
@@ -320,15 +389,12 @@ pub(crate) fn compile(
             }
         }
         SyscallRequest::Symlink { target, linkpath } => {
-            if let Some(sem) = dir_sem(linkpath, phases) {
+            if let Some(sem) = dir_sem(&linkpath, phases) {
                 phases.push_back(Phase::Acquire(sem));
-                phases.push_back(Phase::Cpu {
-                    dur: us(costs.symlink_us, speed),
-                    kind: CpuKind::Kernel,
-                });
+                phases.push_back(kernel_cpu(table.symlink));
                 phases.push_back(Phase::Commit(CommitStep::SymlinkCreate {
-                    target: target.clone(),
-                    linkpath: linkpath.clone(),
+                    target,
+                    linkpath,
                 }));
                 phases.push_back(Phase::Release(sem));
             }
@@ -337,18 +403,12 @@ pub(crate) fn compile(
             // vfs_link locks the destination directory (entry insert) and
             // the source inode (nlink bump) — same order as unlink:
             // directory first, then inode.
-            match (vfs.dir_sem_of(linkpath), vfs.file_sem_of(existing, false)) {
+            match (vfs.dir_sem_of(&linkpath), vfs.file_sem_of(&existing, false)) {
                 (Ok(dir), Ok(file)) => {
                     phases.push_back(Phase::Acquire(dir));
                     phases.push_back(Phase::Acquire(file));
-                    phases.push_back(Phase::Cpu {
-                        dur: us(costs.link_us, speed),
-                        kind: CpuKind::Kernel,
-                    });
-                    phases.push_back(Phase::Commit(CommitStep::LinkCreate {
-                        existing: existing.clone(),
-                        linkpath: linkpath.clone(),
-                    }));
+                    phases.push_back(kernel_cpu(table.link));
+                    phases.push_back(Phase::Commit(CommitStep::LinkCreate { existing, linkpath }));
                     phases.push_back(Phase::Release(dir));
                     phases.push_back(Phase::Release(file));
                 }
@@ -358,9 +418,7 @@ pub(crate) fn compile(
             }
         }
         SyscallRequest::Rename { from, to } => {
-            let sem_from = vfs.dir_sem_of(from);
-            let sem_to = vfs.dir_sem_of(to);
-            match (sem_from, sem_to) {
+            match (vfs.dir_sem_of(&from), vfs.dir_sem_of(&to)) {
                 (Ok(a), Ok(b)) => {
                     // Acquire in id order (deadlock avoidance), dedupe.
                     let mut locks = [a, b];
@@ -369,21 +427,10 @@ pub(crate) fn compile(
                     if locks[1] != locks[0] {
                         phases.push_back(Phase::Acquire(locks[1]));
                     }
-                    let visible = costs.rename_us * costs.rename_visible_frac;
-                    let tail = costs.rename_us - visible;
-                    phases.push_back(Phase::Cpu {
-                        dur: us(visible, speed),
-                        kind: CpuKind::Kernel,
-                    });
+                    phases.push_back(kernel_cpu(table.rename_visible));
                     // The new name is installed *here*, semaphore still held.
-                    phases.push_back(Phase::Commit(CommitStep::RenameCommit {
-                        from: from.clone(),
-                        to: to.clone(),
-                    }));
-                    phases.push_back(Phase::Cpu {
-                        dur: us(tail, speed),
-                        kind: CpuKind::Kernel,
-                    });
+                    phases.push_back(Phase::Commit(CommitStep::RenameCommit { from, to }));
+                    phases.push_back(kernel_cpu(table.rename_tail));
                     if locks[1] != locks[0] {
                         phases.push_back(Phase::Release(locks[1]));
                     }
@@ -402,79 +449,47 @@ pub(crate) fn compile(
             // lookup finds no name, the walk still costs resolve time and
             // the outcome is decided at its end (the name may have appeared
             // meanwhile — dcache walk semantics), without taking a lock.
-            match vfs.file_sem_of(path, true) {
+            match vfs.file_sem_of(&path, true) {
                 Ok(sem) => {
                     phases.push_back(Phase::Acquire(sem));
-                    phases.push_back(Phase::Cpu {
-                        dur: us(costs.chmod_us, speed),
-                        kind: CpuKind::Kernel,
-                    });
-                    phases.push_back(Phase::Commit(CommitStep::Chmod {
-                        path: path.clone(),
-                        mode: *mode,
-                    }));
+                    phases.push_back(kernel_cpu(table.chmod));
+                    phases.push_back(Phase::Commit(CommitStep::Chmod { path, mode }));
                     phases.push_back(Phase::Release(sem));
                 }
                 Err(OsError::Enoent) => {
-                    phases.push_back(Phase::Cpu {
-                        dur: us(costs.stat_resolve_us, speed),
-                        kind: CpuKind::Kernel,
-                    });
-                    phases.push_back(Phase::Commit(CommitStep::Chmod {
-                        path: path.clone(),
-                        mode: *mode,
-                    }));
+                    phases.push_back(kernel_cpu(table.enoent_resolve));
+                    phases.push_back(Phase::Commit(CommitStep::Chmod { path, mode }));
                 }
                 Err(e) => phases.push_back(Phase::Commit(CommitStep::Fail(e))),
             }
         }
-        SyscallRequest::Chown { path, uid, gid } => match vfs.file_sem_of(path, true) {
+        SyscallRequest::Chown { path, uid, gid } => match vfs.file_sem_of(&path, true) {
             Ok(sem) => {
                 phases.push_back(Phase::Acquire(sem));
-                phases.push_back(Phase::Cpu {
-                    dur: us(costs.chown_us, speed),
-                    kind: CpuKind::Kernel,
-                });
-                phases.push_back(Phase::Commit(CommitStep::Chown {
-                    path: path.clone(),
-                    uid: *uid,
-                    gid: *gid,
-                }));
+                phases.push_back(kernel_cpu(table.chown));
+                phases.push_back(Phase::Commit(CommitStep::Chown { path, uid, gid }));
                 phases.push_back(Phase::Release(sem));
             }
             Err(OsError::Enoent) => {
-                phases.push_back(Phase::Cpu {
-                    dur: us(costs.stat_resolve_us, speed),
-                    kind: CpuKind::Kernel,
-                });
-                phases.push_back(Phase::Commit(CommitStep::Chown {
-                    path: path.clone(),
-                    uid: *uid,
-                    gid: *gid,
-                }));
+                phases.push_back(kernel_cpu(table.enoent_resolve));
+                phases.push_back(Phase::Commit(CommitStep::Chown { path, uid, gid }));
             }
             Err(e) => phases.push_back(Phase::Commit(CommitStep::Fail(e))),
         },
         SyscallRequest::Mkdir { path } => {
-            if let Some(sem) = dir_sem(path, phases) {
+            if let Some(sem) = dir_sem(&path, phases) {
                 phases.push_back(Phase::Acquire(sem));
-                phases.push_back(Phase::Cpu {
-                    dur: us(costs.mkdir_us, speed),
-                    kind: CpuKind::Kernel,
-                });
-                phases.push_back(Phase::Commit(CommitStep::Mkdir { path: path.clone() }));
+                phases.push_back(kernel_cpu(table.mkdir));
+                phases.push_back(Phase::Commit(CommitStep::Mkdir { path }));
                 phases.push_back(Phase::Release(sem));
             }
         }
         SyscallRequest::Readlink { path } => {
-            phases.push_back(Phase::Cpu {
-                dur: us(costs.readlink_us, speed),
-                kind: CpuKind::Kernel,
-            });
-            phases.push_back(Phase::Commit(CommitStep::Readlink { path: path.clone() }));
+            phases.push_back(kernel_cpu(table.readlink));
+            phases.push_back(Phase::Commit(CommitStep::Readlink { path }));
         }
         SyscallRequest::Sleep { duration } => {
-            phases.push_back(Phase::Blocked(*duration));
+            phases.push_back(Phase::Blocked(duration));
             phases.push_back(Phase::Commit(CommitStep::Nop));
         }
     }
@@ -521,7 +536,8 @@ mod tests {
         phases: VecDeque<Phase>,
     }
 
-    /// Shadows `super::compile` with the old 6-argument signature.
+    /// Shadows `super::compile` with the old 6-argument signature: the
+    /// request is borrowed and the cost table built per call.
     fn compile(
         req: &SyscallRequest,
         proc_: &mut Process,
@@ -531,7 +547,8 @@ mod tests {
         speed: f64,
     ) -> CompiledSyscall {
         let mut phases = VecDeque::new();
-        let name = super::compile(req, proc_, vfs, sems, costs, speed, &mut phases);
+        let table = CostTable::new(costs, speed);
+        let name = super::compile(req.clone(), proc_, vfs, sems, costs, &table, &mut phases);
         CompiledSyscall { name, phases }
     }
 
@@ -543,6 +560,199 @@ mod tests {
                 _ => 0.0,
             })
             .sum()
+    }
+
+    /// Every CPU phase `compile` emits equals the cost model's figure times
+    /// the machine's speed, `SimDuration::from_micros_f64(cost_us * speed)`,
+    /// computed here from the `CostModel` fields alone: on every stock
+    /// machine, with the stat's directory free and held (the multi-core
+    /// spec inflates the held one), and on a maze machine whose entry cost
+    /// grows with the path. `write` is the one byte-size charge compile
+    /// emits; it scales its duration instead.
+    #[test]
+    fn compiled_durations_match_the_cost_model() {
+        use crate::machine::MachineSpec;
+        let mut maze = MachineSpec::multicore_pentium_d();
+        maze.costs.resolve_per_component_us = 0.7;
+        maze.speed_factor = 1.3;
+        let vfs = test_vfs();
+        let mut held = SemTable::new();
+        held.acquire_or_enqueue(vfs.dir_sem_of("/d/f").unwrap(), Pid(99));
+        let path = |p: &str| -> Arc<str> { p.into() };
+        for spec in [
+            MachineSpec::uniprocessor(),
+            MachineSpec::smp_xeon(),
+            MachineSpec::multicore_pentium_d(),
+            maze,
+        ] {
+            let c = &spec.costs;
+            let speed = spec.speed_factor;
+            let us = |cost_us: f64| SimDuration::from_micros_f64(cost_us * speed);
+            let stat = |factor: f64| {
+                let total = (c.stat_resolve_us + c.stat_finish_us) * factor;
+                let tail = c.stat_sample_tail_us.min(total);
+                vec![us(total - tail), us(tail)]
+            };
+            let visible = c.rename_us * c.rename_visible_frac;
+            let write =
+                SimDuration::from_micros_f64(c.write_base_us + c.write_per_kb_us * 5000.0 / 1024.0)
+                    .mul_f64(speed);
+            // (request, directory semaphore held at entry, body phases).
+            let cases = vec![
+                (
+                    SyscallRequest::Stat { path: path("/d/f") },
+                    false,
+                    stat(1.0),
+                ),
+                (
+                    SyscallRequest::Lstat { path: path("/d/f") },
+                    false,
+                    stat(1.0),
+                ),
+                (
+                    SyscallRequest::Access { path: path("/d/f") },
+                    false,
+                    stat(1.0),
+                ),
+                (
+                    SyscallRequest::Stat { path: path("/d/f") },
+                    true,
+                    stat(c.stat_contention_factor),
+                ),
+                (
+                    SyscallRequest::OpenCreate { path: path("/d/n") },
+                    false,
+                    vec![us(c.open_create_us)],
+                ),
+                (
+                    SyscallRequest::Open { path: path("/d/f") },
+                    false,
+                    vec![us(c.open_existing_us)],
+                ),
+                (
+                    SyscallRequest::Write {
+                        fd: Fd(3),
+                        bytes: 5000,
+                    },
+                    false,
+                    vec![write],
+                ),
+                (
+                    SyscallRequest::Close { fd: Fd(3) },
+                    false,
+                    vec![us(c.close_us)],
+                ),
+                (
+                    SyscallRequest::Unlink { path: path("/d/f") },
+                    false,
+                    vec![us(c.unlink_detach_us)],
+                ),
+                (
+                    SyscallRequest::Symlink {
+                        target: path("/x"),
+                        linkpath: path("/d/l"),
+                    },
+                    false,
+                    vec![us(c.symlink_us)],
+                ),
+                (
+                    SyscallRequest::Link {
+                        existing: path("/d/f"),
+                        linkpath: path("/d/h"),
+                    },
+                    false,
+                    vec![us(c.link_us)],
+                ),
+                (
+                    SyscallRequest::Rename {
+                        from: path("/d/f"),
+                        to: path("/d/g"),
+                    },
+                    false,
+                    vec![us(visible), us(c.rename_us - visible)],
+                ),
+                (
+                    SyscallRequest::Chmod {
+                        path: path("/d/f"),
+                        mode: 0o600,
+                    },
+                    false,
+                    vec![us(c.chmod_us)],
+                ),
+                (
+                    SyscallRequest::Chmod {
+                        path: path("/d/gone"),
+                        mode: 0o600,
+                    },
+                    false,
+                    vec![us(c.stat_resolve_us)],
+                ),
+                (
+                    SyscallRequest::Chown {
+                        path: path("/d/f"),
+                        uid: Uid(1),
+                        gid: Gid(1),
+                    },
+                    false,
+                    vec![us(c.chown_us)],
+                ),
+                (
+                    SyscallRequest::Chown {
+                        path: path("/d/gone"),
+                        uid: Uid(1),
+                        gid: Gid(1),
+                    },
+                    false,
+                    vec![us(c.stat_resolve_us)],
+                ),
+                (
+                    SyscallRequest::Mkdir { path: path("/d/s") },
+                    false,
+                    vec![us(c.mkdir_us)],
+                ),
+                (
+                    SyscallRequest::Readlink { path: path("/d/f") },
+                    false,
+                    vec![us(c.readlink_us)],
+                ),
+                (
+                    SyscallRequest::Sleep {
+                        duration: SimDuration::from_micros(50),
+                    },
+                    false,
+                    vec![],
+                ),
+            ];
+            for (req, contended, body) in cases {
+                // Every path above has two components; fd and sleep calls
+                // name none.
+                let components = if req.primary_path().is_some() {
+                    2.0
+                } else {
+                    0.0
+                };
+                let entry = us(c.syscall_entry_us + c.resolve_per_component_us * components);
+                // A cold process pays the wrapper-page trap on every call
+                // that has a wrapper page.
+                let mut want = Vec::new();
+                if LibcPage::for_call(req.name()).is_some() {
+                    want.push(us(c.trap_us));
+                }
+                want.push(entry);
+                want.extend(body);
+                let sems = if contended { &held } else { &SemTable::new() };
+                let got: Vec<SimDuration> =
+                    compile(&req, &mut test_proc(false), &vfs, sems, c, speed)
+                        .phases
+                        .iter()
+                        .filter_map(|ph| match ph {
+                            Phase::Cpu { dur, .. } => Some(*dur),
+                            _ => None,
+                        })
+                        .collect();
+                assert_eq!(got, want, "{} {req:?} contended={contended}", spec.name);
+            }
+        }
     }
 
     #[test]

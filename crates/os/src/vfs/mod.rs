@@ -23,7 +23,10 @@
 //!   seen to its interned component list. Mutating operations intern as
 //!   they resolve, and [`Vfs::warm_path`] lets scenario template builders
 //!   intern every scenario path once up front, so steady-state resolution
-//!   does zero string hashing or allocation.
+//!   allocates nothing and never splits a path. It still hashes the full
+//!   path string once per resolve (FNV, a byte at a time) to find the
+//!   cached split; the kernel's one-entry stat memo skips even that for an
+//!   attacker re-sampling one path.
 //! * **Dentry maps** — a directory maps `Name → Ino` in a [`DirMap`]
 //!   (binary search over a sorted vec; directories here hold a handful of
 //!   entries). A negative-entry side table remembers `(dir, name)` lookups
@@ -542,7 +545,8 @@ impl Vfs {
     /// and records a negative dentry if its final component is absent.
     /// Scenario template builders call this on every scenario path so
     /// steady-state rounds — which inherit the warm tables through
-    /// `clone_from` — resolve without touching a string.
+    /// `clone_from` — resolve without splitting a path or allocating (one
+    /// hash of the path string finds its cached split).
     pub fn warm_path(&mut self, path: &str) {
         let _ = self.resolve_mut(path, SymlinkPolicy::NoFollowLast);
     }
@@ -938,6 +942,25 @@ impl Vfs {
         let ino = r.ino.ok_or(OsError::Enoent)?;
         let is_symlink = self.inode(ino)?.is_symlink();
         Ok(self.statbuf(ino, is_symlink))
+    }
+
+    /// The resolution half of [`stat`](Self::stat) (`follow`) or
+    /// [`lstat`](Self::lstat): the inode `path` names right now. Pair with
+    /// [`stat_of`](Self::stat_of) for the metadata half.
+    pub(crate) fn stat_target(&self, path: &str, follow: bool) -> Result<Ino, OsError> {
+        let policy = if follow {
+            SymlinkPolicy::FollowLast
+        } else {
+            SymlinkPolicy::NoFollowLast
+        };
+        self.resolve(path, policy)?.ino.ok_or(OsError::Enoent)
+    }
+
+    /// The metadata half of [`stat`](Self::stat) / [`lstat`](Self::lstat):
+    /// the `StatBuf` of `ino` built from its current metadata.
+    pub(crate) fn stat_of(&self, ino: Ino, follow: bool) -> Result<StatBuf, OsError> {
+        let is_symlink = self.inode(ino)?.is_symlink();
+        Ok(self.statbuf(ino, !follow && is_symlink))
     }
 
     fn statbuf(&self, ino: Ino, is_symlink: bool) -> StatBuf {
