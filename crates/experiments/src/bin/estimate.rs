@@ -20,7 +20,7 @@
 //! the output directory (default `target/experiments`). The result is
 //! byte-identical at any `--jobs` value, warm or cold.
 
-use tocttou_experiments::cli::or_exit;
+use tocttou_experiments::cli::{or_exit, size_kb_bytes};
 use tocttou_experiments::estimate::{run_estimate, EstimateConfig};
 use tocttou_experiments::grid::Family;
 use tocttou_experiments::report::Report;
@@ -28,7 +28,8 @@ use tocttou_experiments::report::Report;
 #[derive(Debug)]
 struct Args {
     family: Family,
-    size_kb: Option<u64>,
+    /// `--size-kb` in bytes, if given.
+    file_size: Option<u64>,
     cfg: EstimateConfig,
     out: String,
 }
@@ -96,7 +97,7 @@ fn parse_args() -> Result<Args, String> {
     cfg.validate()?;
     Ok(Args {
         family,
-        size_kb,
+        file_size: size_kb.map(size_kb_bytes).transpose()?,
         cfg,
         out,
     })
@@ -111,8 +112,7 @@ fn main() {
         }
     };
     let file_size = args
-        .size_kb
-        .map(|kb| kb * 1024)
+        .file_size
         .unwrap_or_else(|| args.family.default_file_size());
     let scenario = args.family.build(file_size);
     let mut report = or_exit(Report::new(&args.out));

@@ -187,8 +187,9 @@ impl GridArgs {
     ///
     /// # Errors
     ///
-    /// Returns a usage message when `--grid` was never given, or
-    /// `--points` is 0 or above [`MAX_POINTS`].
+    /// Returns a usage message when `--grid` was never given,
+    /// `--points` is 0 or above [`MAX_POINTS`], or `--size-kb` overflows
+    /// a byte count ([`size_kb_bytes`]).
     pub fn build_grid(&self) -> Result<Grid, String> {
         let kind = self
             .grid
@@ -203,12 +204,23 @@ impl GridArgs {
             _ => {}
         }
         let family = self.family.unwrap_or(Family::GeditSmp);
-        let file_size = self
-            .size_kb
-            .map(|kb| kb * 1024)
-            .unwrap_or_else(|| family.default_file_size());
+        let file_size = match self.size_kb {
+            Some(kb) => size_kb_bytes(kb)?,
+            None => family.default_file_size(),
+        };
         Ok(kind.build(family, file_size, self.points.unwrap_or(8)))
     }
+}
+
+/// Converts a `--size-kb` value to bytes.
+///
+/// # Errors
+///
+/// Returns a usage message when the byte count overflows `u64` (a
+/// `--size-kb` of 2^54 or more), instead of wrapping to a different size.
+pub fn size_kb_bytes(kb: u64) -> Result<u64, String> {
+    kb.checked_mul(1024)
+        .ok_or_else(|| format!("invalid --size-kb {kb}: {kb} KiB overflows a 64-bit byte count"))
 }
 
 /// Unwraps the result of writing an output artifact, or exits 1 with
@@ -359,6 +371,23 @@ mod tests {
         assert_eq!(points(MAX_POINTS).unwrap().len(), MAX_POINTS);
         let err = points(100_000_000).unwrap_err();
         assert!(err.starts_with("invalid --points 100000000: "), "{err}");
+    }
+
+    #[test]
+    fn size_kb_overflowing_a_byte_count_is_rejected() {
+        let size = |kb: u64| {
+            let (g, _) = parse_grid(&["--grid", "d", "--size-kb", &kb.to_string()]).unwrap();
+            g.build_grid().map(|grid| grid.points[0].file_size)
+        };
+        let largest = u64::MAX / 1024;
+        assert_eq!(size(largest), Ok(largest * 1024));
+        // 2^54 KiB wrapped to 0 bytes; u64::MAX KiB to 2^64 - 1024.
+        for kb in [largest + 1, 1 << 54, u64::MAX] {
+            let err = size(kb).unwrap_err();
+            assert!(err.starts_with(&format!("invalid --size-kb {kb}: ")), "{err}");
+            assert_eq!(size_kb_bytes(kb), Err(err));
+        }
+        assert_eq!(size_kb_bytes(2), Ok(2048));
     }
 
     #[test]

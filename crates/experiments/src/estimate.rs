@@ -806,6 +806,8 @@ pub fn run_estimate(scenario: &Scenario, cfg: &EstimateConfig) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tocttou_sim::dist::DurationDist;
+    use tocttou_workloads::dsl::Step;
 
     #[test]
     fn config_validation_rejects_degenerate_knobs() {
@@ -911,9 +913,7 @@ mod tests {
         }
         // No laxity window → one unstratified, unsplittable stratum.
         let mut flat = Scenario::vi_uniprocessor(2048);
-        if let tocttou_workloads::scenario::VictimSpec::Vi(c) = &mut flat.victim {
-            c.prologue = tocttou_sim::dist::DurationDist::const_us(5.0);
-        }
+        flat.victim = flat.victim.with_first_step(Step::Think(DurationDist::const_us(5.0)));
         let (strata, _, span) = initial_partition(&flat, &cfg);
         assert_eq!(strata.len(), 1);
         assert_eq!(span, None);
@@ -988,15 +988,9 @@ mod tests {
         // vi SMP succeeds ~100 % of the time: the Wilson interval meets a
         // loose target within the first waves, far under the budget.
         let mut s = Scenario::vi_smp(1024);
-        s.victim = {
-            // Strip the laxity axis so the run exercises the pure
-            // sequential-stopping path (one stratum, Wilson interval).
-            let mut v = s.victim.clone();
-            if let tocttou_workloads::scenario::VictimSpec::Vi(c) = &mut v {
-                c.prologue = tocttou_sim::dist::DurationDist::const_us(50.0);
-            }
-            v
-        };
+        // Strip the laxity axis so the run exercises the pure
+        // sequential-stopping path (one stratum, Wilson interval).
+        s.victim = s.victim.with_first_step(Step::Think(DurationDist::const_us(50.0)));
         let cfg = EstimateConfig {
             target_rel_half_width: 0.1,
             max_rounds: 4_000,

@@ -19,7 +19,7 @@ use crate::monte_carlo::{run_mc, McConfig};
 use serde::Serialize;
 use tocttou_sim::metrics::LatencyHistogram;
 use tocttou_workloads::dsl::library::taxonomy_library;
-use tocttou_workloads::scenario::{Scenario, VictimSpec};
+use tocttou_workloads::scenario::Scenario;
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -90,8 +90,8 @@ pub struct Row {
     pub scenario: String,
     /// Ground-truth attack success rate.
     pub rate: f64,
-    /// The declared window, when the victim is a compiled DSL trace
-    /// (hand-written victims have no annotation).
+    /// The trace's declared window, when the victim's trace realizes the
+    /// row's pair (`None` for a row labelled with another pair).
     pub declared: Option<Declared>,
     /// Check commits observed.
     pub checks: u64,
@@ -137,14 +137,17 @@ pub fn anatomy_row(pair: &str, scenario: &Scenario, cfg: &Config) -> Row {
             cold: cfg.cold,
         },
     );
-    let declared = match &scenario.victim {
-        VictimSpec::Compiled(c) => c.window_annotation().map(|a| Declared {
+    // The trace's window, when it realizes the pair the row is labelled
+    // with.
+    let declared = scenario
+        .victim
+        .window_annotation()
+        .filter(|a| a.pair.to_string() == pair)
+        .map(|a| Declared {
             path: a.path.to_string(),
             check_step: a.check_step,
             use_step: a.use_step,
-        }),
-        _ => None,
-    };
+        });
     let f = &out.forensics;
     Row {
         pair: pair.to_string(),
@@ -293,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn hand_written_victims_render_without_annotation() {
+    fn rows_labelled_with_another_pair_render_without_annotation() {
         let row = anatomy_row(
             "<stat, open>",
             &Scenario::vi_smp(100 * 1024),
@@ -307,5 +310,19 @@ mod tests {
         assert!(row.declared.is_none());
         assert!(row.checks > 0 && row.uses > 0);
         assert!(row.to_string().contains("declared —"), "{row}");
+        // Labelled with vi's own pair, the row declares vi's window.
+        let own = anatomy_row(
+            "<creat, chown>",
+            &Scenario::vi_smp(100 * 1024),
+            &Config {
+                rounds: 1,
+                seed: 3,
+                jobs: 1,
+                cold: false,
+            },
+        );
+        let d = own.declared.expect("vi realizes <creat, chown>");
+        assert_eq!(d.path, "/home/user/doc.txt");
+        assert!(d.check_step < d.use_step);
     }
 }

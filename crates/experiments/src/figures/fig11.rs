@@ -20,9 +20,9 @@ use tocttou_os::machine::MachineSpec;
 use tocttou_os::process::SyscallName;
 use tocttou_os::vfs::InodeMeta;
 use tocttou_sim::time::{SimDuration, SimTime};
-use tocttou_workloads::attacker::{
-    AttackFlag, AttackerConfig, AttackerV1, PipelinedDetector, PipelinedLinker,
-};
+use std::sync::Arc;
+use tocttou_workloads::dsl::{library, AttackFlag, AttackerProfile, DslAttacker};
+use tocttou_workloads::scenario::Layout;
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -168,7 +168,11 @@ fn spans_for(kernel: &Kernel, pids: &[Pid]) -> Option<(CallSpan, CallSpan, CallS
 pub fn run(cfg: &Config) -> Output {
     let mut rows = Vec::new();
     for &size_kb in &cfg.sizes_kb {
-        let attack_cfg = AttackerConfig::gedit_multicore_v2("/home/user/doc.txt", "/etc/passwd");
+        // Attacker v2's multi-core gaps, without its rehearsal.
+        let attacker = AttackerProfile {
+            rehearsal: Arc::from([]),
+            ..library::attacker_v2(&Layout::default())
+        };
 
         // Sequential.
         let mut kernel = Kernel::new(MachineSpec::multicore_pentium_d().quiet(), cfg.seed);
@@ -178,7 +182,7 @@ pub fn run(cfg: &Config) -> Output {
             Uid(1000),
             Gid(1000),
             true, // isolate the pipelining effect: warm pages in both variants
-            Box::new(AttackerV1::new(attack_cfg.clone(), cfg.seed)),
+            Box::new(DslAttacker::new(Arc::new(attacker.clone()), cfg.seed)),
         );
         kernel.run_until_exit(pid, SimTime::from_millis(100));
         let (stat, unlink, symlink) =
@@ -195,28 +199,16 @@ pub fn run(cfg: &Config) -> Output {
         let mut kernel = Kernel::new(MachineSpec::multicore_pentium_d().quiet(), cfg.seed);
         layout(&mut kernel, size_kb);
         let flag: AttackFlag = Rc::new(Cell::new(false));
-        let t1 = kernel.spawn(
-            "detect",
-            Uid(1000),
-            Gid(1000),
-            true,
-            Box::new(PipelinedDetector::new(
-                attack_cfg.clone(),
-                flag.clone(),
-                cfg.seed,
-            )),
-        );
-        let t2 = kernel.spawn(
-            "link",
-            Uid(1000),
-            Gid(1000),
-            true,
-            Box::new(PipelinedLinker::new(
-                attack_cfg,
-                flag,
-                SimDuration::from_micros(1),
-            )),
-        );
+        let [detect, link]: [AttackerProfile; 2] =
+            library::pipelined(&attacker, SimDuration::from_micros(1))
+                .try_into()
+                .expect("two threads");
+        let mut thread = |name: &str, prof: AttackerProfile| {
+            let logic = DslAttacker::new(Arc::new(prof), cfg.seed).with_flag(flag.clone());
+            kernel.spawn(name, Uid(1000), Gid(1000), true, Box::new(logic))
+        };
+        let t1 = thread("detect", detect);
+        let t2 = thread("link", link);
         kernel.run_until_all_exit(&[t1, t2], SimTime::from_millis(100));
         let (stat, unlink, symlink) =
             spans_for(&kernel, &[t1, t2]).expect("parallel attack completed");

@@ -19,7 +19,8 @@ use tocttou_os::kernel::Kernel;
 use tocttou_os::machine::MachineSpec;
 use tocttou_os::vfs::InodeMeta;
 use tocttou_sim::time::SimTime;
-use tocttou_workloads::attacker::{AttackerConfig, AttackerV1};
+use std::sync::Arc;
+use tocttou_workloads::dsl::{library, DslAttacker};
 use tocttou_workloads::generic::{GenericConfig, GenericVictim};
 
 /// Sweep parameters.
@@ -132,13 +133,13 @@ fn run_pair(pair: TocttouPair, cfg: &Config) -> Row {
             true,
             Box::new(GenericVictim::new(gcfg, cfg.seed ^ i)),
         );
-        let atk = AttackerConfig::vi_smp("/home/user/f", "/etc/passwd");
+        let atk = library::attacker_v1(&"/home/user/f".into(), &"/etc/passwd".into());
         k.spawn(
             "attacker",
             Uid(1000),
             Gid(1000),
             false,
-            Box::new(AttackerV1::new(atk, cfg.seed ^ (i << 8))),
+            Box::new(DslAttacker::new(Arc::new(atk), cfg.seed ^ (i << 8))),
         );
         k.run_until_exit(vpid, SimTime::from_secs(1));
 

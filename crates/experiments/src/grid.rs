@@ -16,7 +16,9 @@
 
 use serde::Serialize;
 use tocttou_sim::time::SimDuration;
-use tocttou_workloads::scenario::{AttackerSpec, Scenario};
+use std::sync::Arc;
+use tocttou_workloads::dsl::{library, Trigger};
+use tocttou_workloads::scenario::Scenario;
 
 /// A named scenario constructor — the base configuration a grid varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +100,19 @@ impl Family {
         Family::SockBind,
         Family::ViCrowd,
         Family::SwapContest,
+    ];
+
+    /// The families whose attacker is one of the paper's symlink programs
+    /// (v1, v2 or the pipelined pair): the ones the pipelined switch
+    /// rewrites.
+    pub const PAPER_SYMLINK: [Family; 7] = [
+        Family::ViUniprocessor,
+        Family::ViSmp,
+        Family::GeditUniprocessor,
+        Family::GeditSmp,
+        Family::GeditMulticoreV1,
+        Family::GeditMulticoreV2,
+        Family::PipelinedAttack,
     ];
 
     /// The CLI spelling (`--family` flag and sweep output).
@@ -238,17 +253,12 @@ impl GridPoint {
     pub fn scenario(&self) -> Scenario {
         let mut s = self.family.build(self.file_size);
         if let Some(k) = self.d_scale {
-            match &mut s.attacker {
-                AttackerSpec::V1(cfg) | AttackerSpec::V2(cfg) | AttackerSpec::Hardlink(cfg) => {
-                    cfg.loop_gap = cfg.loop_gap.mul_f64(k);
-                }
-                AttackerSpec::Pipelined { cfg, .. } => {
-                    cfg.loop_gap = cfg.loop_gap.mul_f64(k);
-                }
-                AttackerSpec::Compiled(profiles) => {
-                    for p in profiles {
-                        p.loop_gap = p.loop_gap.mul_f64(k);
-                    }
+            // The detection loop's gap; a flag-polling partner keeps its
+            // poll period.
+            for p in &mut s.attacker {
+                if p.trigger != Trigger::Flag {
+                    let p = Arc::make_mut(p);
+                    p.loop_gap = p.loop_gap.mul_f64(k);
                 }
             }
             s.name = format!("{}+dx{}", s.name, trim_float(k));
@@ -257,23 +267,22 @@ impl GridPoint {
             s.machine.cpus = n;
             s.name = format!("{}+cpu{n}", s.name);
         }
-        match self.pipelined {
-            Some(true) => {
-                if let AttackerSpec::V1(cfg) | AttackerSpec::V2(cfg) = s.attacker.clone() {
-                    s.attacker = AttackerSpec::Pipelined {
-                        cfg,
-                        poll_gap: SimDuration::from_micros(1),
-                    };
-                    s.name = format!("{}+pipe", s.name);
-                }
+        // The switch swaps between the paper's sequential symlink
+        // attackers (v1, v2) and the pipelined pair.
+        let paper = Family::PAPER_SYMLINK.contains(&self.family);
+        match (self.pipelined, s.attacker.as_slice()) {
+            (Some(true), [v]) if paper => {
+                s.attacker = library::pipelined(v, SimDuration::from_micros(1))
+                    .into_iter()
+                    .map(Arc::new)
+                    .collect();
+                s.name = format!("{}+pipe", s.name);
             }
-            Some(false) => {
-                if let AttackerSpec::Pipelined { cfg, .. } = s.attacker.clone() {
-                    s.attacker = AttackerSpec::V1(cfg);
-                    s.name = format!("{}+seq", s.name);
-                }
+            (Some(false), [detector, linker]) if paper => {
+                s.attacker = vec![Arc::new(library::sequential(detector, linker))];
+                s.name = format!("{}+seq", s.name);
             }
-            None => {}
+            _ => {}
         }
         s
     }
@@ -529,13 +538,18 @@ mod tests {
         let halved = GridPoint::new(Family::ViSmp, 1024)
             .with_d_scale(0.5)
             .scenario();
-        let gap = |s: &Scenario| match &s.attacker {
-            AttackerSpec::V1(c) | AttackerSpec::V2(c) | AttackerSpec::Hardlink(c) => c.loop_gap,
-            AttackerSpec::Pipelined { cfg, .. } => cfg.loop_gap,
-            AttackerSpec::Compiled(profiles) => profiles[0].loop_gap,
-        };
+        let gap = |s: &Scenario| s.attacker[0].loop_gap;
         assert_eq!(gap(&halved), gap(&base).mul_f64(0.5));
         assert!(halved.name.ends_with("+dx0.5"), "{}", halved.name);
+        // The pipelined pair scales its detection loop, not its poll.
+        let pipe = |k| {
+            let mut p = GridPoint::new(Family::PipelinedAttack, 512);
+            p.d_scale = k;
+            p.scenario()
+        };
+        let (base, halved) = (pipe(None), pipe(Some(0.5)));
+        assert_eq!(gap(&halved), gap(&base).mul_f64(0.5));
+        assert_eq!(halved.attacker[1].loop_gap, base.attacker[1].loop_gap);
     }
 
     #[test]
@@ -552,19 +566,21 @@ mod tests {
         let on = GridPoint::new(Family::GeditSmp, 2048)
             .with_pipelined(true)
             .scenario();
-        match on.attacker {
-            AttackerSpec::Pipelined { poll_gap, .. } => {
-                assert_eq!(poll_gap, SimDuration::from_micros(1));
-            }
-            other => panic!("expected pipelined attacker, got {other:?}"),
-        }
+        let names: Vec<&str> = on.attacker.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["attacker-detect", "attacker-link"]);
+        assert_eq!(on.attacker[1].loop_gap, SimDuration::from_micros(1));
         let off = GridPoint::new(Family::PipelinedAttack, 512)
             .with_pipelined(false)
             .scenario();
-        assert!(matches!(off.attacker, AttackerSpec::V1(_)));
-        // The off-point mirrors the named sequential control semantically.
+        // The off-point is the named sequential control's attacker.
         let named = Scenario::sequential_attack(512);
-        assert!(matches!(named.attacker, AttackerSpec::V1(_)));
+        assert_eq!(format!("{:?}", off.attacker), format!("{:?}", named.attacker));
+        // Hardlink and DSL-library attackers have no pipelined form.
+        for family in [Family::HardlinkSwap, Family::MktempReopen] {
+            let s = GridPoint::new(family, 512).with_pipelined(true).scenario();
+            assert_eq!(s.attacker.len(), 1, "{}", s.name);
+            assert!(!s.name.ends_with("+pipe"), "{}", s.name);
+        }
     }
 
     #[test]
@@ -574,13 +590,9 @@ mod tests {
         for (i, p) in g.points.iter().enumerate() {
             assert_eq!(p.seed_salt, i as u64);
             assert_eq!(p.file_size, p.family.default_file_size());
-            // Every point materializes into a runnable compiled scenario.
+            // Every point materializes into a runnable scenario.
             let s = p.scenario();
-            assert!(
-                matches!(s.attacker, AttackerSpec::Compiled(_)),
-                "{}",
-                s.name
-            );
+            assert!(!s.attacker.is_empty(), "{}", s.name);
         }
     }
 

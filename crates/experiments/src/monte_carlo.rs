@@ -26,7 +26,7 @@ use tocttou_os::detect::DetectionEvent;
 use tocttou_os::forensics::ForensicsSnapshot;
 use tocttou_os::metrics::MetricsSnapshot;
 use tocttou_sim::trace::Trace;
-use tocttou_workloads::scenario::{Scenario, VictimSpec};
+use tocttou_workloads::scenario::Scenario;
 
 /// Options for a Monte-Carlo batch.
 #[derive(Debug, Clone)]
@@ -238,20 +238,13 @@ impl std::fmt::Display for McOutcome {
     }
 }
 
-/// The window kind a scenario's victim defines.
+/// The window kind a scenario's victim defines: a rename-check window
+/// has gedit's shape (opens at a rename commit), anything else vi's.
 pub fn window_kind_of(scenario: &Scenario) -> WindowKind {
-    match &scenario.victim {
-        VictimSpec::Vi(_) => WindowKind::ViCreat,
-        VictimSpec::Gedit(_) => WindowKind::GeditRename,
-        // Compiled victims declare their pair; a rename-check window has
-        // gedit's shape (opens at a rename commit), anything else vi's.
-        VictimSpec::Compiled(c) => {
-            if c.pair.check() == tocttou_core::taxonomy::FsCall::Rename {
-                WindowKind::GeditRename
-            } else {
-                WindowKind::ViCreat
-            }
-        }
+    if scenario.victim.pair.check() == tocttou_core::taxonomy::FsCall::Rename {
+        WindowKind::GeditRename
+    } else {
+        WindowKind::ViCreat
     }
 }
 

@@ -195,7 +195,7 @@ pub fn attack_pipelined(
         }
         let fired_at = Instant::now();
         // Retry through the EEXIST race with the detach, like the simulated
-        // PipelinedLinker.
+        // pipelined pair's flag-triggered thread (`Trigger::Flag`).
         loop {
             match std::os::unix::fs::symlink(&linker_cfg.privileged, &linker_cfg.target) {
                 Ok(()) => return Some(fired_at.elapsed()),

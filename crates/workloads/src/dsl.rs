@@ -1,27 +1,28 @@
 //! The scenario compiler: declarative syscall-trace specs for victims and
 //! attackers, lowered onto the existing [`Scenario`] machinery.
 //!
-//! The paper's taxonomy has 224 `<check, use>` pairs, but hand-writing a
-//! `ProcessLogic` state machine per victim does not scale past a handful.
-//! This module turns a victim into **data**: a [`ScenarioSpec`] lists the
-//! victim's syscall trace ([`Step`]s — sampled think time, jittered
-//! compute gaps, guarded calls, chunked write loops), the attacker
-//! programs ([`AttackerProfile`] — a detect-or-timer trigger plus a strike
-//! trace), the expected taxonomy pair, the extra filesystem state, and the
-//! ground-truth success predicate. [`ScenarioSpec::compile`] lowers the
-//! spec into a [`Scenario`] whose victim/attacker are interpreted step
-//! machines; everything downstream (Monte-Carlo engine, checkpointing,
-//! sweeps, detector ground truth) works unchanged.
+//! Every process a [`Scenario`] runs is written here, as **data**: a
+//! [`ScenarioSpec`] lists the victim's syscall trace ([`Step`]s — sampled
+//! think time, jittered compute gaps, guarded calls, chunked write loops
+//! with an optional per-chunk I/O stall), the attacker programs
+//! ([`AttackerProfile`] — a detect, timer or shared-flag trigger, a strike
+//! trace and an optional rehearsal on a decoy), the expected taxonomy
+//! pair, the extra filesystem state, and the ground-truth success
+//! predicate. [`ScenarioSpec::compile`] lowers the spec into a [`Scenario`]
+//! whose victim and attackers are interpreted step machines ([`DslVictim`],
+//! [`DslAttacker`]); everything downstream (Monte-Carlo engine,
+//! checkpointing, sweeps, detector ground truth) runs them unchanged.
 //!
-//! The interpreters replicate the hand-written programs *exactly* — same
-//! action sequence, same RNG draw schedule, same jitter formula — so a
-//! spec transcribing vi/gedit/hardlink is byte-identical to the bespoke
-//! module (trace, detections, `McOutcome`); `tests/dsl_oracle.rs` pins
-//! this down. The [`library`] module then mass-produces scenarios across
-//! the taxonomy: ~20 lines of spec per new victim.
+//! The [`library`] module holds the paper's programs — vi and gedit's
+//! save sequences, attackers v1 and v2, the hardlink swap and the
+//! pipelined pair — and mass-produces victims across the taxonomy: ~20
+//! lines of spec per new victim. `tests/golden/scenarios.txt` pins the
+//! paper's scenarios to the outputs of the hand-written state machines
+//! the specs replaced (trace, detections, `McOutcome`).
 
-use crate::attacker::detected;
-use crate::scenario::{AttackerSpec, Layout, Scenario, VictimSpec};
+use crate::scenario::{Layout, Scenario};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 use tocttou_core::taxonomy::{FsCall, TocttouPair};
 use tocttou_os::defense::DefensePolicy;
@@ -220,11 +221,11 @@ impl Expect {
 #[derive(Debug, Clone)]
 pub enum Step {
     /// Sampled user-space computation (the editing prologue); draws once
-    /// from the distribution.
+    /// from the distribution. A leading `Think(DurationDist::Uniform)` is
+    /// the victim's laxity window (see [`CompiledVictim::laxity_window_ns`]).
     Think(DurationDist),
-    /// Fixed compute gap with Gaussian jitter — exactly the hand-written
-    /// victims' `gap()`: no RNG draw when `jitter_us <= 0`, one
-    /// standard-normal draw otherwise.
+    /// Fixed compute gap with Gaussian jitter: no RNG draw when
+    /// `jitter_us <= 0`, one standard-normal draw otherwise.
     Gap {
         /// Base duration.
         base: SimDuration,
@@ -245,6 +246,11 @@ pub enum Step {
         bytes: u64,
         /// Per-call granularity.
         chunk: u64,
+        /// Slow-storage model (the paper's Section 1 enhancement: "using
+        /// slow storage devices (e.g. floppy disks)"): after every chunk
+        /// the victim blocks on device I/O for this long. `None` =
+        /// page-cache-only writes, the paper's main experiments.
+        stall: Option<SimDuration>,
     },
 }
 
@@ -269,11 +275,18 @@ impl Step {
             jitter_us,
         }
     }
+
+    /// A page-cache write loop (no I/O stall).
+    pub fn write(bytes: u64, chunk: u64) -> Step {
+        Step::WriteLoop {
+            bytes,
+            chunk,
+            stall: None,
+        }
+    }
 }
 
-/// The hand-written victims' jitter formula, shared verbatim by the
-/// interpreters (`ViSave::gap` / `GeditSave::gap` /
-/// `AttackerConfig::sample_gap` compute exactly this).
+/// The jitter formula of every sampled gap, victim and attacker alike.
 fn jittered(base: SimDuration, jitter_us: f64, rng: &mut SimRng) -> SimDuration {
     if jitter_us <= 0.0 {
         return base;
@@ -286,7 +299,7 @@ fn jittered(base: SimDuration, jitter_us: f64, rng: &mut SimRng) -> SimDuration 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
     /// Spin on `stat(watch)` until it reports a root-owned regular file —
-    /// the paper's detection loop (`AttackerV1`'s trigger). Use when the
+    /// the paper's detection loop (Figures 2 and 4). Use when the
     /// victim's check has an observable effect on the watched path (a
     /// root `creat`, a rename into place).
     RootOwned,
@@ -295,6 +308,14 @@ pub enum Trigger {
     /// observable trace; round-to-round spread comes from the victim's
     /// sampled prologue.
     Timer,
+    /// Poll the round's shared flag every `loop_gap` from the moment the
+    /// process is spawned (`start_delay` and `check_gap` are unused),
+    /// strike once another attacker raises it ([`AttackerProfile::raises_flag`]),
+    /// and retry a refused strike call after one more `loop_gap` — the
+    /// second thread of Section 7's pipelined attacker, whose `symlink`
+    /// fails with `EEXIST` until the first thread's `unlink` detaches the
+    /// name.
+    Flag,
 }
 
 /// A compiled attacker: trigger plus strike trace.
@@ -311,9 +332,18 @@ pub struct AttackerProfile {
     pub trigger: Trigger,
     /// The strike: issued back-to-back once triggered.
     pub strike: Arc<[CallSpec]>,
+    /// Calls issued against a decoy whenever the detection `stat` comes
+    /// back negative, between a jittered `check_gap` and the `loop_gap`
+    /// (Figure 9's attacker v2: its `unlink`/`symlink` pages fault in on
+    /// the decoy, outside the window). Empty for every other attacker.
+    pub rehearsal: Arc<[CallSpec]>,
+    /// Raise the round's shared flag on detection, before the check gap,
+    /// for a [`Trigger::Flag`] partner to strike concurrently.
+    pub raises_flag: bool,
     /// Delay before the first iteration (round-start stagger).
     pub start_delay: SimDuration,
-    /// Non-detecting-`stat` → next-`stat` computation.
+    /// Non-detecting-`stat` → next-`stat` computation (the flag-polling
+    /// period of a [`Trigger::Flag`] attacker).
     pub loop_gap: SimDuration,
     /// Detecting-`stat` → strike computation.
     pub check_gap: SimDuration,
@@ -461,15 +491,15 @@ impl ScenarioSpec {
         Scenario {
             name: self.name,
             machine: self.machine,
-            victim: VictimSpec::Compiled(CompiledVictim {
+            victim: CompiledVictim {
                 name: self.victim_name,
                 steps: self.steps.into(),
                 doc_size: self.doc_size,
                 pair: self.pair,
                 extra_files: self.extra_files.into(),
                 success: self.success,
-            }),
-            attacker: AttackerSpec::Compiled(self.attackers),
+            },
+            attacker: self.attackers.into_iter().map(Arc::new).collect(),
             layout: self.layout,
             max_round: self.max_round,
             defense: DefensePolicy::Off,
@@ -477,8 +507,8 @@ impl ScenarioSpec {
     }
 }
 
-/// A compiled victim, embedded in [`VictimSpec::Compiled`]. Cheap to
-/// clone (the trace is shared).
+/// A compiled victim: the victim half of a [`Scenario`]. Cheap to clone
+/// (the trace is shared).
 #[derive(Debug, Clone)]
 pub struct CompiledVictim {
     /// Process name.
@@ -557,12 +587,34 @@ impl CompiledVictim {
         None
     }
 
+    /// The victim's *laxity window*: the inclusive integer-nanosecond
+    /// bounds of its first step, when that step is a
+    /// `Think(DurationDist::Uniform)` prologue.
+    pub fn laxity_window_ns(&self) -> Option<(u64, u64)> {
+        match self.steps.first() {
+            Some(Step::Think(DurationDist::Uniform(lo, hi))) => Some((lo.as_nanos(), hi.as_nanos())),
+            _ => None,
+        }
+    }
+
+    /// The victim with its first step replaced by `step` (the trace is
+    /// copied; `self` is untouched).
+    pub fn with_first_step(&self, step: Step) -> CompiledVictim {
+        let mut steps = self.steps.to_vec();
+        steps[0] = step;
+        CompiledVictim {
+            steps: steps.into(),
+            ..self.clone()
+        }
+    }
+
     /// Creates the interpreter for one round.
     pub fn logic(&self, seed: u64) -> DslVictim {
         DslVictim {
             steps: self.steps.clone(),
             pc: 0,
             written: 0,
+            stall_due: false,
             fd: None,
             pending: Expect::Any,
             aborted: false,
@@ -572,13 +624,15 @@ impl CompiledVictim {
 }
 
 /// The victim-trace interpreter: walks the [`Step`] list, tracking the
-/// last returned fd and evaluating guards; mirrors the hand-written
-/// victims' action/draw schedule exactly.
+/// last returned fd and evaluating guards.
 #[derive(Debug)]
 pub struct DslVictim {
     steps: Arc<[Step]>,
     pc: usize,
     written: u64,
+    /// The last chunk of a stalling [`Step::WriteLoop`] still owes its
+    /// I/O stall.
+    stall_due: bool,
     fd: Option<Fd>,
     pending: Expect,
     aborted: bool,
@@ -618,7 +672,14 @@ impl ProcessLogic for DslVictim {
                     self.pending = *expect;
                     return Action::Syscall(call.request(self.fd));
                 }
-                Step::WriteLoop { bytes, chunk } => {
+                Step::WriteLoop {
+                    bytes,
+                    chunk,
+                    stall,
+                } => {
+                    if let Some(duration) = stall.filter(|_| std::mem::take(&mut self.stall_due)) {
+                        return Action::Syscall(SyscallRequest::Sleep { duration });
+                    }
                     if self.written >= *bytes {
                         self.written = 0;
                         self.pc += 1;
@@ -627,6 +688,7 @@ impl ProcessLogic for DslVictim {
                     let remaining = *bytes - self.written;
                     let n = remaining.min((*chunk).max(1));
                     self.written += n;
+                    self.stall_due = stall.is_some();
                     return Action::Syscall(SyscallRequest::Write {
                         fd: self.fd.expect("write loop needs a prior open/creat"),
                         bytes: n,
@@ -637,33 +699,79 @@ impl ProcessLogic for DslVictim {
     }
 }
 
+/// The round's shared flag between a [`AttackerProfile::raises_flag`]
+/// attacker and its [`Trigger::Flag`] partner.
+pub type AttackFlag = Rc<Cell<bool>>;
+
+/// The paper's window test: the followed `stat` reports a root-owned
+/// regular file.
+fn detected(last: Option<&SyscallResult>) -> bool {
+    last.and_then(|r| r.stat())
+        .is_some_and(|st| st.uid.0 == 0 && st.gid.0 == 0 && !st.is_symlink)
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AtkState {
     Start,
     Stat,
     Decide,
     TimerGap,
+    Rehearse(usize),
+    Poll,
     Strike(usize),
+    Retry(usize),
 }
 
-/// The compiled-attacker interpreter: trigger loop, then the strike
-/// trace, then exit. With [`Trigger::RootOwned`] its action/draw schedule
-/// is identical to `AttackerV1`/`AttackerHardlink`.
+/// The compiled-attacker interpreter: trigger loop (with its rehearsal),
+/// then the strike trace, then exit.
 #[derive(Debug)]
 pub struct DslAttacker {
-    prof: AttackerProfile,
+    prof: Arc<AttackerProfile>,
+    flag: Option<AttackFlag>,
     state: AtkState,
     rng: SimRng,
 }
 
 impl DslAttacker {
     /// Creates the attacker; `seed` drives its loop-timing jitter.
-    pub fn new(prof: AttackerProfile, seed: u64) -> Self {
+    pub fn new(prof: Arc<AttackerProfile>, seed: u64) -> Self {
+        let state = match prof.trigger {
+            Trigger::Flag => AtkState::Poll,
+            Trigger::RootOwned | Trigger::Timer => AtkState::Start,
+        };
         DslAttacker {
             prof,
-            state: AtkState::Start,
+            flag: None,
+            state,
             rng: SimRng::seed_from_u64(seed),
         }
+    }
+
+    /// Attaches the round's shared flag (required by
+    /// [`AttackerProfile::raises_flag`] and [`Trigger::Flag`] attackers).
+    pub fn with_flag(mut self, flag: AttackFlag) -> Self {
+        self.flag = Some(flag);
+        self
+    }
+
+    fn gap(&mut self, base: SimDuration) -> Action {
+        Action::Compute(jittered(base, self.prof.jitter_us, &mut self.rng))
+    }
+
+    fn fire(&mut self, i: usize) -> Action {
+        match self.prof.strike.get(i) {
+            Some(call) => {
+                self.state = AtkState::Strike(i + 1);
+                Action::Syscall(call.request(None))
+            }
+            None => Action::Exit,
+        }
+    }
+
+    fn flag(&self) -> &AttackFlag {
+        self.flag
+            .as_ref()
+            .expect("flag attackers are spawned with the round's flag")
     }
 }
 
@@ -672,8 +780,8 @@ impl ProcessLogic for DslAttacker {
         match self.state {
             AtkState::Start => {
                 self.state = match self.prof.trigger {
-                    Trigger::RootOwned => AtkState::Stat,
                     Trigger::Timer => AtkState::TimerGap,
+                    Trigger::RootOwned | Trigger::Flag => AtkState::Stat,
                 };
                 Action::Compute(self.prof.start_delay)
             }
@@ -685,36 +793,50 @@ impl ProcessLogic for DslAttacker {
             }
             AtkState::Decide => {
                 if detected(last) {
+                    if self.prof.raises_flag {
+                        self.flag().set(true);
+                    }
                     self.state = AtkState::Strike(0);
-                    Action::Compute(jittered(
-                        self.prof.check_gap,
-                        self.prof.jitter_us,
-                        &mut self.rng,
-                    ))
+                    self.gap(self.prof.check_gap)
+                } else if !self.prof.rehearsal.is_empty() {
+                    self.state = AtkState::Rehearse(0);
+                    self.gap(self.prof.check_gap)
                 } else {
                     self.state = AtkState::Stat;
-                    Action::Compute(jittered(
-                        self.prof.loop_gap,
-                        self.prof.jitter_us,
-                        &mut self.rng,
-                    ))
+                    self.gap(self.prof.loop_gap)
                 }
             }
-            AtkState::TimerGap => {
-                self.state = AtkState::Strike(0);
-                Action::Compute(jittered(
-                    self.prof.check_gap,
-                    self.prof.jitter_us,
-                    &mut self.rng,
-                ))
-            }
-            AtkState::Strike(i) => match self.prof.strike.get(i) {
+            AtkState::Rehearse(i) => match self.prof.rehearsal.get(i) {
                 Some(call) => {
-                    self.state = AtkState::Strike(i + 1);
+                    self.state = AtkState::Rehearse(i + 1);
                     Action::Syscall(call.request(None))
                 }
-                None => Action::Exit,
+                None => {
+                    self.state = AtkState::Stat;
+                    self.gap(self.prof.loop_gap)
+                }
             },
+            AtkState::TimerGap => {
+                self.state = AtkState::Strike(0);
+                self.gap(self.prof.check_gap)
+            }
+            AtkState::Poll => {
+                if self.flag().get() {
+                    self.fire(0)
+                } else {
+                    self.gap(self.prof.loop_gap)
+                }
+            }
+            AtkState::Strike(i) => {
+                if self.prof.trigger == Trigger::Flag && i > 0 && !last.is_some_and(|r| r.is_ok())
+                {
+                    // Raced ahead of the partner's call (EEXIST): retry.
+                    self.state = AtkState::Retry(i - 1);
+                    return self.gap(self.prof.loop_gap);
+                }
+                self.fire(i)
+            }
+            AtkState::Retry(i) => self.fire(i),
         }
     }
 }
@@ -840,9 +962,7 @@ mod tests {
     #[test]
     fn every_library_victim_annotates_its_declared_window() {
         for (pair, scenario) in library::taxonomy_library(None) {
-            let VictimSpec::Compiled(victim) = &scenario.victim else {
-                panic!("library compiles to compiled victims");
-            };
+            let victim = &scenario.victim;
             let ann = victim.window_annotation().unwrap_or_else(|| {
                 panic!(
                     "{}: trace never realizes its declared pair {pair}",

@@ -1,16 +1,17 @@
-//! The taxonomy-wide workload library: [`ScenarioSpec`] constructors for
-//! victims across the paper's `<check, use>` cross product.
+//! The workload library: [`ScenarioSpec`] constructors for the paper's
+//! programs and for victims across its `<check, use>` cross product.
 //!
 //! Two groups live here:
 //!
-//! * **Oracle transcriptions** — [`vi_smp_spec`], [`gedit_smp_spec`],
-//!   [`hardlink_vi_smp_spec`]: the hand-written scenarios re-expressed as
-//!   specs, step for step and RNG draw for RNG draw. `tests/dsl_oracle.rs`
-//!   asserts they are byte-identical (trace, detections, `McOutcome`) to
-//!   the bespoke `ViSave`/`GeditSave`/`AttackerV1`/`AttackerHardlink`
-//!   modules — the proof that the compiler is faithful.
+//! * **The paper's scenarios** — vi's and gedit's save sequences
+//!   ([`vi_save`], [`gedit_save`]), attackers v1 and v2
+//!   ([`attacker_v1`], [`attacker_v2`]), the hardlink swap and the
+//!   pipelined pair ([`pipelined`]), bundled into the specs behind every
+//!   `Scenario::*` constructor ([`vi_smp_spec`], [`gedit_smp_spec`], …).
+//!   `tests/golden/scenarios.txt` pins them to the outputs of the
+//!   hand-written state machines they replaced.
 //! * **New victims** — ten scenarios spanning nine distinct taxonomy
-//!   pairs (eight beyond the hand-written set): tempfile/logrotate races,
+//!   pairs (eight beyond the paper's set): tempfile/logrotate races,
 //!   a recursive-chown walk, defensive sweepers, maildrop and installer
 //!   patterns, a mktemp reopen, a socket-style bind race, and
 //!   multi-attacker interference variants. Each is ~20 lines of spec and
@@ -43,11 +44,22 @@ fn pair(check: FsCall, use_call: FsCall) -> TocttouPair {
     TocttouPair::new(check, use_call).expect("library pairs are well-formed")
 }
 
-/// The editing prologue every victim starts with: uniform over 0–200 µs,
-/// like the hand-written editors. This is the round's randomizer — timer
-/// attackers strike at a fixed offset and hit a sliding window.
-fn prologue() -> Step {
-    Step::Think(DurationDist::uniform_us(0.0, 200.0))
+fn us(us: u64) -> SimDuration {
+    SimDuration::from_micros(us)
+}
+
+/// The editing prologue every SMP victim starts with: uniform over
+/// 0–200 µs. This is the round's randomizer — timer attackers strike at a
+/// fixed offset and hit a sliding window.
+fn prologue() -> DurationDist {
+    DurationDist::uniform_us(0.0, 200.0)
+}
+
+/// The uniprocessor prologue: uniform over a full time slice, so the save
+/// starts at a uniformly random slice phase — the laxity term of the
+/// paper's Formula (1).
+fn slice_prologue(machine: &MachineSpec) -> DurationDist {
+    DurationDist::uniform_us(0.0, machine.timeslice.as_micros_f64())
 }
 
 /// A timer-triggered attacker striking `target` with the symlink swap at
@@ -62,18 +74,16 @@ fn timer_symlinker(
     let privileged: Arc<str> = layout.passwd.as_str().into();
     AttackerProfile {
         name: "attacker-timer".into(),
-        pretouch: false,
-        watch: target.clone(),
         trigger: Trigger::Timer,
-        strike: AttackerProfile::symlink_strike(target, &privileged),
-        start_delay: SimDuration::from_micros(start_us),
-        loop_gap: SimDuration::from_micros(1),
-        check_gap: SimDuration::from_micros(check_us),
+        start_delay: us(start_us),
+        loop_gap: us(1),
+        check_gap: us(check_us),
         jitter_us,
+        ..attacker_v1(target, &privileged)
     }
 }
 
-/// A detect-loop (window-watching) symlink attacker, `AttackerV1`-style.
+/// A detect-loop symlink attacker with its own loop timing.
 fn watching_symlinker(
     layout: &Layout,
     target: &Arc<str>,
@@ -81,17 +91,11 @@ fn watching_symlinker(
     check_us: u64,
     start_us: u64,
 ) -> AttackerProfile {
-    let privileged: Arc<str> = layout.passwd.as_str().into();
     AttackerProfile {
-        name: "attacker-v1".into(),
-        pretouch: false,
-        watch: target.clone(),
-        trigger: Trigger::RootOwned,
-        strike: AttackerProfile::symlink_strike(target, &privileged),
-        start_delay: SimDuration::from_micros(start_us),
-        loop_gap: SimDuration::from_micros(loop_us),
-        check_gap: SimDuration::from_micros(check_us),
-        jitter_us: 1.0,
+        start_delay: us(start_us),
+        loop_gap: us(loop_us),
+        check_gap: us(check_us),
+        ..attacker_v1(target, &layout.passwd.as_str().into())
     }
 }
 
@@ -117,119 +121,270 @@ fn base_spec(
     }
 }
 
-// ---- oracle transcriptions ----------------------------------------------
+// ---- the paper's programs -----------------------------------------------
 
-/// [`Scenario::vi_smp`](crate::scenario::Scenario::vi_smp) as a spec —
-/// byte-identical to the hand-written `ViSave` + `AttackerV1` pairing.
-pub fn vi_smp_spec(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
+/// vi 6.1's save sequence (Figure 1, Section 2.1), run as root on
+/// `layout`'s user-owned document: rename the original to the backup
+/// name, `creat` a new file under the original name — **owned by root** —
+/// write the buffer to it, close it, and `chown` it back to the user.
+///
+/// `creat` through `chown` is the `<creat, chown>` window. The write
+/// dominates it, which is why Figures 6 and 7 depend on file size. The
+/// gaps are calibrated to Table 1 (a 1-byte save yields L ≈ 62 µs on the
+/// SMP profile).
+pub fn vi_save(layout: &Layout, file_size: u64, prologue: DurationDist) -> Vec<Step> {
     let doc: Arc<str> = layout.doc.as_str().into();
-    let backup: Arc<str> = layout.backup.as_str().into();
-    let privileged: Arc<str> = layout.passwd.as_str().into();
-    let mut spec = base_spec(
-        format!("vi-smp-{}B", file_size),
-        "vi",
-        pair(FsCall::Creat, FsCall::Chown),
-        vec![
-            prologue(),
-            Step::call(CallSpec::Rename {
-                from: doc.clone(),
-                to: backup,
-            }),
-            Step::gap_us(10, 2.0),
-            Step::call(CallSpec::OpenCreate(doc.clone())),
-            Step::WriteLoop {
-                bytes: file_size,
-                chunk: 64 * 1024,
-            },
-            Step::gap_us(10, 2.0),
-            Step::call(CallSpec::CloseFd),
-            Step::gap_us(76, 2.0),
-            Step::call(CallSpec::Chown {
-                path: doc.clone(),
-                uid: 1000,
-                gid: 1000,
-            }),
-        ],
-        SuccessRule::AttackerOwnsPrivileged,
-    );
-    spec.doc_size = file_size;
-    spec.attackers = vec![AttackerProfile {
-        name: "attacker-v1".into(),
-        pretouch: false,
-        watch: doc.clone(),
-        trigger: Trigger::RootOwned,
-        strike: AttackerProfile::symlink_strike(&doc, &privileged),
-        start_delay: SimDuration::from_micros(1),
-        loop_gap: SimDuration::from_micros(33),
-        check_gap: SimDuration::from_micros(2),
-        jitter_us: 1.0,
-    }];
-    spec
+    vec![
+        Step::Think(prologue),
+        Step::call(CallSpec::Rename {
+            from: doc.clone(),
+            to: layout.backup.as_str().into(),
+        }),
+        Step::gap_us(10, 2.0),
+        Step::call(CallSpec::OpenCreate(doc.clone())),
+        Step::write(file_size, 64 * 1024),
+        Step::gap_us(10, 2.0),
+        Step::call(CallSpec::CloseFd),
+        Step::gap_us(76, 2.0),
+        Step::call(CallSpec::Chown {
+            path: doc,
+            uid: layout.attacker.0 .0,
+            gid: layout.attacker.1 .0,
+        }),
+    ]
 }
 
-/// [`Scenario::gedit_smp`](crate::scenario::Scenario::gedit_smp) as a spec
-/// — byte-identical to the hand-written `GeditSave` + `AttackerV1`.
-pub fn gedit_smp_spec(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
+/// gedit 2.8.3's save sequence (Figure 3, Section 2.2), run as root on
+/// `layout`'s user-owned document: write the buffer to a root-created
+/// scratch file, back up the original, `rename` the scratch file onto the
+/// original name, then `chmod` and `chown` it back.
+///
+/// The `<rename, chown>` window does **not** contain the write, so it is
+/// tens of microseconds long whatever the file size — unattackable on a
+/// uniprocessor (Section 4.2), yet up to 83 % attackable on the SMP
+/// (Section 6.1). The decisive parameter is the `rename`→`chmod` gap:
+/// 43 µs on the SMP testbed, 3 µs on the multi-core (Section 6.2.1).
+pub fn gedit_save(
+    layout: &Layout,
+    file_size: u64,
+    prologue: DurationDist,
+    rename_chmod_us: u64,
+) -> Vec<Step> {
     let doc: Arc<str> = layout.doc.as_str().into();
     let temp: Arc<str> = layout.temp.as_str().into();
-    let backup: Arc<str> = layout.backup.as_str().into();
-    let privileged: Arc<str> = layout.passwd.as_str().into();
-    let mut spec = base_spec(
-        format!("gedit-smp-{}B", file_size),
-        "gedit",
-        pair(FsCall::Rename, FsCall::Chown),
-        vec![
-            prologue(),
-            Step::call(CallSpec::OpenCreate(temp.clone())),
-            Step::WriteLoop {
-                bytes: file_size,
-                chunk: 64 * 1024,
-            },
-            Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
-            Step::gap_us(10, 1.0),
-            Step::call(CallSpec::Rename {
-                from: doc.clone(),
-                to: backup,
-            }),
-            Step::gap_us(10, 1.0),
-            Step::call(CallSpec::Rename {
-                from: temp,
-                to: doc.clone(),
-            }),
-            Step::gap_us(43, 1.0),
-            Step::call(CallSpec::Chmod {
-                path: doc.clone(),
-                mode: 0o644,
-            }),
-            Step::gap_us(1, 1.0),
-            Step::call(CallSpec::Chown {
-                path: doc.clone(),
-                uid: 1000,
-                gid: 1000,
-            }),
-        ],
-        SuccessRule::AttackerOwnsPrivileged,
-    );
-    spec.doc_size = file_size;
-    spec.attackers = vec![AttackerProfile {
-        name: "attacker-v1".into(),
-        pretouch: false,
-        watch: doc.clone(),
-        trigger: Trigger::RootOwned,
-        strike: AttackerProfile::symlink_strike(&doc, &privileged),
-        start_delay: SimDuration::from_micros(1),
-        loop_gap: SimDuration::from_micros(25),
-        check_gap: SimDuration::from_micros(12),
-        jitter_us: 1.0,
-    }];
-    spec
+    vec![
+        Step::Think(prologue),
+        Step::call(CallSpec::OpenCreate(temp.clone())),
+        Step::write(file_size, 64 * 1024),
+        Step::gap_us(10, 1.0),
+        Step::call(CallSpec::CloseFd),
+        Step::gap_us(10, 1.0),
+        Step::call(CallSpec::Rename {
+            from: doc.clone(),
+            to: layout.backup.as_str().into(),
+        }),
+        Step::gap_us(10, 1.0),
+        Step::call(CallSpec::Rename {
+            from: temp,
+            to: doc.clone(),
+        }),
+        Step::gap_us(rename_chmod_us, 1.0),
+        Step::call(CallSpec::Chmod {
+            path: doc.clone(),
+            mode: 0o644,
+        }),
+        Step::gap_us(1, 1.0),
+        Step::call(CallSpec::Chown {
+            path: doc,
+            uid: layout.attacker.0 .0,
+            gid: layout.attacker.1 .0,
+        }),
+    ]
 }
 
-/// [`Scenario::hardlink_vi_smp`](crate::scenario::Scenario::hardlink_vi_smp)
-/// as a spec — byte-identical to `ViSave` + `AttackerHardlink`.
+/// Attacker v1 (Figures 2 and 4): spin on `stat(target)`; when it reports
+/// a root-owned regular file, `unlink` the target and `symlink` the
+/// privileged file in its place. Spawned cold, so its first `unlink`
+/// traps on a libc page inside the window (Section 6.2.1).
+///
+/// The gaps are the vi-on-SMP calibration (Table 1: D ≈ 41 µs); the other
+/// machines' scenarios override `loop_gap` and `check_gap`.
+pub fn attacker_v1(target: &Arc<str>, privileged: &Arc<str>) -> AttackerProfile {
+    AttackerProfile {
+        name: "attacker-v1".into(),
+        pretouch: false,
+        watch: target.clone(),
+        trigger: Trigger::RootOwned,
+        strike: AttackerProfile::symlink_strike(target, privileged),
+        rehearsal: Arc::from([]),
+        raises_flag: false,
+        start_delay: us(1),
+        loop_gap: us(33),
+        check_gap: us(2),
+        jitter_us: 1.0,
+    }
+}
+
+/// Attacker v2 (Figure 9) against `layout`'s document: v1 that rehearses
+/// its `unlink`/`symlink` on `layout.dummy` on every negative `stat`, so
+/// the libc pages are warm when the window opens and only the file name
+/// switches (Section 6.2.2). Multi-core gaps: 2 µs loop, 1.5 µs
+/// stat→`unlink` (Figure 10).
+pub fn attacker_v2(layout: &Layout) -> AttackerProfile {
+    let doc: Arc<str> = layout.doc.as_str().into();
+    let privileged: Arc<str> = layout.passwd.as_str().into();
+    AttackerProfile {
+        name: "attacker-v2".into(),
+        rehearsal: AttackerProfile::symlink_strike(&layout.dummy.as_str().into(), &privileged),
+        loop_gap: us(2),
+        check_gap: SimDuration::from_nanos(1_500),
+        ..attacker_v1(&doc, &privileged)
+    }
+}
+
+/// Section 7's pipelined attacker, split from the detect-loop attacker
+/// `v`. Thread 1 keeps `v`'s detection loop and its first strike call
+/// (`unlink`), and raises the shared flag on detection. Thread 2 polls the
+/// flag every `poll_gap` and issues the rest of the strike (`symlink`),
+/// retrying on `EEXIST`, so it lands right after the detach and overlaps
+/// the `unlink`'s truncation tail. Both threads run with warm libc pages:
+/// Section 7 builds on v2's insight.
+pub fn pipelined(v: &AttackerProfile, poll_gap: SimDuration) -> Vec<AttackerProfile> {
+    let detector = AttackerProfile {
+        name: "attacker-detect".into(),
+        pretouch: true,
+        strike: v.strike[..1].into(),
+        rehearsal: Arc::from([]),
+        raises_flag: true,
+        ..v.clone()
+    };
+    let linker = AttackerProfile {
+        name: "attacker-link".into(),
+        pretouch: true,
+        trigger: Trigger::Flag,
+        strike: v.strike[1..].into(),
+        rehearsal: Arc::from([]),
+        raises_flag: false,
+        start_delay: SimDuration::ZERO,
+        loop_gap: poll_gap,
+        check_gap: SimDuration::ZERO,
+        jitter_us: 0.0,
+        ..v.clone()
+    };
+    vec![detector, linker]
+}
+
+/// A [`pipelined`] pair folded back into one cold v1 process: the
+/// sequential control of Figure 11.
+pub fn sequential(detector: &AttackerProfile, linker: &AttackerProfile) -> AttackerProfile {
+    AttackerProfile {
+        name: "attacker-v1".into(),
+        pretouch: false,
+        strike: detector.strike.iter().chain(linker.strike.iter()).cloned().collect(),
+        raises_flag: false,
+        ..detector.clone()
+    }
+}
+
+/// A vi save on `machine` against attacker v1.
+fn vi_spec(
+    name: String,
+    machine: MachineSpec,
+    layout: Layout,
+    file_size: u64,
+    prologue: DurationDist,
+) -> ScenarioSpec {
+    let doc: Arc<str> = layout.doc.as_str().into();
+    let privileged: Arc<str> = layout.passwd.as_str().into();
+    ScenarioSpec {
+        machine,
+        steps: vi_save(&layout, file_size, prologue),
+        doc_size: file_size,
+        attackers: vec![attacker_v1(&doc, &privileged)],
+        layout,
+        ..base_spec(
+            name,
+            "vi",
+            pair(FsCall::Creat, FsCall::Chown),
+            vec![],
+            SuccessRule::AttackerOwnsPrivileged,
+        )
+    }
+}
+
+/// A gedit save on `machine` against `attacker`.
+fn gedit_spec(
+    name: String,
+    machine: MachineSpec,
+    prologue: DurationDist,
+    rename_chmod_us: u64,
+    file_size: u64,
+    attacker: AttackerProfile,
+) -> ScenarioSpec {
+    let layout = Layout::default();
+    ScenarioSpec {
+        machine,
+        steps: gedit_save(&layout, file_size, prologue, rename_chmod_us),
+        doc_size: file_size,
+        attackers: vec![attacker],
+        ..base_spec(
+            name,
+            "gedit",
+            pair(FsCall::Rename, FsCall::Chown),
+            vec![],
+            SuccessRule::AttackerOwnsPrivileged,
+        )
+    }
+}
+
+/// v1 with gedit's timing on `layout`'s document: Table 2's D ≈ 33 µs on
+/// the SMP, or the 11 µs check of Figure 8 on the multi-core.
+fn gedit_attacker_v1(loop_us: u64, check_us: u64) -> AttackerProfile {
+    let layout = Layout::default();
+    watching_symlinker(&layout, &layout.doc.as_str().into(), loop_us, check_us, 1)
+}
+
+/// Section 4.1 / Figure 6: vi on the uniprocessor. The editing prologue
+/// is uniform over a full time slice so the save starts at a random slice
+/// phase.
+pub fn vi_uniprocessor_spec(file_size: u64) -> ScenarioSpec {
+    vi_uniprocessor_on(Layout::default(), file_size)
+}
+
+/// [`vi_uniprocessor_spec`] on a custom layout (the maze variant moves the
+/// document deep below the home directory).
+pub(crate) fn vi_uniprocessor_on(layout: Layout, file_size: u64) -> ScenarioSpec {
+    let machine = MachineSpec::uniprocessor();
+    let prologue = slice_prologue(&machine);
+    vi_spec(
+        format!("vi-uniprocessor-{}B", file_size),
+        machine,
+        layout,
+        file_size,
+        prologue,
+    )
+}
+
+/// Section 5 / Figure 7 / Table 1: vi on the 2-way SMP.
+pub fn vi_smp_spec(file_size: u64) -> ScenarioSpec {
+    vi_spec(
+        format!("vi-smp-{}B", file_size),
+        MachineSpec::smp_xeon(),
+        Layout::default(),
+        file_size,
+        prologue(),
+    )
+}
+
+/// The hardlink-swap attack: vi on the 2-way SMP with the attacker
+/// planting a **hard link** to `/etc/passwd` instead of a symlink.
+///
+/// Same detection loop and window as [`vi_smp_spec`], but the planted
+/// name *is* the privileged inode — `stat` on it reports a root-owned
+/// regular file with `nlink = 2`, and the victim's `chown` lands on
+/// `/etc/passwd` without traversing any link. This is the classic bypass
+/// of symlink-only TOCTTOU countermeasures; the detector still sees it
+/// through the `link` namespace mutation.
 pub fn hardlink_vi_smp_spec(file_size: u64) -> ScenarioSpec {
     let mut spec = vi_smp_spec(file_size);
     spec.name = format!("vi-hardlink-smp-{}B", file_size);
@@ -239,6 +394,97 @@ pub fn hardlink_vi_smp_spec(file_size: u64) -> ScenarioSpec {
     spec.attackers[0].name = "attacker-hardlink".into();
     spec.attackers[0].strike = AttackerProfile::hardlink_strike(&doc, &privileged);
     spec
+}
+
+/// Section 4.2: gedit on the uniprocessor (the no-success baseline).
+pub fn gedit_uniprocessor_spec(file_size: u64) -> ScenarioSpec {
+    let machine = MachineSpec::uniprocessor();
+    let prologue = slice_prologue(&machine);
+    gedit_spec(
+        format!("gedit-uniprocessor-{}B", file_size),
+        machine,
+        prologue,
+        43,
+        file_size,
+        gedit_attacker_v1(25, 12),
+    )
+}
+
+/// Section 6.1 / Table 2: gedit on the 2-way SMP (43 µs rename→chmod gap;
+/// observed success ≈ 83 %).
+pub fn gedit_smp_spec(file_size: u64) -> ScenarioSpec {
+    gedit_spec(
+        format!("gedit-smp-{}B", file_size),
+        MachineSpec::smp_xeon(),
+        prologue(),
+        43,
+        file_size,
+        gedit_attacker_v1(25, 12),
+    )
+}
+
+/// The multi-core machine of Section 6.2. Its event analyses (Figures 8
+/// and 10) show a ~55 µs rename on this machine and filesystem, with the
+/// new name observable only late in the call (Figure 10's detecting stat
+/// starts 27 µs in and samples near the rename's end).
+fn multicore_gedit_machine() -> MachineSpec {
+    let mut machine = MachineSpec::multicore_pentium_d();
+    machine.costs.rename_us = 55.0;
+    machine.costs.rename_visible_frac = 0.88;
+    machine
+}
+
+/// Section 6.2.1 / Figure 8: gedit on the multi-core with attacker v1
+/// (3 µs victim gap vs 17 µs attacker gap: near-certain failure).
+pub fn gedit_multicore_v1_spec(file_size: u64) -> ScenarioSpec {
+    gedit_spec(
+        format!("gedit-multicore-v1-{}B", file_size),
+        multicore_gedit_machine(),
+        prologue(),
+        3,
+        file_size,
+        gedit_attacker_v1(12, 11),
+    )
+}
+
+/// Section 6.2.2 / Figures 9–10: gedit on the multi-core with the
+/// improved attacker v2 ("we begin to see many successes").
+pub fn gedit_multicore_v2_spec(file_size: u64) -> ScenarioSpec {
+    gedit_spec(
+        format!("gedit-multicore-v2-{}B", file_size),
+        multicore_gedit_machine(),
+        prologue(),
+        3,
+        file_size,
+        attacker_v2(&Layout::default()),
+    )
+}
+
+/// Section 7 / Figure 11: the pipelined two-thread attacker against a vi
+/// save of the given size on the multi-core (the long unlink truncation
+/// tail is what the second thread overlaps).
+pub fn pipelined_attack_spec(file_size: u64) -> ScenarioSpec {
+    let mut spec = vi_spec(
+        format!("pipelined-{}B", file_size),
+        MachineSpec::multicore_pentium_d(),
+        Layout::default(),
+        file_size,
+        prologue(),
+    );
+    spec.attackers = pipelined(&spec.attackers[0], us(1));
+    spec
+}
+
+/// The same attack as [`pipelined_attack_spec`] with the normal
+/// sequential attacker, for the Figure 11 comparison.
+pub fn sequential_attack_spec(file_size: u64) -> ScenarioSpec {
+    vi_spec(
+        format!("sequential-{}B", file_size),
+        MachineSpec::multicore_pentium_d(),
+        Layout::default(),
+        file_size,
+        prologue(),
+    )
 }
 
 // ---- new taxonomy scenarios ---------------------------------------------
@@ -255,14 +501,11 @@ pub fn tmp_logrotate(file_size: u64) -> ScenarioSpec {
         "logrotate",
         pair(FsCall::Stat, FsCall::Open),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::guarded(CallSpec::Stat(spool.clone()), Expect::UidIs(1000)),
             Step::gap_us(80, 2.0),
             Step::guarded(CallSpec::Open(spool.clone()), Expect::Succeeds),
-            Step::WriteLoop {
-                bytes: 512,
-                chunk: 512,
-            },
+            Step::write(512, 512),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::CloseFd),
         ],
@@ -285,7 +528,7 @@ pub fn chown_walk(file_size: u64) -> ScenarioSpec {
         "chown-r",
         pair(FsCall::Stat, FsCall::Chown),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::guarded(CallSpec::Stat("/home/user/pkg".into()), Expect::UidIs(1000)),
             Step::gap_us(10, 1.0),
             Step::guarded(
@@ -323,7 +566,7 @@ pub fn tmp_sweeper(file_size: u64) -> ScenarioSpec {
         "tmp-sweeper",
         pair(FsCall::Stat, FsCall::Chmod),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::guarded(CallSpec::Stat(cache.clone()), Expect::UidIs(1000)),
             Step::gap_us(90, 2.0),
             Step::call(CallSpec::Chmod {
@@ -349,14 +592,11 @@ pub fn maildrop(file_size: u64) -> ScenarioSpec {
         "maildrop",
         pair(FsCall::Lstat, FsCall::Open),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::guarded(CallSpec::Lstat(mbox.clone()), Expect::NotSymlink),
             Step::gap_us(85, 2.0),
             Step::guarded(CallSpec::Open(mbox.clone()), Expect::Succeeds),
-            Step::WriteLoop {
-                bytes: 256,
-                chunk: 256,
-            },
+            Step::write(256, 256),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::CloseFd),
         ],
@@ -378,14 +618,11 @@ pub fn installer_read(file_size: u64) -> ScenarioSpec {
         "installer",
         pair(FsCall::Access, FsCall::Open),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::guarded(CallSpec::Access(conf.clone()), Expect::UidIs(1000)),
             Step::gap_us(85, 2.0),
             Step::guarded(CallSpec::Open(conf.clone()), Expect::Succeeds),
-            Step::WriteLoop {
-                bytes: 128,
-                chunk: 128,
-            },
+            Step::write(128, 128),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::CloseFd),
         ],
@@ -408,14 +645,11 @@ pub fn pkg_installer(file_size: u64) -> ScenarioSpec {
         "pkg-install",
         pair(FsCall::Access, FsCall::Chown),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::call(CallSpec::Mkdir("/home/user/.staging".into())),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::OpenCreate("/home/user/.staging/payload".into())),
-            Step::WriteLoop {
-                bytes: file_size,
-                chunk: 64 * 1024,
-            },
+            Step::write(file_size, 64 * 1024),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::CloseFd),
             Step::gap_us(10, 1.0),
@@ -446,20 +680,14 @@ pub fn mktemp_reopen(file_size: u64) -> ScenarioSpec {
         "mktemp",
         pair(FsCall::Creat, FsCall::Open),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::call(CallSpec::OpenCreate(tmp.clone())),
-            Step::WriteLoop {
-                bytes: file_size,
-                chunk: 64 * 1024,
-            },
+            Step::write(file_size, 64 * 1024),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::CloseFd),
             Step::gap_us(90, 2.0),
             Step::guarded(CallSpec::Open(tmp.clone()), Expect::Succeeds),
-            Step::WriteLoop {
-                bytes: 64,
-                chunk: 64,
-            },
+            Step::write(64, 64),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::CloseFd),
         ],
@@ -481,12 +709,9 @@ pub fn sock_bind(file_size: u64) -> ScenarioSpec {
         "sock-daemon",
         pair(FsCall::Creat, FsCall::Chmod),
         vec![
-            prologue(),
+            Step::Think(prologue()),
             Step::call(CallSpec::OpenCreate(sock.clone())),
-            Step::WriteLoop {
-                bytes: file_size,
-                chunk: 64 * 1024,
-            },
+            Step::write(file_size, 64 * 1024),
             Step::gap_us(10, 1.0),
             Step::call(CallSpec::CloseFd),
             Step::gap_us(90, 2.0),
@@ -540,14 +765,11 @@ pub fn swap_contest(file_size: u64) -> ScenarioSpec {
     };
     let hardlinker = AttackerProfile {
         name: "attacker-hardlink".into(),
-        pretouch: false,
-        watch: doc.clone(),
-        trigger: Trigger::RootOwned,
         strike: AttackerProfile::hardlink_strike(&doc, &privileged),
-        start_delay: SimDuration::from_micros(5),
-        loop_gap: SimDuration::from_micros(29),
-        check_gap: SimDuration::from_micros(3),
-        jitter_us: 1.0,
+        start_delay: us(5),
+        loop_gap: us(29),
+        check_gap: us(3),
+        ..attacker_v1(&doc, &privileged)
     };
     spec.attackers = vec![symlinker, hardlinker];
     spec
@@ -577,4 +799,403 @@ pub fn taxonomy_library(file_size: Option<u64>) -> Vec<(TocttouPair, crate::scen
             (spec.pair, spec.compile())
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dsl::{AttackFlag, CompiledVictim, DslAttacker};
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use tocttou_core::stats::SuccessCounter;
+    use tocttou_os::prelude::*;
+    use tocttou_sim::time::SimTime;
+
+    const DOC: &str = "/home/user/doc.txt";
+
+    /// A quiet kernel with the standard layout; the user's document
+    /// exists with `doc_size` bytes unless `None`.
+    fn kernel(machine: MachineSpec, seed: u64, doc_size: Option<u64>) -> Kernel {
+        let mut k = Kernel::new(machine.quiet(), seed);
+        let root = InodeMeta {
+            uid: Uid::ROOT,
+            gid: Gid::ROOT,
+            mode: 0o755,
+        };
+        let user = InodeMeta {
+            uid: Uid(1000),
+            gid: Gid(1000),
+            mode: 0o755,
+        };
+        k.vfs_mut().mkdir("/etc", root).unwrap();
+        k.vfs_mut().create_file("/etc/passwd", root).unwrap();
+        k.vfs_mut().mkdir("/home", root).unwrap();
+        k.vfs_mut().mkdir("/home/user", user).unwrap();
+        k.vfs_mut().mkdir("/home/user/.attack", user).unwrap();
+        if let Some(size) = doc_size {
+            let ino = k.vfs_mut().create_file(DOC, user).unwrap();
+            k.vfs_mut().append(ino, size).unwrap();
+        }
+        k
+    }
+
+    /// Spawns `steps` as a root victim.
+    fn spawn_victim(k: &mut Kernel, name: &str, steps: Vec<Step>, seed: u64) -> Pid {
+        let victim = CompiledVictim {
+            name: name.into(),
+            steps: steps.into(),
+            doc_size: 0,
+            pair: pair(FsCall::Creat, FsCall::Chown),
+            extra_files: Arc::from([]),
+            success: SuccessRule::AttackerOwnsPrivileged,
+        };
+        k.spawn(name, Uid::ROOT, Gid::ROOT, true, Box::new(victim.logic(seed)))
+    }
+
+    /// Spawns attacker processes sharing one round flag.
+    fn spawn_attackers(k: &mut Kernel, profiles: Vec<AttackerProfile>, seed: u64) -> Vec<Pid> {
+        let flag: AttackFlag = Rc::new(Cell::new(false));
+        profiles
+            .into_iter()
+            .map(|p| {
+                let (name, pretouch) = (p.name.clone(), p.pretouch);
+                let logic = DslAttacker::new(Arc::new(p), seed).with_flag(flag.clone());
+                k.spawn(&name, Uid(1000), Gid(1000), pretouch, Box::new(logic))
+            })
+            .collect()
+    }
+
+    fn v1() -> AttackerProfile {
+        attacker_v1(&DOC.into(), &"/etc/passwd".into())
+    }
+
+    fn count(k: &Kernel, pred: impl Fn(&OsEvent) -> bool) -> usize {
+        k.trace().iter().filter(|r| pred(&r.event)).count()
+    }
+
+    fn vi(size: u64, prologue: DurationDist) -> Vec<Step> {
+        vi_save(&Layout::default(), size, prologue)
+    }
+
+    fn gedit(size: u64) -> Vec<Step> {
+        gedit_save(&Layout::default(), size, DurationDist::const_us(0.0), 43)
+    }
+
+    #[test]
+    fn vi_save_completes_with_correct_final_state() {
+        let mut k = kernel(MachineSpec::smp_xeon(), 1, Some(4096));
+        let pid = spawn_victim(&mut k, "vi", vi(100 * 1024, prologue()), 9);
+        let outcome = k.run_until_exit(pid, SimTime::from_secs(2));
+        assert_eq!(outcome, RunOutcome::StopConditionMet);
+        // Backup holds the old content; new file has the new size and the
+        // user's ownership restored.
+        assert_eq!(k.vfs().stat("/home/user/doc.txt~").unwrap().size, 4096);
+        let saved = k.vfs().stat(DOC).unwrap();
+        assert_eq!(saved.size, 100 * 1024);
+        assert_eq!(saved.uid, Uid(1000), "ownership restored");
+        k.vfs().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn window_exists_file_owned_by_root_between_creat_and_chown() {
+        let mut k = kernel(MachineSpec::smp_xeon(), 1, Some(4096));
+        let pid = spawn_victim(&mut k, "vi", vi(1024 * 1024, prologue()), 3);
+        // Run until mid-write (a 1 MB write at SMP speed takes ~17 ms; stop
+        // at 5 ms, well inside the window).
+        k.run_until(
+            |k| k.now() >= SimTime::from_millis(5),
+            SimTime::from_secs(2),
+        );
+        let st = k.vfs().stat(DOC).unwrap();
+        assert_eq!(st.uid, Uid::ROOT, "mid-window the file belongs to root");
+        // Finish: ownership restored.
+        k.run_until_exit(pid, SimTime::from_secs(2));
+        assert_eq!(k.vfs().stat(DOC).unwrap().uid, Uid(1000));
+    }
+
+    #[test]
+    fn window_length_scales_with_file_size() {
+        let window_of = |size: u64| {
+            let mut k = kernel(MachineSpec::smp_xeon(), 1, Some(4096));
+            let pid = spawn_victim(&mut k, "vi", vi(size, DurationDist::const_us(0.0)), 5);
+            k.run_until_exit(pid, SimTime::from_secs(5));
+            // Window = creat commit .. chown enter, from the trace.
+            let mut creat_commit = None;
+            let mut chown_enter = None;
+            for r in k.trace().iter() {
+                match &r.event {
+                    OsEvent::Commit {
+                        call: SyscallName::OpenCreate,
+                        ..
+                    } => creat_commit = Some(r.at),
+                    OsEvent::SyscallEnter {
+                        call: SyscallName::Chown,
+                        ..
+                    } => chown_enter = Some(r.at),
+                    _ => {}
+                }
+            }
+            (chown_enter.unwrap() - creat_commit.unwrap()).as_micros_f64()
+        };
+        let w1 = window_of(1);
+        let w100k = window_of(100 * 1024);
+        let w1m = window_of(1024 * 1024);
+        // 1-byte window ≈ the calibrated ~97 µs baseline (Table 1's L ≈ 62
+        // plus the detection/attack allowance).
+        assert!((80.0..130.0).contains(&w1), "1-byte window {w1}");
+        // 17 µs/KB at SMP speed.
+        assert!((1_500.0..2_100.0).contains(&w100k), "100 KB window {w100k}");
+        assert!((16_000.0..19_500.0).contains(&w1m), "1 MB window {w1m}");
+    }
+
+    /// Section 1's classic victim-slowing trick: on slow storage the victim
+    /// blocks mid-window, so even the uniprocessor attacker wins almost
+    /// every round (P(suspended) → 1).
+    #[test]
+    fn slow_storage_makes_uniprocessor_attack_reliable() {
+        let run_round = |seed: u64, slow: bool| -> bool {
+            let mut k = kernel(MachineSpec::uniprocessor(), seed, Some(0));
+            let mut steps = vi(128 * 1024, prologue());
+            for step in &mut steps {
+                if let Step::WriteLoop { chunk, stall, .. } = step {
+                    *chunk = 16 * 1024;
+                    *stall = slow.then(|| SimDuration::from_millis(2));
+                }
+            }
+            let vpid = spawn_victim(&mut k, "vi", steps, seed);
+            spawn_attackers(&mut k, vec![v1()], seed ^ 0xAA);
+            k.run_until_exit(vpid, SimTime::from_secs(2));
+            k.vfs().stat("/etc/passwd").unwrap().uid == Uid(1000)
+        };
+        let mut fast = SuccessCounter::new();
+        let mut slow = SuccessCounter::new();
+        for seed in 0..25 {
+            fast.record(run_round(seed, false));
+            slow.record(run_round(seed, true));
+        }
+        assert!(slow.rate() > 0.9, "slow storage: {slow}");
+        assert!(fast.rate() < 0.3, "page-cache writes: {fast}");
+    }
+
+    #[test]
+    fn gedit_save_completes_with_correct_final_state() {
+        let mut k = kernel(MachineSpec::smp_xeon(), 1, Some(2048));
+        let pid = spawn_victim(&mut k, "gedit", gedit(8192), 2);
+        let outcome = k.run_until_exit(pid, SimTime::from_secs(2));
+        assert_eq!(outcome, RunOutcome::StopConditionMet);
+        let saved = k.vfs().stat(DOC).unwrap();
+        assert_eq!(saved.size, 8192);
+        assert_eq!(saved.uid, Uid(1000));
+        assert_eq!(saved.mode, 0o644);
+        assert_eq!(k.vfs().stat("/home/user/doc.txt~").unwrap().size, 2048);
+        assert!(
+            k.vfs().stat("/home/user/.goutputstream").is_err(),
+            "temp consumed"
+        );
+        k.vfs().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn window_does_not_scale_with_file_size() {
+        // The defining contrast with vi: rename→chown window is independent
+        // of file size because the write happens *before* the window.
+        let window_of = |size: u64| {
+            let mut k = kernel(MachineSpec::smp_xeon(), 1, Some(2048));
+            let pid = spawn_victim(&mut k, "gedit", gedit(size), 4);
+            k.run_until_exit(pid, SimTime::from_secs(5));
+            let mut rename_into_place = None;
+            let mut chown_enter = None;
+            for r in k.trace().iter() {
+                match &r.event {
+                    OsEvent::SyscallEnter {
+                        call: SyscallName::Rename,
+                        path: Some(p),
+                        ..
+                    } if p == DOC => rename_into_place = Some(r.at),
+                    OsEvent::SyscallEnter {
+                        call: SyscallName::Chown,
+                        ..
+                    } => chown_enter = Some(r.at),
+                    _ => {}
+                }
+            }
+            (chown_enter.unwrap() - rename_into_place.unwrap()).as_micros_f64()
+        };
+        let w_small = window_of(1024);
+        let w_large = window_of(1024 * 1024);
+        assert!((w_small - w_large).abs() < 2.0, "{w_small} vs {w_large}");
+        // Rename 60 + gap 43 + chmod ~12 + gap 1 ≈ 120 µs at SMP speed.
+        assert!((100.0..160.0).contains(&w_small), "window {w_small}");
+    }
+
+    #[test]
+    fn multicore_gap_variant() {
+        // The rename→chmod gap is the step right before the chmod.
+        let gap_before_chmod = |spec: ScenarioSpec| {
+            let i = spec
+                .steps
+                .iter()
+                .position(|s| matches!(s, Step::Call { call: CallSpec::Chmod { .. }, .. }))
+                .expect("gedit chmods");
+            match &spec.steps[i - 1] {
+                Step::Gap { base, .. } => *base,
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(gap_before_chmod(gedit_smp_spec(1024)), us(43));
+        assert_eq!(gap_before_chmod(gedit_multicore_v1_spec(1024)), us(3));
+        assert_eq!(gap_before_chmod(gedit_multicore_v2_spec(1024)), us(3));
+    }
+
+    #[test]
+    fn mid_window_file_is_root_owned() {
+        let mut k = kernel(MachineSpec::smp_xeon(), 1, Some(2048));
+        let pid = spawn_victim(&mut k, "gedit", gedit(1024), 6);
+        // The save performs two renames (backup, then temp→real); the window
+        // opens at the second rename's commit.
+        let renames = |k: &Kernel| {
+            count(k, |e| {
+                matches!(
+                    e,
+                    OsEvent::Commit {
+                        call: SyscallName::Rename,
+                        ..
+                    }
+                )
+            })
+        };
+        k.run_until(|k| renames(k) == 2, SimTime::from_secs(1));
+        let st = k.vfs().stat(DOC).unwrap();
+        assert_eq!(st.uid, Uid::ROOT, "window open: root owns the document");
+        k.run_until_exit(pid, SimTime::from_secs(1));
+        assert_eq!(k.vfs().stat(DOC).unwrap().uid, Uid(1000));
+    }
+
+    #[test]
+    fn v1_attacks_an_open_window_immediately() {
+        let mut k = kernel(MachineSpec::multicore_pentium_d(), 11, Some(0));
+        // The window is already open: the target is root-owned.
+        k.vfs_mut().chown(DOC, Uid::ROOT, Gid::ROOT).unwrap();
+        let pid = spawn_attackers(&mut k, vec![v1()], 1)[0];
+        k.run_until_exit(pid, SimTime::from_millis(10));
+        assert!(k.vfs().lstat(DOC).unwrap().is_symlink, "target replaced");
+        assert_eq!(k.vfs().readlink(DOC).unwrap(), "/etc/passwd");
+        // The cold unlink/symlink page traps.
+        let traps = count(&k, |e| matches!(e, OsEvent::Trap { .. }));
+        assert!(traps >= 1, "cold attacker trapped");
+    }
+
+    #[test]
+    fn v1_spins_while_window_closed() {
+        let mut k = kernel(MachineSpec::multicore_pentium_d(), 11, Some(0));
+        let pid = spawn_attackers(&mut k, vec![v1()], 1)[0];
+        let outcome = k.run_until_exit(pid, SimTime::from_millis(5));
+        assert_eq!(outcome, RunOutcome::TimedOut, "spins forever");
+        assert!(!k.vfs().lstat(DOC).unwrap().is_symlink);
+        let stats = count(&k, |e| {
+            matches!(
+                e,
+                OsEvent::SyscallEnter {
+                    call: SyscallName::Stat,
+                    ..
+                }
+            )
+        });
+        assert!(stats > 50, "spinning: {stats} stats");
+    }
+
+    #[test]
+    fn v1_does_not_attack_an_existing_symlink() {
+        // `stat` follows a planted symlink to root-owned /etc/passwd, so
+        // the paper's program fires again (stat does not see symlinks): it
+        // unlinks the symlink and re-plants it, and passwd stays root's.
+        let mut k = kernel(MachineSpec::multicore_pentium_d(), 11, None);
+        k.vfs_mut()
+            .symlink("/etc/passwd", DOC, (Uid(1000), Gid(1000)))
+            .unwrap();
+        let pid = spawn_attackers(&mut k, vec![v1()], 1)[0];
+        k.run_until_exit(pid, SimTime::from_millis(5));
+        assert_eq!(k.vfs().stat("/etc/passwd").unwrap().uid, Uid::ROOT);
+    }
+
+    #[test]
+    fn v2_prewarms_on_dummy_and_switches_to_target() {
+        let mut k = kernel(MachineSpec::multicore_pentium_d(), 11, Some(0));
+        let pid = spawn_attackers(&mut k, vec![attacker_v2(&Layout::default())], 2)[0];
+        // Let it idle-loop a while: dummy gets symlinked/unlinked repeatedly.
+        k.run_until(
+            |k| k.now() >= SimTime::from_micros(500),
+            SimTime::from_secs(1),
+        );
+        let dummy_ops = count(&k, |e| {
+            matches!(
+                e,
+                OsEvent::SyscallEnter {
+                    call: SyscallName::Unlink | SyscallName::Symlink,
+                    path: Some(p),
+                    ..
+                } if p.contains("dummy")
+            )
+        });
+        assert!(dummy_ops >= 4, "dummy churn: {dummy_ops}");
+        // Now open the window: chown the target to root.
+        k.vfs_mut().chown(DOC, Uid::ROOT, Gid::ROOT).unwrap();
+        k.run_until_exit(pid, SimTime::from_millis(10));
+        assert!(k.vfs().lstat(DOC).unwrap().is_symlink);
+        // Every trap happened on the dummy, before the window opened.
+        let last_trap = k
+            .trace()
+            .iter()
+            .filter(|r| matches!(r.event, OsEvent::Trap { .. }))
+            .map(|r| r.at)
+            .max();
+        assert!(
+            last_trap.is_none_or(|t| t < SimTime::from_micros(500)),
+            "no trap inside the window"
+        );
+    }
+
+    #[test]
+    fn pipelined_symlink_overlaps_unlink_truncation() {
+        // A large root-owned target: unlink's truncation tail is long.
+        let mut k = kernel(MachineSpec::multicore_pentium_d(), 11, Some(500 * 1024));
+        k.vfs_mut().chown(DOC, Uid::ROOT, Gid::ROOT).unwrap();
+        let pids = spawn_attackers(&mut k, pipelined(&v1(), us(1)), 3);
+        k.run_until_all_exit(&pids, SimTime::from_millis(50));
+
+        // Extract event times: symlink must COMMIT before unlink EXITS.
+        let mut symlink_commit = None;
+        let mut unlink_exit = None;
+        for r in k.trace().iter() {
+            match &r.event {
+                OsEvent::Commit {
+                    call: SyscallName::Symlink,
+                    ..
+                } => symlink_commit = Some(r.at),
+                OsEvent::SyscallExit {
+                    call: SyscallName::Unlink,
+                    ..
+                } => unlink_exit = Some(r.at),
+                _ => {}
+            }
+        }
+        let (sc, ue) = (symlink_commit.unwrap(), unlink_exit.unwrap());
+        assert!(
+            sc < ue,
+            "pipelined symlink ({sc}) finished before unlink returned ({ue})"
+        );
+        assert!(k.vfs().lstat(DOC).unwrap().is_symlink);
+    }
+
+    #[test]
+    fn sequential_folds_the_pipelined_pair_back_into_v1() {
+        let v = v1();
+        let pair = pipelined(&v, us(1));
+        assert_eq!(pair.len(), 2);
+        assert!(pair[0].raises_flag && pair[1].trigger == Trigger::Flag);
+        assert_eq!(
+            format!("{:?}", sequential(&pair[0], &pair[1])),
+            format!("{v:?}")
+        );
+    }
 }

@@ -195,7 +195,8 @@ impl ProcessLogic for GenericVictim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacker::{AttackerConfig, AttackerV1};
+    use crate::dsl::{library, DslAttacker};
+    use std::sync::Arc;
     use tocttou_os::machine::MachineSpec;
     use tocttou_os::prelude::*;
     use tocttou_sim::time::SimTime;
@@ -242,13 +243,13 @@ mod tests {
             true,
             Box::new(GenericVictim::new(cfg, 1)),
         );
-        let atk = AttackerConfig::vi_smp("/home/user/f", "/etc/passwd");
+        let atk = Arc::new(library::attacker_v1(&"/home/user/f".into(), &"/etc/passwd".into()));
         k.spawn(
             "attacker",
             Uid(1000),
             Gid(1000),
             false,
-            Box::new(AttackerV1::new(atk, 2)),
+            Box::new(DslAttacker::new(atk, 2)),
         );
         k.run_until_exit(vpid, SimTime::from_secs(1));
         assert_eq!(k.vfs().stat("/etc/passwd").unwrap().uid, Uid(1000));
@@ -278,13 +279,13 @@ mod tests {
             true,
             Box::new(GenericVictim::new(cfg, 3)),
         );
-        let atk = AttackerConfig::vi_smp("/home/user/mbox", "/etc/passwd");
+        let atk = Arc::new(library::attacker_v1(&"/home/user/mbox".into(), &"/etc/passwd".into()));
         k.spawn(
             "attacker",
             Uid(1000),
             Gid(1000),
             false,
-            Box::new(AttackerV1::new(atk, 4)),
+            Box::new(DslAttacker::new(atk, 4)),
         );
         k.run_until_exit(vpid, SimTime::from_secs(1));
         // The mailbox name now points at /etc/passwd: the victim's open
@@ -312,13 +313,13 @@ mod tests {
             true,
             Box::new(GenericVictim::new(cfg, 9)),
         );
-        let atk = AttackerConfig::vi_smp("/home/user/f", "/etc/passwd");
+        let atk = Arc::new(library::attacker_v1(&"/home/user/f".into(), &"/etc/passwd".into()));
         k.spawn(
             "attacker",
             Uid(1000),
             Gid(1000),
             false,
-            Box::new(AttackerV1::new(atk, 10)),
+            Box::new(DslAttacker::new(atk, 10)),
         );
         k.run_until_exit(vpid, SimTime::from_secs(1));
         assert_eq!(

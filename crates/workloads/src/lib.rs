@@ -1,20 +1,20 @@
 //! # tocttou-workloads — victims and attackers from the DSN'07 paper
 //!
-//! Faithful `ProcessLogic` transcriptions of the programs studied in
-//! *"Multiprocessors May Reduce System Dependability under File-Based Race
-//! Condition Attacks"* (Wei & Pu, DSN 2007):
+//! The programs studied in *"Multiprocessors May Reduce System
+//! Dependability under File-Based Race Condition Attacks"* (Wei & Pu,
+//! DSN 2007), written once, as data, and run by one interpreter per role:
 //!
-//! * [`vi::ViSave`] — the vi 6.1 save sequence with its `<open, chown>`
-//!   window (Figure 1);
-//! * [`gedit::GeditSave`] — the gedit 2.8.3 save sequence with its
-//!   `<rename, chown>` window (Figure 3);
-//! * [`attacker::AttackerV1`] — the basic detect-then-swap attacker
-//!   (Figures 2 and 4);
-//! * [`attacker::AttackerV2`] — the page-fault-free attacker (Figure 9);
-//! * [`attacker::PipelinedDetector`]/[`attacker::PipelinedLinker`] — the
-//!   two-thread pipelined attacker (Section 7);
+//! * [`dsl`] — the spec language ([`ScenarioSpec`], [`Step`],
+//!   [`AttackerProfile`]) and its interpreters ([`dsl::DslVictim`],
+//!   [`dsl::DslAttacker`]);
+//! * [`dsl::library`] — the vi 6.1 and gedit 2.8.3 save sequences
+//!   (Figures 1 and 3), attackers v1 and v2 (Figures 2/4 and 9), the
+//!   hardlink swap and the pipelined pair (Section 7), and victims across
+//!   the `<check, use>` taxonomy;
 //! * [`scenario::Scenario`] — named machine+victim+attacker bundles for
-//!   every experiment in the paper's evaluation.
+//!   every experiment in the paper's evaluation, each a compiled spec;
+//! * [`generic`], [`rpm`], [`sendmail`] — hand-written victims not yet
+//!   ported to specs, run directly on a kernel.
 //!
 //! # Examples
 //!
@@ -29,24 +29,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attacker;
 pub mod dsl;
-pub mod gedit;
 pub mod generic;
 pub mod maze;
 pub mod rpm;
 pub mod scenario;
 pub mod sendmail;
-pub mod vi;
 
-pub use attacker::{AttackerConfig, AttackerV1, AttackerV2, PipelinedDetector, PipelinedLinker};
 pub use dsl::{
     AttackerProfile, CallSpec, CompiledVictim, Expect, ScenarioSpec, Step, SuccessRule, Trigger,
 };
-pub use gedit::{GeditConfig, GeditSave};
 pub use generic::{GenericConfig, GenericVictim};
 pub use maze::{run_maze_round, vi_uniprocessor_maze, Maze};
 pub use rpm::{RpmConfig, RpmInstall};
-pub use scenario::{AttackerSpec, Layout, RoundHandles, RoundResult, Scenario, VictimSpec};
+pub use scenario::{Layout, RoundHandles, RoundResult, Scenario};
 pub use sendmail::{SendmailConfig, SendmailDeliver};
-pub use vi::{ViConfig, ViSave};

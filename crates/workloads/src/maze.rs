@@ -8,7 +8,8 @@
 //! module builds maze layouts and scenario variants that quantify the
 //! effect with the same Monte-Carlo machinery as the paper's experiments.
 
-use crate::scenario::{Scenario, VictimSpec};
+use crate::dsl::library;
+use crate::scenario::{Layout, Scenario};
 use tocttou_os::ids::{Gid, Uid};
 use tocttou_os::kernel::Kernel;
 use tocttou_os::vfs::InodeMeta;
@@ -68,19 +69,15 @@ impl Maze {
 /// pre-multiprocessor weapon of choice.
 pub fn vi_uniprocessor_maze(file_size: u64, depth: usize, per_component_us: f64) -> Scenario {
     let maze = Maze::new(depth);
-    let mut scenario = Scenario::vi_uniprocessor(file_size);
-    scenario.name = format!("vi-uniprocessor-maze{}-{}B", depth, file_size);
-    scenario.machine.costs.resolve_per_component_us = per_component_us;
-    scenario.layout.doc = maze.doc.clone();
-    scenario.layout.backup = maze.backup.clone();
-    if let VictimSpec::Vi(cfg) = &mut scenario.victim {
-        cfg.wfname = maze.doc.as_str().into();
-        cfg.backup = maze.backup.as_str().into();
-    }
-    if let crate::scenario::AttackerSpec::V1(cfg) = &mut scenario.attacker {
-        cfg.target = maze.doc.as_str().into();
-    }
-    scenario
+    let layout = Layout {
+        doc: maze.doc,
+        backup: maze.backup,
+        ..Layout::default()
+    };
+    let mut spec = library::vi_uniprocessor_on(layout, file_size);
+    spec.name = format!("vi-uniprocessor-maze{}-{}B", depth, file_size);
+    spec.machine.costs.resolve_per_component_us = per_component_us;
+    spec.compile()
 }
 
 impl Scenario {

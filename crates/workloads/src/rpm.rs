@@ -147,7 +147,8 @@ impl ProcessLogic for RpmInstall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacker::{AttackerConfig, AttackerV1};
+    use crate::dsl::{library, DslAttacker};
+    use std::sync::Arc;
     use tocttou_os::machine::MachineSpec;
     use tocttou_os::prelude::*;
     use tocttou_sim::time::SimTime;
@@ -204,13 +205,13 @@ mod tests {
                 true,
                 Box::new(RpmInstall::new(cfg, seed)),
             );
-            let atk = AttackerConfig::vi_smp("/var/tmp/rpm-helper", "/etc/passwd");
+            let atk = Arc::new(library::attacker_v1(&"/var/tmp/rpm-helper".into(), &"/etc/passwd".into()));
             k.spawn(
                 "attacker",
                 Uid(1000),
                 Gid(1000),
                 false,
-                Box::new(AttackerV1::new(atk, seed ^ 0xFF)),
+                Box::new(DslAttacker::new(atk, seed ^ 0xFF)),
             );
             k.run_until_exit(vpid, SimTime::from_secs(1));
             if k.vfs().stat("/etc/passwd").unwrap().uid == Uid(1000) {

@@ -5,13 +5,10 @@
 //! fresh kernel from it with a round-specific seed via [`Scenario::build`],
 //! runs it, and reads the outcome ([`Scenario::run_round`]).
 
-use crate::attacker::{
-    AttackFlag, AttackerConfig, AttackerHardlink, AttackerV1, AttackerV2, PipelinedDetector,
-    PipelinedLinker,
+use crate::dsl::{
+    self, library, AttackFlag, AttackerProfile, CallSpec, CompiledVictim, DslAttacker, FileSpec,
+    Step, Trigger,
 };
-use crate::dsl::{self, AttackerProfile, CallSpec, CompiledVictim, FileSpec, Step};
-use crate::gedit::{GeditConfig, GeditSave};
-use crate::vi::{ViConfig, ViSave};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -60,41 +57,6 @@ impl Default for Layout {
     }
 }
 
-/// Which victim program a scenario runs.
-#[derive(Debug, Clone)]
-pub enum VictimSpec {
-    /// vi 6.1 (Section 2.1).
-    Vi(ViConfig),
-    /// gedit 2.8.3 (Section 2.2).
-    Gedit(GeditConfig),
-    /// A DSL-compiled victim (see [`crate::dsl`]): the trace is data, the
-    /// interpreter replays it with the hand-written victims' RNG schedule.
-    Compiled(CompiledVictim),
-}
-
-/// Which attacker program a scenario runs.
-#[derive(Debug, Clone)]
-pub enum AttackerSpec {
-    /// Figure 2/4's program (cold libc pages: traps at first unlink).
-    V1(AttackerConfig),
-    /// Figure 9's pre-warming program.
-    V2(AttackerConfig),
-    /// The hardlink variant of v1: plants a second *name of the privileged
-    /// inode* instead of a symlink, so the victim's `chown` needs no link
-    /// traversal at all and symlink-only countermeasures see nothing.
-    Hardlink(AttackerConfig),
-    /// Section 7's two-thread pipelined program.
-    Pipelined {
-        /// Shared timing/path parameters.
-        cfg: AttackerConfig,
-        /// Flag-polling period of the symlink thread.
-        poll_gap: SimDuration,
-    },
-    /// DSL-compiled attackers, one process per profile (see
-    /// [`crate::dsl`]); more than one models multi-attacker interference.
-    Compiled(Vec<AttackerProfile>),
-}
-
 /// A complete, named experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -103,9 +65,10 @@ pub struct Scenario {
     /// Machine profile.
     pub machine: MachineSpec,
     /// Victim program.
-    pub victim: VictimSpec,
-    /// Attacker program.
-    pub attacker: AttackerSpec,
+    pub victim: CompiledVictim,
+    /// Attacker programs, one process each (more than one models
+    /// interference or a multi-threaded attacker).
+    pub attacker: Vec<Arc<AttackerProfile>>,
     /// Filesystem layout.
     pub layout: Layout,
     /// Wall-clock cap per round.
@@ -307,99 +270,41 @@ impl Scenario {
     /// therefore determinism).
     fn spawn_workloads(&self, mut kernel: Kernel, root_rng: &mut SimRng) -> RoundHandles {
         let victim_seed = root_rng.next_u64();
-        let victim = match &self.victim {
-            VictimSpec::Vi(cfg) => kernel.spawn(
-                "vi",
-                Uid::ROOT,
-                Gid::ROOT,
-                true, // long-running editor: libc fully mapped
-                Box::new(ViSave::new(cfg.clone(), victim_seed)),
-            ),
-            VictimSpec::Gedit(cfg) => kernel.spawn(
-                "gedit",
-                Uid::ROOT,
-                Gid::ROOT,
-                true,
-                Box::new(GeditSave::new(cfg.clone(), victim_seed)),
-            ),
-            VictimSpec::Compiled(cfg) => kernel.spawn(
-                &cfg.name,
-                Uid::ROOT,
-                Gid::ROOT,
-                true, // long-running privileged program, like the editors
-                Box::new(cfg.logic(victim_seed)),
-            ),
-        };
+        let victim = kernel.spawn(
+            &self.victim.name,
+            Uid::ROOT,
+            Gid::ROOT,
+            true, // long-running privileged program: libc fully mapped
+            Box::new(self.victim.logic(victim_seed)),
+        );
 
         let (auid, agid) = self.layout.attacker;
         let attacker_seed = root_rng.next_u64();
-        let attackers = match &self.attacker {
-            AttackerSpec::V1(cfg) => vec![kernel.spawn(
-                "attacker-v1",
-                auid,
-                agid,
-                false, // freshly exec'ed: cold libc pages
-                Box::new(AttackerV1::new(cfg.clone(), attacker_seed)),
-            )],
-            AttackerSpec::V2(cfg) => vec![kernel.spawn(
-                "attacker-v2",
-                auid,
-                agid,
-                false,
-                Box::new(AttackerV2::new(cfg.clone(), attacker_seed)),
-            )],
-            AttackerSpec::Hardlink(cfg) => vec![kernel.spawn(
-                "attacker-hardlink",
-                auid,
-                agid,
-                false, // freshly exec'ed, like v1
-                Box::new(AttackerHardlink::new(cfg.clone(), attacker_seed)),
-            )],
-            AttackerSpec::Pipelined { cfg, poll_gap } => {
-                let flag: AttackFlag = Rc::new(Cell::new(false));
-                let t1 = kernel.spawn(
-                    "attacker-detect",
-                    auid,
-                    agid,
-                    true, // Section 7 builds on the warmed v2 insight
-                    Box::new(PipelinedDetector::new(
-                        cfg.clone(),
-                        flag.clone(),
-                        attacker_seed,
-                    )),
-                );
-                let t2 = kernel.spawn(
-                    "attacker-link",
-                    auid,
-                    agid,
-                    true,
-                    Box::new(PipelinedLinker::new(cfg.clone(), flag, *poll_gap)),
-                );
-                vec![t1, t2]
-            }
-            AttackerSpec::Compiled(profiles) => profiles
-                .iter()
-                .enumerate()
-                .map(|(i, prof)| {
-                    // The first attacker reuses the schedule slot every
-                    // scenario draws; extra attackers each draw one more
-                    // seed (only scenarios with no hand-written
-                    // counterpart have extras, so oracles are unaffected).
-                    let seed = if i == 0 {
-                        attacker_seed
-                    } else {
-                        root_rng.next_u64()
-                    };
-                    kernel.spawn(
-                        &prof.name,
-                        auid,
-                        agid,
-                        prof.pretouch,
-                        Box::new(dsl::DslAttacker::new(prof.clone(), seed)),
-                    )
-                })
-                .collect(),
-        };
+        // One flag per round, for attackers that pipeline through it.
+        let flag = self
+            .attacker
+            .iter()
+            .any(|p| p.raises_flag || p.trigger == Trigger::Flag)
+            .then(|| AttackFlag::new(Cell::new(false)));
+        let attackers = self
+            .attacker
+            .iter()
+            .enumerate()
+            .map(|(i, prof)| {
+                // The first attacker takes the schedule slot every scenario
+                // draws; each further attacker draws one more seed.
+                let seed = if i == 0 {
+                    attacker_seed
+                } else {
+                    root_rng.next_u64()
+                };
+                let mut logic = DslAttacker::new(Arc::clone(prof), seed);
+                if let Some(flag) = &flag {
+                    logic = logic.with_flag(Rc::clone(flag));
+                }
+                kernel.spawn(&prof.name, auid, agid, prof.pretouch, Box::new(logic))
+            })
+            .collect();
 
         RoundHandles {
             kernel,
@@ -440,18 +345,12 @@ impl Scenario {
         let ino = vfs
             .create_file(&self.layout.doc, doc_meta)
             .expect("layout: doc");
-        let size = match &self.victim {
-            VictimSpec::Vi(c) => c.file_size,
-            VictimSpec::Gedit(c) => c.file_size,
-            VictimSpec::Compiled(c) => c.doc_size,
-        };
-        vfs.append(ino, size).expect("layout: doc content");
-        // Compiled scenarios may need extra state (spool files, package
-        // trees). Created after the doc so the base-image fork invariant
-        // (doc is the tail of population) still holds.
-        if let VictimSpec::Compiled(c) = &self.victim {
-            dsl::populate_extras(c, &self.layout, vfs);
-        }
+        vfs.append(ino, self.victim.doc_size)
+            .expect("layout: doc content");
+        // Some scenarios need extra state (spool files, package trees).
+        // Created after the doc so the base-image fork invariant (doc is
+        // the tail of population) still holds.
+        dsl::populate_extras(&self.victim, &self.layout, vfs);
     }
 
     /// Runs one untraced round and reports the outcome.
@@ -504,20 +403,9 @@ impl Scenario {
                 grace.min(deadline),
             );
         }
-        let success = match &self.victim {
-            // Compiled scenarios carry their own ground-truth predicate
-            // (ownership transfer, mode clobber, privileged-file growth).
-            VictimSpec::Compiled(c) => c.success.eval(handles.kernel.vfs(), &self.layout),
-            // The paper's criterion for the hand-written attacks.
-            _ => {
-                let passwd = handles
-                    .kernel
-                    .vfs()
-                    .stat(&self.layout.passwd)
-                    .expect("passwd exists");
-                passwd.uid == self.layout.attacker.0
-            }
-        };
+        // The victim's ground-truth predicate (ownership transfer, mode
+        // clobber, privileged-file growth).
+        let success = self.victim.success.eval(handles.kernel.vfs(), &self.layout);
         RoundResult {
             success,
             victim_exited,
@@ -528,23 +416,16 @@ impl Scenario {
     // ---- laxity stratification -------------------------------------------
 
     /// The victim's *laxity window*: the inclusive integer-nanosecond bounds
-    /// of its uniform editing-prologue phase, when it has one.
+    /// of its first step, when that step is a `Think(DurationDist::Uniform)`
+    /// prologue ([`CompiledVictim::laxity_window_ns`]).
     ///
     /// The uniprocessor scenarios draw the save's slice phase from
     /// `Uniform(0, timeslice)` — exactly the laxity term of the paper's
     /// Formula (1). A rare-event estimator stratifies over this axis; any
-    /// other prologue shape (constant, Gaussian, compiled victims) returns
-    /// `None` and the estimator falls back to a single stratum.
+    /// other first step (constant or Gaussian think time, a gap, a call)
+    /// returns `None` and the estimator falls back to a single stratum.
     pub fn laxity_window_ns(&self) -> Option<(u64, u64)> {
-        let prologue = match &self.victim {
-            VictimSpec::Vi(c) => &c.prologue,
-            VictimSpec::Gedit(c) => &c.prologue,
-            VictimSpec::Compiled(_) => return None,
-        };
-        match prologue {
-            DurationDist::Uniform(lo, hi) => Some((lo.as_nanos(), hi.as_nanos())),
-            _ => None,
-        }
+        self.victim.laxity_window_ns()
     }
 
     /// Conditions the scenario on its prologue phase landing in
@@ -568,11 +449,7 @@ impl Scenario {
         let dist =
             DurationDist::Uniform(SimDuration::from_nanos(lo_n), SimDuration::from_nanos(hi_n));
         let mut restricted = self.clone();
-        match &mut restricted.victim {
-            VictimSpec::Vi(c) => c.prologue = dist,
-            VictimSpec::Gedit(c) => c.prologue = dist,
-            VictimSpec::Compiled(_) => return None,
-        }
+        restricted.victim = self.victim.with_first_step(Step::Think(dist));
         restricted.name = format!("{}#lax[{lo_n},{hi_n}]", self.name);
         Some(restricted)
     }
@@ -597,23 +474,8 @@ impl Scenario {
             defense,
         } = self;
         let mut d = Detach::default();
-        let victim = match victim {
-            VictimSpec::Vi(cfg) => VictimSpec::Vi(d.vi(cfg)),
-            VictimSpec::Gedit(cfg) => VictimSpec::Gedit(d.gedit(cfg)),
-            VictimSpec::Compiled(cfg) => VictimSpec::Compiled(d.compiled(cfg)),
-        };
-        let attacker = match attacker {
-            AttackerSpec::V1(cfg) => AttackerSpec::V1(d.attacker(cfg)),
-            AttackerSpec::V2(cfg) => AttackerSpec::V2(d.attacker(cfg)),
-            AttackerSpec::Hardlink(cfg) => AttackerSpec::Hardlink(d.attacker(cfg)),
-            AttackerSpec::Pipelined { cfg, poll_gap } => AttackerSpec::Pipelined {
-                cfg: d.attacker(cfg),
-                poll_gap: *poll_gap,
-            },
-            AttackerSpec::Compiled(profiles) => {
-                AttackerSpec::Compiled(profiles.iter().map(|p| d.profile(p)).collect())
-            }
-        };
+        let victim = d.compiled(victim);
+        let attacker = attacker.iter().map(|p| Arc::new(d.profile(p))).collect();
         Scenario {
             name: name.clone(),
             machine: machine.clone(),
@@ -626,202 +488,55 @@ impl Scenario {
     }
 
     // ---- named paper scenarios -------------------------------------------
+    //
+    // Each is its `dsl::library` spec, compiled.
 
-    /// Section 4.1 / Figure 6: vi on the uniprocessor. The editing prologue
-    /// is uniform over a full time slice so the save starts at a random
-    /// slice phase.
+    /// Section 4.1 / Figure 6: vi on the uniprocessor
+    /// ([`library::vi_uniprocessor_spec`]).
     pub fn vi_uniprocessor(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let machine = MachineSpec::uniprocessor();
-        let mut vi = ViConfig::new(layout.doc.as_str(), layout.backup.as_str(), file_size);
-        vi.owner = layout.attacker;
-        vi.prologue = DurationDist::uniform_us(0.0, machine.timeslice.as_micros_f64());
-        let attacker = AttackerConfig::vi_smp(layout.doc.as_str(), layout.passwd.as_str());
-        Scenario {
-            name: format!("vi-uniprocessor-{}B", file_size),
-            machine,
-            victim: VictimSpec::Vi(vi),
-            attacker: AttackerSpec::V1(attacker),
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
+        library::vi_uniprocessor_spec(file_size).compile()
     }
 
-    /// Section 5 / Figure 7 / Table 1: vi on the 2-way SMP.
+    /// Section 5 / Figure 7 / Table 1: vi on the 2-way SMP
+    /// ([`library::vi_smp_spec`]).
     pub fn vi_smp(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let mut vi = ViConfig::new(layout.doc.as_str(), layout.backup.as_str(), file_size);
-        vi.owner = layout.attacker;
-        let attacker = AttackerConfig::vi_smp(layout.doc.as_str(), layout.passwd.as_str());
-        Scenario {
-            name: format!("vi-smp-{}B", file_size),
-            machine: MachineSpec::smp_xeon(),
-            victim: VictimSpec::Vi(vi),
-            attacker: AttackerSpec::V1(attacker),
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
+        library::vi_smp_spec(file_size).compile()
     }
 
-    /// Section 4.2: gedit on the uniprocessor (the no-success baseline).
+    /// Section 4.2: gedit on the uniprocessor, the no-success baseline
+    /// ([`library::gedit_uniprocessor_spec`]).
     pub fn gedit_uniprocessor(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let machine = MachineSpec::uniprocessor();
-        let mut gedit = GeditConfig::new(
-            layout.doc.as_str(),
-            layout.temp.as_str(),
-            layout.backup.as_str(),
-            file_size,
-        );
-        gedit.owner = layout.attacker;
-        gedit.prologue = DurationDist::uniform_us(0.0, machine.timeslice.as_micros_f64());
-        let mut attacker = AttackerConfig::gedit_smp(layout.doc.as_str(), layout.passwd.as_str());
-        attacker.dummy = layout.dummy.as_str().into();
-        Scenario {
-            name: format!("gedit-uniprocessor-{}B", file_size),
-            machine,
-            victim: VictimSpec::Gedit(gedit),
-            attacker: AttackerSpec::V1(attacker),
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
+        library::gedit_uniprocessor_spec(file_size).compile()
     }
 
-    /// Section 6.1 / Table 2: gedit on the 2-way SMP (43 µs rename→chmod
-    /// gap; observed success ≈ 83 %).
+    /// Section 6.1 / Table 2: gedit on the 2-way SMP
+    /// ([`library::gedit_smp_spec`]).
     pub fn gedit_smp(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let mut gedit = GeditConfig::new(
-            layout.doc.as_str(),
-            layout.temp.as_str(),
-            layout.backup.as_str(),
-            file_size,
-        );
-        gedit.owner = layout.attacker;
-        let mut attacker = AttackerConfig::gedit_smp(layout.doc.as_str(), layout.passwd.as_str());
-        attacker.dummy = layout.dummy.as_str().into();
-        Scenario {
-            name: format!("gedit-smp-{}B", file_size),
-            machine: MachineSpec::smp_xeon(),
-            victim: VictimSpec::Gedit(gedit),
-            attacker: AttackerSpec::V1(attacker),
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
-    }
-
-    fn multicore_gedit_machine() -> MachineSpec {
-        let mut machine = MachineSpec::multicore_pentium_d();
-        // Section 6.2's event analyses (Figures 8 and 10) show a ~55 µs
-        // rename on this machine/filesystem, with the new name observable
-        // only late in the call (Figure 10's detecting stat starts 27 µs in
-        // and samples near the rename's end).
-        machine.costs.rename_us = 55.0;
-        machine.costs.rename_visible_frac = 0.88;
-        machine
+        library::gedit_smp_spec(file_size).compile()
     }
 
     /// Section 6.2.1 / Figure 8: gedit on the multi-core with attacker v1
-    /// (3 µs victim gap vs 17 µs attacker gap: near-certain failure).
+    /// ([`library::gedit_multicore_v1_spec`]).
     pub fn gedit_multicore_v1(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let mut gedit = GeditConfig::new(
-            layout.doc.as_str(),
-            layout.temp.as_str(),
-            layout.backup.as_str(),
-            file_size,
-        )
-        .with_multicore_gaps();
-        gedit.owner = layout.attacker;
-        let mut attacker =
-            AttackerConfig::gedit_multicore_v1(layout.doc.as_str(), layout.passwd.as_str());
-        attacker.dummy = layout.dummy.as_str().into();
-        Scenario {
-            name: format!("gedit-multicore-v1-{}B", file_size),
-            machine: Self::multicore_gedit_machine(),
-            victim: VictimSpec::Gedit(gedit),
-            attacker: AttackerSpec::V1(attacker),
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
+        library::gedit_multicore_v1_spec(file_size).compile()
     }
 
-    /// Section 6.2.2 / Figures 9–10: gedit on the multi-core with the
-    /// improved attacker v2 ("we begin to see many successes").
+    /// Section 6.2.2 / Figures 9–10: gedit on the multi-core with attacker
+    /// v2 ([`library::gedit_multicore_v2_spec`]).
     pub fn gedit_multicore_v2(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let mut gedit = GeditConfig::new(
-            layout.doc.as_str(),
-            layout.temp.as_str(),
-            layout.backup.as_str(),
-            file_size,
-        )
-        .with_multicore_gaps();
-        gedit.owner = layout.attacker;
-        let mut attacker =
-            AttackerConfig::gedit_multicore_v2(layout.doc.as_str(), layout.passwd.as_str());
-        attacker.dummy = layout.dummy.as_str().into();
-        Scenario {
-            name: format!("gedit-multicore-v2-{}B", file_size),
-            machine: Self::multicore_gedit_machine(),
-            victim: VictimSpec::Gedit(gedit),
-            attacker: AttackerSpec::V2(attacker),
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
+        library::gedit_multicore_v2_spec(file_size).compile()
     }
 
     /// Section 7 / Figure 11: the pipelined two-thread attacker against a
-    /// vi save of the given size on the multi-core (the long unlink
-    /// truncation tail is what the second thread overlaps).
+    /// vi save on the multi-core ([`library::pipelined_attack_spec`]).
     pub fn pipelined_attack(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let mut vi = ViConfig::new(layout.doc.as_str(), layout.backup.as_str(), file_size);
-        vi.owner = layout.attacker;
-        let attacker = AttackerConfig::vi_smp(layout.doc.as_str(), layout.passwd.as_str());
-        Scenario {
-            name: format!("pipelined-{}B", file_size),
-            machine: MachineSpec::multicore_pentium_d(),
-            victim: VictimSpec::Vi(vi),
-            attacker: AttackerSpec::Pipelined {
-                cfg: attacker,
-                poll_gap: SimDuration::from_micros(1),
-            },
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
+        library::pipelined_attack_spec(file_size).compile()
     }
 
-    /// The hardlink-swap attack: vi on the 2-way SMP with the attacker
-    /// planting a **hard link** to `/etc/passwd` instead of a symlink.
-    ///
-    /// Same detection loop and window as [`Self::vi_smp`], but the planted
-    /// name *is* the privileged inode — `stat` on it reports a root-owned
-    /// regular file with `nlink = 2`, and the victim's `chown` lands on
-    /// `/etc/passwd` without traversing any link. This is the classic
-    /// bypass of symlink-only TOCTTOU countermeasures; the detector still
-    /// sees it through the `link` namespace mutation.
+    /// The hardlink-swap attack on vi on the 2-way SMP
+    /// ([`library::hardlink_vi_smp_spec`]).
     pub fn hardlink_vi_smp(file_size: u64) -> Scenario {
-        let layout = Layout::default();
-        let mut vi = ViConfig::new(layout.doc.as_str(), layout.backup.as_str(), file_size);
-        vi.owner = layout.attacker;
-        let attacker = AttackerConfig::vi_smp(layout.doc.as_str(), layout.passwd.as_str());
-        Scenario {
-            name: format!("vi-hardlink-smp-{}B", file_size),
-            machine: MachineSpec::smp_xeon(),
-            victim: VictimSpec::Vi(vi),
-            attacker: AttackerSpec::Hardlink(attacker),
-            layout,
-            max_round: SimDuration::from_secs(2),
-            defense: DefensePolicy::Off,
-        }
+        library::hardlink_vi_smp_spec(file_size).compile()
     }
 
     /// Returns the scenario with the given kernel defense policy — the
@@ -836,14 +551,10 @@ impl Scenario {
     }
 
     /// The same attack as [`Self::pipelined_attack`] but with the normal
-    /// sequential attacker, for the Figure 11 comparison.
+    /// sequential attacker, for the Figure 11 comparison
+    /// ([`library::sequential_attack_spec`]).
     pub fn sequential_attack(file_size: u64) -> Scenario {
-        let mut s = Self::pipelined_attack(file_size);
-        s.name = format!("sequential-{}B", file_size);
-        if let AttackerSpec::Pipelined { cfg, .. } = s.attacker {
-            s.attacker = AttackerSpec::V1(cfg);
-        }
-        s
+        library::sequential_attack_spec(file_size).compile()
     }
 }
 
@@ -869,14 +580,14 @@ impl<T: ?Sized> Fresh<T> {
     }
 }
 
-/// The fresh allocations of one [`Scenario::detached`] call. Every config
-/// is destructured without `..`, so a new shared field fails to compile
-/// here instead of staying shared.
+/// The fresh allocations of one [`Scenario::detached`] call. Every
+/// victim and profile is destructured without `..`, so a new shared field
+/// fails to compile here instead of staying shared.
 #[derive(Default)]
 struct Detach {
     strs: Fresh<str>,
     steps: Fresh<[Step]>,
-    strikes: Fresh<[CallSpec]>,
+    call_lists: Fresh<[CallSpec]>,
     files: Fresh<[FileSpec]>,
 }
 
@@ -885,83 +596,13 @@ impl Detach {
         self.strs.get(s, |s| Arc::from(s))
     }
 
-    fn vi(&mut self, cfg: &ViConfig) -> ViConfig {
-        let ViConfig {
-            wfname,
-            backup,
-            file_size,
-            chunk,
-            owner,
-            prologue,
-            inter_call_gap,
-            post_close_gap,
-            gap_jitter_us,
-            write_block,
-        } = cfg;
-        ViConfig {
-            wfname: self.str(wfname),
-            backup: self.str(backup),
-            file_size: *file_size,
-            chunk: *chunk,
-            owner: *owner,
-            prologue: prologue.clone(),
-            inter_call_gap: *inter_call_gap,
-            post_close_gap: *post_close_gap,
-            gap_jitter_us: *gap_jitter_us,
-            write_block: *write_block,
-        }
-    }
-
-    fn gedit(&mut self, cfg: &GeditConfig) -> GeditConfig {
-        let GeditConfig {
-            real,
-            temp,
-            backup,
-            file_size,
-            chunk,
-            owner,
-            mode,
-            prologue,
-            rename_chmod_gap,
-            chmod_chown_gap,
-            inter_call_gap,
-            gap_jitter_us,
-        } = cfg;
-        GeditConfig {
-            real: self.str(real),
-            temp: self.str(temp),
-            backup: self.str(backup),
-            file_size: *file_size,
-            chunk: *chunk,
-            owner: *owner,
-            mode: *mode,
-            prologue: prologue.clone(),
-            rename_chmod_gap: *rename_chmod_gap,
-            chmod_chown_gap: *chmod_chown_gap,
-            inter_call_gap: *inter_call_gap,
-            gap_jitter_us: *gap_jitter_us,
-        }
-    }
-
-    fn attacker(&mut self, cfg: &AttackerConfig) -> AttackerConfig {
-        let AttackerConfig {
-            target,
-            privileged,
-            dummy,
-            loop_gap,
-            check_gap,
-            start_delay,
-            jitter_us,
-        } = cfg;
-        AttackerConfig {
-            target: self.str(target),
-            privileged: self.str(privileged),
-            dummy: self.str(dummy),
-            loop_gap: *loop_gap,
-            check_gap: *check_gap,
-            start_delay: *start_delay,
-            jitter_us: *jitter_us,
-        }
+    fn calls(&mut self, calls: &Arc<[CallSpec]>) -> Arc<[CallSpec]> {
+        self.call_lists.get(calls, |calls| {
+            calls
+                .iter()
+                .map(|c| detach_call(&mut self.strs, c))
+                .collect()
+        })
     }
 
     fn compiled(&mut self, cfg: &CompiledVictim) -> CompiledVictim {
@@ -995,6 +636,8 @@ impl Detach {
             watch,
             trigger,
             strike,
+            rehearsal,
+            raises_flag,
             start_delay,
             loop_gap,
             check_gap,
@@ -1005,12 +648,9 @@ impl Detach {
             pretouch: *pretouch,
             watch: self.str(watch),
             trigger: *trigger,
-            strike: self.strikes.get(strike, |calls| {
-                calls
-                    .iter()
-                    .map(|c| detach_call(&mut self.strs, c))
-                    .collect()
-            }),
+            strike: self.calls(strike),
+            rehearsal: self.calls(rehearsal),
+            raises_flag: *raises_flag,
             start_delay: *start_delay,
             loop_gap: *loop_gap,
             check_gap: *check_gap,
@@ -1030,9 +670,14 @@ fn detach_step(strs: &mut Fresh<str>, step: &Step) -> Step {
             call: detach_call(strs, call),
             expect: *expect,
         },
-        Step::WriteLoop { bytes, chunk } => Step::WriteLoop {
+        Step::WriteLoop {
+            bytes,
+            chunk,
+            stall,
+        } => Step::WriteLoop {
             bytes: *bytes,
             chunk: *chunk,
+            stall: *stall,
         },
     }
 }
@@ -1165,11 +810,33 @@ mod tests {
 
         // Constant-prologue scenarios have no laxity axis.
         let mut flat = Scenario::vi_uniprocessor(2048);
-        if let VictimSpec::Vi(c) = &mut flat.victim {
-            c.prologue = DurationDist::const_us(5.0);
-        }
+        flat.victim = flat
+            .victim
+            .with_first_step(Step::Think(DurationDist::const_us(5.0)));
         assert_eq!(flat.laxity_window_ns(), None);
         assert!(flat.restrict_laxity(0, 1).is_none());
+    }
+
+    #[test]
+    fn library_scenarios_report_and_restrict_their_laxity_window() {
+        // The rule has no flag: any victim whose first step is a uniform
+        // think time has a laxity window, DSL library victims included.
+        let (_, s) = dsl::library::taxonomy_library(None).swap_remove(0);
+        assert_eq!(s.laxity_window_ns(), Some((0, 200_000)), "{}", s.name);
+        let sub = s.restrict_laxity(150_000, 200_000).expect("sub-range");
+        assert_eq!(sub.laxity_window_ns(), Some((150_000, 200_000)));
+        assert_eq!(sub.name, format!("{}#lax[150000,200000]", s.name));
+        assert_eq!(
+            sub.victim.steps[1..].len(),
+            s.victim.steps.len() - 1,
+            "only the prologue changes"
+        );
+        assert!(sub.run_round(3).victim_exited);
+        assert!(s.restrict_laxity(0, 200_001).is_none());
+        // A victim that opens with anything else has no window.
+        let mut gap_first = s.clone();
+        gap_first.victim = s.victim.with_first_step(Step::gap_us(100, 0.0));
+        assert_eq!(gap_first.laxity_window_ns(), None);
     }
 
     #[test]
@@ -1311,7 +978,7 @@ mod tests {
 #[cfg(test)]
 mod detach_tests {
     use super::*;
-    use crate::dsl::{library, ScenarioSpec};
+    use crate::dsl::library;
 
     /// Every `Scenario::*` constructor, every attacker kind and every
     /// DSL library entry.
@@ -1331,12 +998,6 @@ mod detach_tests {
             Scenario::sequential_attack(512),
             Scenario::hardlink_vi_smp(2048),
         ];
-        let oracles: [fn(u64) -> ScenarioSpec; 3] = [
-            library::vi_smp_spec,
-            library::gedit_smp_spec,
-            library::hardlink_vi_smp_spec,
-        ];
-        all.extend(oracles.map(|f| f(2048).compile()));
         all.extend(library::taxonomy_library(None).into_iter().map(|(_, s)| s));
         all
     }
@@ -1372,32 +1033,17 @@ mod detach_tests {
     /// Every `Arc` allocation a scenario holds, in a fixed walk order.
     fn arcs(s: &Scenario) -> Vec<*const ()> {
         let mut out = Vec::new();
-        match &s.victim {
-            VictimSpec::Vi(c) => out.extend([ptr(&c.wfname), ptr(&c.backup)]),
-            VictimSpec::Gedit(c) => out.extend([ptr(&c.real), ptr(&c.temp), ptr(&c.backup)]),
-            VictimSpec::Compiled(c) => {
-                out.extend([ptr(&c.steps), ptr(&c.extra_files)]);
-                for step in c.steps.iter() {
-                    if let Step::Call { call, .. } = step {
-                        call_arcs(call, &mut out);
-                    }
-                }
+        let c = &s.victim;
+        out.extend([ptr(&c.steps), ptr(&c.extra_files)]);
+        for step in c.steps.iter() {
+            if let Step::Call { call, .. } = step {
+                call_arcs(call, &mut out);
             }
         }
-        match &s.attacker {
-            AttackerSpec::V1(c)
-            | AttackerSpec::V2(c)
-            | AttackerSpec::Hardlink(c)
-            | AttackerSpec::Pipelined { cfg: c, .. } => {
-                out.extend([ptr(&c.target), ptr(&c.privileged), ptr(&c.dummy)]);
-            }
-            AttackerSpec::Compiled(profiles) => {
-                for p in profiles {
-                    out.extend([ptr(&p.watch), ptr(&p.strike)]);
-                    for call in p.strike.iter() {
-                        call_arcs(call, &mut out);
-                    }
-                }
+        for p in &s.attacker {
+            out.extend([ptr(p), ptr(&p.watch), ptr(&p.strike), ptr(&p.rehearsal)]);
+            for call in p.strike.iter().chain(p.rehearsal.iter()) {
+                call_arcs(call, &mut out);
             }
         }
         out
@@ -1482,47 +1128,16 @@ mod defense_tests {
     fn defense_does_not_break_benign_saves() {
         // Without an attacker interfering, the guarded save completes and
         // ownership is restored normally (no false positives).
-        use tocttou_os::prelude::*;
-        let scenario = Scenario::vi_smp(50 * 1024).with_defense(DefensePolicy::Edgi);
+        let mut scenario = Scenario::vi_smp(50 * 1024).with_defense(DefensePolicy::Edgi);
+        scenario.attacker.clear();
         let mut handles = scenario.build(3, false);
-        // Run only the victim (ignore the attacker by removing its work:
-        // simplest is to let it run — but to test benignity we use a fresh
-        // kernel without attacker).
-        let mut kernel = Kernel::new(scenario.machine.clone(), 9);
-        kernel.set_defense(DefensePolicy::Edgi);
-        let meta_root = InodeMeta {
-            uid: Uid::ROOT,
-            gid: Gid::ROOT,
-            mode: 0o755,
-        };
-        let meta_user = InodeMeta {
-            uid: Uid(1000),
-            gid: Gid(1000),
-            mode: 0o644,
-        };
-        kernel.vfs_mut().mkdir("/home", meta_root).unwrap();
-        kernel.vfs_mut().mkdir("/home/user", meta_user).unwrap();
-        kernel
-            .vfs_mut()
-            .create_file("/home/user/doc.txt", meta_user)
-            .unwrap();
-        let cfg = crate::vi::ViConfig::new("/home/user/doc.txt", "/home/user/doc.txt~", 4096);
-        let pid = kernel.spawn(
-            "vi",
-            Uid::ROOT,
-            Gid::ROOT,
-            true,
-            Box::new(crate::vi::ViSave::new(cfg, 1)),
-        );
-        kernel.run_until_exit(pid, SimTime::from_secs(1));
+        let r = scenario.finish_round(&mut handles);
+        assert!(r.victim_exited && !r.success);
         assert_eq!(
-            kernel.vfs().stat("/home/user/doc.txt").unwrap().uid,
-            Uid(1000),
+            handles.kernel.vfs().stat(&scenario.layout.doc).unwrap().uid,
+            scenario.layout.attacker.0,
             "benign save restored ownership"
         );
-        assert_eq!(kernel.defense().denials(), 0, "no false positives");
-        // Keep the built-but-unused handles alive to silence lints.
-        let _ = handles.kernel.now();
-        let _ = &mut handles;
+        assert_eq!(handles.kernel.defense().denials(), 0, "no false positives");
     }
 }

@@ -131,7 +131,7 @@ fn hardlink_scenario_precision_and_recall_are_one() {
     );
 }
 
-/// The DSL taxonomy library graded the same way as the hand-written
+/// The DSL taxonomy library graded the same way as the paper's
 /// scenarios: every successful attack flagged (recall 1.0), false
 /// positives under 10 % of flags — per scenario, across three seed bases.
 /// The guard-abort construction of the compiled victims is what makes

@@ -1,13 +1,14 @@
-//! Differential oracle for the scenario DSL compiler.
+//! Golden oracle for the scenario DSL.
 //!
-//! The DSL's claim is *exact* equivalence: compiling a declarative
-//! [`ScenarioSpec`] for vi, gedit, or the hardlink swap must reproduce the
-//! hand-written `ProcessLogic` machines byte for byte — same event trace,
-//! same detection timeline, same round outcomes, same Monte-Carlo
-//! aggregate — at any `--jobs` and from warm or cold boots. Anything less
-//! means the compiler is a *similar* workload, not a replacement, and every
-//! number derived from a compiled spec would silently fork from the
-//! paper-calibrated baselines.
+//! Every named scenario is a compiled [`ScenarioSpec`]. The hand-written
+//! vi, gedit and attacker state machines those specs replaced are gone;
+//! what they produced is not. `tests/golden/scenarios.txt` was recorded
+//! from them, and the specs must reproduce it byte for byte — same
+//! Monte-Carlo bytes at any `--jobs` and from warm or cold boots, same
+//! traced round, same detection timeline, same exhibits. Anything less
+//! means a spec is a *similar* workload, not the paper's, and every
+//! number derived from it would silently fork from the paper-calibrated
+//! baselines.
 //!
 //! [`ScenarioSpec`]: tocttou::workloads::ScenarioSpec
 
@@ -20,7 +21,8 @@ use tocttou::workloads::maze::{run_maze_round, vi_uniprocessor_maze};
 use tocttou::workloads::Scenario;
 
 /// The record of every named scenario, taken from the hand-written
-/// programs before the DSL specs replaced them.
+/// programs before the DSL specs replaced them. Never re-bless it to
+/// make a spec pass.
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/scenarios.txt");
 
 /// Seeds of the pinned record.
@@ -164,101 +166,28 @@ fn every_scenario_matches_the_parent_golden() {
     assert_eq!(got.lines().count(), want.lines().count(), "record length");
 }
 
-/// The three spec/hand-written pairs the compiler is graded against.
-fn oracle_pairs() -> Vec<(Scenario, Scenario)> {
-    vec![
-        (
-            library::vi_smp_spec(100 * 1024).compile(),
-            Scenario::vi_smp(100 * 1024),
-        ),
-        (
-            library::gedit_smp_spec(2048).compile(),
-            Scenario::gedit_smp(2048),
-        ),
-        (
-            library::hardlink_vi_smp_spec(100 * 1024).compile(),
-            Scenario::hardlink_vi_smp(100 * 1024),
-        ),
-    ]
-}
-
-/// Full observable state of one traced round, as comparable strings.
-fn round_fingerprint(scenario: &Scenario, seed: u64) -> (bool, bool, Vec<String>, Vec<String>) {
-    let (result, handles) = scenario.run_traced(seed);
-    let trace: Vec<String> = handles
-        .kernel
-        .trace()
-        .iter()
-        .map(|r| format!("{} {:?}", r.at.as_nanos(), r.event))
-        .collect();
-    let detections: Vec<String> = handles
-        .kernel
-        .detections()
-        .iter()
-        .map(|r| format!("{} {}", r.at.as_nanos(), r.event))
-        .collect();
-    (result.success, result.victim_exited, trace, detections)
-}
-
-#[test]
-fn compiled_specs_replay_the_hand_written_machines_exactly() {
-    for (compiled, hand) in oracle_pairs() {
-        assert_eq!(compiled.name, hand.name, "spec must take over the name");
-        for seed in [0u64, 1, 7, 0xD07, 0xFEED, 31_337] {
-            let a = round_fingerprint(&compiled, seed);
-            let b = round_fingerprint(&hand, seed);
-            assert_eq!(
-                a.0, b.0,
-                "{} seed {seed:#x}: success verdict differs",
-                hand.name
-            );
-            assert_eq!(
-                a.1, b.1,
-                "{} seed {seed:#x}: victim exit differs",
-                hand.name
-            );
-            assert_eq!(
-                a.3, b.3,
-                "{} seed {seed:#x}: detection timeline differs",
-                hand.name
-            );
-            assert_eq!(
-                a.2.len(),
-                b.2.len(),
-                "{} seed {seed:#x}: trace length differs",
-                hand.name
-            );
-            for (i, (ea, eb)) in a.2.iter().zip(b.2.iter()).enumerate() {
-                assert_eq!(
-                    ea, eb,
-                    "{} seed {seed:#x}: trace diverges at event {i}",
-                    hand.name
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn compiled_mc_outcomes_are_byte_identical_across_jobs_and_boots() {
-    for (compiled, hand) in oracle_pairs() {
-        for jobs in [1usize, 4] {
-            for cold in [false, true] {
-                let cfg = McConfig {
-                    rounds: 24,
-                    base_seed: 0xA5A5,
-                    collect_ld: true,
-                    jobs,
-                    cold,
-                };
-                let a = serde_json::to_string(&run_mc(&compiled, &cfg)).unwrap();
-                let b = serde_json::to_string(&run_mc(&hand, &cfg)).unwrap();
-                assert_eq!(
-                    a, b,
-                    "{}: McOutcome JSON differs at jobs={jobs} cold={cold}",
-                    hand.name
-                );
-            }
+    // The record pins its own seeds; hold the invariance at another one.
+    for scenario in pinned_scenarios() {
+        let run = |jobs, cold| {
+            let cfg = McConfig {
+                rounds: 24,
+                base_seed: 0xA5A5,
+                collect_ld: true,
+                jobs,
+                cold,
+            };
+            serde_json::to_string(&run_mc(&scenario, &cfg)).unwrap()
+        };
+        let reference = run(1, false);
+        for (jobs, cold) in [(1usize, true), (4, false), (4, true)] {
+            assert_eq!(
+                run(jobs, cold),
+                reference,
+                "{}: McOutcome JSON differs at jobs={jobs} cold={cold}",
+                scenario.name
+            );
         }
     }
 }
@@ -267,8 +196,8 @@ fn compiled_mc_outcomes_are_byte_identical_across_jobs_and_boots() {
 fn warm_and_cold_boots_agree_for_compiled_scenarios() {
     // The checkpoint engine snapshots the deterministic prefix of a round;
     // compiled victims must populate the template identically to a full
-    // build, or the warm path diverges. Cover library scenarios that have
-    // no hand-written counterpart (extra files, multiple attackers).
+    // build, or the warm path diverges. Cover library scenarios outside
+    // the golden record (extra files, multiple attackers).
     for spec in [
         library::tmp_logrotate(4096),
         library::pkg_installer(512),

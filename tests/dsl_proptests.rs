@@ -72,10 +72,7 @@ fn lower(blocks: Vec<Block>) -> Vec<Step> {
             Block::AccessProbe(p) => steps.push(Step::call(CallSpec::Access(pf(p)))),
             Block::CreateWrite(p, n) => {
                 steps.push(Step::call(CallSpec::OpenCreate(pf(p))));
-                steps.push(Step::WriteLoop {
-                    bytes: u64::from(n),
-                    chunk: 256,
-                });
+                steps.push(Step::write(u64::from(n), 256));
                 steps.push(Step::call(CallSpec::CloseFd));
             }
             Block::ChmodIt(p, mode) => {

@@ -2,6 +2,7 @@
 //! the EDGI defense, pathname mazes, the always-suspended rpm victim and
 //! the sendmail integrity attack.
 
+use std::sync::Arc;
 use tocttou::core::stats::SuccessCounter;
 use tocttou::os::defense::DefensePolicy;
 use tocttou::os::prelude::*;
@@ -102,7 +103,7 @@ fn maze_and_defense() {
 /// (window contains blocking I/O) loses every round on one CPU.
 #[test]
 fn rpm_always_suspended_bound() {
-    use tocttou::workloads::attacker::{AttackerConfig, AttackerV1};
+    use tocttou::workloads::dsl::{library, DslAttacker};
     let mut wins = 0;
     for seed in 0..10 {
         let mut k = Kernel::new(MachineSpec::uniprocessor().quiet(), seed);
@@ -135,8 +136,11 @@ fn rpm_always_suspended_bound() {
             Uid(1000),
             Gid(1000),
             false,
-            Box::new(AttackerV1::new(
-                AttackerConfig::vi_smp("/var/tmp/helper", "/etc/passwd"),
+            Box::new(DslAttacker::new(
+                Arc::new(library::attacker_v1(
+                    &"/var/tmp/helper".into(),
+                    &"/etc/passwd".into(),
+                )),
                 seed,
             )),
         );
@@ -152,7 +156,7 @@ fn rpm_always_suspended_bound() {
 /// the attacker swaps the helper during the db sync).
 #[test]
 fn defense_stops_rpm_attack() {
-    use tocttou::workloads::attacker::{AttackerConfig, AttackerV1};
+    use tocttou::workloads::dsl::{library, DslAttacker};
     for seed in 0..10 {
         let mut k = Kernel::new(MachineSpec::uniprocessor().quiet(), seed);
         k.set_defense(DefensePolicy::Edgi);
@@ -185,8 +189,11 @@ fn defense_stops_rpm_attack() {
             Uid(1000),
             Gid(1000),
             false,
-            Box::new(AttackerV1::new(
-                AttackerConfig::vi_smp("/var/tmp/helper", "/etc/passwd"),
+            Box::new(DslAttacker::new(
+                Arc::new(library::attacker_v1(
+                    &"/var/tmp/helper".into(),
+                    &"/etc/passwd".into(),
+                )),
                 seed,
             )),
         );
