@@ -384,7 +384,10 @@ mod tests {
         // 2^54 KiB wrapped to 0 bytes; u64::MAX KiB to 2^64 - 1024.
         for kb in [largest + 1, 1 << 54, u64::MAX] {
             let err = size(kb).unwrap_err();
-            assert!(err.starts_with(&format!("invalid --size-kb {kb}: ")), "{err}");
+            assert!(
+                err.starts_with(&format!("invalid --size-kb {kb}: ")),
+                "{err}"
+            );
             assert_eq!(size_kb_bytes(kb), Err(err));
         }
         assert_eq!(size_kb_bytes(2), Ok(2048));

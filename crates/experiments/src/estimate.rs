@@ -913,7 +913,8 @@ mod tests {
         }
         // No laxity window → one unstratified, unsplittable stratum.
         let mut flat = Scenario::vi_uniprocessor(2048);
-        flat.victim = flat.victim.with_first_step(Step::Think(DurationDist::const_us(5.0)));
+        flat.victim
+            .set_first_step(Step::Think(DurationDist::const_us(5.0)));
         let (strata, _, span) = initial_partition(&flat, &cfg);
         assert_eq!(strata.len(), 1);
         assert_eq!(span, None);
@@ -990,7 +991,8 @@ mod tests {
         let mut s = Scenario::vi_smp(1024);
         // Strip the laxity axis so the run exercises the pure
         // sequential-stopping path (one stratum, Wilson interval).
-        s.victim = s.victim.with_first_step(Step::Think(DurationDist::const_us(50.0)));
+        s.victim
+            .set_first_step(Step::Think(DurationDist::const_us(50.0)));
         let cfg = EstimateConfig {
             target_rel_half_width: 0.1,
             max_rounds: 4_000,

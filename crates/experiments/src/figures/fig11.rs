@@ -13,6 +13,7 @@
 use serde::Serialize;
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 use tocttou_os::event::OsEvent;
 use tocttou_os::ids::{Gid, Pid, Uid};
 use tocttou_os::kernel::Kernel;
@@ -20,7 +21,6 @@ use tocttou_os::machine::MachineSpec;
 use tocttou_os::process::SyscallName;
 use tocttou_os::vfs::InodeMeta;
 use tocttou_sim::time::{SimDuration, SimTime};
-use std::sync::Arc;
 use tocttou_workloads::dsl::{library, AttackFlag, AttackerProfile, DslAttacker};
 use tocttou_workloads::scenario::Layout;
 
@@ -170,7 +170,7 @@ pub fn run(cfg: &Config) -> Output {
     for &size_kb in &cfg.sizes_kb {
         // Attacker v2's multi-core gaps, without its rehearsal.
         let attacker = AttackerProfile {
-            rehearsal: Arc::from([]),
+            rehearsal: None,
             ..library::attacker_v2(&Layout::default())
         };
 

@@ -13,13 +13,13 @@
 //! use call demonstrably operated on the attacker-planted link.
 
 use serde::Serialize;
+use std::sync::Arc;
 use tocttou_core::taxonomy::{FsCall, TocttouPair};
 use tocttou_os::ids::{Gid, Uid};
 use tocttou_os::kernel::Kernel;
 use tocttou_os::machine::MachineSpec;
 use tocttou_os::vfs::InodeMeta;
 use tocttou_sim::time::SimTime;
-use std::sync::Arc;
 use tocttou_workloads::dsl::{library, DslAttacker};
 use tocttou_workloads::generic::{GenericConfig, GenericVictim};
 

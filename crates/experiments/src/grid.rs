@@ -15,8 +15,8 @@
 //! byte-identity guarantee is stated against.
 
 use serde::Serialize;
-use tocttou_sim::time::SimDuration;
 use std::sync::Arc;
+use tocttou_sim::time::SimDuration;
 use tocttou_workloads::dsl::{library, Trigger};
 use tocttou_workloads::scenario::Scenario;
 
@@ -574,7 +574,10 @@ mod tests {
             .scenario();
         // The off-point is the named sequential control's attacker.
         let named = Scenario::sequential_attack(512);
-        assert_eq!(format!("{:?}", off.attacker), format!("{:?}", named.attacker));
+        assert_eq!(
+            format!("{:?}", off.attacker),
+            format!("{:?}", named.attacker)
+        );
         // Hardlink and DSL-library attackers have no pipelined form.
         for family in [Family::HardlinkSwap, Family::MktempReopen] {
             let s = GridPoint::new(family, 512).with_pipelined(true).scenario();

@@ -335,8 +335,8 @@ pub struct AttackerProfile {
     /// Calls issued against a decoy whenever the detection `stat` comes
     /// back negative, between a jittered `check_gap` and the `loop_gap`
     /// (Figure 9's attacker v2: its `unlink`/`symlink` pages fault in on
-    /// the decoy, outside the window). Empty for every other attacker.
-    pub rehearsal: Arc<[CallSpec]>,
+    /// the decoy, outside the window). `None` for every other attacker.
+    pub rehearsal: Option<Arc<[CallSpec]>>,
     /// Raise the round's shared flag on detection, before the check gap,
     /// for a [`Trigger::Flag`] partner to strike concurrently.
     pub raises_flag: bool,
@@ -592,20 +592,19 @@ impl CompiledVictim {
     /// `Think(DurationDist::Uniform)` prologue.
     pub fn laxity_window_ns(&self) -> Option<(u64, u64)> {
         match self.steps.first() {
-            Some(Step::Think(DurationDist::Uniform(lo, hi))) => Some((lo.as_nanos(), hi.as_nanos())),
+            Some(Step::Think(DurationDist::Uniform(lo, hi))) => {
+                Some((lo.as_nanos(), hi.as_nanos()))
+            }
             _ => None,
         }
     }
 
-    /// The victim with its first step replaced by `step` (the trace is
-    /// copied; `self` is untouched).
-    pub fn with_first_step(&self, step: Step) -> CompiledVictim {
+    /// Replaces the first step with `step` on a fresh copy of the trace
+    /// (clones sharing the old trace keep it).
+    pub fn set_first_step(&mut self, step: Step) {
         let mut steps = self.steps.to_vec();
         steps[0] = step;
-        CompiledVictim {
-            steps: steps.into(),
-            ..self.clone()
-        }
+        self.steps = steps.into();
     }
 
     /// Creates the interpreter for one round.
@@ -798,7 +797,7 @@ impl ProcessLogic for DslAttacker {
                     }
                     self.state = AtkState::Strike(0);
                     self.gap(self.prof.check_gap)
-                } else if !self.prof.rehearsal.is_empty() {
+                } else if self.prof.rehearsal.is_some() {
                     self.state = AtkState::Rehearse(0);
                     self.gap(self.prof.check_gap)
                 } else {
@@ -806,7 +805,7 @@ impl ProcessLogic for DslAttacker {
                     self.gap(self.prof.loop_gap)
                 }
             }
-            AtkState::Rehearse(i) => match self.prof.rehearsal.get(i) {
+            AtkState::Rehearse(i) => match self.prof.rehearsal.as_deref().and_then(|r| r.get(i)) {
                 Some(call) => {
                     self.state = AtkState::Rehearse(i + 1);
                     Action::Syscall(call.request(None))
@@ -828,8 +827,7 @@ impl ProcessLogic for DslAttacker {
                 }
             }
             AtkState::Strike(i) => {
-                if self.prof.trigger == Trigger::Flag && i > 0 && !last.is_some_and(|r| r.is_ok())
-                {
+                if self.prof.trigger == Trigger::Flag && i > 0 && !last.is_some_and(|r| r.is_ok()) {
                     // Raced ahead of the partner's call (EEXIST): retry.
                     self.state = AtkState::Retry(i - 1);
                     return self.gap(self.prof.loop_gap);

@@ -62,6 +62,32 @@ fn slice_prologue(machine: &MachineSpec) -> DurationDist {
     DurationDist::uniform_us(0.0, machine.timeslice.as_micros_f64())
 }
 
+/// A cold attacker with no rehearsal and no flag: `trigger` watching
+/// `watch`, then `strike`. `gaps` are the start delay, loop gap and check
+/// gap.
+fn attacker(
+    name: &str,
+    trigger: Trigger,
+    watch: &Arc<str>,
+    strike: Arc<[CallSpec]>,
+    [start_delay, loop_gap, check_gap]: [SimDuration; 3],
+    jitter_us: f64,
+) -> AttackerProfile {
+    AttackerProfile {
+        name: name.into(),
+        pretouch: false,
+        watch: watch.clone(),
+        trigger,
+        strike,
+        rehearsal: None,
+        raises_flag: false,
+        start_delay,
+        loop_gap,
+        check_gap,
+        jitter_us,
+    }
+}
+
 /// A timer-triggered attacker striking `target` with the symlink swap at
 /// `start + N(check, jitter)` microseconds into the round.
 fn timer_symlinker(
@@ -71,32 +97,29 @@ fn timer_symlinker(
     check_us: u64,
     jitter_us: f64,
 ) -> AttackerProfile {
-    let privileged: Arc<str> = layout.passwd.as_str().into();
-    AttackerProfile {
-        name: "attacker-timer".into(),
-        trigger: Trigger::Timer,
-        start_delay: us(start_us),
-        loop_gap: us(1),
-        check_gap: us(check_us),
+    let strike = AttackerProfile::symlink_strike(target, &layout.passwd.as_str().into());
+    let gaps = [us(start_us), us(1), us(check_us)];
+    attacker(
+        "attacker-timer",
+        Trigger::Timer,
+        target,
+        strike,
+        gaps,
         jitter_us,
-        ..attacker_v1(target, &privileged)
-    }
+    )
 }
 
-/// A detect-loop symlink attacker with its own loop timing.
+/// A detect-loop (window-watching) symlink attacker with its own name and
+/// loop timing.
 fn watching_symlinker(
+    name: &str,
     layout: &Layout,
     target: &Arc<str>,
-    loop_us: u64,
-    check_us: u64,
-    start_us: u64,
+    [loop_us, check_us, start_us]: [u64; 3],
 ) -> AttackerProfile {
-    AttackerProfile {
-        start_delay: us(start_us),
-        loop_gap: us(loop_us),
-        check_gap: us(check_us),
-        ..attacker_v1(target, &layout.passwd.as_str().into())
-    }
+    let strike = AttackerProfile::symlink_strike(target, &layout.passwd.as_str().into());
+    let gaps = [us(start_us), us(loop_us), us(check_us)];
+    attacker(name, Trigger::RootOwned, target, strike, gaps, 1.0)
 }
 
 fn base_spec(
@@ -210,19 +233,9 @@ pub fn gedit_save(
 /// The gaps are the vi-on-SMP calibration (Table 1: D ≈ 41 µs); the other
 /// machines' scenarios override `loop_gap` and `check_gap`.
 pub fn attacker_v1(target: &Arc<str>, privileged: &Arc<str>) -> AttackerProfile {
-    AttackerProfile {
-        name: "attacker-v1".into(),
-        pretouch: false,
-        watch: target.clone(),
-        trigger: Trigger::RootOwned,
-        strike: AttackerProfile::symlink_strike(target, privileged),
-        rehearsal: Arc::from([]),
-        raises_flag: false,
-        start_delay: us(1),
-        loop_gap: us(33),
-        check_gap: us(2),
-        jitter_us: 1.0,
-    }
+    let strike = AttackerProfile::symlink_strike(target, privileged);
+    let gaps = [us(1), us(33), us(2)];
+    attacker("attacker-v1", Trigger::RootOwned, target, strike, gaps, 1.0)
 }
 
 /// Attacker v2 (Figure 9) against `layout`'s document: v1 that rehearses
@@ -233,12 +246,14 @@ pub fn attacker_v1(target: &Arc<str>, privileged: &Arc<str>) -> AttackerProfile 
 pub fn attacker_v2(layout: &Layout) -> AttackerProfile {
     let doc: Arc<str> = layout.doc.as_str().into();
     let privileged: Arc<str> = layout.passwd.as_str().into();
+    let strike = AttackerProfile::symlink_strike(&doc, &privileged);
+    let gaps = [us(1), us(2), SimDuration::from_nanos(1_500)];
     AttackerProfile {
-        name: "attacker-v2".into(),
-        rehearsal: AttackerProfile::symlink_strike(&layout.dummy.as_str().into(), &privileged),
-        loop_gap: us(2),
-        check_gap: SimDuration::from_nanos(1_500),
-        ..attacker_v1(&doc, &privileged)
+        rehearsal: Some(AttackerProfile::symlink_strike(
+            &layout.dummy.as_str().into(),
+            &privileged,
+        )),
+        ..attacker("attacker-v2", Trigger::RootOwned, &doc, strike, gaps, 1.0)
     }
 }
 
@@ -250,40 +265,55 @@ pub fn attacker_v2(layout: &Layout) -> AttackerProfile {
 /// the `unlink`'s truncation tail. Both threads run with warm libc pages:
 /// Section 7 builds on v2's insight.
 pub fn pipelined(v: &AttackerProfile, poll_gap: SimDuration) -> Vec<AttackerProfile> {
-    let detector = AttackerProfile {
-        name: "attacker-detect".into(),
-        pretouch: true,
-        strike: v.strike[..1].into(),
-        rehearsal: Arc::from([]),
-        raises_flag: true,
-        ..v.clone()
-    };
-    let linker = AttackerProfile {
-        name: "attacker-link".into(),
-        pretouch: true,
-        trigger: Trigger::Flag,
-        strike: v.strike[1..].into(),
-        rehearsal: Arc::from([]),
-        raises_flag: false,
-        start_delay: SimDuration::ZERO,
-        loop_gap: poll_gap,
-        check_gap: SimDuration::ZERO,
-        jitter_us: 0.0,
-        ..v.clone()
-    };
-    vec![detector, linker]
+    let gaps = [v.start_delay, v.loop_gap, v.check_gap];
+    let detector = attacker(
+        "attacker-detect",
+        v.trigger,
+        &v.watch,
+        v.strike[..1].into(),
+        gaps,
+        v.jitter_us,
+    );
+    let poll = [SimDuration::ZERO, poll_gap, SimDuration::ZERO];
+    let linker = attacker(
+        "attacker-link",
+        Trigger::Flag,
+        &v.watch,
+        v.strike[1..].into(),
+        poll,
+        0.0,
+    );
+    vec![
+        AttackerProfile {
+            pretouch: true,
+            raises_flag: true,
+            ..detector
+        },
+        AttackerProfile {
+            pretouch: true,
+            ..linker
+        },
+    ]
 }
 
 /// A [`pipelined`] pair folded back into one cold v1 process: the
 /// sequential control of Figure 11.
 pub fn sequential(detector: &AttackerProfile, linker: &AttackerProfile) -> AttackerProfile {
-    AttackerProfile {
-        name: "attacker-v1".into(),
-        pretouch: false,
-        strike: detector.strike.iter().chain(linker.strike.iter()).cloned().collect(),
-        raises_flag: false,
-        ..detector.clone()
-    }
+    let strike = detector
+        .strike
+        .iter()
+        .chain(linker.strike.iter())
+        .cloned()
+        .collect();
+    let gaps = [detector.start_delay, detector.loop_gap, detector.check_gap];
+    attacker(
+        "attacker-v1",
+        detector.trigger,
+        &detector.watch,
+        strike,
+        gaps,
+        detector.jitter_us,
+    )
 }
 
 /// A vi save on `machine` against attacker v1.
@@ -297,51 +327,52 @@ fn vi_spec(
     let doc: Arc<str> = layout.doc.as_str().into();
     let privileged: Arc<str> = layout.passwd.as_str().into();
     ScenarioSpec {
+        name,
         machine,
+        pair: pair(FsCall::Creat, FsCall::Chown),
+        victim_name: "vi".into(),
         steps: vi_save(&layout, file_size, prologue),
         doc_size: file_size,
+        extra_files: vec![],
         attackers: vec![attacker_v1(&doc, &privileged)],
+        success: SuccessRule::AttackerOwnsPrivileged,
+        max_round: SimDuration::from_secs(2),
         layout,
-        ..base_spec(
-            name,
-            "vi",
-            pair(FsCall::Creat, FsCall::Chown),
-            vec![],
-            SuccessRule::AttackerOwnsPrivileged,
-        )
     }
 }
 
-/// A gedit save on `machine` against `attacker`.
+/// A gedit save on `machine` against the attacker `attacker` builds for
+/// the layout.
 fn gedit_spec(
     name: String,
     machine: MachineSpec,
     prologue: DurationDist,
     rename_chmod_us: u64,
     file_size: u64,
-    attacker: AttackerProfile,
+    attacker: impl FnOnce(&Layout) -> AttackerProfile,
 ) -> ScenarioSpec {
     let layout = Layout::default();
     ScenarioSpec {
+        name,
         machine,
+        pair: pair(FsCall::Rename, FsCall::Chown),
+        victim_name: "gedit".into(),
         steps: gedit_save(&layout, file_size, prologue, rename_chmod_us),
         doc_size: file_size,
-        attackers: vec![attacker],
-        ..base_spec(
-            name,
-            "gedit",
-            pair(FsCall::Rename, FsCall::Chown),
-            vec![],
-            SuccessRule::AttackerOwnsPrivileged,
-        )
+        extra_files: vec![],
+        attackers: vec![attacker(&layout)],
+        success: SuccessRule::AttackerOwnsPrivileged,
+        max_round: SimDuration::from_secs(2),
+        layout,
     }
 }
 
 /// v1 with gedit's timing on `layout`'s document: Table 2's D ≈ 33 µs on
-/// the SMP, or the 11 µs check of Figure 8 on the multi-core.
-fn gedit_attacker_v1(loop_us: u64, check_us: u64) -> AttackerProfile {
-    let layout = Layout::default();
-    watching_symlinker(&layout, &layout.doc.as_str().into(), loop_us, check_us, 1)
+/// the SMP (`[25, 12]`), or the 11 µs check of Figure 8 on the multi-core
+/// (`[12, 11]`).
+fn gedit_attacker_v1(layout: &Layout, [loop_us, check_us]: [u64; 2]) -> AttackerProfile {
+    let doc = layout.doc.as_str().into();
+    watching_symlinker("attacker-v1", layout, &doc, [loop_us, check_us, 1])
 }
 
 /// Section 4.1 / Figure 6: vi on the uniprocessor. The editing prologue
@@ -388,11 +419,9 @@ pub fn vi_smp_spec(file_size: u64) -> ScenarioSpec {
 pub fn hardlink_vi_smp_spec(file_size: u64) -> ScenarioSpec {
     let mut spec = vi_smp_spec(file_size);
     spec.name = format!("vi-hardlink-smp-{}B", file_size);
-    let layout = Layout::default();
-    let doc: Arc<str> = layout.doc.as_str().into();
-    let privileged: Arc<str> = layout.passwd.as_str().into();
-    spec.attackers[0].name = "attacker-hardlink".into();
-    spec.attackers[0].strike = AttackerProfile::hardlink_strike(&doc, &privileged);
+    let atk = &mut spec.attackers[0];
+    atk.name = "attacker-hardlink".into();
+    atk.strike = AttackerProfile::hardlink_strike(&atk.watch, &spec.layout.passwd.as_str().into());
     spec
 }
 
@@ -406,7 +435,7 @@ pub fn gedit_uniprocessor_spec(file_size: u64) -> ScenarioSpec {
         prologue,
         43,
         file_size,
-        gedit_attacker_v1(25, 12),
+        |layout| gedit_attacker_v1(layout, [25, 12]),
     )
 }
 
@@ -419,7 +448,7 @@ pub fn gedit_smp_spec(file_size: u64) -> ScenarioSpec {
         prologue(),
         43,
         file_size,
-        gedit_attacker_v1(25, 12),
+        |layout| gedit_attacker_v1(layout, [25, 12]),
     )
 }
 
@@ -443,7 +472,7 @@ pub fn gedit_multicore_v1_spec(file_size: u64) -> ScenarioSpec {
         prologue(),
         3,
         file_size,
-        gedit_attacker_v1(12, 11),
+        |layout| gedit_attacker_v1(layout, [12, 11]),
     )
 }
 
@@ -456,7 +485,7 @@ pub fn gedit_multicore_v2_spec(file_size: u64) -> ScenarioSpec {
         prologue(),
         3,
         file_size,
-        attacker_v2(&Layout::default()),
+        attacker_v2,
     )
 }
 
@@ -494,7 +523,6 @@ pub fn sequential_attack_spec(file_size: u64) -> ScenarioSpec {
 /// it. The attacker swaps in a symlink between the two, redirecting the
 /// append into `/etc/passwd`.
 pub fn tmp_logrotate(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let spool: Arc<str> = "/home/user/spool.log".into();
     let mut spec = base_spec(
         format!("tmp-logrotate-{}B", file_size),
@@ -512,7 +540,7 @@ pub fn tmp_logrotate(file_size: u64) -> ScenarioSpec {
         SuccessRule::PrivilegedGrewBy(512),
     );
     spec.extra_files = vec![FileSpec::user_file(spool.as_ref(), file_size)];
-    spec.attackers = vec![timer_symlinker(&layout, &spool, 120, 20, 8.0)];
+    spec.attackers = vec![timer_symlinker(&spec.layout, &spool, 120, 20, 8.0)];
     spec
 }
 
@@ -521,7 +549,6 @@ pub fn tmp_logrotate(file_size: u64) -> ScenarioSpec {
 /// chowns the leaf back to the user. Swapping the leaf for a symlink makes
 /// the chown land on `/etc/passwd` — handing it to the attacker.
 pub fn chown_walk(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let data: Arc<str> = "/home/user/pkg/sub/data".into();
     let mut spec = base_spec(
         format!("chown-walk-{}B", file_size),
@@ -551,7 +578,7 @@ pub fn chown_walk(file_size: u64) -> ScenarioSpec {
         FileSpec::user_dir("/home/user/pkg/sub"),
         FileSpec::user_file(data.as_ref(), file_size),
     ];
-    spec.attackers = vec![timer_symlinker(&layout, &data, 150, 20, 8.0)];
+    spec.attackers = vec![timer_symlinker(&spec.layout, &data, 150, 20, 8.0)];
     spec
 }
 
@@ -559,7 +586,6 @@ pub fn chown_walk(file_size: u64) -> ScenarioSpec {
 /// cache file it believes is the user's, then chmods it 0600. Through a
 /// planted symlink the chmod clobbers `/etc/passwd`'s mode instead.
 pub fn tmp_sweeper(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let cache: Arc<str> = "/home/user/.cache.tmp".into();
     let mut spec = base_spec(
         format!("tmp-sweeper-{}B", file_size),
@@ -577,7 +603,7 @@ pub fn tmp_sweeper(file_size: u64) -> ScenarioSpec {
         SuccessRule::PrivilegedModeIs(0o600),
     );
     spec.extra_files = vec![FileSpec::user_file(cache.as_ref(), file_size)];
-    spec.attackers = vec![timer_symlinker(&layout, &cache, 130, 20, 8.0)];
+    spec.attackers = vec![timer_symlinker(&spec.layout, &cache, 130, 20, 8.0)];
     spec
 }
 
@@ -585,7 +611,6 @@ pub fn tmp_sweeper(file_size: u64) -> ScenarioSpec {
 /// the mailbox to refuse symlinks, then open and append. The attacker
 /// swaps the mailbox between the lstat and the open.
 pub fn maildrop(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let mbox: Arc<str> = "/home/user/mbox".into();
     let mut spec = base_spec(
         format!("maildrop-{}B", file_size),
@@ -603,7 +628,7 @@ pub fn maildrop(file_size: u64) -> ScenarioSpec {
         SuccessRule::PrivilegedGrewBy(256),
     );
     spec.extra_files = vec![FileSpec::user_file(mbox.as_ref(), file_size)];
-    spec.attackers = vec![timer_symlinker(&layout, &mbox, 125, 20, 8.0)];
+    spec.attackers = vec![timer_symlinker(&spec.layout, &mbox, 125, 20, 8.0)];
     spec
 }
 
@@ -611,7 +636,6 @@ pub fn maildrop(file_size: u64) -> ScenarioSpec {
 /// real uid may touch the file, then open it. The canonical TOCTTOU pair
 /// from the paper's Section 3 taxonomy discussion.
 pub fn installer_read(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let conf: Arc<str> = "/home/user/tool.conf".into();
     let mut spec = base_spec(
         format!("installer-read-{}B", file_size),
@@ -629,7 +653,7 @@ pub fn installer_read(file_size: u64) -> ScenarioSpec {
         SuccessRule::PrivilegedGrewBy(128),
     );
     spec.extra_files = vec![FileSpec::user_file(conf.as_ref(), file_size)];
-    spec.attackers = vec![timer_symlinker(&layout, &conf, 125, 20, 8.0)];
+    spec.attackers = vec![timer_symlinker(&spec.layout, &conf, 125, 20, 8.0)];
     spec
 }
 
@@ -638,7 +662,6 @@ pub fn installer_read(file_size: u64) -> ScenarioSpec {
 /// install target with `access` and chown it to the requesting user. The
 /// check-to-chown gap is the window.
 pub fn pkg_installer(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let tool: Arc<str> = "/home/user/tool".into();
     let mut spec = base_spec(
         format!("pkg-installer-{}B", file_size),
@@ -664,7 +687,7 @@ pub fn pkg_installer(file_size: u64) -> ScenarioSpec {
         SuccessRule::AttackerOwnsPrivileged,
     );
     spec.extra_files = vec![FileSpec::user_file(tool.as_ref(), 64)];
-    spec.attackers = vec![timer_symlinker(&layout, &tool, 170, 20, 8.0)];
+    spec.attackers = vec![timer_symlinker(&spec.layout, &tool, 170, 20, 8.0)];
     spec
 }
 
@@ -673,7 +696,6 @@ pub fn pkg_installer(file_size: u64) -> ScenarioSpec {
 /// file, a detect-loop attacker can spot the window opening and swap the
 /// name before the reopen.
 pub fn mktemp_reopen(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let tmp: Arc<str> = "/home/user/.mktemp".into();
     let mut spec = base_spec(
         format!("mktemp-reopen-{}B", file_size),
@@ -693,7 +715,12 @@ pub fn mktemp_reopen(file_size: u64) -> ScenarioSpec {
         ],
         SuccessRule::PrivilegedGrewBy(64),
     );
-    spec.attackers = vec![watching_symlinker(&layout, &tmp, 15, 2, 1)];
+    spec.attackers = vec![watching_symlinker(
+        "attacker-v1",
+        &spec.layout,
+        &tmp,
+        [15, 2, 1],
+    )];
     spec
 }
 
@@ -702,7 +729,6 @@ pub fn mktemp_reopen(file_size: u64) -> ScenarioSpec {
 /// connect. Swapped between the two, the `chmod 0666` lands on
 /// `/etc/passwd`.
 pub fn sock_bind(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
     let sock: Arc<str> = "/home/user/daemon.sock".into();
     let mut spec = base_spec(
         format!("sock-bind-{}B", file_size),
@@ -722,7 +748,12 @@ pub fn sock_bind(file_size: u64) -> ScenarioSpec {
         ],
         SuccessRule::PrivilegedModeIs(0o666),
     );
-    spec.attackers = vec![watching_symlinker(&layout, &sock, 15, 2, 1)];
+    spec.attackers = vec![watching_symlinker(
+        "attacker-v1",
+        &spec.layout,
+        &sock,
+        [15, 2, 1],
+    )];
     spec
 }
 
@@ -732,17 +763,12 @@ pub fn sock_bind(file_size: u64) -> ScenarioSpec {
 /// interfere — later strikers unlink earlier strikers' links before
 /// re-planting their own.
 pub fn vi_crowd(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
-    let doc: Arc<str> = layout.doc.as_str().into();
     let mut spec = vi_smp_spec(file_size);
     spec.name = format!("vi-crowd-{}B", file_size);
+    let doc = spec.attackers[0].watch.clone();
     spec.attackers = [(1u64, "attacker-a"), (9, "attacker-b"), (17, "attacker-c")]
         .into_iter()
-        .map(|(start, name)| {
-            let mut a = watching_symlinker(&layout, &doc, 33, 2, start);
-            a.name = name.into();
-            a
-        })
+        .map(|(start, name)| watching_symlinker(name, &spec.layout, &doc, [33, 2, start]))
         .collect();
     spec
 }
@@ -753,24 +779,19 @@ pub fn vi_crowd(file_size: u64) -> ScenarioSpec {
 /// techniques redirect the victim's `chown` to `/etc/passwd`, so every
 /// interleaving that wins the window converges to success.
 pub fn swap_contest(file_size: u64) -> ScenarioSpec {
-    let layout = Layout::default();
-    let doc: Arc<str> = layout.doc.as_str().into();
-    let privileged: Arc<str> = layout.passwd.as_str().into();
     let mut spec = vi_smp_spec(file_size);
     spec.name = format!("swap-contest-{}B", file_size);
-    let symlinker = {
-        let mut a = watching_symlinker(&layout, &doc, 33, 2, 1);
-        a.name = "attacker-symlink".into();
-        a
-    };
-    let hardlinker = AttackerProfile {
-        name: "attacker-hardlink".into(),
-        strike: AttackerProfile::hardlink_strike(&doc, &privileged),
-        start_delay: us(5),
-        loop_gap: us(29),
-        check_gap: us(3),
-        ..attacker_v1(&doc, &privileged)
-    };
+    let doc = spec.attackers[0].watch.clone();
+    let privileged: Arc<str> = spec.layout.passwd.as_str().into();
+    let symlinker = watching_symlinker("attacker-symlink", &spec.layout, &doc, [33, 2, 1]);
+    let hardlinker = attacker(
+        "attacker-hardlink",
+        Trigger::RootOwned,
+        &doc,
+        AttackerProfile::hardlink_strike(&doc, &privileged),
+        [us(5), us(29), us(3)],
+        1.0,
+    );
     spec.attackers = vec![symlinker, hardlinker];
     spec
 }
@@ -849,7 +870,13 @@ mod tests {
             extra_files: Arc::from([]),
             success: SuccessRule::AttackerOwnsPrivileged,
         };
-        k.spawn(name, Uid::ROOT, Gid::ROOT, true, Box::new(victim.logic(seed)))
+        k.spawn(
+            name,
+            Uid::ROOT,
+            Gid::ROOT,
+            true,
+            Box::new(victim.logic(seed)),
+        )
     }
 
     /// Spawns attacker processes sharing one round flag.
@@ -1035,7 +1062,15 @@ mod tests {
             let i = spec
                 .steps
                 .iter()
-                .position(|s| matches!(s, Step::Call { call: CallSpec::Chmod { .. }, .. }))
+                .position(|s| {
+                    matches!(
+                        s,
+                        Step::Call {
+                            call: CallSpec::Chmod { .. },
+                            ..
+                        }
+                    )
+                })
                 .expect("gedit chmods");
             match &spec.steps[i - 1] {
                 Step::Gap { base, .. } => *base,

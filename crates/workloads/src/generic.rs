@@ -243,7 +243,10 @@ mod tests {
             true,
             Box::new(GenericVictim::new(cfg, 1)),
         );
-        let atk = Arc::new(library::attacker_v1(&"/home/user/f".into(), &"/etc/passwd".into()));
+        let atk = Arc::new(library::attacker_v1(
+            &"/home/user/f".into(),
+            &"/etc/passwd".into(),
+        ));
         k.spawn(
             "attacker",
             Uid(1000),
@@ -279,7 +282,10 @@ mod tests {
             true,
             Box::new(GenericVictim::new(cfg, 3)),
         );
-        let atk = Arc::new(library::attacker_v1(&"/home/user/mbox".into(), &"/etc/passwd".into()));
+        let atk = Arc::new(library::attacker_v1(
+            &"/home/user/mbox".into(),
+            &"/etc/passwd".into(),
+        ));
         k.spawn(
             "attacker",
             Uid(1000),
@@ -313,7 +319,10 @@ mod tests {
             true,
             Box::new(GenericVictim::new(cfg, 9)),
         );
-        let atk = Arc::new(library::attacker_v1(&"/home/user/f".into(), &"/etc/passwd".into()));
+        let atk = Arc::new(library::attacker_v1(
+            &"/home/user/f".into(),
+            &"/etc/passwd".into(),
+        ));
         k.spawn(
             "attacker",
             Uid(1000),

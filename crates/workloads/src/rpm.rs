@@ -205,7 +205,10 @@ mod tests {
                 true,
                 Box::new(RpmInstall::new(cfg, seed)),
             );
-            let atk = Arc::new(library::attacker_v1(&"/var/tmp/rpm-helper".into(), &"/etc/passwd".into()));
+            let atk = Arc::new(library::attacker_v1(
+                &"/var/tmp/rpm-helper".into(),
+                &"/etc/passwd".into(),
+            ));
             k.spawn(
                 "attacker",
                 Uid(1000),

@@ -449,7 +449,7 @@ impl Scenario {
         let dist =
             DurationDist::Uniform(SimDuration::from_nanos(lo_n), SimDuration::from_nanos(hi_n));
         let mut restricted = self.clone();
-        restricted.victim = self.victim.with_first_step(Step::Think(dist));
+        restricted.victim.set_first_step(Step::Think(dist));
         restricted.name = format!("{}#lax[{lo_n},{hi_n}]", self.name);
         Some(restricted)
     }
@@ -649,7 +649,7 @@ impl Detach {
             watch: self.str(watch),
             trigger: *trigger,
             strike: self.calls(strike),
-            rehearsal: self.calls(rehearsal),
+            rehearsal: rehearsal.as_ref().map(|r| self.calls(r)),
             raises_flag: *raises_flag,
             start_delay: *start_delay,
             loop_gap: *loop_gap,
@@ -810,9 +810,8 @@ mod tests {
 
         // Constant-prologue scenarios have no laxity axis.
         let mut flat = Scenario::vi_uniprocessor(2048);
-        flat.victim = flat
-            .victim
-            .with_first_step(Step::Think(DurationDist::const_us(5.0)));
+        flat.victim
+            .set_first_step(Step::Think(DurationDist::const_us(5.0)));
         assert_eq!(flat.laxity_window_ns(), None);
         assert!(flat.restrict_laxity(0, 1).is_none());
     }
@@ -827,15 +826,15 @@ mod tests {
         assert_eq!(sub.laxity_window_ns(), Some((150_000, 200_000)));
         assert_eq!(sub.name, format!("{}#lax[150000,200000]", s.name));
         assert_eq!(
-            sub.victim.steps[1..].len(),
-            s.victim.steps.len() - 1,
+            format!("{:?}", &sub.victim.steps[1..]),
+            format!("{:?}", &s.victim.steps[1..]),
             "only the prologue changes"
         );
         assert!(sub.run_round(3).victim_exited);
         assert!(s.restrict_laxity(0, 200_001).is_none());
         // A victim that opens with anything else has no window.
         let mut gap_first = s.clone();
-        gap_first.victim = s.victim.with_first_step(Step::gap_us(100, 0.0));
+        gap_first.victim.set_first_step(Step::gap_us(100, 0.0));
         assert_eq!(gap_first.laxity_window_ns(), None);
     }
 
@@ -1041,8 +1040,13 @@ mod detach_tests {
             }
         }
         for p in &s.attacker {
-            out.extend([ptr(p), ptr(&p.watch), ptr(&p.strike), ptr(&p.rehearsal)]);
-            for call in p.strike.iter().chain(p.rehearsal.iter()) {
+            out.extend([ptr(p), ptr(&p.watch), ptr(&p.strike)]);
+            out.extend(p.rehearsal.as_ref().map(ptr));
+            for call in p
+                .strike
+                .iter()
+                .chain(p.rehearsal.iter().flat_map(|r| r.iter()))
+            {
                 call_arcs(call, &mut out);
             }
         }

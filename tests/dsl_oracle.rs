@@ -144,7 +144,11 @@ fn scenario_record() -> String {
     let fig11 = fig11::run(&fig11::Config::default());
     let _ = writeln!(s, "[fig11]\n{}", serde_json::to_string(&fig11).unwrap());
     let pairs = pair_sweep::run(&pair_sweep::Config::default());
-    let _ = writeln!(s, "[pair_sweep]\n{}", serde_json::to_string(&pairs).unwrap());
+    let _ = writeln!(
+        s,
+        "[pair_sweep]\n{}",
+        serde_json::to_string(&pairs).unwrap()
+    );
     s
 }
 
