@@ -105,7 +105,7 @@ impl Family {
     /// The families whose attacker is one of the paper's symlink programs
     /// (v1, v2 or the pipelined pair): the ones the pipelined switch
     /// rewrites.
-    pub const PAPER_SYMLINK: [Family; 7] = [
+    const PAPER_SYMLINK: [Family; 7] = [
         Family::ViUniprocessor,
         Family::ViSmp,
         Family::GeditUniprocessor,
