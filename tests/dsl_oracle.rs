@@ -13,11 +13,18 @@
 //! [`ScenarioSpec`]: tocttou::workloads::ScenarioSpec
 
 use std::fmt::Write as _;
+use std::sync::Arc;
+use tocttou::core::taxonomy::{enumerate_pairs, TocttouPair};
 use tocttou::experiments::figures::{fig11, pair_sweep};
 use tocttou::experiments::{run_mc, Family, GridPoint, McConfig};
 use tocttou::os::defense::DefensePolicy;
-use tocttou::workloads::dsl::library;
+use tocttou::os::prelude::*;
+use tocttou::sim::time::SimTime;
+use tocttou::workloads::dsl::{library, DslAttacker};
+use tocttou::workloads::generic::{GenericConfig, GenericVictim};
 use tocttou::workloads::maze::{run_maze_round, vi_uniprocessor_maze};
+use tocttou::workloads::rpm::{RpmConfig, RpmInstall};
+use tocttou::workloads::sendmail::{SendmailConfig, SendmailDeliver};
 use tocttou::workloads::Scenario;
 
 /// The record of every named scenario, taken from the hand-written
@@ -236,4 +243,292 @@ fn warm_and_cold_boots_agree_for_compiled_scenarios() {
             scenario.name
         );
     }
+}
+
+// ---- the rpm, sendmail and generic check→window→use victims ---------------
+
+/// The record of the rpm, sendmail and generic victims, taken from their
+/// hand-written programs before DSL step lists replaced them. Never
+/// re-bless it to make a step list pass.
+const VICTIMS_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/victims.txt");
+
+/// The generic victim for `pair` over `/home/user/f` (aux
+/// `/home/user/f.aux`) with a 500 µs window, as the `pairs` exhibit runs
+/// it; `None` for pairs the simulator cannot express.
+fn pair_victim(pair: TocttouPair, seed: u64) -> Option<Box<dyn ProcessLogic>> {
+    if !GenericVictim::supports(pair) {
+        return None;
+    }
+    let mut cfg = GenericConfig::new(pair, "/home/user/f", 500.0);
+    cfg.aux_path = "/home/user/f.aux".into();
+    Some(Box::new(GenericVictim::new(cfg, seed)))
+}
+
+/// The rpm install of a `size`-byte helper.
+fn rpm_victim(helper: &str, size: u64, seed: u64) -> Box<dyn ProcessLogic> {
+    Box::new(RpmInstall::new(RpmConfig::new(helper, size), seed))
+}
+
+/// The sendmail delivery into `mailbox`.
+fn sendmail_victim(mailbox: &str, seed: u64) -> Box<dyn ProcessLogic> {
+    Box::new(SendmailDeliver::new(SendmailConfig::new(mailbox), seed))
+}
+
+fn dir(uid: u32) -> InodeMeta {
+    InodeMeta {
+        uid: Uid(uid),
+        gid: Gid(uid),
+        mode: 0o755,
+    }
+}
+
+fn file(uid: u32, mode: u32) -> InodeMeta {
+    InodeMeta {
+        uid: Uid(uid),
+        gid: Gid(uid),
+        mode,
+    }
+}
+
+/// The run's outcome, the FNV of its trace and detection timeline, the
+/// detection count and the final clock.
+fn run_line(k: &Kernel, outcome: RunOutcome) -> String {
+    let mut trace = String::new();
+    for rec in k.trace().iter() {
+        let _ = writeln!(trace, "{} {:?}", rec.at.as_nanos(), rec.event);
+    }
+    let mut detections = String::new();
+    for rec in k.detections().iter() {
+        let _ = writeln!(detections, "{} {}", rec.at.as_nanos(), rec.event);
+    }
+    format!(
+        "{outcome:?} now_ns={} events={} trace={:016x} detections={}:{:016x}",
+        k.now().as_nanos(),
+        k.trace().len(),
+        fnv(trace.as_bytes()),
+        k.detections().len(),
+        fnv(detections.as_bytes())
+    )
+}
+
+/// `path`'s final state, not following a final symlink.
+fn lstat_line(k: &Kernel, path: &str) -> String {
+    match k.vfs().lstat(path) {
+        Ok(st) => format!(
+            "uid={} mode={:o} size={} symlink={} dir={}",
+            st.uid.0, st.mode, st.size, st.is_symlink, st.is_dir
+        ),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// The `pairs` exhibit's kernel: `/etc/passwd` and a root-owned
+/// `/home/user/f` and `/home/user/f.aux` in the user's home directory.
+fn pair_kernel(seed: u64) -> Kernel {
+    let mut k = Kernel::new(MachineSpec::smp_xeon().quiet(), seed);
+    k.vfs_mut().mkdir("/etc", dir(0)).unwrap();
+    k.vfs_mut()
+        .create_file("/etc/passwd", file(0, 0o644))
+        .unwrap();
+    k.vfs_mut().mkdir("/home", dir(0)).unwrap();
+    k.vfs_mut().mkdir("/home/user", dir(1000)).unwrap();
+    k.vfs_mut()
+        .create_file("/home/user/f.aux", file(0, 0o644))
+        .unwrap();
+    k.vfs_mut()
+        .create_file("/home/user/f", file(0, 0o644))
+        .unwrap();
+    k
+}
+
+/// The rpm kernel: `/etc/passwd` and a user-owned `/var/tmp`.
+fn rpm_kernel(machine: MachineSpec, seed: u64) -> Kernel {
+    let mut k = Kernel::new(machine, seed);
+    k.vfs_mut().mkdir("/etc", dir(0)).unwrap();
+    k.vfs_mut().create_file("/etc/passwd", dir(0)).unwrap();
+    k.vfs_mut().mkdir("/var", dir(0)).unwrap();
+    k.vfs_mut().mkdir("/var/tmp", dir(1000)).unwrap();
+    k
+}
+
+/// The sendmail kernel: a 1000-byte `/etc/passwd` and the attacker's
+/// 100-byte mailbox `/var/mail/attacker`.
+fn sendmail_kernel(seed: u64) -> Kernel {
+    let mut k = Kernel::new(MachineSpec::smp_xeon().quiet(), seed);
+    k.vfs_mut().mkdir("/etc", dir(0)).unwrap();
+    let pw = k
+        .vfs_mut()
+        .create_file("/etc/passwd", file(0, 0o644))
+        .unwrap();
+    k.vfs_mut().append(pw, 1000).unwrap();
+    k.vfs_mut().mkdir("/var", dir(0)).unwrap();
+    k.vfs_mut().mkdir("/var/mail", dir(1000)).unwrap();
+    let mb = k
+        .vfs_mut()
+        .create_file("/var/mail/attacker", file(1000, 0o600))
+        .unwrap();
+    k.vfs_mut().append(mb, 100).unwrap();
+    k
+}
+
+/// Spawns attacker v1 against `target`, swapping in a link to
+/// `/etc/passwd`.
+fn spawn_v1(k: &mut Kernel, target: &str, seed: u64) {
+    let atk = library::attacker_v1(&target.into(), &"/etc/passwd".into());
+    k.spawn(
+        "attacker",
+        Uid(1000),
+        Gid(1000),
+        false,
+        Box::new(DslAttacker::new(Arc::new(atk), seed)),
+    );
+}
+
+/// The mailbox owner flipping its mailbox between a symlink to
+/// `/etc/passwd` and a regular file, forever.
+struct Flipper {
+    phase: u8,
+}
+
+impl ProcessLogic for Flipper {
+    fn next_action(&mut self, _ctx: &LogicCtx, _last: Option<&SyscallResult>) -> Action {
+        let mailbox: Arc<str> = "/var/mail/attacker".into();
+        let action = match self.phase % 4 {
+            0 | 2 => Action::Syscall(SyscallRequest::Unlink { path: mailbox }),
+            1 => Action::Syscall(SyscallRequest::Symlink {
+                target: "/etc/passwd".into(),
+                linkpath: mailbox,
+            }),
+            _ => Action::Syscall(SyscallRequest::OpenCreate { path: mailbox }),
+        };
+        self.phase = self.phase.wrapping_add(1);
+        action
+    }
+}
+
+/// The full record: one traced round per runnable pair on the `pairs`
+/// exhibit's kernel, attacked rpm installs across machines, load, EDGI
+/// and helper sizes, and sendmail deliveries benign, against a
+/// pre-planted link and against the flipper.
+fn victims_record() -> String {
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "# The rpm, sendmail and generic check->window->use victims, recorded\n\
+         # from their hand-written programs. Per run: the kernel's outcome,\n\
+         # final clock, trace length and FNV, detection count and FNV; then\n\
+         # the final state of the files the run is about."
+    );
+    let _ = writeln!(s, "[pairs]");
+    for pair in enumerate_pairs() {
+        for seed in SEEDS {
+            let mut k = pair_kernel(seed);
+            let Some(victim) = pair_victim(pair, seed) else {
+                continue;
+            };
+            let vpid = k.spawn("victim", Uid::ROOT, Gid::ROOT, true, victim);
+            spawn_v1(&mut k, "/home/user/f", seed);
+            let outcome = k.run_until_exit(vpid, SimTime::from_secs(1));
+            let passwd = k.vfs().stat("/etc/passwd").unwrap();
+            let planted = k.vfs().lstat("/home/user/f").is_ok_and(|st| st.is_symlink);
+            let _ = writeln!(
+                s,
+                "{pair} seed={seed:#x} {} passwd={}:{:o} planted={planted}",
+                run_line(&k, outcome),
+                passwd.uid.0,
+                passwd.mode
+            );
+        }
+    }
+    let _ = writeln!(s, "[rpm]");
+    for (name, machine) in [
+        ("uni", MachineSpec::uniprocessor()),
+        ("smp", MachineSpec::smp_xeon()),
+    ] {
+        for quiet in [true, false] {
+            for edgi in [false, true] {
+                for size in [0, 4096, 8192, 200 * 1024] {
+                    for seed in SEEDS {
+                        let m = if quiet {
+                            machine.clone().quiet()
+                        } else {
+                            machine.clone()
+                        };
+                        let mut k = rpm_kernel(m, seed);
+                        if edgi {
+                            k.set_defense(DefensePolicy::Edgi);
+                        }
+                        let victim = rpm_victim("/var/tmp/rpm-helper", size, seed);
+                        let vpid = k.spawn("rpm", Uid::ROOT, Gid::ROOT, true, victim);
+                        spawn_v1(&mut k, "/var/tmp/rpm-helper", seed ^ 0xFF);
+                        let outcome = k.run_until_exit(vpid, SimTime::from_secs(1));
+                        let _ = writeln!(
+                            s,
+                            "{name} quiet={quiet} edgi={edgi} size={size} seed={seed:#x} {} \
+                             denials={} passwd=[{}] helper=[{}]",
+                            run_line(&k, outcome),
+                            k.defense().denials(),
+                            lstat_line(&k, "/etc/passwd"),
+                            lstat_line(&k, "/var/tmp/rpm-helper")
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let _ = writeln!(s, "[sendmail]");
+    for case in ["benign", "planted", "flipper"] {
+        for seed in 0..25u64 {
+            let mut k = sendmail_kernel(seed);
+            if case == "planted" {
+                k.vfs_mut().unlink_detach("/var/mail/attacker").unwrap();
+                k.vfs_mut()
+                    .symlink("/etc/passwd", "/var/mail/attacker", (Uid(1000), Gid(1000)))
+                    .unwrap();
+            }
+            let victim = sendmail_victim("/var/mail/attacker", seed);
+            let vpid = k.spawn("sendmail", Uid::ROOT, Gid::ROOT, true, victim);
+            if case == "flipper" {
+                k.spawn(
+                    "flipper",
+                    Uid(1000),
+                    Gid(1000),
+                    true,
+                    Box::new(Flipper { phase: 0 }),
+                );
+            }
+            let outcome = k.run_until_exit(vpid, SimTime::from_millis(100));
+            let _ = writeln!(
+                s,
+                "{case} seed={seed} {} passwd=[{}] mailbox=[{}]",
+                run_line(&k, outcome),
+                lstat_line(&k, "/etc/passwd"),
+                lstat_line(&k, "/var/mail/attacker")
+            );
+        }
+    }
+    s
+}
+
+/// The rpm, sendmail and generic victims still produce the record their
+/// hand-written programs left: same traces, same detections, same final
+/// files.
+#[test]
+fn hand_written_victims_match_the_parent_golden() {
+    let got = victims_record();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(VICTIMS_GOLDEN, &got).expect("write golden record");
+        return;
+    }
+    let want = std::fs::read_to_string(VICTIMS_GOLDEN)
+        .unwrap_or_else(|e| panic!("missing golden record {VICTIMS_GOLDEN}: {e}"));
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(
+            g,
+            w,
+            "record diverges from {VICTIMS_GOLDEN} at line {}",
+            i + 1
+        );
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "record length");
 }
