@@ -4,9 +4,11 @@
 //! The paper argues (Section 2.3) that vi and gedit are just two of "many
 //! kinds of TOCTTOU vulnerabilities (e.g., 224 for Linux)" and that some
 //! are much easier to attack. This exhibit generalizes the experiment: for
-//! each runnable pair, a [`GenericVictim`] performs check → window → use as
-//! root while the standard attacker races it, and the sweep reports which
-//! pairs let the attacker redirect the use call.
+//! each runnable pair, the [`library::pair_victim`] step list performs
+//! check → window → use as root while the standard attacker races it, and
+//! the sweep reports which pairs let the attacker redirect the use call.
+//! The 132 runnable pairs include aliased calls (a `link` check runs as a
+//! `symlink`, a `utime` use as a `chmod`; see [`library::pair_victim`]).
 //!
 //! A pair counts as *compromised* when the attack's symlink diverts the use
 //! to the privileged file (ownership/mode change of `/etc/passwd`) or the
@@ -19,9 +21,8 @@ use tocttou_os::ids::{Gid, Uid};
 use tocttou_os::kernel::Kernel;
 use tocttou_os::machine::MachineSpec;
 use tocttou_os::vfs::InodeMeta;
-use tocttou_sim::time::SimTime;
-use tocttou_workloads::dsl::{library, DslAttacker};
-use tocttou_workloads::generic::{GenericConfig, GenericVictim};
+use tocttou_sim::time::{SimDuration, SimTime};
+use tocttou_workloads::dsl::{library, DslAttacker, DslVictim, Step};
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -71,7 +72,7 @@ pub struct Output {
     pub runnable_pairs: usize,
 }
 
-fn run_pair(pair: TocttouPair, cfg: &Config) -> Row {
+fn run_pair(pair: TocttouPair, steps: &Arc<[Step]>, cfg: &Config) -> Row {
     let mut privileged_compromised = 0;
     let mut link_planted = 0;
     for i in 0..cfg.rounds {
@@ -124,14 +125,12 @@ fn run_pair(pair: TocttouPair, cfg: &Config) -> Row {
             )
             .unwrap();
 
-        let mut gcfg = GenericConfig::new(pair, "/home/user/f", cfg.window_us);
-        gcfg.aux_path = "/home/user/f.aux".into();
         let vpid = k.spawn(
             "victim",
             Uid::ROOT,
             Gid::ROOT,
             true,
-            Box::new(GenericVictim::new(gcfg, cfg.seed ^ i)),
+            Box::new(DslVictim::new(steps.clone(), cfg.seed ^ i)),
         );
         let atk = library::attacker_v1(&"/home/user/f".into(), &"/etc/passwd".into());
         k.spawn(
@@ -167,8 +166,16 @@ fn run_pair(pair: TocttouPair, cfg: &Config) -> Row {
 /// Runs the sweep over every runnable pair.
 pub fn run(cfg: &Config) -> Output {
     let taxonomy = tocttou_core::taxonomy::enumerate_pairs();
-    let runnable = GenericVictim::supported_pairs();
-    let rows = runnable.iter().map(|&p| run_pair(p, cfg)).collect();
+    let (path, aux): (Arc<str>, Arc<str>) = ("/home/user/f".into(), "/home/user/f.aux".into());
+    let window = SimDuration::from_micros_f64(cfg.window_us);
+    let runnable: Vec<(TocttouPair, Arc<[Step]>)> = taxonomy
+        .iter()
+        .filter_map(|&p| Some((p, library::pair_victim(p, &path, &aux, window)?.into())))
+        .collect();
+    let rows = runnable
+        .iter()
+        .map(|(p, steps)| run_pair(*p, steps, cfg))
+        .collect();
     Output {
         rows,
         taxonomy_pairs: taxonomy.len(),

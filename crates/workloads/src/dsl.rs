@@ -16,9 +16,15 @@
 //! The [`library`] module holds the paper's programs — vi and gedit's
 //! save sequences, attackers v1 and v2, the hardlink swap and the
 //! pipelined pair — and mass-produces victims across the taxonomy: ~20
-//! lines of spec per new victim. `tests/golden/scenarios.txt` pins the
-//! paper's scenarios to the outputs of the hand-written state machines
-//! the specs replaced (trace, detections, `McOutcome`).
+//! lines of spec per new victim. It also holds step lists that run
+//! outside any [`Scenario`], on a kernel the caller builds by hand
+//! ([`DslVictim::new`]): rpm's install, whose database flush sleeps
+//! inside its window ([`CallSpec::Sleep`]), sendmail's mailbox delivery,
+//! and a check→window→use victim for every runnable taxonomy pair.
+//! `tests/golden/scenarios.txt` pins the paper's scenarios, and
+//! `tests/golden/victims.txt` those three victims, to the outputs of the
+//! hand-written state machines the step lists replaced (trace,
+//! detections, `McOutcome`, final files).
 
 use crate::scenario::{Layout, Scenario};
 use std::cell::Cell;
@@ -45,6 +51,8 @@ pub enum CallSpec {
     Lstat(Arc<str>),
     /// `access(path)`.
     Access(Arc<str>),
+    /// `readlink(path)`.
+    Readlink(Arc<str>),
     /// `open(path)` on an existing file.
     Open(Arc<str>),
     /// `creat(path)` (create/truncate, returns an fd).
@@ -97,16 +105,21 @@ pub enum CallSpec {
         /// New owner gid.
         gid: u32,
     },
+    /// A blocking sleep (synchronous I/O the process waits out, such as a
+    /// database flush).
+    Sleep(SimDuration),
 }
 
 impl CallSpec {
     /// The taxonomy call this spec lowers to, when it has one
-    /// (`WriteFd`/`CloseFd` act on descriptors, not names).
+    /// (`WriteFd`/`CloseFd` act on descriptors, not names; `Sleep` on
+    /// neither).
     pub fn fs_call(&self) -> Option<FsCall> {
         Some(match self {
             CallSpec::Stat(_) => FsCall::Stat,
             CallSpec::Lstat(_) => FsCall::Lstat,
             CallSpec::Access(_) => FsCall::Access,
+            CallSpec::Readlink(_) => FsCall::Readlink,
             CallSpec::Open(_) => FsCall::Open,
             CallSpec::OpenCreate(_) => FsCall::Creat,
             CallSpec::Unlink(_) => FsCall::Unlink,
@@ -116,18 +129,19 @@ impl CallSpec {
             CallSpec::Link { .. } => FsCall::Link,
             CallSpec::Chmod { .. } => FsCall::Chmod,
             CallSpec::Chown { .. } => FsCall::Chown,
-            CallSpec::WriteFd { .. } | CallSpec::CloseFd => return None,
+            CallSpec::WriteFd { .. } | CallSpec::CloseFd | CallSpec::Sleep(_) => return None,
         })
     }
 
     /// The name the kernel's race machinery keys this call on: the single
     /// path argument, the *destination* of a `rename`, and the bound name
-    /// of a `symlink`/`link`. `None` for fd-relative calls.
+    /// of a `symlink`/`link`. `None` for fd-relative calls and `Sleep`.
     pub fn primary_path(&self) -> Option<&Arc<str>> {
         match self {
             CallSpec::Stat(p)
             | CallSpec::Lstat(p)
             | CallSpec::Access(p)
+            | CallSpec::Readlink(p)
             | CallSpec::Open(p)
             | CallSpec::OpenCreate(p)
             | CallSpec::Unlink(p)
@@ -135,7 +149,7 @@ impl CallSpec {
             CallSpec::Rename { to, .. } => Some(to),
             CallSpec::Symlink { linkpath, .. } | CallSpec::Link { linkpath, .. } => Some(linkpath),
             CallSpec::Chmod { path, .. } | CallSpec::Chown { path, .. } => Some(path),
-            CallSpec::WriteFd { .. } | CallSpec::CloseFd => None,
+            CallSpec::WriteFd { .. } | CallSpec::CloseFd | CallSpec::Sleep(_) => None,
         }
     }
 
@@ -147,6 +161,7 @@ impl CallSpec {
             CallSpec::Stat(p) => SyscallRequest::Stat { path: p.clone() },
             CallSpec::Lstat(p) => SyscallRequest::Lstat { path: p.clone() },
             CallSpec::Access(p) => SyscallRequest::Access { path: p.clone() },
+            CallSpec::Readlink(p) => SyscallRequest::Readlink { path: p.clone() },
             CallSpec::Open(p) => SyscallRequest::Open { path: p.clone() },
             CallSpec::OpenCreate(p) => SyscallRequest::OpenCreate { path: p.clone() },
             CallSpec::WriteFd { bytes } => SyscallRequest::Write {
@@ -179,6 +194,9 @@ impl CallSpec {
                 uid: Uid(*uid),
                 gid: Gid(*gid),
             },
+            CallSpec::Sleep(duration) => SyscallRequest::Sleep {
+                duration: *duration,
+            },
         }
     }
 }
@@ -197,8 +215,9 @@ pub enum Expect {
     Any,
     /// Proceed only if the (followed) stat result reports this owner uid.
     UidIs(u32),
-    /// Proceed only if the stat result exists and is not a symlink
-    /// (meaningful after [`CallSpec::Lstat`]).
+    /// Proceed only if the stat result exists and is neither a symlink
+    /// nor a directory (meaningful after [`CallSpec::Lstat`]: sendmail's
+    /// check that the mailbox is a plain file).
     NotSymlink,
     /// Proceed only if the call succeeded.
     Succeeds,
@@ -211,7 +230,9 @@ impl Expect {
             Expect::UidIs(uid) => last
                 .and_then(|r| r.stat())
                 .is_some_and(|st| st.uid.0 == uid),
-            Expect::NotSymlink => last.and_then(|r| r.stat()).is_some_and(|st| !st.is_symlink),
+            Expect::NotSymlink => last
+                .and_then(|r| r.stat())
+                .is_some_and(|st| !st.is_symlink && !st.is_dir),
             Expect::Succeeds => last.is_some_and(|r| r.is_ok()),
         }
     }
@@ -609,16 +630,7 @@ impl CompiledVictim {
 
     /// Creates the interpreter for one round.
     pub fn logic(&self, seed: u64) -> DslVictim {
-        DslVictim {
-            steps: self.steps.clone(),
-            pc: 0,
-            written: 0,
-            stall_due: false,
-            fd: None,
-            pending: Expect::Any,
-            aborted: false,
-            rng: SimRng::seed_from_u64(seed),
-        }
+        DslVictim::new(self.steps.clone(), seed)
     }
 }
 
@@ -636,6 +648,24 @@ pub struct DslVictim {
     pending: Expect,
     aborted: bool,
     rng: SimRng,
+}
+
+impl DslVictim {
+    /// Creates the interpreter over `steps`; `seed` drives its sampled
+    /// think times and gap jitter. This is how a victim runs on a kernel
+    /// built by hand, outside any [`Scenario`].
+    pub fn new(steps: Arc<[Step]>, seed: u64) -> Self {
+        DslVictim {
+            steps,
+            pc: 0,
+            written: 0,
+            stall_due: false,
+            fd: None,
+            pending: Expect::Any,
+            aborted: false,
+            rng: SimRng::seed_from_u64(seed),
+        }
+    }
 }
 
 impl ProcessLogic for DslVictim {

@@ -1,7 +1,7 @@
 //! The workload library: [`ScenarioSpec`] constructors for the paper's
 //! programs and for victims across its `<check, use>` cross product.
 //!
-//! Two groups live here:
+//! Three groups live here:
 //!
 //! * **The paper's scenarios** — vi's and gedit's save sequences
 //!   ([`vi_save`], [`gedit_save`]), attackers v1 and v2
@@ -17,6 +17,12 @@
 //!   multi-attacker interference variants. Each is ~20 lines of spec and
 //!   plugs into `run_sweep`, the checkpoint engine, and the detector
 //!   ground-truth harness unmodified.
+//! * **Victims on hand-built kernels** — step lists with no scenario
+//!   around them, spawned through `DslVictim::new`: rpm's install
+//!   ([`rpm_install`]), sendmail's delivery ([`sendmail_deliver`]) and the
+//!   generic check→window→use victim of the `pairs` exhibit
+//!   ([`pair_victim`]). `tests/golden/victims.txt` pins them to the
+//!   hand-written programs they replaced.
 //!
 //! ## Ground-truth construction
 //!
@@ -822,10 +828,138 @@ pub fn taxonomy_library(file_size: Option<u64>) -> Vec<(TocttouPair, crate::scen
         .collect()
 }
 
+// ---- victims run on hand-built kernels ---------------------------------
+//
+// Step lists without a scenario around them: the caller builds the
+// kernel and its files, and spawns `DslVictim::new(steps, seed)` next to
+// whatever attacker it wants.
+
+/// rpm installing a package (the authors' FAST '05 study): `creat` a
+/// `file_size`-byte helper file, write it, flush the package database
+/// synchronously, and `chown` the helper to the package's owner.
+///
+/// The database flush is a 5 ms blocking sleep inside the `<creat,
+/// chown>` window, so the victim is always suspended in its window: the
+/// case where Section 3.2's bound `P(success) ≤ P(victim suspended)`
+/// reaches 1, and even a uniprocessor attacker wins every round.
+pub fn rpm_install(helper: &Arc<str>, file_size: u64) -> Vec<Step> {
+    vec![
+        Step::Think(prologue()),
+        Step::call(CallSpec::OpenCreate(helper.clone())),
+        Step::write(file_size, 64 * 1024),
+        Step::gap_us(10, 0.0),
+        Step::call(CallSpec::Sleep(SimDuration::from_millis(5))),
+        Step::gap_us(10, 0.0),
+        Step::call(CallSpec::Chown {
+            path: helper.clone(),
+            uid: 1000,
+            gid: 1000,
+        }),
+    ]
+}
+
+/// sendmail delivering a 1 KiB message, the paper's opening story
+/// (Section 1): `lstat` the mailbox and refuse a symlink or a directory,
+/// format headers for 100–300 µs, then `open` the mailbox, append, and
+/// close.
+///
+/// The check is correct at check time, so a pre-planted link is refused;
+/// an attacker must swap the mailbox inside the `<lstat, open>` window.
+/// Success is an integrity breach: the privileged file grows by the
+/// message.
+pub fn sendmail_deliver(mailbox: &Arc<str>) -> Vec<Step> {
+    vec![
+        Step::Think(DurationDist::uniform_us(0.0, 100.0)),
+        Step::guarded(CallSpec::Lstat(mailbox.clone()), Expect::NotSymlink),
+        Step::Think(DurationDist::uniform_us(100.0, 300.0)),
+        Step::guarded(CallSpec::Open(mailbox.clone()), Expect::Succeeds),
+        Step::call(CallSpec::WriteFd { bytes: 1024 }),
+        Step::call(CallSpec::CloseFd),
+    ]
+}
+
+/// The minimal victim of any `<check, use>` pair: a 0–100 µs prologue,
+/// the check on `path`, `window` of computation, then the use on `path`.
+/// `aux` is the second name of `rename`, `symlink` and `link`. `None` when
+/// the simulator's syscall surface cannot express the check or the use
+/// (`chdir`, `mount`, …).
+///
+/// The 132 pairs this runs include aliased calls, each rendered as the
+/// nearest call the simulator has: a `mknod` check is a `creat`, a `link`
+/// check or use is a `symlink`, a `utime` use is `chmod 0600`, an
+/// `execve` use is an `open`, and a `truncate` use is a `creat`. A
+/// `chown` use hands the file to uid/gid 1000.
+pub fn pair_victim(
+    pair: TocttouPair,
+    path: &Arc<str>,
+    aux: &Arc<str>,
+    window: SimDuration,
+) -> Option<Vec<Step>> {
+    Some(vec![
+        Step::Think(DurationDist::uniform_us(0.0, 100.0)),
+        Step::call(check_call(pair.check(), path, aux)?),
+        Step::Gap {
+            base: window,
+            jitter_us: 0.0,
+        },
+        Step::call(use_call(pair.use_call(), path, aux)?),
+    ])
+}
+
+/// `call` in the check role of [`pair_victim`], if expressible.
+fn check_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<CallSpec> {
+    let path = path.clone();
+    Some(match call {
+        // Observation checks.
+        FsCall::Stat => CallSpec::Stat(path),
+        FsCall::Access => CallSpec::Access(path),
+        FsCall::Lstat => CallSpec::Lstat(path),
+        FsCall::Readlink => CallSpec::Readlink(path),
+        // Creation checks ("the name now refers to what I just made").
+        FsCall::Open | FsCall::Creat | FsCall::Mknod => CallSpec::OpenCreate(path),
+        FsCall::Mkdir => CallSpec::Mkdir(path),
+        FsCall::Symlink | FsCall::Link => CallSpec::Symlink {
+            target: aux.clone(),
+            linkpath: path,
+        },
+        FsCall::Rename => CallSpec::Rename {
+            from: aux.clone(),
+            to: path,
+        },
+        _ => return None,
+    })
+}
+
+/// `call` in the use role of [`pair_victim`], if expressible.
+fn use_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<CallSpec> {
+    let path = path.clone();
+    Some(match call {
+        FsCall::Chown => CallSpec::Chown {
+            path,
+            uid: 1000,
+            gid: 1000,
+        },
+        FsCall::Chmod | FsCall::Utime => CallSpec::Chmod { path, mode: 0o600 },
+        FsCall::Open | FsCall::Execve => CallSpec::Open(path),
+        FsCall::Creat | FsCall::Truncate => CallSpec::OpenCreate(path),
+        FsCall::Unlink => CallSpec::Unlink(path),
+        FsCall::Rename => CallSpec::Rename {
+            from: path,
+            to: aux.clone(),
+        },
+        FsCall::Symlink | FsCall::Link => CallSpec::Symlink {
+            target: aux.clone(),
+            linkpath: path,
+        },
+        FsCall::Mkdir => CallSpec::Mkdir(path),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsl::{AttackFlag, CompiledVictim, DslAttacker};
+    use crate::dsl::{AttackFlag, DslAttacker, DslVictim};
     use std::cell::Cell;
     use std::rc::Rc;
     use tocttou_core::stats::SuccessCounter;
@@ -862,21 +996,8 @@ mod tests {
 
     /// Spawns `steps` as a root victim.
     fn spawn_victim(k: &mut Kernel, name: &str, steps: Vec<Step>, seed: u64) -> Pid {
-        let victim = CompiledVictim {
-            name: name.into(),
-            steps: steps.into(),
-            doc_size: 0,
-            pair: pair(FsCall::Creat, FsCall::Chown),
-            extra_files: Arc::from([]),
-            success: SuccessRule::AttackerOwnsPrivileged,
-        };
-        k.spawn(
-            name,
-            Uid::ROOT,
-            Gid::ROOT,
-            true,
-            Box::new(victim.logic(seed)),
-        )
+        let victim = DslVictim::new(steps.into(), seed);
+        k.spawn(name, Uid::ROOT, Gid::ROOT, true, Box::new(victim))
     }
 
     /// Spawns attacker processes sharing one round flag.
@@ -1231,6 +1352,278 @@ mod tests {
         assert_eq!(
             format!("{:?}", sequential(&pair[0], &pair[1])),
             format!("{v:?}")
+        );
+    }
+
+    // ---- rpm, sendmail and the generic pair victim ------------------------
+
+    fn root_dir() -> InodeMeta {
+        InodeMeta {
+            uid: Uid::ROOT,
+            gid: Gid::ROOT,
+            mode: 0o755,
+        }
+    }
+
+    fn user_dir() -> InodeMeta {
+        InodeMeta {
+            uid: Uid(1000),
+            gid: Gid(1000),
+            mode: 0o755,
+        }
+    }
+
+    /// Attacker v1 swapping `target` for a link to `/etc/passwd`.
+    fn spawn_v1(k: &mut Kernel, target: &str, seed: u64) {
+        let v1 = attacker_v1(&target.into(), &"/etc/passwd".into());
+        spawn_attackers(k, vec![v1], seed);
+    }
+
+    fn rpm_kernel(machine: MachineSpec) -> Kernel {
+        let mut k = Kernel::new(machine, 5);
+        k.vfs_mut().mkdir("/etc", root_dir()).unwrap();
+        k.vfs_mut().create_file("/etc/passwd", root_dir()).unwrap();
+        k.vfs_mut().mkdir("/var", root_dir()).unwrap();
+        k.vfs_mut().mkdir("/var/tmp", user_dir()).unwrap();
+        k
+    }
+
+    fn rpm(size: u64) -> Vec<Step> {
+        rpm_install(&"/var/tmp/rpm-helper".into(), size)
+    }
+
+    #[test]
+    fn rpm_install_completes_standalone() {
+        let mut k = rpm_kernel(MachineSpec::uniprocessor().quiet());
+        let pid = spawn_victim(&mut k, "rpm", rpm(8192), 1);
+        k.run_until_exit(pid, SimTime::from_secs(1));
+        let st = k.vfs().stat("/var/tmp/rpm-helper").unwrap();
+        assert_eq!(st.size, 8192);
+        assert_eq!(st.uid, Uid(1000));
+    }
+
+    /// The Section 3.2 bound: with the victim *always suspended* in-window,
+    /// even a uniprocessor attacker wins essentially every round.
+    #[test]
+    fn rpm_uniprocessor_attack_succeeds_via_suspension() {
+        let mut successes = 0;
+        let rounds = 15;
+        for seed in 0..rounds {
+            let mut k = rpm_kernel(MachineSpec::uniprocessor().quiet());
+            let vpid = spawn_victim(&mut k, "rpm", rpm(4096), seed);
+            spawn_v1(&mut k, "/var/tmp/rpm-helper", seed ^ 0xFF);
+            k.run_until_exit(vpid, SimTime::from_secs(1));
+            if k.vfs().stat("/etc/passwd").unwrap().uid == Uid(1000) {
+                successes += 1;
+            }
+        }
+        assert_eq!(
+            successes, rounds,
+            "an always-suspended victim loses every race, even on one CPU"
+        );
+    }
+
+    fn pair_kernel() -> Kernel {
+        let mut k = Kernel::new(MachineSpec::smp_xeon().quiet(), 2);
+        k.vfs_mut().mkdir("/etc", root_dir()).unwrap();
+        k.vfs_mut().create_file("/etc/passwd", root_dir()).unwrap();
+        k.vfs_mut().mkdir("/home", root_dir()).unwrap();
+        k.vfs_mut().mkdir("/home/user", user_dir()).unwrap();
+        k
+    }
+
+    /// [`pair_victim`] on `path` (aux `path.aux`) with a `window_us` window.
+    fn pair_steps(pair: TocttouPair, path: &str, window_us: f64) -> Vec<Step> {
+        let aux: Arc<str> = format!("{path}.aux").into();
+        let window = SimDuration::from_micros_f64(window_us);
+        pair_victim(pair, &path.into(), &aux, window).expect("runnable pair")
+    }
+
+    #[test]
+    fn most_of_the_taxonomy_is_runnable() {
+        let (x, y): (Arc<str>, Arc<str>) = ("/x".into(), "/y".into());
+        let supported: Vec<TocttouPair> = tocttou_core::taxonomy::enumerate_pairs()
+            .into_iter()
+            .filter(|&p| pair_victim(p, &x, &y, SimDuration::ZERO).is_some())
+            .collect();
+        // 11 expressible check calls × 12 expressible use calls.
+        assert_eq!(supported.len(), 132, "supported {}", supported.len());
+        assert!(supported.contains(&TocttouPair::vi()));
+        assert!(supported.contains(&TocttouPair::gedit()));
+        assert!(supported.contains(&TocttouPair::sendmail()));
+    }
+
+    #[test]
+    fn vi_pair_victim_is_attackable_on_smp() {
+        // <open, chown> with a 500 µs window: the attacker swaps the file
+        // and the generic victim chowns /etc/passwd away.
+        let mut k = pair_kernel();
+        let steps = pair_steps(TocttouPair::vi(), "/home/user/f", 500.0);
+        let vpid = spawn_victim(&mut k, "victim", steps, 1);
+        spawn_v1(&mut k, "/home/user/f", 2);
+        k.run_until_exit(vpid, SimTime::from_secs(1));
+        assert_eq!(k.vfs().stat("/etc/passwd").unwrap().uid, Uid(1000));
+    }
+
+    #[test]
+    fn sendmail_pair_redirects_the_use_open() {
+        // <stat, open>: the victim checks the mailbox then opens it; the
+        // attacker swaps it for a symlink to /etc/passwd in between, so the
+        // open lands on the privileged file.
+        let mut k = pair_kernel();
+        let meta = InodeMeta {
+            mode: 0o600,
+            ..root_dir()
+        };
+        k.vfs_mut().create_file("/home/user/mbox", meta).unwrap();
+        let steps = pair_steps(TocttouPair::sendmail(), "/home/user/mbox", 400.0);
+        let vpid = spawn_victim(&mut k, "sendmail", steps, 3);
+        spawn_v1(&mut k, "/home/user/mbox", 4);
+        k.run_until_exit(vpid, SimTime::from_secs(1));
+        // The mailbox name now points at /etc/passwd: the victim's open
+        // followed the symlink (visible in the trace as a successful open
+        // after the swap).
+        assert!(k.vfs().lstat("/home/user/mbox").unwrap().is_symlink);
+        let opened_privileged = k
+            .vfs()
+            .stat("/home/user/mbox")
+            .map(|st| st.uid == Uid::ROOT)
+            .unwrap_or(false);
+        assert!(opened_privileged, "open resolved to the privileged file");
+    }
+
+    #[test]
+    fn zero_window_pair_is_not_attackable() {
+        // With no window at all the attacker cannot land between check and
+        // use (quiet machine, single round).
+        let mut k = pair_kernel();
+        let steps = pair_steps(TocttouPair::vi(), "/home/user/f", 0.0);
+        let vpid = spawn_victim(&mut k, "victim", steps, 9);
+        spawn_v1(&mut k, "/home/user/f", 10);
+        k.run_until_exit(vpid, SimTime::from_secs(1));
+        assert_eq!(
+            k.vfs().stat("/etc/passwd").unwrap().uid,
+            Uid::ROOT,
+            "no laxity, no attack"
+        );
+    }
+
+    const MAILBOX: &str = "/var/mail/attacker";
+
+    /// A 1000-byte `/etc/passwd` and the attacker's 100-byte mailbox.
+    fn sendmail_kernel(seed: u64) -> Kernel {
+        let mut k = Kernel::new(MachineSpec::smp_xeon().quiet(), seed);
+        k.vfs_mut().mkdir("/etc", root_dir()).unwrap();
+        let passwd = InodeMeta {
+            mode: 0o644,
+            ..root_dir()
+        };
+        let pw = k.vfs_mut().create_file("/etc/passwd", passwd).unwrap();
+        k.vfs_mut().append(pw, 1000).unwrap();
+        k.vfs_mut().mkdir("/var", root_dir()).unwrap();
+        k.vfs_mut().mkdir("/var/mail", user_dir()).unwrap();
+        let mailbox = InodeMeta {
+            mode: 0o600,
+            ..user_dir()
+        };
+        let mb = k.vfs_mut().create_file(MAILBOX, mailbox).unwrap();
+        k.vfs_mut().append(mb, 100).unwrap();
+        k
+    }
+
+    fn sendmail(k: &mut Kernel, seed: u64) -> Pid {
+        spawn_victim(k, "sendmail", sendmail_deliver(&MAILBOX.into()), seed)
+    }
+
+    #[test]
+    fn sendmail_benign_delivery_appends_to_the_mailbox() {
+        let mut k = sendmail_kernel(1);
+        let pid = sendmail(&mut k, 2);
+        k.run_until_exit(pid, SimTime::from_millis(100));
+        assert_eq!(k.vfs().stat(MAILBOX).unwrap().size, 100 + 1024);
+        assert_eq!(k.vfs().stat("/etc/passwd").unwrap().size, 1000, "untouched");
+    }
+
+    #[test]
+    fn sendmail_pre_planted_symlink_is_refused_by_the_check() {
+        // The check WORKS when the link is already there — that's why the
+        // attack needs the race.
+        let mut k = sendmail_kernel(3);
+        k.vfs_mut().unlink_detach(MAILBOX).unwrap();
+        k.vfs_mut()
+            .symlink("/etc/passwd", MAILBOX, (Uid(1000), Gid(1000)))
+            .unwrap();
+        let pid = sendmail(&mut k, 4);
+        k.run_until_exit(pid, SimTime::from_millis(100));
+        assert_eq!(
+            k.vfs().stat("/etc/passwd").unwrap().size,
+            1000,
+            "delivery refused, passwd intact"
+        );
+    }
+
+    #[test]
+    fn sendmail_refuses_a_directory_mailbox() {
+        // An lstat that reports a directory aborts the trace: no open, no
+        // write, no close.
+        let mut k = sendmail_kernel(5);
+        k.vfs_mut().unlink_detach(MAILBOX).unwrap();
+        k.vfs_mut().mkdir(MAILBOX, user_dir()).unwrap();
+        let pid = sendmail(&mut k, 6);
+        k.run_until_exit(pid, SimTime::from_millis(100));
+        let calls: Vec<SyscallName> = k
+            .trace()
+            .iter()
+            .filter_map(|r| match r.event {
+                OsEvent::SyscallEnter { call, .. } => Some(call),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls, [SyscallName::Lstat], "the guard stopped the trace");
+    }
+
+    /// The Section 1 story end to end: on the SMP, an attacker racing the
+    /// `<lstat, open>` window gets its forged entry appended to
+    /// /etc/passwd.
+    #[test]
+    fn sendmail_smp_race_appends_to_passwd() {
+        // The mailbox is the attacker's own (owner uid 1000), so the
+        // classic attack flips the link continuously: swap in a symlink,
+        // swap back. Half the time the name is a symlink; if the open
+        // lands then, the append goes to /etc/passwd.
+        struct Flipper {
+            phase: u8,
+        }
+        impl ProcessLogic for Flipper {
+            fn next_action(&mut self, _ctx: &LogicCtx, _last: Option<&SyscallResult>) -> Action {
+                let mailbox: Arc<str> = MAILBOX.into();
+                let action = match self.phase % 4 {
+                    0 | 2 => Action::Syscall(SyscallRequest::Unlink { path: mailbox }),
+                    1 => Action::Syscall(SyscallRequest::Symlink {
+                        target: "/etc/passwd".into(),
+                        linkpath: mailbox,
+                    }),
+                    _ => Action::Syscall(SyscallRequest::OpenCreate { path: mailbox }),
+                };
+                self.phase = self.phase.wrapping_add(1);
+                action
+            }
+        }
+        let mut wins = SuccessCounter::new();
+        for seed in 0..25 {
+            let mut k = sendmail_kernel(seed);
+            let vpid = sendmail(&mut k, seed);
+            let flipper = Box::new(Flipper { phase: 0 });
+            k.spawn("flipper", Uid(1000), Gid(1000), true, flipper);
+            k.run_until_exit(vpid, SimTime::from_millis(100));
+            wins.record(k.vfs().stat("/etc/passwd").unwrap().size > 1000);
+        }
+        // The flip race lands a meaningful fraction of deliveries (the
+        // link is present ~25 % of the flip cycle; check-passing rounds
+        // land the open uniformly over the cycle).
+        assert!(
+            wins.rate() >= 0.12,
+            "some deliveries must append to passwd: {wins}"
         );
     }
 }

@@ -10,11 +10,19 @@
 //! * [`dsl::library`] — the vi 6.1 and gedit 2.8.3 save sequences
 //!   (Figures 1 and 3), attackers v1 and v2 (Figures 2/4 and 9), the
 //!   hardlink swap and the pipelined pair (Section 7), and victims across
-//!   the `<check, use>` taxonomy;
+//!   the `<check, use>` taxonomy; plus step lists that run on a kernel
+//!   built by hand ([`dsl::DslVictim::new`]): rpm's install (Section
+//!   3.2), sendmail's delivery (Section 1) and the generic
+//!   check→window→use victim of every runnable taxonomy pair;
 //! * [`scenario::Scenario`] — named machine+victim+attacker bundles for
 //!   every experiment in the paper's evaluation, each a compiled spec;
-//! * [`generic`], [`rpm`], [`sendmail`] — hand-written victims not yet
-//!   ported to specs, run directly on a kernel.
+//! * [`maze`] — pathname-maze layouts around the vi scenario: layouts,
+//!   not processes, so nothing there to write as a step list.
+//!
+//! [`dsl::DslVictim`] and [`dsl::DslAttacker`] are the only
+//! `ProcessLogic` implementations here. The sendmail mailbox flipper in
+//! tests and examples stays hand-written: it loops forever with no
+//! trigger, which no attacker profile describes.
 //!
 //! # Examples
 //!
@@ -30,17 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod dsl;
-pub mod generic;
 pub mod maze;
-pub mod rpm;
 pub mod scenario;
-pub mod sendmail;
 
 pub use dsl::{
     AttackerProfile, CallSpec, CompiledVictim, Expect, ScenarioSpec, Step, SuccessRule, Trigger,
 };
-pub use generic::{GenericConfig, GenericVictim};
 pub use maze::{run_maze_round, vi_uniprocessor_maze, Maze};
-pub use rpm::{RpmConfig, RpmInstall};
 pub use scenario::{Layout, RoundHandles, RoundResult, Scenario};
-pub use sendmail::{SendmailConfig, SendmailDeliver};

@@ -688,6 +688,7 @@ fn detach_call(strs: &mut Fresh<str>, call: &CallSpec) -> CallSpec {
         CallSpec::Stat(p) => CallSpec::Stat(s(p)),
         CallSpec::Lstat(p) => CallSpec::Lstat(s(p)),
         CallSpec::Access(p) => CallSpec::Access(s(p)),
+        CallSpec::Readlink(p) => CallSpec::Readlink(s(p)),
         CallSpec::Open(p) => CallSpec::Open(s(p)),
         CallSpec::OpenCreate(p) => CallSpec::OpenCreate(s(p)),
         CallSpec::WriteFd { bytes } => CallSpec::WriteFd { bytes: *bytes },
@@ -715,6 +716,7 @@ fn detach_call(strs: &mut Fresh<str>, call: &CallSpec) -> CallSpec {
             uid: *uid,
             gid: *gid,
         },
+        CallSpec::Sleep(duration) => CallSpec::Sleep(*duration),
     }
 }
 
@@ -1010,6 +1012,7 @@ mod detach_tests {
             CallSpec::Stat(p)
             | CallSpec::Lstat(p)
             | CallSpec::Access(p)
+            | CallSpec::Readlink(p)
             | CallSpec::Open(p)
             | CallSpec::OpenCreate(p)
             | CallSpec::Unlink(p)
@@ -1025,7 +1028,7 @@ mod detach_tests {
                 existing: a,
                 linkpath: b,
             } => out.extend([ptr(a), ptr(b)]),
-            CallSpec::WriteFd { .. } | CallSpec::CloseFd => {}
+            CallSpec::WriteFd { .. } | CallSpec::CloseFd | CallSpec::Sleep(_) => {}
         }
     }
 

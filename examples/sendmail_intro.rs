@@ -8,7 +8,7 @@
 use tocttou::core::stats::SuccessCounter;
 use tocttou::os::prelude::*;
 use tocttou::sim::time::SimTime;
-use tocttou::workloads::sendmail::{SendmailConfig, SendmailDeliver};
+use tocttou::workloads::dsl::{library, DslVictim};
 
 fn setup(seed: u64) -> Kernel {
     let mut k = Kernel::new(MachineSpec::smp_xeon().quiet(), seed);
@@ -54,7 +54,8 @@ fn setup(seed: u64) -> Kernel {
 
 /// The mailbox owner flips its mailbox between a regular file and a symlink
 /// to /etc/passwd, hoping a delivery's `<lstat, open>` window lands on the
-/// symlink phase.
+/// symlink phase. It loops forever with no trigger, which no DSL attacker
+/// profile describes, so it stays a hand-written process.
 struct Flipper {
     phase: u8,
 }
@@ -83,15 +84,16 @@ fn main() {
     let deliveries = 300u64;
     let mut outcomes = SuccessCounter::new();
     let mut refused = 0;
+    let delivery: std::sync::Arc<[_]> =
+        library::sendmail_deliver(&"/var/mail/attacker".into()).into();
     for seed in 0..deliveries {
         let mut k = setup(seed);
-        let cfg = SendmailConfig::new("/var/mail/attacker");
         let vpid = k.spawn(
             "sendmail",
             Uid::ROOT,
             Gid::ROOT,
             true,
-            Box::new(SendmailDeliver::new(cfg, seed)),
+            Box::new(DslVictim::new(delivery.clone(), seed)),
         );
         k.spawn(
             "mailbox-owner",

@@ -19,12 +19,10 @@ use tocttou::experiments::figures::{fig11, pair_sweep};
 use tocttou::experiments::{run_mc, Family, GridPoint, McConfig};
 use tocttou::os::defense::DefensePolicy;
 use tocttou::os::prelude::*;
+use tocttou::sim::time::SimDuration;
 use tocttou::sim::time::SimTime;
-use tocttou::workloads::dsl::{library, DslAttacker};
-use tocttou::workloads::generic::{GenericConfig, GenericVictim};
+use tocttou::workloads::dsl::{library, DslAttacker, DslVictim};
 use tocttou::workloads::maze::{run_maze_round, vi_uniprocessor_maze};
-use tocttou::workloads::rpm::{RpmConfig, RpmInstall};
-use tocttou::workloads::sendmail::{SendmailConfig, SendmailDeliver};
 use tocttou::workloads::Scenario;
 
 /// The record of every named scenario, taken from the hand-written
@@ -248,30 +246,34 @@ fn warm_and_cold_boots_agree_for_compiled_scenarios() {
 // ---- the rpm, sendmail and generic check→window→use victims ---------------
 
 /// The record of the rpm, sendmail and generic victims, taken from their
-/// hand-written programs before DSL step lists replaced them. Never
-/// re-bless it to make a step list pass.
+/// hand-written programs before the `dsl::library` step lists replaced
+/// them. Never re-bless it to make a step list pass.
 const VICTIMS_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/victims.txt");
 
 /// The generic victim for `pair` over `/home/user/f` (aux
 /// `/home/user/f.aux`) with a 500 µs window, as the `pairs` exhibit runs
 /// it; `None` for pairs the simulator cannot express.
 fn pair_victim(pair: TocttouPair, seed: u64) -> Option<Box<dyn ProcessLogic>> {
-    if !GenericVictim::supports(pair) {
-        return None;
-    }
-    let mut cfg = GenericConfig::new(pair, "/home/user/f", 500.0);
-    cfg.aux_path = "/home/user/f.aux".into();
-    Some(Box::new(GenericVictim::new(cfg, seed)))
+    let window = SimDuration::from_micros(500);
+    let steps = library::pair_victim(
+        pair,
+        &"/home/user/f".into(),
+        &"/home/user/f.aux".into(),
+        window,
+    )?;
+    Some(Box::new(DslVictim::new(steps.into(), seed)))
 }
 
 /// The rpm install of a `size`-byte helper.
 fn rpm_victim(helper: &str, size: u64, seed: u64) -> Box<dyn ProcessLogic> {
-    Box::new(RpmInstall::new(RpmConfig::new(helper, size), seed))
+    let steps = library::rpm_install(&helper.into(), size);
+    Box::new(DslVictim::new(steps.into(), seed))
 }
 
 /// The sendmail delivery into `mailbox`.
 fn sendmail_victim(mailbox: &str, seed: u64) -> Box<dyn ProcessLogic> {
-    Box::new(SendmailDeliver::new(SendmailConfig::new(mailbox), seed))
+    let steps = library::sendmail_deliver(&mailbox.into());
+    Box::new(DslVictim::new(steps.into(), seed))
 }
 
 fn dir(uid: u32) -> InodeMeta {

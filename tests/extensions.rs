@@ -7,8 +7,8 @@ use tocttou::core::stats::SuccessCounter;
 use tocttou::os::defense::DefensePolicy;
 use tocttou::os::prelude::*;
 use tocttou::sim::time::SimTime;
+use tocttou::workloads::dsl::{library, DslAttacker, DslVictim, Step};
 use tocttou::workloads::maze::{run_maze_round, vi_uniprocessor_maze};
-use tocttou::workloads::rpm::{RpmConfig, RpmInstall};
 use tocttou::workloads::Scenario;
 
 /// Defense composes with every scenario family, including the pipelined
@@ -99,11 +99,15 @@ fn maze_and_defense() {
     }
 }
 
+/// rpm installing a 4 KiB helper at `/var/tmp/helper`.
+fn rpm_install() -> Arc<[Step]> {
+    library::rpm_install(&"/var/tmp/helper".into(), 4096).into()
+}
+
 /// Section 3.2's bound end to end through the facade: the rpm-like victim
 /// (window contains blocking I/O) loses every round on one CPU.
 #[test]
 fn rpm_always_suspended_bound() {
-    use tocttou::workloads::dsl::{library, DslAttacker};
     let mut wins = 0;
     for seed in 0..10 {
         let mut k = Kernel::new(MachineSpec::uniprocessor().quiet(), seed);
@@ -126,10 +130,7 @@ fn rpm_always_suspended_bound() {
             Uid::ROOT,
             Gid::ROOT,
             true,
-            Box::new(RpmInstall::new(
-                RpmConfig::new("/var/tmp/helper", 4096),
-                seed,
-            )),
+            Box::new(DslVictim::new(rpm_install(), seed)),
         );
         k.spawn(
             "attacker",
@@ -156,7 +157,6 @@ fn rpm_always_suspended_bound() {
 /// the attacker swaps the helper during the db sync).
 #[test]
 fn defense_stops_rpm_attack() {
-    use tocttou::workloads::dsl::{library, DslAttacker};
     for seed in 0..10 {
         let mut k = Kernel::new(MachineSpec::uniprocessor().quiet(), seed);
         k.set_defense(DefensePolicy::Edgi);
@@ -179,10 +179,7 @@ fn defense_stops_rpm_attack() {
             Uid::ROOT,
             Gid::ROOT,
             true,
-            Box::new(RpmInstall::new(
-                RpmConfig::new("/var/tmp/helper", 4096),
-                seed,
-            )),
+            Box::new(DslVictim::new(rpm_install(), seed)),
         );
         k.spawn(
             "attacker",
