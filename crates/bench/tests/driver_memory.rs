@@ -40,10 +40,16 @@ fn peak_heap_does_not_grow_with_rounds() {
                 assert_eq!(run_mc(&scenario, &cfg).rounds, rounds);
             })
         };
-        let (a, b) = (mc(small), mc(large));
+        // With two workers the small run's peak depends on when the second
+        // worker starts: under host load it can start late and leave one
+        // worker's items in flight, a lower peak than the large run's
+        // steady state. Take the worst of three small runs as the base.
+        let samples = if jobs == 1 { 1 } else { 3 };
+        let a = (0..samples).map(|_| mc(small)).max().expect("one sample");
+        let b = mc(large);
         assert!(
             b < a + a / 2,
-            "run_mc jobs={jobs}: peak {a} B at {small} rounds, {b} B at {large}"
+            "run_mc jobs={jobs}: peak {a} B at {small} rounds (worst of {samples}), {b} B at {large}"
         );
     }
     let sweep = |rounds| {
