@@ -10,6 +10,11 @@
 //! number derived from it would silently fork from the paper-calibrated
 //! baselines.
 //!
+//! The rpm, sendmail and generic check→window→use victims run outside
+//! any scenario, on kernels built by hand; `tests/golden/victims.txt`
+//! holds what their hand-written programs produced, and their
+//! `dsl::library` step lists must reproduce it the same way.
+//!
 //! [`ScenarioSpec`]: tocttou::workloads::ScenarioSpec
 
 use std::fmt::Write as _;
@@ -19,8 +24,7 @@ use tocttou::experiments::figures::{fig11, pair_sweep};
 use tocttou::experiments::{run_mc, Family, GridPoint, McConfig};
 use tocttou::os::defense::DefensePolicy;
 use tocttou::os::prelude::*;
-use tocttou::sim::time::SimDuration;
-use tocttou::sim::time::SimTime;
+use tocttou::sim::time::{SimDuration, SimTime};
 use tocttou::workloads::dsl::{library, DslAttacker, DslVictim};
 use tocttou::workloads::maze::{run_maze_round, vi_uniprocessor_maze};
 use tocttou::workloads::Scenario;
