@@ -1581,49 +1581,4 @@ mod tests {
             .collect();
         assert_eq!(calls, [SyscallName::Lstat], "the guard stopped the trace");
     }
-
-    /// The Section 1 story end to end: on the SMP, an attacker racing the
-    /// `<lstat, open>` window gets its forged entry appended to
-    /// /etc/passwd.
-    #[test]
-    fn sendmail_smp_race_appends_to_passwd() {
-        // The mailbox is the attacker's own (owner uid 1000), so the
-        // classic attack flips the link continuously: swap in a symlink,
-        // swap back. Half the time the name is a symlink; if the open
-        // lands then, the append goes to /etc/passwd.
-        struct Flipper {
-            phase: u8,
-        }
-        impl ProcessLogic for Flipper {
-            fn next_action(&mut self, _ctx: &LogicCtx, _last: Option<&SyscallResult>) -> Action {
-                let mailbox: Arc<str> = MAILBOX.into();
-                let action = match self.phase % 4 {
-                    0 | 2 => Action::Syscall(SyscallRequest::Unlink { path: mailbox }),
-                    1 => Action::Syscall(SyscallRequest::Symlink {
-                        target: "/etc/passwd".into(),
-                        linkpath: mailbox,
-                    }),
-                    _ => Action::Syscall(SyscallRequest::OpenCreate { path: mailbox }),
-                };
-                self.phase = self.phase.wrapping_add(1);
-                action
-            }
-        }
-        let mut wins = SuccessCounter::new();
-        for seed in 0..25 {
-            let mut k = sendmail_kernel(seed);
-            let vpid = sendmail(&mut k, seed);
-            let flipper = Box::new(Flipper { phase: 0 });
-            k.spawn("flipper", Uid(1000), Gid(1000), true, flipper);
-            k.run_until_exit(vpid, SimTime::from_millis(100));
-            wins.record(k.vfs().stat("/etc/passwd").unwrap().size > 1000);
-        }
-        // The flip race lands a meaningful fraction of deliveries (the
-        // link is present ~25 % of the flip cycle; check-passing rounds
-        // land the open uniformly over the cycle).
-        assert!(
-            wins.rate() >= 0.12,
-            "some deliveries must append to passwd: {wins}"
-        );
-    }
 }

@@ -203,3 +203,71 @@ fn defense_stops_rpm_attack() {
         assert!(k.defense().denials() >= 1);
     }
 }
+
+const MAILBOX: &str = "/var/mail/attacker";
+
+/// The mailbox owner flipping its mailbox between a symlink to
+/// `/etc/passwd` and a regular file, forever. No DSL attacker profile
+/// loops without a trigger, so this one is written by hand.
+struct Flipper {
+    phase: u8,
+}
+
+impl ProcessLogic for Flipper {
+    fn next_action(&mut self, _ctx: &LogicCtx, _last: Option<&SyscallResult>) -> Action {
+        let mailbox: Arc<str> = MAILBOX.into();
+        let action = match self.phase % 4 {
+            0 | 2 => Action::Syscall(SyscallRequest::Unlink { path: mailbox }),
+            1 => Action::Syscall(SyscallRequest::Symlink {
+                target: "/etc/passwd".into(),
+                linkpath: mailbox,
+            }),
+            _ => Action::Syscall(SyscallRequest::OpenCreate { path: mailbox }),
+        };
+        self.phase = self.phase.wrapping_add(1);
+        action
+    }
+}
+
+/// The Section 1 story end to end: on the SMP, an attacker racing the
+/// `<lstat, open>` window gets its forged entry appended to /etc/passwd.
+#[test]
+fn sendmail_smp_race_appends_to_passwd() {
+    let delivery: Arc<[Step]> = library::sendmail_deliver(&MAILBOX.into()).into();
+    let mut wins = SuccessCounter::new();
+    for seed in 0..25 {
+        let mut k = Kernel::new(MachineSpec::smp_xeon().quiet(), seed);
+        let meta = |uid, mode| InodeMeta {
+            uid: Uid(uid),
+            gid: Gid(uid),
+            mode,
+        };
+        k.vfs_mut().mkdir("/etc", meta(0, 0o755)).unwrap();
+        let pw = k
+            .vfs_mut()
+            .create_file("/etc/passwd", meta(0, 0o644))
+            .unwrap();
+        k.vfs_mut().append(pw, 1000).unwrap();
+        k.vfs_mut().mkdir("/var", meta(0, 0o755)).unwrap();
+        k.vfs_mut().mkdir("/var/mail", meta(1000, 0o755)).unwrap();
+        let mb = k.vfs_mut().create_file(MAILBOX, meta(1000, 0o600)).unwrap();
+        k.vfs_mut().append(mb, 100).unwrap();
+        let victim = Box::new(DslVictim::new(delivery.clone(), seed));
+        let vpid = k.spawn("sendmail", Uid::ROOT, Gid::ROOT, true, victim);
+        // The mailbox is the attacker's own (owner uid 1000), so the
+        // classic attack flips the link continuously: swap in a symlink,
+        // swap back. If the open lands while the name is a symlink, the
+        // append goes to /etc/passwd.
+        let flipper = Box::new(Flipper { phase: 0 });
+        k.spawn("flipper", Uid(1000), Gid(1000), true, flipper);
+        k.run_until_exit(vpid, SimTime::from_millis(100));
+        wins.record(k.vfs().stat("/etc/passwd").unwrap().size > 1000);
+    }
+    // The flip race lands a meaningful fraction of deliveries (the link is
+    // present ~25 % of the flip cycle; check-passing rounds land the open
+    // uniformly over the cycle).
+    assert!(
+        wins.rate() >= 0.12,
+        "some deliveries must append to passwd: {wins}"
+    );
+}
