@@ -1,349 +1,43 @@
-//! Monte-Carlo engine throughput: the machine-readable performance
-//! baseline for the batch engine (`run_mc`).
+//! The asserted overhead and speedup gates that no test or perfbench
+//! metric holds yet. Each row prints one line; nothing is written to disk.
 //!
-//! Measures a 500-round `vi_smp` batch — the paper's Figure 6/7 unit of
-//! work — across the `jobs` ladder (1/2/4/auto), the fresh-per-round path
-//! against the pooled engine, heap allocations per round, and the cost of
-//! the three always-on observers: the race detector (vs
-//! `without_detector()`), the kernel metrics (vs `without_metrics()`) and
-//! the window forensics (vs `without_forensics()`, plus the spans-armed
-//! variant), all on the pooled `jobs=0` configuration, plus the campaign
-//! engine's warm-cache replay against a cold store build (asserted >=5x on
-//! every host) and its flat-memory streaming aggregation. Results go to
-//! `BENCH_monte_carlo.json` at the repository root; the metrics and
-//! forensics rows are asserted against their 5% budgets.
+//! * **detector**, **metrics**, **forensics**, **spans** — a 500-round
+//!   pooled `vi_smp(100 KiB)` batch at `jobs = 0` against the same batch
+//!   with one observer stripped (`without_detector`, `without_metrics`,
+//!   `without_forensics`) or span tracing armed (`with_spans`). Metrics
+//!   must cost ≤5% on every host, forensics ≤5% on multi-core hosts; the
+//!   detector and spans rows are reported with no budget.
+//! * **campaign** — a warm-cache replay of an 8-point gedit D-grid
+//!   campaign must be ≥5× faster than building its store from nothing, on
+//!   every host (a cache hit skips the simulation entirely).
+//! * **vfs** — a warm `stat` of a deep path on the interned v2 resolver
+//!   must be ≥1.5× faster than the retired v1 string walk
+//!   (`vfs::oracle::PathVfs`), on multi-core hosts.
 //!
-//! Byte-identity between the serial and parallel batches is asserted here
-//! on every run: `run_mc` guarantees the same `McOutcome` for every
-//! `jobs` value, so the ladder rows all describe the *same* computation.
+//! Every row runs before any budget is checked, so one failed gate still
+//! prints the others. Timing is best-of-N with the repetitions interleaved
+//! across the configurations being compared.
 //!
-//! Timing uses best-of-N batches: the benches run on shared, noisy CI
-//! hosts, and the minimum over many repetitions is the standard estimator
-//! for "how fast is this code when the machine isn't busy".
+//! ```text
+//! cargo bench -p tocttou-bench --bench monte_carlo
+//! ```
 
 use std::time::Instant;
-use tocttou_bench::alloc_count::{self, CountingAlloc};
 use tocttou_experiments::campaign::{run_campaign, CampaignConfig};
-use tocttou_experiments::estimate::{run_estimate, EstimateConfig};
 use tocttou_experiments::grid::{Family, GridKind};
-use tocttou_experiments::monte_carlo::{effective_jobs, run_mc, McConfig};
-use tocttou_experiments::sweep::{run_sweep, SweepConfig};
-use tocttou_os::kernel::KernelPool;
+use tocttou_experiments::monte_carlo::{run_mc, McConfig};
 use tocttou_os::vfs::{oracle::PathVfs, InodeMeta, Vfs};
 use tocttou_os::{Gid, Uid};
-use tocttou_sim::queue::{oracle::HeapEventQueue, EventQueue};
-use tocttou_sim::{SimDuration, SimTime};
-use tocttou_workloads::dsl::library;
 use tocttou_workloads::scenario::Scenario;
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Rounds per batch, matching the paper's Figure 6 sample size.
 const ROUNDS: u64 = 500;
-/// Timed repetitions per configuration (best-of).
+/// Timed repetitions per observer configuration (best-of).
 const REPS: usize = 30;
-/// vi file size for the benched scenario.
+/// vi file size for the observer rows.
 const FILE_SIZE: u64 = 100 * 1024;
 /// Base seed for every batch (identical work across configurations).
 const BASE_SEED: u64 = 0xBE5C;
-
-/// The pre-optimization engine throughput on the reference host, measured
-/// from this repository's tree before the round-pooling and hot-path work
-/// (fresh `run_round` loop, same scenario/size/host, same best-of
-/// methodology). Recorded here so the JSON can report how much faster the
-/// shipped engine is than the code it replaced; re-measure and update when
-/// benching on different hardware.
-const PREOPT_BASELINE_ROUNDS_PER_SEC: f64 = 41_600.0;
-
-/// Pooled jobs=1 throughput on the reference host measured immediately
-/// before the VFS v2 rework (string-walking `BTreeMap` resolver, deep
-/// `clone_from` forks). The `vfs_resolve` row asserts the reworked engine
-/// does not regress against it; re-measure when benching on different
-/// hardware.
-const PRE_VFS2_POOLED_ROUNDS_PER_SEC: f64 = 103_500.0;
-
-/// The template restore cost measured immediately before the VFS v2
-/// rework on the reference host: `template_vfs_from_base` deep-copying
-/// the whole inode table via `clone_from`. The reworked O(1) fork must
-/// not cost more than the restore path it replaced.
-const PRE_VFS2_CLONE_FROM_US: f64 = 0.417;
-
-#[derive(serde::Serialize)]
-struct LadderRow {
-    jobs: usize,
-    effective_jobs: usize,
-    /// CPUs the host exposed when this row was measured. Speedup over the
-    /// serial row is only meaningful when this is > 1; byte-identity holds
-    /// regardless.
-    host_cpus: usize,
-    rounds_per_sec: f64,
-    speedup_vs_jobs1: f64,
-    outcome_bytes_identical_to_serial: bool,
-}
-
-#[derive(serde::Serialize)]
-struct EngineRow {
-    rounds_per_sec: f64,
-    allocs_per_round: f64,
-    alloc_bytes_per_round: f64,
-}
-
-#[derive(serde::Serialize)]
-struct DslCompileRow {
-    /// The spec being compiled and raced against its hand-written twin.
-    spec: String,
-    /// Microseconds to lower the declarative spec into a runnable
-    /// `Scenario` (`ScenarioSpec::compile`), best-of, amortized per call.
-    compile_us: f64,
-    /// Pooled jobs=1 rounds/s of the compiled scenario.
-    compiled_rounds_per_sec: f64,
-    /// The hand-written `vi_smp` twin's pooled jobs=1 rounds/s from the
-    /// same interleaved run.
-    hand_written_rounds_per_sec: f64,
-    /// `compiled / hand_written`: the interpreter's throughput relative to
-    /// the dedicated state machines.
-    compiled_vs_hand_written: f64,
-    /// The compiled batch's `McOutcome` serialized byte-identical to the
-    /// hand-written scenario's. Asserted.
-    outcome_bytes_identical_to_hand_written: bool,
-}
-
-#[derive(serde::Serialize)]
-struct DetectorOverheadRow {
-    jobs: usize,
-    detector_on_rounds_per_sec: f64,
-    detector_off_rounds_per_sec: f64,
-    /// `on_time / off_time - 1`: the fraction of wall time the passive
-    /// detector adds to the pooled engine. Budget: <= 0.15.
-    overhead_frac: f64,
-}
-
-#[derive(serde::Serialize)]
-struct MetricsOverheadRow {
-    jobs: usize,
-    metrics_on_rounds_per_sec: f64,
-    metrics_off_rounds_per_sec: f64,
-    /// `on_time / off_time - 1`: the fraction of wall time the always-on
-    /// kernel metrics (counters + latency histograms + per-round snapshot
-    /// fold) add to the pooled engine. Budget: <= 0.05.
-    overhead_frac: f64,
-}
-
-#[derive(serde::Serialize)]
-struct ForensicsOverheadRow {
-    jobs: usize,
-    forensics_on_rounds_per_sec: f64,
-    forensics_off_rounds_per_sec: f64,
-    /// `on_time / off_time - 1`: the fraction of wall time the always-on
-    /// window forensics (check/use window tracking, strike classification,
-    /// per-round snapshot fold) add to the pooled engine. Budget: <= 0.05.
-    overhead_frac: f64,
-    /// Rounds/s with span tracing armed on top of the forensics (the
-    /// exhibit-only configuration; informational, no budget).
-    spans_on_rounds_per_sec: f64,
-}
-
-#[derive(serde::Serialize)]
-struct TemplateForkRow {
-    /// Microseconds to build the template VFS from scratch
-    /// (`template_vfs`), best-of timing, amortized per build.
-    rebuild_us: f64,
-    /// Microseconds to clone the shared base and stamp the document
-    /// (`template_vfs_from_base`), same methodology.
-    fork_us: f64,
-    fork_vs_rebuild_speedup: f64,
-}
-
-#[derive(serde::Serialize)]
-struct VfsResolveRow {
-    /// Components in the deep microbench path.
-    path_depth: usize,
-    /// ns per warm `stat` on the v2 resolver (interned components, cached
-    /// full-path split, dentry binary search — no string hashing).
-    v2_warm_stat_ns: f64,
-    /// ns per `stat` on the v1 oracle's component-by-component string walk
-    /// over `BTreeMap` directories.
-    v1_stat_ns: f64,
-    /// `v1_ns / v2_ns`. Target >= 1.5, asserted on multi-core hosts per
-    /// the ladder-row convention (single-core CI boxes are too noisy to
-    /// gate merges on a microbench ratio).
-    warm_vs_v1_speedup: f64,
-    /// Microseconds to fork the frozen 100 KB vi template VFS (one `Arc`
-    /// bump per shared table plus an empty overlay).
-    fork_us: f64,
-    /// Microseconds for the pooled-restore path: `clone_from` of the same
-    /// template into an existing fork, reusing its allocations.
-    clone_from_us: f64,
-    /// The deep-copy restore cost this fork replaced (pre-rework
-    /// `clone_from`, reference host). `fork_us` is asserted <= this on
-    /// multi-core hosts.
-    pre_vfs2_clone_from_us: f64,
-    /// Pooled jobs=1 rounds/s recorded before the VFS rework, on the
-    /// reference host.
-    pre_vfs2_pooled_rounds_per_sec: f64,
-    /// The same figure measured by this run — must not regress.
-    pooled_rounds_per_sec: f64,
-}
-
-#[derive(serde::Serialize)]
-struct QueueRegimeRow {
-    /// Steady-state backlog held in the queue during the run.
-    pending: u64,
-    queue_mops_per_sec: f64,
-    heap_mops_per_sec: f64,
-    queue_vs_heap_speedup: f64,
-}
-
-#[derive(serde::Serialize)]
-struct QueueMicroRow {
-    /// Events driven through each queue (half pushes, half pops, in the
-    /// kernel's pop-earliest/push-later pattern).
-    ops: u64,
-    /// Backlog sized like a simulated kernel's (a few timers per CPU):
-    /// the regime the sorted-vector queue is built for.
-    kernel_depth: QueueRegimeRow,
-    /// Backlog two orders of magnitude past the kernel's, where the
-    /// queue's O(n) insertions show (correct, but no longer a speed goal).
-    large_depth: QueueRegimeRow,
-}
-
-#[derive(serde::Serialize)]
-struct CheckpointRow {
-    jobs: usize,
-    /// Rounds/s resuming each round from the shared warm checkpoint (the
-    /// default engine path).
-    warm_rounds_per_sec: f64,
-    /// Rounds/s with the cold-boot oracle (`McConfig::cold`): the full
-    /// seed-independent prefix re-simulated every round.
-    cold_rounds_per_sec: f64,
-    warm_vs_cold_speedup: f64,
-    /// Fraction of a cold round spent in the prefix the checkpoint skips
-    /// (measured by timing build+recycle on both paths). The >=1.5x
-    /// speedup target only applies when this is large enough to matter —
-    /// on this scenario set the round body dominates, mirroring how the
-    /// jobs-ladder speedup asserts are gated on `host_cpus > 1`.
-    prefix_frac_of_cold_round: f64,
-    /// Warm `McOutcome` serialized byte-identical to the cold oracle, in
-    /// both `collect_ld` modes. Asserted.
-    outcome_bytes_identical_to_cold: bool,
-}
-
-#[derive(serde::Serialize)]
-struct SweepThroughputRow {
-    grid: String,
-    points: usize,
-    rounds_per_point: u64,
-    jobs: usize,
-    host_cpus: usize,
-    /// Grid points completed per second by one `run_sweep` call (template
-    /// forked per point, shared worker pool).
-    sweep_points_per_sec: f64,
-    /// Same grid driven by the pre-sweep shape: an independent `run_mc`
-    /// call per point at the same `jobs`.
-    per_point_run_mc_points_per_sec: f64,
-    sweep_vs_loop_speedup: f64,
-    /// Every per-point `McOutcome` serialized byte-identical to its
-    /// standalone `run_mc` twin at `base_seed + salt`. Asserted.
-    outcomes_bytes_identical_to_run_mc: bool,
-    template_fork: TemplateForkRow,
-    queue_micro: QueueMicroRow,
-}
-
-#[derive(serde::Serialize)]
-struct CampaignPeakRow {
-    /// Rounds per grid point held by the replayed store.
-    rounds_per_point: u64,
-    /// Blocks the store holds at that round count.
-    store_blocks: u64,
-    /// High-water heap bytes above the pre-replay baseline while the
-    /// fully-cached store is scanned and aggregated (no simulation).
-    aggregation_peak_bytes: u64,
-}
-
-#[derive(serde::Serialize)]
-struct CampaignRow {
-    grid: String,
-    points: usize,
-    rounds_per_point: u64,
-    /// Rounds per seed block (the caching/resumability unit).
-    block: u64,
-    /// Wall seconds to build the store from nothing: every block computed
-    /// and appended, then aggregated.
-    cold_store_secs: f64,
-    /// Wall seconds to rerun on the fully-cached store: scan + streamed
-    /// aggregation only.
-    warm_cache_secs: f64,
-    /// `cold / warm`. Asserted >= 5 on every host: cache hits skip the
-    /// simulation entirely, so unlike the thread-ladder speedups this win
-    /// does not depend on core count.
-    warm_vs_cold_cache_speedup: f64,
-    /// The campaign aggregate serialized byte-identical to the one-shot
-    /// `run_sweep` on the same grid. Asserted.
-    aggregate_bytes_identical_to_sweep: bool,
-    /// Replay peak at the base round count...
-    peak_small: CampaignPeakRow,
-    /// ...and at 4x the rounds (4x the blocks on disk).
-    peak_large: CampaignPeakRow,
-    /// `peak_large / peak_small`: asserted < 3 — quadrupling the store
-    /// must not even triple the streaming aggregation's transient peak.
-    peak_growth_ratio: f64,
-}
-
-#[derive(serde::Serialize)]
-struct EstimatorRow {
-    /// The benched rare-event scenario (true rate ≈ 1.3e-3, concentrated
-    /// in the top ~0.8 % of the laxity window).
-    scenario: String,
-    /// The stopping target: 95 % half-width as a fraction of the rate.
-    target_rel_half_width: f64,
-    /// The adaptive estimate and its interval at stopping time.
-    rate: f64,
-    ci95_lo: f64,
-    ci95_hi: f64,
-    /// The stopping rule fired before the round budget. Asserted.
-    converged: bool,
-    /// Rounds the adaptive run simulated, split parents included.
-    simulated_rounds: u64,
-    /// Rounds a fixed-round Wilson interval needs for the same relative
-    /// half-width at the estimated rate.
-    fixed_rounds_equiv: u64,
-    /// `fixed_rounds_equiv / simulated_rounds`. Asserted >= 10 on every
-    /// host: sample efficiency is a property of the sampling schedule,
-    /// not the core count, so this is deliberately NOT gated on
-    /// `host_cpus`.
-    sample_efficiency: f64,
-    /// The adaptive estimate landed inside a 4 000-round brute-force
-    /// `run_mc` interval at an independent seed. Asserted.
-    inside_oracle_interval: bool,
-    /// Wall seconds for the adaptive run (single-threaded, in-memory).
-    estimate_secs: f64,
-}
-
-#[derive(serde::Serialize)]
-struct Report {
-    scenario: String,
-    rounds: u64,
-    base_seed: u64,
-    collect_ld: bool,
-    host_cpus: usize,
-    note: String,
-    jobs_ladder: Vec<LadderRow>,
-    fresh_per_round: EngineRow,
-    pooled_engine: EngineRow,
-    pooled_vs_fresh_speedup: f64,
-    dsl_compile: DslCompileRow,
-    detector_overhead: DetectorOverheadRow,
-    metrics_overhead: MetricsOverheadRow,
-    forensics_overhead: ForensicsOverheadRow,
-    checkpoint: CheckpointRow,
-    sweep_throughput: SweepThroughputRow,
-    campaign: CampaignRow,
-    estimator: EstimatorRow,
-    vfs_resolve: VfsResolveRow,
-    preopt_baseline_rounds_per_sec: f64,
-    speedup_vs_preopt_baseline: f64,
-}
 
 /// Best-of-`reps` wall time for each closure, with the repetitions
 /// interleaved across closures (rep 0 of every config, then rep 1, ...)
@@ -361,503 +55,129 @@ fn best_of_interleaved(reps: usize, fs: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64
     best
 }
 
-/// Cheap deterministic pseudo-random stream for the queue micro-bench.
-fn lcg(x: &mut u64) -> u64 {
-    *x = x
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *x >> 33
-}
-
-/// Wall seconds to drive `ops` operations (half pops, half pushes) through
-/// the sorted-vector queue with a steady backlog of `pending` events, in
-/// the kernel's pattern: pop the earliest event, schedule a successor a
-/// short pseudo-random delay later. Duplicated for the heap oracle below
-/// because the two queues are distinct types with identical inherent APIs.
-fn queue_secs(ops: u64, pending: u64) -> f64 {
-    let mut x = 0x5EEDu64;
-    let t = Instant::now();
-    let mut q = EventQueue::new();
-    for i in 0..pending {
-        q.push(SimTime::from_nanos(lcg(&mut x) % 1_000_000), i);
-    }
-    let mut done = 0u64;
-    while done < ops {
-        let (at, id) = q.pop().unwrap();
-        q.push(at + SimDuration::from_nanos(1 + lcg(&mut x) % 100_000), id);
-        done += 2;
-    }
-    std::hint::black_box(q.len());
-    t.elapsed().as_secs_f64()
-}
-
-/// [`queue_secs`] against the binary-heap oracle queue (`queue::oracle`,
-/// compiled via the `queue-oracle` feature).
-fn heap_queue_secs(ops: u64, pending: u64) -> f64 {
-    let mut x = 0x5EEDu64;
-    let t = Instant::now();
-    let mut q = HeapEventQueue::new();
-    for i in 0..pending {
-        q.push(SimTime::from_nanos(lcg(&mut x) % 1_000_000), i);
-    }
-    let mut done = 0u64;
-    while done < ops {
-        let (at, id) = q.pop().unwrap();
-        q.push(at + SimDuration::from_nanos(1 + lcg(&mut x) % 100_000), id);
-        done += 2;
-    }
-    std::hint::black_box(q.len());
-    t.elapsed().as_secs_f64()
-}
-
-/// Allocation counters around one untimed run of `f`.
-fn allocs_of(rounds: u64, f: impl FnOnce()) -> (f64, f64) {
-    let before = alloc_count::snapshot();
-    f();
-    let d = alloc_count::snapshot().since(before);
-    (
-        d.calls as f64 / rounds as f64,
-        d.bytes as f64 / rounds as f64,
-    )
-}
-
 fn main() {
-    let scenario = Scenario::vi_smp(FILE_SIZE);
-    // Same scenario with the detector disarmed, for the overhead row. The
-    // detector never perturbs simulated time, so only wall time differs.
-    let mut undetected = Scenario::vi_smp(FILE_SIZE);
-    undetected.machine = undetected.machine.without_detector();
-    // And with the kernel metrics stripped, for the metrics-overhead row.
-    let mut unmetered = Scenario::vi_smp(FILE_SIZE);
-    unmetered.machine = unmetered.machine.without_metrics();
-    // And with the window forensics stripped / span tracing armed, for the
-    // forensics-overhead row.
-    let mut unforensic = Scenario::vi_smp(FILE_SIZE);
-    unforensic.machine = unforensic.machine.without_forensics();
-    let mut spanned = Scenario::vi_smp(FILE_SIZE);
-    spanned.machine = spanned.machine.with_spans();
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // Timed runs use collect_ld: false so the numbers measure the engine
-    // itself (and match how the pre-optimization baseline was taken); the
-    // byte-identity assertion below runs in both collect_ld modes.
-    let cfg = |jobs: usize| McConfig {
+    let mut failed: Vec<String> = Vec::new();
+
+    // --- Observer overheads: the default machine against a twin with one
+    // observer stripped (or spans armed). Observers never perturb
+    // simulated time, so only wall time differs.
+    let machine = Scenario::vi_smp(FILE_SIZE).machine;
+    let variants = [
+        machine.clone(),
+        machine.clone().without_detector(),
+        machine.clone().without_metrics(),
+        machine.clone().without_forensics(),
+        machine.with_spans(),
+    ];
+    let scenarios: Vec<Scenario> = variants
+        .into_iter()
+        .map(|m| {
+            let mut s = Scenario::vi_smp(FILE_SIZE);
+            s.machine = m;
+            s
+        })
+        .collect();
+    let cfg = McConfig {
         rounds: ROUNDS,
         base_seed: BASE_SEED,
-        collect_ld: false,
-        jobs,
-        cold: false,
+        jobs: 0,
+        ..McConfig::default()
     };
-
-    // Byte-identity across the jobs ladder (the tentpole invariant),
-    // checked with and without lifetime-distribution collection.
-    let serial_json = serde_json::to_string(&run_mc(&scenario, &cfg(1))).unwrap();
-    let serial_ld_json = {
-        let mut c = cfg(1);
-        c.collect_ld = true;
-        serde_json::to_string(&run_mc(&scenario, &c)).unwrap()
-    };
-
-    const JOBS_LADDER: [usize; 4] = [1, 2, 4, 0];
-    let mut identity = Vec::new();
-    for jobs in JOBS_LADDER {
-        let c = cfg(jobs);
-        let mut c_ld = cfg(jobs);
-        c_ld.collect_ld = true;
-        let identical = serde_json::to_string(&run_mc(&scenario, &c)).unwrap() == serial_json
-            && serde_json::to_string(&run_mc(&scenario, &c_ld)).unwrap() == serial_ld_json;
-        assert!(
-            identical,
-            "jobs={jobs} produced a different McOutcome than jobs=1"
-        );
-        identity.push(identical);
-    }
-
-    // Time the jobs ladder plus the fresh-per-round path (new kernel +
-    // VFS every round) in one interleaved pass.
-    let mut timed: Vec<Box<dyn FnMut() + '_>> = JOBS_LADDER
+    let mut timed: Vec<Box<dyn FnMut() + '_>> = scenarios
         .iter()
-        .map(|&jobs| {
-            let c = cfg(jobs);
-            let scenario = &scenario;
+        .map(|s| {
+            let cfg = &cfg;
             Box::new(move || {
-                std::hint::black_box(run_mc(scenario, &c));
+                std::hint::black_box(run_mc(s, cfg));
             }) as Box<dyn FnMut() + '_>
         })
         .collect();
-    timed.push(Box::new(|| {
-        for i in 0..ROUNDS {
-            std::hint::black_box(scenario.run_round(BASE_SEED + i));
-        }
-    }));
-    // Detector-off twin of the pooled jobs=0 row, for the overhead figure.
-    timed.push(Box::new(|| {
-        std::hint::black_box(run_mc(&undetected, &cfg(0)));
-    }));
-    // Metrics-off twin, same configuration.
-    timed.push(Box::new(|| {
-        std::hint::black_box(run_mc(&unmetered, &cfg(0)));
-    }));
-    // Cold-boot oracle twin of the pooled jobs=0 row, for the checkpoint
-    // (warm-boot) figure.
-    timed.push(Box::new(|| {
-        std::hint::black_box(run_mc(&scenario, &cfg(0).with_cold(true)));
-    }));
-    // Forensics-off and spans-armed twins, same configuration.
-    timed.push(Box::new(|| {
-        std::hint::black_box(run_mc(&unforensic, &cfg(0)));
-    }));
-    timed.push(Box::new(|| {
-        std::hint::black_box(run_mc(&spanned, &cfg(0)));
-    }));
     let secs = best_of_interleaved(REPS, &mut timed);
     drop(timed);
-
-    let jobs1_rps = ROUNDS as f64 / secs[0];
-    let mut ladder = Vec::new();
-    for (i, &jobs) in JOBS_LADDER.iter().enumerate() {
-        let rps = ROUNDS as f64 / secs[i];
+    let rps = |s: f64| ROUNDS as f64 / s;
+    let on = secs[0];
+    for (name, off) in [
+        ("detector", secs[1]),
+        ("metrics", secs[2]),
+        ("forensics", secs[3]),
+    ] {
         println!(
-            "mc/jobs={jobs:<2} {rps:>10.0} rounds/s  (x{:.2} vs jobs=1)",
-            rps / jobs1_rps
+            "mc/{name:<9} jobs=0 on {:>10.0} rounds/s, off {:>10.0} rounds/s  (overhead {:+.1}%)",
+            rps(on),
+            rps(off),
+            (on / off - 1.0) * 100.0
         );
-        ladder.push(LadderRow {
-            jobs,
-            effective_jobs: effective_jobs(jobs, ROUNDS),
-            host_cpus,
-            rounds_per_sec: rps,
-            speedup_vs_jobs1: rps / jobs1_rps,
-            outcome_bytes_identical_to_serial: identity[i],
-        });
     }
-
-    // Allocation profiles (untimed single passes), and the pooled engine's
-    // time, which is the ladder's jobs=1 row.
-    let fresh_secs = secs[JOBS_LADDER.len()];
-    let pooled_secs = secs[0];
-    let (fresh_allocs, fresh_bytes) = allocs_of(ROUNDS, || {
-        for i in 0..ROUNDS {
-            std::hint::black_box(scenario.run_round(BASE_SEED + i));
-        }
-    });
-    let (pooled_allocs, pooled_bytes) = allocs_of(ROUNDS, || {
-        std::hint::black_box(run_mc(&scenario, &cfg(1)));
-    });
-
-    let fresh_rps = ROUNDS as f64 / fresh_secs;
-    let pooled_rps = ROUNDS as f64 / pooled_secs;
-    println!("mc/fresh  {fresh_rps:>10.0} rounds/s  ({fresh_allocs:.1} allocs/round)");
-    println!("mc/pooled {pooled_rps:>10.0} rounds/s  ({pooled_allocs:.1} allocs/round)");
     println!(
-        "mc/pooled vs pre-optimization baseline: x{:.2}",
-        pooled_rps / PREOPT_BASELINE_ROUNDS_PER_SEC
+        "mc/spans     jobs=0 on {:>10.0} rounds/s, armed {:>8.0} rounds/s",
+        rps(on),
+        rps(secs[4])
     );
-
-    // --- DSL compiler: lowering the declarative vi spec must be cheap
-    // (it runs once per grid point) and the compiled scenario must match
-    // the hand-written machines byte for byte while keeping comparable
-    // round throughput.
-    let compiled_vi = library::vi_smp_spec(FILE_SIZE).compile();
-    let dsl_identical =
-        serde_json::to_string(&run_mc(&compiled_vi, &cfg(1))).unwrap() == serial_json;
-    assert!(
-        dsl_identical,
-        "the compiled vi spec produced a different McOutcome than the hand-written vi_smp"
-    );
-    const COMPILE_ITERS: u64 = 2_000;
-    let mut dsl_timed: Vec<Box<dyn FnMut() + '_>> = vec![
-        Box::new(|| {
-            for _ in 0..COMPILE_ITERS {
-                std::hint::black_box(library::vi_smp_spec(FILE_SIZE).compile());
-            }
-        }),
-        Box::new(|| {
-            std::hint::black_box(run_mc(&compiled_vi, &cfg(1)));
-        }),
-    ];
-    let dsl_secs = best_of_interleaved(10, &mut dsl_timed);
-    drop(dsl_timed);
-    let compile_us = dsl_secs[0] / COMPILE_ITERS as f64 * 1e6;
-    let dsl_rps = ROUNDS as f64 / dsl_secs[1];
-    let dsl_compile = DslCompileRow {
-        spec: format!("vi_smp_spec({FILE_SIZE})"),
-        compile_us,
-        compiled_rounds_per_sec: dsl_rps,
-        hand_written_rounds_per_sec: pooled_rps,
-        compiled_vs_hand_written: dsl_rps / pooled_rps,
-        outcome_bytes_identical_to_hand_written: dsl_identical,
-    };
-    println!(
-        "mc/dsl     compile {compile_us:>8.2} us; compiled {dsl_rps:>10.0} rounds/s \
-         (x{:.2} vs hand-written)",
-        dsl_rps / pooled_rps
-    );
-
-    // Detector overhead on the pooled jobs=0 configuration: compare the
-    // auto-jobs row (detector on, last ladder entry) against the
-    // detector-off twin timed in the same interleaved pass.
-    let on_secs = secs[JOBS_LADDER.len() - 1];
-    let off_secs = secs[JOBS_LADDER.len() + 1];
-    let detector_overhead = DetectorOverheadRow {
-        jobs: 0,
-        detector_on_rounds_per_sec: ROUNDS as f64 / on_secs,
-        detector_off_rounds_per_sec: ROUNDS as f64 / off_secs,
-        overhead_frac: on_secs / off_secs - 1.0,
-    };
-    println!(
-        "mc/detector jobs=0 on {:>10.0} rounds/s, off {:>10.0} rounds/s  \
-         (overhead {:+.1}%)",
-        detector_overhead.detector_on_rounds_per_sec,
-        detector_overhead.detector_off_rounds_per_sec,
-        detector_overhead.overhead_frac * 100.0
-    );
-
-    // Metrics overhead, same methodology as the detector row.
-    let metrics_off_secs = secs[JOBS_LADDER.len() + 2];
-    let metrics_overhead = MetricsOverheadRow {
-        jobs: 0,
-        metrics_on_rounds_per_sec: ROUNDS as f64 / on_secs,
-        metrics_off_rounds_per_sec: ROUNDS as f64 / metrics_off_secs,
-        overhead_frac: on_secs / metrics_off_secs - 1.0,
-    };
-    println!(
-        "mc/metrics  jobs=0 on {:>10.0} rounds/s, off {:>10.0} rounds/s  \
-         (overhead {:+.1}%)",
-        metrics_overhead.metrics_on_rounds_per_sec,
-        metrics_overhead.metrics_off_rounds_per_sec,
-        metrics_overhead.overhead_frac * 100.0
-    );
-    assert!(
-        metrics_overhead.overhead_frac <= 0.05,
-        "kernel metrics exceed their 5% overhead budget: {:+.1}%",
-        metrics_overhead.overhead_frac * 100.0
-    );
-
-    // Window-forensics overhead, same methodology: the default-on
-    // configuration (auto-jobs ladder row) against the stripped twin, plus
-    // the spans-armed exhibit configuration for context.
-    let forensics_off_secs = secs[JOBS_LADDER.len() + 4];
-    let spans_on_secs = secs[JOBS_LADDER.len() + 5];
-    let forensics_overhead = ForensicsOverheadRow {
-        jobs: 0,
-        forensics_on_rounds_per_sec: ROUNDS as f64 / on_secs,
-        forensics_off_rounds_per_sec: ROUNDS as f64 / forensics_off_secs,
-        overhead_frac: on_secs / forensics_off_secs - 1.0,
-        spans_on_rounds_per_sec: ROUNDS as f64 / spans_on_secs,
-    };
-    println!(
-        "mc/forensics jobs=0 on {:>10.0} rounds/s, off {:>10.0} rounds/s, \
-         spans {:>10.0} rounds/s  (overhead {:+.1}%)",
-        forensics_overhead.forensics_on_rounds_per_sec,
-        forensics_overhead.forensics_off_rounds_per_sec,
-        forensics_overhead.spans_on_rounds_per_sec,
-        forensics_overhead.overhead_frac * 100.0
-    );
+    let metrics_overhead = on / secs[2] - 1.0;
+    if metrics_overhead > 0.05 {
+        failed.push(format!(
+            "kernel metrics exceed their 5% overhead budget: {:+.1}%",
+            metrics_overhead * 100.0
+        ));
+    }
     // A few percentage points of differential is below the day-to-day
     // measurement floor of a shared single-core box (the same unchanged
     // tree has measured this row anywhere from +1.4% to +6.4% across
-    // sessions), so like the other ratio asserts the budget only gates on
-    // multi-core hosts; the row itself is always recorded.
-    if host_cpus > 1 {
-        assert!(
-            forensics_overhead.overhead_frac <= 0.05,
+    // sessions), so the forensics budget only gates on multi-core hosts.
+    let forensics_overhead = on / secs[3] - 1.0;
+    if host_cpus > 1 && forensics_overhead > 0.05 {
+        failed.push(format!(
             "window forensics exceed their 5% overhead budget: {:+.1}%",
-            forensics_overhead.overhead_frac * 100.0
-        );
-    } else {
-        println!("mc/forensics single-CPU host: 5% budget assertion skipped (row still recorded)");
+            forensics_overhead * 100.0
+        ));
+    } else if host_cpus == 1 {
+        println!("mc/forensics single-CPU host: 5% budget not checked");
     }
 
-    // --- Warm-boot checkpointing: the pooled jobs=0 engine resuming every
-    // round from the batch checkpoint vs the cold-boot oracle. Identity is
-    // asserted in both collect_ld modes; the speedup target is gated on
-    // the skipped prefix actually being a measurable share of a cold
-    // round (same spirit as gating ladder speedups on host_cpus > 1).
-    let warm_secs = on_secs;
-    let cold_secs = secs[JOBS_LADDER.len() + 3];
-    let warm_vs_cold = cold_secs / warm_secs;
-
-    let cold_identity = {
-        let cold_json = serde_json::to_string(&run_mc(&scenario, &cfg(0).with_cold(true))).unwrap();
-        let mut c_ld = cfg(0).with_cold(true);
-        c_ld.collect_ld = true;
-        let cold_ld_json = serde_json::to_string(&run_mc(&scenario, &c_ld)).unwrap();
-        cold_json == serial_json && cold_ld_json == serial_ld_json
-    };
-    assert!(
-        cold_identity,
-        "warm-boot rounds produced a different McOutcome than the cold oracle"
-    );
-
-    // Direct prefix measurement: build+recycle (no events run) on both
-    // paths; the difference is the per-round cost the checkpoint removes.
-    const CK_BUILD_ITERS: u64 = 4000;
-    let template = scenario.template_vfs();
-    let ck = scenario.round_checkpoint(&template);
-    let mut ck_timed: Vec<Box<dyn FnMut() + '_>> = vec![
-        Box::new(|| {
-            let mut pool = KernelPool::new();
-            for i in 0..CK_BUILD_ITERS {
-                let h = scenario.build_pooled(BASE_SEED + i, false, &template, pool);
-                pool = h.kernel.recycle();
-            }
-        }),
-        Box::new(|| {
-            let mut pool = KernelPool::new();
-            for i in 0..CK_BUILD_ITERS {
-                let h = scenario.build_from_checkpoint(&ck, BASE_SEED + i, false, pool);
-                pool = h.kernel.recycle();
-            }
-        }),
-    ];
-    let ck_secs = best_of_interleaved(10, &mut ck_timed);
-    drop(ck_timed);
-    let prefix_saving_secs = (ck_secs[0] - ck_secs[1]).max(0.0) / CK_BUILD_ITERS as f64;
-    let cold_round_secs = cold_secs / ROUNDS as f64;
-    let prefix_frac = prefix_saving_secs / cold_round_secs;
-
-    let checkpoint = CheckpointRow {
+    // --- Campaign cache: cold = delete the store and recompute every
+    // block; warm = rerun on the fully-cached store, which pays only the
+    // scan and the streamed aggregation.
+    let campaign_cfg = CampaignConfig {
+        grid: GridKind::D.build(Family::GeditSmp, 2048, 8),
+        rounds: 120,
+        base_seed: 0x5EE9,
         jobs: 0,
-        warm_rounds_per_sec: ROUNDS as f64 / warm_secs,
-        cold_rounds_per_sec: ROUNDS as f64 / cold_secs,
-        warm_vs_cold_speedup: warm_vs_cold,
-        prefix_frac_of_cold_round: prefix_frac,
-        outcome_bytes_identical_to_cold: cold_identity,
+        block: 30,
+        ..CampaignConfig::default()
     };
-    println!(
-        "mc/checkpoint jobs=0 warm {:>10.0} rounds/s, cold {:>10.0} rounds/s  \
-         (x{warm_vs_cold:.2}, prefix {:.1}% of a cold round)",
-        checkpoint.warm_rounds_per_sec,
-        checkpoint.cold_rounds_per_sec,
-        prefix_frac * 100.0
-    );
-    // The >=1.5x target presumes the prefix is where a cold round spends a
-    // third or more of its time; when the round body dominates instead,
-    // warm booting still wins by exactly the measured prefix but cannot
-    // hit 1.5x, so the assert would only measure the scenario's shape.
-    if prefix_frac >= 1.0 / 3.0 {
-        assert!(
-            warm_vs_cold >= 1.5,
-            "warm-boot checkpointing should be >=1.5x the cold engine when \
-             the prefix is {:.0}% of a cold round, got x{warm_vs_cold:.2}",
-            prefix_frac * 100.0
-        );
-    } else {
-        println!(
-            "mc/checkpoint prefix below 1/3 of a cold round on this scenario set: \
-             >=1.5x assertion skipped (identity still asserted)"
-        );
-    }
-
-    // --- Sweep throughput: one run_sweep over an 8-point D grid against
-    // the pre-sweep shape (an independent run_mc call per point), same
-    // jobs. Byte-identity of every per-point outcome is asserted on every
-    // run; the >=2x speedup target only applies on multi-core hosts (on
-    // one CPU the sweep's shared pool and template forking still win, but
-    // point-boundary idleness — the speedup's main source — cannot occur).
-    const SWEEP_POINTS: usize = 8;
-    const SWEEP_ROUNDS: u64 = 120;
-    const SWEEP_SEED: u64 = 0x5EE9;
-    const SWEEP_REPS: usize = 12;
-    let sweep_jobs = 0usize;
-    let sweep_cfg = SweepConfig {
-        grid: GridKind::D.build(Family::GeditSmp, 2048, SWEEP_POINTS),
-        rounds: SWEEP_ROUNDS,
-        base_seed: SWEEP_SEED,
-        collect_ld: false,
-        jobs: sweep_jobs,
-        cold: false,
-    };
-
-    let sweep_out = run_sweep(&sweep_cfg);
-    let mut sweep_identical = true;
-    for (p, sp) in sweep_cfg.grid.points.iter().zip(&sweep_out.points) {
-        let c = McConfig {
-            rounds: SWEEP_ROUNDS,
-            base_seed: SWEEP_SEED + p.seed_salt,
-            collect_ld: false,
-            jobs: sweep_jobs,
-            cold: false,
-        };
-        let standalone = serde_json::to_string(&run_mc(&p.scenario(), &c)).unwrap();
-        let in_sweep = serde_json::to_string(&sp.outcome).unwrap();
-        assert!(
-            standalone == in_sweep,
-            "sweep point {:?} differs from its standalone run_mc twin",
-            sp.point
-        );
-        sweep_identical &= standalone == in_sweep;
-    }
-
-    let mut sweep_timed: Vec<Box<dyn FnMut() + '_>> = vec![
+    let store = std::env::temp_dir().join(format!("tocttou-bench-campaign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut camp_timed: Vec<Box<dyn FnMut() + '_>> = vec![
         Box::new(|| {
-            std::hint::black_box(run_sweep(&sweep_cfg));
+            let _ = std::fs::remove_dir_all(&store);
+            std::hint::black_box(run_campaign(&store, &campaign_cfg).unwrap());
         }),
+        // Each cold rep above leaves a fully-populated store behind, so
+        // the interleaved rep here is always a pure cache replay.
         Box::new(|| {
-            for p in &sweep_cfg.grid.points {
-                let c = McConfig {
-                    rounds: SWEEP_ROUNDS,
-                    base_seed: SWEEP_SEED + p.seed_salt,
-                    collect_ld: false,
-                    jobs: sweep_jobs,
-                    cold: false,
-                };
-                std::hint::black_box(run_mc(&p.scenario(), &c));
-            }
+            std::hint::black_box(run_campaign(&store, &campaign_cfg).unwrap());
         }),
     ];
-    let sweep_secs = best_of_interleaved(SWEEP_REPS, &mut sweep_timed);
-    drop(sweep_timed);
-    let sweep_pps = SWEEP_POINTS as f64 / sweep_secs[0];
-    let loop_pps = SWEEP_POINTS as f64 / sweep_secs[1];
-    let sweep_speedup = sweep_secs[1] / sweep_secs[0];
+    let camp_secs = best_of_interleaved(5, &mut camp_timed);
+    drop(camp_timed);
+    let _ = std::fs::remove_dir_all(&store);
+    let campaign_speedup = camp_secs[0] / camp_secs[1];
     println!(
-        "mc/sweep   {sweep_pps:>10.1} points/s vs per-point loop {loop_pps:>10.1} points/s  \
-         (x{sweep_speedup:.2})"
+        "mc/campaign  cold {:.3} s, warm-cache {:.3} s  (x{campaign_speedup:.1})",
+        camp_secs[0], camp_secs[1]
     );
-    if host_cpus > 1 {
-        assert!(
-            sweep_speedup >= 2.0,
-            "run_sweep should finish the D grid >=2x faster than the \
-             per-point run_mc loop on a {host_cpus}-CPU host, got x{sweep_speedup:.2}"
-        );
-    } else {
-        println!(
-            "mc/sweep   single-CPU host: >=2x speedup assertion skipped (identity still asserted)"
-        );
+    if campaign_speedup < 5.0 {
+        failed.push(format!(
+            "a fully-cached campaign rerun should be >=5x faster than the cold \
+             store build on any host, got x{campaign_speedup:.2}"
+        ));
     }
 
-    // Template fork vs rebuild (the per-point setup cost run_sweep
-    // amortizes): build the 100 KB vi template from scratch vs clone the
-    // shared base and stamp the document.
-    const TPL_ITERS: u64 = 40;
-    let mut tpl_timed: Vec<Box<dyn FnMut() + '_>> = vec![
-        Box::new(|| {
-            for _ in 0..TPL_ITERS {
-                std::hint::black_box(scenario.template_vfs());
-            }
-        }),
-        Box::new(|| {
-            let base = scenario.base_vfs();
-            for _ in 0..TPL_ITERS {
-                std::hint::black_box(scenario.template_vfs_from_base(&base));
-            }
-        }),
-    ];
-    let tpl_secs = best_of_interleaved(5, &mut tpl_timed);
-    drop(tpl_timed);
-    let rebuild_us = tpl_secs[0] / TPL_ITERS as f64 * 1e6;
-    let fork_us = tpl_secs[1] / TPL_ITERS as f64 * 1e6;
-    println!(
-        "mc/template rebuild {rebuild_us:>8.1} us, fork {fork_us:>8.1} us  (x{:.2})",
-        rebuild_us / fork_us
-    );
-
-    // --- VFS v2 resolution microbench: one deep path stat'ed on the warm
-    // interned resolver vs the retired v1 string walker (`vfs::oracle`),
-    // plus the two template restore paths (O(1) fork vs pooled
-    // `clone_from`) and the pooled-throughput regression guard.
+    // --- VFS resolution: one deep path stat'ed on the warm interned v2
+    // resolver against the v1 component-by-component string walk.
     const DEEP_COMPS: [&str; 7] = ["v0", "v1", "v2", "v3", "v4", "v5", "v6"];
     const DEEP_PATH: &str = "/v0/v1/v2/v3/v4/v5/v6/leaf";
     const STAT_ITERS: u64 = 200_000;
@@ -866,362 +186,49 @@ fn main() {
         gid: Gid::ROOT,
         mode: 0o755,
     };
-    let (deep_v2, deep_v1) = {
-        let mut v2 = Vfs::new();
-        let mut v1 = PathVfs::new();
-        let mut prefix = String::new();
-        for comp in DEEP_COMPS {
-            prefix.push('/');
-            prefix.push_str(comp);
-            v2.mkdir(&prefix, root_meta).unwrap();
-            v1.mkdir(&prefix, root_meta).unwrap();
-        }
-        v2.create_file(DEEP_PATH, root_meta).unwrap();
-        v1.create_file(DEEP_PATH, root_meta).unwrap();
-        // The steady state the engine runs in: path interned and the
-        // full-path split cached at template-build time.
-        v2.warm_path(DEEP_PATH);
-        v2.freeze();
-        (v2, v1)
-    };
+    let mut v2 = Vfs::new();
+    let mut v1 = PathVfs::new();
+    let mut prefix = String::new();
+    for comp in DEEP_COMPS {
+        prefix.push('/');
+        prefix.push_str(comp);
+        v2.mkdir(&prefix, root_meta).unwrap();
+        v1.mkdir(&prefix, root_meta).unwrap();
+    }
+    v2.create_file(DEEP_PATH, root_meta).unwrap();
+    v1.create_file(DEEP_PATH, root_meta).unwrap();
+    // The steady state the engine runs in: path interned and the
+    // full-path split cached at template-build time.
+    v2.warm_path(DEEP_PATH);
+    v2.freeze();
     let mut stat_timed: Vec<Box<dyn FnMut() + '_>> = vec![
         Box::new(|| {
             for _ in 0..STAT_ITERS {
-                std::hint::black_box(deep_v2.stat(DEEP_PATH)).unwrap();
+                std::hint::black_box(v2.stat(DEEP_PATH)).unwrap();
             }
         }),
         Box::new(|| {
             for _ in 0..STAT_ITERS {
-                std::hint::black_box(deep_v1.stat(DEEP_PATH)).unwrap();
+                std::hint::black_box(v1.stat(DEEP_PATH)).unwrap();
             }
         }),
     ];
     let stat_secs = best_of_interleaved(10, &mut stat_timed);
     drop(stat_timed);
-    let v2_warm_stat_ns = stat_secs[0] / STAT_ITERS as f64 * 1e9;
-    let v1_stat_ns = stat_secs[1] / STAT_ITERS as f64 * 1e9;
-    let warm_vs_v1 = v1_stat_ns / v2_warm_stat_ns;
-
-    const VFS_FORK_ITERS: u64 = 20_000;
-    let frozen = scenario.template_vfs();
-    let mut restore_target = frozen.clone();
-    let mut vfs_fork_timed: Vec<Box<dyn FnMut() + '_>> = vec![
-        Box::new(|| {
-            for _ in 0..VFS_FORK_ITERS {
-                std::hint::black_box(frozen.clone());
-            }
-        }),
-        Box::new(|| {
-            for _ in 0..VFS_FORK_ITERS {
-                restore_target.clone_from(&frozen);
-                std::hint::black_box(&restore_target);
-            }
-        }),
-    ];
-    let vfs_fork_secs = best_of_interleaved(10, &mut vfs_fork_timed);
-    drop(vfs_fork_timed);
-    let vfs_fork_us = vfs_fork_secs[0] / VFS_FORK_ITERS as f64 * 1e6;
-    let vfs_clone_from_us = vfs_fork_secs[1] / VFS_FORK_ITERS as f64 * 1e6;
-
+    let v2_ns = stat_secs[0] / STAT_ITERS as f64 * 1e9;
+    let v1_ns = stat_secs[1] / STAT_ITERS as f64 * 1e9;
+    let warm_vs_v1 = v1_ns / v2_ns;
     println!(
-        "mc/vfs      warm stat {v2_warm_stat_ns:>7.1} ns vs v1 walk {v1_stat_ns:>7.1} ns  \
-         (x{warm_vs_v1:.2}); fork {vfs_fork_us:.3} us, clone_from {vfs_clone_from_us:.3} us"
+        "mc/vfs       warm stat {v2_ns:>7.1} ns vs v1 walk {v1_ns:>7.1} ns  (x{warm_vs_v1:.2})"
     );
-    if host_cpus > 1 {
-        assert!(
-            warm_vs_v1 >= 1.5,
+    if host_cpus > 1 && warm_vs_v1 < 1.5 {
+        failed.push(format!(
             "warm interned resolution should be >=1.5x the v1 string walk on the \
              deep-path microbench, got x{warm_vs_v1:.2}"
-        );
-        assert!(
-            vfs_fork_us <= PRE_VFS2_CLONE_FROM_US,
-            "an O(1) template fork ({vfs_fork_us:.3} us) should not cost more than the \
-             deep-copy clone_from it replaced ({PRE_VFS2_CLONE_FROM_US:.3} us)"
-        );
-        assert!(
-            pooled_rps >= PRE_VFS2_POOLED_ROUNDS_PER_SEC * 0.95,
-            "pooled engine regressed vs the pre-VFS2 baseline: {pooled_rps:.0} < \
-             {PRE_VFS2_POOLED_ROUNDS_PER_SEC:.0} rounds/s"
-        );
-    } else {
-        println!(
-            "mc/vfs      single-CPU host: speedup/regression assertions skipped \
-             (differential identity is covered by the vfs_oracle suite)"
-        );
-    }
-    let vfs_resolve = VfsResolveRow {
-        path_depth: DEEP_COMPS.len() + 1,
-        v2_warm_stat_ns,
-        v1_stat_ns,
-        warm_vs_v1_speedup: warm_vs_v1,
-        fork_us: vfs_fork_us,
-        clone_from_us: vfs_clone_from_us,
-        pre_vfs2_clone_from_us: PRE_VFS2_CLONE_FROM_US,
-        pre_vfs2_pooled_rounds_per_sec: PRE_VFS2_POOLED_ROUNDS_PER_SEC,
-        pooled_rounds_per_sec: pooled_rps,
-    };
-
-    // Sorted-vector queue vs the binary-heap oracle, steady-state
-    // pop-earliest/push-later pattern, at a kernel-sized backlog and at a
-    // deep one.
-    const QUEUE_OPS: u64 = 2_000_000;
-    let queue_regime = |pending: u64| {
-        let queue_best = (0..3)
-            .map(|_| queue_secs(QUEUE_OPS, pending))
-            .fold(f64::INFINITY, f64::min);
-        let heap_best = (0..3)
-            .map(|_| heap_queue_secs(QUEUE_OPS, pending))
-            .fold(f64::INFINITY, f64::min);
-        let row = QueueRegimeRow {
-            pending,
-            queue_mops_per_sec: QUEUE_OPS as f64 / queue_best / 1e6,
-            heap_mops_per_sec: QUEUE_OPS as f64 / heap_best / 1e6,
-            queue_vs_heap_speedup: heap_best / queue_best,
-        };
-        println!(
-            "mc/queue   pending={pending:<5} queue {:>6.1} Mops/s, heap {:>6.1} Mops/s  (x{:.2})",
-            row.queue_mops_per_sec, row.heap_mops_per_sec, row.queue_vs_heap_speedup
-        );
-        row
-    };
-    let queue_kernel_depth = queue_regime(16);
-    let queue_large_depth = queue_regime(4096);
-
-    let sweep_throughput = SweepThroughputRow {
-        grid: format!("gedit-smp-2048B, D x0.25..2 ({SWEEP_POINTS} points)"),
-        points: SWEEP_POINTS,
-        rounds_per_point: SWEEP_ROUNDS,
-        jobs: sweep_jobs,
-        host_cpus,
-        sweep_points_per_sec: sweep_pps,
-        per_point_run_mc_points_per_sec: loop_pps,
-        sweep_vs_loop_speedup: sweep_speedup,
-        outcomes_bytes_identical_to_run_mc: sweep_identical,
-        template_fork: TemplateForkRow {
-            rebuild_us,
-            fork_us,
-            fork_vs_rebuild_speedup: rebuild_us / fork_us,
-        },
-        queue_micro: QueueMicroRow {
-            ops: QUEUE_OPS,
-            kernel_depth: queue_kernel_depth,
-            large_depth: queue_large_depth,
-        },
-    };
-
-    // --- Campaign engine: the content-addressed store against the sweep
-    // oracle already computed above (same grid, rounds, seed, collect_ld
-    // off). Cold = delete the store and recompute every block; warm =
-    // rerun on the fully-cached store, which pays only the scan and the
-    // streamed aggregation.
-    const CAMPAIGN_BLOCK: u64 = 30;
-    const CAMPAIGN_REPS: usize = 5;
-    let campaign_grid = || GridKind::D.build(Family::GeditSmp, 2048, SWEEP_POINTS);
-    let campaign_cfg = CampaignConfig {
-        grid: campaign_grid(),
-        rounds: SWEEP_ROUNDS,
-        base_seed: SWEEP_SEED,
-        jobs: sweep_jobs,
-        cold: false,
-        block: CAMPAIGN_BLOCK,
-        max_blocks: None,
-    };
-    let campaign_store =
-        std::env::temp_dir().join(format!("tocttou-bench-campaign-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&campaign_store);
-
-    let campaign_out = run_campaign(&campaign_store, &campaign_cfg).unwrap();
-    let campaign_identical = serde_json::to_string(&campaign_out.aggregate.unwrap()).unwrap()
-        == serde_json::to_string(&sweep_out).unwrap();
-    assert!(
-        campaign_identical,
-        "campaign aggregate differs from the one-shot run_sweep oracle"
-    );
-
-    let mut camp_timed: Vec<Box<dyn FnMut() + '_>> = vec![
-        Box::new(|| {
-            let _ = std::fs::remove_dir_all(&campaign_store);
-            std::hint::black_box(run_campaign(&campaign_store, &campaign_cfg).unwrap());
-        }),
-        // Each cold rep above leaves a fully-populated store behind, so
-        // the interleaved rep here is always a pure cache replay.
-        Box::new(|| {
-            std::hint::black_box(run_campaign(&campaign_store, &campaign_cfg).unwrap());
-        }),
-    ];
-    let camp_secs = best_of_interleaved(CAMPAIGN_REPS, &mut camp_timed);
-    drop(camp_timed);
-    let _ = std::fs::remove_dir_all(&campaign_store);
-    let campaign_speedup = camp_secs[0] / camp_secs[1];
-    println!(
-        "mc/campaign cold {:.3} s, warm-cache {:.3} s  (x{campaign_speedup:.1})",
-        camp_secs[0], camp_secs[1]
-    );
-    // Unconditional, unlike the thread-ladder speedups: a cache hit skips
-    // the simulation entirely, so the win holds on a single-core host too.
-    assert!(
-        campaign_speedup >= 5.0,
-        "a fully-cached campaign rerun should be >=5x faster than the cold \
-         store build on any host, got x{campaign_speedup:.2}"
-    );
-
-    // Flat-memory check: replay peak at the base round count vs 4x the
-    // rounds. Streaming aggregation holds one block at a time, so the
-    // peak must not scale with the store.
-    let replay_peak = |rounds: u64, tag: &str| {
-        let dir = std::env::temp_dir().join(format!(
-            "tocttou-bench-campaign-{tag}-{}",
-            std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = CampaignConfig {
-            grid: campaign_grid(),
-            rounds,
-            ..campaign_cfg.clone()
-        };
-        run_campaign(&dir, &cfg).unwrap();
-        let base = alloc_count::reset_peak();
-        let out = run_campaign(&dir, &cfg).unwrap();
-        let peak = alloc_count::peak_bytes() - base;
-        assert_eq!(out.computed_blocks, 0, "populated store replays from cache");
-        let row = CampaignPeakRow {
-            rounds_per_point: rounds,
-            store_blocks: out.total_blocks,
-            aggregation_peak_bytes: peak,
-        };
-        let _ = std::fs::remove_dir_all(&dir);
-        row
-    };
-    let peak_small = replay_peak(SWEEP_ROUNDS, "peak-small");
-    let peak_large = replay_peak(SWEEP_ROUNDS * 4, "peak-large");
-    let peak_growth =
-        peak_large.aggregation_peak_bytes as f64 / peak_small.aggregation_peak_bytes as f64;
-    println!(
-        "mc/campaign replay peak {} KB at {} rounds/point, {} KB at {}  (x{peak_growth:.2})",
-        peak_small.aggregation_peak_bytes / 1024,
-        peak_small.rounds_per_point,
-        peak_large.aggregation_peak_bytes / 1024,
-        peak_large.rounds_per_point
-    );
-    assert!(
-        peak_growth < 3.0,
-        "streaming aggregation should keep peak memory flat: 4x the rounds \
-         grew the replay peak x{peak_growth:.2}"
-    );
+    } else if host_cpus == 1 {
+        println!("mc/vfs       single-CPU host: 1.5x floor not checked");
+    }
 
-    let campaign = CampaignRow {
-        grid: format!("gedit-smp-2048B, D x0.25..2 ({SWEEP_POINTS} points)"),
-        points: SWEEP_POINTS,
-        rounds_per_point: SWEEP_ROUNDS,
-        block: CAMPAIGN_BLOCK,
-        cold_store_secs: camp_secs[0],
-        warm_cache_secs: camp_secs[1],
-        warm_vs_cold_cache_speedup: campaign_speedup,
-        aggregate_bytes_identical_to_sweep: campaign_identical,
-        peak_small,
-        peak_large,
-        peak_growth_ratio: peak_growth,
-    };
-
-    // The adaptive rare-event estimator against fixed-round MC: same
-    // target precision, an order of magnitude fewer rounds. The ratio is
-    // a property of the sampling schedule — waves, stratification,
-    // splitting — so unlike the thread-ladder speedups it holds on any
-    // host, single-core included, and is asserted unconditionally.
-    let est_scenario = Scenario::vi_uniprocessor(2048);
-    let est_cfg = EstimateConfig::default();
-    let est_t = Instant::now();
-    let est = run_estimate(&est_scenario, &est_cfg).unwrap().outcome;
-    let estimate_secs = est_t.elapsed().as_secs_f64();
-    assert!(est.converged, "estimator must reach its target: {est}");
-    let fixed_rounds_equiv = est.fixed_rounds_equiv.unwrap();
-    let sample_efficiency = fixed_rounds_equiv as f64 / est.simulated_rounds as f64;
-    assert!(
-        sample_efficiency >= 10.0,
-        "adaptive estimation must need >=10x fewer rounds than fixed-round \
-         MC at the same precision, got x{sample_efficiency:.1} \
-         ({} vs {fixed_rounds_equiv} rounds)",
-        est.simulated_rounds
-    );
-    let est_oracle = run_mc(
-        &est_scenario,
-        &McConfig {
-            rounds: 4_000,
-            base_seed: 0x0AC1E,
-            jobs: 0,
-            ..McConfig::default()
-        },
-    );
-    let inside_oracle_interval =
-        est.rate > est_oracle.rate_ci95.0 && est.rate < est_oracle.rate_ci95.1;
-    assert!(
-        inside_oracle_interval,
-        "adaptive estimate {:.4e} escaped the brute-force oracle interval {:?}",
-        est.rate, est_oracle.rate_ci95
-    );
-    println!(
-        "mc/estimator {:.3e} in {} rounds vs {fixed_rounds_equiv} fixed \
-         (x{sample_efficiency:.1}) in {estimate_secs:.3}s",
-        est.rate, est.simulated_rounds
-    );
-    let estimator = EstimatorRow {
-        scenario: est.scenario.clone(),
-        target_rel_half_width: est.target_rel_half_width,
-        rate: est.rate,
-        ci95_lo: est.ci95.0,
-        ci95_hi: est.ci95.1,
-        converged: est.converged,
-        simulated_rounds: est.simulated_rounds,
-        fixed_rounds_equiv,
-        sample_efficiency,
-        inside_oracle_interval,
-        estimate_secs,
-    };
-
-    let report = Report {
-        scenario: format!("vi_smp({FILE_SIZE})"),
-        rounds: ROUNDS,
-        base_seed: BASE_SEED,
-        collect_ld: false,
-        host_cpus,
-        note: format!(
-            "Best-of-{REPS} timings. This host exposes {host_cpus} CPU(s); \
-             thread-level speedup in the jobs ladder requires multiple cores, \
-             so on a single-core host the ladder shows parity (identical \
-             results, thread overhead only) and the engine speedup comes \
-             from per-round buffer reuse and hot-path allocation removal, \
-             reported against the recorded pre-optimization baseline."
-        ),
-        jobs_ladder: ladder,
-        fresh_per_round: EngineRow {
-            rounds_per_sec: fresh_rps,
-            allocs_per_round: fresh_allocs,
-            alloc_bytes_per_round: fresh_bytes,
-        },
-        pooled_engine: EngineRow {
-            rounds_per_sec: pooled_rps,
-            allocs_per_round: pooled_allocs,
-            alloc_bytes_per_round: pooled_bytes,
-        },
-        pooled_vs_fresh_speedup: fresh_secs / pooled_secs,
-        dsl_compile,
-        detector_overhead,
-        metrics_overhead,
-        forensics_overhead,
-        checkpoint,
-        sweep_throughput,
-        campaign,
-        estimator,
-        vfs_resolve,
-        preopt_baseline_rounds_per_sec: PREOPT_BASELINE_ROUNDS_PER_SEC,
-        speedup_vs_preopt_baseline: pooled_rps / PREOPT_BASELINE_ROUNDS_PER_SEC,
-    };
-
-    let out = format!(
-        "{}/../../BENCH_monte_carlo.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    std::fs::write(&out, json + "\n").unwrap();
-    println!("wrote {out}");
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
 }

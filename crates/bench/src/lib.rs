@@ -1,62 +1,17 @@
-//! # tocttou-bench — benchmark-harness support
+//! # tocttou-bench — asserted performance gates
 //!
-//! A small self-contained timing harness for the benchmarks under
-//! `benches/`, one per table/figure of the paper (each prints its reduced
-//! reproduction rows once, then measures per-round simulation cost), plus
-//! simulator performance, ablation, and Monte-Carlo throughput benches.
-//!
-//! The [`harness`] module exposes a deliberately Criterion-shaped API
-//! (`Criterion`, `benchmark_group`, `bench_function`, the
-//! `criterion_group!`/`criterion_main!` macros) so the bench files read
-//! like any other Rust bench suite, but it is implemented in-repo: the
-//! container has no registry access, and the benches only need medians and
-//! throughput numbers, not Criterion's full statistical machinery.
+//! One bench, `benches/monte_carlo.rs`, holds the overhead and speedup
+//! gates that no test or `perfbench/` metric holds yet: the metrics and
+//! forensics overhead budgets (with the detector and spans rows reported
+//! beside them), the campaign cache replay speedup, and the VFS v2
+//! resolver against the v1 string walk. End-to-end and per-layer timings
+//! live in `perfbench/` at the repository root.
 //!
 //! [`alloc_count`] provides a counting [`std::alloc::GlobalAlloc`] wrapper
-//! used by the `monte_carlo` bench to show how many heap allocations the
-//! pooled round engine saves.
+//! for the heap tests under `tests/`: allocation counts of a template fork
+//! and peak-heap bounds of the in-memory drivers and the campaign replay.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::Once;
-use tocttou_core::stats::SuccessCounter;
-use tocttou_workloads::scenario::Scenario;
-
 pub mod alloc_count;
-pub mod harness;
-
-/// Runs `f` exactly once per process (used to print reproduction rows at
-/// bench start without polluting every timed iteration).
-pub fn print_once(once: &'static Once, f: impl FnOnce()) {
-    once.call_once(f);
-}
-
-/// Quick success-rate estimate for headline printing inside benches.
-pub fn quick_rate(scenario: &Scenario, rounds: u64, seed: u64) -> f64 {
-    let mut c = SuccessCounter::new();
-    for i in 0..rounds {
-        c.record(scenario.run_round(seed + i).success);
-    }
-    c.rate()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_rate_counts() {
-        let r = quick_rate(&Scenario::vi_smp(1024), 3, 9);
-        assert!((0.0..=1.0).contains(&r));
-    }
-
-    #[test]
-    fn print_once_runs_once() {
-        static ONCE: Once = Once::new();
-        let mut n = 0;
-        print_once(&ONCE, || n += 1);
-        print_once(&ONCE, || n += 10);
-        assert_eq!(n, 1);
-    }
-}

@@ -2,11 +2,14 @@
 //! point's rounds run as items of a capped size, and each item is folded as
 //! soon as every earlier one has arrived. So eight times the rounds must not
 //! grow a call's peak heap by more than a constant, at one worker or two.
+//! A campaign replay streams its store one block at a time, so four times
+//! the blocks on disk must not even triple the replay's peak.
 //!
 //! One test function only: the counting allocator is process-wide, and
 //! tests in one binary run on parallel threads.
 
 use tocttou_bench::alloc_count::{self, CountingAlloc};
+use tocttou_experiments::campaign::{run_campaign, CampaignConfig};
 use tocttou_experiments::grid::{Family, GridKind};
 use tocttou_experiments::monte_carlo::{run_mc, McConfig};
 use tocttou_experiments::sweep::{run_sweep, SweepConfig};
@@ -69,5 +72,39 @@ fn peak_heap_does_not_grow_with_rounds() {
     assert!(
         b < a + a / 2,
         "run_sweep jobs=1: peak {a} B at {small} rounds, {b} B at {large}"
+    );
+
+    // Replay peak of a fully cached 8-point campaign store at 120 rounds
+    // per point against 4x the rounds (4x the blocks).
+    let replay = |rounds| {
+        let dir = std::env::temp_dir().join(format!(
+            "tocttou-driver-memory-{rounds}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CampaignConfig {
+            grid: GridKind::D.build(Family::GeditSmp, 2048, 8),
+            rounds,
+            base_seed: 0x5EE9,
+            jobs: 0,
+            block: 30,
+            ..CampaignConfig::default()
+        };
+        run_campaign(&dir, &cfg).unwrap();
+        let peak = peak_of(|| {
+            let out = run_campaign(&dir, &cfg).unwrap();
+            assert_eq!(
+                out.computed_blocks, 0,
+                "a populated store replays from cache"
+            );
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        peak
+    };
+    let (a, b) = (replay(120), replay(480));
+    assert!(
+        b < 3 * a,
+        "campaign replay: peak {a} B at 120 rounds/point, {b} B at 480 (x{:.2}, budget < 3)",
+        b as f64 / a as f64
     );
 }

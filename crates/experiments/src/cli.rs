@@ -13,14 +13,15 @@
 use crate::grid::{Family, Grid, GridKind};
 
 /// The largest `--rounds` any binary accepts: 2^24 = 16,777,216 rounds per
-/// grid point, sixteen times the largest run the docs use.
+/// grid point, sixteen times the largest run the docs use. `estimate`
+/// holds its `--pilot` and `--wave` to the same ceiling.
 ///
 /// The drivers cut a point's rounds into blocks of at most
 /// `MAX_ITEM_ROUNDS` = 256 and list every block before running any, so one
 /// point's list holds at most 2^24 / 2^8 = 65,536 blocks of 24 bytes: 1.5
 /// MiB. Beyond the ceiling the list alone can exhaust memory (`--rounds
 /// 18446744073709551615` asks for 7.2 × 10^16 blocks).
-const MAX_ROUNDS: u64 = 1 << 24;
+pub(crate) const MAX_ROUNDS: u64 = 1 << 24;
 const _: () = assert!(
     MAX_ROUNDS / crate::sweep::MAX_ITEM_ROUNDS
         * std::mem::size_of::<crate::executor::Block>() as u64

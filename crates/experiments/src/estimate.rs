@@ -61,6 +61,7 @@
 //! [`Scenario::restrict_laxity`]: tocttou_workloads::scenario::Scenario::restrict_laxity
 
 use crate::campaign::{blocks_path, compute_blocks, keyed_blocks, read_block, scan_store, Missing};
+use crate::cli::MAX_ROUNDS;
 use crate::executor::{execute, Block, Order, Plan};
 use crate::monte_carlo::{fnv1a, RoundObs, DETECTION_FINGERPRINT_SEED};
 use serde::Serialize;
@@ -149,8 +150,9 @@ impl EstimateConfig {
     /// # Errors
     ///
     /// Rejects a zero/NaN/non-finite target half-width, zero block size,
-    /// zero initial strata, zero pilot/wave rounds, and a budget below one
-    /// pilot.
+    /// zero initial strata, zero pilot/wave rounds, pilot/wave rounds above
+    /// the `--rounds` ceiling of 2^24 (a wave's block list is built before
+    /// any round runs), and a budget below one pilot.
     pub fn validate(&self) -> Result<(), String> {
         if !self.target_rel_half_width.is_finite() || self.target_rel_half_width <= 0.0 {
             return Err(format!(
@@ -166,6 +168,13 @@ impl EstimateConfig {
         }
         if self.pilot_rounds == 0 || self.wave_rounds == 0 {
             return Err("pilot and wave rounds must be at least 1".into());
+        }
+        for (flag, rounds) in [("--pilot", self.pilot_rounds), ("--wave", self.wave_rounds)] {
+            if rounds > MAX_ROUNDS {
+                return Err(format!(
+                    "invalid {flag} {rounds}: at most {MAX_ROUNDS} rounds"
+                ));
+            }
         }
         if self.max_rounds < self.pilot_rounds {
             return Err(format!(
@@ -835,6 +844,35 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err(), "budget below one pilot");
+        for (cfg, flag) in [
+            (
+                EstimateConfig {
+                    wave_rounds: u64::MAX,
+                    ..Default::default()
+                },
+                "--wave",
+            ),
+            (
+                EstimateConfig {
+                    pilot_rounds: MAX_ROUNDS + 1,
+                    max_rounds: u64::MAX,
+                    ..Default::default()
+                },
+                "--pilot",
+            ),
+        ] {
+            assert!(
+                cfg.validate().unwrap_err().contains(flag),
+                "{flag} past the ceiling"
+            );
+        }
+        let at_ceiling = EstimateConfig {
+            pilot_rounds: MAX_ROUNDS,
+            wave_rounds: MAX_ROUNDS,
+            max_rounds: MAX_ROUNDS,
+            ..Default::default()
+        };
+        assert!(at_ceiling.validate().is_ok());
         // run_estimate surfaces validation as InvalidInput.
         let s = Scenario::vi_smp(1024);
         let bad = EstimateConfig {

@@ -22,16 +22,15 @@
 //! * `pop`/`peek_time` — **O(1)**: `Vec::pop` and `last()`.
 //!
 //! The simulated kernel never holds more than about ten pending events (a
-//! slice timer per CPU plus the in-flight phase and wake-up events). At
-//! that depth the short contiguous array outruns the binary-heap oracle
-//! below (the `queue_micro` rows of `BENCH_monte_carlo.json`). Deep
-//! backlogs stay correct — a test pins delivery order at 4,096 pending
-//! events — but are not a performance goal.
+//! slice timer per CPU plus the in-flight phase and wake-up events), the
+//! regime the queue is built for; `perfbench/` reports its cost per
+//! operation at 16 pending events as `sim.queue_ns_per_op`.
+//! Deep backlogs stay correct — a test pins delivery order at 4,096
+//! pending events — but are not a performance goal.
 //!
 //! A binary-heap implementation of the same API is retained as
-//! [`oracle::HeapEventQueue`] (under `cfg(test)` or the `queue-oracle`
-//! feature) and the two are exercised against each other by a
-//! differential property test below.
+//! `oracle::HeapEventQueue` (compiled for tests only) and the two are
+//! exercised against each other by a differential property test below.
 
 use crate::time::SimTime;
 
@@ -242,10 +241,9 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 ///
 /// It shares no ordering code with [`EventQueue`] — tie-breaking lives in
 /// the heap's `Ord` impl, cancellation in a liveness bitmap — so property
-/// tests (and the queue micro-benchmark) can compare the two structures
-/// operation for operation. Compiled only for tests or under the
-/// `queue-oracle` feature — production code always uses [`EventQueue`].
-#[cfg(any(test, feature = "queue-oracle"))]
+/// tests can compare the two structures operation for operation. Compiled
+/// only for tests — production code always uses [`EventQueue`].
+#[cfg(test)]
 pub mod oracle {
     use super::{EventId, QueueSnapshot};
     use crate::time::SimTime;
