@@ -808,6 +808,71 @@ mod tests {
     }
 
     #[test]
+    fn hostile_foreign_lines_are_skipped_not_fatal() {
+        let dir = std::env::temp_dir().join(format!("campaign-hostile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = small_cfg();
+        let done = run_campaign(&dir, &cfg).unwrap();
+        let oracle = serde_json::to_string(&done.aggregate.unwrap()).unwrap();
+
+        // A line nested a million levels deep reaches the fallback parse in
+        // `scan_store`; it must fail there with an error, not overflow the
+        // stack. A lone surrogate escape must fail just as cleanly.
+        {
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(blocks_path(&dir))
+                .unwrap();
+            f.write_all("[".repeat(1_000_000).as_bytes()).unwrap();
+            f.write_all(b"\n{\"key\":\"\\ud800\"}\n").unwrap();
+        }
+        let replay = run_campaign(&dir, &cfg).unwrap();
+        assert_eq!(replay.computed_blocks, 0);
+        assert_eq!(
+            serde_json::to_string(&replay.aggregate.unwrap()).unwrap(),
+            oracle
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every line of a store parses, deserializes and serializes back to
+    /// exactly its own bytes.
+    fn assert_lines_reserialise(path: &Path) {
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(!text.is_empty(), "{} is empty", path.display());
+        for line in text.lines() {
+            let record: BlockRecord = serde_json::from_str(line).unwrap();
+            assert_eq!(serde_json::to_string(&record).unwrap(), line);
+        }
+    }
+
+    #[test]
+    fn stored_lines_reserialise_byte_for_byte() {
+        let dir = std::env::temp_dir().join(format!("campaign-reser-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CampaignConfig {
+            grid: GridKind::Taxonomy.build(Family::ViSmp, 1024, 0),
+            rounds: 10,
+            ..small_cfg()
+        };
+        run_campaign(&dir, &cfg).unwrap();
+        assert_lines_reserialise(&blocks_path(&dir));
+
+        let estimate_dir = dir.join("estimate");
+        crate::estimate::run_estimate(
+            &Scenario::vi_uniprocessor(2048),
+            &crate::estimate::EstimateConfig {
+                max_rounds: 512,
+                store: Some(estimate_dir.clone()),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_lines_reserialise(&blocks_path(&estimate_dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_final_line_is_truncated_and_recomputed() {
         let dir = std::env::temp_dir().join(format!("campaign-torn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

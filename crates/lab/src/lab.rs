@@ -168,13 +168,21 @@ pub fn run_lab(cfg: &LabConfig) -> std::io::Result<LabReport> {
 
         // Give the attacker a head start into its spin loop.
         std::thread::sleep(Duration::from_millis(2));
-        if let Some((v, _)) = cpus {
-            let _ = pin_current_thread(v);
-        }
-        let outcome = match cfg.victim {
-            NativeVictim::Vi => vi_save(&save_cfg),
-            NativeVictim::Gedit => gedit_save(&save_cfg),
-        };
+        // The victim gets its own thread too, so pinning it leaves the
+        // caller's CPU mask (and so the next call's `pick_cpu_pair`) alone.
+        let victim_kind = cfg.victim;
+        let victim_cpu = cpus.map(|(v, _)| v);
+        let outcome = std::thread::spawn(move || {
+            if let Some(c) = victim_cpu {
+                let _ = pin_current_thread(c);
+            }
+            match victim_kind {
+                NativeVictim::Vi => vi_save(&save_cfg),
+                NativeVictim::Gedit => gedit_save(&save_cfg),
+            }
+        })
+        .join()
+        .expect("victim thread");
         stop.store(true, Ordering::Relaxed);
         let attack = attacker.join().expect("attacker thread");
 
@@ -228,6 +236,22 @@ mod tests {
         })
         .expect("lab runs");
         assert_eq!(report.counter.trials(), 3);
+    }
+
+    #[test]
+    fn consecutive_runs_on_one_thread_see_the_same_cpus() {
+        let cfg = LabConfig {
+            victim: NativeVictim::Gedit,
+            attacker: NativeAttacker::V2,
+            rounds: 2,
+            file_size: 4 * 1024,
+            round_timeout: Duration::from_millis(100),
+            ..LabConfig::default()
+        };
+        let first = run_lab(&cfg).expect("lab runs");
+        let second = run_lab(&cfg).expect("lab runs");
+        assert_eq!(first.cpus, second.cpus, "{first}{second}");
+        assert_eq!(first.cpus, pick_cpu_pair());
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! Output conventions match the real crate where they matter to this
 //! workspace: objects keep field order, floats print in Rust's shortest
 //! round-trip form, non-finite floats become `null`, and
-//! [`to_string_pretty`] indents with two spaces.
+//! [`to_string_pretty`] indents with two spaces. The parser, like the real
+//! one, rejects nesting deeper than 128 arrays or objects, decodes a `\u`
+//! surrogate pair to its one scalar and rejects a lone surrogate.
 
 #![warn(missing_docs)]
+
+#[cfg(test)]
+mod oracle;
 
 use serde::{Deserialize, Serialize};
 
@@ -72,27 +77,24 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 }
 
 // ---- writer ----------------------------------------------------------------
+//
+// Everything is written straight into the one output `String`: integers and
+// floats are formatted in place, and strings are copied a run at a time,
+// breaking only at a byte that needs an escape.
 
 fn write_value(out: &mut String, value: &Value, indent: Option<&str>, depth: usize) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Rust's Display is the shortest round-trip form. Ensure a
-                // decimal point (or exponent) so the token reads as a float.
-                let s = f.to_string();
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
             }
+            write_u64(out, i.unsigned_abs());
         }
+        Value::UInt(u) => write_u64(out, *u),
+        Value::Float(f) => write_f64(out, *f),
         Value::Str(s) => write_escaped(out, s),
         Value::Array(items) => {
             write_seq(
@@ -164,35 +166,100 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends the decimal digits of `u`, as `u.to_string()` would spell them.
+fn write_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+fn write_f64(out: &mut String, f: f64) {
+    use std::fmt::Write as _;
+    if !f.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    // Rust's Display is the shortest round-trip form. Ensure a decimal
+    // point (or exponent) so the token reads as a float.
+    let start = out.len();
+    write!(out, "{f}").expect("writing to a String cannot fail");
+    if !out.as_bytes()[start..]
+        .iter()
+        .any(|b| matches!(b, b'.' | b'e' | b'E'))
+    {
+        out.push_str(".0");
+    }
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    // Every byte that needs an escape is ASCII, so each break between runs
+    // falls on a char boundary.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 // ---- parser ----------------------------------------------------------------
 
+/// Arrays and objects nested deeper than this are rejected with an
+/// [`Error`] rather than recursing until the stack overflows. Upstream
+/// serde_json uses the same limit.
+const MAX_DEPTH: usize = 128;
+
+/// A recursive-descent parser over the input `&str`.
+///
+/// String runs without escapes are copied from the input in one slice.
+/// Container elements are parsed onto two scratch stacks shared by the
+/// whole parse, then moved out into one exactly sized `Vec` when the
+/// container closes, so a container costs one allocation however many
+/// elements it has.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
+    items: Vec<Value>,
+    fields: Vec<(String, Value)>,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
+        items: Vec::new(),
+        fields: Vec::new(),
     };
     let v = p.value()?;
     p.skip_ws();
@@ -202,7 +269,7 @@ fn parse_value(s: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -229,159 +296,203 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        self.skip_ws();
+    fn keyword(&mut self, kw: &str, value: Value) -> Result<Value, Error> {
         if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
-            true
+            Ok(value)
         } else {
-            false
+            Err(Error::new("invalid keyword"))
         }
     }
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek()? {
-            b'n' => {
-                if self.eat_keyword("null") {
-                    Ok(Value::Null)
-                } else {
-                    Err(Error::new("invalid keyword"))
-                }
-            }
-            b't' => {
-                if self.eat_keyword("true") {
-                    Ok(Value::Bool(true))
-                } else {
-                    Err(Error::new("invalid keyword"))
-                }
-            }
-            b'f' => {
-                if self.eat_keyword("false") {
-                    Ok(Value::Bool(false))
-                } else {
-                    Err(Error::new("invalid keyword"))
-                }
-            }
-            b'"' => self.string().map(Value::Str),
-            b'[' => {
+            b'n' => self.keyword("null", Value::Null),
+            b't' => self.keyword("true", Value::Bool(true)),
+            b'f' => self.keyword("false", Value::Bool(false)),
+            b'"' => {
                 self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(Error::new("expected `,` or `]` in array")),
-                    }
-                }
+                self.string().map(Value::Str)
             }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(Error::new("expected `,` or `}` in object")),
-                    }
-                }
-            }
+            b'[' => self.array(),
+            b'{' => self.object(),
             _ => self.number(),
         }
     }
 
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::new("unterminated string"))?;
+    /// Steps into a container, failing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), Error> {
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos - 1
+            )));
+        }
+        Ok(())
+    }
+
+    fn array(&mut self) -> Result<Value, Error> {
+        self.enter()?;
+        let base = self.items.len();
+        if self.peek()? == b']' {
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("non-ASCII \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid unicode scalar"))?,
-                            );
-                        }
-                        _ => return Err(Error::new("unknown escape")),
+        } else {
+            loop {
+                let item = self.value()?;
+                self.items.push(item);
+                match self.peek()? {
+                    b',' => self.pos += 1,
+                    b']' => {
+                        self.pos += 1;
+                        break;
                     }
-                }
-                _ => {
-                    // Re-decode multi-byte UTF-8 sequences from the source.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::new("truncated UTF-8 sequence"))?;
-                    out.push_str(
-                        std::str::from_utf8(chunk).map_err(|_| Error::new("invalid UTF-8"))?,
-                    );
-                    self.pos = end;
+                    _ => return Err(Error::new("expected `,` or `]` in array")),
                 }
             }
         }
+        self.depth -= 1;
+        Ok(Value::Array(self.items.drain(base..).collect()))
+    }
+
+    fn object(&mut self) -> Result<Value, Error> {
+        self.enter()?;
+        let base = self.fields.len();
+        if self.peek()? == b'}' {
+            self.pos += 1;
+        } else {
+            loop {
+                self.expect(b'"')?;
+                let key = self.string()?;
+                self.expect(b':')?;
+                let value = self.value()?;
+                self.fields.push((key, value));
+                match self.peek()? {
+                    b',' => self.pos += 1,
+                    b'}' => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(Error::new("expected `,` or `}` in object")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(Value::Object(self.fields.drain(base..).collect()))
+    }
+
+    /// Parses a string body; the opening quote is already consumed.
+    fn string(&mut self) -> Result<String, Error> {
+        let mut out = String::new();
+        loop {
+            let start = self.pos;
+            let end = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map(|n| start + n)
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            // Quotes and backslashes are ASCII, so `start..end` is a
+            // char-boundary slice of the input.
+            let run = &self.src[start..end];
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                if out.is_empty() {
+                    return Ok(run.to_owned());
+                }
+                out.push_str(run);
+                return Ok(out);
+            }
+            out.push_str(run);
+            self.escape(&mut out)?;
+        }
+    }
+
+    /// Decodes one escape; the backslash is already consumed.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        let esc = *self
+            .bytes
+            .get(self.pos)
+            .ok_or_else(|| Error::new("unterminated escape"))?;
+        self.pos += 1;
+        let c = match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => self.unicode_escape()?,
+            _ => return Err(Error::new("unknown escape")),
+        };
+        out.push(c);
+        Ok(())
+    }
+
+    /// Decodes the code point of a `\u` escape, joining a UTF-16
+    /// surrogate pair written as two escapes. A lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let lone = || Error::new("lone surrogate in \\u escape");
+        let code = match self.hex4()? {
+            high @ 0xd800..=0xdbff => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(lone());
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(lone());
+                }
+                0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+            }
+            0xdc00..=0xdfff => return Err(lone()),
+            code => code,
+        };
+        Ok(char::from_u32(code).expect("a non-surrogate code point is a scalar"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        let mut code = 0;
+        for &h in hex {
+            let digit = char::from(h)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
         let start = self.pos;
+        // Fast path: a plain unsigned integer that fits a u64, the bulk of
+        // every stored block. Anything else takes the general path below.
+        let mut end = start;
+        let mut acc = Some(0u64);
+        while let Some(&b @ b'0'..=b'9') = self.bytes.get(end) {
+            acc = acc.and_then(|a| a.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+            end += 1;
+        }
+        if let Some(u) = acc.filter(|_| end > start) {
+            if !matches!(self.bytes.get(end), Some(b'-' | b'+' | b'.' | b'e' | b'E')) {
+                self.pos = end;
+                return Ok(Value::UInt(u));
+            }
+        }
         while matches!(
             self.bytes.get(self.pos),
             Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
+        // The scan stops at ASCII bytes only, so this is a char boundary.
+        let text = &self.src[start..self.pos];
         if text.is_empty() {
             return Err(Error::new(format!("unexpected character at byte {start}")));
         }
@@ -400,15 +511,6 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| Error::new("invalid number"))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -476,5 +578,172 @@ mod tests {
     fn unicode_survives() {
         let v = parse_value("\"héllo — ≤µs\"").unwrap();
         assert_eq!(v, Value::Str("héllo — ≤µs".into()));
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_scalar() {
+        assert_eq!(
+            from_str::<Value>(r#""\ud83d\ude00""#),
+            Ok(Value::Str("\u{1f600}".into()))
+        );
+        assert_eq!(
+            from_str::<Value>(r#""a\uD834\uDD1Eb\u00e9""#),
+            Ok(Value::Str("a\u{1d11e}bé".into()))
+        );
+    }
+
+    #[test]
+    fn lone_surrogates_are_clean_errors() {
+        for text in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert!(err.to_string().contains("escape"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_depth_limit() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Far past the limit, unclosed, and through objects as well as
+        // arrays: an error, not a stack overflow.
+        assert!(parse_value(&"[".repeat(1_000_000)).is_err());
+        assert!(parse_value(&r#"{"a":"#.repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn numbers_outside_the_unsigned_fast_path_parse_as_before() {
+        for text in [
+            "0",
+            "007",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "1.5",
+            "1e3",
+            "2E-2",
+            "12-3",
+            "-0",
+            "+5",
+            "1.",
+            "-",
+        ] {
+            assert_eq!(parse_value(text), oracle::parse_value(text), "{text}");
+        }
+    }
+
+    #[test]
+    fn control_characters_escape_like_the_oracle() {
+        let all: String = (0u8..0x80).map(char::from).collect();
+        let v = Value::Str(all + "é—😀");
+        let mut out = String::new();
+        write_value(&mut out, &v, None, 0);
+        assert_eq!(out, oracle::to_text(&v, None));
+        // Bytes below 0x20 get a \u escape (lower-case hex); DEL does not.
+        assert!(out.contains(r##"\u001f !\"#"##), "{out}");
+        assert!(out.contains("~\u{7f}é—😀"), "{out}");
+    }
+
+    /// Random `Value` trees for the differential tests: bounded depth,
+    /// strings over a palette of escapes, control characters and one- to
+    /// four-byte UTF-8, and the integer and float edge cases.
+    struct Trees {
+        depth: u32,
+    }
+
+    const PALETTE: &str =
+        "aZ0 \"\\/\n\r\t\u{0}\u{8}\u{c}\u{1b}\u{1f}\u{7f}éµ—≤\u{ffff}😀\u{10ffff}";
+
+    fn tree(rng: &mut proptest::TestRng, depth: u32) -> Value {
+        let kinds = if depth == 0 { 6 } else { 8 };
+        match rng.next_below(kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.next_u64() & 1 == 1),
+            2 => Value::Int(match rng.next_below(4) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => -1,
+                _ => rng.next_u64() as i64,
+            }),
+            3 => Value::UInt(match rng.next_below(4) {
+                0 => u64::MAX,
+                1 => 0,
+                2 => rng.next_below(1000),
+                _ => rng.next_u64(),
+            }),
+            4 => Value::Float(match rng.next_below(9) {
+                0 => -0.0,
+                1 => f64::from_bits(1),
+                2 => f64::MIN_POSITIVE / 3.0,
+                3 => f64::NAN,
+                4 => f64::NEG_INFINITY,
+                5 => f64::MAX,
+                6 => rng.next_below(100) as f64,
+                7 => rng.next_unit_f64() * 1e-3,
+                _ => f64::from_bits(rng.next_u64()),
+            }),
+            5 => Value::Str(string(rng)),
+            6 => {
+                let n = rng.next_below(5) as usize;
+                Value::Array((0..n).map(|_| tree(rng, depth - 1)).collect())
+            }
+            _ => {
+                let n = rng.next_below(5) as usize;
+                Value::Object(
+                    (0..n)
+                        .map(|_| (string(rng), tree(rng, depth - 1)))
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    fn string(rng: &mut proptest::TestRng) -> String {
+        let palette: Vec<char> = PALETTE.chars().collect();
+        let n = rng.next_below(12) as usize;
+        (0..n)
+            .map(|_| palette[rng.next_below(palette.len() as u64) as usize])
+            .collect()
+    }
+
+    impl proptest::Strategy for Trees {
+        type Value = Value;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> Value {
+            tree(rng, self.depth)
+        }
+    }
+
+    fn text(value: &Value, indent: Option<&str>) -> String {
+        let mut out = String::new();
+        write_value(&mut out, value, indent, 0);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn writer_and_parser_match_the_oracle(v in Trees { depth: 4 }) {
+            for indent in [None, Some("  ")] {
+                let new = text(&v, indent);
+                proptest::prop_assert_eq!(&new, &oracle::to_text(&v, indent));
+                let parsed = parse_value(&new).map_err(proptest::TestCaseError::fail)?;
+                let expected = oracle::parse_value(&new).map_err(proptest::TestCaseError::fail)?;
+                // Debug spells out -0.0 and NaN, which `==` would blur.
+                proptest::prop_assert_eq!(format!("{parsed:?}"), format!("{expected:?}"));
+                // Writing what was parsed reproduces the text.
+                proptest::prop_assert_eq!(text(&parsed, indent), new);
+            }
+        }
     }
 }
