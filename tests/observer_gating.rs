@@ -1,31 +1,70 @@
 //! The observer gating contract.
 //!
-//! The EDGI defense, the race detector and window forensics read one
-//! shared check→use window table, which the kernel keeps whenever any of
-//! them is on. Stripping an observer must change nothing but that
-//! observer's own output: the round's outcome, every traced OS event and
-//! the EDGI denial count stay identical across the default machine,
-//! `without_detector()`, `without_forensics()`, `without_metrics()` and
-//! all three stripped at once. Detections are empty exactly when the
-//! detector is off.
+//! The kernel hands every scheduler, semaphore and syscall fact to the
+//! trace, metrics and spans; the EDGI defense, the race detector and
+//! window forensics read one shared check→use window table, which the
+//! kernel keeps whenever any of them is on. Stripping or arming an
+//! observer must change nothing but that observer's own output: the
+//! round's outcome, every traced OS event and the EDGI denial count stay
+//! identical across the default machine, `without_detector()`,
+//! `without_forensics()`, `without_metrics()`, all three stripped at
+//! once, `with_spans()`, and spans armed with the detector and metrics
+//! stripped. Each observer's own output — detections, the metrics
+//! snapshot, the span ring and the forensics snapshot — equals the
+//! all-armed reference whenever that observer is on and is empty when it
+//! is off.
 
-use tocttou::os::{DefensePolicy, MachineSpec};
+use tocttou::os::{DefensePolicy, ForensicsSnapshot, MachineSpec, MetricsSnapshot};
 use tocttou::workloads::Scenario;
 
 const SEEDS: [u64; 3] = [0x6A7E, 0x6A7F, 0x51DE];
 
-/// The five observer configurations, with whether the detector is armed.
-fn variants(machine: &MachineSpec) -> Vec<(&'static str, MachineSpec, bool)> {
+/// Which observers a machine variant arms.
+struct Armed {
+    detector: bool,
+    metrics: bool,
+    forensics: bool,
+    spans: bool,
+}
+
+/// The seven observer configurations. Spans need forensics, so the
+/// "spans stripped" variant keeps forensics armed.
+fn variants(machine: &MachineSpec) -> Vec<(&'static str, MachineSpec, Armed)> {
     let m = machine.clone();
+    let armed = |detector, metrics, forensics, spans| Armed {
+        detector,
+        metrics,
+        forensics,
+        spans,
+    };
+    let stripped = m
+        .clone()
+        .without_detector()
+        .without_forensics()
+        .without_metrics();
     vec![
-        ("default", m.clone(), true),
-        ("without_detector", m.clone().without_detector(), false),
-        ("without_forensics", m.clone().without_forensics(), true),
-        ("without_metrics", m.clone().without_metrics(), true),
+        ("default", m.clone(), armed(true, true, true, false)),
         (
-            "stripped",
-            m.without_detector().without_forensics().without_metrics(),
-            false,
+            "without_detector",
+            m.clone().without_detector(),
+            armed(false, true, true, false),
+        ),
+        (
+            "without_forensics",
+            m.clone().without_forensics(),
+            armed(true, true, false, false),
+        ),
+        (
+            "without_metrics",
+            m.clone().without_metrics(),
+            armed(true, false, true, false),
+        ),
+        ("stripped", stripped.clone(), armed(false, false, false, false)),
+        ("with_spans", m.with_spans(), armed(true, true, true, true)),
+        (
+            "spans_stripped",
+            stripped.with_spans(),
+            armed(false, false, true, true),
         ),
     ]
 }
@@ -47,16 +86,23 @@ fn scenarios() -> Vec<Scenario> {
 
 #[test]
 fn stripping_observers_changes_nothing_but_their_own_output() {
-    let (mut denials_seen, mut detections_seen) = (0, 0);
+    let (mut denials_seen, mut detections_seen, mut spans_seen) = (0, 0, 0);
     for base in scenarios() {
         for seed in SEEDS {
-            let (reference, ref_handles) = base.run_traced(seed);
-            let ref_trace: Vec<_> = ref_handles.kernel.trace().iter().cloned().collect();
-            let ref_denials = ref_handles.kernel.defense().denials();
-            let ref_detections: Vec<_> = ref_handles.kernel.detections().iter().cloned().collect();
+            let mut all = base.clone();
+            all.machine = all.machine.with_spans();
+            let (reference, ref_handles) = all.run_traced(seed);
+            let rk = &ref_handles.kernel;
+            let ref_trace: Vec<_> = rk.trace().iter().cloned().collect();
+            let ref_denials = rk.defense().denials();
+            let ref_detections: Vec<_> = rk.detections().iter().cloned().collect();
+            let ref_metrics = rk.metrics().snapshot();
+            let ref_spans: Vec<_> = rk.spans().ring().iter().copied().collect();
+            let ref_forensics = rk.forensics().snapshot();
             denials_seen += ref_denials;
             detections_seen += ref_detections.len();
-            for (label, machine, detect) in variants(&base.machine) {
+            spans_seen += ref_spans.len();
+            for (label, machine, on) in variants(&base.machine) {
                 let mut s = base.clone();
                 s.machine = machine;
                 let (result, handles) = s.run_traced(seed);
@@ -68,7 +114,7 @@ fn stripping_observers_changes_nothing_but_their_own_output() {
                     "{at}: traced OS events"
                 );
                 assert_eq!(k.defense().denials(), ref_denials, "{at}: EDGI denials");
-                if detect {
+                if on.detector {
                     assert!(
                         k.detections().iter().eq(ref_detections.iter()),
                         "{at}: detections"
@@ -76,6 +122,30 @@ fn stripping_observers_changes_nothing_but_their_own_output() {
                 } else {
                     assert!(k.detections().is_empty(), "{at}: detector is off");
                 }
+                let want_metrics = if on.metrics {
+                    ref_metrics.clone()
+                } else {
+                    MetricsSnapshot::default()
+                };
+                assert_eq!(k.metrics().snapshot(), want_metrics, "{at}: metrics");
+                if on.spans {
+                    assert!(
+                        k.spans().ring().iter().eq(ref_spans.iter()),
+                        "{at}: span ring"
+                    );
+                } else {
+                    assert!(k.spans().ring().is_empty(), "{at}: spans are off");
+                }
+                let want_forensics = if on.forensics {
+                    ref_forensics.clone()
+                } else {
+                    ForensicsSnapshot::default()
+                };
+                assert_eq!(
+                    k.forensics().snapshot(),
+                    want_forensics,
+                    "{at}: forensics"
+                );
             }
         }
     }
@@ -84,4 +154,5 @@ fn stripping_observers_changes_nothing_but_their_own_output() {
         "EDGI never fired: the contract went untested"
     );
     assert!(detections_seen > 0, "the detector never fired");
+    assert!(spans_seen > 0, "no span was recorded");
 }
