@@ -1,7 +1,15 @@
-//! Kernel trace events — the raw material of the paper-style event analysis.
+//! Kernel events — the raw material of the paper-style event analysis.
+//!
+//! The [`Kernel`](crate::kernel::Kernel) reports every scheduler,
+//! semaphore and syscall fact once, as a borrowed `KernelEvent`, to its one
+//! observer entry point, `Kernel::observe`. That call fans the fact out to
+//! the trace (as an owned [`OsEvent`], built only while the trace is
+//! enabled), the metrics and the spans.
 
+use crate::forensics::WindowClose;
 use crate::ids::{CpuId, Pid, SemId};
 use crate::process::SyscallName;
+use tocttou_sim::time::{SimDuration, SimTime};
 
 /// One kernel-level event, recorded with a timestamp in the kernel's
 /// [`Trace`](tocttou_sim::trace::Trace).
@@ -145,6 +153,96 @@ impl OsEvent {
             | OsEvent::Exit { pid } => Some(*pid),
             OsEvent::BgStart { .. } | OsEvent::BgEnd { .. } => None,
         }
+    }
+}
+
+/// One kernel fact as it happens, borrowed from the kernel's own state.
+///
+/// A fact its trace event tells in full, without allocating, travels as
+/// that event ([`Os`](KernelEvent::Os)). The other variants carry what the
+/// trace leaves out: the borrowed strings the trace copies only while it
+/// is enabled, and the intervals the kernel's clocks have already closed
+/// (`spawned`, `entered`, `waited`, `held`, `queued`), so no observer
+/// keeps an interval start of its own.
+#[derive(Debug)]
+pub(crate) enum KernelEvent<'a> {
+    /// A fact told in full by its (allocation-free) trace event.
+    Os(OsEvent),
+    Spawn {
+        pid: Pid,
+        name: &'a str,
+    },
+    /// A process spawned at `spawned` exited.
+    Exit {
+        pid: Pid,
+        spawned: SimTime,
+    },
+    SyscallEnter {
+        pid: Pid,
+        call: SyscallName,
+        path: Option<&'a str>,
+    },
+    /// The call `pid` entered at `entered` returned.
+    SyscallExit {
+        pid: Pid,
+        call: SyscallName,
+        ok: bool,
+        entered: SimTime,
+    },
+    /// A release handed the semaphore to `pid`, which waited `waited`
+    /// (traced as a [`OsEvent::SemAcquire`]).
+    SemHandoff {
+        pid: Pid,
+        sem: SemId,
+        waited: SimDuration,
+    },
+    /// `pid` released a semaphore it held for `held`.
+    SemRelease {
+        pid: Pid,
+        sem: SemId,
+        held: SimDuration,
+    },
+    /// A process was placed on a CPU after `queued` in the ready state.
+    Dispatch {
+        pid: Pid,
+        cpu: CpuId,
+        migrated: bool,
+        queued: SimDuration,
+    },
+    /// A process became runnable while a CPU was idle (untraced).
+    IdleWake,
+    /// A check-to-use window of `owner` on `path` closed (untraced).
+    Window {
+        owner: Pid,
+        path: &'a str,
+        close: WindowClose,
+    },
+}
+
+impl KernelEvent<'_> {
+    /// The owned trace record of this fact, if the trace shows it.
+    #[inline(always)]
+    pub(crate) fn into_trace(self) -> Option<OsEvent> {
+        Some(match self {
+            KernelEvent::Os(ev) => ev,
+            KernelEvent::Spawn { pid, name } => OsEvent::Spawn {
+                pid,
+                name: name.to_owned(),
+            },
+            KernelEvent::Exit { pid, .. } => OsEvent::Exit { pid },
+            KernelEvent::SyscallEnter { pid, call, path } => OsEvent::SyscallEnter {
+                pid,
+                call,
+                path: path.map(str::to_owned),
+            },
+            KernelEvent::SyscallExit { pid, call, ok, .. } => {
+                OsEvent::SyscallExit { pid, call, ok }
+            }
+            KernelEvent::SemHandoff { pid, sem, .. } => OsEvent::SemAcquire { pid, sem },
+            KernelEvent::SemRelease { pid, sem, .. } => OsEvent::SemRelease { pid, sem },
+            KernelEvent::Dispatch { pid, cpu, .. } => OsEvent::Dispatch { pid, cpu },
+            KernelEvent::IdleWake | KernelEvent::Window { .. } => return None,
+        })
     }
 }
 

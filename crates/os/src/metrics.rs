@@ -4,11 +4,15 @@
 //! victim's check-to-use window stays open, how often the attacker blocks
 //! on a per-inode `i_sem`, how the scheduler places wakeups on idle CPUs.
 //! This module makes those internals first-class: a [`KernelMetrics`]
-//! instance lives inside every [`Kernel`](crate::kernel::Kernel) and is fed
-//! by cheap, branch-gated hooks at the scheduler, semaphore, trap, VFS and
-//! syscall commit points. Nothing in the hot path allocates: counters are
-//! plain `u64`s, histograms are `Copy` arrays, and per-semaphore slots live
-//! in a `Vec` that a pooled kernel retains across rounds.
+//! instance lives inside every [`Kernel`](crate::kernel::Kernel) and reads
+//! the same kernel events as the trace and the spans (scheduler,
+//! semaphore, trap, VFS commit and syscall facts) through one gated
+//! `observe` call per event. Every latency it records is an interval the
+//! kernel has already closed: run-queue delay, semaphore wait and hold,
+//! syscall duration. The accumulator keeps no clock of its own. Nothing in
+//! the hot path allocates: counters are plain `u64`s, histograms are `Copy`
+//! arrays, and per-semaphore slots live in a `Vec` that a pooled kernel
+//! retains across rounds.
 //!
 //! At the end of a round, [`KernelMetrics::accumulate_into`] folds the
 //! accumulator into a running [`MetricsSnapshot`] (or
@@ -25,11 +29,12 @@
 //! [`MachineSpec::metrics`]: crate::machine::MachineSpec::metrics
 //! [`MachineSpec::without_metrics`]: crate::machine::MachineSpec::without_metrics
 
+use crate::event::{KernelEvent, OsEvent};
 use crate::ids::SemId;
 use crate::process::SyscallName;
 use serde::{DeError, Deserialize, Serialize, Value};
 use tocttou_sim::metrics::LatencyHistogram;
-use tocttou_sim::time::{SimDuration, SimTime};
+use tocttou_sim::time::SimTime;
 
 /// Monotonic scheduler/kernel event counters for one kernel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -154,21 +159,18 @@ impl MetricId {
 struct SemSlot {
     wait: LatencyHistogram,
     hold: LatencyHistogram,
-    /// When the current holder acquired the semaphore.
-    hold_since: SimTime,
 }
 
 impl SemSlot {
     const EMPTY: SemSlot = SemSlot {
         wait: LatencyHistogram::new(),
         hold: LatencyHistogram::new(),
-        hold_since: SimTime::ZERO,
     };
 }
 
 /// The live, kernel-resident metrics accumulator.
 ///
-/// Every hook is gated on `enabled`: a kernel built from
+/// Its one input is gated on `enabled`: a kernel built from
 /// [`without_metrics`](crate::machine::MachineSpec::without_metrics) pays
 /// one predictable branch per event and nothing else.
 #[derive(Debug, Clone)]
@@ -242,7 +244,7 @@ impl KernelMetrics {
         self.retain = retain;
     }
 
-    /// Whether hooks are recording.
+    /// Whether the accumulator is recording.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
@@ -283,83 +285,36 @@ impl KernelMetrics {
         &mut self.sems[idx]
     }
 
-    // --- hooks (called from the kernel hot path; all gated) ---------------
-
-    #[inline]
-    pub(crate) fn on_dispatch(&mut self, migrated: bool, queued: SimDuration) {
+    /// Folds one kernel fact into the counters and histograms. Every
+    /// interval arrives closed by the kernel's clocks; this accumulator
+    /// keeps none of its own.
+    #[inline(always)]
+    pub(crate) fn observe(&mut self, now: SimTime, ev: &KernelEvent<'_>) {
         if !self.enabled {
             return;
         }
-        self.counters.context_switches += 1;
-        self.counters.cpu_migrations += u64::from(migrated);
-        self.run_queue.record(queued);
-    }
-
-    #[inline]
-    pub(crate) fn on_idle_wake(&mut self) {
-        if self.enabled {
-            self.counters.idle_wakes += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_preempt(&mut self) {
-        if self.enabled {
-            self.counters.preemptions += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_trap(&mut self) {
-        if self.enabled {
-            self.counters.traps += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_vfs_op(&mut self) {
-        if self.enabled {
-            self.counters.vfs_ops += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_edgi_denial(&mut self) {
-        if self.enabled {
-            self.counters.edgi_denials += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_syscall_exit(&mut self, name: SyscallName, latency: SimDuration) {
-        if self.enabled {
-            self.syscalls[name.index()].record(latency);
-        }
-    }
-
-    /// A contended acquire completed: `waited` is enqueue-to-handoff.
-    #[inline]
-    pub(crate) fn on_sem_wait(&mut self, sem: SemId, waited: SimDuration) {
-        if self.enabled {
-            self.sem_slot(sem).wait.record(waited);
-        }
-    }
-
-    /// A process became the holder (uncontended or via handoff).
-    #[inline]
-    pub(crate) fn on_sem_acquired(&mut self, sem: SemId, now: SimTime) {
-        if self.enabled {
-            self.sem_slot(sem).hold_since = now;
-        }
-    }
-
-    /// The holder released the semaphore.
-    #[inline]
-    pub(crate) fn on_sem_released(&mut self, sem: SemId, now: SimTime) {
-        if self.enabled {
-            let slot = self.sem_slot(sem);
-            let held = now.saturating_since(slot.hold_since);
-            slot.hold.record(held);
+        let c = &mut self.counters;
+        match *ev {
+            KernelEvent::Dispatch {
+                migrated, queued, ..
+            } => {
+                c.context_switches += 1;
+                c.cpu_migrations += u64::from(migrated);
+                self.run_queue.record(queued);
+            }
+            KernelEvent::IdleWake => c.idle_wakes += 1,
+            KernelEvent::Os(OsEvent::Preempt { .. }) => c.preemptions += 1,
+            // Counts trap-phase starts; like the trace, a preempted trap
+            // phase counts again on resume.
+            KernelEvent::Os(OsEvent::Trap { .. }) => c.traps += 1,
+            KernelEvent::Os(OsEvent::Commit { .. }) => c.vfs_ops += 1,
+            KernelEvent::Os(OsEvent::DefenseDenied { .. }) => c.edgi_denials += 1,
+            KernelEvent::SyscallExit { call, entered, .. } => {
+                self.syscalls[call.index()].record(now.saturating_since(entered));
+            }
+            KernelEvent::SemHandoff { sem, waited, .. } => self.sem_slot(sem).wait.record(waited),
+            KernelEvent::SemRelease { sem, held, .. } => self.sem_slot(sem).hold.record(held),
+            _ => {}
         }
     }
 
@@ -523,9 +478,50 @@ impl Deserialize for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{CpuId, Pid};
+    use tocttou_sim::time::SimDuration;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
+    }
+
+    fn dispatch(migrated: bool, queued: SimDuration) -> KernelEvent<'static> {
+        KernelEvent::Dispatch {
+            pid: Pid(0),
+            cpu: CpuId(0),
+            migrated,
+            queued,
+        }
+    }
+
+    fn wait(sem: SemId, waited: SimDuration) -> KernelEvent<'static> {
+        KernelEvent::SemHandoff {
+            pid: Pid(0),
+            sem,
+            waited,
+        }
+    }
+
+    fn hold(sem: SemId, held: SimDuration) -> KernelEvent<'static> {
+        KernelEvent::SemRelease {
+            pid: Pid(0),
+            sem,
+            held,
+        }
+    }
+
+    /// Feeds `evs` at time zero, plus one `call` of `latency`.
+    fn feed(m: &mut KernelMetrics, call: SyscallName, latency: SimDuration, evs: &[KernelEvent]) {
+        for ev in evs {
+            m.observe(SimTime::ZERO, ev);
+        }
+        let exit = KernelEvent::SyscallExit {
+            pid: Pid(0),
+            call,
+            ok: true,
+            entered: SimTime::from_micros(100),
+        };
+        m.observe(SimTime::from_micros(100) + latency, &exit);
     }
 
     #[test]
@@ -550,11 +546,12 @@ mod tests {
     #[test]
     fn disabled_metrics_record_nothing() {
         let mut m = KernelMetrics::new(false);
-        m.on_dispatch(true, us(5));
-        m.on_idle_wake();
-        m.on_syscall_exit(SyscallName::Stat, us(4));
-        m.on_sem_acquired(SemId(0), SimTime::ZERO);
-        m.on_sem_released(SemId(0), SimTime::from_micros(9));
+        let evs = [
+            dispatch(true, us(5)),
+            KernelEvent::IdleWake,
+            hold(SemId(0), us(9)),
+        ];
+        feed(&mut m, SyscallName::Stat, us(4), &evs);
         let snap = m.snapshot();
         assert_eq!(snap.counters, SchedCounters::default());
         assert!(snap.hists.is_empty());
@@ -563,10 +560,8 @@ mod tests {
     #[test]
     fn snapshot_is_key_sorted_and_skips_empty() {
         let mut m = KernelMetrics::new(true);
-        m.on_sem_acquired(SemId(2), SimTime::ZERO);
-        m.on_sem_released(SemId(2), SimTime::from_micros(7));
-        m.on_syscall_exit(SyscallName::Unlink, us(30));
-        m.on_dispatch(false, us(0));
+        let evs = [hold(SemId(2), us(7)), dispatch(false, us(0))];
+        feed(&mut m, SyscallName::Unlink, us(30), &evs);
         let snap = m.snapshot();
         let keys: Vec<_> = snap.hists.iter().map(|&(k, _)| k).collect();
         let mut sorted = keys.clone();
@@ -581,12 +576,18 @@ mod tests {
     #[test]
     fn merge_is_order_independent_across_disjoint_and_shared_keys() {
         let mut a = KernelMetrics::new(true);
-        a.on_syscall_exit(SyscallName::Stat, us(4));
-        a.on_dispatch(true, us(1));
+        feed(&mut a, SyscallName::Stat, us(4), &[dispatch(true, us(1))]);
         let mut b = KernelMetrics::new(true);
-        b.on_syscall_exit(SyscallName::Stat, us(8));
-        b.on_sem_wait(SemId(0), us(12));
-        b.on_preempt();
+        let preempt = KernelEvent::Os(OsEvent::Preempt {
+            pid: Pid(0),
+            cpu: CpuId(0),
+        });
+        feed(
+            &mut b,
+            SyscallName::Stat,
+            us(8),
+            &[wait(SemId(0), us(12)), preempt],
+        );
 
         let (sa, sb) = (a.snapshot(), b.snapshot());
         let mut ab = sa.clone();
@@ -629,13 +630,20 @@ mod tests {
     #[test]
     fn snapshot_serde_round_trip_is_exact() {
         let mut m = KernelMetrics::new(true);
-        m.on_syscall_exit(SyscallName::Stat, us(4));
-        m.on_dispatch(true, us(1));
-        m.on_sem_wait(SemId(2), us(12));
-        m.on_sem_acquired(SemId(2), SimTime::ZERO);
-        m.on_sem_released(SemId(2), SimTime::from_micros(9));
-        m.on_preempt();
-        m.on_trap();
+        let evs = [
+            dispatch(true, us(1)),
+            wait(SemId(2), us(12)),
+            hold(SemId(2), us(9)),
+            KernelEvent::Os(OsEvent::Preempt {
+                pid: Pid(0),
+                cpu: CpuId(0),
+            }),
+            KernelEvent::Os(OsEvent::Trap {
+                pid: Pid(0),
+                dur: us(3),
+            }),
+        ];
+        feed(&mut m, SyscallName::Stat, us(4), &evs);
         let snap = m.snapshot();
         let back = MetricsSnapshot::deserialize_value(&snap.serialize_value()).unwrap();
         assert_eq!(back, snap);
@@ -648,11 +656,21 @@ mod tests {
     #[test]
     fn hold_time_spans_acquire_to_release() {
         let mut m = KernelMetrics::new(true);
-        m.on_sem_acquired(SemId(1), SimTime::from_micros(10));
-        m.on_sem_released(SemId(1), SimTime::from_micros(25));
+        let mut sems = crate::sem::SemTable::new();
+        assert!(sems.acquire_or_enqueue(SemId(1), Pid(3), SimTime::from_micros(10)));
+        let (held, _) = sems.release(SemId(1), Pid(3), SimTime::from_micros(25));
+        m.observe(SimTime::from_micros(25), &hold(SemId(1), held));
         let h = m.sem_hold_hist(SemId(1)).unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum_ns(), 15_000);
         assert!(m.sem_wait_hist(SemId(1)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn syscall_latency_runs_from_entry_to_exit() {
+        let mut m = KernelMetrics::new(true);
+        feed(&mut m, SyscallName::Rename, us(42), &[]);
+        let h = m.syscall_hist(SyscallName::Rename);
+        assert_eq!((h.count(), h.sum_ns()), (1, 42_000));
     }
 }

@@ -454,11 +454,14 @@ pub(crate) struct Process {
     pub(crate) mapped_pages: PageSet,
     /// Remaining time slice when preempted/paused.
     pub(crate) slice_remaining: SimDuration,
-    /// The CPU this process last ran on (metrics: migration detection).
+    /// The CPU this process last ran on (to detect migrations).
     pub(crate) last_cpu: Option<CpuId>,
-    /// When this process last became runnable (metrics: run-queue delay).
+    /// When this process was spawned (start of its lifetime).
+    pub(crate) spawned: SimTime,
+    /// When this process last became runnable (start of its run-queue
+    /// delay).
     pub(crate) ready_since: SimTime,
-    /// When this process last blocked on a semaphore (metrics: wait time).
+    /// When this process last blocked on a semaphore (start of its wait).
     pub(crate) sem_wait_since: SimTime,
 }
 
@@ -466,7 +469,7 @@ pub(crate) struct Process {
 pub(crate) struct PendingSyscall {
     pub(crate) name: SyscallName,
     pub(crate) ret: Option<Result<RetVal, OsError>>,
-    /// When the call entered the kernel (metrics: syscall latency).
+    /// When the call entered the kernel (start of its latency).
     pub(crate) entered: SimTime,
 }
 
@@ -518,6 +521,7 @@ impl Process {
             mapped_pages,
             slice_remaining: SimDuration::ZERO,
             last_cpu: None,
+            spawned: SimTime::ZERO,
             ready_since: SimTime::ZERO,
             sem_wait_since: SimTime::ZERO,
         }

@@ -9,10 +9,14 @@
 
 use crate::ids::{Pid, SemId};
 use std::collections::VecDeque;
+use tocttou_sim::time::{SimDuration, SimTime};
 
 #[derive(Debug, Clone, Default)]
 struct SemState {
     holder: Option<Pid>,
+    /// When the current holder acquired (directly or by hand-off): the
+    /// one clock behind every reported hold time.
+    hold_since: SimTime,
     waiters: VecDeque<Pid>,
 }
 
@@ -55,14 +59,14 @@ impl SemTable {
         self.sems.get(sem.index()).map_or(0, |s| s.waiters.len())
     }
 
-    /// Attempts to acquire; on contention the caller is appended to the FIFO
-    /// wait queue. Returns `true` if acquired immediately.
+    /// Attempts to acquire at `now`; on contention the caller is appended
+    /// to the FIFO wait queue. Returns `true` if acquired immediately.
     ///
     /// # Panics
     ///
     /// Panics if `pid` already holds or already waits on the semaphore
     /// (recursive acquisition is a kernel bug, not a runtime condition).
-    pub fn acquire_or_enqueue(&mut self, sem: SemId, pid: Pid) -> bool {
+    pub fn acquire_or_enqueue(&mut self, sem: SemId, pid: Pid, now: SimTime) -> bool {
         let state = self.ensure(sem);
         assert_ne!(state.holder, Some(pid), "{pid} re-acquiring {sem}");
         assert!(
@@ -71,6 +75,7 @@ impl SemTable {
         );
         if state.holder.is_none() {
             state.holder = Some(pid);
+            state.hold_since = now;
             true
         } else {
             state.waiters.push_back(pid);
@@ -78,19 +83,21 @@ impl SemTable {
         }
     }
 
-    /// Releases the semaphore and hands it to the next FIFO waiter, whose
-    /// pid is returned so the scheduler can wake it. The hand-off is
-    /// immediate: the waiter becomes the holder at release time (no
-    /// barging).
+    /// Releases the semaphore at `now` and hands it to the next FIFO
+    /// waiter. Returns how long `pid` held it and the new holder, whom the
+    /// scheduler must wake. The hand-off is immediate: the waiter becomes
+    /// the holder at release time (no barging).
     ///
     /// # Panics
     ///
     /// Panics if `pid` is not the current holder.
-    pub fn release(&mut self, sem: SemId, pid: Pid) -> Option<Pid> {
+    pub fn release(&mut self, sem: SemId, pid: Pid, now: SimTime) -> (SimDuration, Option<Pid>) {
         let state = self.ensure(sem);
         assert_eq!(state.holder, Some(pid), "{pid} releasing un-held {sem}");
+        let held = now.saturating_since(state.hold_since);
         state.holder = state.waiters.pop_front();
-        state.holder
+        state.hold_since = now;
+        (held, state.holder)
     }
 
     /// Removes a waiter (e.g. a process killed while blocked).
@@ -132,48 +139,62 @@ impl SemTable {
 mod tests {
     use super::*;
 
+    const T0: SimTime = SimTime::ZERO;
+
     #[test]
     fn reset_behaves_like_fresh_table() {
         let mut t = SemTable::new();
-        assert!(t.acquire_or_enqueue(SemId(2), Pid(1)));
-        assert!(!t.acquire_or_enqueue(SemId(2), Pid(2)));
+        assert!(t.acquire_or_enqueue(SemId(2), Pid(1), T0));
+        assert!(!t.acquire_or_enqueue(SemId(2), Pid(2), T0));
         t.reset();
         assert!(!t.is_held(SemId(2)));
         assert_eq!(t.waiter_count(SemId(2)), 0);
         assert!(t.held_by(Pid(1)).is_empty());
-        assert!(t.acquire_or_enqueue(SemId(2), Pid(3)), "slot reusable");
+        assert!(t.acquire_or_enqueue(SemId(2), Pid(3), T0), "slot reusable");
     }
 
     #[test]
     fn uncontended_acquire() {
         let mut t = SemTable::new();
-        assert!(t.acquire_or_enqueue(SemId(0), Pid(1)));
+        assert!(t.acquire_or_enqueue(SemId(0), Pid(1), T0));
         assert!(t.is_held(SemId(0)));
         assert_eq!(t.holder(SemId(0)), Some(Pid(1)));
-        assert_eq!(t.release(SemId(0), Pid(1)), None);
+        assert_eq!(t.release(SemId(0), Pid(1), T0).1, None);
         assert!(!t.is_held(SemId(0)));
     }
 
     #[test]
     fn fifo_handoff_order() {
         let mut t = SemTable::new();
-        assert!(t.acquire_or_enqueue(SemId(3), Pid(1)));
-        assert!(!t.acquire_or_enqueue(SemId(3), Pid(2)));
-        assert!(!t.acquire_or_enqueue(SemId(3), Pid(3)));
+        assert!(t.acquire_or_enqueue(SemId(3), Pid(1), T0));
+        assert!(!t.acquire_or_enqueue(SemId(3), Pid(2), T0));
+        assert!(!t.acquire_or_enqueue(SemId(3), Pid(3), T0));
         assert_eq!(t.waiter_count(SemId(3)), 2);
         // Strict FIFO: 2 before 3.
-        assert_eq!(t.release(SemId(3), Pid(1)), Some(Pid(2)));
+        assert_eq!(t.release(SemId(3), Pid(1), T0).1, Some(Pid(2)));
         assert_eq!(t.holder(SemId(3)), Some(Pid(2)));
-        assert_eq!(t.release(SemId(3), Pid(2)), Some(Pid(3)));
-        assert_eq!(t.release(SemId(3), Pid(3)), None);
+        assert_eq!(t.release(SemId(3), Pid(2), T0).1, Some(Pid(3)));
+        assert_eq!(t.release(SemId(3), Pid(3), T0).1, None);
+    }
+
+    #[test]
+    fn hold_times_run_from_acquire_or_hand_off() {
+        let us = SimTime::from_micros;
+        let mut t = SemTable::new();
+        assert!(t.acquire_or_enqueue(SemId(1), Pid(1), us(10)));
+        assert!(!t.acquire_or_enqueue(SemId(1), Pid(2), us(12)));
+        let (held, next) = t.release(SemId(1), Pid(1), us(25));
+        assert_eq!((held, next), (SimDuration::from_micros(15), Some(Pid(2))));
+        let (held, next) = t.release(SemId(1), Pid(2), us(31));
+        assert_eq!((held, next), (SimDuration::from_micros(6), None));
     }
 
     #[test]
     fn independent_semaphores() {
         let mut t = SemTable::new();
-        assert!(t.acquire_or_enqueue(SemId(0), Pid(1)));
+        assert!(t.acquire_or_enqueue(SemId(0), Pid(1), T0));
         assert!(
-            t.acquire_or_enqueue(SemId(1), Pid(2)),
+            t.acquire_or_enqueue(SemId(1), Pid(2), T0),
             "different sem is free"
         );
     }
@@ -181,20 +202,20 @@ mod tests {
     #[test]
     fn cancel_wait_removes_waiter() {
         let mut t = SemTable::new();
-        t.acquire_or_enqueue(SemId(0), Pid(1));
-        t.acquire_or_enqueue(SemId(0), Pid(2));
-        t.acquire_or_enqueue(SemId(0), Pid(3));
+        t.acquire_or_enqueue(SemId(0), Pid(1), T0);
+        t.acquire_or_enqueue(SemId(0), Pid(2), T0);
+        t.acquire_or_enqueue(SemId(0), Pid(3), T0);
         assert!(t.cancel_wait(SemId(0), Pid(2)));
         assert!(!t.cancel_wait(SemId(0), Pid(2)), "already removed");
-        assert_eq!(t.release(SemId(0), Pid(1)), Some(Pid(3)));
+        assert_eq!(t.release(SemId(0), Pid(1), T0).1, Some(Pid(3)));
     }
 
     #[test]
     fn held_by_lists_holdings() {
         let mut t = SemTable::new();
-        t.acquire_or_enqueue(SemId(0), Pid(9));
-        t.acquire_or_enqueue(SemId(2), Pid(9));
-        t.acquire_or_enqueue(SemId(1), Pid(4));
+        t.acquire_or_enqueue(SemId(0), Pid(9), T0);
+        t.acquire_or_enqueue(SemId(2), Pid(9), T0);
+        t.acquire_or_enqueue(SemId(1), Pid(4), T0);
         assert_eq!(t.held_by(Pid(9)), vec![SemId(0), SemId(2)]);
         assert_eq!(t.held_by(Pid(4)), vec![SemId(1)]);
         assert!(t.held_by(Pid(5)).is_empty());
@@ -204,15 +225,15 @@ mod tests {
     #[should_panic(expected = "re-acquiring")]
     fn recursive_acquire_panics() {
         let mut t = SemTable::new();
-        t.acquire_or_enqueue(SemId(0), Pid(1));
-        t.acquire_or_enqueue(SemId(0), Pid(1));
+        t.acquire_or_enqueue(SemId(0), Pid(1), T0);
+        t.acquire_or_enqueue(SemId(0), Pid(1), T0);
     }
 
     #[test]
     #[should_panic(expected = "releasing un-held")]
     fn foreign_release_panics() {
         let mut t = SemTable::new();
-        t.acquire_or_enqueue(SemId(0), Pid(1));
-        t.release(SemId(0), Pid(2));
+        t.acquire_or_enqueue(SemId(0), Pid(1), T0);
+        t.release(SemId(0), Pid(2), T0);
     }
 }

@@ -1,10 +1,13 @@
 //! The kernel-side span tracker: opens and closes causal spans.
 //!
 //! [`SpanRing`](tocttou_sim::span::SpanRing) stores completed intervals;
-//! this module owns the bookkeeping that turns kernel events into them —
-//! which span id is a process's lifetime, which syscall span is currently
-//! executing for a pid (so semaphore waits and holds can hang off it), and
-//! when each interval opened. The causal hierarchy is:
+//! this module turns kernel events into them. It reads the same events as
+//! the trace and the metrics, and every interval arrives closed by the
+//! kernel's own clocks (lifetime, syscall, run-queue delay, semaphore wait
+//! and hold), so the tracker keeps only what it alone owns: the span ids —
+//! which id is a process's lifetime, and which syscall span is currently
+//! executing for a pid (so semaphore waits and holds can hang off it). The
+//! causal hierarchy is:
 //!
 //! ```text
 //! process ─┬─ syscall ─┬─ sem_wait
@@ -13,17 +16,17 @@
 //!          └─ window (check-syscall span is the parent)
 //! ```
 //!
-//! Spans are **off by default** ([`MachineSpec::spans`]): every hook is
-//! gated on the ring's enabled switch, so Monte-Carlo rounds pay one
-//! predictable branch per event. Exhibits arm them with
+//! Spans are **off by default** ([`MachineSpec::spans`]): the tracker's one
+//! input is gated on the ring's enabled switch, so Monte-Carlo rounds pay
+//! one predictable branch per event. Exhibits arm them with
 //! [`MachineSpec::with_spans`] and read the ring (plus the forensics event
 //! log) to draw timelines and Perfetto tracks.
 //!
 //! [`MachineSpec::spans`]: crate::machine::MachineSpec::spans
 //! [`MachineSpec::with_spans`]: crate::machine::MachineSpec::with_spans
 
-use crate::forensics::WindowClose;
-use crate::ids::{CpuId, Pid, SemId};
+use crate::event::KernelEvent;
+use crate::ids::Pid;
 use tocttou_sim::span::{Span, SpanId, SpanKind, SpanRing};
 use tocttou_sim::time::{SimDuration, SimTime};
 
@@ -42,38 +45,24 @@ pub fn path_hash(path: &str) -> u64 {
     h
 }
 
-/// Per-process span bookkeeping.
+/// The span ids a process has open: its lifetime and its executing
+/// syscall.
 #[derive(Debug, Clone, Copy)]
 struct ProcCtx {
     life: SpanId,
-    life_start: SimTime,
     syscall: SpanId,
-    syscall_start: SimTime,
-    syscall_aux: u64,
-    sem_wait_since: SimTime,
 }
 
 impl ProcCtx {
     const EMPTY: ProcCtx = ProcCtx {
         life: SpanId::NONE,
-        life_start: SimTime::ZERO,
         syscall: SpanId::NONE,
-        syscall_start: SimTime::ZERO,
-        syscall_aux: 0,
-        sem_wait_since: SimTime::ZERO,
     };
 }
 
-/// Per-semaphore span bookkeeping (when the current holder acquired).
-#[derive(Debug, Clone, Copy)]
-struct SemCtx {
-    hold_since: SimTime,
-}
-
-impl SemCtx {
-    const EMPTY: SemCtx = SemCtx {
-        hold_since: SimTime::ZERO,
-    };
+/// `end` minus `dur`: the start of an interval the kernel closed at `end`.
+fn start_of(end: SimTime, dur: SimDuration) -> SimTime {
+    SimTime::from_nanos(end.as_nanos().saturating_sub(dur.as_nanos()))
 }
 
 /// The live, kernel-resident span tracker.
@@ -81,7 +70,6 @@ impl SemCtx {
 pub struct SpanTracker {
     ring: SpanRing,
     procs: Vec<ProcCtx>,
-    sems: Vec<SemCtx>,
 }
 
 impl Default for SpanTracker {
@@ -100,11 +88,10 @@ impl SpanTracker {
                 SpanRing::disabled()
             },
             procs: Vec::new(),
-            sems: Vec::new(),
         }
     }
 
-    /// Whether hooks are recording.
+    /// Whether the tracker is recording.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.ring.is_enabled()
@@ -116,8 +103,8 @@ impl SpanTracker {
     }
 
     /// Rearms the tracker for a fresh round: the ring restarts (ids at 0,
-    /// zero drops) and all open-interval bookkeeping is dropped, so pooled
-    /// reuse can never leak a prior round's spans or parents.
+    /// zero drops) and every open span id is dropped, so pooled reuse can
+    /// never leak a prior round's spans or parents.
     pub(crate) fn reset(&mut self, enabled: bool) {
         self.ring.reset();
         if enabled {
@@ -126,7 +113,6 @@ impl SpanTracker {
             self.ring.disable();
         }
         self.procs.clear();
-        self.sems.clear();
     }
 
     /// The span of the syscall `pid` is currently executing, or
@@ -147,192 +133,161 @@ impl SpanTracker {
         &mut self.procs[idx]
     }
 
-    #[inline]
-    fn sem_ctx(&mut self, sem: SemId) -> &mut SemCtx {
-        let idx = sem.index();
-        if idx >= self.sems.len() {
-            self.sems.resize(idx + 1, SemCtx::EMPTY);
-        }
-        &mut self.sems[idx]
-    }
-
-    // --- hooks (called from the kernel hot path; all gated) ---------------
-
-    /// A process was spawned: opens its lifetime span.
-    #[inline]
-    pub(crate) fn on_spawn(&mut self, pid: Pid, now: SimTime) {
+    /// Turns one kernel fact into span bookkeeping: a spawn or syscall
+    /// entry allocates the span's id, and the closing event records the
+    /// interval the kernel timed.
+    #[inline(always)]
+    pub(crate) fn observe(&mut self, now: SimTime, ev: &KernelEvent<'_>) {
         if !self.ring.is_enabled() {
             return;
         }
-        let life = self.ring.alloc();
-        let ctx = self.proc_ctx(pid);
-        ctx.life = life;
-        ctx.life_start = now;
-    }
-
-    /// A process exited: closes its lifetime span.
-    #[inline]
-    pub(crate) fn on_exit(&mut self, pid: Pid, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
+        match *ev {
+            KernelEvent::Spawn { pid, .. } => {
+                let life = self.ring.alloc();
+                self.proc_ctx(pid).life = life;
+            }
+            KernelEvent::Exit { pid, spawned } => {
+                let ctx = std::mem::replace(self.proc_ctx(pid), ProcCtx::EMPTY);
+                if !ctx.life.is_none() {
+                    self.ring.push(Span {
+                        id: ctx.life,
+                        parent: SpanId::NONE,
+                        kind: SpanKind::Process,
+                        pid: pid.0,
+                        aux: 0,
+                        start: spawned,
+                        end: now,
+                    });
+                }
+            }
+            KernelEvent::SyscallEnter { pid, .. } => {
+                let id = self.ring.alloc();
+                self.proc_ctx(pid).syscall = id;
+            }
+            // `aux` is the syscall table index.
+            KernelEvent::SyscallExit {
+                pid, call, entered, ..
+            } => {
+                let ctx = self.proc_ctx(pid);
+                let (id, parent) = (ctx.syscall, ctx.life);
+                ctx.syscall = SpanId::NONE;
+                if !id.is_none() {
+                    self.ring.push(Span {
+                        id,
+                        parent,
+                        kind: SpanKind::Syscall,
+                        pid: pid.0,
+                        aux: call.index() as u64,
+                        start: entered,
+                        end: now,
+                    });
+                }
+            }
+            // `aux` is the CPU dispatched onto.
+            KernelEvent::Dispatch {
+                pid, cpu, queued, ..
+            } => {
+                let parent = self.proc_ctx(pid).life;
+                let start = start_of(now, queued);
+                let aux = u64::from(cpu.0);
+                self.ring
+                    .record(SpanKind::RunQueue, pid.0, aux, parent, start, now);
+            }
+            // Semaphore spans hang off the syscall that blocked or held;
+            // `aux` is the semaphore id.
+            KernelEvent::SemHandoff { pid, sem, waited } => {
+                let parent = self.current_syscall(pid);
+                let start = start_of(now, waited);
+                let aux = u64::from(sem.0);
+                self.ring
+                    .record(SpanKind::SemWait, pid.0, aux, parent, start, now);
+            }
+            KernelEvent::SemRelease { pid, sem, held } => {
+                let parent = self.current_syscall(pid);
+                let start = start_of(now, held);
+                let aux = u64::from(sem.0);
+                self.ring
+                    .record(SpanKind::SemHold, pid.0, aux, parent, start, now);
+            }
+            // The attack window hangs off the syscall whose commit opened
+            // it; `aux` is a stable path hash.
+            KernelEvent::Window { owner, path, close } => {
+                self.ring.record(
+                    SpanKind::Window,
+                    owner.0,
+                    path_hash(path),
+                    close.check_span,
+                    close.t_check,
+                    close.t_use,
+                );
+            }
+            _ => {}
         }
-        let ctx = *self.proc_ctx(pid);
-        if !ctx.life.is_none() {
-            self.ring.push(Span {
-                id: ctx.life,
-                parent: SpanId::NONE,
-                kind: SpanKind::Process,
-                pid: pid.0,
-                aux: 0,
-                start: ctx.life_start,
-                end: now,
-            });
-        }
-        *self.proc_ctx(pid) = ProcCtx::EMPTY;
-    }
-
-    /// A syscall entered execution: opens its span (`aux` is the syscall
-    /// table index).
-    #[inline]
-    pub(crate) fn on_syscall_enter(&mut self, pid: Pid, syscall_index: usize, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        let id = self.ring.alloc();
-        let ctx = self.proc_ctx(pid);
-        ctx.syscall = id;
-        ctx.syscall_start = now;
-        ctx.syscall_aux = syscall_index as u64;
-    }
-
-    /// The executing syscall returned: closes its span under the process
-    /// lifetime.
-    #[inline]
-    pub(crate) fn on_syscall_exit(&mut self, pid: Pid, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        let ctx = *self.proc_ctx(pid);
-        if !ctx.syscall.is_none() {
-            self.ring.push(Span {
-                id: ctx.syscall,
-                parent: ctx.life,
-                kind: SpanKind::Syscall,
-                pid: pid.0,
-                aux: ctx.syscall_aux,
-                start: ctx.syscall_start,
-                end: now,
-            });
-        }
-        self.proc_ctx(pid).syscall = SpanId::NONE;
-    }
-
-    /// A dispatch landed: records the run-queue delay interval that just
-    /// ended (`aux` is the CPU dispatched onto).
-    #[inline]
-    pub(crate) fn on_dispatch(&mut self, pid: Pid, cpu: CpuId, queued: SimDuration, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        let parent = self.proc_ctx(pid).life;
-        self.ring.record(
-            SpanKind::RunQueue,
-            pid.0,
-            u64::from(cpu.0),
-            parent,
-            SimTime::from_nanos(now.as_nanos().saturating_sub(queued.as_nanos())),
-            now,
-        );
-    }
-
-    /// A contended acquire enqueued: opens the wait interval.
-    #[inline]
-    pub(crate) fn on_sem_enqueue(&mut self, pid: Pid, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        self.proc_ctx(pid).sem_wait_since = now;
-    }
-
-    /// A hand-off completed: closes the wait span under the blocked
-    /// syscall (`aux` is the semaphore id).
-    #[inline]
-    pub(crate) fn on_sem_wait_end(&mut self, pid: Pid, sem: SemId, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        let ctx = *self.proc_ctx(pid);
-        self.ring.record(
-            SpanKind::SemWait,
-            pid.0,
-            u64::from(sem.0),
-            ctx.syscall,
-            ctx.sem_wait_since,
-            now,
-        );
-    }
-
-    /// A process became the holder: opens the hold interval.
-    #[inline]
-    pub(crate) fn on_sem_acquired(&mut self, sem: SemId, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        self.sem_ctx(sem).hold_since = now;
-    }
-
-    /// The holder released: closes the hold span under the holder's
-    /// syscall (`aux` is the semaphore id).
-    #[inline]
-    pub(crate) fn on_sem_released(&mut self, pid: Pid, sem: SemId, now: SimTime) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        let parent = self.current_syscall(pid);
-        let since = self.sem_ctx(sem).hold_since;
-        self.ring.record(
-            SpanKind::SemHold,
-            pid.0,
-            u64::from(sem.0),
-            parent,
-            since,
-            now,
-        );
-    }
-
-    /// A forensics window closed: records the attack-window span under the
-    /// syscall whose commit opened it (`aux` is a stable path hash).
-    #[inline]
-    pub(crate) fn on_window(&mut self, owner: Pid, path: &str, close: WindowClose) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        self.ring.record(
-            SpanKind::Window,
-            owner.0,
-            path_hash(path),
-            close.check_span,
-            close.t_check,
-            close.t_use,
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::OsEvent;
+    use crate::forensics::WindowClose;
+    use crate::ids::{CpuId, SemId};
+    use crate::process::SyscallName;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1_000)
     }
 
+    fn us(n: u64) -> SimDuration {
+        SimDuration::from_micros(n)
+    }
+
+    /// Feeds `evs` in order, each at its time (in µs).
+    fn feed(tr: &mut SpanTracker, evs: &[(u64, KernelEvent)]) {
+        for (at, ev) in evs {
+            tr.observe(t(*at), ev);
+        }
+    }
+
+    fn spawn(pid: Pid) -> KernelEvent<'static> {
+        KernelEvent::Spawn { pid, name: "p" }
+    }
+
+    fn exit(pid: Pid, spawned: u64) -> KernelEvent<'static> {
+        KernelEvent::Exit {
+            pid,
+            spawned: t(spawned),
+        }
+    }
+
+    fn enter(pid: Pid, call: SyscallName) -> KernelEvent<'static> {
+        KernelEvent::SyscallEnter {
+            pid,
+            call,
+            path: None,
+        }
+    }
+
+    fn leave(pid: Pid, call: SyscallName, entered: u64) -> KernelEvent<'static> {
+        KernelEvent::SyscallExit {
+            pid,
+            call,
+            ok: true,
+            entered: t(entered),
+        }
+    }
+
     #[test]
     fn disabled_tracker_records_nothing() {
         let mut tr = SpanTracker::new(false);
-        tr.on_spawn(Pid(0), t(0));
-        tr.on_syscall_enter(Pid(0), 3, t(1));
-        tr.on_syscall_exit(Pid(0), t(2));
-        tr.on_exit(Pid(0), t(3));
+        let p = Pid(0);
+        let evs = [
+            (0, spawn(p)),
+            (1, enter(p, SyscallName::Stat)),
+            (2, leave(p, SyscallName::Stat, 1)),
+            (3, exit(p, 0)),
+        ];
+        feed(&mut tr, &evs);
         assert!(tr.ring().is_empty());
         assert_eq!(tr.current_syscall(Pid(0)), SpanId::NONE);
     }
@@ -340,26 +295,44 @@ mod tests {
     #[test]
     fn spans_nest_process_syscall_sem() {
         let mut tr = SpanTracker::new(true);
-        tr.on_spawn(Pid(2), t(0));
-        tr.on_syscall_enter(Pid(2), 5, t(10));
-        tr.on_sem_enqueue(Pid(2), t(12));
-        tr.on_sem_wait_end(Pid(2), SemId(1), t(18));
-        tr.on_sem_acquired(SemId(1), t(18));
-        tr.on_sem_released(Pid(2), SemId(1), t(25));
-        tr.on_syscall_exit(Pid(2), t(30));
-        tr.on_exit(Pid(2), t(40));
+        let (p, sem, call) = (Pid(2), SemId(1), SyscallName::Rename);
+        let evs = [
+            (0, spawn(p)),
+            (10, enter(p, call)),
+            (12, KernelEvent::Os(OsEvent::SemEnqueue { pid: p, sem })),
+            (
+                18,
+                KernelEvent::SemHandoff {
+                    pid: p,
+                    sem,
+                    waited: us(6),
+                },
+            ),
+            (
+                25,
+                KernelEvent::SemRelease {
+                    pid: p,
+                    sem,
+                    held: us(7),
+                },
+            ),
+            (30, leave(p, call, 10)),
+            (40, exit(p, 0)),
+        ];
+        feed(&mut tr, &evs);
 
         let spans: Vec<Span> = tr.ring().iter().copied().collect();
         assert_eq!(spans.len(), 4);
         let wait = spans.iter().find(|s| s.kind == SpanKind::SemWait).unwrap();
         let hold = spans.iter().find(|s| s.kind == SpanKind::SemHold).unwrap();
-        let call = spans.iter().find(|s| s.kind == SpanKind::Syscall).unwrap();
+        let call_span = spans.iter().find(|s| s.kind == SpanKind::Syscall).unwrap();
         let life = spans.iter().find(|s| s.kind == SpanKind::Process).unwrap();
-        assert_eq!(wait.parent, call.id);
-        assert_eq!(hold.parent, call.id);
-        assert_eq!(call.parent, life.id);
+        assert_eq!(wait.parent, call_span.id);
+        assert_eq!(hold.parent, call_span.id);
+        assert_eq!(call_span.parent, life.id);
         assert!(life.parent.is_none());
-        assert_eq!(call.aux, 5);
+        assert_eq!(call_span.aux, call.index() as u64);
+        assert_eq!((call_span.start, call_span.end), (t(10), t(30)));
         assert_eq!((wait.start, wait.end), (t(12), t(18)));
         assert_eq!((hold.start, hold.end), (t(18), t(25)));
         assert_eq!((life.start, life.end), (t(0), t(40)));
@@ -368,8 +341,13 @@ mod tests {
     #[test]
     fn run_queue_span_reconstructs_its_start() {
         let mut tr = SpanTracker::new(true);
-        tr.on_spawn(Pid(1), t(0));
-        tr.on_dispatch(Pid(1), CpuId(3), SimDuration::from_micros(4), t(10));
+        let dispatch = KernelEvent::Dispatch {
+            pid: Pid(1),
+            cpu: CpuId(3),
+            migrated: false,
+            queued: us(4),
+        };
+        feed(&mut tr, &[(0, spawn(Pid(1))), (10, dispatch)]);
         let span = tr.ring().iter().next().unwrap();
         assert_eq!(span.kind, SpanKind::RunQueue);
         assert_eq!((span.start, span.end), (t(6), t(10)));
@@ -379,18 +357,23 @@ mod tests {
     #[test]
     fn window_span_hangs_off_the_check_syscall() {
         let mut tr = SpanTracker::new(true);
-        tr.on_spawn(Pid(0), t(0));
-        tr.on_syscall_enter(Pid(0), 1, t(5));
-        let check_span = tr.current_syscall(Pid(0));
-        tr.on_syscall_exit(Pid(0), t(9));
-        tr.on_window(
-            Pid(0),
-            "/etc/passwd",
-            WindowClose {
-                t_check: t(9),
-                t_use: t(30),
-                check_span,
-            },
+        let p = Pid(0);
+        let evs = [(0, spawn(p)), (5, enter(p, SyscallName::Stat))];
+        feed(&mut tr, &evs);
+        let check_span = tr.current_syscall(p);
+        let close = WindowClose {
+            t_check: t(9),
+            t_use: t(30),
+            check_span,
+        };
+        let window = KernelEvent::Window {
+            owner: p,
+            path: "/etc/passwd",
+            close,
+        };
+        feed(
+            &mut tr,
+            &[(9, leave(p, SyscallName::Stat, 5)), (30, window)],
         );
         let win = tr
             .ring()
@@ -405,13 +388,12 @@ mod tests {
     #[test]
     fn reset_restarts_ids_and_forgets_open_intervals() {
         let mut tr = SpanTracker::new(true);
-        tr.on_spawn(Pid(0), t(0));
-        tr.on_syscall_enter(Pid(0), 2, t(1));
+        let p = Pid(0);
+        feed(&mut tr, &[(0, spawn(p)), (1, enter(p, SyscallName::Open))]);
         tr.reset(true);
         assert!(tr.ring().is_empty());
-        assert_eq!(tr.current_syscall(Pid(0)), SpanId::NONE);
-        tr.on_spawn(Pid(0), t(100));
-        tr.on_exit(Pid(0), t(110));
+        assert_eq!(tr.current_syscall(p), SpanId::NONE);
+        feed(&mut tr, &[(100, spawn(p)), (110, exit(p, 100))]);
         let life = tr.ring().iter().next().unwrap();
         assert_eq!(life.id, SpanId(0), "ids restart after reset");
     }

@@ -503,6 +503,7 @@ mod tests {
     use crate::ids::Pid;
     use crate::process::{Action, LogicCtx, SyscallResult};
     use crate::vfs::InodeMeta;
+    use tocttou_sim::time::SimTime;
 
     fn test_proc(pretouch: bool) -> Process {
         Process::new(
@@ -577,7 +578,7 @@ mod tests {
         maze.speed_factor = 1.3;
         let vfs = test_vfs();
         let mut held = SemTable::new();
-        held.acquire_or_enqueue(vfs.dir_sem_of("/d/f").unwrap(), Pid(99));
+        held.acquire_or_enqueue(vfs.dir_sem_of("/d/f").unwrap(), Pid(99), SimTime::ZERO);
         let path = |p: &str| -> Arc<str> { p.into() };
         for spec in [
             MachineSpec::uniprocessor(),
@@ -868,7 +869,7 @@ mod tests {
         let free = compile(&req, &mut p, &vfs, &SemTable::new(), &costs, 1.0);
         let mut sems = SemTable::new();
         let dsem = vfs.dir_sem_of("/d/f").unwrap();
-        sems.acquire_or_enqueue(dsem, Pid(99));
+        sems.acquire_or_enqueue(dsem, Pid(99), SimTime::ZERO);
         let contended = compile(&req, &mut p, &vfs, &sems, &costs, 1.0);
         let free_us = cpu_total_us(&free);
         let cont_us = cpu_total_us(&contended);
@@ -907,7 +908,7 @@ mod tests {
         let costs = CostModel::default();
         assert_eq!(costs.stat_contention_factor, 1.0);
         let mut held = SemTable::new();
-        held.acquire_or_enqueue(vfs.dir_sem_of("/d/f").unwrap(), Pid(99));
+        held.acquire_or_enqueue(vfs.dir_sem_of("/d/f").unwrap(), Pid(99), SimTime::ZERO);
         for req in [
             SyscallRequest::Stat {
                 path: "/d/f".into(),

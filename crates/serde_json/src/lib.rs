@@ -389,9 +389,14 @@ impl Parser<'_> {
             let start = self.pos;
             let end = self.bytes[start..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .map(|n| start + n)
                 .ok_or_else(|| Error::new("unterminated string"))?;
+            if self.bytes[end] < 0x20 {
+                return Err(Error::new(format!(
+                    "unescaped control character in string at byte {end}"
+                )));
+            }
             // Quotes and backslashes are ASCII, so `start..end` is a
             // char-boundary slice of the input.
             let run = &self.src[start..end];
@@ -469,43 +474,61 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Parses a number in JSON's grammar, `-? (0 | [1-9][0-9]*) (.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`. Integers become `UInt` or, when negative,
+    /// `Int`; one past `u64` becomes a `Float`, as in the oracle.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        // Fast path: a plain unsigned integer that fits a u64, the bulk of
-        // every stored block. Anything else takes the general path below.
-        let mut end = start;
+        let bytes = self.bytes;
+        let digits = |from: usize| {
+            from + bytes.get(from..).map_or(0, |rest| {
+                rest.iter().take_while(|b| b.is_ascii_digit()).count()
+            })
+        };
+        let invalid = || Error::new(format!("invalid number at byte {start}"));
+        let neg = usize::from(bytes.get(start) == Some(&b'-'));
+        // The integer part, accumulated as it is scanned: plain unsigned
+        // integers are the bulk of every stored block.
+        let mut end = start + neg;
         let mut acc = Some(0u64);
-        while let Some(&b @ b'0'..=b'9') = self.bytes.get(end) {
+        while let Some(&b @ b'0'..=b'9') = bytes.get(end) {
             acc = acc.and_then(|a| a.checked_mul(10)?.checked_add(u64::from(b - b'0')));
             end += 1;
         }
-        if let Some(u) = acc.filter(|_| end > start) {
-            if !matches!(self.bytes.get(end), Some(b'-' | b'+' | b'.' | b'e' | b'E')) {
-                self.pos = end;
-                return Ok(Value::UInt(u));
+        match &bytes[start + neg..end] {
+            [] if neg == 0 => {
+                return Err(Error::new(format!("unexpected character at byte {start}")))
+            }
+            [] | [b'0', _, ..] => return Err(invalid()),
+            _ => {}
+        }
+        let int_end = end;
+        if bytes.get(end) == Some(&b'.') {
+            end = digits(end + 1);
+            if end == int_end + 1 {
+                return Err(invalid());
             }
         }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
+        if matches!(bytes.get(end), Some(b'e' | b'E')) {
+            let exp = end + 1 + usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+            end = digits(exp);
+            if end == exp {
+                return Err(invalid());
+            }
         }
-        // The scan stops at ASCII bytes only, so this is a char boundary.
-        let text = &self.src[start..self.pos];
-        if text.is_empty() {
-            return Err(Error::new(format!("unexpected character at byte {start}")));
-        }
-        if !text.contains(['.', 'e', 'E']) {
-            if let Some(rest) = text.strip_prefix('-') {
-                if rest.parse::<u64>().is_ok() {
+        self.pos = end;
+        // The grammar is ASCII, so this is a char-boundary slice.
+        let text = &self.src[start..end];
+        if end == int_end {
+            match (neg, acc) {
+                (0, Some(u)) => return Ok(Value::UInt(u)),
+                (_, Some(_)) => {
                     return text
                         .parse::<i64>()
                         .map(Value::Int)
-                        .map_err(|_| Error::new("integer out of range"));
+                        .map_err(|_| Error::new("integer out of range"))
                 }
-            } else if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
+                _ => {}
             }
         }
         text.parse::<f64>()
@@ -623,22 +646,46 @@ mod tests {
     fn numbers_outside_the_unsigned_fast_path_parse_as_before() {
         for text in [
             "0",
-            "007",
             "18446744073709551615",
             "18446744073709551616",
             "-9223372036854775808",
             "-9223372036854775809",
+            "-99999999999999999999",
             "1.5",
+            "-0.25",
             "1e3",
             "2E-2",
-            "12-3",
+            "0e+7",
             "-0",
-            "+5",
-            "1.",
-            "-",
+            "[0,-1.5e3]",
         ] {
             assert_eq!(parse_value(text), oracle::parse_value(text), "{text}");
         }
+    }
+
+    #[test]
+    fn numbers_outside_the_json_grammar_are_errors() {
+        // The oracle's scan-then-`str::parse` accepted these.
+        for text in ["+5", "007", "-01", "1.", ".5", "1.e3", "[00]"] {
+            assert!(oracle::parse_value(text).is_ok(), "{text}");
+            assert!(parse_value(text).is_err(), "{text}");
+        }
+        for text in ["1e", "1e+", "-", "-.5", "12-3", "1.5.2", "--1"] {
+            assert!(parse_value(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_errors() {
+        for text in ["\"a\nb\"", "\"\u{0}\"", "\"\u{1f}\"", "{\"k\t\":1}"] {
+            let err = parse_value(text).unwrap_err();
+            assert!(
+                err.to_string().contains("control character"),
+                "{text:?}: {err}"
+            );
+        }
+        assert_eq!(parse_value("\"\u{7f}\""), Ok(Value::Str("\u{7f}".into())));
+        assert_eq!(parse_value(r#""a\nb""#), Ok(Value::Str("a\nb".into())));
     }
 
     #[test]

@@ -59,7 +59,11 @@ fn variants(machine: &MachineSpec) -> Vec<(&'static str, MachineSpec, Armed)> {
             m.clone().without_metrics(),
             armed(true, false, true, false),
         ),
-        ("stripped", stripped.clone(), armed(false, false, false, false)),
+        (
+            "stripped",
+            stripped.clone(),
+            armed(false, false, false, false),
+        ),
         ("with_spans", m.with_spans(), armed(true, true, true, true)),
         (
             "spans_stripped",
@@ -141,11 +145,7 @@ fn stripping_observers_changes_nothing_but_their_own_output() {
                 } else {
                     ForensicsSnapshot::default()
                 };
-                assert_eq!(
-                    k.forensics().snapshot(),
-                    want_forensics,
-                    "{at}: forensics"
-                );
+                assert_eq!(k.forensics().snapshot(), want_forensics, "{at}: forensics");
             }
         }
     }

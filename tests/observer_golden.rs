@@ -54,7 +54,9 @@ fn rpm_round(seed: u64) -> Kernel {
         mode: 0o755,
     };
     k.vfs_mut().mkdir("/etc", dir(Uid::ROOT)).unwrap();
-    k.vfs_mut().create_file("/etc/passwd", dir(Uid::ROOT)).unwrap();
+    k.vfs_mut()
+        .create_file("/etc/passwd", dir(Uid::ROOT))
+        .unwrap();
     k.vfs_mut().mkdir("/var", dir(Uid::ROOT)).unwrap();
     k.vfs_mut().mkdir("/var/tmp", dir(Uid(1000))).unwrap();
     let helper: Arc<str> = "/var/tmp/helper".into();
