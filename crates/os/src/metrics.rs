@@ -285,9 +285,7 @@ impl KernelMetrics {
         &mut self.sems[idx]
     }
 
-    /// Folds one kernel fact into the counters and histograms. Every
-    /// interval arrives closed by the kernel's clocks; this accumulator
-    /// keeps none of its own.
+    /// Folds one kernel fact into the counters and histograms.
     #[inline(always)]
     pub(crate) fn observe(&mut self, now: SimTime, ev: &KernelEvent<'_>) {
         if !self.enabled {
