@@ -14,7 +14,10 @@
 //! an order of magnitude fewer rounds than a fixed-round `sweep` needs
 //! for the same precision on a rare-event scenario. With `--store DIR`
 //! the waves land in a campaign-style content-addressed store, so a
-//! killed run resumes and an unchanged re-run replays from cache.
+//! killed run resumes and an unchanged re-run replays from cache;
+//! `--block N` (default 64) sets the rounds per store record and matters
+//! only with `--store`, since without it the workers share each wave
+//! round by round.
 //!
 //! Prints the outcome and writes `estimate.json` + `ESTIMATE.md` under
 //! the output directory (default `target/experiments`). The result is
@@ -84,7 +87,9 @@ fn parse_args() -> Result<Args, String> {
                 return Err(
                     "usage: estimate --family F [--size-kb N] [--target R] [--seed S] [--jobs J] \
                      [--cold] [--store DIR] [--block N] [--max-rounds N] [--pilot N] [--wave N] \
-                     [--near-ns N] [--strata N] [--out DIR]"
+                     [--near-ns N] [--strata N] [--out DIR]\n\
+                     --block N sets the rounds per --store record; without --store the \
+                     workers share each wave round by round"
                         .into(),
                 );
             }

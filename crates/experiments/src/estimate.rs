@@ -46,14 +46,18 @@
 //!
 //! A wave's work items are seed blocks under the same splice contract as
 //! the campaign store ([`seed_block`]: stratum round *i* draws seed
-//! `stratum_base + i`), run on the crate's one round executor. Each round
-//! only adds to its stratum's integer tallies, so whatever order the
-//! blocks finish in, [`EstimateOutcome`] is byte-identical across
-//! `--jobs` values and warm/cold boot (asserted by
+//! `stratum_base + i`), run on the crate's one round executor. In memory
+//! mode the workers share each wave round by round: every block is one
+//! round, because the expensive preempted rounds cluster in the hot strata
+//! and a larger block of them would leave the other workers idle at the
+//! wave's end. Each round only adds to its stratum's integer tallies, so
+//! whatever order the blocks finish in, [`EstimateOutcome`] is
+//! byte-identical across `--jobs` values and warm/cold boot (asserted by
 //! `tests/estimate_determinism.rs`). With a
 //! [`store`](EstimateConfig::store) directory the items are
-//! content-addressed campaign blocks: a killed estimation resumes, and an
-//! unchanged re-run replays entirely from cache.
+//! content-addressed campaign blocks of [`block`](EstimateConfig::block)
+//! rounds, the only thing that knob sizes: a killed estimation resumes,
+//! and an unchanged re-run replays entirely from cache.
 //!
 //! [`RoundMilestones`]: tocttou_os::forensics::RoundMilestones
 //! [`nested_base`]: tocttou_sim::rng::nested_base
@@ -62,7 +66,7 @@
 
 use crate::campaign::{blocks_path, compute_blocks, keyed_blocks, read_block, scan_store, Missing};
 use crate::cli::MAX_ROUNDS;
-use crate::executor::{execute, Block, Order, Plan};
+use crate::executor::{blocks, execute, Block, Order, Plan};
 use crate::monte_carlo::{fnv1a, RoundObs, DETECTION_FINGERPRINT_SEED};
 use serde::Serialize;
 use std::convert::Infallible;
@@ -113,8 +117,9 @@ pub struct EstimateConfig {
     pub jobs: usize,
     /// Cold-boot every round — the checkpoint oracle path, byte-identical.
     pub cold: bool,
-    /// Rounds per content-addressed seed block (store mode granularity).
-    /// Must be nonzero.
+    /// Rounds per content-addressed seed block: sizes store records only.
+    /// Memory mode ignores it and shares each wave round by round. Must be
+    /// nonzero.
     pub block: u64,
     /// Campaign-style store directory: waves become resumable
     /// content-addressed blocks, and unchanged re-runs replay from cache.
@@ -660,14 +665,32 @@ fn maybe_split(
     }
 }
 
-/// Executes one wave's items on the round executor and counts every round
-/// into its stratum. Store mode computes only the blocks the store is
-/// missing and reads every item back by content address (the campaign
-/// cache contract); memory mode counts each block as it finishes. The
-/// tallies are integer sums, so the order rounds are counted in cannot
+/// A memory-mode wave as one-round blocks: stratum `h` gets `add` blocks
+/// covering its rounds `[rounds, rounds + add)` in ascending order. Memory
+/// mode has no record to size, and the preempted, expensive rounds cluster
+/// in the few hot strata the allocation feeds hardest, so a worker that
+/// claims round by round leaves the others at most one round of the
+/// wave's tail to wait on.
+fn one_round_blocks(alloc: &[(usize, u64)], strata: &[Stratum]) -> Vec<Block> {
+    alloc
+        .iter()
+        .flat_map(|&(h, add)| {
+            let start = strata[h].rounds;
+            blocks(h, start, start + add, 1)
+        })
+        .collect()
+}
+
+/// Executes one wave's allocation on the round executor and counts every
+/// round into its stratum. Memory mode runs the wave as one-round blocks
+/// ([`one_round_blocks`]) and counts each as it finishes. Store mode cuts
+/// it into `cfg.block`-sized keyed blocks, since a block there is a store
+/// record: it computes only the blocks the store is missing and reads
+/// every block back by content address (the campaign cache contract).
+/// The tallies are integer sums, so the order rounds are counted in cannot
 /// change them. Returns the rounds replayed from the store.
 fn run_wave(
-    items: &[Missing],
+    alloc: &[(usize, u64)],
     scenarios: &[Scenario],
     strata: &mut [Stratum],
     cfg: &EstimateConfig,
@@ -681,7 +704,7 @@ fn run_wave(
         cold: cfg.cold,
     };
     let Some(dir) = cfg.store.as_deref() else {
-        let blocks: Vec<Block> = items.iter().map(|m| m.block).collect();
+        let blocks = one_round_blocks(alloc, strata);
         let strata = Mutex::new(strata);
         // Metrics and forensics are not part of an estimate: left undrained.
         let Ok(()) = execute::<Infallible>(&plan, &blocks, Order::Any, |idx, obs, _| {
@@ -693,6 +716,19 @@ fn run_wave(
         });
         return Ok(0);
     };
+    let items: Vec<Missing> = alloc
+        .iter()
+        .flat_map(|&(h, add)| {
+            let s = &strata[h];
+            keyed_blocks(
+                h,
+                &scenarios[h],
+                s.seed_base,
+                (s.rounds, s.rounds + add),
+                cfg.block,
+            )
+        })
+        .collect();
     let path = blocks_path(dir);
     let mut index = scan_store(&path)?;
     let (cached, missing): (Vec<Missing>, Vec<Missing>) =
@@ -703,7 +739,7 @@ fn run_wave(
     }
     let mut file = std::fs::File::open(&path)?;
     let mut buf = Vec::new();
-    for item in items {
+    for item in &items {
         let &span = index
             .get(&item.key)
             .ok_or_else(|| std::io::Error::other("wave block missing after compute"))?;
@@ -742,21 +778,9 @@ pub fn run_estimate(scenario: &Scenario, cfg: &EstimateConfig) -> std::io::Resul
     let mut converged = false;
 
     loop {
-        let items: Vec<Missing> = allocate_wave(&strata, cfg)
-            .into_iter()
-            .flat_map(|(h, add)| {
-                let s = &strata[h];
-                keyed_blocks(
-                    h,
-                    &scenarios[h],
-                    s.seed_base,
-                    (s.rounds, s.rounds + add),
-                    cfg.block,
-                )
-            })
-            .collect();
-        cached_total += run_wave(&items, &scenarios, &mut strata, cfg)?;
-        simulated += items.iter().map(|i| i.block.rounds()).sum::<u64>();
+        let alloc = allocate_wave(&strata, cfg);
+        cached_total += run_wave(&alloc, &scenarios, &mut strata, cfg)?;
+        simulated += alloc.iter().map(|&(_, add)| add).sum::<u64>();
         waves += 1;
 
         let est = current_estimate(&strata);
@@ -988,6 +1012,30 @@ mod tests {
         assert!(alloc.iter().all(|&(h, _)| h != 3));
         // Deterministic.
         assert_eq!(alloc, allocate_wave(&strata, &cfg));
+    }
+
+    #[test]
+    fn memory_waves_are_one_round_blocks_in_ascending_order() {
+        let cfg = EstimateConfig::default();
+        let (mut strata, _, _) = initial_partition(&Scenario::vi_uniprocessor(2048), &cfg);
+        for (h, st) in strata.iter_mut().enumerate() {
+            st.rounds = 64 + 10 * h as u64;
+        }
+        let alloc = [(0, 3), (2, 1), (5, 64)];
+        let blocks = one_round_blocks(&alloc, &strata);
+        assert_eq!(blocks.len(), 68);
+        assert!(blocks.iter().all(|b| b.rounds() == 1));
+        let mut rest = blocks.as_slice();
+        for (h, add) in alloc {
+            let (head, tail) = rest.split_at(add as usize);
+            let got: Vec<(usize, u64)> = head.iter().map(|b| (b.point, b.start)).collect();
+            let want: Vec<(usize, u64)> = (strata[h].rounds..strata[h].rounds + add)
+                .map(|r| (h, r))
+                .collect();
+            assert_eq!(got, want, "stratum {h}: every round once, ascending");
+            rest = tail;
+        }
+        assert!(one_round_blocks(&[], &strata).is_empty());
     }
 
     #[test]

@@ -841,7 +841,7 @@ impl Kernel {
                         self.observe(KernelEvent::Os(OsEvent::SemEnqueue { pid, sem }));
                         self.procs[pid.index()].sem_wait_since = self.now;
                         self.procs[pid.index()].state = ProcState::BlockedSem(sem);
-                        self.release_cpu_of_blocked(pid);
+                        self.release_cpu(pid);
                         return;
                     }
                 }
@@ -871,7 +871,7 @@ impl Kernel {
                     self.observe(KernelEvent::Os(OsEvent::BlockTimed { pid }));
                     self.procs[pid.index()].state = ProcState::BlockedTimed;
                     self.queue.push(self.now + dur, Event::TimedWake { pid });
-                    self.release_cpu_of_blocked(pid);
+                    self.release_cpu(pid);
                     return;
                 }
             }
@@ -879,14 +879,15 @@ impl Kernel {
         panic!("{pid} took {MAX_ZERO_TIME_STEPS} zero-time steps: runaway logic");
     }
 
-    /// Like `release_cpu_of`, but the process has already transitioned to a
-    /// blocked state.
-    fn release_cpu_of_blocked(&mut self, pid: Pid) {
+    /// Takes the CPU `pid` is running on away from it (the process has
+    /// already blocked or exited): cancels the slice, and dispatches the
+    /// next ready process unless background work holds the CPU.
+    fn release_cpu(&mut self, pid: Pid) {
         let cpu = self
             .cpus
             .iter()
             .position(|c| c.running == Some(pid))
-            .expect("blocked process was running");
+            .expect("released process was running");
         let cpu = CpuId(cpu as u16);
         if let Some(ev) = self.cpus[cpu.index()].slice_event.take() {
             self.queue.cancel(ev);
@@ -979,22 +980,7 @@ impl Kernel {
                 self.race.forget_process(pid);
                 self.procs[pid.index()].state = ProcState::Exited;
                 self.live -= 1;
-                // Release the CPU (the process is running right now).
-                let cpu = self
-                    .cpus
-                    .iter()
-                    .position(|c| c.running == Some(pid))
-                    .expect("exiting process was running");
-                let cpu = CpuId(cpu as u16);
-                if let Some(ev) = self.cpus[cpu.index()].slice_event.take() {
-                    self.queue.cancel(ev);
-                }
-                self.cpus[cpu.index()].running = None;
-                if !self.cpus[cpu.index()].bg_active {
-                    if let Some(next) = self.ready.pop_front() {
-                        self.dispatch(next, cpu);
-                    }
-                }
+                self.release_cpu(pid);
                 false
             }
         }

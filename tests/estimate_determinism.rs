@@ -55,7 +55,7 @@ fn outcome_is_byte_identical_across_jobs_and_boot() {
         reference.outcome.simulated_rounds
     );
     let reference = outcome_bytes(&reference);
-    for (jobs, cold) in [(4, false), (1, true), (4, true)] {
+    for (jobs, cold) in [(2, false), (4, false), (1, true), (4, true)] {
         let run = estimate_with(jobs, cold, None);
         assert_eq!(
             outcome_bytes(&run),
@@ -194,6 +194,30 @@ fn store_runs_replay_and_resume_byte_identically() {
     );
     assert!(resumed.computed_rounds > 0);
     std::fs::remove_dir_all(&store).unwrap();
+}
+
+#[test]
+fn block_size_shapes_store_records_only() {
+    // Memory mode runs every wave round by round whatever `block` says;
+    // store mode cuts the same rounds into records of `block` rounds. One
+    // record per round and one record per stratum share must both give
+    // the memory-mode bytes.
+    let reference = outcome_bytes(&estimate_with(1, false, None));
+    for block in [1, 1_000] {
+        let store = fresh_store(&format!("block-{block}"));
+        let run = run_estimate(
+            &rare_scenario(),
+            &EstimateConfig {
+                block,
+                store: Some(store.clone()),
+                ..EstimateConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome_bytes(&run), reference, "store block {block}");
+        assert_eq!(run.cached_rounds, 0, "a fresh store has nothing cached");
+        std::fs::remove_dir_all(&store).unwrap();
+    }
 }
 
 #[test]
