@@ -80,6 +80,16 @@ use tocttou_workloads::scenario::Scenario;
 /// `SuccessCounter::wilson_ci95`.
 const Z95: f64 = 1.96;
 
+/// Minimum rounds a stratum needs before it may be split.
+const SPLIT_MIN: u64 = 48;
+
+/// Maximum split depth per stratum (initial strata are depth 0).
+const MAX_DEPTH: u32 = 10;
+
+/// Minimum successes across live strata before convergence is declared
+/// (guards against stopping on a lucky handful).
+const MIN_SUCCESSES: u64 = 8;
+
 /// Options for one adaptive estimation run.
 #[derive(Debug, Clone)]
 pub struct EstimateConfig {
@@ -106,13 +116,6 @@ pub struct EstimateConfig {
     /// Strikes missing by at most this many nanoseconds count as
     /// *near misses* for allocation boosts and splitting milestones.
     pub near_miss_ns: u64,
-    /// Minimum rounds a stratum needs before it may be split.
-    pub split_min: u64,
-    /// Maximum split depth per stratum (initial strata are depth 0).
-    pub max_depth: u32,
-    /// Minimum successes across live strata before convergence is
-    /// declared (guards against stopping on a lucky handful).
-    pub min_successes: u64,
     /// Worker threads (`0` = auto). Byte-identical results at any value.
     pub jobs: usize,
     /// Cold-boot every round — the checkpoint oracle path, byte-identical.
@@ -137,9 +140,6 @@ impl Default for EstimateConfig {
             wave_rounds: 256,
             max_rounds: 50_000,
             near_miss_ns: 100_000,
-            split_min: 48,
-            max_depth: 10,
-            min_successes: 8,
             jobs: 1,
             cold: false,
             block: 64,
@@ -615,7 +615,7 @@ fn current_estimate(strata: &[Stratum]) -> CurrentEstimate {
 }
 
 /// Splits at most one stratum per wave: among live strata that are
-/// splittable, deep enough in samples (`split_min`), not at `max_depth`,
+/// splittable, deep enough in samples ([`SPLIT_MIN`]), not at [`MAX_DEPTH`],
 /// wider than one nanosecond, and showing milestone signal that is
 /// *sparse* (under a quarter of rounds — a stratum saturated with signal
 /// is already homogeneous and splitting it only burns its samples), pick
@@ -634,8 +634,8 @@ fn maybe_split(
         if s.retired
             || !s.splittable
             || s.hi_n <= s.lo_n
-            || s.depth >= cfg.max_depth
-            || s.rounds < cfg.split_min
+            || s.depth >= MAX_DEPTH
+            || s.rounds < SPLIT_MIN
         {
             continue;
         }
@@ -785,7 +785,7 @@ pub fn run_estimate(scenario: &Scenario, cfg: &EstimateConfig) -> std::io::Resul
 
         let est = current_estimate(&strata);
         if est.rate > 0.0
-            && est.live_successes >= cfg.min_successes
+            && est.live_successes >= MIN_SUCCESSES
             && est.half_width <= cfg.target_rel_half_width * est.rate
         {
             converged = true;

@@ -233,7 +233,8 @@ impl Claims {
         })
     }
 
-    /// Marks block `idx`'s sink as returned.
+    /// Marks block `idx`'s sink as returned, waking the claims that wait
+    /// on the oldest block (none can under [`Order::Any`]).
     fn finish(&self, idx: usize) {
         let mut c = self.lock();
         c.finished[idx] = true;
@@ -241,7 +242,9 @@ impl Claims {
             c.oldest += 1;
         }
         drop(c);
-        self.caught_up.notify_all();
+        if self.ahead != usize::MAX {
+            self.caught_up.notify_all();
+        }
     }
 
     /// Claims nothing more: workers finish the block in hand and exit.

@@ -8,9 +8,9 @@
 //! uniprocessor and shows the suspension probability — and with it the
 //! attack success rate — climbing with depth, per the Section 3.2 model.
 
+use crate::monte_carlo::{run_mc, McConfig};
 use serde::Serialize;
-use tocttou_core::stats::SuccessCounter;
-use tocttou_workloads::maze::{run_maze_round, vi_uniprocessor_maze};
+use tocttou_workloads::maze::vi_uniprocessor_maze;
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -60,19 +60,26 @@ pub struct Output {
 
 /// Runs the maze sweep.
 pub fn run(cfg: &Config) -> Output {
-    let mut rows = Vec::new();
-    for &depth in &cfg.depths {
-        let scenario = vi_uniprocessor_maze(cfg.file_size, depth, cfg.per_component_us);
-        let mut counter = SuccessCounter::new();
-        for i in 0..cfg.rounds {
-            counter.record(run_maze_round(&scenario, cfg.seed + i).success);
-        }
-        rows.push(Row {
-            depth,
-            observed: counter.rate(),
-            ci95: counter.wilson_ci95(),
-        });
-    }
+    let rows = cfg
+        .depths
+        .iter()
+        .map(|&depth| {
+            let scenario = vi_uniprocessor_maze(cfg.file_size, depth, cfg.per_component_us);
+            let mc = run_mc(
+                &scenario,
+                &McConfig {
+                    rounds: cfg.rounds,
+                    base_seed: cfg.seed,
+                    ..McConfig::default()
+                },
+            );
+            Row {
+                depth,
+                observed: mc.rate,
+                ci95: mc.rate_ci95,
+            }
+        })
+        .collect();
     Output { rows }
 }
 

@@ -701,11 +701,16 @@ impl Kernel {
             migrated,
             queued,
         });
-        let deadline = self.now + self.spec.timeslice;
-        let slice_ev = self.queue.push(deadline, Event::SliceExpire { cpu });
-        self.cpus[cpu.index()].slice_event = Some(slice_ev);
-        self.cpus[cpu.index()].slice_deadline = deadline;
+        self.arm_slice(cpu, self.now + self.spec.timeslice);
         self.advance(pid);
+    }
+
+    /// Schedules `cpu`'s slice expiry at `deadline`.
+    fn arm_slice(&mut self, cpu: CpuId, deadline: SimTime) {
+        let ev = self.queue.push(deadline, Event::SliceExpire { cpu });
+        let c = &mut self.cpus[cpu.index()];
+        c.slice_event = Some(ev);
+        c.slice_deadline = deadline;
     }
 
     fn on_slice_expire(&mut self, cpu: CpuId) {
@@ -716,10 +721,7 @@ impl Kernel {
         };
         if self.ready.is_empty() {
             // Nobody waiting: renew the slice without a context switch.
-            let deadline = self.now + self.spec.timeslice;
-            let ev = self.queue.push(deadline, Event::SliceExpire { cpu });
-            self.cpus[cpu.index()].slice_event = Some(ev);
-            self.cpus[cpu.index()].slice_deadline = deadline;
+            self.arm_slice(cpu, self.now + self.spec.timeslice);
             return;
         }
         // Preempt: charge the elapsed part of the current CPU phase.
@@ -779,10 +781,7 @@ impl Kernel {
             debug_assert_eq!(self.procs[pid.index()].state, ProcState::PausedByBg(cpu));
             self.procs[pid.index()].state = ProcState::Running(cpu);
             // Resume with the slice budget left when the burst arrived.
-            let deadline = self.now + self.procs[pid.index()].slice_remaining;
-            let ev = self.queue.push(deadline, Event::SliceExpire { cpu });
-            self.cpus[cpu.index()].slice_event = Some(ev);
-            self.cpus[cpu.index()].slice_deadline = deadline;
+            self.arm_slice(cpu, self.now + self.procs[pid.index()].slice_remaining);
             self.advance(pid);
         } else if let Some(next) = self.ready.pop_front() {
             self.dispatch(next, cpu);
@@ -944,7 +943,7 @@ impl Kernel {
                 self.observe(KernelEvent::SyscallEnter {
                     pid,
                     call: req.name(),
-                    path: req.primary_path(),
+                    path: req.primary_path().map(|p| &**p),
                 });
                 // Compile into the process's own phase buffer, reusing its
                 // allocation across syscalls.

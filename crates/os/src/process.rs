@@ -162,8 +162,11 @@ impl SyscallRequest {
         }
     }
 
-    /// The primary path argument, if any (for tracing).
-    pub fn primary_path(&self) -> Option<&str> {
+    /// The primary path argument, if any: the name the kernel's race
+    /// machinery keys the call on — the single path argument, the
+    /// *destination* of a `rename`, and the bound name of a
+    /// `symlink`/`link`. `None` for descriptor calls and `Sleep`.
+    pub fn primary_path(&self) -> Option<&Arc<str>> {
         match self {
             SyscallRequest::Stat { path }
             | SyscallRequest::Lstat { path }
@@ -569,7 +572,7 @@ mod tests {
             gid: Gid(1000),
         };
         assert_eq!(r.name(), SyscallName::Chown);
-        assert_eq!(r.primary_path(), Some("/etc/passwd"));
+        assert_eq!(r.primary_path().map(Arc::as_ref), Some("/etc/passwd"));
         let w = SyscallRequest::Write {
             fd: Fd(3),
             bytes: 10,
@@ -579,7 +582,7 @@ mod tests {
             target: "/etc/passwd".into(),
             linkpath: "/home/u/f".into(),
         };
-        assert_eq!(s.primary_path(), Some("/home/u/f"));
+        assert_eq!(s.primary_path().map(Arc::as_ref), Some("/home/u/f"));
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! Every process a [`Scenario`] runs is written here, as **data**: a
 //! [`ScenarioSpec`] lists the victim's syscall trace ([`Step`]s — sampled
 //! think time, jittered compute gaps, guarded calls, chunked write loops
-//! with an optional per-chunk I/O stall), the attacker programs
+//! with an optional per-chunk I/O stall, a close), the attacker programs
 //! ([`AttackerProfile`] — a detect, timer or shared-flag trigger, a strike
 //! trace and an optional rehearsal on a decoy), the expected taxonomy
 //! pair, the extra filesystem state, and the ground-truth success
-//! predicate. [`ScenarioSpec::compile`] lowers the spec into a [`Scenario`]
+//! predicate. Every call is the kernel's own [`SyscallRequest`], which
+//! the interpreters issue as written; only the write loop and the close
+//! fill in the descriptor the last `open`/`creat` returned.
+//! [`ScenarioSpec::compile`] lowers the spec into a [`Scenario`]
 //! whose victim and attackers are interpreted step machines ([`DslVictim`],
 //! [`DslAttacker`]); everything downstream (Monte-Carlo engine,
 //! checkpointing, sweeps, detector ground truth) runs them unchanged.
@@ -19,8 +22,9 @@
 //! lines of spec per new victim. It also holds step lists that run
 //! outside any [`Scenario`], on a kernel the caller builds by hand
 //! ([`DslVictim::new`]): rpm's install, whose database flush sleeps
-//! inside its window ([`CallSpec::Sleep`]), sendmail's mailbox delivery,
-//! and a check→window→use victim for every runnable taxonomy pair.
+//! inside its window ([`SyscallRequest::Sleep`]), sendmail's mailbox
+//! delivery, and a check→window→use victim for every runnable taxonomy
+//! pair.
 //! `tests/golden/scenarios.txt` pins the paper's scenarios, and
 //! `tests/golden/victims.txt` those three victims, to the outputs of the
 //! hand-written state machines the step lists replaced (trace,
@@ -30,8 +34,9 @@ use crate::scenario::{Layout, Scenario};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
-use tocttou_core::taxonomy::{FsCall, TocttouPair};
+use tocttou_core::taxonomy::TocttouPair;
 use tocttou_os::defense::DefensePolicy;
+use tocttou_os::detect::fs_call_of;
 use tocttou_os::ids::Fd;
 use tocttou_os::machine::MachineSpec;
 use tocttou_os::process::{Action, LogicCtx, ProcessLogic, SyscallRequest, SyscallResult};
@@ -39,167 +44,6 @@ use tocttou_os::vfs::{InodeMeta, Vfs};
 use tocttou_sim::dist::{sample_standard_normal, DurationDist};
 use tocttou_sim::rng::SimRng;
 use tocttou_sim::time::SimDuration;
-
-/// One syscall in a declarative trace, by target path (file descriptors
-/// are implicit: the interpreter tracks the most recent fd returned by an
-/// `open`/`creat` and feeds it to [`CallSpec::WriteFd`]/[`CallSpec::CloseFd`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CallSpec {
-    /// `stat(path)` — follows symlinks.
-    Stat(Arc<str>),
-    /// `lstat(path)` — does not follow a final symlink.
-    Lstat(Arc<str>),
-    /// `access(path)`.
-    Access(Arc<str>),
-    /// `readlink(path)`.
-    Readlink(Arc<str>),
-    /// `open(path)` on an existing file.
-    Open(Arc<str>),
-    /// `creat(path)` (create/truncate, returns an fd).
-    OpenCreate(Arc<str>),
-    /// `write(fd, bytes)` through the tracked fd.
-    WriteFd {
-        /// Byte count.
-        bytes: u64,
-    },
-    /// `close(fd)` of the tracked fd.
-    CloseFd,
-    /// `unlink(path)`.
-    Unlink(Arc<str>),
-    /// `mkdir(path)`.
-    Mkdir(Arc<str>),
-    /// `rename(from, to)`.
-    Rename {
-        /// Source name.
-        from: Arc<str>,
-        /// Destination name.
-        to: Arc<str>,
-    },
-    /// `symlink(target, linkpath)`.
-    Symlink {
-        /// Target stored in the link.
-        target: Arc<str>,
-        /// Name to bind.
-        linkpath: Arc<str>,
-    },
-    /// `link(existing, linkpath)` — hard link.
-    Link {
-        /// Existing name of the inode.
-        existing: Arc<str>,
-        /// Name to bind.
-        linkpath: Arc<str>,
-    },
-    /// `chmod(path, mode)`.
-    Chmod {
-        /// Path (symlinks followed).
-        path: Arc<str>,
-        /// New mode.
-        mode: u32,
-    },
-    /// `chown(path, uid, gid)`.
-    Chown {
-        /// Path (symlinks followed).
-        path: Arc<str>,
-        /// New owner uid.
-        uid: u32,
-        /// New owner gid.
-        gid: u32,
-    },
-    /// A blocking sleep (synchronous I/O the process waits out, such as a
-    /// database flush).
-    Sleep(SimDuration),
-}
-
-impl CallSpec {
-    /// The taxonomy call this spec lowers to, when it has one
-    /// (`WriteFd`/`CloseFd` act on descriptors, not names; `Sleep` on
-    /// neither).
-    pub fn fs_call(&self) -> Option<FsCall> {
-        Some(match self {
-            CallSpec::Stat(_) => FsCall::Stat,
-            CallSpec::Lstat(_) => FsCall::Lstat,
-            CallSpec::Access(_) => FsCall::Access,
-            CallSpec::Readlink(_) => FsCall::Readlink,
-            CallSpec::Open(_) => FsCall::Open,
-            CallSpec::OpenCreate(_) => FsCall::Creat,
-            CallSpec::Unlink(_) => FsCall::Unlink,
-            CallSpec::Mkdir(_) => FsCall::Mkdir,
-            CallSpec::Rename { .. } => FsCall::Rename,
-            CallSpec::Symlink { .. } => FsCall::Symlink,
-            CallSpec::Link { .. } => FsCall::Link,
-            CallSpec::Chmod { .. } => FsCall::Chmod,
-            CallSpec::Chown { .. } => FsCall::Chown,
-            CallSpec::WriteFd { .. } | CallSpec::CloseFd | CallSpec::Sleep(_) => return None,
-        })
-    }
-
-    /// The name the kernel's race machinery keys this call on: the single
-    /// path argument, the *destination* of a `rename`, and the bound name
-    /// of a `symlink`/`link`. `None` for fd-relative calls and `Sleep`.
-    pub fn primary_path(&self) -> Option<&Arc<str>> {
-        match self {
-            CallSpec::Stat(p)
-            | CallSpec::Lstat(p)
-            | CallSpec::Access(p)
-            | CallSpec::Readlink(p)
-            | CallSpec::Open(p)
-            | CallSpec::OpenCreate(p)
-            | CallSpec::Unlink(p)
-            | CallSpec::Mkdir(p) => Some(p),
-            CallSpec::Rename { to, .. } => Some(to),
-            CallSpec::Symlink { linkpath, .. } | CallSpec::Link { linkpath, .. } => Some(linkpath),
-            CallSpec::Chmod { path, .. } | CallSpec::Chown { path, .. } => Some(path),
-            CallSpec::WriteFd { .. } | CallSpec::CloseFd | CallSpec::Sleep(_) => None,
-        }
-    }
-
-    /// Lowers the call to a kernel request; `fd` is the interpreter's
-    /// tracked descriptor (required by `WriteFd`/`CloseFd`).
-    fn request(&self, fd: Option<Fd>) -> SyscallRequest {
-        use tocttou_os::ids::{Gid, Uid};
-        match self {
-            CallSpec::Stat(p) => SyscallRequest::Stat { path: p.clone() },
-            CallSpec::Lstat(p) => SyscallRequest::Lstat { path: p.clone() },
-            CallSpec::Access(p) => SyscallRequest::Access { path: p.clone() },
-            CallSpec::Readlink(p) => SyscallRequest::Readlink { path: p.clone() },
-            CallSpec::Open(p) => SyscallRequest::Open { path: p.clone() },
-            CallSpec::OpenCreate(p) => SyscallRequest::OpenCreate { path: p.clone() },
-            CallSpec::WriteFd { bytes } => SyscallRequest::Write {
-                fd: fd.expect("WriteFd needs a prior open/creat in the trace"),
-                bytes: *bytes,
-            },
-            CallSpec::CloseFd => SyscallRequest::Close {
-                fd: fd.expect("CloseFd needs a prior open/creat in the trace"),
-            },
-            CallSpec::Unlink(p) => SyscallRequest::Unlink { path: p.clone() },
-            CallSpec::Mkdir(p) => SyscallRequest::Mkdir { path: p.clone() },
-            CallSpec::Rename { from, to } => SyscallRequest::Rename {
-                from: from.clone(),
-                to: to.clone(),
-            },
-            CallSpec::Symlink { target, linkpath } => SyscallRequest::Symlink {
-                target: target.clone(),
-                linkpath: linkpath.clone(),
-            },
-            CallSpec::Link { existing, linkpath } => SyscallRequest::Link {
-                existing: existing.clone(),
-                linkpath: linkpath.clone(),
-            },
-            CallSpec::Chmod { path, mode } => SyscallRequest::Chmod {
-                path: path.clone(),
-                mode: *mode,
-            },
-            CallSpec::Chown { path, uid, gid } => SyscallRequest::Chown {
-                path: path.clone(),
-                uid: Uid(*uid),
-                gid: Gid(*gid),
-            },
-            CallSpec::Sleep(duration) => SyscallRequest::Sleep {
-                duration: *duration,
-            },
-        }
-    }
-}
 
 /// A guard evaluated on a call's result; failing the guard makes the
 /// victim abort its trace (exit without issuing the remaining steps).
@@ -216,8 +60,8 @@ pub enum Expect {
     /// Proceed only if the (followed) stat result reports this owner uid.
     UidIs(u32),
     /// Proceed only if the stat result exists and is neither a symlink
-    /// nor a directory (meaningful after [`CallSpec::Lstat`]: sendmail's
-    /// check that the mailbox is a plain file).
+    /// nor a directory (meaningful after [`SyscallRequest::Lstat`]:
+    /// sendmail's check that the mailbox is a plain file).
     NotSymlink,
     /// Proceed only if the call succeeded.
     Succeeds,
@@ -253,10 +97,13 @@ pub enum Step {
         /// Jitter stdev in microseconds.
         jitter_us: f64,
     },
-    /// A syscall, optionally guarded by an [`Expect`] on its result.
+    /// A syscall, optionally guarded by an [`Expect`] on its result. The
+    /// kernel's own request, issued as written: descriptor calls go
+    /// through [`Step::WriteLoop`] and [`Step::Close`], which fill in the
+    /// tracked fd.
     Call {
         /// The call.
-        call: CallSpec,
+        call: SyscallRequest,
         /// Guard on the result; `Expect::Any` for unguarded calls.
         expect: Expect,
     },
@@ -273,11 +120,13 @@ pub enum Step {
         /// page-cache-only writes, the paper's main experiments.
         stall: Option<SimDuration>,
     },
+    /// `close(fd)` of the tracked fd.
+    Close,
 }
 
 impl Step {
     /// An unguarded call step.
-    pub fn call(call: CallSpec) -> Step {
+    pub fn call(call: SyscallRequest) -> Step {
         Step::Call {
             call,
             expect: Expect::Any,
@@ -285,7 +134,7 @@ impl Step {
     }
 
     /// A guarded call step.
-    pub fn guarded(call: CallSpec, expect: Expect) -> Step {
+    pub fn guarded(call: SyscallRequest, expect: Expect) -> Step {
         Step::Call { call, expect }
     }
 
@@ -352,12 +201,12 @@ pub struct AttackerProfile {
     /// When to strike.
     pub trigger: Trigger,
     /// The strike: issued back-to-back once triggered.
-    pub strike: Arc<[CallSpec]>,
+    pub strike: Arc<[SyscallRequest]>,
     /// Calls issued against a decoy whenever the detection `stat` comes
     /// back negative, between a jittered `check_gap` and the `loop_gap`
     /// (Figure 9's attacker v2: its `unlink`/`symlink` pages fault in on
     /// the decoy, outside the window). `None` for every other attacker.
-    pub rehearsal: Option<Arc<[CallSpec]>>,
+    pub rehearsal: Option<Arc<[SyscallRequest]>>,
     /// Raise the round's shared flag on detection, before the check gap,
     /// for a [`Trigger::Flag`] partner to strike concurrently.
     pub raises_flag: bool,
@@ -375,10 +224,12 @@ pub struct AttackerProfile {
 impl AttackerProfile {
     /// The classic symlink-swap strike: `unlink(target)` then
     /// `symlink(privileged, target)`.
-    pub fn symlink_strike(target: &Arc<str>, privileged: &Arc<str>) -> Arc<[CallSpec]> {
+    pub fn symlink_strike(target: &Arc<str>, privileged: &Arc<str>) -> Arc<[SyscallRequest]> {
         Arc::from(vec![
-            CallSpec::Unlink(target.clone()),
-            CallSpec::Symlink {
+            SyscallRequest::Unlink {
+                path: target.clone(),
+            },
+            SyscallRequest::Symlink {
                 target: privileged.clone(),
                 linkpath: target.clone(),
             },
@@ -387,10 +238,12 @@ impl AttackerProfile {
 
     /// The hardlink-swap strike: `unlink(target)` then
     /// `link(privileged, target)`.
-    pub fn hardlink_strike(target: &Arc<str>, privileged: &Arc<str>) -> Arc<[CallSpec]> {
+    pub fn hardlink_strike(target: &Arc<str>, privileged: &Arc<str>) -> Arc<[SyscallRequest]> {
         Arc::from(vec![
-            CallSpec::Unlink(target.clone()),
-            CallSpec::Link {
+            SyscallRequest::Unlink {
+                path: target.clone(),
+            },
+            SyscallRequest::Link {
                 existing: privileged.clone(),
                 linkpath: target.clone(),
             },
@@ -565,8 +418,8 @@ pub struct WindowAnnotation {
 
 impl CompiledVictim {
     /// Locates the declared pair's check→use window in the trace: the
-    /// first step lowering to `pair.use_call()` that is preceded by a
-    /// step lowering to `pair.check()` on the same path; the *last* such
+    /// first call whose taxonomy call is `pair.use_call()` that is preceded
+    /// by a `pair.check()` call on the same path; the *last* such
     /// check wins, mirroring the kernel rule that a re-check refreshes
     /// the window. `None` when the trace never realizes its declared pair
     /// (a spec bug worth surfacing; the conformance tests assert every
@@ -579,8 +432,9 @@ impl CompiledVictim {
         // Last check step seen per path, in trace order.
         let mut checks: Vec<(usize, &Arc<str>)> = Vec::new();
         for (i, call) in calls {
+            let fs_call = fs_call_of(call.name());
             if (self.pair.check() != self.pair.use_call() || checks.is_empty())
-                && call.fs_call() == Some(self.pair.check())
+                && fs_call == Some(self.pair.check())
             {
                 if let Some(path) = call.primary_path() {
                     match checks.iter_mut().find(|(_, p)| p.as_ref() == path.as_ref()) {
@@ -590,7 +444,7 @@ impl CompiledVictim {
                     continue;
                 }
             }
-            if call.fs_call() == Some(self.pair.use_call()) {
+            if fs_call == Some(self.pair.use_call()) {
                 if let Some(path) = call.primary_path() {
                     if let Some(&(check_step, p)) =
                         checks.iter().find(|(_, p)| p.as_ref() == path.as_ref())
@@ -699,7 +553,7 @@ impl ProcessLogic for DslVictim {
                 Step::Call { call, expect } => {
                     self.pc += 1;
                     self.pending = *expect;
-                    return Action::Syscall(call.request(self.fd));
+                    return Action::Syscall(call.clone());
                 }
                 Step::WriteLoop {
                     bytes,
@@ -721,6 +575,12 @@ impl ProcessLogic for DslVictim {
                     return Action::Syscall(SyscallRequest::Write {
                         fd: self.fd.expect("write loop needs a prior open/creat"),
                         bytes: n,
+                    });
+                }
+                Step::Close => {
+                    self.pc += 1;
+                    return Action::Syscall(SyscallRequest::Close {
+                        fd: self.fd.expect("close needs a prior open/creat"),
                     });
                 }
             }
@@ -791,7 +651,7 @@ impl DslAttacker {
         match self.prof.strike.get(i) {
             Some(call) => {
                 self.state = AtkState::Strike(i + 1);
-                Action::Syscall(call.request(None))
+                Action::Syscall(call.clone())
             }
             None => Action::Exit,
         }
@@ -838,7 +698,7 @@ impl ProcessLogic for DslAttacker {
             AtkState::Rehearse(i) => match self.prof.rehearsal.as_deref().and_then(|r| r.get(i)) {
                 Some(call) => {
                     self.state = AtkState::Rehearse(i + 1);
-                    Action::Syscall(call.request(None))
+                    Action::Syscall(call.clone())
                 }
                 None => {
                     self.state = AtkState::Stat;
@@ -901,7 +761,8 @@ pub mod library;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tocttou_os::ids::Uid;
+    use tocttou_core::taxonomy::FsCall;
+    use tocttou_os::ids::{Gid, Uid};
 
     #[test]
     fn compile_produces_a_runnable_scenario() {
@@ -929,19 +790,15 @@ mod tests {
             name: "guard-abort".into(),
             machine: MachineSpec::smp_xeon(),
             layout: layout.clone(),
-            pair: TocttouPair::new(
-                tocttou_core::taxonomy::FsCall::Stat,
-                tocttou_core::taxonomy::FsCall::Chown,
-            )
-            .unwrap(),
+            pair: TocttouPair::new(FsCall::Stat, FsCall::Chown).unwrap(),
             victim_name: "guarded".into(),
             steps: vec![
-                Step::guarded(CallSpec::Stat(doc.clone()), Expect::UidIs(0)),
+                Step::guarded(SyscallRequest::Stat { path: doc.clone() }, Expect::UidIs(0)),
                 Step::gap_us(10, 0.0),
-                Step::call(CallSpec::Chown {
+                Step::call(SyscallRequest::Chown {
                     path: doc.clone(),
-                    uid: 0,
-                    gid: 0,
+                    uid: Uid::ROOT,
+                    gid: Gid::ROOT,
                 }),
             ],
             doc_size: 64,
@@ -963,24 +820,34 @@ mod tests {
     fn call_specs_map_to_taxonomy_calls_and_paths() {
         let p: Arc<str> = "/tmp/x".into();
         let q: Arc<str> = "/tmp/y".into();
-        assert_eq!(CallSpec::Stat(p.clone()).fs_call(), Some(FsCall::Stat));
+        let fs_call = |call: &SyscallRequest| fs_call_of(call.name());
         assert_eq!(
-            CallSpec::OpenCreate(p.clone()).fs_call(),
+            fs_call(&SyscallRequest::Stat { path: p.clone() }),
+            Some(FsCall::Stat)
+        );
+        assert_eq!(
+            fs_call(&SyscallRequest::OpenCreate { path: p.clone() }),
             Some(FsCall::Creat)
         );
-        assert_eq!(CallSpec::WriteFd { bytes: 1 }.fs_call(), None);
-        assert_eq!(CallSpec::CloseFd.primary_path(), None);
-        let rename = CallSpec::Rename {
+        assert_eq!(
+            fs_call(&SyscallRequest::Write {
+                fd: Fd(3),
+                bytes: 1
+            }),
+            None
+        );
+        assert_eq!(SyscallRequest::Close { fd: Fd(3) }.primary_path(), None);
+        let rename = SyscallRequest::Rename {
             from: p.clone(),
             to: q.clone(),
         };
-        assert_eq!(rename.fs_call(), Some(FsCall::Rename));
+        assert_eq!(fs_call(&rename), Some(FsCall::Rename));
         assert_eq!(
             rename.primary_path().map(Arc::as_ref),
             Some("/tmp/y"),
             "rename windows key on the destination name"
         );
-        let link = CallSpec::Symlink {
+        let link = SyscallRequest::Symlink {
             target: p.clone(),
             linkpath: q.clone(),
         };

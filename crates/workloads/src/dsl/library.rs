@@ -36,13 +36,13 @@
 //! use is harmless and silent. Timer-triggered attackers get their
 //! round-to-round spread from the victim's sampled editing prologue.
 
-use super::{
-    AttackerProfile, CallSpec, Expect, FileSpec, ScenarioSpec, Step, SuccessRule, Trigger,
-};
+use super::{AttackerProfile, Expect, FileSpec, ScenarioSpec, Step, SuccessRule, Trigger};
 use crate::scenario::Layout;
 use std::sync::Arc;
 use tocttou_core::taxonomy::{FsCall, TocttouPair};
+use tocttou_os::ids::{Gid, Uid};
 use tocttou_os::machine::MachineSpec;
+use tocttou_os::process::SyscallRequest;
 use tocttou_sim::dist::DurationDist;
 use tocttou_sim::time::SimDuration;
 
@@ -75,7 +75,7 @@ fn attacker(
     name: &str,
     trigger: Trigger,
     watch: &Arc<str>,
-    strike: Arc<[CallSpec]>,
+    strike: Arc<[SyscallRequest]>,
     [start_delay, loop_gap, check_gap]: [SimDuration; 3],
     jitter_us: f64,
 ) -> AttackerProfile {
@@ -165,20 +165,20 @@ pub fn vi_save(layout: &Layout, file_size: u64, prologue: DurationDist) -> Vec<S
     let doc: Arc<str> = layout.doc.as_str().into();
     vec![
         Step::Think(prologue),
-        Step::call(CallSpec::Rename {
+        Step::call(SyscallRequest::Rename {
             from: doc.clone(),
             to: layout.backup.as_str().into(),
         }),
         Step::gap_us(10, 2.0),
-        Step::call(CallSpec::OpenCreate(doc.clone())),
+        Step::call(SyscallRequest::OpenCreate { path: doc.clone() }),
         Step::write(file_size, 64 * 1024),
         Step::gap_us(10, 2.0),
-        Step::call(CallSpec::CloseFd),
+        Step::Close,
         Step::gap_us(76, 2.0),
-        Step::call(CallSpec::Chown {
+        Step::call(SyscallRequest::Chown {
             path: doc,
-            uid: layout.attacker.0 .0,
-            gid: layout.attacker.1 .0,
+            uid: layout.attacker.0,
+            gid: layout.attacker.1,
         }),
     ]
 }
@@ -203,30 +203,30 @@ pub fn gedit_save(
     let temp: Arc<str> = layout.temp.as_str().into();
     vec![
         Step::Think(prologue),
-        Step::call(CallSpec::OpenCreate(temp.clone())),
+        Step::call(SyscallRequest::OpenCreate { path: temp.clone() }),
         Step::write(file_size, 64 * 1024),
         Step::gap_us(10, 1.0),
-        Step::call(CallSpec::CloseFd),
+        Step::Close,
         Step::gap_us(10, 1.0),
-        Step::call(CallSpec::Rename {
+        Step::call(SyscallRequest::Rename {
             from: doc.clone(),
             to: layout.backup.as_str().into(),
         }),
         Step::gap_us(10, 1.0),
-        Step::call(CallSpec::Rename {
+        Step::call(SyscallRequest::Rename {
             from: temp,
             to: doc.clone(),
         }),
         Step::gap_us(rename_chmod_us, 1.0),
-        Step::call(CallSpec::Chmod {
+        Step::call(SyscallRequest::Chmod {
             path: doc.clone(),
             mode: 0o644,
         }),
         Step::gap_us(1, 1.0),
-        Step::call(CallSpec::Chown {
+        Step::call(SyscallRequest::Chown {
             path: doc,
-            uid: layout.attacker.0 .0,
-            gid: layout.attacker.1 .0,
+            uid: layout.attacker.0,
+            gid: layout.attacker.1,
         }),
     ]
 }
@@ -536,12 +536,22 @@ pub fn tmp_logrotate(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Stat, FsCall::Open),
         vec![
             Step::Think(prologue()),
-            Step::guarded(CallSpec::Stat(spool.clone()), Expect::UidIs(1000)),
+            Step::guarded(
+                SyscallRequest::Stat {
+                    path: spool.clone(),
+                },
+                Expect::UidIs(1000),
+            ),
             Step::gap_us(80, 2.0),
-            Step::guarded(CallSpec::Open(spool.clone()), Expect::Succeeds),
+            Step::guarded(
+                SyscallRequest::Open {
+                    path: spool.clone(),
+                },
+                Expect::Succeeds,
+            ),
             Step::write(512, 512),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
+            Step::Close,
         ],
         SuccessRule::PrivilegedGrewBy(512),
     );
@@ -562,19 +572,29 @@ pub fn chown_walk(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Stat, FsCall::Chown),
         vec![
             Step::Think(prologue()),
-            Step::guarded(CallSpec::Stat("/home/user/pkg".into()), Expect::UidIs(1000)),
-            Step::gap_us(10, 1.0),
             Step::guarded(
-                CallSpec::Stat("/home/user/pkg/sub".into()),
+                SyscallRequest::Stat {
+                    path: "/home/user/pkg".into(),
+                },
                 Expect::UidIs(1000),
             ),
             Step::gap_us(10, 1.0),
-            Step::guarded(CallSpec::Stat(data.clone()), Expect::UidIs(1000)),
+            Step::guarded(
+                SyscallRequest::Stat {
+                    path: "/home/user/pkg/sub".into(),
+                },
+                Expect::UidIs(1000),
+            ),
+            Step::gap_us(10, 1.0),
+            Step::guarded(
+                SyscallRequest::Stat { path: data.clone() },
+                Expect::UidIs(1000),
+            ),
             Step::gap_us(90, 2.0),
-            Step::call(CallSpec::Chown {
+            Step::call(SyscallRequest::Chown {
                 path: data.clone(),
-                uid: 1000,
-                gid: 1000,
+                uid: Uid(1000),
+                gid: Gid(1000),
             }),
         ],
         SuccessRule::AttackerOwnsPrivileged,
@@ -599,9 +619,14 @@ pub fn tmp_sweeper(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Stat, FsCall::Chmod),
         vec![
             Step::Think(prologue()),
-            Step::guarded(CallSpec::Stat(cache.clone()), Expect::UidIs(1000)),
+            Step::guarded(
+                SyscallRequest::Stat {
+                    path: cache.clone(),
+                },
+                Expect::UidIs(1000),
+            ),
             Step::gap_us(90, 2.0),
-            Step::call(CallSpec::Chmod {
+            Step::call(SyscallRequest::Chmod {
                 path: cache.clone(),
                 mode: 0o600,
             }),
@@ -624,12 +649,18 @@ pub fn maildrop(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Lstat, FsCall::Open),
         vec![
             Step::Think(prologue()),
-            Step::guarded(CallSpec::Lstat(mbox.clone()), Expect::NotSymlink),
+            Step::guarded(
+                SyscallRequest::Lstat { path: mbox.clone() },
+                Expect::NotSymlink,
+            ),
             Step::gap_us(85, 2.0),
-            Step::guarded(CallSpec::Open(mbox.clone()), Expect::Succeeds),
+            Step::guarded(
+                SyscallRequest::Open { path: mbox.clone() },
+                Expect::Succeeds,
+            ),
             Step::write(256, 256),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
+            Step::Close,
         ],
         SuccessRule::PrivilegedGrewBy(256),
     );
@@ -649,12 +680,18 @@ pub fn installer_read(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Access, FsCall::Open),
         vec![
             Step::Think(prologue()),
-            Step::guarded(CallSpec::Access(conf.clone()), Expect::UidIs(1000)),
+            Step::guarded(
+                SyscallRequest::Access { path: conf.clone() },
+                Expect::UidIs(1000),
+            ),
             Step::gap_us(85, 2.0),
-            Step::guarded(CallSpec::Open(conf.clone()), Expect::Succeeds),
+            Step::guarded(
+                SyscallRequest::Open { path: conf.clone() },
+                Expect::Succeeds,
+            ),
             Step::write(128, 128),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
+            Step::Close,
         ],
         SuccessRule::PrivilegedGrewBy(128),
     );
@@ -675,19 +712,26 @@ pub fn pkg_installer(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Access, FsCall::Chown),
         vec![
             Step::Think(prologue()),
-            Step::call(CallSpec::Mkdir("/home/user/.staging".into())),
+            Step::call(SyscallRequest::Mkdir {
+                path: "/home/user/.staging".into(),
+            }),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::OpenCreate("/home/user/.staging/payload".into())),
+            Step::call(SyscallRequest::OpenCreate {
+                path: "/home/user/.staging/payload".into(),
+            }),
             Step::write(file_size, 64 * 1024),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
+            Step::Close,
             Step::gap_us(10, 1.0),
-            Step::guarded(CallSpec::Access(tool.clone()), Expect::UidIs(1000)),
+            Step::guarded(
+                SyscallRequest::Access { path: tool.clone() },
+                Expect::UidIs(1000),
+            ),
             Step::gap_us(95, 2.0),
-            Step::call(CallSpec::Chown {
+            Step::call(SyscallRequest::Chown {
                 path: tool.clone(),
-                uid: 1000,
-                gid: 1000,
+                uid: Uid(1000),
+                gid: Gid(1000),
             }),
         ],
         SuccessRule::AttackerOwnsPrivileged,
@@ -709,15 +753,15 @@ pub fn mktemp_reopen(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Creat, FsCall::Open),
         vec![
             Step::Think(prologue()),
-            Step::call(CallSpec::OpenCreate(tmp.clone())),
+            Step::call(SyscallRequest::OpenCreate { path: tmp.clone() }),
             Step::write(file_size, 64 * 1024),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
+            Step::Close,
             Step::gap_us(90, 2.0),
-            Step::guarded(CallSpec::Open(tmp.clone()), Expect::Succeeds),
+            Step::guarded(SyscallRequest::Open { path: tmp.clone() }, Expect::Succeeds),
             Step::write(64, 64),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
+            Step::Close,
         ],
         SuccessRule::PrivilegedGrewBy(64),
     );
@@ -742,12 +786,12 @@ pub fn sock_bind(file_size: u64) -> ScenarioSpec {
         pair(FsCall::Creat, FsCall::Chmod),
         vec![
             Step::Think(prologue()),
-            Step::call(CallSpec::OpenCreate(sock.clone())),
+            Step::call(SyscallRequest::OpenCreate { path: sock.clone() }),
             Step::write(file_size, 64 * 1024),
             Step::gap_us(10, 1.0),
-            Step::call(CallSpec::CloseFd),
+            Step::Close,
             Step::gap_us(90, 2.0),
-            Step::call(CallSpec::Chmod {
+            Step::call(SyscallRequest::Chmod {
                 path: sock.clone(),
                 mode: 0o666,
             }),
@@ -845,15 +889,19 @@ pub fn taxonomy_library(file_size: Option<u64>) -> Vec<(TocttouPair, crate::scen
 pub fn rpm_install(helper: &Arc<str>, file_size: u64) -> Vec<Step> {
     vec![
         Step::Think(prologue()),
-        Step::call(CallSpec::OpenCreate(helper.clone())),
+        Step::call(SyscallRequest::OpenCreate {
+            path: helper.clone(),
+        }),
         Step::write(file_size, 64 * 1024),
         Step::gap_us(10, 0.0),
-        Step::call(CallSpec::Sleep(SimDuration::from_millis(5))),
+        Step::call(SyscallRequest::Sleep {
+            duration: SimDuration::from_millis(5),
+        }),
         Step::gap_us(10, 0.0),
-        Step::call(CallSpec::Chown {
+        Step::call(SyscallRequest::Chown {
             path: helper.clone(),
-            uid: 1000,
-            gid: 1000,
+            uid: Uid(1000),
+            gid: Gid(1000),
         }),
     ]
 }
@@ -870,11 +918,21 @@ pub fn rpm_install(helper: &Arc<str>, file_size: u64) -> Vec<Step> {
 pub fn sendmail_deliver(mailbox: &Arc<str>) -> Vec<Step> {
     vec![
         Step::Think(DurationDist::uniform_us(0.0, 100.0)),
-        Step::guarded(CallSpec::Lstat(mailbox.clone()), Expect::NotSymlink),
+        Step::guarded(
+            SyscallRequest::Lstat {
+                path: mailbox.clone(),
+            },
+            Expect::NotSymlink,
+        ),
         Step::Think(DurationDist::uniform_us(100.0, 300.0)),
-        Step::guarded(CallSpec::Open(mailbox.clone()), Expect::Succeeds),
-        Step::call(CallSpec::WriteFd { bytes: 1024 }),
-        Step::call(CallSpec::CloseFd),
+        Step::guarded(
+            SyscallRequest::Open {
+                path: mailbox.clone(),
+            },
+            Expect::Succeeds,
+        ),
+        Step::write(1024, 1024),
+        Step::Close,
     ]
 }
 
@@ -907,22 +965,22 @@ pub fn pair_victim(
 }
 
 /// `call` in the check role of [`pair_victim`], if expressible.
-fn check_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<CallSpec> {
+fn check_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<SyscallRequest> {
     let path = path.clone();
     Some(match call {
         // Observation checks.
-        FsCall::Stat => CallSpec::Stat(path),
-        FsCall::Access => CallSpec::Access(path),
-        FsCall::Lstat => CallSpec::Lstat(path),
-        FsCall::Readlink => CallSpec::Readlink(path),
+        FsCall::Stat => SyscallRequest::Stat { path },
+        FsCall::Access => SyscallRequest::Access { path },
+        FsCall::Lstat => SyscallRequest::Lstat { path },
+        FsCall::Readlink => SyscallRequest::Readlink { path },
         // Creation checks ("the name now refers to what I just made").
-        FsCall::Open | FsCall::Creat | FsCall::Mknod => CallSpec::OpenCreate(path),
-        FsCall::Mkdir => CallSpec::Mkdir(path),
-        FsCall::Symlink | FsCall::Link => CallSpec::Symlink {
+        FsCall::Open | FsCall::Creat | FsCall::Mknod => SyscallRequest::OpenCreate { path },
+        FsCall::Mkdir => SyscallRequest::Mkdir { path },
+        FsCall::Symlink | FsCall::Link => SyscallRequest::Symlink {
             target: aux.clone(),
             linkpath: path,
         },
-        FsCall::Rename => CallSpec::Rename {
+        FsCall::Rename => SyscallRequest::Rename {
             from: aux.clone(),
             to: path,
         },
@@ -931,27 +989,27 @@ fn check_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<CallSpec>
 }
 
 /// `call` in the use role of [`pair_victim`], if expressible.
-fn use_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<CallSpec> {
+fn use_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<SyscallRequest> {
     let path = path.clone();
     Some(match call {
-        FsCall::Chown => CallSpec::Chown {
+        FsCall::Chown => SyscallRequest::Chown {
             path,
-            uid: 1000,
-            gid: 1000,
+            uid: Uid(1000),
+            gid: Gid(1000),
         },
-        FsCall::Chmod | FsCall::Utime => CallSpec::Chmod { path, mode: 0o600 },
-        FsCall::Open | FsCall::Execve => CallSpec::Open(path),
-        FsCall::Creat | FsCall::Truncate => CallSpec::OpenCreate(path),
-        FsCall::Unlink => CallSpec::Unlink(path),
-        FsCall::Rename => CallSpec::Rename {
+        FsCall::Chmod | FsCall::Utime => SyscallRequest::Chmod { path, mode: 0o600 },
+        FsCall::Open | FsCall::Execve => SyscallRequest::Open { path },
+        FsCall::Creat | FsCall::Truncate => SyscallRequest::OpenCreate { path },
+        FsCall::Unlink => SyscallRequest::Unlink { path },
+        FsCall::Rename => SyscallRequest::Rename {
             from: path,
             to: aux.clone(),
         },
-        FsCall::Symlink | FsCall::Link => CallSpec::Symlink {
+        FsCall::Symlink | FsCall::Link => SyscallRequest::Symlink {
             target: aux.clone(),
             linkpath: path,
         },
-        FsCall::Mkdir => CallSpec::Mkdir(path),
+        FsCall::Mkdir => SyscallRequest::Mkdir { path },
         _ => return None,
     })
 }
@@ -1187,7 +1245,7 @@ mod tests {
                     matches!(
                         s,
                         Step::Call {
-                            call: CallSpec::Chmod { .. },
+                            call: SyscallRequest::Chmod { .. },
                             ..
                         }
                     )

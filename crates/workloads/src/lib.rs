@@ -5,7 +5,8 @@
 //! DSN 2007), written once, as data, and run by one interpreter per role:
 //!
 //! * [`dsl`] — the spec language ([`ScenarioSpec`], [`Step`],
-//!   [`AttackerProfile`]) and its interpreters ([`dsl::DslVictim`],
+//!   [`AttackerProfile`], whose calls are the kernel's own
+//!   `SyscallRequest`) and its interpreters ([`dsl::DslVictim`],
 //!   [`dsl::DslAttacker`]);
 //! * [`dsl::library`] — the vi 6.1 and gedit 2.8.3 save sequences
 //!   (Figures 1 and 3), attackers v1 and v2 (Figures 2/4 and 9), the
@@ -17,7 +18,8 @@
 //! * [`scenario::Scenario`] — named machine+victim+attacker bundles for
 //!   every experiment in the paper's evaluation, each a compiled spec;
 //! * [`maze`] — pathname-maze layouts around the vi scenario: layouts,
-//!   not processes, so nothing there to write as a step list.
+//!   not processes, so nothing there to write as a step list; the
+//!   scenario's own build creates the maze's directory chain.
 //!
 //! [`dsl::DslVictim`] and [`dsl::DslAttacker`] are the only
 //! `ProcessLogic` implementations here. The sendmail mailbox flipper in
@@ -41,8 +43,6 @@ pub mod dsl;
 pub mod maze;
 pub mod scenario;
 
-pub use dsl::{
-    AttackerProfile, CallSpec, CompiledVictim, Expect, ScenarioSpec, Step, SuccessRule, Trigger,
-};
-pub use maze::{run_maze_round, vi_uniprocessor_maze, Maze};
+pub use dsl::{AttackerProfile, CompiledVictim, Expect, ScenarioSpec, Step, SuccessRule, Trigger};
+pub use maze::{vi_uniprocessor_maze, Maze};
 pub use scenario::{Layout, RoundHandles, RoundResult, Scenario};

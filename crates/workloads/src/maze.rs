@@ -7,12 +7,14 @@
 //! window — and with it the uniprocessor suspension probability. This
 //! module builds maze layouts and scenario variants that quantify the
 //! effect with the same Monte-Carlo machinery as the paper's experiments.
+//!
+//! A maze is only a [`Layout`] whose document sits deep below the home
+//! directory: [`Scenario::build`] (and every template and checkpoint
+//! path) creates the document's missing ancestors, so a maze scenario
+//! runs through `run_round`, `run_mc` and the sweeps like any other.
 
 use crate::dsl::library;
 use crate::scenario::{Layout, Scenario};
-use tocttou_os::ids::{Gid, Uid};
-use tocttou_os::kernel::Kernel;
-use tocttou_os::vfs::InodeMeta;
 
 /// A maze layout: the document lives `depth` directories below the user's
 /// home, so every path touching it resolves `depth + 3` components.
@@ -39,25 +41,6 @@ impl Maze {
             backup: format!("{dir}/doc.txt~"),
         }
     }
-
-    /// Creates the maze's directory chain in a kernel's filesystem
-    /// (expects `/home/user` to exist).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout cannot be created (programming error in setup).
-    pub fn dig(&self, kernel: &mut Kernel, owner: (Uid, Gid)) {
-        let meta = InodeMeta {
-            uid: owner.0,
-            gid: owner.1,
-            mode: 0o755,
-        };
-        let mut dir = String::from("/home/user");
-        for i in 0..self.depth {
-            dir.push_str(&format!("/m{i}"));
-            kernel.vfs_mut().mkdir(&dir, meta).expect("maze digging");
-        }
-    }
 }
 
 /// A vi uniprocessor scenario whose document sits at the bottom of a maze
@@ -78,29 +61,6 @@ pub fn vi_uniprocessor_maze(file_size: u64, depth: usize, per_component_us: f64)
     spec.name = format!("vi-uniprocessor-maze{}-{}B", depth, file_size);
     spec.machine.costs.resolve_per_component_us = per_component_us;
     spec.compile()
-}
-
-impl Scenario {
-    /// Digs the maze directories for scenarios produced by
-    /// [`vi_uniprocessor_maze`]. Must be called on freshly built rounds;
-    /// [`Scenario::build`] handles the standard layout but not maze chains,
-    /// so maze experiments go through [`run_maze_round`].
-    fn maze_depth(&self) -> usize {
-        self.layout
-            .doc
-            .split('/')
-            .filter(|c| c.starts_with('m') && c[1..].chars().all(|ch| ch.is_ascii_digit()))
-            .count()
-    }
-}
-
-/// Runs one round of a maze scenario (digs the chain, then runs normally).
-pub fn run_maze_round(scenario: &Scenario, seed: u64) -> crate::scenario::RoundResult {
-    let depth = scenario.maze_depth();
-    let mut handles = scenario.build_with(seed, false, |kernel| {
-        Maze::new(depth).dig(kernel, (Uid(1000), Gid(1000)));
-    });
-    scenario.finish_round(&mut handles)
 }
 
 #[cfg(test)]
@@ -129,8 +89,8 @@ mod tests {
         let mut flat_rate = SuccessCounter::new();
         let mut deep_rate = SuccessCounter::new();
         for seed in 0..100 {
-            flat_rate.record(run_maze_round(&flat, seed).success);
-            deep_rate.record(run_maze_round(&deep, seed).success);
+            flat_rate.record(flat.run_round(seed).success);
+            deep_rate.record(deep.run_round(seed).success);
         }
         assert!(
             deep_rate.rate() > flat_rate.rate() + 0.04,
@@ -143,7 +103,7 @@ mod tests {
     #[test]
     fn maze_round_completes_with_correct_outcome_bookkeeping() {
         let s = vi_uniprocessor_maze(20 * 1024, 50, 0.5);
-        let r = run_maze_round(&s, 7);
+        let r = s.run_round(7);
         assert!(r.victim_exited, "deep save still completes");
     }
 }

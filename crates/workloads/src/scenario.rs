@@ -6,8 +6,8 @@
 //! runs it, and reads the outcome ([`Scenario::run_round`]).
 
 use crate::dsl::{
-    self, library, AttackFlag, AttackerProfile, CallSpec, CompiledVictim, DslAttacker, FileSpec,
-    Step, Trigger,
+    self, library, AttackFlag, AttackerProfile, CompiledVictim, DslAttacker, FileSpec, Step,
+    Trigger,
 };
 use std::cell::Cell;
 use std::rc::Rc;
@@ -16,6 +16,7 @@ use tocttou_os::defense::DefensePolicy;
 use tocttou_os::ids::{Gid, Pid, Uid};
 use tocttou_os::kernel::{Checkpoint, Kernel, KernelPool};
 use tocttou_os::machine::MachineSpec;
+use tocttou_os::process::SyscallRequest;
 use tocttou_os::vfs::{InodeMeta, Vfs};
 use tocttou_sim::dist::DurationDist;
 use tocttou_sim::rng::SimRng;
@@ -105,18 +106,6 @@ impl Scenario {
     /// element (background activity, victim prologue). Tracing is enabled
     /// iff `traced`.
     pub fn build(&self, seed: u64, traced: bool) -> RoundHandles {
-        self.build_with(seed, traced, |_| {})
-    }
-
-    /// Like [`Scenario::build`], with an extra filesystem-setup hook run
-    /// after the standard layout is populated (maze chains, pre-seeded
-    /// files, …).
-    pub fn build_with(
-        &self,
-        seed: u64,
-        traced: bool,
-        extra_fs: impl FnOnce(&mut Kernel),
-    ) -> RoundHandles {
         let mut root_rng = SimRng::seed_from_u64(seed);
         let mut kernel = Kernel::new(self.machine.clone(), root_rng.next_u64());
         kernel.set_defense(self.defense);
@@ -124,7 +113,6 @@ impl Scenario {
             kernel.disable_trace();
         }
         self.populate_base_fs(kernel.vfs_mut());
-        extra_fs(&mut kernel);
         self.populate_doc(kernel.vfs_mut());
         self.spawn_workloads(kernel, &mut root_rng)
     }
@@ -332,6 +320,16 @@ impl Scenario {
         vfs.mkdir(&self.layout.home, user).expect("layout: home");
         vfs.mkdir(&self.layout.attack_dir, user)
             .expect("layout: attack dir");
+        // A document below the home directory (a maze's chain) gets its
+        // missing ancestors, shallowest first, owned by the attacker. The
+        // probes are read-only, so a layout with nothing missing is
+        // untouched.
+        for (end, _) in self.layout.doc.match_indices('/').skip(1) {
+            let dir = &self.layout.doc[..end];
+            if vfs.lstat(dir).is_err() {
+                vfs.mkdir(dir, user).expect("layout: doc ancestor");
+            }
+        }
     }
 
     fn populate_doc(&self, vfs: &mut Vfs) {
@@ -383,8 +381,8 @@ impl Scenario {
 
     /// Runs a built round to completion (victim exit plus a grace period
     /// for in-flight attacker calls) and reads the outcome. Public so
-    /// custom-built rounds ([`Scenario::build_with`]) can reuse the
-    /// standard round protocol.
+    /// rounds built by hand ([`Scenario::build`]) can reuse the standard
+    /// round protocol.
     pub fn finish_round(&self, handles: &mut RoundHandles) -> RoundResult {
         let deadline = SimTime::ZERO + self.max_round;
         let outcome = handles.kernel.run_until_exit(handles.victim, deadline);
@@ -587,7 +585,7 @@ impl<T: ?Sized> Fresh<T> {
 struct Detach {
     strs: Fresh<str>,
     steps: Fresh<[Step]>,
-    call_lists: Fresh<[CallSpec]>,
+    call_lists: Fresh<[SyscallRequest]>,
     files: Fresh<[FileSpec]>,
 }
 
@@ -596,7 +594,7 @@ impl Detach {
         self.strs.get(s, |s| Arc::from(s))
     }
 
-    fn calls(&mut self, calls: &Arc<[CallSpec]>) -> Arc<[CallSpec]> {
+    fn calls(&mut self, calls: &Arc<[SyscallRequest]>) -> Arc<[SyscallRequest]> {
         self.call_lists.get(calls, |calls| {
             calls
                 .iter()
@@ -679,44 +677,45 @@ fn detach_step(strs: &mut Fresh<str>, step: &Step) -> Step {
             chunk: *chunk,
             stall: *stall,
         },
+        Step::Close => Step::Close,
     }
 }
 
-fn detach_call(strs: &mut Fresh<str>, call: &CallSpec) -> CallSpec {
+fn detach_call(strs: &mut Fresh<str>, call: &SyscallRequest) -> SyscallRequest {
+    use SyscallRequest as R;
     let mut s = |p: &Arc<str>| strs.get(p, |p| Arc::from(p));
     match call {
-        CallSpec::Stat(p) => CallSpec::Stat(s(p)),
-        CallSpec::Lstat(p) => CallSpec::Lstat(s(p)),
-        CallSpec::Access(p) => CallSpec::Access(s(p)),
-        CallSpec::Readlink(p) => CallSpec::Readlink(s(p)),
-        CallSpec::Open(p) => CallSpec::Open(s(p)),
-        CallSpec::OpenCreate(p) => CallSpec::OpenCreate(s(p)),
-        CallSpec::WriteFd { bytes } => CallSpec::WriteFd { bytes: *bytes },
-        CallSpec::CloseFd => CallSpec::CloseFd,
-        CallSpec::Unlink(p) => CallSpec::Unlink(s(p)),
-        CallSpec::Mkdir(p) => CallSpec::Mkdir(s(p)),
-        CallSpec::Rename { from, to } => CallSpec::Rename {
+        R::Stat { path } => R::Stat { path: s(path) },
+        R::Lstat { path } => R::Lstat { path: s(path) },
+        R::Access { path } => R::Access { path: s(path) },
+        R::Readlink { path } => R::Readlink { path: s(path) },
+        R::Open { path } => R::Open { path: s(path) },
+        R::OpenCreate { path } => R::OpenCreate { path: s(path) },
+        R::Unlink { path } => R::Unlink { path: s(path) },
+        R::Mkdir { path } => R::Mkdir { path: s(path) },
+        R::Rename { from, to } => R::Rename {
             from: s(from),
             to: s(to),
         },
-        CallSpec::Symlink { target, linkpath } => CallSpec::Symlink {
+        R::Symlink { target, linkpath } => R::Symlink {
             target: s(target),
             linkpath: s(linkpath),
         },
-        CallSpec::Link { existing, linkpath } => CallSpec::Link {
+        R::Link { existing, linkpath } => R::Link {
             existing: s(existing),
             linkpath: s(linkpath),
         },
-        CallSpec::Chmod { path, mode } => CallSpec::Chmod {
+        R::Chmod { path, mode } => R::Chmod {
             path: s(path),
             mode: *mode,
         },
-        CallSpec::Chown { path, uid, gid } => CallSpec::Chown {
+        R::Chown { path, uid, gid } => R::Chown {
             path: s(path),
             uid: *uid,
             gid: *gid,
         },
-        CallSpec::Sleep(duration) => CallSpec::Sleep(*duration),
+        // No path to copy.
+        R::Write { .. } | R::Close { .. } | R::Sleep { .. } => call.clone(),
     }
 }
 
@@ -1007,28 +1006,29 @@ mod detach_tests {
         Arc::as_ptr(a).cast()
     }
 
-    fn call_arcs(call: &CallSpec, out: &mut Vec<*const ()>) {
+    fn call_arcs(call: &SyscallRequest, out: &mut Vec<*const ()>) {
+        use SyscallRequest as R;
         match call {
-            CallSpec::Stat(p)
-            | CallSpec::Lstat(p)
-            | CallSpec::Access(p)
-            | CallSpec::Readlink(p)
-            | CallSpec::Open(p)
-            | CallSpec::OpenCreate(p)
-            | CallSpec::Unlink(p)
-            | CallSpec::Mkdir(p)
-            | CallSpec::Chmod { path: p, .. }
-            | CallSpec::Chown { path: p, .. } => out.push(ptr(p)),
-            CallSpec::Rename { from: a, to: b }
-            | CallSpec::Symlink {
+            R::Stat { path: p }
+            | R::Lstat { path: p }
+            | R::Access { path: p }
+            | R::Readlink { path: p }
+            | R::Open { path: p }
+            | R::OpenCreate { path: p }
+            | R::Unlink { path: p }
+            | R::Mkdir { path: p }
+            | R::Chmod { path: p, .. }
+            | R::Chown { path: p, .. } => out.push(ptr(p)),
+            R::Rename { from: a, to: b }
+            | R::Symlink {
                 target: a,
                 linkpath: b,
             }
-            | CallSpec::Link {
+            | R::Link {
                 existing: a,
                 linkpath: b,
             } => out.extend([ptr(a), ptr(b)]),
-            CallSpec::WriteFd { .. } | CallSpec::CloseFd | CallSpec::Sleep(_) => {}
+            R::Write { .. } | R::Close { .. } | R::Sleep { .. } => {}
         }
     }
 

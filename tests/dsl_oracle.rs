@@ -26,7 +26,7 @@ use tocttou::os::defense::DefensePolicy;
 use tocttou::os::prelude::*;
 use tocttou::sim::time::{SimDuration, SimTime};
 use tocttou::workloads::dsl::{library, DslAttacker, DslVictim};
-use tocttou::workloads::maze::{run_maze_round, vi_uniprocessor_maze};
+use tocttou::workloads::maze::vi_uniprocessor_maze;
 use tocttou::workloads::Scenario;
 
 /// The record of every named scenario, taken from the hand-written
@@ -140,7 +140,7 @@ fn scenario_record() -> String {
     for seed in SEEDS {
         let rounds: Vec<String> = (0..24)
             .map(|i| {
-                let r = run_maze_round(&maze, seed + i);
+                let r = maze.run_round(seed + i);
                 format!("{}:{}", u8::from(r.success), r.elapsed.as_nanos())
             })
             .collect();

@@ -17,10 +17,12 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tocttou::core::taxonomy::{FsCall, TocttouPair};
+use tocttou::os::ids::{Gid, Uid};
 use tocttou::os::machine::MachineSpec;
+use tocttou::os::process::SyscallRequest;
 use tocttou::sim::time::SimDuration;
 use tocttou::workloads::dsl::library;
-use tocttou::workloads::{CallSpec, Layout, ScenarioSpec, Step, SuccessRule};
+use tocttou::workloads::{Layout, ScenarioSpec, Step, SuccessRule};
 
 /// Numbered scratch path inside the victim's home directory.
 fn pf(i: u8) -> Arc<str> {
@@ -28,7 +30,7 @@ fn pf(i: u8) -> Arc<str> {
 }
 
 /// One well-formed block of victim steps. Blocks keep fd discipline by
-/// construction: a `WriteFd`/`CloseFd` only ever follows an `OpenCreate`,
+/// construction: a write loop or `Step::Close` only ever follows an `OpenCreate`,
 /// which always yields a live descriptor.
 #[derive(Debug, Clone)]
 enum Block {
@@ -67,29 +69,29 @@ fn lower(blocks: Vec<Block>) -> Vec<Step> {
                 tocttou::sim::dist::DurationDist::uniform_us(0.0, f64::from(us) + 1.0),
             )),
             Block::Gap(us, j) => steps.push(Step::gap_us(us as u64, f64::from(j % 4))),
-            Block::StatProbe(p) => steps.push(Step::call(CallSpec::Stat(pf(p)))),
-            Block::LstatProbe(p) => steps.push(Step::call(CallSpec::Lstat(pf(p)))),
-            Block::AccessProbe(p) => steps.push(Step::call(CallSpec::Access(pf(p)))),
+            Block::StatProbe(p) => steps.push(Step::call(SyscallRequest::Stat { path: pf(p) })),
+            Block::LstatProbe(p) => steps.push(Step::call(SyscallRequest::Lstat { path: pf(p) })),
+            Block::AccessProbe(p) => steps.push(Step::call(SyscallRequest::Access { path: pf(p) })),
             Block::CreateWrite(p, n) => {
-                steps.push(Step::call(CallSpec::OpenCreate(pf(p))));
+                steps.push(Step::call(SyscallRequest::OpenCreate { path: pf(p) }));
                 steps.push(Step::write(u64::from(n), 256));
-                steps.push(Step::call(CallSpec::CloseFd));
+                steps.push(Step::Close);
             }
             Block::ChmodIt(p, mode) => {
-                steps.push(Step::call(CallSpec::Chmod { path: pf(p), mode }))
+                steps.push(Step::call(SyscallRequest::Chmod { path: pf(p), mode }))
             }
-            Block::ChownIt(p, uid) => steps.push(Step::call(CallSpec::Chown {
+            Block::ChownIt(p, uid) => steps.push(Step::call(SyscallRequest::Chown {
                 path: pf(p),
-                uid,
-                gid: uid,
+                uid: Uid(uid),
+                gid: Gid(uid),
             })),
-            Block::RenameIt(a, b) => steps.push(Step::call(CallSpec::Rename {
+            Block::RenameIt(a, b) => steps.push(Step::call(SyscallRequest::Rename {
                 from: pf(a),
                 to: pf(b),
             })),
-            Block::MkdirIt(p) => steps.push(Step::call(CallSpec::Mkdir(
-                format!("/home/user/pd{}", p % 6).into(),
-            ))),
+            Block::MkdirIt(p) => steps.push(Step::call(SyscallRequest::Mkdir {
+                path: format!("/home/user/pd{}", p % 6).into(),
+            })),
         }
     }
     steps

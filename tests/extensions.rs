@@ -4,11 +4,12 @@
 
 use std::sync::Arc;
 use tocttou::core::stats::SuccessCounter;
+use tocttou::experiments::{run_mc, McConfig};
 use tocttou::os::defense::DefensePolicy;
 use tocttou::os::prelude::*;
 use tocttou::sim::time::SimTime;
 use tocttou::workloads::dsl::{library, DslAttacker, DslVictim, Step};
-use tocttou::workloads::maze::{run_maze_round, vi_uniprocessor_maze};
+use tocttou::workloads::maze::vi_uniprocessor_maze;
 use tocttou::workloads::Scenario;
 
 /// Defense composes with every scenario family, including the pipelined
@@ -86,16 +87,47 @@ fn maze_and_defense() {
     let deep = vi_uniprocessor_maze(100 * 1024, 800, 5.0);
     let mut amplified = SuccessCounter::new();
     for seed in 0..40 {
-        amplified.record(run_maze_round(&deep, seed).success);
+        amplified.record(deep.run_round(seed).success);
     }
     assert!(amplified.rate() > 0.04, "maze amplifies: {amplified}");
 
     let guarded = deep.with_defense(DefensePolicy::Edgi);
     for seed in 0..20 {
         assert!(
-            !run_maze_round(&guarded, seed).success,
+            !guarded.run_round(seed).success,
             "defense holds in the maze"
         );
+    }
+}
+
+/// A maze scenario runs through the Monte-Carlo engine like any other:
+/// its template and warm checkpoint carry the directory chain, so pooled
+/// rounds at any worker count, warm or cold, tally the same successes as
+/// plain rounds one after another.
+#[test]
+fn maze_rounds_run_through_run_mc() {
+    let maze = vi_uniprocessor_maze(100 * 1024, 100, 5.0);
+    let base_seed = 0x6d61_7a65;
+    let serial = (0..60)
+        .filter(|&i| maze.run_round(base_seed + i).success)
+        .count() as u64;
+    assert!(
+        serial > 0,
+        "the maze must give the tally something to match"
+    );
+    for jobs in [1, 2] {
+        for cold in [false, true] {
+            let cfg = McConfig {
+                rounds: 60,
+                base_seed,
+                jobs,
+                cold,
+                ..McConfig::default()
+            };
+            let mc = run_mc(&maze, &cfg);
+            assert_eq!(mc.rounds, 60);
+            assert_eq!(mc.successes, serial, "jobs {jobs} cold {cold}");
+        }
     }
 }
 
