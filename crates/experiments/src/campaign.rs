@@ -29,13 +29,21 @@
 //! * **Work-stealing compute.** Missing blocks run on the crate's one round
 //!   executor — the same long-lived pooled workers and shared atomic
 //!   cursor as the sweep engine — and each finished block is appended to
-//!   the store the moment it completes.
-//! * **Streaming aggregation.** Once every block is present, the aggregate
-//!   is folded point by point, block by block, straight out of the store:
-//!   one [`BlockRecord`] in memory at a time, observations folded in round
-//!   order into the shared [`PointAcc`], metrics and forensics merged
-//!   in place. Peak memory is bounded by one block plus the store index,
-//!   flat in the total round count.
+//!   the store the moment it completes. Its line is written a field at a
+//!   time, each round's record on its own, so no value tree of the whole
+//!   block is ever built.
+//! * **Fold as written.** When a run will leave the store complete, the
+//!   sink that writes a block also folds it into the aggregate; only the
+//!   blocks the store already held are read back, located by the one scan
+//!   made before compute. Blocks fold point by point in round order
+//!   through the executor's in-order cursor, the one the sweep engine
+//!   uses: metrics and forensics merge as a block arrives, and a computed
+//!   block's observations wait only until every earlier block has folded.
+//!   Peak memory is bounded by about one block per worker, the per-point
+//!   accumulators and the store index, flat in the total round count. A
+//!   warm replay reads every block through the same fold, one stored block
+//!   at a time. A run that [`max_blocks`](CampaignConfig::max_blocks)
+//!   stops before the store is complete folds nothing.
 //!
 //! The one-shot [`run_sweep`](crate::sweep::run_sweep) is kept as the
 //! byte-identity oracle, in the same spirit as the warm/cold boot and
@@ -50,12 +58,13 @@
 //! bulk-statistics one, and the store persists only what aggregation
 //! needs.
 
-use crate::executor::{blocks, execute, Block, Order, Plan};
+use crate::executor::{blocks, execute, Block, InOrder, Order, Plan};
 use crate::grid::Grid;
 use crate::monte_carlo::{fnv1a, PointAcc, RoundObs, DETECTION_FINGERPRINT_SEED};
 use crate::sweep::SweepOutcome;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -65,12 +74,12 @@ use tocttou_workloads::scenario::Scenario;
 
 /// Version of the engine + store schema baked into every cache key.
 ///
-/// Bump this whenever simulation semantics or the [`BlockRecord`] layout
+/// Bump this whenever simulation semantics or the stored block layout
 /// change: every existing key stops matching and the whole store is
 /// recomputed, which is the only safe reading of "the code changed under
 /// the cache".
 ///
-/// v2: [`ObsRecord`] gained the per-round forensics milestones
+/// v2: the per-round record gained the per-round forensics milestones
 /// (`window_closed`, `min_miss_ns`, `strike_hit`) that drive the
 /// rare-event estimator's stratum splitting.
 pub const ENGINE_SCHEMA_VERSION: u32 = 2;
@@ -190,7 +199,7 @@ impl ObsRecord {
 /// `point`, `start` and `end` describe the run that *wrote* the record;
 /// lookups go purely by `key`, so a record written under an older grid
 /// layout is still found (or correctly ignored) by its content address.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct BlockRecord {
     pub(crate) key: u64,
     pub(crate) point: usize,
@@ -382,8 +391,9 @@ pub(crate) fn scan_store(path: &Path) -> std::io::Result<HashMap<u64, LineSpan>>
 /// Runs (or resumes) a campaign against the store directory.
 ///
 /// Missing blocks are computed and appended; when the store then covers
-/// the whole grid, the aggregate is streamed out of it. See the [module
-/// docs](self) for the caching and identity contract.
+/// the whole grid, the aggregate folds computed blocks as they are written
+/// and stored ones as they are read back. See the [module docs](self) for
+/// the caching and identity contract.
 ///
 /// # Errors
 ///
@@ -400,35 +410,63 @@ pub fn run_campaign(store: &Path, cfg: &CampaignConfig) -> std::io::Result<Campa
     let (scenarios, point_seeds, expected) = schedule(cfg);
     let total_blocks = expected.len() as u64;
 
-    let mut index = scan_store(&path)?;
-    let mut missing: Vec<Missing> = expected
-        .iter()
-        .filter(|i| !index.contains_key(&i.key))
-        .copied()
+    let index = scan_store(&path)?;
+    // Each missing block's place in the schedule, which is the fold order.
+    let missing_at: Vec<usize> = (0..expected.len())
+        .filter(|&i| !index.contains_key(&expected[i].key))
         .collect();
+    let missing: Vec<Missing> = missing_at.iter().map(|&i| expected[i]).collect();
     let cached_blocks = total_blocks - missing.len() as u64;
-    missing.truncate(cfg.max_blocks.map_or(usize::MAX, |m| m as usize));
+    let computed_blocks = cfg
+        .max_blocks
+        .map_or(missing.len() as u64, |m| m.min(missing.len() as u64));
+    let remaining_blocks = missing.len() as u64 - computed_blocks;
+    let plan = Plan {
+        scenarios: &scenarios,
+        seed_bases: &point_seeds,
+        collect_ld: false,
+        jobs: cfg.jobs,
+        cold: cfg.cold,
+    };
 
-    let computed_blocks = missing.len() as u64;
-    if !missing.is_empty() {
-        let plan = Plan {
-            scenarios: &scenarios,
-            seed_bases: &point_seeds,
-            collect_ld: false,
-            jobs: cfg.jobs,
-            cold: cfg.cold,
+    let aggregate = if remaining_blocks == 0 {
+        let mut fold = StoreFold {
+            expected: &expected,
+            index: &index,
+            file: std::fs::File::open(&path)?,
+            buf: Vec::new(),
+            order: InOrder::default(),
+            accs: scenarios.iter().map(|_| PointAcc::new()).collect(),
         };
-        compute_blocks(&path, &plan, &missing)?;
-        // Re-scan rather than threading offsets out of the workers: one
-        // code path, and the appended records get the same torn-line
-        // validation as pre-existing ones.
-        index = scan_store(&path)?;
-    }
+        {
+            let fold = Mutex::new(&mut fold);
+            compute_blocks(&path, &plan, &missing, Order::Index, |m, record| {
+                let mut fold = fold.lock().expect("campaign fold poisoned");
+                fold.accs[record.point].merge_counters(&record.metrics, &record.forensics);
+                fold.order.file(missing_at[m], record.obs);
+                fold.advance()
+            })?;
+        }
+        fold.advance()?;
+        Some(SweepOutcome::assemble(
+            &cfg.grid,
+            cfg.rounds,
+            cfg.base_seed,
+            false,
+            &scenarios,
+            fold.accs,
+        ))
+    } else {
+        compute_blocks(
+            &path,
+            &plan,
+            &missing[..computed_blocks as usize],
+            Order::Any,
+            |_, _| Ok(()),
+        )?;
+        None
+    };
 
-    let done_blocks = expected
-        .iter()
-        .filter(|i| index.contains_key(&i.key))
-        .count() as u64;
     let manifest = Manifest {
         schema_version: ENGINE_SCHEMA_VERSION,
         rounds_per_point: cfg.rounds,
@@ -436,20 +474,13 @@ pub fn run_campaign(store: &Path, cfg: &CampaignConfig) -> std::io::Result<Campa
         block: cfg.block.max(1),
         points: cfg.grid.points.len() as u64,
         total_blocks,
-        done_blocks,
+        done_blocks: cached_blocks + computed_blocks,
     };
     std::fs::write(
         manifest_path(store),
         serde_json::to_string_pretty(&manifest).expect("manifest serialization is infallible")
             + "\n",
     )?;
-
-    let remaining_blocks = total_blocks - done_blocks;
-    let aggregate = if remaining_blocks == 0 {
-        Some(aggregate_store(&path, cfg, &scenarios, &expected, &index)?)
-    } else {
-        None
-    };
     Ok(CampaignOutcome {
         total_blocks,
         cached_blocks,
@@ -472,12 +503,57 @@ fn schedule(cfg: &CampaignConfig) -> (Vec<Scenario>, Vec<u64>, Vec<Missing>) {
     (scenarios, point_seeds, expected)
 }
 
-/// Computes the missing blocks on the round executor and appends each to
-/// the store as it finishes.
+/// The aggregate of a run that leaves the store complete, folded in the
+/// schedule's order: computed blocks as their sink files them, stored
+/// blocks read back by the scan made before compute when the cursor
+/// reaches them.
+struct StoreFold<'a> {
+    expected: &'a [Missing],
+    index: &'a HashMap<u64, LineSpan>,
+    file: std::fs::File,
+    buf: Vec<u8>,
+    order: InOrder<Vec<ObsRecord>>,
+    accs: Vec<PointAcc>,
+}
+
+impl StoreFold<'_> {
+    /// Folds every block from the cursor on that is at hand, stopping at
+    /// the first computed block that has not arrived.
+    fn advance(&mut self) -> std::io::Result<()> {
+        let StoreFold {
+            expected,
+            index,
+            file,
+            buf,
+            order,
+            accs,
+        } = self;
+        while let Some((i, obs)) = order.pop_or(|i| -> std::io::Result<_> {
+            let Some(item) = expected.get(i) else {
+                return Ok(None);
+            };
+            let Some(&span) = index.get(&item.key) else {
+                return Ok(None);
+            };
+            let record = read_block(file, span, buf, item)?;
+            accs[item.block.point].merge_counters(&record.metrics, &record.forensics);
+            Ok(Some(record.obs))
+        })? {
+            accs[expected[i].block.point].fold_obs(obs.into_iter().map(ObsRecord::into_obs));
+        }
+        Ok(())
+    }
+}
+
+/// Computes the missing blocks on the round executor. Each finished block
+/// is appended to the store as one line, and its record is then handed to
+/// `on_record` with its index in `missing`, on the worker that ran it.
 pub(crate) fn compute_blocks(
     path: &Path,
     plan: &Plan<'_>,
     missing: &[Missing],
+    order: Order,
+    on_record: impl Fn(usize, BlockRecord) -> std::io::Result<()> + Sync,
 ) -> std::io::Result<()> {
     let writer = Mutex::new(
         std::fs::OpenOptions::new()
@@ -486,57 +562,75 @@ pub(crate) fn compute_blocks(
             .open(path)?,
     );
     let items: Vec<Block> = missing.iter().map(|m| m.block).collect();
-    execute(plan, &items, Order::Any, |idx, obs, pool| {
+    execute(plan, &items, order, |idx, obs, pool| {
         let Missing { block, key } = missing[idx];
         let record = BlockRecord {
             key,
             point: block.point,
             start: block.start,
             end: block.end,
-            obs: obs.into_iter().map(|o| ObsRecord::from_obs(&o)).collect(),
+            obs: obs.iter().map(ObsRecord::from_obs).collect(),
             metrics: pool.drain_metrics(),
             forensics: pool.drain_forensics(),
         };
-        let line =
-            serde_json::to_string(&record).expect("block serialization is infallible") + "\n";
-        // One line per lock hold, flushed before release: lines never
-        // interleave and a finished block is durable the moment the lock
-        // drops.
-        let mut file = writer.lock().expect("store writer poisoned");
-        file.write_all(line.as_bytes()).and_then(|()| file.flush())
+        let line = block_line(&record);
+        {
+            // One line per lock hold, flushed before release: lines never
+            // interleave and a finished block is durable the moment the
+            // lock drops.
+            let mut file = writer.lock().expect("store writer poisoned");
+            file.write_all(line.as_bytes())
+                .and_then(|()| file.flush())?;
+        }
+        drop(line);
+        on_record(idx, record)
     })
 }
 
-/// Streams the aggregate out of a complete store: for each point in grid
-/// order, each block in round order is re-read by its line span and folded
-/// into the point accumulator, then dropped. Memory peaks at one block.
-fn aggregate_store(
-    path: &Path,
-    cfg: &CampaignConfig,
-    scenarios: &[Scenario],
-    expected: &[Missing],
-    index: &HashMap<u64, LineSpan>,
-) -> std::io::Result<SweepOutcome> {
-    let mut file = std::fs::File::open(path)?;
-    let mut accs: Vec<PointAcc> = scenarios.iter().map(|_| PointAcc::new()).collect();
-    let mut line = Vec::new();
-    for item in expected {
-        let &span = index
-            .get(&item.key)
-            .expect("aggregation runs only on a complete store");
-        let record = read_block(&mut file, span, &mut line, item)?;
-        let acc = &mut accs[item.block.point];
-        acc.merge_counters(&record.metrics, &record.forensics);
-        acc.fold_obs(record.obs.into_iter().map(ObsRecord::into_obs));
+/// The store line of one block: exactly `serde_json::to_string(record)`
+/// and a newline, written field by field and round by round, so only one
+/// round's value tree exists at a time. The derived `Serialize` is the
+/// reference; debug builds check the bytes against it and that the line
+/// parses back to `record`.
+fn block_line(record: &BlockRecord) -> String {
+    let json = |v: &dyn Serialize| serde_json::to_string(v).expect("serialization is infallible");
+    let BlockRecord {
+        key,
+        point,
+        start,
+        end,
+        obs,
+        metrics,
+        forensics,
+    } = record;
+    let mut line = String::new();
+    write!(
+        line,
+        "{{\"key\":{key},\"point\":{point},\"start\":{start},\"end\":{end},\"obs\":["
+    )
+    .expect("writing to a String cannot fail");
+    for (i, o) in obs.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(&json(o));
     }
-    Ok(SweepOutcome::assemble(
-        &cfg.grid,
-        cfg.rounds,
-        cfg.base_seed,
-        false,
-        scenarios,
-        accs,
-    ))
+    line.push_str("],\"metrics\":");
+    line.push_str(&json(metrics));
+    line.push_str(",\"forensics\":");
+    line.push_str(&json(forensics));
+    line.push('}');
+    debug_assert_eq!(
+        line,
+        json(record),
+        "block line differs from its serialization"
+    );
+    debug_assert!(
+        serde_json::from_str::<BlockRecord>(&line).is_ok_and(|back| back == *record),
+        "block line does not parse back to its record"
+    );
+    line.push('\n');
+    line
 }
 
 /// Re-reads one stored block by its line span and validates it against the
@@ -833,6 +927,67 @@ mod tests {
             oracle
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn block_lines_equal_the_derived_serialization() {
+        let mc = crate::monte_carlo::run_mc(
+            &Scenario::vi_smp(1024),
+            &crate::monte_carlo::McConfig {
+                rounds: 4,
+                ..Default::default()
+            },
+        );
+        assert!(mc.metrics.total_samples() > 0, "histograms are non-empty");
+        let none = ObsRecord {
+            success: false,
+            flagged: false,
+            window_us: None,
+            detect_latency_us: None,
+            detect_fingerprint: 0,
+            window_closed: false,
+            min_miss_ns: None,
+            strike_hit: false,
+        };
+        let some = ObsRecord {
+            success: true,
+            flagged: true,
+            window_us: Some(0.1 + 0.2),
+            detect_latency_us: Some(std::f64::consts::PI * 1e-7),
+            detect_fingerprint: u64::MAX,
+            window_closed: true,
+            min_miss_ns: Some(u64::MAX - 1),
+            strike_hit: true,
+        };
+        let records = [
+            BlockRecord {
+                key: u64::MAX,
+                point: 0,
+                start: 0,
+                end: 0,
+                obs: Vec::new(),
+                metrics: MetricsSnapshot::default(),
+                forensics: ForensicsSnapshot::default(),
+            },
+            BlockRecord {
+                key: 1,
+                point: 7,
+                start: 5,
+                end: 8,
+                obs: vec![none.clone(), some, none],
+                metrics: mc.metrics,
+                forensics: mc.forensics,
+            },
+        ];
+        for record in &records {
+            let line = block_line(record);
+            let body = line.strip_suffix('\n').expect("a line ends in a newline");
+            assert!(!body.contains('\n'), "one line per block");
+            assert_eq!(body, serde_json::to_string(record).unwrap());
+            let back: BlockRecord = serde_json::from_str(body).unwrap();
+            assert_eq!(back, *record);
+            assert_eq!(line_key(body), Some(record.key));
+        }
     }
 
     /// Every line of a store parses, deserializes and serializes back to

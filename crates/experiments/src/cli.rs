@@ -189,7 +189,7 @@ impl GridArgs {
     /// # Errors
     ///
     /// Returns a usage message when `--grid` was never given,
-    /// `--points` is 0 or above [`MAX_POINTS`], or `--size-kb` overflows
+    /// `--points` is 0 or above `MAX_POINTS` (256), or `--size-kb` overflows
     /// a byte count ([`size_kb_bytes`]).
     pub fn build_grid(&self) -> Result<Grid, String> {
         let kind = self

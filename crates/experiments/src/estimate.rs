@@ -94,8 +94,8 @@ const MIN_SUCCESSES: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct EstimateConfig {
     /// Base seed; stratum seed streams are derived from it via
-    /// [`nested_base`](tocttou_sim::rng::nested_base), never consumed
-    /// directly, so strata stay mutually disjoint.
+    /// [`nested_base`], never consumed directly, so strata stay mutually
+    /// disjoint.
     pub base_seed: u64,
     /// Stop once the 95 % interval half-width is at most this fraction of
     /// the point estimate (e.g. `0.2` = ±20 % relative). Must be a finite
@@ -685,10 +685,12 @@ fn one_round_blocks(alloc: &[(usize, u64)], strata: &[Stratum]) -> Vec<Block> {
 /// round into its stratum. Memory mode runs the wave as one-round blocks
 /// ([`one_round_blocks`]) and counts each as it finishes. Store mode cuts
 /// it into `cfg.block`-sized keyed blocks, since a block there is a store
-/// record: it computes only the blocks the store is missing and reads
-/// every block back by content address (the campaign cache contract).
-/// The tallies are integer sums, so the order rounds are counted in cannot
-/// change them. Returns the rounds replayed from the store.
+/// record: it computes only the blocks the store is missing, counting each
+/// from the record the sink has just appended, and reads back by content
+/// address only the blocks the store already held (the campaign cache
+/// contract). The tallies are integer sums, so the order rounds are
+/// counted in cannot change them. Returns the rounds replayed from the
+/// store.
 fn run_wave(
     alloc: &[(usize, u64)],
     scenarios: &[Scenario],
@@ -730,20 +732,23 @@ fn run_wave(
         })
         .collect();
     let path = blocks_path(dir);
-    let mut index = scan_store(&path)?;
+    let index = scan_store(&path)?;
     let (cached, missing): (Vec<Missing>, Vec<Missing>) =
         items.iter().partition(|i| index.contains_key(&i.key));
-    if !missing.is_empty() {
-        compute_blocks(&path, &plan, &missing)?;
-        index = scan_store(&path)?;
+    {
+        let strata = Mutex::new(&mut *strata);
+        compute_blocks(&path, &plan, &missing, Order::Any, |_, record| {
+            let mut strata = strata.lock().expect("strata poisoned");
+            for o in record.obs {
+                strata[record.point].count(&o.into_obs(), cfg.near_miss_ns);
+            }
+            Ok(())
+        })?;
     }
     let mut file = std::fs::File::open(&path)?;
     let mut buf = Vec::new();
-    for item in &items {
-        let &span = index
-            .get(&item.key)
-            .ok_or_else(|| std::io::Error::other("wave block missing after compute"))?;
-        for o in read_block(&mut file, span, &mut buf, item)?.obs {
+    for item in &cached {
+        for o in read_block(&mut file, index[&item.key], &mut buf, item)?.obs {
             strata[item.block.point].count(&o.into_obs(), cfg.near_miss_ns);
         }
     }

@@ -6,8 +6,9 @@
 //! [`execute`] owns the rest:
 //!
 //! * **Set-up.** The base filesystem image is built once and forked into
-//!   one template per scenario; each scenario's rounds then boot from its
-//!   warm checkpoint or, with the `cold` oracle flag, from the template.
+//!   one template per scenario the blocks touch; each such scenario's
+//!   rounds then boot from its warm checkpoint or, with the `cold` oracle
+//!   flag, from the template.
 //! * **The pool.** [`effective_jobs`] long-lived workers, capped at the
 //!   item count, claim [`Block`]s in index order off one shared cursor.
 //! * **Nothing shared that a worker writes, reference counts included.**
@@ -27,10 +28,13 @@
 //! ([`PointAcc`](crate::monte_carlo::PointAcc)'s two rules): observations
 //! fold in round order, metrics and forensics merge in any order. A sink
 //! that folds in index order asks for [`Order::Index`], which bounds how
-//! many finished blocks can wait on an earlier one.
+//! many finished blocks can wait on an earlier one, and files them in an
+//! [`InOrder`] until they can.
 
 use crate::extract::{observe, window_length_us, WindowKind};
 use crate::monte_carlo::{detection_fingerprint_of, window_kind_of, RoundObs};
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use tocttou_os::kernel::{Checkpoint, KernelPool};
 use tocttou_os::vfs::Vfs;
@@ -101,20 +105,34 @@ enum Boot {
 }
 
 impl Boot {
-    /// One boot per scenario: the base image is built once from the first
-    /// scenario and forked per scenario (all points of a grid, and all
-    /// strata of an estimate, share the base layout).
-    fn per_scenario(scenarios: &[Scenario], cold: bool) -> Vec<Boot> {
+    /// A boot and window kind for each scenario that `items` touches, and
+    /// `None` for the rest (the retired strata of an estimate, say): the
+    /// base image is built once from the first scenario and forked per
+    /// touched scenario (all points of a grid, and all strata of an
+    /// estimate, share the base layout).
+    fn per_point(
+        scenarios: &[Scenario],
+        items: &[Block],
+        cold: bool,
+    ) -> Vec<Option<(Boot, WindowKind)>> {
+        let mut touched = vec![false; scenarios.len()];
+        for b in items {
+            touched[b.point] = true;
+        }
         let base = scenarios[0].base_vfs();
         scenarios
             .iter()
-            .map(|s| {
-                let template = s.template_vfs_from_base(&base);
-                if cold {
-                    Boot::Cold(template)
-                } else {
-                    Boot::Warm(Box::new(s.round_checkpoint(&template)))
-                }
+            .zip(touched)
+            .map(|(s, touched)| {
+                touched.then(|| {
+                    let template = s.template_vfs_from_base(&base);
+                    let boot = if cold {
+                        Boot::Cold(template)
+                    } else {
+                        Boot::Warm(Box::new(s.round_checkpoint(&template)))
+                    };
+                    (boot, window_kind_of(s))
+                })
             })
             .collect()
     }
@@ -286,8 +304,7 @@ pub(crate) fn execute<E: Send>(
     if items.is_empty() {
         return Ok(());
     }
-    let boots = Boot::per_scenario(plan.scenarios, plan.cold);
-    let kinds: Vec<WindowKind> = plan.scenarios.iter().map(window_kind_of).collect();
+    let lanes = Boot::per_point(plan.scenarios, items, plan.cold);
     let total_rounds: u64 = items.iter().map(Block::rounds).sum();
     let workers = effective_jobs(plan.jobs, total_rounds).min(items.len());
     let ahead = match order {
@@ -307,10 +324,13 @@ pub(crate) fn execute<E: Send>(
                 Some((q, s)) if q == p => s,
                 _ => plan.scenarios[p].detached(),
             };
+            let (boot, kind) = lanes[p]
+                .as_ref()
+                .expect("every point a block touches has a boot");
             let mut obs = Vec::with_capacity(b.rounds() as usize);
             for seed in seed_block(plan.seed_bases[p], b.start, b.end) {
                 let (o, returned) =
-                    run_one_round(&scenario, &boots[p], pool, seed, kinds[p], plan.collect_ld);
+                    run_one_round(&scenario, boot, pool, seed, *kind, plan.collect_ld);
                 pool = returned;
                 obs.push(o);
             }
@@ -336,6 +356,49 @@ pub(crate) fn execute<E: Send>(
         .into_inner()
         .expect("failure slot poisoned")
         .map_or(Ok(()), Err)
+}
+
+/// The fold side of [`Order::Index`]: finished items wait here until
+/// every earlier item has been folded, so a driver folds in index order
+/// whatever order the workers finish in.
+#[derive(Default)]
+pub(crate) struct InOrder<T> {
+    next: usize,
+    early: BTreeMap<usize, T>,
+}
+
+impl<T> InOrder<T> {
+    /// Files item `idx`'s payload until the cursor reaches it.
+    pub(crate) fn file(&mut self, idx: usize, payload: T) {
+        self.early.insert(idx, payload);
+    }
+
+    /// The item at the cursor with its filed payload, moving the cursor
+    /// past it; `None` while that payload has not arrived.
+    pub(crate) fn pop(&mut self) -> Option<(usize, T)> {
+        let Ok(next) = self.pop_or(|_| Ok::<_, Infallible>(None));
+        next
+    }
+
+    /// As [`pop`](Self::pop), but an item with nothing filed takes its
+    /// payload from `fetch`: the items no worker runs, such as a
+    /// campaign's stored blocks. `fetch` returning `None` leaves the cursor
+    /// where it is.
+    pub(crate) fn pop_or<E>(
+        &mut self,
+        fetch: impl FnOnce(usize) -> Result<Option<T>, E>,
+    ) -> Result<Option<(usize, T)>, E> {
+        let idx = self.next;
+        let payload = match self.early.remove(&idx) {
+            Some(payload) => payload,
+            None => match fetch(idx)? {
+                Some(payload) => payload,
+                None => return Ok(None),
+            },
+        };
+        self.next += 1;
+        Ok(Some((idx, payload)))
+    }
 }
 
 #[cfg(test)]

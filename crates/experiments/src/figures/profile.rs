@@ -111,7 +111,7 @@ pub struct ScenarioProfile {
     /// [`SyscallName::ALL`]: tocttou_os::process::SyscallName::ALL
     pub syscalls: Vec<HistRow>,
     /// The most-contended semaphores, by wait count descending (semaphore
-    /// id breaks ties), at most [`TOP_SEMS`].
+    /// id breaks ties), at most `TOP_SEMS` (5).
     pub top_sems: Vec<SemRow>,
 }
 

@@ -20,7 +20,7 @@
 //!   a one-point grid.
 //! * **Bit-identical outcomes anyway.** Finished items fold in item order —
 //!   each point's rounds in round order — and kernel metrics and window
-//!   forensics merge through pure integer accumulation ([`PointAcc`]
+//!   forensics merge through pure integer accumulation (`PointAcc`
 //!   centralizes both rules), so every per-point [`McOutcome`] is
 //!   byte-for-byte what a standalone
 //!   `run_mc(point.scenario(), McConfig { base_seed: base + salt, .. })`
@@ -33,11 +33,10 @@
 //!   observations wait, however many rounds a point runs and however the
 //!   workers are scheduled.
 
-use crate::executor::{blocks, effective_jobs, execute, Block, Order, Plan};
+use crate::executor::{blocks, effective_jobs, execute, Block, InOrder, Order, Plan};
 use crate::grid::{Grid, PointDesc};
 use crate::monte_carlo::{McOutcome, PointAcc, RoundObs};
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::Mutex;
 use tocttou_workloads::scenario::Scenario;
@@ -108,14 +107,6 @@ pub struct SweepOutcome {
     pub points: Vec<SweepPoint>,
 }
 
-/// Finished items' observations waiting for their predecessors, and the
-/// accumulators they fold into.
-struct InOrder {
-    next: usize,
-    early: BTreeMap<usize, Vec<RoundObs>>,
-    accs: Vec<PointAcc>,
-}
-
 /// Runs `rounds` rounds of every planned scenario and folds each point's
 /// rounds in round order — the in-memory path of [`run_sweep`] and
 /// [`run_mc`](crate::monte_carlo::run_mc).
@@ -131,24 +122,20 @@ pub(crate) fn fold_points(plan: &Plan<'_>, rounds: u64) -> Vec<PointAcc> {
     let items: Vec<Block> = (0..points)
         .flat_map(|p| blocks(p, 0, rounds, size))
         .collect();
-    let state = Mutex::new(InOrder {
-        next: 0,
-        early: BTreeMap::new(),
-        accs: (0..points).map(|_| PointAcc::new()).collect(),
-    });
+    let accs: Vec<PointAcc> = (0..points).map(|_| PointAcc::new()).collect();
+    let state = Mutex::new((InOrder::<Vec<RoundObs>>::default(), accs));
     let Ok(()) = execute::<Infallible>(plan, &items, Order::Index, |idx, obs, pool| {
         let (metrics, forensics) = (pool.drain_metrics(), pool.drain_forensics());
         let mut guard = state.lock().expect("fold state poisoned");
-        let s = &mut *guard;
-        s.accs[items[idx].point].merge_counters(&metrics, &forensics);
-        s.early.insert(idx, obs);
-        while let Some(obs) = s.early.remove(&s.next) {
-            s.accs[items[s.next].point].fold_obs(obs);
-            s.next += 1;
+        let (order, accs) = &mut *guard;
+        accs[items[idx].point].merge_counters(&metrics, &forensics);
+        order.file(idx, obs);
+        while let Some((i, obs)) = order.pop() {
+            accs[items[i].point].fold_obs(obs);
         }
         Ok(())
     });
-    state.into_inner().expect("fold state poisoned").accs
+    state.into_inner().expect("fold state poisoned").1
 }
 
 /// Runs every grid point's Monte-Carlo batch on one shared worker pool.

@@ -1,6 +1,6 @@
 //! The kernel-side span tracker: opens and closes causal spans.
 //!
-//! [`SpanRing`](tocttou_sim::span::SpanRing) stores completed intervals;
+//! [`SpanRing`] stores completed intervals;
 //! this module turns kernel events into them. It reads the same events as
 //! the trace and the metrics, and every interval arrives closed by the
 //! kernel's own clocks (lifetime, syscall, run-queue delay, semaphore wait

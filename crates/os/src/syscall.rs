@@ -23,7 +23,7 @@
 //!
 //! Compiling is on the path of every simulated syscall, so it re-derives
 //! nothing that cannot change between calls. The fixed costs are
-//! precomputed once per machine into a [`CostTable`] (built at boot and
+//! precomputed once per machine into a `CostTable` (built at boot and
 //! carried by warm-boot checkpoints); only the byte-size and path-depth
 //! costs are computed per call. The request's paths move into the commit
 //! steps instead of being cloned.

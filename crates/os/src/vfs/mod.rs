@@ -36,13 +36,13 @@
 //!   the intern table provably exists in no directory (all entries are
 //!   interned), so read paths never need to intern anything.
 //! * **Overlay COW forks** — the inode table is a frozen `Arc` base plus a
-//!   per-fork overlay of [`Slot`]s. [`Vfs::freeze`] merges the overlay into
+//!   per-fork overlay of `Slot`s. [`Vfs::freeze`] merges the overlay into
 //!   the base; cloning a frozen template is one reference-count bump plus
 //!   an empty overlay, and the first mutation of an inode copies just that
 //!   inode ([`Arc::make_mut`]). The warm-boot checkpoint machinery restores
 //!   a filesystem in O(changed inodes).
 //!
-//! The pre-v2 resolver survives verbatim as [`oracle::PathVfs`] (under
+//! The pre-v2 resolver survives verbatim as `oracle::PathVfs` (under
 //! `cfg(test)` / the `vfs-oracle` feature) and v2 is differential-tested
 //! against it on randomized operation sequences.
 

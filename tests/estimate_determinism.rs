@@ -201,21 +201,43 @@ fn block_size_shapes_store_records_only() {
     // Memory mode runs every wave round by round whatever `block` says;
     // store mode cuts the same rounds into records of `block` rounds. One
     // record per round and one record per stratum share must both give
-    // the memory-mode bytes.
+    // the memory-mode bytes, from a fresh store and from one with every
+    // other record deleted, where each wave mixes blocks read back from
+    // the store with blocks counted as they are written.
     let reference = outcome_bytes(&estimate_with(1, false, None));
     for block in [1, 1_000] {
         let store = fresh_store(&format!("block-{block}"));
-        let run = run_estimate(
-            &rare_scenario(),
-            &EstimateConfig {
-                block,
-                store: Some(store.clone()),
-                ..EstimateConfig::default()
-            },
-        )
-        .unwrap();
+        let cfg = EstimateConfig {
+            block,
+            store: Some(store.clone()),
+            ..EstimateConfig::default()
+        };
+        let run = run_estimate(&rare_scenario(), &cfg).unwrap();
         assert_eq!(outcome_bytes(&run), reference, "store block {block}");
         assert_eq!(run.cached_rounds, 0, "a fresh store has nothing cached");
+
+        let path = store.join("blocks.jsonl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kept: String = text
+            .lines()
+            .step_by(2)
+            .map(|line| format!("{line}\n"))
+            .collect();
+        std::fs::write(&path, kept).unwrap();
+        let resumed = run_estimate(&rare_scenario(), &EstimateConfig { jobs: 2, ..cfg }).unwrap();
+        assert_eq!(
+            outcome_bytes(&resumed),
+            reference,
+            "partly cached block {block}"
+        );
+        assert!(
+            resumed.cached_rounds > 0 && resumed.computed_rounds > 0,
+            "block {block}"
+        );
+        assert_eq!(
+            resumed.cached_rounds + resumed.computed_rounds,
+            resumed.outcome.simulated_rounds
+        );
         std::fs::remove_dir_all(&store).unwrap();
     }
 }
