@@ -67,6 +67,15 @@ struct Cpu {
     slice_deadline: SimTime,
 }
 
+/// What a handler needs to run a process's next CPU phase in place instead
+/// of queueing its `PhaseEnd`: [`Kernel::run_until`]'s stop predicate and
+/// time limit, and whether the predicate turned true on the way.
+struct InPlace<'s> {
+    stop: &'s mut dyn FnMut(&Kernel) -> bool,
+    max_time: SimTime,
+    stopped: bool,
+}
+
 /// Why [`Kernel::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -586,8 +595,14 @@ impl Kernel {
         pid
     }
 
-    /// Runs until `stop` is true (checked between events), time passes
-    /// `max_time`, or the event queue drains.
+    /// Runs until `stop` is true, time passes `max_time`, or the event queue
+    /// drains.
+    ///
+    /// `stop` is checked once before every event, and once more before the
+    /// run returns. That holds whether the event goes through the queue or
+    /// is a phase end run in place (see `advance`): each check sees the
+    /// state the queued path would show, so a predicate cannot tell the two
+    /// apart.
     pub fn run_until<F: FnMut(&Kernel) -> bool>(
         &mut self,
         mut stop: F,
@@ -609,7 +624,15 @@ impl Kernel {
             debug_assert!(t >= self.now, "time must be monotone");
             self.now = t;
             self.events_processed += 1;
-            self.handle(ev);
+            let mut in_place = InPlace {
+                stop: &mut stop,
+                max_time,
+                stopped: false,
+            };
+            self.handle(ev, &mut in_place);
+            if in_place.stopped {
+                return RunOutcome::StopConditionMet;
+            }
         }
     }
 
@@ -627,7 +650,10 @@ impl Kernel {
         )
     }
 
-    fn handle(&mut self, ev: Event) {
+    /// Handles one event. The `PhaseEnd` handler and the resume in
+    /// `on_bg_end` end by advancing a process, so they hand `in_place` on
+    /// and that process's next CPU phases may run in place.
+    fn handle(&mut self, ev: Event, in_place: &mut InPlace<'_>) {
         match ev {
             Event::PhaseEnd { pid } => {
                 let p = &mut self.procs[pid.index()];
@@ -635,7 +661,7 @@ impl Kernel {
                 p.phase_event = None;
                 let done = p.phases.pop_front();
                 debug_assert!(matches!(done, Some(Phase::Cpu { .. })));
-                self.advance(pid);
+                self.advance(pid, Some(in_place));
             }
             Event::SliceExpire { cpu } => self.on_slice_expire(cpu),
             Event::TimedWake { pid } => {
@@ -644,7 +670,7 @@ impl Kernel {
                 self.make_ready(pid);
             }
             Event::BgArrive { cpu } => self.on_bg_arrive(cpu),
-            Event::BgEnd { cpu } => self.on_bg_end(cpu),
+            Event::BgEnd { cpu } => self.on_bg_end(cpu, in_place),
         }
     }
 
@@ -702,7 +728,7 @@ impl Kernel {
             queued,
         });
         self.arm_slice(cpu, self.now + self.spec.timeslice);
-        self.advance(pid);
+        self.advance(pid, None);
     }
 
     /// Schedules `cpu`'s slice expiry at `deadline`.
@@ -773,7 +799,7 @@ impl Kernel {
         self.queue.push(next, Event::BgArrive { cpu });
     }
 
-    fn on_bg_end(&mut self, cpu: CpuId) {
+    fn on_bg_end(&mut self, cpu: CpuId, in_place: &mut InPlace<'_>) {
         self.observe(KernelEvent::Os(OsEvent::BgEnd { cpu }));
         self.cpus[cpu.index()].bg_active = false;
         let resumed = self.cpus[cpu.index()].running;
@@ -782,7 +808,7 @@ impl Kernel {
             self.procs[pid.index()].state = ProcState::Running(cpu);
             // Resume with the slice budget left when the burst arrived.
             self.arm_slice(cpu, self.now + self.procs[pid.index()].slice_remaining);
-            self.advance(pid);
+            self.advance(pid, Some(in_place));
         } else if let Some(next) = self.ready.pop_front() {
             self.dispatch(next, cpu);
         }
@@ -792,8 +818,12 @@ impl Kernel {
 
     /// Drives `pid` (which must be Running) through zero-time phases until
     /// it either starts a timed phase, blocks, or exits.
-    fn advance(&mut self, pid: Pid) {
-        // A peeked `Cpu` phase stays queued (PhaseEnd pops it later); every
+    ///
+    /// With `in_place` (only from a handler whose last act this is), a CPU
+    /// phase whose end would be the very next event runs in place instead
+    /// of through the queue: see `try_in_place`.
+    fn advance(&mut self, pid: Pid, mut in_place: Option<&mut InPlace<'_>>) {
+        // A peeked `Cpu` phase stays queued (its end pops it); every
         // other phase is popped and owned here, so commit steps move out of
         // the deque instead of being cloned — they carry path strings, and
         // this loop runs for every event of every round.
@@ -802,7 +832,10 @@ impl Kernel {
             StartCpu(SimDuration, CpuKind),
             Own(Phase),
         }
-        for _ in 0..MAX_ZERO_TIME_STEPS {
+        // Steps since time last moved forward.
+        let mut zero_time_steps = 0;
+        while zero_time_steps < MAX_ZERO_TIME_STEPS {
+            zero_time_steps += 1;
             debug_assert!(matches!(
                 self.procs[pid.index()].state,
                 ProcState::Running(_)
@@ -824,6 +857,14 @@ impl Kernel {
                 Front::StartCpu(dur, kind) => {
                     if kind == CpuKind::Trap {
                         self.observe(KernelEvent::Os(OsEvent::Trap { pid, dur }));
+                    }
+                    if let Some(ctx) = in_place.as_deref_mut() {
+                        if self.try_in_place(pid, self.now + dur, ctx) {
+                            if dur > SimDuration::ZERO {
+                                zero_time_steps = 0;
+                            }
+                            continue;
+                        }
                     }
                     let p = &mut self.procs[pid.index()];
                     p.phase_started = self.now;
@@ -876,6 +917,43 @@ impl Kernel {
             }
         }
         panic!("{pid} took {MAX_ZERO_TIME_STEPS} zero-time steps: runaway logic");
+    }
+
+    /// Runs `pid`'s front CPU phase, ending at `end`, in place when its
+    /// `PhaseEnd` would be the next event `run_until` pops, and reports
+    /// whether it did.
+    ///
+    /// That holds when `end` is strictly before the queue head (a tie pops
+    /// the earlier-pushed event first), is within `max_time`, and the stop
+    /// predicate, checked here as `run_until` would check it before that
+    /// pop, is false. Then time moves to `end`, the event is counted, and
+    /// the phase is popped, exactly as the queued path would. The phase
+    /// can no longer be paused, so it needs no `phase_event`. Debug builds
+    /// push the event and check that it pops next.
+    fn try_in_place(&mut self, pid: Pid, end: SimTime, ctx: &mut InPlace<'_>) -> bool {
+        if end > ctx.max_time || self.queue.peek_time().is_some_and(|head| head <= end) {
+            return false;
+        }
+        if (ctx.stop)(self) {
+            ctx.stopped = true;
+            return false;
+        }
+        if cfg!(debug_assertions) {
+            let ev = Event::PhaseEnd { pid };
+            self.queue.push(end, ev);
+            assert_eq!(
+                self.queue.pop(),
+                Some((end, ev)),
+                "in-place event pops next"
+            );
+        }
+        self.now = end;
+        self.events_processed += 1;
+        let p = &mut self.procs[pid.index()];
+        debug_assert!(p.phase_event.is_none());
+        let done = p.phases.pop_front();
+        debug_assert!(matches!(done, Some(Phase::Cpu { .. })));
+        true
     }
 
     /// Takes the CPU `pid` is running on away from it (the process has

@@ -720,3 +720,168 @@ fn samples_match(k: &mut Kernel, sampler: &Fed, path: &Arc<str>, follow: &mut bo
     }
     *follow = !*follow;
 }
+
+// ---- run_until's stop contract and phase ends at its boundaries ----------
+
+/// A logic that `stat`s `/d/f` in a loop: forever, or `left` times.
+fn stat_spinner(mut left: Option<usize>) -> Box<dyn crate::process::ProcessLogic> {
+    let path: Arc<str> = "/d/f".into();
+    Box::new(
+        move |_: &LogicCtx, _: Option<&SyscallResult>| match &mut left {
+            Some(0) => Action::Exit,
+            Some(n) => {
+                *n -= 1;
+                Action::Syscall(SyscallRequest::Stat { path: path.clone() })
+            }
+            None => Action::Syscall(SyscallRequest::Stat { path: path.clone() }),
+        },
+    )
+}
+
+/// A miniature uniprocessor attack round: the victim computes past its
+/// 100 ms slice, so it is preempted, then creates a file and exits, while
+/// the attacker spins `stat` on the same CPU (forever unless `spins`
+/// bounds it). Background activity is on unless `quiet`. Returns the
+/// kernel, the victim and the attacker.
+fn preempted_uni_round(quiet: bool, spins: Option<usize>) -> (Kernel, Pid, Pid) {
+    let spec = MachineSpec::uniprocessor();
+    let mut k = Kernel::new(if quiet { spec.quiet() } else { spec }, 11);
+    k.vfs_mut().mkdir("/d", root_meta()).unwrap();
+    k.vfs_mut().create_file("/d/f", root_meta()).unwrap();
+    let (victim, _) = Script::new(vec![
+        Action::Compute(SimDuration::from_millis(150)),
+        Action::Syscall(SyscallRequest::OpenCreate {
+            path: "/d/g".into(),
+        }),
+    ]);
+    let v = k.spawn("victim", Uid::ROOT, Gid::ROOT, true, Box::new(victim));
+    let a = k.spawn("attacker", Uid(1), Gid(1), true, stat_spinner(spins));
+    (k, v, a)
+}
+
+/// Runs `run_until` with `stop` wrapped in a call counter. Returns the
+/// outcome, the number of `stop` calls and the events processed.
+fn counted_run(
+    k: &mut Kernel,
+    mut stop: impl FnMut(&Kernel) -> bool,
+    max_time: SimTime,
+) -> (RunOutcome, u64, u64) {
+    let before = k.events_processed();
+    let mut calls = 0;
+    let outcome = k.run_until(
+        |k| {
+            calls += 1;
+            stop(k)
+        },
+        max_time,
+    );
+    (outcome, calls, k.events_processed() - before)
+}
+
+/// `stop` is checked exactly once before every event and once more before
+/// `run_until` returns, whichever way it returns.
+#[test]
+fn run_until_checks_stop_once_before_every_event() {
+    let (mut k, v, a) = preempted_uni_round(false, None);
+    let (outcome, calls, events) = counted_run(
+        &mut k,
+        |k| k.state_of(v) == ProcState::Exited,
+        SimTime::from_secs(1),
+    );
+    assert_eq!(outcome, RunOutcome::StopConditionMet);
+    assert!(k
+        .trace()
+        .iter()
+        .any(|r| matches!(r.event, crate::event::OsEvent::Preempt { pid, .. } if pid == v)));
+    assert!(events > 10_000, "the attacker spun: {events} events");
+    assert_eq!(calls, events + 1, "stop met");
+
+    // The attacker spins through a grace period and never exits.
+    let grace = k.now() + SimDuration::from_millis(2);
+    let (outcome, calls, events) =
+        counted_run(&mut k, |k| k.state_of(a) == ProcState::Exited, grace);
+    assert_eq!(outcome, RunOutcome::TimedOut);
+    assert_eq!(k.now(), grace);
+    assert!(events > 100, "the attacker spun: {events} events");
+    assert_eq!(calls, events + 1, "timed out");
+
+    // With a bounded spin and no background activity the queue drains.
+    let (mut k, ..) = preempted_uni_round(true, Some(2_000));
+    let (outcome, calls, events) = counted_run(&mut k, |_| false, SimTime::from_secs(10));
+    assert_eq!(outcome, RunOutcome::Quiescent);
+    assert_eq!(calls, events + 1, "quiescent");
+}
+
+/// A stop that turns true in the middle of the attacker's spin leaves the
+/// kernel at the instant and trace length pinned here, which were recorded
+/// while every phase end still went through the event queue.
+#[test]
+fn a_stop_met_mid_spin_leaves_the_pinned_state() {
+    for (n, now_ns, trace_len) in [(10_000, 134_592_276, 10_005), (20_001, 165_474_203, 20_006)] {
+        let (mut k, v, _) = preempted_uni_round(false, None);
+        let outcome = k.run_until(|k| k.events_processed() >= n, SimTime::from_secs(1));
+        assert_eq!(outcome, RunOutcome::StopConditionMet);
+        assert_eq!(k.state_of(v), ProcState::Ready, "victim preempted");
+        assert_eq!(k.events_processed(), n);
+        assert_eq!(
+            (k.now(), k.trace().len()),
+            (SimTime::from_nanos(now_ns), trace_len),
+            "stop at {n} events"
+        );
+    }
+}
+
+/// A CPU phase that ends exactly at `max_time` is processed; one that ends
+/// 1 ns after it stays pending, and the run times out at `max_time`.
+#[test]
+fn a_phase_ending_at_max_time_is_processed() {
+    let run = |max_time: SimTime| {
+        let mut k = quiet_kernel(MachineSpec::smp_xeon());
+        let (s, _) = Script::new(vec![
+            Action::Compute(SimDuration::from_micros(10)),
+            Action::Compute(SimDuration::from_micros(20)),
+            Action::Compute(SimDuration::from_millis(1)),
+        ]);
+        k.spawn("p", Uid(1), Gid(1), true, Box::new(s));
+        let outcome = k.run_until(|_| false, max_time);
+        (outcome, k.now(), k.events_processed())
+    };
+    let end = SimTime::from_micros(30);
+    assert_eq!(run(end), (RunOutcome::TimedOut, end, 2));
+    let before = SimTime::from_nanos(end.as_nanos() - 1);
+    assert_eq!(run(before), (RunOutcome::TimedOut, before, 1));
+}
+
+/// A CPU phase that ends at the same nanosecond as another process's
+/// pending wake-up comes after it: events at one instant keep their push
+/// order.
+#[test]
+fn a_phase_tied_with_a_pending_wake_runs_after_it() {
+    let mut k = quiet_kernel(MachineSpec::smp_xeon());
+    // The sleeper enters at 0, blocks at 1 us and wakes at 51 us.
+    let (sleeper, _) = Script::new(vec![Action::Syscall(SyscallRequest::Sleep {
+        duration: SimDuration::from_micros(50),
+    })]);
+    // The worker's second phase starts at 20 us and ends at 51 us.
+    let (worker, _) = Script::new(vec![
+        Action::Compute(SimDuration::from_micros(20)),
+        Action::Compute(SimDuration::from_micros(31)),
+        Action::Marker("tie"),
+    ]);
+    let ps = k.spawn("sleeper", Uid(1), Gid(1), true, Box::new(sleeper));
+    let pw = k.spawn("worker", Uid(2), Gid(2), true, Box::new(worker));
+    k.run_until_all_exit(&[ps, pw], SimTime::from_millis(10));
+    let at = |want: fn(&crate::event::OsEvent) -> bool| {
+        k.trace()
+            .iter()
+            .enumerate()
+            .find(|(_, r)| want(&r.event))
+            .map(|(i, r)| (i, r.at))
+            .expect("event traced")
+    };
+    let (wake, wake_at) = at(|e| matches!(e, crate::event::OsEvent::Wake { .. }));
+    let (tie, tie_at) = at(|e| matches!(e, crate::event::OsEvent::Marker { label: "tie", .. }));
+    assert_eq!(wake_at, SimTime::from_micros(51));
+    assert_eq!(tie_at, wake_at, "the two events share an instant");
+    assert!(wake < tie, "the earlier-pushed wake-up comes first");
+}

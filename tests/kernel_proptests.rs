@@ -1,6 +1,7 @@
 //! Property tests over the simulated kernel itself: arbitrary programs on
 //! arbitrary machine shapes must never wedge the scheduler, leak
-//! semaphores, or corrupt the filesystem.
+//! semaphores, or corrupt the filesystem, and `run_until` must check its
+//! stop predicate once before every event.
 
 use proptest::prelude::*;
 use tocttou::os::prelude::*;
@@ -90,6 +91,36 @@ fn machine(cpus: usize, bg: bool) -> MachineSpec {
     spec
 }
 
+/// Boots a kernel running each of `programs` as its own process (process
+/// `i` runs as uid/gid `i`), with `/d0` and `/d1` created.
+fn boot(programs: &[Vec<Step>], cpus: usize, bg: bool, seed: u64) -> (Kernel, Vec<Pid>) {
+    let mut kernel = Kernel::new(machine(cpus, bg), seed);
+    let meta = InodeMeta {
+        uid: Uid::ROOT,
+        gid: Gid::ROOT,
+        mode: 0o755,
+    };
+    kernel.vfs_mut().mkdir("/d0", meta).unwrap();
+    kernel.vfs_mut().mkdir("/d1", meta).unwrap();
+    let pids = programs
+        .iter()
+        .enumerate()
+        .map(|(i, steps)| {
+            kernel.spawn(
+                &format!("p{i}"),
+                Uid(i as u32),
+                Gid(i as u32),
+                i % 2 == 0,
+                Box::new(Scripted {
+                    steps: steps.clone(),
+                    at: 0,
+                }),
+            )
+        })
+        .collect();
+    (kernel, pids)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -106,23 +137,7 @@ proptest! {
         bg in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let mut kernel = Kernel::new(machine(cpus, bg), seed);
-        let meta = InodeMeta { uid: Uid::ROOT, gid: Gid::ROOT, mode: 0o755 };
-        kernel.vfs_mut().mkdir("/d0", meta).unwrap();
-        kernel.vfs_mut().mkdir("/d1", meta).unwrap();
-        let pids: Vec<Pid> = programs
-            .into_iter()
-            .enumerate()
-            .map(|(i, steps)| {
-                kernel.spawn(
-                    &format!("p{i}"),
-                    Uid(i as u32),
-                    Gid(i as u32),
-                    i % 2 == 0,
-                    Box::new(Scripted { steps, at: 0 }),
-                )
-            })
-            .collect();
+        let (mut kernel, pids) = boot(&programs, cpus, bg, seed);
         let outcome = kernel.run_until_all_exit(&pids, SimTime::from_secs(10));
         prop_assert_eq!(outcome, RunOutcome::StopConditionMet, "no wedge");
         // No leaked semaphores.
@@ -137,6 +152,47 @@ proptest! {
             prop_assert!(r.at.as_nanos() >= last);
             last = r.at.as_nanos();
         }
+    }
+
+    /// `run_until` checks `stop` once before every event and once more
+    /// before it returns, and a stop that turns true after `n` events
+    /// leaves the kernel in the state a never-true stop saw at its `n`th
+    /// check: same instant, same trace length. No check sees time past
+    /// `max_time`.
+    #[test]
+    fn run_until_checks_stop_once_before_every_event(
+        programs in proptest::collection::vec(
+            proptest::collection::vec(step_strategy(), 0..40),
+            1..5,
+        ),
+        cpus in 1usize..5,
+        bg in any::<bool>(),
+        seed in any::<u64>(),
+        max_us in 1u64..20_000,
+        cut in any::<u64>(),
+    ) {
+        let max_time = SimTime::from_micros(max_us);
+        let (mut kernel, _) = boot(&programs, cpus, bg, seed);
+        let mut seen = Vec::new();
+        let (outcome, calls, events) = counted_run(
+            &mut kernel,
+            |k| {
+                seen.push((k.events_processed(), k.now(), k.trace().len()));
+                false
+            },
+            max_time,
+        );
+        prop_assert!(outcome != RunOutcome::StopConditionMet);
+        prop_assert_eq!(calls, events + 1);
+        prop_assert!(seen.iter().enumerate().all(|(i, s)| s.0 == i as u64));
+        prop_assert!(seen.iter().all(|s| s.1 <= max_time), "no check past max_time");
+        let (n, now, len) = seen[(cut % seen.len() as u64) as usize];
+        let (mut kernel, _) = boot(&programs, cpus, bg, seed);
+        let (outcome, calls, events) =
+            counted_run(&mut kernel, |k| k.events_processed() >= n, max_time);
+        prop_assert_eq!(outcome, RunOutcome::StopConditionMet);
+        prop_assert_eq!((calls, events), (n + 1, n));
+        prop_assert_eq!((kernel.now(), kernel.trace().len()), (now, len));
     }
 
     /// Determinism holds for arbitrary programs, not just the curated
@@ -157,5 +213,104 @@ proptest! {
             (kernel.now(), kernel.events_processed(), kernel.trace().len())
         };
         prop_assert_eq!(run(steps.clone()), run(steps));
+    }
+}
+
+/// Runs `run_until` with `stop` wrapped in a call counter. Returns the
+/// outcome, the number of `stop` calls and the events processed.
+fn counted_run(
+    kernel: &mut Kernel,
+    mut stop: impl FnMut(&Kernel) -> bool,
+    max_time: SimTime,
+) -> (RunOutcome, u64, u64) {
+    let before = kernel.events_processed();
+    let mut calls = 0;
+    let outcome = kernel.run_until(
+        |k| {
+            calls += 1;
+            stop(k)
+        },
+        max_time,
+    );
+    (outcome, calls, kernel.events_processed() - before)
+}
+
+/// A preempted uniprocessor vi round: its save's slice phase lands in the
+/// last 0.3% of the 100 ms laxity window, so the victim is preempted
+/// before its window opens and the attacker spins `stat` for the rest of
+/// the slice.
+fn preempted_vi_uni_round() -> tocttou::workloads::RoundHandles {
+    let base = tocttou::workloads::Scenario::vi_uniprocessor(2048);
+    let (lo, hi) = base.laxity_window_ns().expect("vi-uni has a laxity window");
+    let late = base
+        .restrict_laxity(hi - (hi - lo) / 300, hi)
+        .expect("a sub-range of the window");
+    late.build(3, true)
+}
+
+/// On a preempted vi-uni round, `stop` is checked exactly once before
+/// every event and once more before `run_until` returns, both for the
+/// victim's run (stop met) and for the attacker's grace period (timed
+/// out).
+#[test]
+fn vi_uni_round_checks_stop_once_before_every_event() {
+    let mut h = preempted_vi_uni_round();
+    let victim = h.victim;
+    let (outcome, calls, events) = counted_run(
+        &mut h.kernel,
+        |k| k.state_of(victim) == ProcState::Exited,
+        SimTime::from_secs(1),
+    );
+    assert_eq!(outcome, RunOutcome::StopConditionMet);
+    assert!(h
+        .kernel
+        .trace()
+        .iter()
+        .any(|r| matches!(r.event, OsEvent::Preempt { pid, .. } if pid == victim)));
+    assert!(events > 5_000, "the attacker spun: {events} events");
+    assert_eq!(calls, events + 1, "stop met");
+
+    let grace = h.kernel.now() + SimDuration::from_millis(2);
+    let attackers = h.attackers.clone();
+    let (outcome, calls, events) = counted_run(
+        &mut h.kernel,
+        |k| {
+            attackers
+                .iter()
+                .all(|&p| k.state_of(p) == ProcState::Exited)
+        },
+        grace,
+    );
+    assert_eq!(outcome, RunOutcome::TimedOut);
+    assert_eq!(h.kernel.now(), grace);
+    assert!(events > 100, "the attacker spun: {events} events");
+    assert_eq!(calls, events + 1, "timed out");
+}
+
+/// A stop that turns true in the middle of the attacker's spin on a
+/// preempted vi-uni round leaves the kernel at the instant and trace
+/// length pinned here, which were recorded while every phase end still
+/// went through the event queue.
+#[test]
+fn vi_uni_stop_met_mid_spin_leaves_the_pinned_state() {
+    for (n, now_ns, trace_len) in [
+        (2_000u64, 124_680_056u64, 1_516usize),
+        (5_001, 156_818_346, 3_772),
+    ] {
+        let mut h = preempted_vi_uni_round();
+        let outcome = h
+            .kernel
+            .run_until(|k| k.events_processed() >= n, SimTime::from_secs(1));
+        assert_eq!(outcome, RunOutcome::StopConditionMet);
+        assert_eq!(
+            h.kernel.state_of(h.victim),
+            ProcState::Ready,
+            "victim preempted"
+        );
+        assert_eq!(
+            (h.kernel.now(), h.kernel.trace().len()),
+            (SimTime::from_nanos(now_ns), trace_len),
+            "stop at {n} events"
+        );
     }
 }
