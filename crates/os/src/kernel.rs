@@ -1238,7 +1238,7 @@ impl Kernel {
                 }
             }
             CommitStep::SymlinkCreate { target, linkpath } => {
-                let r = self.vfs.symlink(&target, &linkpath, (uid, gid)).map(|_| {
+                let r = self.vfs.symlink(target, &linkpath, (uid, gid)).map(|_| {
                     self.fs_commit(pid, &linkpath, FsCall::Symlink, Mutation);
                     RetVal::Unit
                 });

@@ -24,9 +24,33 @@ struct SemState {
 ///
 /// Semaphores are created lazily on first touch; ids come from the VFS
 /// (one per inode).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SemTable {
     sems: Vec<SemState>,
+}
+
+impl Clone for SemTable {
+    fn clone(&self) -> Self {
+        SemTable {
+            sems: self.sems.clone(),
+        }
+    }
+
+    /// Keeps this table's slots and wait-queue buffers (the round-pool
+    /// restore path): slots past `source`'s length stay as idle slots,
+    /// which answer every query like missing ones (see
+    /// [`reset`](Self::reset)).
+    fn clone_from(&mut self, source: &Self) {
+        self.reset();
+        if self.sems.len() < source.sems.len() {
+            self.sems.resize_with(source.sems.len(), SemState::default);
+        }
+        for (s, src) in self.sems.iter_mut().zip(&source.sems) {
+            s.holder = src.holder;
+            s.hold_since = src.hold_since;
+            s.waiters.extend(&src.waiters);
+        }
+    }
 }
 
 impl SemTable {
@@ -151,6 +175,34 @@ mod tests {
         assert_eq!(t.waiter_count(SemId(2)), 0);
         assert!(t.held_by(Pid(1)).is_empty());
         assert!(t.acquire_or_enqueue(SemId(2), Pid(3), T0), "slot reusable");
+    }
+
+    #[test]
+    fn clone_from_behaves_like_clone_and_keeps_buffers() {
+        let mut source = SemTable::new();
+        assert!(source.acquire_or_enqueue(SemId(1), Pid(1), T0));
+        assert!(!source.acquire_or_enqueue(SemId(1), Pid(2), T0));
+        let mut pooled = SemTable::new();
+        for pid in 1..=4 {
+            pooled.acquire_or_enqueue(SemId(5), Pid(pid), T0);
+        }
+        let (slots, queue) = (pooled.sems.capacity(), pooled.sems[5].waiters.capacity());
+        pooled.clone_from(&source);
+        assert_eq!(pooled.sems.capacity(), slots, "slot buffer kept");
+        assert_eq!(
+            pooled.sems[5].waiters.capacity(),
+            queue,
+            "queue buffer kept"
+        );
+        for sem in (0..8).map(SemId) {
+            assert_eq!(pooled.holder(sem), source.holder(sem));
+            assert_eq!(pooled.waiter_count(sem), source.waiter_count(sem));
+        }
+        assert!(
+            pooled.held_by(Pid(4)).is_empty(),
+            "longer pooled table idle"
+        );
+        assert_eq!(pooled.release(SemId(1), Pid(1), T0).1, Some(Pid(2)));
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //!   in a per-VFS table; a full-path cache maps each path string it has
 //!   seen to its interned component list. Mutating operations intern as
 //!   they resolve, and [`Vfs::warm_path`] lets scenario template builders
-//!   intern every scenario path once up front, so steady-state resolution
-//!   allocates nothing and never splits a path. It still hashes the full
-//!   path string once per resolve (FNV, a byte at a time) to find the
-//!   cached split; the kernel's one-entry stat memo skips even that for an
-//!   attacker re-sampling one path.
+//!   intern every layout path once up front. Resolving a path that is
+//!   already interned (in the template, or earlier in the same round)
+//!   allocates nothing and never splits it; it still hashes the full path
+//!   string once (FNV, a byte at a time) to find the cached split, and the
+//!   kernel's one-entry stat memo skips even that for an attacker
+//!   re-sampling one path. A path a round meets first (a file the victim
+//!   creates that the template never named) is split once in that round
+//!   and costs one allocation per new name plus two for its split, in the
+//!   fork's name overlay.
 //! * **Dentry maps** — a directory maps `Name → Ino` in a [`DirMap`]
 //!   (binary search over a sorted vec; directories here hold a handful of
 //!   entries). A negative-entry side table remembers `(dir, name)` lookups
@@ -36,11 +40,17 @@
 //!   the intern table provably exists in no directory (all entries are
 //!   interned), so read paths never need to intern anything.
 //! * **Overlay COW forks** — the inode table is a frozen `Arc` base plus a
-//!   per-fork overlay of `Slot`s. [`Vfs::freeze`] merges the overlay into
-//!   the base; cloning a frozen template is one reference-count bump plus
-//!   an empty overlay, and the first mutation of an inode copies just that
-//!   inode ([`Arc::make_mut`]). The warm-boot checkpoint machinery restores
-//!   a filesystem in O(changed inodes).
+//!   per-fork overlay of `Slot`s, and the name table is a frozen `Arc`
+//!   table plus a per-fork overlay of names and path splits.
+//!   [`Vfs::freeze`] merges both overlays into their bases; cloning a
+//!   frozen template is two reference-count bumps plus empty overlays.
+//!   The first mutation of an inode copies just that inode
+//!   ([`Arc::make_mut`]); a name a fork interns goes to its overlay under
+//!   the id the next free slot of the shared table would give it, so the
+//!   shared table is never copied and ids (hence `DirMap` order) match an
+//!   unshared build. The warm-boot checkpoint machinery restores a
+//!   filesystem in O(changed inodes), and a pooled restore clears the
+//!   name overlay but keeps its capacity.
 //!
 //! The pre-v2 resolver survives verbatim as `oracle::PathVfs` (under
 //! `cfg(test)` / the `vfs-oracle` feature) and v2 is differential-tested
@@ -101,16 +111,15 @@ impl Hasher for Fnv1a {
 
 type FnvBuild = BuildHasherDefault<Fnv1a>;
 
-/// The name-interning state: component table plus the full-path component
-/// cache. Shared `Arc`-style between a template and its forks; mutated via
-/// [`Arc::make_mut`], which in the steady state (every scenario path warmed
-/// at template build) never triggers a copy.
+/// One name-interning table: component names plus the full-path component
+/// cache.
 #[derive(Debug, Clone, Default)]
 struct Interner {
-    /// `Name` id → component string.
-    names: Vec<Box<str>>,
+    /// Component strings in id order (offset by the table's first id).
+    /// `Arc` so `names` and `index` share one allocation per name.
+    names: Vec<Arc<str>>,
     /// Component string → `Name` id.
-    index: HashMap<Box<str>, Name, FnvBuild>,
+    index: HashMap<Arc<str>, Name, FnvBuild>,
     /// Full path string → interned component list. Keyed by the exact
     /// string, independent of filesystem state (it records only how the
     /// path *splits*), so entries never need invalidation.
@@ -118,33 +127,171 @@ struct Interner {
 }
 
 impl Interner {
-    fn intern(&mut self, comp: &str) -> Name {
+    /// Interns `comp`, numbering a new name `first + names.len()`.
+    fn intern(&mut self, comp: &str, first: usize) -> Name {
         if let Some(&n) = self.index.get(comp) {
             return n;
         }
-        let n = Name(self.names.len() as u32);
-        let owned: Box<str> = comp.into();
-        self.names.push(owned.clone());
+        let n = Name((first + self.names.len()) as u32);
+        let owned: Arc<str> = comp.into();
+        self.names.push(Arc::clone(&owned));
         self.index.insert(owned, n);
         n
-    }
-
-    fn lookup(&self, comp: &str) -> Option<Name> {
-        self.index.get(comp).copied()
-    }
-
-    fn str_of(&self, n: Name) -> &str {
-        &self.names[n.index()]
     }
 
     fn is_empty(&self) -> bool {
         self.names.is_empty() && self.paths.is_empty()
     }
 
+    /// Empties the table, keeping the maps' capacity.
     fn clear(&mut self) {
         self.names.clear();
         self.index.clear();
         self.paths.clear();
+    }
+}
+
+/// A filesystem's names: the table shared `Arc`-style with the frozen
+/// template a fork came from, plus the fork's own overlay of names and
+/// path splits interned since (the name counterpart of the inode overlay).
+///
+/// While `shared` is this filesystem's alone and the overlay is empty
+/// (`Vfs::new`, template building), interning writes `shared` in place.
+/// Otherwise new entries go to `local`, whose ids continue from
+/// `shared.names.len()` in first-use order — exactly the ids a deep copy
+/// of `shared` would assign — so a fork never copies the shared table.
+/// [`Vfs::freeze`] folds the overlay into `shared`. The overlay is boxed
+/// and made on first use, so a filesystem that never interns as a fork (a
+/// template, a checkpoint) carries one `None` pointer for it.
+#[derive(Debug, Clone, Default)]
+struct NameTable {
+    shared: Arc<Interner>,
+    local: Option<Box<Interner>>,
+}
+
+impl NameTable {
+    /// Total interned names, shared and local.
+    fn len(&self) -> usize {
+        self.shared.names.len() + self.local_names().len()
+    }
+
+    fn local_names(&self) -> &[Arc<str>] {
+        self.local.as_ref().map_or(&[], |l| &l.names)
+    }
+
+    fn has_local(&self) -> bool {
+        self.local.as_ref().is_some_and(|l| !l.is_empty())
+    }
+
+    fn lookup(&self, comp: &str) -> Option<Name> {
+        let shared = self.shared.index.get(comp);
+        shared
+            .or_else(|| self.local.as_ref()?.index.get(comp))
+            .copied()
+    }
+
+    fn get(&self, n: Name) -> Option<&str> {
+        let i = n.index();
+        let shared = self.shared.names.get(i);
+        let s = shared.or_else(|| self.local_names().get(i - self.shared.names.len()));
+        s.map(|s| &**s)
+    }
+
+    fn str_of(&self, n: Name) -> &str {
+        self.get(n).expect("interned name id")
+    }
+
+    /// The cached split of `path`, if it has been interned.
+    fn split(&self, path: &str) -> Option<&[Name]> {
+        let shared = self.shared.paths.get(path);
+        let s = shared.or_else(|| self.local.as_ref()?.paths.get(path));
+        s.map(|s| &**s)
+    }
+
+    /// Interns `path`'s components and caches its split, in place when
+    /// the shared table is this filesystem's alone, else in the overlay.
+    fn intern_path(&mut self, path: &str) {
+        if self.split(path).is_some() {
+            return;
+        }
+        let comps = path.split('/').filter(|c| !c.is_empty());
+        let in_place = if self.has_local() {
+            None
+        } else {
+            Arc::get_mut(&mut self.shared)
+        };
+        match in_place {
+            Some(it) => {
+                let names: Box<[Name]> = comps.map(|c| it.intern(c, 0)).collect();
+                it.paths.insert(path.into(), names);
+            }
+            None => {
+                let shared = &*self.shared;
+                let local = self.local.get_or_insert_with(Box::default);
+                let first = shared.names.len();
+                let names: Box<[Name]> = comps
+                    .map(|c| match shared.index.get(c) {
+                        Some(&n) => n,
+                        None => local.intern(c, first),
+                    })
+                    .collect();
+                local.paths.insert(path.into(), names);
+            }
+        }
+    }
+
+    /// Folds the overlay into the shared table (copying the shared table
+    /// if another filesystem still holds it) and drops the overlay.
+    fn freeze(&mut self) {
+        let Some(mut local) = self.local.take() else {
+            return;
+        };
+        if local.is_empty() {
+            return;
+        }
+        let it = Arc::make_mut(&mut self.shared);
+        it.names.append(&mut local.names);
+        it.index.extend(local.index.drain());
+        it.paths.extend(local.paths.drain());
+    }
+
+    /// Drops every name, reusing whatever storage is not shared.
+    fn clear(&mut self) {
+        if !self.shared.is_empty() {
+            match Arc::get_mut(&mut self.shared) {
+                Some(it) => it.clear(),
+                None => self.shared = Arc::new(Interner::default()),
+            }
+        }
+        if let Some(local) = &mut self.local {
+            local.clear();
+        }
+    }
+
+    /// The round-pool restore: shares `source`'s table and copies its
+    /// overlay, keeping this overlay's capacity when `source` has none
+    /// (the frozen-template case).
+    fn clone_from(&mut self, source: &Self) {
+        self.shared = Arc::clone(&source.shared);
+        if source.has_local() {
+            self.local.clone_from(&source.local);
+        } else if let Some(local) = &mut self.local {
+            local.clear();
+        }
+    }
+
+    /// Whether both tables hold the same names under the same ids.
+    fn same_names(&self, other: &Self) -> bool {
+        if Arc::ptr_eq(&self.shared, &other.shared) {
+            return self.local_names() == other.local_names();
+        }
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+
+    /// Every name in id order.
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        let shared = self.shared.names.iter();
+        shared.chain(self.local_names()).map(|s| &**s)
     }
 }
 
@@ -354,10 +501,11 @@ enum WalkEnd {
 /// The simulated filesystem tree (see the module docs for the v2 design).
 ///
 /// `PartialEq` compares observable state: the effective inode table, root,
-/// numbering counters, the interned name table (name ids appear in
-/// [`Resolved`]) and recorded semaphore labels. The resolution caches (the
-/// full-path cache and the negative-dentry table) are excluded — they are
-/// performance state, not semantics. The sweep fork-equivalence tests use
+/// numbering counters, the interned names in id order, shared table and
+/// overlay alike (name ids appear in [`Resolved`]), and recorded semaphore
+/// labels. The resolution caches (the full-path cache and the
+/// negative-dentry table) are excluded — they are performance state, not
+/// semantics. The sweep fork-equivalence tests use
 /// it to prove a forked template is indistinguishable from one built from
 /// scratch.
 #[derive(Debug)]
@@ -371,7 +519,8 @@ pub struct Vfs {
     len: u32,
     root: Ino,
     next_sem: u32,
-    interner: Arc<Interner>,
+    /// Interned names: the table shared with forks plus this fork's own.
+    names: NameTable,
     /// Negative dentries: `(dir, name)` lookups known to miss. Purged on
     /// insert; consulted on final-component lookups.
     neg: Vec<(Ino, Name)>,
@@ -394,7 +543,7 @@ impl Clone for Vfs {
             len: self.len,
             root: self.root,
             next_sem: self.next_sem,
-            interner: Arc::clone(&self.interner),
+            names: self.names.clone(),
             neg: self.neg.clone(),
             sem_labels: self.sem_labels.clone(),
         }
@@ -408,7 +557,7 @@ impl Clone for Vfs {
         self.len = source.len;
         self.root = source.root;
         self.next_sem = source.next_sem;
-        self.interner = Arc::clone(&source.interner);
+        self.names.clone_from(&source.names);
         self.neg.clone_from(&source.neg);
         self.sem_labels.clone_from(&source.sem_labels);
     }
@@ -423,9 +572,7 @@ impl PartialEq for Vfs {
         {
             return false;
         }
-        if !(Arc::ptr_eq(&self.interner, &other.interner)
-            || self.interner.names == other.interner.names)
-        {
+        if !self.names.same_names(&other.names) {
             return false;
         }
         (0..self.len as usize).all(|i| match (self.slot(i), other.slot(i)) {
@@ -445,7 +592,7 @@ impl Vfs {
             len: 0,
             root: Ino(0),
             next_sem: 0,
-            interner: Arc::new(Interner::default()),
+            names: NameTable::default(),
             neg: Vec::new(),
             sem_labels: None,
         };
@@ -485,12 +632,7 @@ impl Vfs {
         self.overlay.clear();
         self.len = 0;
         self.next_sem = 0;
-        if !self.interner.is_empty() {
-            match Arc::get_mut(&mut self.interner) {
-                Some(it) => it.clear(),
-                None => self.interner = Arc::new(Interner::default()),
-            }
-        }
+        self.names.clear();
         self.neg.clear();
         if let Some(labels) = &mut self.sem_labels {
             labels.clear();
@@ -512,6 +654,7 @@ impl Vfs {
     /// an empty overlay). Scenario template builders call this once after
     /// populating; it is idempotent and a no-op on an already-frozen tree.
     pub fn freeze(&mut self) {
+        self.names.freeze();
         if self.overlay.iter().all(|s| matches!(s, Slot::Inherit)) {
             self.overlay.clear();
             return;
@@ -538,15 +681,16 @@ impl Vfs {
     /// The component string behind an interned [`Name`], if the id belongs
     /// to this VFS's table.
     pub fn name_str(&self, name: Name) -> Option<&str> {
-        self.interner.names.get(name.index()).map(|s| &**s)
+        self.names.get(name)
     }
 
     /// Pre-interns `path` (component names plus the full-path cache entry)
     /// and records a negative dentry if its final component is absent.
-    /// Scenario template builders call this on every scenario path so
-    /// steady-state rounds — which inherit the warm tables through
-    /// `clone_from` — resolve without splitting a path or allocating (one
-    /// hash of the path string finds its cached split).
+    /// Scenario template builders call this on every layout path so
+    /// rounds — which inherit the warm tables through `clone_from` —
+    /// resolve those paths without splitting them or allocating (one hash
+    /// of the path string finds its cached split). Paths left unwarmed
+    /// still work: a round interns them into its own name overlay.
     pub fn warm_path(&mut self, path: &str) {
         let _ = self.resolve_mut(path, SymlinkPolicy::NoFollowLast);
     }
@@ -711,7 +855,7 @@ impl Vfs {
         if !path.starts_with('/') {
             return Err(OsError::Einval);
         }
-        let end = match self.interner.paths.get(path) {
+        let end = match self.names.split(path) {
             Some(names) => self.walk_names(names, policy)?,
             None => self.walk_strs(path, policy)?,
         };
@@ -742,13 +886,12 @@ impl Vfs {
         if !path.starts_with('/') {
             return Err(OsError::Einval);
         }
-        self.ensure_path_interned(path);
+        self.names.intern_path(path);
         let end = {
             let names = self
-                .interner
-                .paths
-                .get(path)
-                .expect("ensure_path_interned populated the cache");
+                .names
+                .split(path)
+                .expect("intern_path populated the cache");
             self.walk_names(names, policy)?
         };
         match end {
@@ -765,19 +908,6 @@ impl Vfs {
                 self.resolve_mut_depth(&redirected, policy, depth + 1)
             }
         }
-    }
-
-    fn ensure_path_interned(&mut self, path: &str) {
-        if self.interner.paths.contains_key(path) {
-            return;
-        }
-        let it = Arc::make_mut(&mut self.interner);
-        let names: Box<[Name]> = path
-            .split('/')
-            .filter(|c| !c.is_empty())
-            .map(|c| it.intern(c))
-            .collect();
-        it.paths.insert(path.into(), names);
     }
 
     /// Final-component lookup with the negative-dentry table consulted
@@ -839,7 +969,7 @@ impl Vfs {
                         if !redirected.ends_with('/') {
                             redirected.push('/');
                         }
-                        redirected.push_str(self.interner.str_of(rest));
+                        redirected.push_str(self.names.str_of(rest));
                     }
                     return Ok(WalkEnd::Redirect { redirected });
                 }
@@ -862,7 +992,7 @@ impl Vfs {
         while let Some(comp) = components.next() {
             let is_last = components.peek().is_none();
             let entries = self.inode(dir)?.entries()?;
-            let name = self.interner.lookup(comp);
+            let name = self.names.lookup(comp);
             if is_last {
                 let bound = name.and_then(|n| self.child(dir, entries, n));
                 if let (SymlinkPolicy::FollowLast, Some(ino)) = (policy, bound) {
@@ -1081,14 +1211,15 @@ impl Vfs {
     }
 
     /// `symlink(2)`: binds `linkpath` to a new symlink inode pointing at
-    /// `target`. Does not follow a final symlink at `linkpath`.
+    /// `target`. Does not follow a final symlink at `linkpath`. An
+    /// `Arc<str>` target is stored as is, without copying the string.
     ///
     /// # Errors
     ///
     /// `EEXIST` if `linkpath` is taken.
     pub fn symlink(
         &mut self,
-        target: &str,
+        target: impl Into<Arc<str>>,
         linkpath: &str,
         owner: (Uid, Gid),
     ) -> Result<Ino, OsError> {
@@ -1099,7 +1230,7 @@ impl Vfs {
         let name = r.name.expect("mutating resolution interns the final name");
         let ino = self.alloc(
             InodeKind::Symlink {
-                target: Arc::from(target),
+                target: target.into(),
             },
             InodeMeta {
                 uid: owner.0,
@@ -1257,7 +1388,7 @@ impl Vfs {
         for inode in live() {
             if let InodeKind::Directory { entries } = &inode.kind {
                 for (name, target) in entries.iter() {
-                    if name.index() >= self.interner.names.len() {
+                    if name.index() >= self.names.len() {
                         return Err(format!(
                             "entry with out-of-table name id {} in {}",
                             name.0, inode.ino
@@ -1266,7 +1397,7 @@ impl Vfs {
                     if self.inode(target).is_err() {
                         return Err(format!(
                             "dangling entry {:?} -> {target} in {}",
-                            self.interner.str_of(name),
+                            self.names.str_of(name),
                             inode.ino
                         ));
                     }
@@ -1287,7 +1418,7 @@ impl Vfs {
             }
         }
         for &(dir, name) in &self.neg {
-            if name.index() >= self.interner.names.len() {
+            if name.index() >= self.names.len() {
                 return Err(format!(
                     "negative dentry with out-of-table name id {}",
                     name.0
@@ -1298,7 +1429,7 @@ impl Vfs {
                     if entries.get(name).is_some() {
                         return Err(format!(
                             "stale negative dentry ({dir}, {:?}) shadows a live entry",
-                            self.interner.str_of(name)
+                            self.names.str_of(name)
                         ));
                     }
                 }
@@ -1701,7 +1832,7 @@ mod tests {
     fn warm_path_then_readonly_resolution_uses_caches() {
         let mut vfs = setup();
         vfs.warm_path("/home/user/doc");
-        assert!(vfs.interner.paths.contains_key("/home/user/doc"));
+        assert!(vfs.names.split("/home/user/doc").is_some());
         // Warm miss recorded a negative dentry; stat agrees it is absent.
         assert_eq!(vfs.stat("/home/user/doc"), Err(OsError::Enoent));
         vfs.create_file("/home/user/doc", meta(1000)).unwrap();
@@ -1719,7 +1850,7 @@ mod tests {
             .unwrap();
         assert_eq!(r.ino, None);
         assert_eq!(r.name, None);
-        assert_eq!(vfs.interner.lookup("zzz"), None, "stayed un-interned");
+        assert_eq!(vfs.names.lookup("zzz"), None, "stayed un-interned");
     }
 
     #[test]
@@ -1731,7 +1862,11 @@ mod tests {
             Err(OsError::Enoent)
         );
         vfs.reset();
-        assert!(vfs.interner.is_empty(), "name table and path cache cleared");
+        assert_eq!(vfs.names.len(), 0, "name table cleared");
+        assert!(
+            vfs.names.split("/home/user/doc").is_none(),
+            "path cache cleared"
+        );
         assert!(vfs.neg.is_empty(), "negative dentries cleared");
         assert_eq!(vfs.inode_count(), 1, "only the root survives");
         // A reset VFS is observably identical to a fresh one: rebuilding the
@@ -1805,6 +1940,81 @@ mod tests {
             "fork-created names invisible in the template"
         );
         assert_eq!(&template, &setup(), "template bit-unchanged");
+    }
+
+    /// Names a fork interns go to its own overlay, under the ids an
+    /// unshared copy of the template's table (what forks deep-copied
+    /// before the overlay) assigns, and a pooled `clone_from` of the
+    /// template drops them again.
+    #[test]
+    fn fork_names_get_deep_copy_ids_and_vanish_on_clone_from() {
+        let mut template = setup();
+        template.freeze();
+        let mut fork = template.clone();
+        let mut deep = template.clone();
+        deep.names = NameTable {
+            shared: Arc::new((*template.names.shared).clone()),
+            local: None,
+        };
+        let ops = |vfs: &mut Vfs| {
+            vfs.mkdir("/home/user/.staging", meta(0)).unwrap();
+            vfs.create_file("/home/user/.staging/payload", meta(0))
+                .unwrap();
+            vfs.symlink("/etc/passwd", "/home/user/link", (Uid(1000), Gid(1000)))
+                .unwrap();
+            let name = |p| vfs.resolve(p, SymlinkPolicy::NoFollowLast).unwrap().name;
+            [
+                name("/home/user/.staging/payload"),
+                name("/home/user/.staging"),
+                name("/home/user/link"),
+            ]
+        };
+        let ids = ops(&mut fork);
+        assert_eq!(ids, ops(&mut deep), "fork ids differ from a deep copy's");
+        // setup() interned etc, passwd, home, user as 0..=3.
+        assert_eq!(ids, [Some(Name(5)), Some(Name(4)), Some(Name(6))]);
+        assert_eq!(&fork, &deep);
+        assert!(
+            Arc::ptr_eq(&fork.names.shared, &template.names.shared),
+            "the fork never copied the shared table"
+        );
+        assert_eq!(fork.names.local_names().len(), 3);
+        assert_eq!(template.names.len(), 4, "template table unchanged");
+        fork.check_invariants().unwrap();
+
+        fork.clone_from(&template);
+        assert_eq!(fork.name_str(Name(4)), None, "a past round's name survived");
+        assert_eq!(fork.name_str(Name(3)), Some("user"));
+        assert!(fork.names.split("/home/user/.staging").is_none());
+        assert!(
+            fork.names.local.as_ref().unwrap().index.capacity() > 0,
+            "overlay capacity kept for the next round"
+        );
+        assert_eq!(&fork, &template);
+        // The next round numbers its first new name 4 again.
+        fork.create_file("/home/user/other", meta(0)).unwrap();
+        let r = fork.resolve("/home/user/other", SymlinkPolicy::NoFollowLast);
+        assert_eq!(r.unwrap().name, Some(Name(4)));
+    }
+
+    #[test]
+    fn freeze_folds_the_fork_overlay_into_the_shared_table() {
+        let mut template = setup();
+        template.freeze();
+        let mut fork = template.clone();
+        fork.create_file("/home/user/doc", meta(1000)).unwrap();
+        let before = fork.clone();
+        fork.freeze();
+        assert!(fork.names.local.is_none(), "overlay folded");
+        assert!(!Arc::ptr_eq(&fork.names.shared, &template.names.shared));
+        assert_eq!(fork.names.len(), 5);
+        assert_eq!(&fork, &before);
+        assert_eq!(template.names.len(), 4, "template table unchanged");
+        let r = fork
+            .clone()
+            .resolve("/home/user/doc", SymlinkPolicy::NoFollowLast);
+        assert_eq!(r.unwrap().name, Some(Name(4)));
+        fork.check_invariants().unwrap();
     }
 
     mod cow {

@@ -118,6 +118,10 @@ pub(crate) struct RaceWindows {
     pub detections: Trace<DetectionEvent>,
     pub defense: DefenseState,
     pub forensics: ForensicsState,
+    /// Emptied `strikes` vectors of retired windows, handed to windows at
+    /// their first strike so a struck window stops allocating every
+    /// round (and an unstruck one holds none).
+    spare_strikes: Vec<Vec<(Pid, SimTime)>>,
 }
 
 impl RaceWindows {
@@ -129,7 +133,7 @@ impl RaceWindows {
     pub fn reset(&mut self, spec: &MachineSpec) {
         self.forensics
             .reset(spec.forensics, spec.spans, &self.windows, &self.pending);
-        self.windows.clear();
+        self.clear_windows();
         self.pending.clear();
         self.detect = spec.detect;
         self.detections.reset();
@@ -141,6 +145,13 @@ impl RaceWindows {
     #[inline]
     fn active(&self) -> bool {
         self.detect || self.forensics.enabled() || self.defense.enabled()
+    }
+
+    /// Empties the table, keeping the windows' strike vectors.
+    fn clear_windows(&mut self) {
+        for w in self.windows.drain(..) {
+            retire_strikes(&mut self.spare_strikes, w.strikes);
+        }
     }
 
     fn find(&self, pid: Pid, path: &Arc<str>) -> Option<usize> {
@@ -225,6 +236,9 @@ impl RaceWindows {
                         at: now,
                     });
                     if strike {
+                        if w.strikes.capacity() == 0 {
+                            w.strikes = self.spare_strikes.pop().unwrap_or_default();
+                        }
                         w.strikes.push((pid, now));
                     }
                     matched = true;
@@ -255,12 +269,14 @@ impl RaceWindows {
     /// Drops every window owned by an exiting process; forensics classify
     /// its waiting strikes.
     pub fn forget_process(&mut self, pid: Pid) {
-        let forensics = &mut self.forensics;
-        self.windows.retain(|w| {
-            if w.owner == pid {
-                forensics.on_exit(w);
+        let (forensics, spare) = (&mut self.forensics, &mut self.spare_strikes);
+        self.windows.retain_mut(|w| {
+            if w.owner != pid {
+                return true;
             }
-            w.owner != pid
+            forensics.on_exit(w);
+            retire_strikes(spare, std::mem::take(&mut w.strikes));
+            false
         });
     }
 
@@ -269,7 +285,7 @@ impl RaceWindows {
     pub fn drain_forensics(&mut self) -> ForensicsSnapshot {
         let snap = self.forensics_view().snapshot();
         self.forensics.clear_data();
-        self.windows.clear();
+        self.clear_windows();
         self.pending.clear();
         snap
     }
@@ -291,6 +307,14 @@ impl RaceWindows {
             windows: &mut self.windows,
             pending: &mut self.pending,
         }
+    }
+}
+
+/// Keeps a retired window's strike vector for reuse, if it ever allocated.
+fn retire_strikes(spare: &mut Vec<Vec<(Pid, SimTime)>>, mut strikes: Vec<(Pid, SimTime)>) {
+    if strikes.capacity() > 0 {
+        strikes.clear();
+        spare.push(strikes);
     }
 }
 
@@ -470,6 +494,37 @@ mod tests {
         assert!(rig.use_(Pid(0), &p, FsCall::Chown, t(3)).denied);
         assert!(rig.detections().is_empty(), "the detector is off");
         assert!(rig.forensics().snapshot().is_empty(), "forensics are off");
+    }
+
+    #[test]
+    fn struck_windows_reuse_retired_strike_vectors() {
+        let mut rig = Rig::armed();
+        let p = arc("/doc");
+        let strike_round = |rig: &mut Rig| {
+            rig.check(Pid(0), &p, FsCall::Stat, t(1));
+            rig.check(Pid(2), &p, FsCall::Stat, t(1));
+            rig.mutate(Pid(1), &p, FsCall::Unlink, t(2));
+            let ptrs: Vec<_> = rig
+                .race
+                .windows
+                .iter()
+                .map(|w| w.strikes.as_ptr())
+                .collect();
+            rig.exit(Pid(2));
+            ptrs
+        };
+        let mut first = strike_round(&mut rig);
+        assert_eq!(rig.race.spare_strikes.len(), 1, "exit retires its vector");
+        rig.reboot();
+        assert_eq!(rig.race.spare_strikes.len(), 2, "reset retires the rest");
+        let mut second = strike_round(&mut rig);
+        assert_eq!(rig.race.spare_strikes.len(), 1, "no new vector allocated");
+        first.sort();
+        second.sort();
+        assert_eq!(first, second, "the same buffers serve the next round");
+        rig.check(Pid(3), &p, FsCall::Stat, t(4));
+        let fresh = rig.race.windows.last().expect("window opened");
+        assert_eq!(fresh.strikes.capacity(), 0, "unstruck windows hold none");
     }
 
     /// One step of a random observer workload over 3 pids × 2 paths.

@@ -161,7 +161,7 @@ proptest! {
                     let _ = vfs.mkdir(&name(a), meta);
                 }
                 FsOp::Symlink(a, b) => {
-                    let _ = vfs.symlink(&name(a), &name(b), (Uid(7), Gid(7)));
+                    let _ = vfs.symlink(name(a), &name(b), (Uid(7), Gid(7)));
                 }
                 FsOp::Unlink(a) => {
                     let _ = vfs.unlink_detach(&name(a));
@@ -202,7 +202,7 @@ proptest! {
         let mut prev = "/d/target".to_string();
         for i in 0..depth {
             let link = format!("/d/link{i}");
-            vfs.symlink(&prev, &link, (Uid(0), Gid(0))).unwrap();
+            vfs.symlink(prev.as_str(), &link, (Uid(0), Gid(0))).unwrap();
             prev = link;
         }
         let direct = vfs.stat("/d/target").unwrap();

@@ -300,20 +300,40 @@ proptest! {
     }
 
     /// A frozen-template fork must stay differential-equal to the oracle
-    /// too: the overlay COW layer may not change any observable result.
+    /// too: the overlay COW layer (inodes and names) may not change any
+    /// observable result. The fork is then restored from the template with
+    /// `clone_from`, the way the round pools reuse it, and a second
+    /// sequence must match a fresh oracle: nothing the first sequence
+    /// interned or mutated may leak into the next round.
     #[test]
     fn forked_v2_matches_the_v1_oracle(
-        ops in proptest::collection::vec(op_strategy(), 1..32)
+        first in proptest::collection::vec(op_strategy(), 1..32),
+        second in proptest::collection::vec(op_strategy(), 1..32)
     ) {
-        let (mut template, mut v1) = setup();
+        let (mut template, _) = setup();
         template.freeze();
         let mut fork = template.clone();
-        for (i, op) in ops.iter().enumerate() {
-            let (a, b) = apply_both(&mut fork, &mut v1, op);
-            prop_assert_eq!(a, b, "op #{} {:?} returned differently in a fork", i, op);
-            prop_assert!(fork.check_invariants().is_ok());
+        for (n, ops) in [&first, &second].into_iter().enumerate() {
+            let round = if n == 0 { "a fork" } else { "a pooled fork" };
+            if n > 0 {
+                fork.clone_from(&template);
+                prop_assert_eq!(&fork, &template, "clone_from left the previous round behind");
+            }
+            let (_, mut v1) = setup();
+            for (i, op) in ops.iter().enumerate() {
+                let (a, b) = apply_both(&mut fork, &mut v1, op);
+                prop_assert_eq!(a, b, "op #{} {:?} returned differently in {}", i, op, round);
+                prop_assert!(
+                    fork.check_invariants().is_ok(),
+                    "invariants after op #{} {:?} in {}: {:?}",
+                    i, op, round, fork.check_invariants()
+                );
+                assert_observably_equal(&fork, &v1, &format!("after op #{i} {op:?} in {round}"))?;
+            }
         }
-        assert_observably_equal(&fork, &v1, "after the op sequence in a fork")?;
+        let (mut pristine, _) = setup();
+        pristine.freeze();
+        prop_assert_eq!(&template, &pristine, "a fork mutated its template");
     }
 }
 
