@@ -1,12 +1,13 @@
 //! The asserted overhead and speedup gates that no test or perfbench
 //! metric holds yet. Each row prints one line; nothing is written to disk.
 //!
-//! * **detector**, **metrics**, **forensics**, **spans** — a 500-round
-//!   pooled `vi_smp(100 KiB)` batch at `jobs = 0` against the same batch
-//!   with one observer stripped (`without_detector`, `without_metrics`,
-//!   `without_forensics`) or span tracing armed (`with_spans`). Metrics
-//!   must cost ≤5% on every host, forensics ≤5% on multi-core hosts; the
-//!   detector and spans rows are reported with no budget.
+//! * **detector**, **metrics**, **forensics**, **event log** — a
+//!   500-round pooled `vi_smp(100 KiB)` batch at `jobs = 0` against the
+//!   same batch with one observer stripped (`without_detector`,
+//!   `without_metrics`, `without_forensics`) or the forensics event log
+//!   armed (`with_event_log`). Metrics must cost ≤5% on every host,
+//!   forensics ≤5% on multi-core hosts; the detector and event-log rows
+//!   are reported with no budget.
 //! * **campaign** — a warm-cache replay of an 8-point gedit D-grid
 //!   campaign must be ≥5× faster than building its store from nothing, on
 //!   every host (a cache hit skips the simulation entirely). Both sides run
@@ -64,7 +65,7 @@ fn main() {
     let mut failed: Vec<String> = Vec::new();
 
     // --- Observer overheads: the default machine against a twin with one
-    // observer stripped (or spans armed). Observers never perturb
+    // observer stripped (or the event log armed). Observers never perturb
     // simulated time, so only wall time differs.
     let machine = Scenario::vi_smp(FILE_SIZE).machine;
     let variants = [
@@ -72,7 +73,7 @@ fn main() {
         machine.clone().without_detector(),
         machine.clone().without_metrics(),
         machine.clone().without_forensics(),
-        machine.with_spans(),
+        machine.with_event_log(),
     ];
     let scenarios: Vec<Scenario> = variants
         .into_iter()
@@ -114,7 +115,7 @@ fn main() {
         );
     }
     println!(
-        "mc/spans     jobs=0 on {:>10.0} rounds/s, armed {:>8.0} rounds/s",
+        "mc/event_log jobs=0 on {:>10.0} rounds/s, armed {:>8.0} rounds/s",
         rps(on),
         rps(secs[4])
     );

@@ -14,17 +14,26 @@
 //! scan across worker threads and still reports the lowest matching seed.
 //! `--export` additionally writes the round as JSONL — header, every kernel
 //! event, every detection, and the round's metrics snapshot. `--perfetto`
-//! re-runs the round with span tracing armed and writes a Chrome
+//! runs the round with the forensics event log armed and writes a Chrome
 //! trace-event JSON file (per-CPU tracks, semaphore holds, race windows,
 //! strike and detection markers) loadable in `ui.perfetto.dev` or
 //! `chrome://tracing`; both exports compose in one invocation.
 
-use tocttou_experiments::cli::CommonArgs;
+use tocttou_experiments::cli::{parse_value, CommonArgs};
 use tocttou_experiments::export::export_jsonl;
 use tocttou_experiments::perfetto::export_perfetto;
 use tocttou_experiments::timeline::Timeline;
 use tocttou_sim::time::{SimDuration, SimTime};
 use tocttou_workloads::scenario::Scenario;
+
+/// The widest timeline `--width` may ask for.
+const MAX_WIDTH: usize = 10_000;
+
+/// Reports a bad command line and exits 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
 fn scenario_by_name(name: &str) -> Option<Scenario> {
     Some(match name {
@@ -83,20 +92,29 @@ fn main() {
         match common.accept(&arg, &mut it) {
             Ok(true) => continue,
             Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+            Err(e) => usage_error(e),
         }
         match arg.as_str() {
-            "--width" => width = it.next().and_then(|v| v.parse().ok()).unwrap_or(width),
-            "--export" => export = it.next(),
-            "--find" => {
-                find = match it.next().as_deref() {
-                    Some("success") => Some(true),
-                    Some("failure") => Some(false),
-                    _ => None,
+            "--width" => {
+                width = parse_value(&arg, &mut it).unwrap_or_else(|e| usage_error(e));
+                if width > MAX_WIDTH {
+                    usage_error(format!(
+                        "invalid --width {width}: at most {MAX_WIDTH} columns"
+                    ));
                 }
+            }
+            "--export" => {
+                export = Some(parse_value(&arg, &mut it).unwrap_or_else(|e| usage_error(e)))
+            }
+            "--find" => {
+                let v: String = parse_value(&arg, &mut it).unwrap_or_else(|e| usage_error(e));
+                find = Some(match v.as_str() {
+                    "success" => true,
+                    "failure" => false,
+                    _ => usage_error(format!(
+                        "invalid --find value {v:?}: expected success or failure"
+                    )),
+                });
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -110,18 +128,14 @@ fn main() {
     // A timeline shows one round; `--rounds` exists only for flag parity.
     let seed = common.seed.unwrap_or(1);
     let jobs = common.jobs.unwrap_or(1);
-    let Some(name) = name else {
-        eprintln!("missing scenario name (try --help)");
-        std::process::exit(2);
-    };
-    let Some(mut scenario) = scenario_by_name(&name) else {
-        eprintln!("unknown scenario {name:?} (try --help)");
-        std::process::exit(2);
-    };
+    let name = name.unwrap_or_else(|| usage_error("missing scenario name (try --help)".into()));
+    let mut scenario = scenario_by_name(&name)
+        .unwrap_or_else(|| usage_error(format!("unknown scenario {name:?} (try --help)")));
     if common.perfetto.is_some() {
-        // Arm span tracing so the Perfetto view gets semaphore-hold and
-        // window spans; the round itself stays deterministic either way.
-        scenario.machine = scenario.machine.clone().with_spans();
+        // Arm the forensics event log so the Perfetto view gets
+        // semaphore-hold spans and windows; the round itself stays
+        // deterministic either way.
+        scenario.machine = scenario.machine.clone().with_event_log();
     }
 
     let (result, mut handles, used_seed) = match find {

@@ -235,7 +235,13 @@ pub fn or_exit<T>(result: std::io::Result<T>) -> T {
     })
 }
 
-fn parse_value<T: std::str::FromStr>(
+/// Takes the value after `flag` off `rest` and parses it.
+///
+/// # Errors
+///
+/// Returns a user-facing message when the value is missing or does not
+/// parse.
+pub fn parse_value<T: std::str::FromStr>(
     flag: &str,
     rest: &mut dyn Iterator<Item = String>,
 ) -> Result<T, String>

@@ -99,9 +99,10 @@ pub(crate) struct Plan<'a> {
 /// How one scenario's rounds boot: resumed from its warm [`Checkpoint`],
 /// or cold-booted from its filesystem template (the oracle). Both give
 /// byte-identical rounds; the warm path skips the seed-independent prefix.
+/// Both arms are boxed, so a warm entry carries no unused `Vfs`-sized slot.
 enum Boot {
     Warm(Box<Checkpoint>),
-    Cold(Vfs),
+    Cold(Box<Vfs>),
 }
 
 impl Boot {
@@ -127,7 +128,7 @@ impl Boot {
                 touched.then(|| {
                     let template = s.template_vfs_from_base(&base);
                     let boot = if cold {
-                        Boot::Cold(template)
+                        Boot::Cold(Box::new(template))
                     } else {
                         Boot::Warm(Box::new(s.round_checkpoint(&template)))
                     };

@@ -5,9 +5,10 @@
 //!
 //! 1. a **header** line with the export [`SCHEMA_VERSION`], the
 //!    scenario/seed/machine identity, host metadata (`host_cpus`, build
-//!    profile) and the record counts — including how many trace records
-//!    and spans a bounded buffer *dropped*, so a truncated export is
-//!    always detectable;
+//!    profile) and the record counts — including how many trace records a
+//!    bounded buffer *dropped*, and the causal spans derived from the
+//!    round when its forensics event log is armed, so a truncated export
+//!    is always detectable;
 //! 2. one **event** line per kernel trace record, oldest first;
 //! 3. one **detection** line per race the passive detector observed;
 //! 4. a final **metrics** line carrying the round's full
@@ -21,6 +22,7 @@ use std::io::{self, Write};
 use tocttou_os::event::OsEvent;
 use tocttou_os::ids::{CpuId, Pid, SemId};
 use tocttou_os::kernel::Kernel;
+use tocttou_os::spans::{derive, Spans};
 use tocttou_sim::time::SimTime;
 
 /// Version of the JSONL layout. Bumped whenever a header field or line
@@ -143,6 +145,16 @@ fn event_value(t: SimTime, ev: &OsEvent) -> Value {
     obj(fields)
 }
 
+/// The causal spans the exports show: those [`derive`] reads off the round
+/// when its forensics event log is armed (exhibit runs), none otherwise.
+pub(crate) fn round_spans(kernel: &Kernel) -> Spans {
+    if kernel.machine().event_log {
+        derive(kernel.trace(), kernel.forensics().window_log())
+    } else {
+        Spans::default()
+    }
+}
+
 /// Writes a traced round as JSONL: header, events, detections, metrics.
 ///
 /// Returns the number of lines written.
@@ -166,6 +178,7 @@ pub fn export_jsonl<W: Write>(
 
     let trace = kernel.trace();
     let detections = kernel.detections();
+    let spans = round_spans(kernel);
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
     let build = if cfg!(debug_assertions) {
         "debug"
@@ -187,12 +200,9 @@ pub fn export_jsonl<W: Write>(
         ("detections", Value::UInt(detections.len() as u64)),
         ("detections_dropped", Value::UInt(detections.dropped())),
         ("metrics_enabled", Value::Bool(kernel.metrics().enabled())),
-        ("spans_enabled", Value::Bool(kernel.spans().enabled())),
-        ("spans", Value::UInt(kernel.spans().ring().len() as u64)),
-        (
-            "spans_dropped",
-            Value::UInt(kernel.spans().ring().dropped()),
-        ),
+        ("spans_enabled", Value::Bool(kernel.machine().event_log)),
+        ("spans", Value::UInt(spans.spans.len() as u64)),
+        ("spans_dropped", Value::UInt(spans.dropped)),
     ]);
     emit(w, &header)?;
 

@@ -30,7 +30,7 @@
 //! * [`report`] — text + JSON artifact writing;
 //! * [`export`] — JSONL export of traces, detections and metrics;
 //! * [`perfetto`] — Chrome trace-event / Perfetto JSON export of a
-//!   spans-armed round (per-CPU tracks, semaphore holds, race windows,
+//!   traced round (per-CPU tracks, semaphore holds, race windows,
 //!   strike/detection markers);
 //! * [`cli`] — the `--rounds`/`--seed`/`--jobs` flags shared by the
 //!   binaries;

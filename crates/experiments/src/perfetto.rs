@@ -1,6 +1,6 @@
 //! Chrome `trace_event` / Perfetto JSON export of a traced round.
 //!
-//! [`export_perfetto`] renders one spans-armed round as a JSON object in
+//! [`export_perfetto`] renders one traced round as a JSON object in
 //! the Chrome trace-event format (the JSON flavour Perfetto,
 //! `chrome://tracing` and `ui.perfetto.dev` all load): an object with a
 //! `traceEvents` array of `"X"` complete events (bars with `ts`/`dur`)
@@ -12,23 +12,24 @@
 //!   interval named after the running process, plus `bg` bars for
 //!   background kernel activity;
 //! * **`semaphores`** (pid 2) — one track per kernel semaphore, a bar
-//!   per hold interval (from the span ring's `SemHold` spans);
+//!   per hold interval (the `SemHold` spans
+//!   [`derive`](tocttou_os::spans::derive()) reads off the trace);
 //! * **`forensics`** (pid 3) — one track per window owner with a bar per
 //!   closed check→use window, and instant markers for every classified
 //!   attacker strike and every passive-detector event.
 //!
-//! Requires a spans-armed kernel ([`MachineSpec::with_spans`]): the
-//! semaphore and forensics tracks read the span ring and the forensics
-//! event logs, which off-by-default Monte-Carlo rounds never populate.
+//! The semaphore and forensics tracks need a kernel with the forensics
+//! event log armed ([`MachineSpec::with_event_log`]), which off-by-default
+//! Monte-Carlo rounds never are; without it only the CPU tracks are drawn.
 //!
-//! [`MachineSpec::with_spans`]: tocttou_os::machine::MachineSpec::with_spans
+//! [`MachineSpec::with_event_log`]: tocttou_os::machine::MachineSpec::with_event_log
 
 use serde::Value;
 use std::io::{self, Write};
 use tocttou_os::event::OsEvent;
 use tocttou_os::ids::Pid;
 use tocttou_os::kernel::Kernel;
-use tocttou_sim::span::SpanKind;
+use tocttou_os::spans::SpanKind;
 use tocttou_sim::time::SimTime;
 
 /// Synthetic trace-event "process" ids grouping the tracks.
@@ -191,7 +192,8 @@ pub fn export_perfetto<W: Write>(
     let mut timed: Vec<(SimTime, Value)> = Vec::new();
     cpu_bars(kernel, &names, &mut timed);
 
-    for span in kernel.spans().ring().iter() {
+    let spans = crate::export::round_spans(kernel);
+    for span in &spans.spans {
         if span.kind == SpanKind::SemHold {
             timed.push(complete(
                 format!("hold {}", names(Pid(span.pid))),
@@ -255,7 +257,7 @@ pub fn export_perfetto<W: Write>(
                 ("scenario", Value::Str(scenario.to_owned())),
                 ("seed", Value::UInt(seed)),
                 ("machine", Value::Str(kernel.machine().name.to_owned())),
-                ("span_dropped", Value::UInt(kernel.spans().ring().dropped())),
+                ("span_dropped", Value::UInt(spans.dropped)),
             ]),
         ),
     ]);
@@ -272,7 +274,7 @@ mod tests {
 
     fn armed_round(seed: u64) -> (Scenario, tocttou_workloads::scenario::RoundHandles) {
         let mut s = Scenario::vi_smp(1);
-        s.machine = s.machine.clone().with_spans();
+        s.machine = s.machine.clone().with_event_log();
         let (_, mut h) = s.run_traced(seed);
         h.kernel.forensics_mut().flush();
         (s, h)
@@ -346,16 +348,56 @@ mod tests {
         }
     }
 
+    /// The `trace` binary's export of `scenario` at seed 7, as bytes.
+    fn trace_binary_export(mut s: Scenario) -> Vec<u8> {
+        s.machine = s.machine.clone().with_event_log();
+        let (_, mut h) = s.run_traced(7);
+        h.kernel.forensics_mut().flush();
+        let mut procs = vec![(h.victim, "victim")];
+        let labels = ["attacker", "attacker-2"];
+        for (i, pid) in h.attackers.iter().enumerate() {
+            procs.push((*pid, labels.get(i).copied().unwrap_or("attacker-n")));
+        }
+        let mut buf = Vec::new();
+        export_perfetto(&mut buf, &s.name, 7, &h.kernel, &procs).unwrap();
+        buf
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn export_bytes_are_pinned() {
+        // vi-smp and gedit-smp hand `i_sem` off between victim and attacker,
+        // so both exercise the semaphore-hold track.
+        let vi = trace_binary_export(Scenario::vi_smp(100 * 1024));
+        let gedit = trace_binary_export(Scenario::gedit_smp(2048));
+        for text in [&vi, &gedit] {
+            assert!(String::from_utf8_lossy(text).contains("\"hold "));
+        }
+        assert_eq!(
+            (fnv1a(&vi), fnv1a(&gedit)),
+            (0xc3e2_2c2e_22da_07dd, 0x4f6a_803c_a266_3cbd),
+            "Perfetto export bytes moved"
+        );
+    }
+
     #[test]
     fn spans_off_round_still_exports_cpu_tracks() {
-        // Without spans the sem/forensics tracks are empty but the CPU
-        // reconstruction (pure trace) still works and the JSON is valid.
+        // Without the event log the sem/forensics tracks are empty but the
+        // CPU reconstruction (pure trace) still works and the JSON is valid.
         let s = Scenario::vi_smp(1);
         let (_, h) = s.run_traced(5);
         let mut buf = Vec::new();
         let n = export_perfetto(&mut buf, &s.name, 5, &h.kernel, &[]).unwrap();
         assert!(n > 3, "metadata plus CPU bars");
         let text = String::from_utf8(buf).unwrap();
-        assert!(!text.contains("hold "), "no sem spans without --spans");
+        assert!(
+            !text.contains("hold "),
+            "no sem spans without the event log"
+        );
     }
 }

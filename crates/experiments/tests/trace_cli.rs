@@ -1,0 +1,73 @@
+//! The `trace` binary's flag handling: a bad value exits 2 with a message
+//! naming the flag, as the shared `CommonArgs` flags do, and a good
+//! invocation still renders its round.
+
+use std::process::{Command, Output};
+
+fn trace(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(args)
+        .output()
+        .expect("the trace binary runs")
+}
+
+/// Asserts `args` exit 2 with a one-line message containing `needle`.
+fn rejects(args: &[&str], needle: &str) {
+    let out = trace(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(err.contains(needle), "{args:?}: {err}");
+    assert!(out.stdout.is_empty(), "{args:?} ran a round");
+}
+
+#[test]
+fn a_non_numeric_width_exits_2() {
+    rejects(
+        &["vi-smp-1b", "--width", "abc"],
+        "invalid --width value \"abc\"",
+    );
+    rejects(
+        &["vi-smp-1b", "--width", "1000000"],
+        "at most 10000 columns",
+    );
+}
+
+#[test]
+fn a_misspelt_find_outcome_exits_2() {
+    rejects(
+        &["vi-smp-1b", "--find", "sucess"],
+        "expected success or failure",
+    );
+}
+
+#[test]
+fn export_without_a_path_exits_2() {
+    rejects(&["vi-smp-1b", "--export"], "--export needs a value");
+}
+
+#[test]
+fn a_valid_run_renders_and_exports() {
+    let dir = std::env::temp_dir().join(format!("trace-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let jsonl = dir.join("round.jsonl");
+    let out = trace(&[
+        "vi-smp-1b",
+        "--seed",
+        "7",
+        "--width",
+        "60",
+        "--export",
+        jsonl.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("seed 7: "), "{stdout}");
+    let header = std::fs::read_to_string(&jsonl).unwrap();
+    assert!(header.starts_with("{\"type\":\"header\""), "{header}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

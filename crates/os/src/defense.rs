@@ -77,7 +77,7 @@ mod tests {
         let x = arc("/x");
         d.check(Pid(1), &x, FsCall::Stat, t(1));
         d.mutate(Pid(2), &x, FsCall::Unlink, t(2));
-        assert!(!d.use_(Pid(1), &x, FsCall::Chown, t(3)).denied);
+        assert!(!d.use_(Pid(1), &x, FsCall::Chown, t(3)));
         assert_eq!(d.race.windows.len(), 0);
         assert_eq!(d.race.defense.denials(), 0);
     }
@@ -88,18 +88,15 @@ mod tests {
         let doc = arc("/doc");
         d.check(Pid(1), &doc, FsCall::Creat, t(1));
         d.mutate(Pid(2), &doc, FsCall::Unlink, t(2)); // the attacker's unlink
+        assert!(d.use_(Pid(1), &doc, FsCall::Chmod, t(3)), "chmod denied");
         assert!(
-            d.use_(Pid(1), &doc, FsCall::Chmod, t(3)).denied,
-            "chmod denied"
-        );
-        assert!(
-            d.use_(Pid(1), &doc, FsCall::Chown, t(4)).denied,
+            d.use_(Pid(1), &doc, FsCall::Chown, t(4)),
             "chown denied too"
         );
         assert_eq!(d.race.defense.denials(), 2);
         // Only a fresh check clears the violation.
         d.check(Pid(1), &doc, FsCall::Stat, t(5));
-        assert!(!d.use_(Pid(1), &doc, FsCall::Chown, t(6)).denied);
+        assert!(!d.use_(Pid(1), &doc, FsCall::Chown, t(6)));
     }
 
     #[test]
@@ -108,7 +105,7 @@ mod tests {
         let doc = arc("/doc");
         d.check(Pid(1), &doc, FsCall::Creat, t(1));
         d.mutate(Pid(1), &doc, FsCall::Rename, t(2)); // the victim's own rename
-        assert!(!d.use_(Pid(1), &doc, FsCall::Chown, t(3)).denied);
+        assert!(!d.use_(Pid(1), &doc, FsCall::Chown, t(3)));
         assert_eq!(d.race.defense.denials(), 0);
     }
 
@@ -117,13 +114,13 @@ mod tests {
         let mut d = Rig::edgi();
         d.check(Pid(1), &arc("/doc"), FsCall::Stat, t(1));
         d.mutate(Pid(2), &arc("/other"), FsCall::Unlink, t(2));
-        assert!(!d.use_(Pid(1), &arc("/doc"), FsCall::Chown, t(3)).denied);
+        assert!(!d.use_(Pid(1), &arc("/doc"), FsCall::Chown, t(3)));
     }
 
     #[test]
     fn use_without_check_is_allowed() {
         let mut d = Rig::edgi();
-        assert!(!d.use_(Pid(3), &arc("/anything"), FsCall::Open, t(1)).denied);
+        assert!(!d.use_(Pid(3), &arc("/anything"), FsCall::Open, t(1)));
     }
 
     #[test]
@@ -145,7 +142,7 @@ mod tests {
         // The victim re-checks (sees the new binding) before using.
         d.check(Pid(1), &doc, FsCall::Stat, t(3));
         assert!(
-            !d.use_(Pid(1), &doc, FsCall::Chown, t(4)).denied,
+            !d.use_(Pid(1), &doc, FsCall::Chown, t(4)),
             "fresh invariant holds"
         );
     }

@@ -268,7 +268,7 @@ mod tests {
         let p = arc("/doc");
         d.check(Pid(1), &p, FsCall::Creat, t(1));
         d.mutate(Pid(2), &p, FsCall::Unlink, t(2));
-        assert!(d.use_(Pid(1), &p, FsCall::Chown, t(3)).denied);
+        assert!(d.use_(Pid(1), &p, FsCall::Chown, t(3)));
         let e = &d.detections()[0];
         assert!(e.blocked);
         assert!(e.to_string().contains("blocked"), "{e}");

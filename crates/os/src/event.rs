@@ -4,9 +4,9 @@
 //! semaphore and syscall fact once, as a borrowed `KernelEvent`, to its one
 //! observer entry point, `Kernel::observe`. That call fans the fact out to
 //! the trace (as an owned [`OsEvent`], built only while the trace is
-//! enabled), the metrics and the spans.
+//! enabled) and the metrics. Causal spans are derived from the trace
+//! afterwards ([`crate::spans`]).
 
-use crate::forensics::WindowClose;
 use crate::ids::{CpuId, Pid, SemId};
 use crate::process::SyscallName;
 use tocttou_sim::time::{SimDuration, SimTime};
@@ -162,7 +162,7 @@ impl OsEvent {
 /// that event ([`Os`](KernelEvent::Os)). The other variants carry what the
 /// trace leaves out: the borrowed strings the trace copies only while it
 /// is enabled, and the intervals the kernel's clocks have already closed
-/// (`spawned`, `entered`, `waited`, `held`, `queued`), so no observer
+/// (`entered`, `waited`, `held`, `queued`), so no observer
 /// keeps an interval start of its own.
 #[derive(Debug)]
 pub(crate) enum KernelEvent<'a> {
@@ -171,11 +171,6 @@ pub(crate) enum KernelEvent<'a> {
     Spawn {
         pid: Pid,
         name: &'a str,
-    },
-    /// A process spawned at `spawned` exited.
-    Exit {
-        pid: Pid,
-        spawned: SimTime,
     },
     SyscallEnter {
         pid: Pid,
@@ -211,12 +206,6 @@ pub(crate) enum KernelEvent<'a> {
     },
     /// A process became runnable while a CPU was idle (untraced).
     IdleWake,
-    /// A check-to-use window of `owner` on `path` closed (untraced).
-    Window {
-        owner: Pid,
-        path: &'a str,
-        close: WindowClose,
-    },
 }
 
 impl KernelEvent<'_> {
@@ -229,7 +218,6 @@ impl KernelEvent<'_> {
                 pid,
                 name: name.to_owned(),
             },
-            KernelEvent::Exit { pid, .. } => OsEvent::Exit { pid },
             KernelEvent::SyscallEnter { pid, call, path } => OsEvent::SyscallEnter {
                 pid,
                 call,
@@ -241,7 +229,7 @@ impl KernelEvent<'_> {
             KernelEvent::SemHandoff { pid, sem, .. } => OsEvent::SemAcquire { pid, sem },
             KernelEvent::SemRelease { pid, sem, .. } => OsEvent::SemRelease { pid, sem },
             KernelEvent::Dispatch { pid, cpu, .. } => OsEvent::Dispatch { pid, cpu },
-            KernelEvent::IdleWake | KernelEvent::Window { .. } => return None,
+            KernelEvent::IdleWake => return None,
         })
     }
 }

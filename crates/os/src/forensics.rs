@@ -34,22 +34,22 @@
 //! [`MachineSpec::forensics`]); the bench strips them with
 //! [`MachineSpec::without_forensics`] to assert the ≤5% overhead budget.
 //!
-//! With spans armed ([`MachineSpec::with_spans`]) the forensics layer also
-//! keeps a per-round *event log* of closed windows and classified strikes
-//! with their real pathnames — the material of the `--anatomy` exhibit and
-//! the Perfetto exporter, too allocation-heavy for Monte-Carlo rounds and
-//! therefore off by default.
+//! With the event log armed ([`MachineSpec::with_event_log`]) the forensics
+//! layer also keeps a per-round *event log* of closed windows and
+//! classified strikes with their real pathnames — the material of the
+//! `--anatomy` exhibit, the Perfetto exporter and the window spans
+//! [`spans::derive`](crate::spans::derive) reads off it, too
+//! allocation-heavy for Monte-Carlo rounds and therefore off by default.
 //!
 //! [`MachineSpec::forensics`]: crate::machine::MachineSpec::forensics
 //! [`MachineSpec::without_forensics`]: crate::machine::MachineSpec::without_forensics
-//! [`MachineSpec::with_spans`]: crate::machine::MachineSpec::with_spans
+//! [`MachineSpec::with_event_log`]: crate::machine::MachineSpec::with_event_log
 
 use crate::ids::Pid;
 use crate::window::{same_path, PendingStrike, Window};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 use tocttou_sim::metrics::LatencyHistogram;
-use tocttou_sim::span::SpanId;
 use tocttou_sim::time::{SimDuration, SimTime};
 
 /// How a classified strike related to the window it targeted.
@@ -77,7 +77,7 @@ impl std::fmt::Display for StrikeOutcome {
     }
 }
 
-/// One classified strike (event log; only kept when spans are armed).
+/// One classified strike (event log; only kept when the log is armed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrikeRecord {
     /// The process whose mutation struck.
@@ -103,7 +103,7 @@ impl std::fmt::Display for StrikeRecord {
     }
 }
 
-/// One closed check-use window (event log; only kept when spans are armed).
+/// One closed check-use window (event log; only kept when the log is armed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowRecord {
     /// The process that issued check and use.
@@ -135,20 +135,6 @@ impl std::fmt::Display for WindowRecord {
             self.width().as_nanos()
         )
     }
-}
-
-/// Returned when a use closes a window for the first time, so the kernel
-/// can record the matching [`SpanKind::Window`] span.
-///
-/// [`SpanKind::Window`]: tocttou_sim::span::SpanKind::Window
-#[derive(Debug, Clone, Copy)]
-pub struct WindowClose {
-    /// When the check committed.
-    pub t_check: SimTime,
-    /// When the use committed.
-    pub t_use: SimTime,
-    /// The span of the syscall that opened the window.
-    pub check_span: SpanId,
 }
 
 /// The importance-splitting level milestones one round reached, read off
@@ -186,7 +172,7 @@ impl RoundMilestones {
 pub(crate) struct ForensicsState {
     enabled: bool,
     /// Log closed windows / classified strikes with real paths (exhibits
-    /// only; armed together with spans).
+    /// only; see [`MachineSpec::event_log`](crate::machine::MachineSpec::event_log)).
     log_enabled: bool,
     /// Survive [`reset`](Self::reset): accumulate across pooled rounds
     /// (see [`KernelPool::retain_metrics`]), folding each round's
@@ -304,12 +290,12 @@ impl ForensicsState {
     }
 
     /// A use commit consuming window `w`: waiting strikes become hits; the
-    /// first use closes the window (records its width and returns the
-    /// interval for the window span); later uses extend the consumed
-    /// interval for late-miss distances.
-    pub(crate) fn on_use(&mut self, w: &mut Window, now: SimTime) -> Option<WindowClose> {
+    /// first use closes the window (records its width, and logs it when the
+    /// event log is armed); later uses extend the consumed interval for
+    /// late-miss distances.
+    pub(crate) fn on_use(&mut self, w: &mut Window, now: SimTime) {
         if !self.enabled {
-            return None;
+            return;
         }
         self.acc.uses += 1;
         self.round_window_closed = true;
@@ -322,7 +308,7 @@ impl ForensicsState {
             self.log_strike(by, &w.path, t, StrikeOutcome::Hit);
         }
         if !first_use {
-            return None;
+            return;
         }
         self.acc
             .window_width
@@ -335,11 +321,6 @@ impl ForensicsState {
                 t_use: now,
             });
         }
-        Some(WindowClose {
-            t_check: w.t_check,
-            t_use: now,
-            check_span: w.check_span,
-        })
     }
 
     /// Window `w`'s owner exited: classifies its waiting strikes (late
@@ -379,12 +360,13 @@ pub struct WindowForensics<'a> {
 }
 
 impl<'a> WindowForensics<'a> {
-    /// Closed windows logged this round (spans armed only).
+    /// Closed windows logged this round, in close order (event log armed
+    /// only).
     pub fn window_log(&self) -> &'a [WindowRecord] {
         &self.state.window_log
     }
 
-    /// Classified strikes logged this round (spans armed only).
+    /// Classified strikes logged this round (event log armed only).
     pub fn strike_log(&self) -> &'a [StrikeRecord] {
         &self.state.strike_log
     }
@@ -631,7 +613,7 @@ mod tests {
         for mut f in [Rig::stripped(), Rig::detector()] {
             f.check(Pid(1), &p, FsCall::Stat, t(1));
             f.mutate(Pid(2), &p, FsCall::Unlink, t(2));
-            assert!(f.use_(Pid(1), &p, FsCall::Chown, t(3)).close.is_none());
+            f.use_(Pid(1), &p, FsCall::Chown, t(3));
             f.race.forensics_view_mut().flush();
             assert!(f.race.windows.iter().all(|w| w.strikes.is_empty()));
             assert!(f.race.pending.is_empty());
@@ -643,15 +625,11 @@ mod tests {
     fn strike_inside_a_consumed_window_is_a_hit() {
         let mut f = armed();
         let p = arc("/etc/passwd");
-        f.check_in(Pid(0), &p, FsCall::Stat, SpanId(7), t(10));
+        f.check(Pid(0), &p, FsCall::Stat, t(10));
         f.mutate(Pid(1), &p, FsCall::Unlink, t(20));
-        let close = f
-            .use_(Pid(0), &p, FsCall::Chown, t(40))
-            .close
-            .expect("first use closes");
-        assert_eq!(close.t_check, t(10));
-        assert_eq!(close.t_use, t(40));
-        assert_eq!(close.check_span, SpanId(7));
+        f.use_(Pid(0), &p, FsCall::Chown, t(40));
+        let closed = &f.forensics().window_log()[0];
+        assert_eq!((closed.t_check, closed.t_use), (t(10), t(40)));
         let s = f.forensics().snapshot();
         assert_eq!(s.strikes_hit, 1);
         assert_eq!(s.window_width.count(), 1);
@@ -742,12 +720,11 @@ mod tests {
         let mut f = armed();
         let p = arc("/doc");
         f.check(Pid(0), &p, FsCall::Stat, t(10));
-        assert!(f.use_(Pid(0), &p, FsCall::Chown, t(20)).close.is_some());
+        f.use_(Pid(0), &p, FsCall::Chown, t(20));
+        assert_eq!(f.forensics().window_log().len(), 1, "the first use closes");
         f.mutate(Pid(1), &p, FsCall::Unlink, t(23));
-        assert!(
-            f.use_(Pid(0), &p, FsCall::Chown, t(30)).close.is_none(),
-            "window already closed"
-        );
+        f.use_(Pid(0), &p, FsCall::Chown, t(30));
+        assert_eq!(f.forensics().window_log().len(), 1, "window already closed");
         let s = f.forensics().snapshot();
         assert_eq!(s.strikes_hit, 1, "a later use consumed the broken window");
         assert_eq!(s.uses, 2);

@@ -31,7 +31,6 @@ use crate::process::{
     SyscallResult,
 };
 use crate::sem::SemTable;
-use crate::spans::SpanTracker;
 use crate::syscall::{compile, CommitStep, CostTable, CpuKind, Phase};
 use crate::vfs::{InodeMeta, StatBuf, Vfs};
 use crate::window::{CommitClass, FsCommit, RaceWindows};
@@ -40,7 +39,6 @@ use std::sync::Arc;
 use tocttou_core::taxonomy::FsCall;
 use tocttou_sim::queue::{EventId, EventQueue, QueueSnapshot};
 use tocttou_sim::rng::SimRng;
-use tocttou_sim::span::SpanId;
 use tocttou_sim::time::{SimDuration, SimTime};
 use tocttou_sim::trace::Trace;
 
@@ -108,7 +106,6 @@ pub struct KernelPool {
     vfs: Vfs,
     metrics: KernelMetrics,
     race: RaceWindows,
-    spans: SpanTracker,
     /// Per-process containers harvested from the previous round's
     /// processes, handed back out by `spawn`.
     spare: Vec<ProcBuffers>,
@@ -181,7 +178,6 @@ impl Checkpoint {
             events_processed: self.events_processed,
             metrics: pool.metrics,
             race: pool.race,
-            spans: pool.spans,
             spare: pool.spare,
             bg_armed: false,
             stat_memo: None,
@@ -228,7 +224,6 @@ impl KernelPool {
         }
         self.metrics.reset(spec.metrics);
         self.race.reset(spec);
-        self.spans.reset(spec.spans);
     }
 
     /// The pooled metrics accumulator (the across-rounds total when
@@ -287,7 +282,6 @@ pub struct Kernel {
     /// The shared check→use window table and the three observers reading
     /// it: EDGI defense, race detector and window forensics.
     race: RaceWindows,
-    spans: SpanTracker,
     spare: Vec<ProcBuffers>,
     /// Whether the per-CPU background arrival events have been armed.
     /// Arming draws from the per-round RNG, so it marks the divergence
@@ -377,7 +371,6 @@ impl Kernel {
             events_processed: 0,
             metrics: pool.metrics,
             race: pool.race,
-            spans: pool.spans,
             spare: pool.spare,
             bg_armed: false,
             stat_memo: None,
@@ -416,7 +409,6 @@ impl Kernel {
             vfs: self.vfs,
             metrics: self.metrics,
             race: self.race,
-            spans: self.spans,
             spare: self.spare,
         }
     }
@@ -563,13 +555,6 @@ impl Kernel {
         self.race.forensics_view_mut()
     }
 
-    /// The causal span tracker (armed via
-    /// [`MachineSpec::with_spans`](crate::machine::MachineSpec::with_spans)).
-    /// See [`crate::spans`].
-    pub fn spans(&self) -> &SpanTracker {
-        &self.spans
-    }
-
     /// Creates a process owned by `uid:gid` running `logic`.
     ///
     /// `pretouch_libc` controls the page-fault model: a long-running program
@@ -586,8 +571,7 @@ impl Kernel {
     ) -> Pid {
         let pid = Pid(self.procs.len() as u32);
         let buffers = self.spare.pop().unwrap_or_default();
-        let mut proc_ = Process::new(pid, name, uid, gid, logic, pretouch_libc, buffers);
-        proc_.spawned = self.now;
+        let proc_ = Process::new(pid, name, uid, gid, logic, pretouch_libc, buffers);
         self.procs.push(proc_);
         self.live += 1;
         self.observe(KernelEvent::Spawn { pid, name });
@@ -674,17 +658,16 @@ impl Kernel {
         }
     }
 
-    /// The kernel's one observer entry point: hands `ev` to the metrics,
-    /// the spans and the trace (as an owned [`OsEvent`], built only while
-    /// the trace is enabled). Each observer checks its own gate once.
+    /// The kernel's one observer entry point: hands `ev` to the metrics
+    /// and the trace (as an owned [`OsEvent`], built only while the trace
+    /// is enabled). Each observer checks its own gate once.
     ///
-    /// Forced inline, with the observers' own `observe`, so that at each
+    /// Forced inline, with the metrics' own `observe`, so that at each
     /// call site every `match` folds to the one arm its event can take; a
     /// plain `#[inline]` left vi-smp-batch rounds/s a few percent lower.
     #[inline(always)]
     fn observe(&mut self, ev: KernelEvent<'_>) {
         self.metrics.observe(self.now, &ev);
-        self.spans.observe(self.now, &ev);
         if self.trace.is_enabled() {
             if let Some(traced) = ev.into_trace() {
                 self.trace.record(self.now, traced);
@@ -1052,8 +1035,7 @@ impl Kernel {
             Action::Exit => {
                 let held = self.sems.held_by(pid);
                 assert!(held.is_empty(), "{pid} exited holding semaphores {held:?}");
-                let spawned = self.procs[pid.index()].spawned;
-                self.observe(KernelEvent::Exit { pid, spawned });
+                self.observe(KernelEvent::Os(OsEvent::Exit { pid }));
                 self.race.forget_process(pid);
                 self.procs[pid.index()].state = ProcState::Exited;
                 self.live -= 1;
@@ -1081,27 +1063,15 @@ impl Kernel {
     }
 
     /// Reports one classified filesystem commit to the shared window table
-    /// and its observers; a use that closes a window for the first time
-    /// also records the window span.
+    /// and its observers.
     fn fs_commit(&mut self, pid: Pid, path: &Arc<str>, call: FsCall, class: CommitClass) {
-        let check_span = if class == CommitClass::Check {
-            self.spans.current_syscall(pid)
-        } else {
-            SpanId::NONE
-        };
         let c = FsCommit {
             pid,
             path,
             call,
             class,
         };
-        if let Some(close) = self.race.commit(c, self.now, check_span) {
-            self.observe(KernelEvent::Window {
-                owner: pid,
-                path,
-                close,
-            });
-        }
+        self.race.commit(c, self.now);
     }
 
     /// EDGI: denies the in-flight use of `path` if its window was

@@ -23,9 +23,9 @@
 //! * **race-window forensics**: exact check-to-use window intervals per
 //!   `(pid, path)` and signed per-strike miss distances, folded into
 //!   order-independent near-miss histograms — [`forensics`];
-//! * **causal span tracing**: process / syscall / semaphore / run-queue /
-//!   window spans in a bounded allocation-free ring, off by default and
-//!   armed only for exhibit runs — [`spans`];
+//! * **causal spans**: process / syscall / semaphore / run-queue / window
+//!   intervals derived after a round from its trace and forensics event
+//!   log — [`spans`];
 //! * a **structured trace** of every scheduling/semaphore/syscall event for
 //!   paper-style microsecond timelines — [`event`].
 //!
@@ -91,7 +91,7 @@ pub use detect::DetectionEvent;
 pub use error::OsError;
 pub use event::OsEvent;
 pub use forensics::{
-    ForensicsSnapshot, RoundMilestones, StrikeOutcome, StrikeRecord, WindowClose, WindowForensics,
+    ForensicsSnapshot, RoundMilestones, StrikeOutcome, StrikeRecord, WindowForensics,
     WindowForensicsMut, WindowRecord,
 };
 pub use ids::{CpuId, Fd, Gid, Ino, Pid, SemId, Uid};
@@ -101,7 +101,7 @@ pub use metrics::{KernelMetrics, MetricId, MetricsSnapshot, SchedCounters};
 pub use process::{
     Action, LogicCtx, ProcState, ProcessLogic, RetVal, SyscallName, SyscallRequest, SyscallResult,
 };
-pub use spans::SpanTracker;
+pub use spans::{Span, SpanId, SpanKind, Spans};
 pub use vfs::{InodeMeta, StatBuf, SymlinkPolicy, Vfs};
 
 /// Convenience re-exports for workload authors.
@@ -117,7 +117,6 @@ pub mod prelude {
         Action, LogicCtx, ProcState, ProcessLogic, RetVal, SyscallName, SyscallRequest,
         SyscallResult,
     };
-    pub use crate::spans::SpanTracker;
     pub use crate::vfs::{InodeMeta, StatBuf, Vfs};
 }
 

@@ -83,11 +83,13 @@ pub struct MachineSpec {
     /// disabled only to measure the layer's host-time overhead (see
     /// [`MachineSpec::without_forensics`]).
     pub forensics: bool,
-    /// Whether causal span tracing ([`crate::spans`]) and the forensics
-    /// event log are armed. **Off by default**: spans retain per-interval
-    /// records and pathnames, which exhibits want and Monte-Carlo rounds
-    /// must not pay for (see [`MachineSpec::with_spans`]).
-    pub spans: bool,
+    /// Whether the forensics event log ([`crate::forensics`]) is armed: a
+    /// record of every closed window and classified strike, with its
+    /// pathname, from which exporters also derive the window spans
+    /// ([`crate::spans`]). **Off by default**: the log allocates per
+    /// record, which exhibits want and Monte-Carlo rounds must not pay for
+    /// (see [`MachineSpec::with_event_log`]).
+    pub event_log: bool,
 }
 
 impl MachineSpec {
@@ -104,7 +106,7 @@ impl MachineSpec {
             detect: true,
             metrics: true,
             forensics: true,
-            spans: false,
+            event_log: false,
         }
     }
 
@@ -123,7 +125,7 @@ impl MachineSpec {
             detect: true,
             metrics: true,
             forensics: true,
-            spans: false,
+            event_log: false,
         }
     }
 
@@ -148,7 +150,7 @@ impl MachineSpec {
             detect: true,
             metrics: true,
             forensics: true,
-            spans: false,
+            event_log: false,
         }
     }
 
@@ -183,15 +185,15 @@ impl MachineSpec {
     /// way.
     pub fn without_forensics(mut self) -> Self {
         self.forensics = false;
-        self.spans = false;
+        self.event_log = false;
         self
     }
 
-    /// Returns the profile with causal span tracing (and the forensics
-    /// event log) armed — exhibit runs only. Spans require forensics, so
-    /// this re-arms them if a previous builder stripped them.
-    pub fn with_spans(mut self) -> Self {
-        self.spans = true;
+    /// Returns the profile with the forensics event log armed — exhibit
+    /// runs only. The log is kept by forensics, so this re-arms them if a
+    /// previous builder stripped them.
+    pub fn with_event_log(mut self) -> Self {
+        self.event_log = true;
         self.forensics = true;
         self
     }
@@ -313,19 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn forensics_default_on_spans_default_off() {
+    fn forensics_default_on_event_log_default_off() {
         for m in [
             MachineSpec::uniprocessor(),
             MachineSpec::smp_xeon(),
             MachineSpec::multicore_pentium_d(),
         ] {
             assert!(m.forensics, "{}: forensics must default on", m.name);
-            assert!(!m.spans, "{}: spans must default off", m.name);
+            assert!(!m.event_log, "{}: the event log must default off", m.name);
             let off = m.clone().without_forensics();
-            assert!(!off.forensics && !off.spans);
+            assert!(!off.forensics && !off.event_log);
             off.validate().expect("forensics-off profile stays valid");
-            let armed = off.with_spans();
-            assert!(armed.spans && armed.forensics, "spans re-arm forensics");
+            let armed = off.with_event_log();
+            assert!(
+                armed.event_log && armed.forensics,
+                "the log re-arms forensics"
+            );
         }
     }
 

@@ -5,14 +5,14 @@
 //! on a per-inode `i_sem`, how the scheduler places wakeups on idle CPUs.
 //! This module makes those internals first-class: a [`KernelMetrics`]
 //! instance lives inside every [`Kernel`](crate::kernel::Kernel) and reads
-//! the same kernel events as the trace and the spans (scheduler,
-//! semaphore, trap, VFS commit and syscall facts) through one gated
-//! `observe` call per event. Every latency it records is an interval the
-//! kernel has already closed: run-queue delay, semaphore wait and hold,
-//! syscall duration. The accumulator keeps no clock of its own. Nothing in
-//! the hot path allocates: counters are plain `u64`s, histograms are `Copy`
-//! arrays, and per-semaphore slots live in a `Vec` that a pooled kernel
-//! retains across rounds.
+//! the same kernel events as the trace (scheduler, semaphore, trap, VFS
+//! commit and syscall facts) through one gated `observe` call per event.
+//! Every latency it records is an interval the kernel has already closed:
+//! run-queue delay, semaphore wait and hold, syscall duration. The
+//! accumulator keeps no clock of its own. Nothing in the hot path
+//! allocates: counters are plain `u64`s, histograms are `Copy` arrays, and
+//! per-semaphore slots live in a `Vec` that a pooled kernel retains across
+//! rounds.
 //!
 //! At the end of a round, [`KernelMetrics::accumulate_into`] folds the
 //! accumulator into a running [`MetricsSnapshot`] (or

@@ -459,8 +459,6 @@ pub(crate) struct Process {
     pub(crate) slice_remaining: SimDuration,
     /// The CPU this process last ran on (to detect migrations).
     pub(crate) last_cpu: Option<CpuId>,
-    /// When this process was spawned (start of its lifetime).
-    pub(crate) spawned: SimTime,
     /// When this process last became runnable (start of its run-queue
     /// delay).
     pub(crate) ready_since: SimTime,
@@ -524,7 +522,6 @@ impl Process {
             mapped_pages,
             slice_remaining: SimDuration::ZERO,
             last_cpu: None,
-            spawned: SimTime::ZERO,
             ready_since: SimTime::ZERO,
             sem_wait_since: SimTime::ZERO,
         }

@@ -1,13 +1,8 @@
-//! The kernel-side span tracker: opens and closes causal spans.
+//! Causal spans, derived from a round's kernel trace and its forensics
+//! window log.
 //!
-//! [`SpanRing`] stores completed intervals;
-//! this module turns kernel events into them. It reads the same events as
-//! the trace and the metrics, and every interval arrives closed by the
-//! kernel's own clocks (lifetime, syscall, run-queue delay, semaphore wait
-//! and hold), so the tracker keeps only what it alone owns: the span ids —
-//! which id is a process's lifetime, and which syscall span is currently
-//! executing for a pid (so semaphore waits and holds can hang off it). The
-//! causal hierarchy is:
+//! Where the trace records *instants* (a syscall entered, a semaphore was
+//! released), a [`Span`] records an *interval* with a causal parent:
 //!
 //! ```text
 //! process ─┬─ syscall ─┬─ sem_wait
@@ -16,23 +11,95 @@
 //!          └─ window (check-syscall span is the parent)
 //! ```
 //!
-//! Spans are **off by default** ([`MachineSpec::spans`]): the tracker's one
-//! input is gated on the ring's enabled switch, so Monte-Carlo rounds pay
-//! one predictable branch per event. Exhibits arm them with
-//! [`MachineSpec::with_spans`] and read the ring (plus the forensics event
-//! log) to draw timelines and Perfetto tracks.
+//! Every interval is read off the trace's own instants after the round, as
+//! the timeline renderer reads its bars, so the kernel keeps one recorder:
+//! [`derive()`] pairs each opening event with its close. Only the attack
+//! windows come from elsewhere: the forensics event log
+//! ([`MachineSpec::event_log`]) knows which check a use consumed, which the
+//! trace does not say. Exporters call [`derive()`] on an event-log-armed
+//! round.
 //!
-//! [`MachineSpec::spans`]: crate::machine::MachineSpec::spans
-//! [`MachineSpec::with_spans`]: crate::machine::MachineSpec::with_spans
+//! [`MachineSpec::event_log`]: crate::machine::MachineSpec::event_log
 
-use crate::event::KernelEvent;
-use crate::ids::Pid;
-use tocttou_sim::span::{Span, SpanId, SpanKind, SpanRing};
-use tocttou_sim::time::{SimDuration, SimTime};
+use crate::event::OsEvent;
+use crate::forensics::WindowRecord;
+use crate::ids::SemId;
+use tocttou_sim::time::SimTime;
+use tocttou_sim::trace::Trace;
 
-/// Spans retained per round when armed; old spans are evicted (and
-/// counted) beyond this, mirroring the kernel's bounded event trace.
-pub const SPAN_RING_CAPACITY: usize = 65_536;
+/// What interval a span covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum SpanKind {
+    /// A process lifetime: spawn → exit. `aux` is unused (0).
+    Process,
+    /// One syscall execution: entry → exit. `aux` is the syscall's
+    /// [`SyscallName::index`](crate::process::SyscallName::index).
+    Syscall,
+    /// A contended `i_sem` wait: enqueue → hand-off. `aux` is the
+    /// semaphore id.
+    SemWait,
+    /// An `i_sem` hold: acquire → release. `aux` is the semaphore id.
+    SemHold,
+    /// Run-queue delay: became ready → dispatched. `aux` is the CPU the
+    /// process was dispatched onto.
+    RunQueue,
+    /// An attack window: check commit → use commit on one `(pid, path)`.
+    /// `aux` is [`path_hash`] of the path.
+    Window,
+}
+
+impl SpanKind {
+    /// A stable lowercase label (used by exporters).
+    pub fn label(self) -> &'static str {
+        match self {
+            SpanKind::Process => "process",
+            SpanKind::Syscall => "syscall",
+            SpanKind::SemWait => "sem_wait",
+            SpanKind::SemHold => "sem_hold",
+            SpanKind::RunQueue => "run_queue",
+            SpanKind::Window => "window",
+        }
+    }
+}
+
+/// A span identifier, unique within one [`derive()`] call.
+///
+/// Ids are allocated when a parent interval *opens*, so children carry
+/// their parent's id even though the parent closes after them (a process
+/// span completes after every syscall span it contains).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SpanId(pub u32);
+
+impl SpanId {
+    /// The "no parent" sentinel.
+    pub const NONE: SpanId = SpanId(u32::MAX);
+
+    /// True for the [`SpanId::NONE`] sentinel.
+    pub fn is_none(self) -> bool {
+        self == SpanId::NONE
+    }
+}
+
+/// One completed interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// This span's id.
+    pub id: SpanId,
+    /// The causally enclosing span, or [`SpanId::NONE`].
+    pub parent: SpanId,
+    /// What the interval covers.
+    pub kind: SpanKind,
+    /// The process the interval belongs to (the window's owner for
+    /// [`SpanKind::Window`]).
+    pub pid: u32,
+    /// Kind-specific payload (see [`SpanKind`]).
+    pub aux: u64,
+    /// When the interval opened.
+    pub start: SimTime,
+    /// When the interval closed.
+    pub end: SimTime,
+}
 
 /// A stable 64-bit FNV-1a hash of a pathname — the `aux` payload of
 /// [`SpanKind::Window`] spans (spans carry no strings).
@@ -45,288 +112,224 @@ pub fn path_hash(path: &str) -> u64 {
     h
 }
 
-/// The span ids a process has open: its lifetime and its executing
-/// syscall.
-#[derive(Debug, Clone, Copy)]
-struct ProcCtx {
-    life: SpanId,
-    syscall: SpanId,
+/// The causal spans of one round, in the order they closed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Spans {
+    /// Completed spans in close order; ids follow open order.
+    pub spans: Vec<Span>,
+    /// How much of the input was lost: trace records its capacity bound
+    /// evicted, plus logged windows whose use is not in the trace. Spans
+    /// that opened or closed in lost records are missing, so a nonzero
+    /// count marks the set incomplete.
+    pub dropped: u64,
 }
 
-impl ProcCtx {
-    const EMPTY: ProcCtx = ProcCtx {
-        life: SpanId::NONE,
-        syscall: SpanId::NONE,
+/// What [`derive()`] tracks per process between its trace events.
+#[derive(Debug, Clone, Default)]
+struct Open {
+    life: Option<(SpanId, SimTime)>,
+    syscall: Option<(SpanId, SimTime)>,
+    /// The last ready point, until the dispatch that ends it.
+    ready: Option<SimTime>,
+    /// When the process joined a semaphore queue, until the hand-off.
+    sem_wait: Option<SimTime>,
+    /// Each commit's time and the syscall it committed in: where a
+    /// window's check finds its parent.
+    commits: Vec<(SimTime, SpanId)>,
+}
+
+/// Derives the causal spans of one round from its kernel trace and its
+/// forensics window log ([`WindowForensics::window_log`]).
+///
+/// Ids are allocated in event order: at `Spawn` and `SyscallEnter` for the
+/// spans children hang off, and at the closing event for every other kind.
+///
+/// * A process span runs from `Spawn` to `Exit`.
+/// * A syscall span runs from `SyscallEnter` to `SyscallExit`; `aux` is the
+///   call's [`SyscallName::index`], its parent the process span.
+/// * A run-queue span runs from the last ready point (`Spawn`, `Wake`,
+///   `Preempt`, or a `SemAcquire` that ends a `SemEnqueue`) to `Dispatch`;
+///   `aux` is the CPU.
+/// * A semaphore wait runs from `SemEnqueue` to `SemAcquire` and a hold
+///   from `SemAcquire` to `SemRelease`; `aux` is the semaphore, the parent
+///   the process's open syscall.
+/// * A window comes from the log. Its parent is the syscall in which the
+///   owner's `Commit` at `t_check` landed; its id is allocated just before
+///   the owner's first `DefenseDenied` or `Commit` at `t_use`, because the
+///   use closes the window before the kernel traces its commit; `aux` is
+///   [`path_hash`] of the path. A process's commits at one instant (only a
+///   machine with zero syscall costs makes them) resolve to the last at
+///   `t_check` and the first at `t_use`.
+///
+/// [`WindowForensics::window_log`]: crate::forensics::WindowForensics::window_log
+/// [`SyscallName::index`]: crate::process::SyscallName::index
+pub fn derive(trace: &Trace<OsEvent>, windows: &[WindowRecord]) -> Spans {
+    let mut out = Spans {
+        spans: Vec::new(),
+        dropped: trace.dropped(),
     };
-}
-
-/// `end` minus `dur`: the start of an interval the kernel closed at `end`.
-fn start_of(end: SimTime, dur: SimDuration) -> SimTime {
-    SimTime::from_nanos(end.as_nanos().saturating_sub(dur.as_nanos()))
-}
-
-/// The live, kernel-resident span tracker.
-#[derive(Debug, Clone)]
-pub struct SpanTracker {
-    ring: SpanRing,
-    procs: Vec<ProcCtx>,
-}
-
-impl Default for SpanTracker {
-    fn default() -> Self {
-        Self::new(false)
-    }
-}
-
-impl SpanTracker {
-    /// A fresh tracker; disabled trackers allocate and record nothing.
-    pub fn new(enabled: bool) -> Self {
-        SpanTracker {
-            ring: if enabled {
-                SpanRing::bounded(SPAN_RING_CAPACITY)
-            } else {
-                SpanRing::disabled()
-            },
-            procs: Vec::new(),
+    let mut next_id = 0;
+    let mut alloc = || {
+        let id = SpanId(next_id);
+        next_id += 1;
+        id
+    };
+    let mut procs: Vec<Open> = Vec::new();
+    let mut holds: Vec<(SemId, SimTime)> = Vec::new();
+    let mut windows = windows.iter().peekable();
+    for r in trace {
+        let now = r.at;
+        while windows.next_if(|w| w.t_use < now).is_some() {
+            out.dropped += 1;
         }
-    }
-
-    /// Whether the tracker is recording.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.ring.is_enabled()
-    }
-
-    /// The completed-span ring.
-    pub fn ring(&self) -> &SpanRing {
-        &self.ring
-    }
-
-    /// Rearms the tracker for a fresh round: the ring restarts (ids at 0,
-    /// zero drops) and every open span id is dropped, so pooled reuse can
-    /// never leak a prior round's spans or parents.
-    pub(crate) fn reset(&mut self, enabled: bool) {
-        self.ring.reset();
-        if enabled {
-            self.ring.enable();
-        } else {
-            self.ring.disable();
+        let Some(pid) = r.event.pid() else { continue };
+        if procs.len() <= pid.index() {
+            procs.resize_with(pid.index() + 1, Open::default);
         }
-        self.procs.clear();
-    }
-
-    /// The span of the syscall `pid` is currently executing, or
-    /// [`SpanId::NONE`] — the causal parent for semaphore and window spans.
-    #[inline]
-    pub fn current_syscall(&self, pid: Pid) -> SpanId {
-        self.procs
-            .get(pid.index())
-            .map_or(SpanId::NONE, |c| c.syscall)
-    }
-
-    #[inline]
-    fn proc_ctx(&mut self, pid: Pid) -> &mut ProcCtx {
-        let idx = pid.index();
-        if idx >= self.procs.len() {
-            self.procs.resize(idx + 1, ProcCtx::EMPTY);
-        }
-        &mut self.procs[idx]
-    }
-
-    /// Turns one kernel fact into span bookkeeping: a spawn or syscall
-    /// entry allocates the span's id, and the closing event records the
-    /// interval the kernel timed.
-    #[inline(always)]
-    pub(crate) fn observe(&mut self, now: SimTime, ev: &KernelEvent<'_>) {
-        if !self.ring.is_enabled() {
-            return;
-        }
-        match *ev {
-            KernelEvent::Spawn { pid, .. } => {
-                let life = self.ring.alloc();
-                self.proc_ctx(pid).life = life;
+        let p = &mut procs[pid.index()];
+        let parent = |o: Option<(SpanId, SimTime)>| o.map_or(SpanId::NONE, |(id, _)| id);
+        let mut push = |id, parent, kind, aux, start| {
+            out.spans.push(Span {
+                id,
+                parent,
+                kind,
+                pid: pid.0,
+                aux,
+                start,
+                end: now,
+            })
+        };
+        match r.event {
+            OsEvent::Spawn { .. } => {
+                p.life = Some((alloc(), now));
+                p.ready = Some(now);
             }
-            KernelEvent::Exit { pid, spawned } => {
-                let ctx = std::mem::replace(self.proc_ctx(pid), ProcCtx::EMPTY);
-                if !ctx.life.is_none() {
-                    self.ring.push(Span {
-                        id: ctx.life,
-                        parent: SpanId::NONE,
-                        kind: SpanKind::Process,
-                        pid: pid.0,
-                        aux: 0,
-                        start: spawned,
-                        end: now,
-                    });
+            OsEvent::Exit { .. } => {
+                if let Some((id, start)) = p.life {
+                    push(id, SpanId::NONE, SpanKind::Process, 0, start);
                 }
+                *p = Open::default();
             }
-            KernelEvent::SyscallEnter { pid, .. } => {
-                let id = self.ring.alloc();
-                self.proc_ctx(pid).syscall = id;
-            }
-            // `aux` is the syscall table index.
-            KernelEvent::SyscallExit {
-                pid, call, entered, ..
-            } => {
-                let ctx = self.proc_ctx(pid);
-                let (id, parent) = (ctx.syscall, ctx.life);
-                ctx.syscall = SpanId::NONE;
-                if !id.is_none() {
-                    self.ring.push(Span {
+            OsEvent::SyscallEnter { .. } => p.syscall = Some((alloc(), now)),
+            OsEvent::SyscallExit { call, .. } => {
+                if let Some((id, start)) = p.syscall.take() {
+                    push(
                         id,
-                        parent,
-                        kind: SpanKind::Syscall,
-                        pid: pid.0,
-                        aux: call.index() as u64,
-                        start: entered,
-                        end: now,
-                    });
+                        parent(p.life),
+                        SpanKind::Syscall,
+                        call.index() as u64,
+                        start,
+                    );
                 }
             }
-            // `aux` is the CPU dispatched onto.
-            KernelEvent::Dispatch {
-                pid, cpu, queued, ..
-            } => {
-                let parent = self.proc_ctx(pid).life;
-                let start = start_of(now, queued);
-                let aux = u64::from(cpu.0);
-                self.ring
-                    .record(SpanKind::RunQueue, pid.0, aux, parent, start, now);
+            OsEvent::Wake { .. } | OsEvent::Preempt { .. } => p.ready = Some(now),
+            OsEvent::Dispatch { cpu, .. } => {
+                if let Some(start) = p.ready.take() {
+                    let aux = u64::from(cpu.0);
+                    push(alloc(), parent(p.life), SpanKind::RunQueue, aux, start);
+                }
             }
-            // Semaphore spans hang off the syscall that blocked or held;
-            // `aux` is the semaphore id.
-            KernelEvent::SemHandoff { pid, sem, waited } => {
-                let parent = self.current_syscall(pid);
-                let start = start_of(now, waited);
-                let aux = u64::from(sem.0);
-                self.ring
-                    .record(SpanKind::SemWait, pid.0, aux, parent, start, now);
+            OsEvent::SemEnqueue { .. } => p.sem_wait = Some(now),
+            OsEvent::SemAcquire { sem, .. } => {
+                holds.push((sem, now));
+                if let Some(start) = p.sem_wait.take() {
+                    let aux = u64::from(sem.0);
+                    push(alloc(), parent(p.syscall), SpanKind::SemWait, aux, start);
+                    p.ready = Some(now);
+                }
             }
-            KernelEvent::SemRelease { pid, sem, held } => {
-                let parent = self.current_syscall(pid);
-                let start = start_of(now, held);
-                let aux = u64::from(sem.0);
-                self.ring
-                    .record(SpanKind::SemHold, pid.0, aux, parent, start, now);
+            OsEvent::SemRelease { sem, .. } => {
+                if let Some(i) = holds.iter().position(|&(s, _)| s == sem) {
+                    let (_, start) = holds.swap_remove(i);
+                    let aux = u64::from(sem.0);
+                    push(alloc(), parent(p.syscall), SpanKind::SemHold, aux, start);
+                }
             }
-            // The attack window hangs off the syscall whose commit opened
-            // it; `aux` is a stable path hash.
-            KernelEvent::Window { owner, path, close } => {
-                self.ring.record(
-                    SpanKind::Window,
-                    owner.0,
-                    path_hash(path),
-                    close.check_span,
-                    close.t_check,
-                    close.t_use,
-                );
+            OsEvent::DefenseDenied { .. } | OsEvent::Commit { .. } => {
+                if let Some(w) = windows.next_if(|w| w.owner == pid && w.t_use == now) {
+                    let check = p.commits.iter().rev().find(|&&(t, _)| t == w.t_check);
+                    let aux = path_hash(&w.path);
+                    let parent = check.map_or(SpanId::NONE, |&(_, id)| id);
+                    push(alloc(), parent, SpanKind::Window, aux, w.t_check);
+                }
+                if matches!(r.event, OsEvent::Commit { .. }) {
+                    p.commits.push((now, parent(p.syscall)));
+                }
             }
             _ => {}
         }
     }
+    out.dropped += windows.count() as u64;
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::OsEvent;
-    use crate::forensics::WindowClose;
-    use crate::ids::{CpuId, SemId};
+    use crate::ids::{CpuId, Pid};
     use crate::process::SyscallName;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1_000)
     }
 
-    fn us(n: u64) -> SimDuration {
-        SimDuration::from_micros(n)
-    }
-
-    /// Feeds `evs` in order, each at its time (in µs).
-    fn feed(tr: &mut SpanTracker, evs: &[(u64, KernelEvent)]) {
+    /// A trace of `evs`, each at its time (in µs).
+    fn trace(evs: Vec<(u64, OsEvent)>) -> Trace<OsEvent> {
+        let mut tr = Trace::unbounded();
         for (at, ev) in evs {
-            tr.observe(t(*at), ev);
+            tr.record(t(at), ev);
         }
+        tr
     }
 
-    fn spawn(pid: Pid) -> KernelEvent<'static> {
-        KernelEvent::Spawn { pid, name: "p" }
-    }
-
-    fn exit(pid: Pid, spawned: u64) -> KernelEvent<'static> {
-        KernelEvent::Exit {
+    fn spawn(pid: Pid) -> OsEvent {
+        OsEvent::Spawn {
             pid,
-            spawned: t(spawned),
+            name: "p".into(),
         }
     }
 
-    fn enter(pid: Pid, call: SyscallName) -> KernelEvent<'static> {
-        KernelEvent::SyscallEnter {
+    fn enter(pid: Pid, call: SyscallName) -> OsEvent {
+        OsEvent::SyscallEnter {
             pid,
             call,
             path: None,
         }
     }
 
-    fn leave(pid: Pid, call: SyscallName, entered: u64) -> KernelEvent<'static> {
-        KernelEvent::SyscallExit {
+    fn leave(pid: Pid, call: SyscallName) -> OsEvent {
+        OsEvent::SyscallExit {
             pid,
             call,
             ok: true,
-            entered: t(entered),
         }
     }
 
-    #[test]
-    fn disabled_tracker_records_nothing() {
-        let mut tr = SpanTracker::new(false);
-        let p = Pid(0);
-        let evs = [
-            (0, spawn(p)),
-            (1, enter(p, SyscallName::Stat)),
-            (2, leave(p, SyscallName::Stat, 1)),
-            (3, exit(p, 0)),
-        ];
-        feed(&mut tr, &evs);
-        assert!(tr.ring().is_empty());
-        assert_eq!(tr.current_syscall(Pid(0)), SpanId::NONE);
+    fn find(spans: &Spans, kind: SpanKind) -> Span {
+        *spans.spans.iter().find(|s| s.kind == kind).unwrap()
     }
 
     #[test]
     fn spans_nest_process_syscall_sem() {
-        let mut tr = SpanTracker::new(true);
         let (p, sem, call) = (Pid(2), SemId(1), SyscallName::Rename);
-        let evs = [
-            (0, spawn(p)),
-            (10, enter(p, call)),
-            (12, KernelEvent::Os(OsEvent::SemEnqueue { pid: p, sem })),
-            (
-                18,
-                KernelEvent::SemHandoff {
-                    pid: p,
-                    sem,
-                    waited: us(6),
-                },
-            ),
-            (
-                25,
-                KernelEvent::SemRelease {
-                    pid: p,
-                    sem,
-                    held: us(7),
-                },
-            ),
-            (30, leave(p, call, 10)),
-            (40, exit(p, 0)),
-        ];
-        feed(&mut tr, &evs);
-
-        let spans: Vec<Span> = tr.ring().iter().copied().collect();
-        assert_eq!(spans.len(), 4);
-        let wait = spans.iter().find(|s| s.kind == SpanKind::SemWait).unwrap();
-        let hold = spans.iter().find(|s| s.kind == SpanKind::SemHold).unwrap();
-        let call_span = spans.iter().find(|s| s.kind == SpanKind::Syscall).unwrap();
-        let life = spans.iter().find(|s| s.kind == SpanKind::Process).unwrap();
+        let spans = derive(
+            &trace(vec![
+                (0, spawn(p)),
+                (10, enter(p, call)),
+                (12, OsEvent::SemEnqueue { pid: p, sem }),
+                (18, OsEvent::SemAcquire { pid: p, sem }),
+                (25, OsEvent::SemRelease { pid: p, sem }),
+                (30, leave(p, call)),
+                (40, OsEvent::Exit { pid: p }),
+            ]),
+            &[],
+        );
+        assert_eq!(spans.spans.len(), 4);
+        assert_eq!(spans.dropped, 0);
+        let wait = find(&spans, SpanKind::SemWait);
+        let hold = find(&spans, SpanKind::SemHold);
+        let call_span = find(&spans, SpanKind::Syscall);
+        let life = find(&spans, SpanKind::Process);
         assert_eq!(wait.parent, call_span.id);
         assert_eq!(hold.parent, call_span.id);
         assert_eq!(call_span.parent, life.id);
@@ -339,63 +342,119 @@ mod tests {
     }
 
     #[test]
-    fn run_queue_span_reconstructs_its_start() {
-        let mut tr = SpanTracker::new(true);
-        let dispatch = KernelEvent::Dispatch {
-            pid: Pid(1),
-            cpu: CpuId(3),
-            migrated: false,
-            queued: us(4),
-        };
-        feed(&mut tr, &[(0, spawn(Pid(1))), (10, dispatch)]);
-        let span = tr.ring().iter().next().unwrap();
-        assert_eq!(span.kind, SpanKind::RunQueue);
-        assert_eq!((span.start, span.end), (t(6), t(10)));
-        assert_eq!(span.aux, 3, "aux carries the CPU");
+    fn run_queue_span_starts_at_the_last_ready_point() {
+        let p = Pid(1);
+        let spans = derive(
+            &trace(vec![
+                (0, spawn(p)),
+                (
+                    2,
+                    OsEvent::Dispatch {
+                        pid: p,
+                        cpu: CpuId(0),
+                    },
+                ),
+                (
+                    6,
+                    OsEvent::Preempt {
+                        pid: p,
+                        cpu: CpuId(0),
+                    },
+                ),
+                (
+                    10,
+                    OsEvent::Dispatch {
+                        pid: p,
+                        cpu: CpuId(3),
+                    },
+                ),
+            ]),
+            &[],
+        );
+        let starts: Vec<_> = spans
+            .spans
+            .iter()
+            .map(|s| (s.start, s.end, s.aux))
+            .collect();
+        assert_eq!(
+            starts,
+            vec![(t(0), t(2), 0), (t(6), t(10), 3)],
+            "aux carries the CPU"
+        );
+        assert!(spans.spans.iter().all(|s| s.kind == SpanKind::RunQueue));
     }
 
     #[test]
     fn window_span_hangs_off_the_check_syscall() {
-        let mut tr = SpanTracker::new(true);
         let p = Pid(0);
-        let evs = [(0, spawn(p)), (5, enter(p, SyscallName::Stat))];
-        feed(&mut tr, &evs);
-        let check_span = tr.current_syscall(p);
-        let close = WindowClose {
+        let commit = |call| OsEvent::Commit { pid: p, call };
+        let window = WindowRecord {
+            owner: p,
+            path: "/etc/passwd".into(),
             t_check: t(9),
             t_use: t(30),
-            check_span,
         };
-        let window = KernelEvent::Window {
-            owner: p,
-            path: "/etc/passwd",
-            close,
-        };
-        feed(
-            &mut tr,
-            &[(9, leave(p, SyscallName::Stat, 5)), (30, window)],
+        let spans = derive(
+            &trace(vec![
+                (0, spawn(p)),
+                (5, enter(p, SyscallName::Stat)),
+                (9, commit(SyscallName::Stat)),
+                (9, leave(p, SyscallName::Stat)),
+                (20, enter(p, SyscallName::Chmod)),
+                (30, commit(SyscallName::Chmod)),
+                (31, leave(p, SyscallName::Chmod)),
+            ]),
+            &[window],
         );
-        let win = tr
-            .ring()
-            .iter()
-            .find(|s| s.kind == SpanKind::Window)
-            .unwrap();
-        assert_eq!(win.parent, check_span);
+        let stat = spans.spans[0];
+        let win = find(&spans, SpanKind::Window);
+        assert_eq!((stat.kind, stat.id), (SpanKind::Syscall, SpanId(1)));
+        assert_eq!(win.parent, stat.id);
+        assert_eq!(win.id, SpanId(3), "allocated after the chmod entry");
         assert_eq!(win.aux, path_hash("/etc/passwd"));
         assert_eq!((win.start, win.end), (t(9), t(30)));
+        assert_eq!(spans.dropped, 0);
     }
 
     #[test]
-    fn reset_restarts_ids_and_forgets_open_intervals() {
-        let mut tr = SpanTracker::new(true);
+    fn every_derivation_numbers_ids_from_zero() {
         let p = Pid(0);
-        feed(&mut tr, &[(0, spawn(p)), (1, enter(p, SyscallName::Open))]);
-        tr.reset(true);
-        assert!(tr.ring().is_empty());
-        assert_eq!(tr.current_syscall(p), SpanId::NONE);
-        feed(&mut tr, &[(100, spawn(p)), (110, exit(p, 100))]);
-        let life = tr.ring().iter().next().unwrap();
-        assert_eq!(life.id, SpanId(0), "ids restart after reset");
+        let later = trace(vec![(100, spawn(p)), (110, OsEvent::Exit { pid: p })]);
+        for _ in 0..2 {
+            let spans = derive(&later, &[]);
+            assert_eq!(spans.spans[0].id, SpanId(0), "ids restart per derivation");
+        }
+    }
+
+    #[test]
+    fn a_truncated_trace_reports_drops() {
+        let p = Pid(0);
+        let mut tr = Trace::bounded(2);
+        for (at, ev) in [
+            (0, spawn(p)),
+            (1, enter(p, SyscallName::Open)),
+            (2, leave(p, SyscallName::Open)),
+            (3, OsEvent::Exit { pid: p }),
+        ] {
+            tr.record(t(at), ev);
+        }
+        let spans = derive(&tr, &[]);
+        assert!(
+            spans.spans.is_empty(),
+            "both spans opened in evicted records"
+        );
+        assert_eq!(spans.dropped, 2);
+        let window = WindowRecord {
+            owner: p,
+            path: "/x".into(),
+            t_check: t(0),
+            t_use: t(1),
+        };
+        assert_eq!(
+            derive(&tr, &[window]).dropped,
+            3,
+            "an unplaced window counts"
+        );
     }
 
     #[test]
@@ -403,5 +462,11 @@ mod tests {
         assert_eq!(path_hash(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(path_hash("/etc/passwd"), path_hash("/etc/passwd"));
         assert_ne!(path_hash("/etc/passwd"), path_hash("/etc/passwd~"));
+    }
+
+    #[test]
+    fn kind_labels_are_stable() {
+        assert_eq!(SpanKind::Window.label(), "window");
+        assert_eq!(SpanKind::SemWait.label(), "sem_wait");
     }
 }

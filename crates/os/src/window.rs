@@ -31,14 +31,11 @@
 
 use crate::defense::DefenseState;
 use crate::detect::DetectionEvent;
-use crate::forensics::{
-    ForensicsSnapshot, ForensicsState, WindowClose, WindowForensics, WindowForensicsMut,
-};
+use crate::forensics::{ForensicsSnapshot, ForensicsState, WindowForensics, WindowForensicsMut};
 use crate::ids::Pid;
 use crate::machine::MachineSpec;
 use std::sync::Arc;
 use tocttou_core::taxonomy::FsCall;
-use tocttou_sim::span::SpanId;
 use tocttou_sim::time::SimTime;
 use tocttou_sim::trace::Trace;
 
@@ -78,9 +75,6 @@ pub(crate) struct Window {
     /// The check that opened (or last refreshed) the window.
     pub check: FsCall,
     pub t_check: SimTime,
-    /// The span of the syscall whose commit opened the window
-    /// ([`SpanId::NONE`] when spans are off).
-    pub check_span: SpanId,
     /// The first foreign mutation since the check, if any.
     pub interposed: Option<Interposition>,
     /// Whether a use has consumed the window; `t_use` is the *last* use.
@@ -132,7 +126,7 @@ impl RaceWindows {
     /// leftovers (see [`ForensicsState::reset`]).
     pub fn reset(&mut self, spec: &MachineSpec) {
         self.forensics
-            .reset(spec.forensics, spec.spans, &self.windows, &self.pending);
+            .reset(spec.forensics, spec.event_log, &self.windows, &self.pending);
         self.clear_windows();
         self.pending.clear();
         self.detect = spec.detect;
@@ -176,16 +170,10 @@ impl RaceWindows {
     }
 
     /// Applies one commit to the table and hands it to each armed
-    /// observer. Returns the interval a use closed for the first time
-    /// (forensics on), so the kernel can record the window span.
-    pub fn commit(
-        &mut self,
-        c: FsCommit<'_>,
-        now: SimTime,
-        check_span: SpanId,
-    ) -> Option<WindowClose> {
+    /// observer.
+    pub fn commit(&mut self, c: FsCommit<'_>, now: SimTime) {
         if !self.active() {
-            return None;
+            return;
         }
         let FsCommit {
             pid,
@@ -204,7 +192,6 @@ impl RaceWindows {
                             path: path.clone(),
                             check: call,
                             t_check: now,
-                            check_span,
                             interposed: None,
                             used: false,
                             t_use: SimTime::ZERO,
@@ -217,10 +204,8 @@ impl RaceWindows {
                     .on_check(pid, path, &mut self.pending, &mut w.strikes, now);
                 w.check = call;
                 w.t_check = now;
-                w.check_span = check_span;
                 w.used = false;
                 w.interposed = None;
-                None
             }
             CommitClass::Mutation => {
                 let strike = self.forensics.enabled();
@@ -250,18 +235,19 @@ impl RaceWindows {
                         t: now,
                     });
                 }
-                None
             }
             CommitClass::Use { denied } => {
                 debug_assert!(call.can_use(), "{call} reported as a use");
-                let i = self.find(pid, path)?;
+                let Some(i) = self.find(pid, path) else {
+                    return;
+                };
                 let w = &mut self.windows[i];
                 if self.detect {
                     if let Some(event) = crate::detect::detection(w, call, now, denied) {
                         self.detections.record(now, event);
                     }
                 }
-                self.forensics.on_use(w, now)
+                self.forensics.on_use(w, now);
             }
         }
     }
@@ -334,13 +320,6 @@ pub(crate) mod rig {
         s.into()
     }
 
-    /// What a use commit did.
-    #[derive(Debug, Clone, Copy)]
-    pub(crate) struct Used {
-        pub denied: bool,
-        pub close: Option<WindowClose>,
-    }
-
     pub(crate) struct Rig {
         pub race: RaceWindows,
         pub spec: MachineSpec,
@@ -357,7 +336,7 @@ pub(crate) mod rig {
 
         /// Detector and forensics (with the event log) on, EDGI off.
         pub fn armed() -> Self {
-            Self::new(MachineSpec::smp_xeon().with_spans(), DefensePolicy::Off)
+            Self::new(MachineSpec::smp_xeon().with_event_log(), DefensePolicy::Off)
         }
 
         /// Only the detector on.
@@ -394,48 +373,31 @@ pub(crate) mod rig {
             path: &Arc<str>,
             call: FsCall,
             class: CommitClass,
-            span: SpanId,
             at: SimTime,
-        ) -> Option<WindowClose> {
+        ) {
             let c = FsCommit {
                 pid,
                 path,
                 call,
                 class,
             };
-            self.race.commit(c, at, span)
-        }
-
-        pub fn check_in(
-            &mut self,
-            pid: Pid,
-            path: &Arc<str>,
-            call: FsCall,
-            span: SpanId,
-            at: SimTime,
-        ) {
-            self.commit(pid, path, call, CommitClass::Check, span, at);
+            self.race.commit(c, at);
         }
 
         pub fn check(&mut self, pid: Pid, path: &Arc<str>, call: FsCall, at: SimTime) {
-            self.check_in(pid, path, call, SpanId::NONE, at);
+            self.commit(pid, path, call, CommitClass::Check, at);
         }
 
         pub fn mutate(&mut self, pid: Pid, path: &Arc<str>, call: FsCall, at: SimTime) {
-            self.commit(pid, path, call, CommitClass::Mutation, SpanId::NONE, at);
+            self.commit(pid, path, call, CommitClass::Mutation, at);
         }
 
-        pub fn use_(&mut self, pid: Pid, path: &Arc<str>, call: FsCall, at: SimTime) -> Used {
+        /// Reports a use (asking EDGI first) and returns whether it was
+        /// denied.
+        pub fn use_(&mut self, pid: Pid, path: &Arc<str>, call: FsCall, at: SimTime) -> bool {
             let denied = self.race.edgi_denies(pid, path);
-            let close = self.commit(
-                pid,
-                path,
-                call,
-                CommitClass::Use { denied },
-                SpanId::NONE,
-                at,
-            );
-            Used { denied, close }
+            self.commit(pid, path, call, CommitClass::Use { denied }, at);
+            denied
         }
 
         pub fn exit(&mut self, pid: Pid) {
@@ -491,7 +453,7 @@ mod tests {
         let p = arc("/doc");
         rig.check(Pid(0), &p, FsCall::Creat, t(1));
         rig.mutate(Pid(1), &p, FsCall::Unlink, t(2));
-        assert!(rig.use_(Pid(0), &p, FsCall::Chown, t(3)).denied);
+        assert!(rig.use_(Pid(0), &p, FsCall::Chown, t(3)));
         assert!(rig.detections().is_empty(), "the detector is off");
         assert!(rig.forensics().snapshot().is_empty(), "forensics are off");
     }
@@ -615,12 +577,12 @@ mod tests {
                         strikes_expected += u64::max(1, others);
                     }
                     Step::Use(p, x, call) => {
-                        let used = rig.use_(Pid(p), &paths[x], call, at);
+                        let denied = rig.use_(Pid(p), &paths[x], call, at);
                         let raced = model.get(&(p, x)).and_then(|w| w.first_foreign.map(|f| (w.clone(), f)));
                         let detections = rig.detections();
                         prop_assert_eq!(detections.len(), before + usize::from(raced.is_some()), "step {}", i);
-                        prop_assert_eq!(used.denied, edgi && raced.is_some(), "step {}", i);
-                        denials_expected += u64::from(used.denied);
+                        prop_assert_eq!(denied, edgi && raced.is_some(), "step {}", i);
+                        denials_expected += u64::from(denied);
                         if let Some((w, (attacker, mutation, t_mutation))) = raced {
                             let e = &detections[before];
                             prop_assert_eq!(e.pair, TocttouPair::new(w.check, call).unwrap());
@@ -631,7 +593,7 @@ mod tests {
                             prop_assert_eq!(e.t_check, w.t_check);
                             prop_assert_eq!(e.t_use, at);
                             prop_assert_eq!(&*e.path, &*paths[x]);
-                            prop_assert_eq!(e.blocked, used.denied);
+                            prop_assert_eq!(e.blocked, denied);
                         }
                     }
                     Step::Exit(p) => {

@@ -16,9 +16,7 @@
 //!   ([`Trace`]) backing the paper-style microsecond event analysis;
 //! * [`metrics`] — fixed-bucket log2 latency histograms
 //!   ([`LatencyHistogram`]) with an order-independent merge, the substrate
-//!   of the kernel observability layer;
-//! * [`span`] — typed, allocation-free causal spans ([`Span`]) in a
-//!   bounded ring ([`SpanRing`]), the substrate of race-window forensics.
+//!   of the kernel observability layer.
 //!
 //! Everything here is deterministic: given the same seed and the same inputs,
 //! a simulation produces the same trace, byte for byte. That property is
@@ -51,7 +49,6 @@ pub mod dist;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
-pub mod span;
 pub mod time;
 pub mod trace;
 
@@ -59,6 +56,5 @@ pub use dist::DurationDist;
 pub use metrics::LatencyHistogram;
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
-pub use span::{Span, SpanId, SpanKind, SpanRing};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceRecord};

@@ -87,8 +87,9 @@ fn round_trips_as_valid_jsonl_with_consistent_header() {
 
 #[test]
 fn spans_armed_round_reports_ring_occupancy() {
+    // An event-log-armed round reports the spans derived from it.
     let mut scenario = Scenario::vi_smp(1);
-    scenario.machine = scenario.machine.clone().with_spans();
+    scenario.machine = scenario.machine.clone().with_event_log();
     let (_, parsed) = export(&scenario, 3);
     let header = &parsed[0];
     assert_eq!(header.get("spans_enabled"), Some(&Value::Bool(true)));

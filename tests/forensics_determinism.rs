@@ -107,13 +107,13 @@ fn poisoned_pool_cannot_leak_forensics_into_a_restored_round() {
     );
 }
 
-/// Arming span tracing must not perturb the forensics fold (spans are an
-/// additive observer, not a participant).
+/// Arming the forensics event log must not perturb the forensics fold
+/// (the log is an additive record, not a participant).
 #[test]
 fn span_tracing_does_not_change_the_forensics_fold() {
     let plain = Scenario::vi_smp(20 * 1024);
     let mut armed = Scenario::vi_smp(20 * 1024);
-    armed.machine = armed.machine.clone().with_spans();
+    armed.machine = armed.machine.clone().with_event_log();
     let cfg = McConfig {
         rounds: 6,
         base_seed: 0x5EED,
@@ -124,5 +124,5 @@ fn span_tracing_does_not_change_the_forensics_fold() {
     let a = run_mc(&plain, &cfg);
     let b = run_mc(&armed, &cfg);
     assert_eq!(fjson(&a.forensics), fjson(&b.forensics));
-    assert_eq!(a.rate, b.rate, "spans must not perturb outcomes either");
+    assert_eq!(a.rate, b.rate, "the log must not perturb outcomes either");
 }

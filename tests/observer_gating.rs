@@ -1,19 +1,20 @@
 //! The observer gating contract.
 //!
 //! The kernel hands every scheduler, semaphore and syscall fact to the
-//! trace, metrics and spans; the EDGI defense, the race detector and
-//! window forensics read one shared check→use window table, which the
-//! kernel keeps whenever any of them is on. Stripping or arming an
-//! observer must change nothing but that observer's own output: the
-//! round's outcome, every traced OS event and the EDGI denial count stay
-//! identical across the default machine, `without_detector()`,
-//! `without_forensics()`, `without_metrics()`, all three stripped at
-//! once, `with_spans()`, and spans armed with the detector and metrics
-//! stripped. Each observer's own output — detections, the metrics
-//! snapshot, the span ring and the forensics snapshot — equals the
-//! all-armed reference whenever that observer is on and is empty when it
-//! is off.
+//! trace and the metrics; the EDGI defense, the race detector and window
+//! forensics read one shared check→use window table, which the kernel
+//! keeps whenever any of them is on. Stripping or arming an observer must
+//! change nothing but that observer's own output: the round's outcome,
+//! every traced OS event and the EDGI denial count stay identical across
+//! the default machine, `without_detector()`, `without_forensics()`,
+//! `without_metrics()`, all three stripped at once, `with_event_log()`,
+//! and the event log armed with the detector and metrics stripped. Each
+//! observer's own output — detections, the metrics snapshot, the
+//! forensics event log (and the spans derived from it) and the forensics
+//! snapshot — equals the all-armed reference whenever that observer is on
+//! and is empty when it is off.
 
+use tocttou::os::spans::derive;
 use tocttou::os::{DefensePolicy, ForensicsSnapshot, MachineSpec, MetricsSnapshot};
 use tocttou::workloads::Scenario;
 
@@ -24,18 +25,18 @@ struct Armed {
     detector: bool,
     metrics: bool,
     forensics: bool,
-    spans: bool,
+    event_log: bool,
 }
 
-/// The seven observer configurations. Spans need forensics, so the
-/// "spans stripped" variant keeps forensics armed.
+/// The seven observer configurations. The event log is kept by forensics,
+/// so the "event log stripped" variant keeps forensics armed.
 fn variants(machine: &MachineSpec) -> Vec<(&'static str, MachineSpec, Armed)> {
     let m = machine.clone();
-    let armed = |detector, metrics, forensics, spans| Armed {
+    let armed = |detector, metrics, forensics, event_log| Armed {
         detector,
         metrics,
         forensics,
-        spans,
+        event_log,
     };
     let stripped = m
         .clone()
@@ -64,10 +65,14 @@ fn variants(machine: &MachineSpec) -> Vec<(&'static str, MachineSpec, Armed)> {
             stripped.clone(),
             armed(false, false, false, false),
         ),
-        ("with_spans", m.with_spans(), armed(true, true, true, true)),
         (
-            "spans_stripped",
-            stripped.with_spans(),
+            "event log armed",
+            m.with_event_log(),
+            armed(true, true, true, true),
+        ),
+        (
+            "event log stripped",
+            stripped.with_event_log(),
             armed(false, false, true, true),
         ),
     ]
@@ -90,22 +95,24 @@ fn scenarios() -> Vec<Scenario> {
 
 #[test]
 fn stripping_observers_changes_nothing_but_their_own_output() {
-    let (mut denials_seen, mut detections_seen, mut spans_seen) = (0, 0, 0);
+    let (mut denials_seen, mut detections_seen, mut windows_seen) = (0, 0, 0);
     for base in scenarios() {
         for seed in SEEDS {
             let mut all = base.clone();
-            all.machine = all.machine.with_spans();
+            all.machine = all.machine.with_event_log();
             let (reference, ref_handles) = all.run_traced(seed);
             let rk = &ref_handles.kernel;
             let ref_trace: Vec<_> = rk.trace().iter().cloned().collect();
             let ref_denials = rk.defense().denials();
             let ref_detections: Vec<_> = rk.detections().iter().cloned().collect();
             let ref_metrics = rk.metrics().snapshot();
-            let ref_spans: Vec<_> = rk.spans().ring().iter().copied().collect();
+            let ref_windows = rk.forensics().window_log().to_vec();
+            let ref_strikes = rk.forensics().strike_log().to_vec();
+            let ref_spans = derive(rk.trace(), &ref_windows);
             let ref_forensics = rk.forensics().snapshot();
             denials_seen += ref_denials;
             detections_seen += ref_detections.len();
-            spans_seen += ref_spans.len();
+            windows_seen += ref_windows.len();
             for (label, machine, on) in variants(&base.machine) {
                 let mut s = base.clone();
                 s.machine = machine;
@@ -132,13 +139,18 @@ fn stripping_observers_changes_nothing_but_their_own_output() {
                     MetricsSnapshot::default()
                 };
                 assert_eq!(k.metrics().snapshot(), want_metrics, "{at}: metrics");
-                if on.spans {
-                    assert!(
-                        k.spans().ring().iter().eq(ref_spans.iter()),
-                        "{at}: span ring"
+                let log = k.forensics();
+                if on.event_log {
+                    assert_eq!(log.window_log(), ref_windows, "{at}: window log");
+                    assert_eq!(log.strike_log(), ref_strikes, "{at}: strike log");
+                    assert_eq!(
+                        derive(k.trace(), log.window_log()),
+                        ref_spans,
+                        "{at}: derived spans"
                     );
                 } else {
-                    assert!(k.spans().ring().is_empty(), "{at}: spans are off");
+                    assert!(log.window_log().is_empty(), "{at}: the window log is off");
+                    assert!(log.strike_log().is_empty(), "{at}: the strike log is off");
                 }
                 let want_forensics = if on.forensics {
                     ref_forensics.clone()
@@ -154,5 +166,5 @@ fn stripping_observers_changes_nothing_but_their_own_output() {
         "EDGI never fired: the contract went untested"
     );
     assert!(detections_seen > 0, "the detector never fired");
-    assert!(spans_seen > 0, "no span was recorded");
+    assert!(windows_seen > 0, "the event log recorded no window");
 }

@@ -1,7 +1,7 @@
 //! Golden record of everything the kernel's observers report: every span
-//! in ring order, the metrics snapshot, and the trace's event count and
-//! digest, for fixed-seed rounds of the paper's scenarios with spans
-//! armed. The rounds cover semaphore hand-offs (gedit), preemptions
+//! derived from the round in close order, the metrics snapshot, and the
+//! trace's event count and digest, for fixed-seed rounds of the paper's
+//! scenarios with the forensics event log armed. The rounds cover semaphore hand-offs (gedit), preemptions
 //! (uniprocessor vi, on seeds whose rounds are preempted), EDGI denials (a
 //! defended taxonomy pair) and timed wakes (rpm's blocking database sync,
 //! on a hand-built kernel), so any drift in what an observer sees, or in
@@ -9,6 +9,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use tocttou::os::spans::derive;
 use tocttou::os::{DefensePolicy, Gid, InodeMeta, Kernel, MachineSpec, Uid};
 use tocttou::sim::time::SimTime;
 use tocttou::workloads::dsl::library::{self, taxonomy_library};
@@ -47,7 +48,7 @@ fn scenarios() -> Vec<(Scenario, [u64; 2])> {
 /// rpm installing a helper on a uniprocessor with background activity,
 /// against attacker v1: the victim sleeps through its database sync.
 fn rpm_round(seed: u64) -> Kernel {
-    let mut k = Kernel::new(MachineSpec::uniprocessor().with_spans(), seed);
+    let mut k = Kernel::new(MachineSpec::uniprocessor().with_event_log(), seed);
     let dir = |uid| InodeMeta {
         uid,
         gid: Gid(uid.0),
@@ -82,15 +83,15 @@ fn rpm_round(seed: u64) -> Kernel {
 
 /// One round's observer record.
 fn record(out: &mut String, name: &str, seed: u64, k: &Kernel) {
-    let ring = k.spans().ring();
+    let spans = derive(k.trace(), k.forensics().window_log());
     writeln!(
         out,
         "# {name} seed={seed:#x} spans={} dropped={}",
-        ring.len(),
-        ring.dropped()
+        spans.spans.len(),
+        spans.dropped
     )
     .unwrap();
-    for sp in ring.iter() {
+    for sp in &spans.spans {
         writeln!(
             out,
             "{} {} {:?} {} {:#x} {} {}",
@@ -126,7 +127,7 @@ fn render() -> String {
     let mut out = String::new();
     let mut denials = 0;
     for (mut s, seeds) in scenarios() {
-        s.machine = s.machine.with_spans();
+        s.machine = s.machine.with_event_log();
         for seed in seeds {
             let (_, handles) = s.run_traced(seed);
             denials += handles.kernel.defense().denials();
