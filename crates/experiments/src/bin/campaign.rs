@@ -25,7 +25,7 @@
 //! reclaiming the space of superseded and orphaned blocks in place.
 
 use tocttou_experiments::campaign::{compact_store, read_manifest, run_campaign, CampaignConfig};
-use tocttou_experiments::cli::{or_exit, CommonArgs, GridArgs};
+use tocttou_experiments::cli::{or_exit, parse_value, CommonArgs, GridArgs};
 use tocttou_experiments::report::Report;
 
 #[derive(Debug)]
@@ -55,21 +55,10 @@ fn parse_args() -> Result<Args, String> {
             continue;
         }
         match arg.as_str() {
-            "--store" => store = Some(it.next().ok_or("--store needs a value")?),
-            "--out" => out = it.next().ok_or("--out needs a value")?,
-            "--block" => {
-                let raw = it.next().ok_or("--block needs a value")?;
-                block = raw
-                    .parse()
-                    .map_err(|e| format!("invalid --block value {raw:?}: {e}"))?;
-            }
-            "--max-blocks" => {
-                let raw = it.next().ok_or("--max-blocks needs a value")?;
-                max_blocks = Some(
-                    raw.parse()
-                        .map_err(|e| format!("invalid --max-blocks value {raw:?}: {e}"))?,
-                );
-            }
+            "--store" => store = Some(parse_value(&arg, &mut it)?),
+            "--out" => out = parse_value(&arg, &mut it)?,
+            "--block" => block = parse_value(&arg, &mut it)?,
+            "--max-blocks" => max_blocks = Some(parse_value(&arg, &mut it)?),
             "--status" => status = true,
             "--compact" => compact = true,
             "--help" | "-h" => {

@@ -23,7 +23,7 @@
 //! the output directory (default `target/experiments`). The result is
 //! byte-identical at any `--jobs` value, warm or cold.
 
-use tocttou_experiments::cli::{or_exit, size_kb_bytes};
+use tocttou_experiments::cli::{or_exit, parse_value, size_kb_bytes};
 use tocttou_experiments::estimate::{run_estimate, EstimateConfig};
 use tocttou_experiments::grid::Family;
 use tocttou_experiments::report::Report;
@@ -37,18 +37,6 @@ struct Args {
     out: String,
 }
 
-fn parse_flag<T: std::str::FromStr>(
-    flag: &str,
-    rest: &mut dyn Iterator<Item = String>,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|e| format!("invalid {flag} value {raw:?}: {e}"))
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut family = None;
     let mut size_kb = None;
@@ -58,7 +46,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--family" => {
-                let raw: String = parse_flag(&arg, &mut it)?;
+                let raw: String = parse_value(&arg, &mut it)?;
                 family = Some(Family::parse(&raw).ok_or_else(|| {
                     let names: Vec<&str> = Family::ALL.iter().map(|f| f.name()).collect();
                     format!(
@@ -67,22 +55,22 @@ fn parse_args() -> Result<Args, String> {
                     )
                 })?);
             }
-            "--size-kb" => size_kb = Some(parse_flag(&arg, &mut it)?),
-            "--target" => cfg.target_rel_half_width = parse_flag(&arg, &mut it)?,
-            "--seed" => cfg.base_seed = parse_flag(&arg, &mut it)?,
-            "--jobs" => cfg.jobs = parse_flag(&arg, &mut it)?,
+            "--size-kb" => size_kb = Some(parse_value(&arg, &mut it)?),
+            "--target" => cfg.target_rel_half_width = parse_value(&arg, &mut it)?,
+            "--seed" => cfg.base_seed = parse_value(&arg, &mut it)?,
+            "--jobs" => cfg.jobs = parse_value(&arg, &mut it)?,
             "--cold" => cfg.cold = true,
             "--store" => {
-                let dir: String = parse_flag(&arg, &mut it)?;
+                let dir: String = parse_value(&arg, &mut it)?;
                 cfg.store = Some(dir.into());
             }
-            "--block" => cfg.block = parse_flag(&arg, &mut it)?,
-            "--max-rounds" => cfg.max_rounds = parse_flag(&arg, &mut it)?,
-            "--pilot" => cfg.pilot_rounds = parse_flag(&arg, &mut it)?,
-            "--wave" => cfg.wave_rounds = parse_flag(&arg, &mut it)?,
-            "--near-ns" => cfg.near_miss_ns = parse_flag(&arg, &mut it)?,
-            "--strata" => cfg.initial_strata = parse_flag(&arg, &mut it)?,
-            "--out" => out = parse_flag(&arg, &mut it)?,
+            "--block" => cfg.block = parse_value(&arg, &mut it)?,
+            "--max-rounds" => cfg.max_rounds = parse_value(&arg, &mut it)?,
+            "--pilot" => cfg.pilot_rounds = parse_value(&arg, &mut it)?,
+            "--wave" => cfg.wave_rounds = parse_value(&arg, &mut it)?,
+            "--near-ns" => cfg.near_miss_ns = parse_value(&arg, &mut it)?,
+            "--strata" => cfg.initial_strata = parse_value(&arg, &mut it)?,
+            "--out" => out = parse_value(&arg, &mut it)?,
             "--help" | "-h" => {
                 return Err(
                     "usage: estimate --family F [--size-kb N] [--target R] [--seed S] [--jobs J] \

@@ -17,7 +17,7 @@
 //! combined `REPORT.md` under the output directory (default
 //! `target/experiments`).
 
-use tocttou_experiments::cli::{or_exit, CommonArgs};
+use tocttou_experiments::cli::{or_exit, parse_value, CommonArgs};
 use tocttou_experiments::figures::{
     anatomy, defense, detect, fig10, fig11, fig6, fig7, fig8, headline, ld_dist, maze, pair_sweep,
     profile, table1, table2, taxonomy,
@@ -49,11 +49,10 @@ fn parse_args() -> Result<Args, String> {
             continue;
         }
         match arg.as_str() {
-            "--out" => {
-                out = it.next().ok_or("--out needs a value")?;
-            }
+            "--out" => out = parse_value(&arg, &mut it)?,
             "--detect" => exhibits.push("detect".to_string()),
             "--profile" => exhibits.push("profile".to_string()),
+            "--anatomy" => exhibits.push("anatomy".to_string()),
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: repro <{}>... [--detect] [--profile] [--anatomy] [--rounds N] \
@@ -70,11 +69,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    // `--anatomy` is a CommonArgs flag (all binaries parse it); here it is
-    // shorthand for the anatomy exhibit, like `--detect`/`--profile`.
-    if common.anatomy {
-        exhibits.push("anatomy".to_string());
     }
     if exhibits.is_empty() {
         exhibits.push("all".to_string());

@@ -24,7 +24,7 @@
 //! a standalone `run_mc` at base seed `seed + salt`, whatever `--jobs`
 //! says — the sweep engine only changes how fast the grid finishes.
 
-use tocttou_experiments::cli::{or_exit, CommonArgs, GridArgs};
+use tocttou_experiments::cli::{or_exit, parse_value, CommonArgs, GridArgs};
 use tocttou_experiments::report::Report;
 use tocttou_experiments::sweep::{run_sweep, SweepConfig};
 
@@ -47,9 +47,7 @@ fn parse_args() -> Result<Args, String> {
             continue;
         }
         match arg.as_str() {
-            "--out" => {
-                out = it.next().ok_or("--out needs a value")?;
-            }
+            "--out" => out = parse_value(&arg, &mut it)?,
             "--collect-ld" => collect_ld = true,
             "--help" | "-h" => {
                 return Err(

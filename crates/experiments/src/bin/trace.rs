@@ -87,6 +87,7 @@ fn main() {
     let mut width = 110usize;
     let mut find: Option<bool> = None;
     let mut export: Option<String> = None;
+    let mut perfetto: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match common.accept(&arg, &mut it) {
@@ -106,6 +107,9 @@ fn main() {
             "--export" => {
                 export = Some(parse_value(&arg, &mut it).unwrap_or_else(|e| usage_error(e)))
             }
+            "--perfetto" => {
+                perfetto = Some(parse_value(&arg, &mut it).unwrap_or_else(|e| usage_error(e)))
+            }
             "--find" => {
                 let v: String = parse_value(&arg, &mut it).unwrap_or_else(|e| usage_error(e));
                 find = Some(match v.as_str() {
@@ -122,6 +126,7 @@ fn main() {
                 );
                 return;
             }
+            other if other.starts_with('-') => usage_error(format!("unknown flag {other}")),
             other => name = Some(other.to_string()),
         }
     }
@@ -131,7 +136,7 @@ fn main() {
     let name = name.unwrap_or_else(|| usage_error("missing scenario name (try --help)".into()));
     let mut scenario = scenario_by_name(&name)
         .unwrap_or_else(|| usage_error(format!("unknown scenario {name:?} (try --help)")));
-    if common.perfetto.is_some() {
+    if perfetto.is_some() {
         // Arm the forensics event log so the Perfetto view gets
         // semaphore-hold spans and windows; the round itself stays
         // deterministic either way.
@@ -205,7 +210,7 @@ fn main() {
         eprintln!("exported {lines} JSONL records to {path}");
     }
 
-    if let Some(path) = &common.perfetto {
+    if let Some(path) = &perfetto {
         // Classify any still-open windows/strikes so the trace shows them.
         handles.kernel.forensics_mut().flush();
         let file = std::fs::File::create(path).unwrap_or_else(|e| {

@@ -1,9 +1,10 @@
-//! Shared command-line flag parsing for the `repro`, `trace`, `sweep` and
-//! `campaign` binaries.
+//! Shared command-line flag parsing for the `repro`, `trace`, `sweep`,
+//! `campaign` and `estimate` binaries.
 //!
-//! All four binaries accept the same Monte-Carlo knobs (`--rounds`,
+//! Four binaries accept the same Monte-Carlo knobs (`--rounds`,
 //! `--seed`, `--jobs`); [`CommonArgs`] parses them once so the argument
-//! loops cannot drift apart. The grid axes of the `sweep` and `campaign`
+//! loops cannot drift apart. Every value-taking flag of all five reads
+//! its value through [`parse_value`]. The grid axes of the `sweep` and `campaign`
 //! binaries (`--grid`/`--family`/`--size-kb`/`--points`) follow the same
 //! pattern through [`GridArgs`] rather than hand-rolled parsers. Each
 //! binary keeps its own loop for its private flags (`campaign`'s store
@@ -35,12 +36,13 @@ const _: () = assert!(
 /// of blocks; at the default 200 rounds, one block per point.
 const MAX_POINTS: usize = 256;
 
-/// The `--rounds` / `--seed` / `--jobs` / `--cold` / `--anatomy` /
-/// `--perfetto` flags shared by the binaries.
+/// The `--rounds` / `--seed` / `--jobs` / `--cold` flags shared by the
+/// binaries.
 ///
-/// Every binary parses all of them so invocations stay flag-compatible;
-/// a binary that has no use for a flag simply ignores it (the same
-/// parity contract `trace` already applies to `--rounds`).
+/// Every binary but `estimate` parses all of them so invocations stay
+/// flag-compatible; `trace` shows one round, so its `--rounds` is
+/// parity-only. A flag only one binary honours (`repro --anatomy`,
+/// `trace --perfetto`) is that binary's own, and the others reject it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommonArgs {
     /// `--rounds N`, if given.
@@ -52,12 +54,6 @@ pub struct CommonArgs {
     /// `--cold`: run every round from a cold boot instead of the warm
     /// checkpoint — the byte-identical oracle path (slower, same results).
     pub cold: bool,
-    /// `--anatomy`: shorthand for the race-window anatomy scorecard
-    /// (`repro` renders it as the `anatomy` exhibit; elsewhere parity-only).
-    pub anatomy: bool,
-    /// `--perfetto PATH`: write a Chrome trace-event / Perfetto JSON view
-    /// of the round (`trace` honors it; elsewhere parity-only).
-    pub perfetto: Option<String>,
 }
 
 impl CommonArgs {
@@ -95,14 +91,6 @@ impl CommonArgs {
             }
             "--cold" => {
                 self.cold = true;
-                Ok(true)
-            }
-            "--anatomy" => {
-                self.anatomy = true;
-                Ok(true)
-            }
-            "--perfetto" => {
-                self.perfetto = Some(rest.next().ok_or_else(|| format!("{arg} needs a value"))?);
                 Ok(true)
             }
             _ => Ok(false),
@@ -235,12 +223,14 @@ pub fn or_exit<T>(result: std::io::Result<T>) -> T {
     })
 }
 
-/// Takes the value after `flag` off `rest` and parses it.
+/// Takes the value after `flag` off `rest` and parses it: the one value
+/// reader of every binary's value-taking flags.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message when the value is missing or does not
-/// parse.
+/// Returns a user-facing message when the value is missing, is another
+/// flag (starts with `--`: `--export --perfetto x.json` names no export
+/// path), or does not parse.
 pub fn parse_value<T: std::str::FromStr>(
     flag: &str,
     rest: &mut dyn Iterator<Item = String>,
@@ -248,7 +238,10 @@ pub fn parse_value<T: std::str::FromStr>(
 where
     T::Err: std::fmt::Display,
 {
-    let raw = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    let raw = rest
+        .next()
+        .filter(|raw| !raw.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))?;
     raw.parse()
         .map_err(|e| format!("invalid {flag} value {raw:?}: {e}"))
 }
@@ -294,7 +287,9 @@ mod tests {
         assert!(parse(&["--rounds"]).unwrap_err().contains("--rounds"));
         let err = parse(&["--seed", "xyzzy"]).unwrap_err();
         assert!(err.contains("--seed") && err.contains("xyzzy"), "{err}");
-        assert!(parse(&["--perfetto"]).unwrap_err().contains("--perfetto"));
+        let err = parse(&["--seed", "--jobs", "2"]).unwrap_err();
+        assert_eq!(err, "--seed needs a value", "a flag is not a value");
+        assert_eq!(parse(&["--jobs", "-1"]).unwrap_err().lines().count(), 1);
     }
 
     #[test]
@@ -309,13 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn forensics_flags_parse_everywhere() {
-        let (c, rest) = parse(&["--anatomy", "--perfetto", "out.json", "vi-smp"]).unwrap();
-        assert!(c.anatomy);
-        assert_eq!(c.perfetto.as_deref(), Some("out.json"));
-        assert_eq!(rest, ["vi-smp"]);
-        let (c, _) = parse(&["--rounds", "5"]).unwrap();
-        assert!(!c.anatomy && c.perfetto.is_none(), "both default off");
+    fn single_binary_flags_are_left_to_their_binary() {
+        let (c, rest) = parse(&["--anatomy", "--perfetto", "out.json", "--cold"]).unwrap();
+        assert!(c.cold);
+        assert_eq!(rest, ["--anatomy", "--perfetto", "out.json"]);
     }
 
     fn parse_grid(tokens: &[&str]) -> Result<(GridArgs, Vec<String>), String> {

@@ -11,8 +11,6 @@
 //! syscall spans are read from the trace.
 
 use serde::Serialize;
-use std::cell::Cell;
-use std::rc::Rc;
 use std::sync::Arc;
 use tocttou_os::event::OsEvent;
 use tocttou_os::ids::{Gid, Pid, Uid};
@@ -198,7 +196,7 @@ pub fn run(cfg: &Config) -> Output {
         // Parallel (pipelined).
         let mut kernel = Kernel::new(MachineSpec::multicore_pentium_d().quiet(), cfg.seed);
         layout(&mut kernel, size_kb);
-        let flag: AttackFlag = Rc::new(Cell::new(false));
+        let flag = AttackFlag::default();
         let [detect, link]: [AttackerProfile; 2] =
             library::pipelined(&attacker, SimDuration::from_micros(1))
                 .try_into()

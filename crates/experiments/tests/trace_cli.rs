@@ -1,6 +1,7 @@
-//! The `trace` binary's flag handling: a bad value exits 2 with a message
-//! naming the flag, as the shared `CommonArgs` flags do, and a good
-//! invocation still renders its round.
+//! The `trace` binary's flag handling: a bad or missing value exits 2
+//! with a message naming the flag, as the shared `CommonArgs` flags do, a
+//! flag another binary owns is unknown, and a good invocation still
+//! renders its round.
 
 use std::process::{Command, Output};
 
@@ -43,6 +44,32 @@ fn a_misspelt_find_outcome_exits_2() {
 #[test]
 fn export_without_a_path_exits_2() {
     rejects(&["vi-smp-1b", "--export"], "--export needs a value");
+}
+
+#[test]
+fn a_flag_is_not_a_value() {
+    // `--export` must not swallow `--perfetto` as its path (and then
+    // blame `x.json` as an unknown scenario).
+    rejects(
+        &["vi-smp", "--export", "--perfetto", "x.json"],
+        "--export needs a value",
+    );
+    rejects(&["vi-smp", "--seed", "--jobs", "2"], "--seed needs a value");
+}
+
+#[test]
+fn single_binary_flags_are_unknown_elsewhere() {
+    rejects(&["vi-smp-1b", "--anatomy"], "unknown flag --anatomy");
+    for args in [["--perfetto", "x"], ["--anatomy", "--cold"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(["--grid", "d", "--points", "1", "--rounds", "1"])
+            .args(args)
+            .output()
+            .expect("the sweep binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(&format!("unknown flag {}", args[0])), "{err}");
+    }
 }
 
 #[test]

@@ -31,8 +31,7 @@
 //! detections, `McOutcome`, final files).
 
 use crate::scenario::{Layout, Scenario};
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tocttou_core::taxonomy::TocttouPair;
 use tocttou_os::defense::DefensePolicy;
@@ -40,7 +39,7 @@ use tocttou_os::detect::fs_call_of;
 use tocttou_os::ids::Fd;
 use tocttou_os::machine::MachineSpec;
 use tocttou_os::process::{Action, LogicCtx, ProcessLogic, SyscallRequest, SyscallResult};
-use tocttou_os::vfs::{InodeMeta, Vfs};
+use tocttou_os::vfs::{InodeMeta, StatBuf, Vfs};
 use tocttou_sim::dist::{sample_standard_normal, DurationDist};
 use tocttou_sim::rng::SimRng;
 use tocttou_sim::time::SimDuration;
@@ -269,7 +268,13 @@ pub enum SuccessRule {
 impl SuccessRule {
     /// Evaluates the predicate against the end-of-round filesystem.
     pub fn eval(self, vfs: &Vfs, layout: &Layout) -> bool {
-        let passwd = vfs.stat(&layout.passwd).expect("passwd exists");
+        self.holds(&vfs.stat(&layout.passwd).expect("passwd exists"), layout)
+    }
+
+    /// Evaluates the predicate on the followed `stat` of the privileged
+    /// file, wherever that `stat` came from: the simulated filesystem
+    /// ([`SuccessRule::eval`]) or the host's.
+    pub fn holds(self, passwd: &StatBuf, layout: &Layout) -> bool {
         match self {
             SuccessRule::AttackerOwnsPrivileged => passwd.uid == layout.attacker.0,
             SuccessRule::PrivilegedModeIs(mode) => passwd.mode == mode,
@@ -520,6 +525,11 @@ impl DslVictim {
             rng: SimRng::seed_from_u64(seed),
         }
     }
+
+    /// Whether a failed [`Expect`] guard ended the trace early.
+    pub fn aborted(&self) -> bool {
+        self.aborted
+    }
 }
 
 impl ProcessLogic for DslVictim {
@@ -589,8 +599,10 @@ impl ProcessLogic for DslVictim {
 }
 
 /// The round's shared flag between a [`AttackerProfile::raises_flag`]
-/// attacker and its [`Trigger::Flag`] partner.
-pub type AttackFlag = Rc<Cell<bool>>;
+/// attacker and its [`Trigger::Flag`] partner. Atomic, so the pair can
+/// also run on two host threads: the raise is a `Release` store and the
+/// poll an `Acquire` load.
+pub type AttackFlag = Arc<AtomicBool>;
 
 /// The paper's window test: the followed `stat` reports a root-owned
 /// regular file.
@@ -683,7 +695,7 @@ impl ProcessLogic for DslAttacker {
             AtkState::Decide => {
                 if detected(last) {
                     if self.prof.raises_flag {
-                        self.flag().set(true);
+                        self.flag().store(true, Ordering::Release);
                     }
                     self.state = AtkState::Strike(0);
                     self.gap(self.prof.check_gap)
@@ -710,7 +722,7 @@ impl ProcessLogic for DslAttacker {
                 self.gap(self.prof.check_gap)
             }
             AtkState::Poll => {
-                if self.flag().get() {
+                if self.flag().load(Ordering::Acquire) {
                     self.fire(0)
                 } else {
                     self.gap(self.prof.loop_gap)

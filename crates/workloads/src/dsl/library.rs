@@ -1018,8 +1018,6 @@ fn use_call(call: FsCall, path: &Arc<str>, aux: &Arc<str>) -> Option<SyscallRequ
 mod tests {
     use super::*;
     use crate::dsl::{AttackFlag, DslAttacker, DslVictim};
-    use std::cell::Cell;
-    use std::rc::Rc;
     use tocttou_core::stats::SuccessCounter;
     use tocttou_os::prelude::*;
     use tocttou_sim::time::SimTime;
@@ -1060,7 +1058,7 @@ mod tests {
 
     /// Spawns attacker processes sharing one round flag.
     fn spawn_attackers(k: &mut Kernel, profiles: Vec<AttackerProfile>, seed: u64) -> Vec<Pid> {
-        let flag: AttackFlag = Rc::new(Cell::new(false));
+        let flag = AttackFlag::default();
         profiles
             .into_iter()
             .map(|p| {

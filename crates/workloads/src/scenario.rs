@@ -9,8 +9,6 @@ use crate::dsl::{
     self, library, AttackFlag, AttackerProfile, CompiledVictim, DslAttacker, FileSpec, Step,
     Trigger,
 };
-use std::cell::Cell;
-use std::rc::Rc;
 use std::sync::Arc;
 use tocttou_os::defense::DefensePolicy;
 use tocttou_os::ids::{Gid, Pid, Uid};
@@ -273,7 +271,7 @@ impl Scenario {
             .attacker
             .iter()
             .any(|p| p.raises_flag || p.trigger == Trigger::Flag)
-            .then(|| AttackFlag::new(Cell::new(false)));
+            .then(AttackFlag::default);
         let attackers = self
             .attacker
             .iter()
@@ -288,7 +286,7 @@ impl Scenario {
                 };
                 let mut logic = DslAttacker::new(Arc::clone(prof), seed);
                 if let Some(flag) = &flag {
-                    logic = logic.with_flag(Rc::clone(flag));
+                    logic = logic.with_flag(Arc::clone(flag));
                 }
                 kernel.spawn(&prof.name, auid, agid, prof.pretouch, Box::new(logic))
             })

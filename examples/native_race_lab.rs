@@ -4,21 +4,22 @@
 //! cargo run --release --example native_race_lab [rounds] [file_kb]
 //! ```
 //!
-//! Requires root for the full effect (the victim's chown must be able to
-//! give files away, as in the paper's scenario); everything happens inside
-//! a scratch directory in `$TMPDIR` — the real `/etc/passwd` is never
-//! touched.
+//! Races the simulator's own vi and gedit specs (`Scenario::vi_smp`,
+//! `Scenario::gedit_multicore_v2`) with real syscalls. Requires root for
+//! the full effect (the victim's chown must be able to give files away, as
+//! in the paper's scenario); everything happens inside a scratch directory
+//! in `$TMPDIR` — the real `/etc/passwd` is never touched.
 
-use std::time::Duration;
 use tocttou::lab::measure::{measure_detection_period, measure_syscall_costs, scratch_dir};
-use tocttou::lab::{is_root, online_cpus, run_lab, LabConfig, NativeAttacker, NativeVictim};
+use tocttou::lab::{is_root, online_cpus, run_lab, LabConfig};
+use tocttou::workloads::Scenario;
 
 fn main() {
     let rounds: u32 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(20);
-    let file_kb: usize = std::env::args()
+    let file_kb: u64 = std::env::args()
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1024);
@@ -48,21 +49,20 @@ fn main() {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    for (victim, attacker, label) in [
-        (NativeVictim::Vi, NativeAttacker::V1, "vi + attacker v1"),
+    // The simulator's own specs, raced natively: the programs, their gaps
+    // and the success rule are the ones the simulated rounds run.
+    for (scenario, label) in [
+        (Scenario::vi_smp(file_kb * 1024), "vi + attacker v1"),
         (
-            NativeVictim::Gedit,
-            NativeAttacker::V2,
+            Scenario::gedit_multicore_v2(file_kb * 1024),
             "gedit + attacker v2",
         ),
     ] {
+        let scratch_root = std::env::temp_dir();
         let report = run_lab(&LabConfig {
-            victim,
-            attacker,
-            file_size: file_kb * 1024,
+            scenario,
             rounds,
-            round_timeout: Duration::from_secs(1),
-            ..LabConfig::default()
+            scratch_root,
         })
         .expect("lab I/O");
         println!("{label}: {report}");
