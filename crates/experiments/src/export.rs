@@ -62,13 +62,13 @@ fn event_value(t: SimTime, ev: &OsEvent) -> Value {
         OsEvent::Spawn { pid: p, name } => {
             kind(&mut fields, "spawn");
             fields.push(("pid", pid(*p)));
-            fields.push(("name", Value::Str(name.clone())));
+            fields.push(("name", Value::Str(name.to_string())));
         }
         OsEvent::SyscallEnter { pid: p, call, path } => {
             kind(&mut fields, "syscall_enter");
             fields.push(("pid", pid(*p)));
             fields.push(("call", Value::Str(call.to_string())));
-            fields.push(("path", path.serialize_value()));
+            fields.push(("path", path.as_deref().serialize_value()));
         }
         OsEvent::SyscallExit { pid: p, call, ok } => {
             kind(&mut fields, "syscall_exit");

@@ -12,11 +12,18 @@
 //!   paper notes this estimate is conservative — and Table 2 shows the
 //!   resulting under-prediction, which we reproduce);
 //! * **D** — for gedit, "the interval between the start of stat and the
-//!   start of unlink"; for vi, the detection-loop period (mean inter-`stat`
-//!   interval);
+//!   start of unlink"; for vi, the detection-loop period (the smallest
+//!   inter-`stat` interval after the first);
 //! * **t3** — the enter time of the victim's first post-window use call
 //!   (`chmod` for gedit, `chown` for vi), giving `t2 = t3 − D` and
 //!   `L = t2 − t1`.
+//!
+//! [`observe`] reads all of these by walking the kernel's trace in place,
+//! a few passes that each stop at their first match where they can; it
+//! collects nothing, and the trace's events share the kernel's strings,
+//! so a traced round with L/D extraction allocates no more than an
+//! untraced one. The collecting extractor it replaced is kept as a
+//! test-only oracle (`extract/oracle.rs`) with a differential proptest.
 
 use tocttou_core::analysis::LdSample;
 use tocttou_os::event::OsEvent;
@@ -70,6 +77,9 @@ impl AttackObservation {
 /// gedit and the attacker's calls among same-named syscalls). Returns
 /// `None` if the window never opened or the victim never issued the use
 /// call (e.g. the round timed out).
+///
+/// Every quantity is read by walking the trace in place; nothing is
+/// collected, so extraction allocates nothing.
 pub fn observe(
     trace: &Trace<OsEvent>,
     victim: Pid,
@@ -77,55 +87,50 @@ pub fn observe(
     kind: WindowKind,
     doc_path: &str,
 ) -> Option<AttackObservation> {
-    let records: Vec<_> = trace.iter().collect();
+    let (open_call, use_call) = match kind {
+        WindowKind::ViCreat => (SyscallName::OpenCreate, SyscallName::Chown),
+        WindowKind::GeditRename => (SyscallName::Rename, SyscallName::Chmod),
+    };
 
     // --- window-open commit ------------------------------------------------
-    let visible_at = match kind {
-        WindowKind::ViCreat => {
-            // First OpenCreate commit by the victim *on the doc path* (vi
-            // also creates nothing else, but be precise: match the enter).
-            commit_after_enter(&records, victim, SyscallName::OpenCreate, Some(doc_path))?
-        }
-        WindowKind::GeditRename => {
-            commit_after_enter(&records, victim, SyscallName::Rename, Some(doc_path))?
-        }
-    };
+    // The victim's first commit of the open call (vi's `creat`, gedit's
+    // into-place `rename`) whose enter names the document.
+    let visible_at = commit_after_enter(trace, victim, open_call, doc_path)?;
 
-    // --- t3: the victim's first use call after the window opens -------------
-    let use_call = match kind {
-        WindowKind::ViCreat => SyscallName::Chown,
-        WindowKind::GeditRename => SyscallName::Chmod,
-    };
-    let t3 = records
-        .iter()
-        .find(|r| {
-            r.at >= visible_at
-                && matches!(
-                    &r.event,
-                    OsEvent::SyscallEnter { pid, call, .. } if *pid == victim && *call == use_call
-                )
-        })
-        .map(|r| r.at)?;
-    // Window close: the victim's chown commit restores user ownership; any
-    // stat sampling after it observes a closed window.
-    let close_at = records
-        .iter()
-        .find(|r| {
-            r.at >= visible_at
-                && matches!(
-                    &r.event,
-                    OsEvent::Commit { pid, call: SyscallName::Chown } if *pid == victim
-                )
-        })
-        .map(|r| r.at)
-        .unwrap_or(SimTime::MAX);
+    // --- t3 and the window close -------------------------------------------
+    // t3 is the victim's first use call at or after the window opens. The
+    // window closes at the victim's chown commit, which restores user
+    // ownership; any stat sampling at or after it observes a closed window.
+    // Both are the first match among the same records, so one pass finds
+    // both.
+    let mut t3 = None;
+    let mut close_at = None;
+    for r in trace.iter().filter(|r| r.at >= visible_at) {
+        match &r.event {
+            OsEvent::SyscallEnter { pid, call, .. }
+                if t3.is_none() && *pid == victim && *call == use_call =>
+            {
+                t3 = Some(r.at);
+            }
+            OsEvent::Commit {
+                pid,
+                call: SyscallName::Chown,
+            } if close_at.is_none() && *pid == victim => close_at = Some(r.at),
+            _ => {}
+        }
+        if t3.is_some() && close_at.is_some() {
+            break;
+        }
+    }
+    let t3 = t3?;
+    let close_at = close_at.unwrap_or(SimTime::MAX);
 
     // --- detecting stat: first whose directory sample (Commit) lands inside
     // the open window [visible_at, close_at).
     let mut detect_enter = None;
     let mut detect_sample = None;
     let mut last_stat_enter: Option<SimTime> = None;
-    for r in &records {
+    for r in trace.iter() {
         match &r.event {
             OsEvent::SyscallEnter {
                 pid,
@@ -178,60 +183,61 @@ pub fn observe(
             // entry), so a trap coinciding with the unlink entry counts
             // toward D. `None` when the round never detected or attacked.
             detect_enter.and_then(|t1v| {
-                let unlink_enter = records.iter().find(|r| {
-                    r.at >= t1v
-                        && matches!(
-                            &r.event,
-                            OsEvent::SyscallEnter { pid, call: SyscallName::Unlink, path: Some(p) }
-                                if *pid == attacker && p == doc_path
-                        )
-                })?;
-                let trap_us: f64 = records
+                let unlink_at = trace
+                    .iter()
+                    .find(|r| {
+                        r.at >= t1v
+                            && matches!(
+                                &r.event,
+                                OsEvent::SyscallEnter { pid, call: SyscallName::Unlink, path: Some(p) }
+                                    if *pid == attacker && &**p == doc_path
+                            )
+                    })?
+                    .at;
+                let trap_us: f64 = trace
                     .iter()
                     .filter_map(|r| match &r.event {
-                        OsEvent::Trap { pid, dur }
-                            if *pid == attacker && r.at == unlink_enter.at =>
-                        {
+                        OsEvent::Trap { pid, dur } if *pid == attacker && r.at == unlink_at => {
                             Some(dur.as_micros_f64())
                         }
                         _ => None,
                     })
                     .sum();
-                Some((unlink_enter.at - t1v).as_micros_f64() + trap_us)
+                Some((unlink_at - t1v).as_micros_f64() + trap_us)
             })
         }
         WindowKind::ViCreat => {
-            // Detection-loop period: mean of inter-stat intervals before
-            // detection (all stats if no detection).
-            let enters: Vec<SimTime> = records
-                .iter()
-                .filter_map(|r| match &r.event {
+            // Detection-loop period, over the attacker's stat enters up to
+            // the detecting one (all of them if none detected). The loop
+            // has a constant period, so the smallest interval is the period
+            // itself — robust against background-activity pauses
+            // stretching some intervals. The first interval, which the
+            // cold-page trap stretches, counts only when it is the only
+            // one.
+            let mut prev_enter: Option<SimTime> = None;
+            let mut first: Option<f64> = None;
+            let mut min_rest: Option<f64> = None;
+            for r in trace.iter() {
+                match &r.event {
                     OsEvent::SyscallEnter {
                         pid,
                         call: SyscallName::Stat,
                         ..
-                    } if *pid == attacker && detect_enter.is_none_or(|t| r.at <= t) => Some(r.at),
-                    _ => None,
-                })
-                .collect();
-            if enters.len() >= 2 {
-                // The detection loop has a constant period, so the smallest
-                // observed interval is the period itself — robust against
-                // both the cold-page trap in the first interval and
-                // background-activity pauses stretching later ones.
-                let deltas: Vec<f64> = enters
-                    .windows(2)
-                    .skip(1)
-                    .map(|w| (w[1] - w[0]).as_micros_f64())
-                    .collect();
-                if deltas.is_empty() {
-                    Some((enters[1] - enters[0]).as_micros_f64())
-                } else {
-                    deltas.iter().copied().reduce(f64::min)
+                    } if *pid == attacker && detect_enter.is_none_or(|t| r.at <= t) => {
+                        if let Some(prev) = prev_enter {
+                            let delta = (r.at - prev).as_micros_f64();
+                            if first.is_none() {
+                                first = Some(delta);
+                            } else {
+                                min_rest = Some(min_rest.map_or(delta, |m| m.min(delta)));
+                            }
+                        }
+                        prev_enter = Some(r.at);
+                    }
+                    _ => {}
                 }
-            } else {
-                None
             }
+            min_rest.or(first)
         }
     };
 
@@ -243,23 +249,23 @@ pub fn observe(
     })
 }
 
-/// Finds the commit of the first `call` by `pid` whose *enter* matches the
-/// optional path, and returns the commit time.
+/// Finds the commit of the first `call` by `pid` whose *enter* names
+/// `path`, and returns the commit time.
 fn commit_after_enter(
-    records: &[&tocttou_sim::trace::TraceRecord<OsEvent>],
+    trace: &Trace<OsEvent>,
     pid: Pid,
     call: SyscallName,
-    path: Option<&str>,
+    path: &str,
 ) -> Option<SimTime> {
     let mut in_matching_call = false;
-    for r in records {
+    for r in trace.iter() {
         match &r.event {
             OsEvent::SyscallEnter {
                 pid: p,
                 call: c,
                 path: ep,
             } if *p == pid && *c == call => {
-                in_matching_call = path.is_none() || ep.as_deref() == path;
+                in_matching_call = ep.as_deref() == Some(path);
             }
             OsEvent::Commit { pid: p, call: c } if *p == pid && *c == call && in_matching_call => {
                 return Some(r.at);
@@ -281,9 +287,158 @@ pub fn window_length_us(obs: &AttackObservation) -> f64 {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{Family, GridKind};
+    use tocttou_sim::rng::SimRng;
+    use tocttou_sim::time::SimDuration;
     use tocttou_workloads::scenario::Scenario;
+
+    /// An observation with `d_us` as bits, so `-0.0` and `0.0` differ.
+    type Key = (SimTime, Option<SimTime>, Option<u64>, SimTime);
+
+    fn key(obs: Option<AttackObservation>) -> Option<Key> {
+        obs.map(|o| (o.visible_at, o.t1, o.d_us.map(f64::to_bits), o.t3))
+    }
+
+    /// Both extractors on one trace, for every window kind and for each
+    /// given attacker.
+    fn assert_matches_oracle(
+        trace: &Trace<OsEvent>,
+        victim: Pid,
+        attackers: &[Pid],
+        doc: &str,
+        what: &str,
+    ) -> Result<(), proptest::TestCaseError> {
+        for &attacker in attackers {
+            for kind in [WindowKind::ViCreat, WindowKind::GeditRename] {
+                proptest::prop_assert_eq!(
+                    key(observe(trace, victim, attacker, kind, doc)),
+                    key(oracle::observe(trace, victim, attacker, kind, doc)),
+                    "{} {:?} attacker {:?}",
+                    what,
+                    kind,
+                    attacker
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A random trace over the calls the extractor reads: three processes
+    /// issue random calls (enter, sometimes a trap, usually a commit, then
+    /// an exit), interleaved at random, with a stray event now and then.
+    /// Most consecutive events share an instant, so same-instant ties (a
+    /// stat sample at the victim's chown commit, a trap at the unlink
+    /// enter) are common.
+    fn random_trace(seed: u64, doc: &str) -> Trace<OsEvent> {
+        const CALLS: [SyscallName; 6] = [
+            SyscallName::OpenCreate,
+            SyscallName::Rename,
+            SyscallName::Chown,
+            SyscallName::Chmod,
+            SyscallName::Stat,
+            SyscallName::Unlink,
+        ];
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut trace = Trace::unbounded();
+        let mut now = SimTime::ZERO;
+        let mut pending: [Vec<OsEvent>; 3] = Default::default();
+        for _ in 0..rng.range_inclusive(0, 160) {
+            if rng.bernoulli(0.4) {
+                now += SimDuration::from_micros(rng.range_inclusive(1, 40));
+            }
+            let i = rng.next_below(3) as usize;
+            let pid = Pid(i as u32);
+            let call = CALLS[rng.next_below(CALLS.len() as u64) as usize];
+            let path = match rng.next_below(4) {
+                0 | 1 => Some(doc.into()),
+                2 => Some("/home/user/other".into()),
+                _ => None,
+            };
+            let trap = OsEvent::Trap {
+                pid,
+                dur: SimDuration::from_nanos(rng.range_inclusive(1, 9_000)),
+            };
+            if rng.bernoulli(0.1) {
+                // A stray event, outside any call's protocol.
+                let stray = [
+                    OsEvent::SyscallEnter { pid, call, path },
+                    OsEvent::Commit { pid, call },
+                    OsEvent::SyscallExit {
+                        pid,
+                        call,
+                        ok: false,
+                    },
+                    trap,
+                ];
+                let pick = rng.next_below(4) as usize;
+                trace.record(now, stray.into_iter().nth(pick).unwrap());
+                continue;
+            }
+            let queue = &mut pending[i];
+            if queue.is_empty() {
+                // Pushed in reverse: the queue pops from the back.
+                queue.push(OsEvent::SyscallExit {
+                    pid,
+                    call,
+                    ok: true,
+                });
+                if rng.bernoulli(0.8) {
+                    queue.push(OsEvent::Commit { pid, call });
+                }
+                if rng.bernoulli(0.2) {
+                    queue.push(trap);
+                }
+                queue.push(OsEvent::SyscallEnter { pid, call, path });
+            }
+            trace.record(now, queue.pop().unwrap());
+        }
+        trace
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The in-place walk returns exactly what the collecting oracle
+        /// returns on traced rounds of every scenario family and of every
+        /// point of the 8-point D grid.
+        #[test]
+        fn observe_matches_the_oracle_on_rounds(
+            family in 0..Family::ALL.len(),
+            point in 0usize..8,
+            seed in proptest::any::<u64>(),
+        ) {
+            let family = Family::ALL[family];
+            let d_grid = GridKind::D.build(family, 2048, 8);
+            for scenario in [family.build(2048), d_grid.points[point].scenario()] {
+                let (_, h) = scenario.run_traced(seed);
+                assert_matches_oracle(
+                    h.kernel.trace(),
+                    h.victim,
+                    &h.attackers,
+                    &scenario.layout.doc,
+                    &format!("{} seed {seed}", scenario.name),
+                )?;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// The same on random traces, whose same-instant ties and
+        /// out-of-protocol orders no kernel round produces.
+        #[test]
+        fn observe_matches_the_oracle_on_random_traces(seed in proptest::any::<u64>()) {
+            let doc = "/home/user/doc.txt";
+            let trace = random_trace(seed, doc);
+            assert_matches_oracle(&trace, Pid(0), &[Pid(1), Pid(2)], doc, &format!("seed {seed}"))?;
+        }
+    }
 
     #[test]
     fn extracts_vi_smp_observation() {

@@ -118,7 +118,7 @@ fn render(
                     pid,
                     call: SyscallName::Rename,
                     path: Some(p),
-                } if *pid == handles.victim && p == &scenario.layout.doc => {
+                } if *pid == handles.victim && **p == *scenario.layout.doc => {
                     rename_enter = Some(r.at);
                 }
                 OsEvent::SyscallEnter {
@@ -141,7 +141,7 @@ fn render(
                     call: SyscallName::Unlink,
                     path: Some(p),
                 } if *pid == handles.attackers[0]
-                    && p == &scenario.layout.doc
+                    && **p == *scenario.layout.doc
                     && r.at >= t1
                     && unlink_enter.is_none() =>
                 {

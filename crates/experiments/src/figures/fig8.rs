@@ -146,7 +146,7 @@ fn render(
                 pid,
                 call: SyscallName::Unlink,
                 path: Some(p),
-            } if *pid == handles.attackers[0] && p == &scenario.layout.doc => {
+            } if *pid == handles.attackers[0] && **p == *scenario.layout.doc => {
                 unlink_enter.get_or_insert(r.at);
                 pending_unlink = true;
             }

@@ -566,7 +566,7 @@ mod tests {
         let on = GridPoint::new(Family::GeditSmp, 2048)
             .with_pipelined(true)
             .scenario();
-        let names: Vec<&str> = on.attacker.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = on.attacker.iter().map(|p| &*p.name).collect();
         assert_eq!(names, ["attacker-detect", "attacker-link"]);
         assert_eq!(on.attacker[1].loop_gap, SimDuration::from_micros(1));
         let off = GridPoint::new(Family::PipelinedAttack, 512)

@@ -3,12 +3,16 @@
 //! The [`Kernel`](crate::kernel::Kernel) reports every scheduler,
 //! semaphore and syscall fact once, as a borrowed `KernelEvent`, to its one
 //! observer entry point, `Kernel::observe`. That call fans the fact out to
-//! the trace (as an owned [`OsEvent`], built only while the trace is
-//! enabled) and the metrics. Causal spans are derived from the trace
+//! the trace (as an [`OsEvent`], built only while the trace is enabled)
+//! and the metrics. A trace event's strings are the kernel's own: a
+//! syscall's path is its request's `Arc<str>` and a process name the one
+//! its spawner handed over, shared by reference count, so recording an
+//! event allocates nothing. Causal spans are derived from the trace
 //! afterwards ([`crate::spans`]).
 
 use crate::ids::{CpuId, Pid, SemId};
 use crate::process::SyscallName;
+use std::sync::Arc;
 use tocttou_sim::time::{SimDuration, SimTime};
 
 /// One kernel-level event, recorded with a timestamp in the kernel's
@@ -19,8 +23,8 @@ pub enum OsEvent {
     Spawn {
         /// New process.
         pid: Pid,
-        /// Its display name.
-        name: String,
+        /// Its display name (shared with the spawner's).
+        name: Arc<str>,
     },
     /// A process entered a system call.
     SyscallEnter {
@@ -28,8 +32,8 @@ pub enum OsEvent {
         pid: Pid,
         /// Which call.
         call: SyscallName,
-        /// Primary path argument, if any.
-        path: Option<String>,
+        /// Primary path argument, if any (shared with the request's).
+        path: Option<Arc<str>>,
     },
     /// A system call returned.
     SyscallExit {
@@ -158,24 +162,24 @@ impl OsEvent {
 
 /// One kernel fact as it happens, borrowed from the kernel's own state.
 ///
-/// A fact its trace event tells in full, without allocating, travels as
-/// that event ([`Os`](KernelEvent::Os)). The other variants carry what the
-/// trace leaves out: the borrowed strings the trace copies only while it
-/// is enabled, and the intervals the kernel's clocks have already closed
-/// (`entered`, `waited`, `held`, `queued`), so no observer
-/// keeps an interval start of its own.
+/// A fact whose trace event holds no string travels as that event
+/// ([`Os`](KernelEvent::Os)). The other variants carry borrowed strings,
+/// whose reference count the trace takes only while it is enabled, or the
+/// intervals the kernel's clocks have already closed (`entered`,
+/// `waited`, `held`, `queued`), which the trace leaves out, so no
+/// observer keeps an interval start of its own.
 #[derive(Debug)]
 pub(crate) enum KernelEvent<'a> {
-    /// A fact told in full by its (allocation-free) trace event.
+    /// A fact told in full by its string-free trace event.
     Os(OsEvent),
     Spawn {
         pid: Pid,
-        name: &'a str,
+        name: &'a Arc<str>,
     },
     SyscallEnter {
         pid: Pid,
         call: SyscallName,
-        path: Option<&'a str>,
+        path: Option<&'a Arc<str>>,
     },
     /// The call `pid` entered at `entered` returned.
     SyscallExit {
@@ -209,19 +213,19 @@ pub(crate) enum KernelEvent<'a> {
 }
 
 impl KernelEvent<'_> {
-    /// The owned trace record of this fact, if the trace shows it.
+    /// The trace record of this fact, if the trace shows it.
     #[inline(always)]
     pub(crate) fn into_trace(self) -> Option<OsEvent> {
         Some(match self {
             KernelEvent::Os(ev) => ev,
             KernelEvent::Spawn { pid, name } => OsEvent::Spawn {
                 pid,
-                name: name.to_owned(),
+                name: Arc::clone(name),
             },
             KernelEvent::SyscallEnter { pid, call, path } => OsEvent::SyscallEnter {
                 pid,
                 call,
-                path: path.map(str::to_owned),
+                path: path.cloned(),
             },
             KernelEvent::SyscallExit { pid, call, ok, .. } => {
                 OsEvent::SyscallExit { pid, call, ok }

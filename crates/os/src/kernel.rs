@@ -561,20 +561,25 @@ impl Kernel {
     /// (the victim editors) has all libc wrapper pages mapped; a freshly
     /// exec'ed attacker does not (attacker v1 pays the trap at its first
     /// `unlink` — Section 6.2.1).
+    ///
+    /// The process and its trace events share `name` by reference count,
+    /// so a caller that spawns one name every round passes a clone of one
+    /// `Arc<str>` and the spawn copies no string.
     pub fn spawn(
         &mut self,
-        name: &str,
+        name: impl Into<Arc<str>>,
         uid: Uid,
         gid: Gid,
         pretouch_libc: bool,
         logic: Box<dyn ProcessLogic>,
     ) -> Pid {
         let pid = Pid(self.procs.len() as u32);
+        let name = name.into();
+        self.observe(KernelEvent::Spawn { pid, name: &name });
         let buffers = self.spare.pop().unwrap_or_default();
         let proc_ = Process::new(pid, name, uid, gid, logic, pretouch_libc, buffers);
         self.procs.push(proc_);
         self.live += 1;
-        self.observe(KernelEvent::Spawn { pid, name });
         self.make_ready(pid);
         pid
     }
@@ -1004,7 +1009,7 @@ impl Kernel {
                 self.observe(KernelEvent::SyscallEnter {
                     pid,
                     call: req.name(),
-                    path: req.primary_path().map(|p| &**p),
+                    path: req.primary_path(),
                 });
                 // Compile into the process's own phase buffer, reusing its
                 // allocation across syscalls.

@@ -188,7 +188,7 @@ fn semaphore_contention_serializes_and_fifo_orders() {
                 mode: 0o600 + i as u32,
             }),
         ]);
-        pids.push(k.spawn(&format!("p{i}"), Uid::ROOT, Gid::ROOT, true, Box::new(s)));
+        pids.push(k.spawn(format!("p{i}"), Uid::ROOT, Gid::ROOT, true, Box::new(s)));
     }
     k.run_until_all_exit(&pids, SimTime::from_millis(100));
     let acquires: Vec<Pid> = k

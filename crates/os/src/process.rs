@@ -432,7 +432,8 @@ impl PageSet {
 /// A simulated process (kernel-internal bookkeeping).
 pub(crate) struct Process {
     pub(crate) pid: Pid,
-    pub(crate) name: String,
+    /// Display name, shared with the spawner's (and the trace's) copy.
+    pub(crate) name: Arc<str>,
     pub(crate) uid: Uid,
     pub(crate) gid: Gid,
     pub(crate) logic: Box<dyn ProcessLogic>,
@@ -478,18 +479,18 @@ pub(crate) struct PendingSyscall {
 /// rebooted and donated back to the next round's spawns. Everything is
 /// cleared before reuse, so a process built on spare buffers is
 /// indistinguishable from one built on fresh ones — only the allocations
-/// are shared.
+/// are shared. The name needs no buffer: a process holds its spawner's
+/// `Arc<str>`.
 #[derive(Debug, Default)]
 pub(crate) struct ProcBuffers {
     pub(crate) phases: VecDeque<Phase>,
     pub(crate) fds: HashMap<Fd, Ino>,
-    pub(crate) name: String,
 }
 
 impl Process {
     pub(crate) fn new(
         pid: Pid,
-        name: &str,
+        name: Arc<str>,
         uid: Uid,
         gid: Gid,
         logic: Box<dyn ProcessLogic>,
@@ -503,11 +504,9 @@ impl Process {
         };
         buffers.phases.clear();
         buffers.fds.clear();
-        buffers.name.clear();
-        buffers.name.push_str(name);
         Process {
             pid,
-            name: buffers.name,
+            name,
             uid,
             gid,
             logic,
@@ -532,7 +531,6 @@ impl Process {
         ProcBuffers {
             phases: self.phases,
             fds: self.fds,
-            name: self.name,
         }
     }
 
@@ -634,7 +632,7 @@ mod tests {
     fn fd_allocation_is_monotonic() {
         let mut p = Process::new(
             Pid(1),
-            "t",
+            "t".into(),
             Uid(0),
             Gid(0),
             Box::new(|_: &LogicCtx, _: Option<&SyscallResult>| Action::Exit),

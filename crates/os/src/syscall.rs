@@ -508,7 +508,7 @@ mod tests {
     fn test_proc(pretouch: bool) -> Process {
         Process::new(
             Pid(1),
-            "t",
+            "t".into(),
             Uid(0),
             Gid(0),
             Box::new(|_: &LogicCtx, _: Option<&SyscallResult>| Action::Exit),

@@ -190,8 +190,8 @@ pub enum Trigger {
 /// A compiled attacker: trigger plus strike trace.
 #[derive(Debug, Clone)]
 pub struct AttackerProfile {
-    /// Process name (shows up in traces).
-    pub name: String,
+    /// Process name (shows up in traces, which share this `Arc`).
+    pub name: Arc<str>,
     /// Spawn with warm libc pages? (`false` reproduces the paper's v1
     /// page-fault behaviour.)
     pub pretouch: bool,
@@ -371,7 +371,7 @@ impl ScenarioSpec {
             name: self.name,
             machine: self.machine,
             victim: CompiledVictim {
-                name: self.victim_name,
+                name: self.victim_name.into(),
                 steps: self.steps.into(),
                 doc_size: self.doc_size,
                 pair: self.pair,
@@ -390,8 +390,8 @@ impl ScenarioSpec {
 /// (the trace is shared).
 #[derive(Debug, Clone)]
 pub struct CompiledVictim {
-    /// Process name.
-    pub name: String,
+    /// Process name (shared with the trace's `Spawn` events).
+    pub name: Arc<str>,
     /// The trace.
     pub steps: Arc<[Step]>,
     /// Pre-existing document size.

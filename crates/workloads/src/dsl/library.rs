@@ -1064,7 +1064,7 @@ mod tests {
             .map(|p| {
                 let (name, pretouch) = (p.name.clone(), p.pretouch);
                 let logic = DslAttacker::new(Arc::new(p), seed).with_flag(flag.clone());
-                k.spawn(&name, Uid(1000), Gid(1000), pretouch, Box::new(logic))
+                k.spawn(name, Uid(1000), Gid(1000), pretouch, Box::new(logic))
             })
             .collect()
     }
@@ -1215,7 +1215,7 @@ mod tests {
                         call: SyscallName::Rename,
                         path: Some(p),
                         ..
-                    } if p == DOC => rename_into_place = Some(r.at),
+                    } if &**p == DOC => rename_into_place = Some(r.at),
                     OsEvent::SyscallEnter {
                         call: SyscallName::Chown,
                         ..

@@ -45,4 +45,4 @@ pub mod scenario;
 
 pub use dsl::{AttackerProfile, CompiledVictim, Expect, ScenarioSpec, Step, SuccessRule, Trigger};
 pub use maze::{vi_uniprocessor_maze, Maze};
-pub use scenario::{Layout, RoundHandles, RoundResult, Scenario};
+pub use scenario::{AttackerPids, Layout, RoundHandles, RoundResult, Scenario};

@@ -84,7 +84,48 @@ pub struct RoundHandles {
     /// The victim's pid.
     pub victim: Pid,
     /// Attacker pids (two for the pipelined attacker).
-    pub attackers: Vec<Pid>,
+    pub attackers: AttackerPids,
+}
+
+/// A round's attacker pids, read as a `[Pid]` slice (`attackers[0]`,
+/// `attackers.iter()`).
+///
+/// The attackers are spawned one after another, so their pids are
+/// consecutive: a round of up to four holds them inline and allocates
+/// nothing, and only a larger set spills to the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AttackerPids(PidRepr);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PidRepr {
+    Inline { pids: [Pid; 4], len: usize },
+    Spilled(Vec<Pid>),
+}
+
+impl AttackerPids {
+    /// The `len` pids from `first` on.
+    fn consecutive(first: Pid, len: usize) -> Self {
+        let pid = |i: usize| Pid(first.0 + i as u32);
+        AttackerPids(if len <= 4 {
+            PidRepr::Inline {
+                pids: std::array::from_fn(pid),
+                len,
+            }
+        } else {
+            PidRepr::Spilled((0..len).map(pid).collect())
+        })
+    }
+}
+
+impl std::ops::Deref for AttackerPids {
+    type Target = [Pid];
+
+    fn deref(&self) -> &[Pid] {
+        match &self.0 {
+            PidRepr::Inline { pids, len } => &pids[..*len],
+            PidRepr::Spilled(pids) => pids,
+        }
+    }
 }
 
 /// The outcome of one round.
@@ -257,7 +298,7 @@ impl Scenario {
     fn spawn_workloads(&self, mut kernel: Kernel, root_rng: &mut SimRng) -> RoundHandles {
         let victim_seed = root_rng.next_u64();
         let victim = kernel.spawn(
-            &self.victim.name,
+            Arc::clone(&self.victim.name),
             Uid::ROOT,
             Gid::ROOT,
             true, // long-running privileged program: libc fully mapped
@@ -272,30 +313,33 @@ impl Scenario {
             .iter()
             .any(|p| p.raises_flag || p.trigger == Trigger::Flag)
             .then(AttackFlag::default);
-        let attackers = self
-            .attacker
-            .iter()
-            .enumerate()
-            .map(|(i, prof)| {
-                // The first attacker takes the schedule slot every scenario
-                // draws; each further attacker draws one more seed.
-                let seed = if i == 0 {
-                    attacker_seed
-                } else {
-                    root_rng.next_u64()
-                };
-                let mut logic = DslAttacker::new(Arc::clone(prof), seed);
-                if let Some(flag) = &flag {
-                    logic = logic.with_flag(Arc::clone(flag));
-                }
-                kernel.spawn(&prof.name, auid, agid, prof.pretouch, Box::new(logic))
-            })
-            .collect();
+        let first = Pid(victim.0 + 1);
+        for (i, prof) in self.attacker.iter().enumerate() {
+            // The first attacker takes the schedule slot every scenario
+            // draws; each further attacker draws one more seed.
+            let seed = if i == 0 {
+                attacker_seed
+            } else {
+                root_rng.next_u64()
+            };
+            let mut logic = DslAttacker::new(Arc::clone(prof), seed);
+            if let Some(flag) = &flag {
+                logic = logic.with_flag(Arc::clone(flag));
+            }
+            let pid = kernel.spawn(
+                Arc::clone(&prof.name),
+                auid,
+                agid,
+                prof.pretouch,
+                Box::new(logic),
+            );
+            debug_assert_eq!(pid.0, first.0 + i as u32, "attacker pids are consecutive");
+        }
 
         RoundHandles {
             kernel,
             victim,
-            attackers,
+            attackers: AttackerPids::consecutive(first, self.attacker.len()),
         }
     }
 
@@ -451,14 +495,15 @@ impl Scenario {
     }
 
     /// An equal scenario that shares no allocation with `self`: every
-    /// `Arc` path, trace and strike is freshly allocated.
+    /// `Arc` name, path, trace and strike is freshly allocated.
     ///
     /// Rounds clone the scenario's path `Arc`s into every syscall they
-    /// issue, so threads running one shared scenario contend on its
-    /// reference counts; each executor worker runs on its own copy
-    /// instead. Aliasing carries over (two handles to one `Arc` become two
-    /// handles to one new `Arc`), so the kernel's pointer-equality fast
-    /// path for paths hits exactly as often, and rounds are byte-identical.
+    /// issue and its process names into every spawn, so threads running
+    /// one shared scenario contend on its reference counts; each executor
+    /// worker runs on its own copy instead. Aliasing carries over (two
+    /// handles to one `Arc` become two handles to one new `Arc`), so the
+    /// kernel's pointer-equality fast path for paths hits exactly as
+    /// often, and rounds are byte-identical.
     pub fn detached(&self) -> Scenario {
         let Scenario {
             name,
@@ -611,7 +656,7 @@ impl Detach {
             success,
         } = cfg;
         CompiledVictim {
-            name: name.clone(),
+            name: self.str(name),
             steps: self.steps.get(steps, |steps| {
                 steps
                     .iter()
@@ -640,7 +685,7 @@ impl Detach {
             jitter_us,
         } = prof;
         AttackerProfile {
-            name: name.clone(),
+            name: self.str(name),
             pretouch: *pretouch,
             watch: self.str(watch),
             trigger: *trigger,
@@ -1034,14 +1079,14 @@ mod detach_tests {
     fn arcs(s: &Scenario) -> Vec<*const ()> {
         let mut out = Vec::new();
         let c = &s.victim;
-        out.extend([ptr(&c.steps), ptr(&c.extra_files)]);
+        out.extend([ptr(&c.name), ptr(&c.steps), ptr(&c.extra_files)]);
         for step in c.steps.iter() {
             if let Step::Call { call, .. } = step {
                 call_arcs(call, &mut out);
             }
         }
         for p in &s.attacker {
-            out.extend([ptr(p), ptr(&p.watch), ptr(&p.strike)]);
+            out.extend([ptr(p), ptr(&p.name), ptr(&p.watch), ptr(&p.strike)]);
             out.extend(p.rehearsal.as_ref().map(ptr));
             for call in p
                 .strike
@@ -1052,6 +1097,20 @@ mod detach_tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn attacker_pids_read_as_a_slice_inline_or_spilled() {
+        for len in [0, 1, 4, 5, 9] {
+            let pids = AttackerPids::consecutive(Pid(3), len);
+            let want: Vec<Pid> = (3..3 + len as u32).map(Pid).collect();
+            assert_eq!(&*pids, &want[..], "{len}");
+            assert_eq!(matches!(pids.0, PidRepr::Inline { .. }), len <= 4, "{len}");
+        }
+        let crowd = library::vi_crowd(2048).compile();
+        let h = crowd.build(1, false);
+        assert_eq!(h.attackers.len(), crowd.attacker.len());
+        assert_eq!(h.attackers[0], Pid(h.victim.0 + 1));
     }
 
     #[test]

@@ -174,7 +174,7 @@ proptest! {
             .enumerate()
             .map(|(i, steps)| {
                 kernel.spawn(
-                    &format!("p{i}"),
+                    format!("p{i}"),
                     Uid(i as u32),
                     Gid(i as u32),
                     i % 2 == 0,

@@ -107,7 +107,7 @@ fn boot(programs: &[Vec<Step>], cpus: usize, bg: bool, seed: u64) -> (Kernel, Ve
         .enumerate()
         .map(|(i, steps)| {
             kernel.spawn(
-                &format!("p{i}"),
+                format!("p{i}"),
                 Uid(i as u32),
                 Gid(i as u32),
                 i % 2 == 0,

@@ -27,7 +27,7 @@ fn simulated(scenario: &Scenario, who: impl Fn(&RoundHandles) -> Pid) -> Vec<Cal
         .iter()
         .filter_map(|r| match &r.event {
             OsEvent::SyscallEnter { pid: p, call, path } if *p == pid => {
-                Some((*call, path.clone()))
+                Some((*call, path.as_deref().map(str::to_owned)))
             }
             _ => None,
         })
